@@ -47,11 +47,10 @@ from ..core.gtwindow import (
     WindowPolicy,
     generalized_windows,
 )
-from ..core.interval import Interval
 from ..core.relation import TPRelation
 from ..core.schema import Fact, TPSchema
 from ..core.setops import tp_union
-from ..core.tuple import TPTuple
+from ..core.tuple import TPTuple, tuples_from_rows
 from ..lineage.formula import Lineage, land, lnot, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
 
@@ -80,10 +79,6 @@ JOIN_SYMBOLS = {
     "anti": "▷",
 }
 JOIN_KINDS = tuple(JOIN_SYMBOLS)
-
-# Trusted fast construction for kernel-emitted objects (DESIGN.md §6).
-_new = object.__new__
-_setattr = object.__setattr__
 
 
 # ----------------------------------------------------------------------
@@ -408,11 +403,12 @@ def _generalized_join(
         sweep_policy = WindowPolicy(do_matches, preserve_left, preserve_right)
         rows = _sweep_rows(layout, r, s, sweep_policy)
 
+    probs = None
     if materialize:
         # One batch over the interned lineages: each distinct formula is
         # valuated once, however many output tuples carry it.
-        probs: list = list(
-            probability_batch((row[1] for row in rows), events, options=options)
+        probs = probability_batch(
+            [row[1] for row in rows], events, options=options
         )
         carried_pending = [t for t in carried if t.p is None]
         carried_values = iter(
@@ -424,25 +420,8 @@ def _generalized_join(
             t if t.p is not None else t.with_probability(next(carried_values))
             for t in carried
         ]
-    else:
-        probs = [None] * len(rows)
 
-    # Trusted fast construction, as in the fused set-operation kernel:
-    # the sweep guarantees non-empty windows, so Interval validation and
-    # the dataclass __init__ machinery are skipped on the hot path.
-    new, set_, interval_cls, tuple_cls = _new, _setattr, Interval, TPTuple
-    out: list[TPTuple] = []
-    append = out.append
-    for (fact, lam, win_ts, win_te), p in zip(rows, probs):
-        interval = new(interval_cls)
-        set_(interval, "start", win_ts)
-        set_(interval, "end", win_te)
-        t = new(tuple_cls)
-        set_(t, "fact", fact)
-        set_(t, "lineage", lam)
-        set_(t, "interval", interval)
-        set_(t, "p", p)
-        append(t)
+    out = tuples_from_rows(rows, probs)
     out.extend(carried)
     _sort_output(out)
     return TPRelation(
@@ -589,12 +568,19 @@ def _degenerate_full_outer(
 ) -> TPRelation:
     """Full outer join of two key-only relations ≡ TP union of the key
     projections — delegated to the fused LAWA kernel."""
+    projected = [
+        TPTuple(layout.right_fact(u.fact), u.lineage, u.interval, u.p) for u in s
+    ]
+    # The projection may reorder key columns, and null-padded facts (the
+    # operand may itself be an outer join) only sort in the null-safe order.
+    _sort_output(projected)
     s_projected = TPRelation(
         s.name,
         layout.out_schema,
-        [TPTuple(layout.right_fact(u.fact), u.lineage, u.interval, u.p) for u in s],
+        projected,
         s.events,
         validate=False,
+        assume_sorted=True,
     )
     union = tp_union(r, s_projected, materialize=materialize, options=options)
     return TPRelation(

@@ -39,15 +39,11 @@ from typing import Optional, Sequence
 
 from ..lineage.formula import Lineage
 from ..lineage.serialize import EncodedBatch, decode_batch, encode_batch
-from .interval import Interval
 from .schema import Fact
 from .sorting import fact_lt
-from .tuple import TPTuple
+from .tuple import TPTuple, tuples_from_rows
 
 __all__ = ["ColumnarBlock", "unify_fact_codes"]
-
-_new = object.__new__
-_setattr = object.__setattr__
 
 #: A block on the wire: (facts, fact codes, starts, ends, probs, lineage
 #: node table + root indexes) — every field either a plain tuple or raw
@@ -139,27 +135,15 @@ class ColumnarBlock:
     def tuples(self) -> list[TPTuple]:
         """Rebuild the run — field-identical to the encoded tuples, with
         lineage `is`-identical (the column holds the interned objects)."""
-        facts = self.facts
-        lineages = self.lineages
-        fact_codes = self.fact_codes
-        lineage_codes = self.lineage_codes
-        starts = self.starts
-        ends = self.ends
-        probs = self.probs
-        out: list[TPTuple] = []
-        append = out.append
-        new, set_, interval_cls, tuple_cls = _new, _setattr, Interval, TPTuple
-        for i in range(len(starts)):
-            interval = new(interval_cls)
-            set_(interval, "start", starts[i])
-            set_(interval, "end", ends[i])
-            t = new(tuple_cls)
-            set_(t, "fact", facts[fact_codes[i]])
-            set_(t, "lineage", lineages[lineage_codes[i]])
-            set_(t, "interval", interval)
-            set_(t, "p", probs[i])
-            append(t)
-        return out
+        return tuples_from_rows(
+            zip(
+                map(self.facts.__getitem__, self.fact_codes),
+                map(self.lineages.__getitem__, self.lineage_codes),
+                self.starts,
+                self.ends,
+            ),
+            self.probs,
+        )
 
     # ------------------------------------------------------------------
     # wire / spill form

@@ -27,10 +27,9 @@ from ..lineage.concat import concat_or
 from ..lineage.formula import Lineage, land
 from ..prob.valuation import probability_batch
 from .errors import UnsupportedOperationError
-from .interval import Interval
 from .relation import TPRelation
 from .sorting import sort_key_lt
-from .tuple import TPTuple
+from .tuple import TPTuple, tuples_from_rows
 
 __all__ = ["multi_union", "multi_intersect", "MultiwaySweep", "MultiWindow"]
 
@@ -165,21 +164,20 @@ def _prepare(relations: Sequence[TPRelation]) -> MultiwaySweep:
 def _finish(
     relations: Sequence[TPRelation],
     symbol: str,
-    out: list[TPTuple],
+    rows: list[tuple],
     materialize: bool,
 ) -> TPRelation:
+    """Valuate the rows' lineages in one batch, then build each output
+    tuple once (as :func:`repro.core.setops._finish` does)."""
     events: dict[str, float] = {}
     for r in relations:
         events.update(r.events)
-    if materialize:
-        values = probability_batch((t.lineage for t in out), events)
-        out = [
-            TPTuple(t.fact, t.lineage, t.interval, p)
-            for t, p in zip(out, values)
-        ]
+    probs = (
+        probability_batch([row[1] for row in rows], events) if materialize else None
+    )
     name = f"({f' {symbol} '.join(r.name for r in relations)})"
     return TPRelation(
-        name, relations[0].schema, out, events,
+        name, relations[0].schema, tuples_from_rows(rows, probs), events,
         validate=False, assume_sorted=True,
     )
 
@@ -193,7 +191,7 @@ def multi_union(
     :func:`~repro.core.setops.tp_union`, at a fraction of the cost.
     """
     sweep = _prepare(relations)
-    out: list[TPTuple] = []
+    rows: list[tuple] = []
     while True:
         window = sweep.advance()
         if window is None:
@@ -203,10 +201,8 @@ def multi_union(
             lineage = present[0]
             for lam in present[1:]:
                 lineage = concat_or(lineage, lam)
-            out.append(
-                TPTuple(window.fact, lineage, Interval(window.win_ts, window.win_te))
-            )
-    return _finish(relations, "∪", out, materialize)
+            rows.append((window.fact, lineage, window.win_ts, window.win_te))
+    return _finish(relations, "∪", rows, materialize)
 
 
 def multi_intersect(
@@ -214,17 +210,16 @@ def multi_intersect(
 ) -> TPRelation:
     """n-ary TP intersection in a single sweep: r1 ∩Tp … ∩Tp rm."""
     sweep = _prepare(relations)
-    out: list[TPTuple] = []
+    rows: list[tuple] = []
     while not any(sweep.exhausted(i) for i in range(len(relations))):
         window = sweep.advance()
         if window is None:
             break
         if all(lam is not None for lam in window.lineages):
-            out.append(
-                TPTuple(
-                    window.fact,
-                    land(*window.lineages),  # type: ignore[arg-type]
-                    Interval(window.win_ts, window.win_te),
-                )
-            )
-    return _finish(relations, "∩", out, materialize)
+            rows.append((
+                window.fact,
+                land(*window.lineages),  # type: ignore[arg-type]
+                window.win_ts,
+                window.win_te,
+            ))
+    return _finish(relations, "∩", rows, materialize)

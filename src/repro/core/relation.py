@@ -23,6 +23,7 @@ call sorts once and caches (relations are immutable).
 from __future__ import annotations
 
 import weakref
+from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..lineage.formula import Lineage, variables
@@ -51,7 +52,8 @@ class TPRelation:
 
     __slots__ = (
         "name", "schema", "_tuples", "events",
-        "_sorted_cache", "_merge_cache", "_block_cache", "__weakref__",
+        "_sorted_cache", "_in_fact_ts_order", "_merge_cache", "_block_cache",
+        "__weakref__",
     )
 
     def __init__(
@@ -69,9 +71,10 @@ class TPRelation:
         self._tuples: tuple[TPTuple, ...] = tuple(tuples)
         # EventMap self-invalidates the valuation memo on mutation.
         self.events: EventMap = EventMap(events)
-        self._sorted_cache: Optional[list[TPTuple]] = (
-            list(self._tuples) if assume_sorted else None
-        )
+        self._sorted_cache: Optional[list[TPTuple]] = None
+        # Whether insertion order is the (F, Ts) order: declared here,
+        # or discovered by the first sorted_tuples() call.
+        self._in_fact_ts_order = assume_sorted
         self._merge_cache: Optional[tuple] = None
         self._block_cache: Optional[object] = None
         if validate:
@@ -189,10 +192,14 @@ class TPRelation:
         """
         cache = self._sorted_cache
         if cache is None:
-            # Same full (F, Ts, Te) key as repro.core.sorting, so the
-            # default path and the explicit strategies order raw-stream
-            # ties identically (DESIGN.md §6.2).
-            cache = sorted(self._tuples, key=_full_key)
+            if self._in_fact_ts_order:
+                cache = list(self._tuples)
+            else:
+                # Same full (F, Ts, Te) key as repro.core.sorting, so the
+                # default path and the explicit strategies order
+                # raw-stream ties identically (DESIGN.md §6.2).
+                cache = sorted(self._tuples, key=_full_key)
+                self._in_fact_ts_order = all(map(is_, cache, self._tuples))
             self._sorted_cache = cache
         return cache
 
@@ -225,6 +232,7 @@ class TPRelation:
         self._tuples = state["tuples"]
         self.events = EventMap(state["events"])
         self._sorted_cache = None
+        self._in_fact_ts_order = False
         self._merge_cache = None
         self._block_cache = None
 
@@ -257,12 +265,10 @@ class TPRelation:
 
     @property
     def is_sorted_by_fact_ts(self) -> bool:
-        """True when the insertion order already is the ``(F, Ts)`` order
-        (either declared via ``assume_sorted`` or discovered by a sort)."""
-        cache = self._sorted_cache
-        if cache is None:
-            return False
-        return all(a is b for a, b in zip(cache, self._tuples))
+        """True when the insertion order is known to be the ``(F, Ts)``
+        order (either declared via ``assume_sorted`` or discovered by a
+        sort) — decided once, O(1) to read."""
+        return self._in_fact_ts_order
 
     # ------------------------------------------------------------------
     # simple algebra needed by examples and datasets
@@ -277,15 +283,20 @@ class TPRelation:
         which also keeps null-padded outer-join outputs (born sorted in
         the null-safe order) sortable at all.
         """
-        indexes = {
-            self.schema.index_of(attribute): value
+        pairs = [
+            (self.schema.index_of(attribute), value)
             for attribute, value in equalities.items()
-        }
-        kept = [
-            t
-            for t in self._tuples
-            if all(t.fact[i] == value for i, value in indexes.items())
         ]
+        if len(pairs) == 1:
+            # The optimizer's pushed-down selections are all of this shape.
+            ((index, wanted),) = pairs
+            kept = [t for t in self._tuples if t.fact[index] == wanted]
+        else:
+            kept = [
+                t
+                for t in self._tuples
+                if all(t.fact[i] == value for i, value in pairs)
+            ]
         label = ",".join(f"{k}={v!r}" for k, v in equalities.items())
         return TPRelation(
             f"σ[{label}]({self.name})",
@@ -307,7 +318,8 @@ class TPRelation:
     def rename(self, name: str) -> "TPRelation":
         """The same relation under a new catalog name (sort cache kept)."""
         renamed = TPRelation(
-            name, self.schema, self._tuples, self.events, validate=False
+            name, self.schema, self._tuples, self.events, validate=False,
+            assume_sorted=self._in_fact_ts_order,
         )
         renamed._sorted_cache = self._sorted_cache
         return renamed
@@ -319,28 +331,30 @@ class TPRelation:
         self, *, method: Method = Method.AUTO,
         options: Optional[ProbabilityOptions] = None,
     ) -> "TPRelation":
-        """A copy with every tuple's ``p`` computed from its lineage.
+        """This relation with every tuple's ``p`` computed from its lineage
+        — ``self`` when no tuple is pending (relations are immutable).
 
         Valuation is batched: interning makes repeated lineages
         identity-equal, so each distinct formula is valuated once
-        (see :func:`repro.prob.valuation.probability_batch`).
+        (see :func:`repro.prob.valuation.probability_batch`).  Insertion
+        order and its sortedness flag carry over; a sort order
+        *discovered* for differently-ordered tuples does not (the copies
+        would need re-mapping) — the result re-sorts on demand.
         """
-        pending = [t for t in self._tuples if t.p is None]
-        values = probability_batch(
-            (t.lineage for t in pending), self.events,
-            method=method, options=options,
+        pending = [t.lineage for t in self._tuples if t.p is None]
+        if not pending:
+            return self
+        values = iter(
+            probability_batch(pending, self.events, method=method, options=options)
         )
-        by_identity = iter(values)
         materialized = [
-            t if t.p is not None else t.with_probability(next(by_identity))
+            t if t.p is not None else t.with_probability(next(values))
             for t in self._tuples
         ]
-        result = TPRelation(
-            self.name, self.schema, materialized, self.events, validate=False
+        return TPRelation(
+            self.name, self.schema, materialized, self.events,
+            validate=False, assume_sorted=self._in_fact_ts_order,
         )
-        if self._sorted_cache is not None and self.is_sorted_by_fact_ts:
-            result._sorted_cache = list(result._tuples)
-        return result
 
     def probability_of(self, t: TPTuple, *, method: Method = Method.AUTO) -> float:
         """Marginal probability of one tuple's lineage under this relation."""

@@ -42,11 +42,10 @@ from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
 from .errors import UnsupportedOperationError
-from .interval import Interval
 from .lawa import LawaSweep
 from .relation import TPRelation
 from .sorting import fact_lt, sort_tuples
-from .tuple import TPTuple
+from .tuple import TPTuple, tuples_from_rows
 from .window import LineageWindow
 
 __all__ = [
@@ -61,12 +60,6 @@ __all__ = [
 _OP_UNION, _OP_INTERSECT, _OP_EXCEPT = 0, 1, 2
 _OPCODES = {"union": _OP_UNION, "intersect": _OP_INTERSECT, "except": _OP_EXCEPT}
 _OPNAMES = {code: name for name, code in _OPCODES.items()}
-
-# Trusted fast construction for kernel-emitted objects: the sweep
-# guarantees non-empty windows, so Interval's range validation and the
-# dataclass __init__ machinery are skipped on the hot path.
-_new = object.__new__
-_setattr = object.__setattr__
 
 
 def tp_intersect(
@@ -413,36 +406,27 @@ def _finish(
     materialize: bool,
     options: Optional[ProbabilityOptions] = None,
 ) -> TPRelation:
-    """Materialize output rows into a relation.
+    """Build the result relation from output rows, each tuple once.
 
-    Probabilities are computed in one batch over the interned lineages —
-    each distinct formula is valuated once, however many windows emitted
-    it (see :func:`repro.prob.valuation.probability_batch`).
+    Probabilities are computed first, in one batch over the interned
+    lineages — each distinct formula is valuated once, however many
+    windows emitted it (see :func:`repro.prob.valuation
+    .probability_batch`) — so every tuple is constructed with its final
+    ``p`` (``None`` for a lineage-only result).  The batch valuates
+    against the operand pair's cached merged event map, whose epoch is
+    stable across queries: repeated reads of one pair share one memo
+    bucket (DESIGN.md §5).
     """
     events = r.merged_events(s)
-    if materialize:
-        probs: list = probability_batch(
-            [row[1] for row in rows], events, options=options
-        )
-    else:
-        probs = [None] * len(rows)
-    out: list[TPTuple] = []
-    append = out.append
-    new, set_, interval_cls, tuple_cls = _new, _setattr, Interval, TPTuple
-    for (fact, lam, win_ts, win_te), p in zip(rows, probs):
-        interval = new(interval_cls)
-        set_(interval, "start", win_ts)
-        set_(interval, "end", win_te)
-        t = new(tuple_cls)
-        set_(t, "fact", fact)
-        set_(t, "lineage", lam)
-        set_(t, "interval", interval)
-        set_(t, "p", p)
-        append(t)
+    probs = (
+        probability_batch([row[1] for row in rows], events, options=options)
+        if materialize
+        else None
+    )
     return TPRelation(
         f"({r.name} {symbol} {s.name})",
         r.schema,
-        out,
+        tuples_from_rows(rows, probs),
         events,
         validate=False,
         assume_sorted=True,

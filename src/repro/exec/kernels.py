@@ -26,9 +26,8 @@ the input index *as* their lineage turn its windows into codes for free.
 from __future__ import annotations
 
 from ..core.gtwindow import LEFT, MatchWindow, WindowPolicy, generalized_windows
-from ..core.interval import Interval
 from ..core.sorting import fact_lt
-from ..core.tuple import TPTuple
+from ..core.tuple import TPTuple, tuples_from_rows
 
 __all__ = ["OPCODES", "join_window_codes", "sweep_codes"]
 
@@ -40,9 +39,6 @@ OPCODES = {"union": OP_UNION, "intersect": OP_INTERSECT, "except": OP_EXCEPT}
 SetopRow = tuple
 #: Window code: (r_idx, s_idx, winTs, winTe), -1 for an absent side.
 SetopCode = tuple
-
-_new = object.__new__
-_setattr = object.__setattr__
 
 
 def sweep_codes(
@@ -175,20 +171,9 @@ def _standins(rows: list[tuple]) -> list[TPTuple]:
     ``interval.end`` and (opaquely) ``lineage``, so trusted construction
     with ``lineage=index`` turns its windows into index codes.
     """
-    out: list[TPTuple] = []
-    append = out.append
-    new, set_, interval_cls, tuple_cls = _new, _setattr, Interval, TPTuple
-    for index, (start, end) in enumerate(rows):
-        interval = new(interval_cls)
-        set_(interval, "start", start)
-        set_(interval, "end", end)
-        t = new(tuple_cls)
-        set_(t, "fact", None)
-        set_(t, "lineage", index)
-        set_(t, "interval", interval)
-        set_(t, "p", None)
-        append(t)
-    return out
+    return tuples_from_rows(
+        (None, index, start, end) for index, (start, end) in enumerate(rows)
+    )
 
 
 def join_window_codes(

@@ -68,15 +68,48 @@ __all__ = [
     "intern_stats",
 ]
 
-# Per-class intern tables.  Values are the canonical nodes; weak references
-# let formulas that nothing retains be collected together with their table
-# entries, so long-running services do not leak every lineage ever built.
-_INTERN_VAR: "weakref.WeakValueDictionary[str, Var]" = weakref.WeakValueDictionary()
-_INTERN_NOT: "weakref.WeakValueDictionary[Lineage, Not]" = weakref.WeakValueDictionary()
-_INTERN_AND: "weakref.WeakValueDictionary[tuple, And]" = weakref.WeakValueDictionary()
-_INTERN_OR: "weakref.WeakValueDictionary[tuple, Or]" = weakref.WeakValueDictionary()
+
+
+class _NodeRef(weakref.ref):
+    """Weak reference to an interned node that carries its table key.
+
+    Deliberately defines neither ``__new__`` nor ``__init__``: the
+    reference is created by the C-level ``weakref.ref`` constructor and
+    the key is stored with one slot write, so interning a node costs no
+    Python-level call (DESIGN.md §4).
+    """
+
+    __slots__ = ("key",)
+
+    key: object
+
+
+def _intern_table() -> tuple[dict, Callable[[_NodeRef], None]]:
+    """A fresh intern table and the removal callback of its references."""
+    table: dict = {}
+
+    def drop(ref: _NodeRef) -> None:
+        # Only if the entry is still *that* reference: a node re-created
+        # under the same key after its predecessor died owns the entry
+        # now, and the dead reference's late callback must not evict it.
+        key = ref.key
+        if table.get(key) is ref:
+            del table[key]
+
+    return table, drop
+
+
+# Per-class intern tables: key -> weak reference to the canonical node.
+# Weak references let formulas that nothing retains be collected together
+# with their table entries, so long-running services do not leak every
+# lineage ever built.
+_INTERN_VAR, _drop_var = _intern_table()  # name -> Var
+_INTERN_NOT, _drop_not = _intern_table()  # child -> Not
+_INTERN_AND, _drop_and = _intern_table()  # children -> And
+_INTERN_OR, _drop_or = _intern_table()  # children -> Or
 
 _EMPTY_SET: frozenset[str] = frozenset()
+_new = object.__new__
 
 
 class Lineage:
@@ -146,17 +179,21 @@ class Var(Lineage):
     __slots__ = ("name", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
 
     def __new__(cls, name: str) -> "Var":
-        self = _INTERN_VAR.get(name)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+        ref = _INTERN_VAR.get(name)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = _new(cls)
         self.name = name
         self.size = 1
         self.var_total = 1
         self.var_set = frozenset((name,))
         self.is_1of = True
         self._occ = None
-        _INTERN_VAR[name] = self
+        ref = _NodeRef(self, _drop_var)
+        ref.key = name
+        _INTERN_VAR[name] = ref
         return self
 
     def _compute_occ(self) -> Dict[str, int]:
@@ -178,17 +215,21 @@ class Not(Lineage):
     __slots__ = ("child", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
 
     def __new__(cls, child: Lineage) -> "Not":
-        self = _INTERN_NOT.get(child)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+        ref = _INTERN_NOT.get(child)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = _new(cls)
         self.child = child
         self.size = child.size + 1
         self.var_total = child.var_total
         self.var_set = child.var_set
         self.is_1of = child.is_1of
         self._occ = None
-        _INTERN_NOT[child] = self
+        ref = _NodeRef(self, _drop_not)
+        ref.key = child
+        _INTERN_NOT[child] = ref
         return self
 
     def _compute_occ(self) -> Dict[str, int]:
@@ -218,25 +259,37 @@ class And(Lineage):
     __slots__ = ("children", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
 
     def __new__(cls, children: tuple[Lineage, ...]) -> "And":
-        children = tuple(children)
-        self = _INTERN_AND.get(children)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+        if type(children) is not tuple:
+            children = tuple(children)
+        ref = _INTERN_AND.get(children)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = _new(cls)
         self.children = children
-        size = 1
-        total = 0
-        var_set = _EMPTY_SET
-        for child in children:
-            size += child.size
-            total += child.var_total
-            var_set = var_set | child.var_set
-        self.size = size
+        if len(children) == 2:
+            # Every window the binary sweep kernels emit is two-child.
+            left, right = children
+            self.size = 1 + left.size + right.size
+            total = left.var_total + right.var_total
+            var_set = left.var_set | right.var_set
+        else:
+            size = 1
+            total = 0
+            var_set = _EMPTY_SET
+            for child in children:
+                size += child.size
+                total += child.var_total
+                var_set = var_set | child.var_set
+            self.size = size
         self.var_total = total
         self.var_set = var_set
         self.is_1of = total == len(var_set)
         self._occ = None
-        _INTERN_AND[children] = self
+        ref = _NodeRef(self, _drop_and)
+        ref.key = children
+        _INTERN_AND[children] = ref
         return self
 
     def _compute_occ(self) -> Dict[str, int]:
@@ -258,25 +311,37 @@ class Or(Lineage):
     __slots__ = ("children", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
 
     def __new__(cls, children: tuple[Lineage, ...]) -> "Or":
-        children = tuple(children)
-        self = _INTERN_OR.get(children)
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+        if type(children) is not tuple:
+            children = tuple(children)
+        ref = _INTERN_OR.get(children)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = _new(cls)
         self.children = children
-        size = 1
-        total = 0
-        var_set = _EMPTY_SET
-        for child in children:
-            size += child.size
-            total += child.var_total
-            var_set = var_set | child.var_set
-        self.size = size
+        if len(children) == 2:
+            # Every window the binary sweep kernels emit is two-child.
+            left, right = children
+            self.size = 1 + left.size + right.size
+            total = left.var_total + right.var_total
+            var_set = left.var_set | right.var_set
+        else:
+            size = 1
+            total = 0
+            var_set = _EMPTY_SET
+            for child in children:
+                size += child.size
+                total += child.var_total
+                var_set = var_set | child.var_set
+            self.size = size
         self.var_total = total
         self.var_set = var_set
         self.is_1of = total == len(var_set)
         self._occ = None
-        _INTERN_OR[children] = self
+        ref = _NodeRef(self, _drop_or)
+        ref.key = children
+        _INTERN_OR[children] = ref
         return self
 
     def _compute_occ(self) -> Dict[str, int]:

@@ -2,7 +2,7 @@
 
 The executor walks a physical plan bottom-up, computing every set
 operation with its bound algorithm.  Probabilities are materialized once,
-on the *root* result — intermediate relations carry lineage only, which
+by the *root* operator — intermediate relations carry lineage only, which
 mirrors how lineage-based probabilistic databases defer confidence
 computation to the end of query evaluation (and keeps repeated-subgoal
 queries correct: intermediate 1OF-based shortcuts are never taken).
@@ -10,8 +10,9 @@ queries correct: intermediate 1OF-based shortcuts are never taken).
 Performance notes (DESIGN.md §5–§6): intermediate set-operation results
 are emitted in ``(F, Ts)`` order and carry their sortedness flag, so a
 chain of operations sorts each base relation at most once; the root
-materialization is a single batch valuation over interned lineages, so a
-formula shared by many result tuples is valuated once.
+operator valuates its output lineages in a single batch — a formula
+shared by many result tuples is valuated once — and only then builds its
+output tuples, each exactly once, with the final probability.
 """
 
 from __future__ import annotations
@@ -56,24 +57,23 @@ def execute_plan(
     runs under it.  ``None`` inherits the ambient configuration
     (``REPRO_PARALLEL`` or an enclosing :func:`parallel_execution`).
 
-    ``observe`` is called once per plan node with its intermediate
-    result (``EXPLAIN`` uses this to report actual row counts); it sees
-    lineage-only relations, before the root materialization.
+    ``observe`` is called once per plan node with its result
+    (``EXPLAIN`` uses this to report actual row counts): interior nodes
+    are lineage-only; the root is what this call returns — materialized
+    under ``materialize=True``.
     """
     with parallel_execution(parallel):
-        result = _run(plan, catalog, observe, ())
-        if materialize:
-            result = result.materialize_probabilities()
-    return result
+        return _run(plan, catalog, observe, (), materialize)
 
 
 def _run(
     plan: PhysicalPlan,
     catalog: Mapping[str, TPRelation],
-    observe: Optional[Observer] = None,
-    path: tuple = (),
+    observe: Optional[Observer],
+    path: tuple,
+    materialize: bool = False,
 ) -> TPRelation:
-    result = _evaluate(plan, catalog, observe, path)
+    result = _evaluate(plan, catalog, observe, path, materialize)
     if observe is not None:
         observe(path, plan, result)
     return result
@@ -84,31 +84,40 @@ def _evaluate(
     catalog: Mapping[str, TPRelation],
     observe: Optional[Observer],
     path: tuple,
+    materialize: bool,
 ) -> TPRelation:
+    """One plan node; only the root is asked to ``materialize``.
+
+    Operators valuate and construct their own output in one pass; scans
+    and selections hand on existing tuples, so a root of that kind
+    materializes whatever is still pending (nothing, over base
+    relations)."""
     if isinstance(plan, ScanPlan):
         try:
-            return catalog[plan.relation]
+            result = catalog[plan.relation]
         except KeyError as exc:
             raise UnknownRelationError(
                 f"query references unknown relation {plan.relation!r}"
             ) from exc
+        return result.materialize_probabilities() if materialize else result
     if isinstance(plan, SelectPlan):
         child = _run(plan.child, catalog, observe, path + (0,))
-        return child.select(**{plan.attribute: plan.value})
+        result = child.select(**{plan.attribute: plan.value})
+        return result.materialize_probabilities() if materialize else result
     if isinstance(plan, MultiSetOpPlan):
         inputs = [
             _run(child, catalog, observe, path + (i,))
             for i, child in enumerate(plan.children)
         ]
         combine = multi_union if plan.op == "union" else multi_intersect
-        return combine(*inputs, materialize=False)
+        return combine(*inputs, materialize=materialize)
     if isinstance(plan, JoinPlan):
         left = _run(plan.left, catalog, observe, path + (0,))
         right = _run(plan.right, catalog, observe, path + (1,))
         return plan.algorithm.compute(
-            plan.kind, left, right, on=plan.on, materialize=False
+            plan.kind, left, right, on=plan.on, materialize=materialize
         )
     assert isinstance(plan, SetOpPlan)
     left = _run(plan.left, catalog, observe, path + (0,))
     right = _run(plan.right, catalog, observe, path + (1,))
-    return plan.algorithm.compute(plan.op, left, right, materialize=False)
+    return plan.algorithm.compute(plan.op, left, right, materialize=materialize)

@@ -249,6 +249,23 @@ class TestDegenerateLayouts:
         result = tp_full_outer_join(r, s, on=("k",))
         assert result.equivalent_to(tp_union(r, s))
 
+    def test_full_outer_of_null_padded_key_only_sides(self):
+        # Both operands are outer-join outputs over the same attributes,
+        # so the natural full outer join is key-only on both sides — and
+        # the right side's facts hold None next to strings, which only
+        # the null-safe order can sort (used to raise TypeError).
+        q = TPRelation.from_rows("q", ("k", "a"), [("k1", "a1", 0, 4, 0.5)])
+        e = TPRelation.from_rows("e", ("k", "b"), [("k1", "b1", 1, 3, 0.5)])
+        left = tp_left_outer_join(q, e, on=("k",))
+        right = tp_left_outer_join(q, e, on=("k",))
+        assert any(None in t.fact for t in right)
+        result = tp_full_outer_join(left, right)
+        assert result.schema.attributes == ("k", "a", "b")
+        assert {(t.fact, t.start, t.end) for t in result} == {
+            (t.fact, t.start, t.end) for t in left
+        }
+        assert result.is_sorted_by_fact_ts
+
 
 class TestDisambiguate:
     def test_three_way_collision(self):

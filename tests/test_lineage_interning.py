@@ -32,7 +32,9 @@ from repro.lineage import (
     variable_occurrences,
     variables,
 )
+from repro.lineage import formula as formula_module
 from repro.lineage.formula import TRUE, FALSE, Bottom, Top, _iter_var_names
+from repro.lineage.serialize import decode_batch, encode_batch
 from repro.lineage.onef import _is_one_occurrence_form_traversal
 from repro.prob import (
     EventMap,
@@ -104,6 +106,111 @@ class TestIdentityEquality:
         lor(Var("ephemeral_l"), Var("ephemeral_r"))  # not retained
         gc.collect()
         assert intern_stats()["or"] <= before + 1
+
+
+def settled_intern_stats() -> dict[str, int]:
+    """Table sizes once cyclic garbage that still pins nodes is gone
+    (``encode_batch``'s recursive closure is such a cycle), so a later
+    automatic collection cannot shrink the tables under a test."""
+    gc.collect()
+    return intern_stats()
+
+
+class TestInternTableLifecycle:
+    """The intern tables are plain dicts of key-carrying weak references
+    (DESIGN.md §4): weak semantics, one probe per lookup, and a removal
+    callback that only ever deletes its *own* entry."""
+
+    def test_nodes_are_collected_and_tables_shrink(self):
+        before = settled_intern_stats()
+        x, y = Var("life_x"), Var("life_y")
+        nodes = [land(x, y), lor(x, y), lnot(x), land(x, lnot(y))]
+        grown = intern_stats()
+        assert grown["var"] == before["var"] + 2
+        assert grown["and"] == before["and"] + 2
+        assert grown["or"] == before["or"] + 1
+        assert grown["not"] == before["not"] + 2
+        del nodes, x, y  # refcounting alone must release everything
+        assert intern_stats() == before
+
+    def test_children_are_released_with_their_parent(self):
+        before = settled_intern_stats()
+        f = land(Var("chain_a"), lor(Var("chain_b"), lnot(Var("chain_c"))))
+        assert intern_stats() != before
+        del f  # the table entry (key included) must not pin the children
+        assert intern_stats() == before
+
+    def test_recreated_key_gets_a_fresh_canonical_node(self):
+        x, y = Var("again_x"), Var("again_y")
+        first = lor(x, y)
+        ref = formula_module._INTERN_OR[(x, y)]
+        assert ref() is first and ref.key == (x, y)
+        del first
+        assert ref() is None and (x, y) not in formula_module._INTERN_OR
+        second = lor(x, y)
+        assert second is Or((x, y)) is (x | y)
+        assert formula_module._INTERN_OR[(x, y)] is not ref
+
+    def test_late_callback_of_a_dead_ref_spares_the_successor(self):
+        x, y = Var("late_x"), Var("late_y")
+        table, drop = formula_module._INTERN_AND, formula_module._drop_and
+        # A reference whose referent is gone but whose callback has not
+        # run yet, still sitting in the table under the key.
+        other = land(y, x)
+        dead = formula_module._NodeRef(other, drop)
+        dead.key = (x, y)
+        del other
+        assert dead() is None
+        table[(x, y)] = dead
+        successor = And((x, y))  # must not resurrect or trust the corpse
+        assert table[(x, y)] is not dead and table[(x, y)]() is successor
+        drop(dead)  # the late callback: not its entry any more
+        assert table[(x, y)]() is successor
+        assert land(x, y) is successor
+        del successor
+        assert (x, y) not in table
+
+    def test_every_construction_route_meets_in_one_object(self):
+        x, y, z = Var("route_x"), Var("route_y"), Var("route_z")
+        assert Var("route_x") is x
+        assert lnot(x) is ~x is Not(x)
+        assert land(x, y) is (x & y) is And((x, y)) is And([x, y])
+        assert lor(x, y) is (x | y) is Or((x, y)) is Or([x, y])
+        # the kernels' direct two-child constructors (core/setops.py)
+        assert And((x, Not(y))) is land(x, lnot(y)) is (x & ~y)
+        # n-ary and generator arguments
+        assert And((x, y, z)) is land(x, y, z) is And(v for v in (x, y, z))
+        assert Or((x, y, z)) is lor(x, y, z) is Or(v for v in (x, y, z))
+        nary = And((x, y, z, Not(x)))
+        assert (nary.size, nary.var_total, nary.var_set, nary.is_1of) == (
+            6, 4, frozenset({"route_x", "route_y", "route_z"}), False,
+        )
+        binary = Or((x, y))
+        assert (binary.size, binary.var_total, binary.var_set, binary.is_1of) == (
+            3, 2, frozenset({"route_x", "route_y"}), True,
+        )
+
+    @given(formulas(), formulas())
+    def test_codecs_reintern_to_identity(self, f, g):
+        # pickle, and the dependency-ordered batch codec the worker pool,
+        # the WAL and the replicas ship lineage with
+        assert pickle.loads(pickle.dumps((f, g))) == (f, g)
+        nodes, roots = encode_batch([f, g, f])
+        decoded = decode_batch(nodes, roots)
+        assert len(decoded) == 3
+        assert decoded[0] is f and decoded[1] is g and decoded[2] is f
+
+    def test_decoding_after_the_originals_died_builds_fresh_nodes(self):
+        before = settled_intern_stats()
+        f = land(Var("wire_a"), lnot(lor(Var("wire_b"), Var("wire_c"))))
+        text = str(f)
+        wire = pickle.dumps(encode_batch([f]))
+        del f
+        assert settled_intern_stats() == before
+        nodes, roots = pickle.loads(wire)
+        (rebuilt,) = decode_batch(nodes, roots)
+        assert str(rebuilt) == text
+        assert rebuilt is parse_lineage("wire_a & !(wire_b | wire_c)")
 
 
 class TestCachedMetadata:

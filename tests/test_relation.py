@@ -111,6 +111,23 @@ class TestSelection:
         milk = rel_c.select(product="milk")
         assert milk.events == rel_c.events
 
+    def test_select_matches_a_plain_filter(self):
+        rows = [
+            (k, c, ts, ts + 2, 0.5)
+            for ts, (k, c) in enumerate(
+                [("x", 1), ("y", 1), ("x", 2), ("z", 1), ("x", 1), ("y", 2)]
+            )
+        ]
+        r = TPRelation.from_rows("r", ("k", "c"), rows)
+        one = r.select(k="x")  # the specialised one-equality case
+        assert list(one) == [t for t in r if t.fact[0] == "x"]  # same order
+        assert one.name == "σ[k='x'](r)"
+        two = r.select(c=1, k="x")  # the general case
+        assert list(two) == [t for t in r if t.fact == ("x", 1)]
+        assert two.name == "σ[c=1,k='x'](r)"
+        assert list(r.select()) == list(r)
+        assert len(r.select(k="nope")) == 0
+
     def test_select_unknown_attribute(self, rel_c):
         from repro import SchemaMismatchError
 
@@ -128,6 +145,25 @@ class TestSelection:
 class TestProbabilities:
     def test_materialize_idempotent(self, rel_a):
         assert rel_a.materialize_probabilities().equivalent_to(rel_a)
+
+    def test_materialize_with_nothing_pending_is_the_relation(self, rel_a):
+        # Relations are immutable: no copy of the tuples or the event map.
+        assert rel_a.materialize_probabilities() is rel_a
+        assert rel_a.select(product="milk").materialize_probabilities().name == (
+            "σ[product='milk'](a)"
+        )
+
+    def test_materialize_keeps_already_valued_tuples(self):
+        schema = TPSchema(("x",))
+        valued = TPTuple(("v",), Var("e1"), Interval(1, 2), 0.5)
+        pending = TPTuple(("v",), Var("e1") & Var("e2"), Interval(3, 4))
+        r = TPRelation("r", schema, [valued, pending], {"e1": 0.5, "e2": 0.2})
+        m = r.materialize_probabilities()
+        assert m is not r and m.name == "r"
+        assert m.tuples[0] is valued
+        assert m.tuples[1].p == pytest.approx(0.1)
+        assert m.tuples[1].interval is pending.interval
+        assert m.tuples[1].lineage is pending.lineage
 
     def test_materialize_fills_missing(self):
         schema = TPSchema(("x",))

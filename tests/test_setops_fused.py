@@ -127,6 +127,62 @@ class TestSortednessPropagation:
         assert result.rename("q").is_sorted_by_fact_ts
         assert result.materialize_probabilities().is_sorted_by_fact_ts
 
+    def test_sortedness_is_decided_once(self):
+        """The flag is a stored answer (declared at construction or found
+        by the first sort), carried by rename / select / where /
+        materialize and reset by unpickling."""
+        import pickle
+
+        tuples = [
+            TPTuple(("v",), Var("e1"), Interval(1, 3)),
+            TPTuple(("w",), Var("e2"), Interval(4, 6)),
+        ]
+        events = {"e1": 0.5, "e2": 0.5}
+        in_order = TPRelation("in_order", TPSchema(("x",)), tuples, events)
+        assert not in_order.is_sorted_by_fact_ts  # not known yet
+        assert not in_order.rename("q").is_sorted_by_fact_ts
+        cache = in_order.sorted_tuples()
+        assert in_order.is_sorted_by_fact_ts  # discovered by the sort
+        renamed = in_order.rename("q")
+        assert renamed.is_sorted_by_fact_ts
+        assert renamed.sorted_tuples() is cache  # the cache travels too
+        assert in_order.select(x="v").is_sorted_by_fact_ts
+        assert in_order.where(lambda t: True).is_sorted_by_fact_ts
+        materialized = in_order.materialize_probabilities()
+        assert materialized.is_sorted_by_fact_ts
+        assert [t.p for t in materialized.sorted_tuples()] == [0.5, 0.5]
+        reloaded = pickle.loads(pickle.dumps(in_order))
+        assert not reloaded.is_sorted_by_fact_ts  # derived state is rebuilt
+        reloaded.sorted_tuples()
+        assert reloaded.is_sorted_by_fact_ts
+
+        declared = TPRelation(
+            "declared", TPSchema(("x",)), tuples, events, assume_sorted=True
+        )
+        assert declared.is_sorted_by_fact_ts  # before any sorted_tuples()
+        assert declared.rename("q").is_sorted_by_fact_ts
+        assert list(declared.sorted_tuples()) == tuples
+
+    def test_materialize_drops_a_sort_cache_of_reordered_tuples(self):
+        """Pinned behaviour: a sort order discovered for tuples whose
+        insertion order differs is not carried through materialization
+        (the copies would need re-mapping); the result re-sorts itself."""
+        shuffled = TPRelation(
+            "shuffled", TPSchema(("x",)),
+            [
+                TPTuple(("w",), Var("e2"), Interval(4, 6)),
+                TPTuple(("v",), Var("e1"), Interval(1, 3)),
+            ],
+            {"e1": 0.5, "e2": 0.25},
+        )
+        shuffled.sorted_tuples()
+        assert not shuffled.is_sorted_by_fact_ts
+        materialized = shuffled.materialize_probabilities()
+        assert not materialized.is_sorted_by_fact_ts
+        assert [t.p for t in materialized] == [0.25, 0.5]  # insertion order
+        assert [t.p for t in materialized.sorted_tuples()] == [0.5, 0.25]
+        assert materialized.rename("q").sorted_tuples() is materialized.sorted_tuples()
+
 
 def _raw_stream(rng: random.Random, n: int) -> list[TPTuple]:
     """A raw, not-yet-deduplicated stream: duplicate (fact, Ts) allowed."""
