@@ -424,8 +424,8 @@ def _generalized_join(
     out = tuples_from_rows(rows, probs)
     out.extend(carried)
     _sort_output(out)
-    return TPRelation(
-        name, layout.out_schema, out, events, validate=False, assume_sorted=True
+    return TPRelation._derived(
+        name, layout.out_schema, out, events, assume_sorted=True
     )
 
 
@@ -574,20 +574,10 @@ def _degenerate_full_outer(
     # The projection may reorder key columns, and null-padded facts (the
     # operand may itself be an outer join) only sort in the null-safe order.
     _sort_output(projected)
-    s_projected = TPRelation(
-        s.name,
-        layout.out_schema,
-        projected,
-        s.events,
-        validate=False,
-        assume_sorted=True,
+    s_projected = TPRelation._derived(
+        s.name, layout.out_schema, projected, s.events, assume_sorted=True
     )
     union = tp_union(r, s_projected, materialize=materialize, options=options)
-    return TPRelation(
-        name,
-        layout.out_schema,
-        union.tuples,
-        events,
-        validate=False,
-        assume_sorted=True,
+    return TPRelation._derived(
+        name, layout.out_schema, union.tuples, events, assume_sorted=True
     )

@@ -73,12 +73,8 @@ def tp_project(
             for t in out
         ]
     label = ",".join(attrs)
-    return TPRelation(
-        f"π[{label}]({relation.name})",
-        out_schema,
-        out,
-        relation.events,
-        validate=False,
+    return TPRelation._derived(
+        f"π[{label}]({relation.name})", out_schema, out, relation.events
     )
 
 

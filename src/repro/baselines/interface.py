@@ -102,9 +102,8 @@ class SetOpAlgorithm(abc.ABC):
                 for t in out
             ]
         name = f"({r.name} {OP_SYMBOLS[op]} {s.name})[{self.name}]"
-        return TPRelation(
-            name, r.schema, out, events,
-            validate=False, assume_sorted=self.emits_sorted,
+        return TPRelation._derived(
+            name, r.schema, out, events, assume_sorted=self.emits_sorted
         )
 
     def __repr__(self) -> str:

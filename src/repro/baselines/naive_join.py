@@ -106,8 +106,8 @@ def naive_join_operation(
         values = iter(probability_batch((t.lineage for t in out), events, options=options))
         out = [t.with_probability(next(values)) for t in out]
     out.sort(key=null_safe_key)
-    return TPRelation(
-        name, layout.out_schema, out, events, validate=False, assume_sorted=True
+    return TPRelation._derived(
+        name, layout.out_schema, out, events, assume_sorted=True
     )
 
 

@@ -169,16 +169,18 @@ def _finish(
 ) -> TPRelation:
     """Valuate the rows' lineages in one batch, then build each output
     tuple once (as :func:`repro.core.setops._finish` does)."""
-    events: dict[str, float] = {}
-    for r in relations:
-        events.update(r.events)
+    # Folded through the pairwise merge cache: repeated sweeps over the
+    # same operands valuate against one shared map (DESIGN.md §5).
+    events = relations[0].events
+    for r in relations[1:]:
+        events = events.merged_with(r.events)
     probs = (
         probability_batch([row[1] for row in rows], events) if materialize else None
     )
     name = f"({f' {symbol} '.join(r.name for r in relations)})"
-    return TPRelation(
+    return TPRelation._derived(
         name, relations[0].schema, tuples_from_rows(rows, probs), events,
-        validate=False, assume_sorted=True,
+        assume_sorted=True,
     )
 
 

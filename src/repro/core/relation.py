@@ -10,7 +10,12 @@ A relation also carries its *event map*: the marginal probabilities of the
 base-tuple variables its lineages mention.  Base relations populate the
 map from their own tuples; set operations merge the maps of their inputs,
 so derived relations remain self-contained and can valuate lineage
-probabilities without access to the original database.
+probabilities without access to the original database.  A relation built
+through the public constructor owns a copy of the map it was given;
+relations *derived* from relations (selections, renames, operator
+results) share their parent's map or the operands' cached merged map by
+reference — a served result costs its rows, not its operands' events
+(DESIGN.md §5).
 
 Sortedness propagation (DESIGN.md §6): a relation remembers whether its
 tuples are already in the ``(F, Ts)`` order the sweep algorithms require.
@@ -22,7 +27,6 @@ call sorts once and caches (relations are immutable).
 
 from __future__ import annotations
 
-import weakref
 from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -52,7 +56,7 @@ class TPRelation:
 
     __slots__ = (
         "name", "schema", "_tuples", "events",
-        "_sorted_cache", "_in_fact_ts_order", "_merge_cache", "_block_cache",
+        "_sorted_cache", "_in_fact_ts_order", "_block_cache",
         "__weakref__",
     )
 
@@ -66,23 +70,54 @@ class TPRelation:
         validate: bool = True,
         assume_sorted: bool = False,
     ) -> None:
+        # The public constructor owns a private copy of the event map
+        # (EventMap self-invalidates the valuation memo on mutation).
+        self._init(name, schema, tuples, EventMap(events), assume_sorted)
+        if validate:
+            self._validate()
+
+    def _init(
+        self,
+        name: str,
+        schema: TPSchema,
+        tuples: Iterable[TPTuple],
+        events: EventMap,
+        assume_sorted: bool,
+    ) -> None:
         self.name = name
         self.schema = schema
         self._tuples: tuple[TPTuple, ...] = tuple(tuples)
-        # EventMap self-invalidates the valuation memo on mutation.
-        self.events: EventMap = EventMap(events)
+        self.events: EventMap = events
         self._sorted_cache: Optional[list[TPTuple]] = None
         # Whether insertion order is the (F, Ts) order: declared here,
         # or discovered by the first sorted_tuples() call.
         self._in_fact_ts_order = assume_sorted
-        self._merge_cache: Optional[tuple] = None
         self._block_cache: Optional[object] = None
-        if validate:
-            self._validate()
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+    @classmethod
+    def _derived(
+        cls,
+        name: str,
+        schema: TPSchema,
+        tuples: Iterable[TPTuple],
+        events: EventMap,
+        *,
+        assume_sorted: bool = False,
+    ) -> "TPRelation":
+        """A relation computed *from relations*: it takes ``events`` —
+        an operand's event map, or the operands' shared merged map — by
+        reference instead of copying it (DESIGN.md §5), and skips
+        validation.  Only for maps that already belong to a relation;
+        a map somebody else keeps mutating (a store's live map) must go
+        through the copying public constructor.
+        """
+        relation = object.__new__(cls)
+        relation._init(name, schema, tuples, events, assume_sorted)
+        return relation
+
     @classmethod
     def from_rows(
         cls,
@@ -217,8 +252,8 @@ class TPRelation:
         return block
 
     def __getstate__(self) -> dict:
-        # The merge cache holds a weakref (unpicklable) and both caches
-        # are pure derived state — rebuild lazily after unpickling.
+        # The caches are pure derived state — rebuilt lazily after
+        # unpickling.
         return {
             "name": self.name,
             "schema": self.schema,
@@ -227,41 +262,23 @@ class TPRelation:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.schema = state["schema"]
-        self._tuples = state["tuples"]
-        self.events = EventMap(state["events"])
-        self._sorted_cache = None
-        self._in_fact_ts_order = False
-        self._merge_cache = None
-        self._block_cache = None
+        self._init(
+            state["name"], state["schema"], state["tuples"],
+            EventMap(state["events"]), False,
+        )
 
-    def merged_events(self, other: "TPRelation") -> dict[str, float]:
+    def merged_events(self, other: "TPRelation") -> EventMap:
         """The merged event map ``{**self.events, **other.events}``.
 
-        Cached per right-hand relation (one slot, weakly referenced):
-        repeated operations over the same pair — benchmark rounds,
-        chained queries — then present the *same* mapping object to the
+        Cached per *pair of event maps* (:meth:`EventMap.merged_with`),
+        not per relation: selections and renames share their parent's
+        map, so every operation over one operand pair at one epoch —
+        benchmark rounds, chained queries, each pushed-down selection of
+        a served query — presents the *same* mapping object to the
         valuation layer, whose epoch registry keeps the probability memo
         warm across calls.  Treat the returned mapping as read-only.
         """
-        cache = self._merge_cache
-        if cache is not None:
-            ref, merged, epochs = cache
-            # The merged map's own epoch participates so a caller that
-            # mutated the returned mapping can never be served it again.
-            if ref() is other and epochs == (
-                self.events.epoch, other.events.epoch, merged.epoch,
-            ):
-                return merged
-        merged = EventMap(self.events)
-        dict.update(merged, other.events)  # no epoch bump: freshly built
-        self._merge_cache = (
-            weakref.ref(other),
-            merged,
-            (self.events.epoch, other.events.epoch, merged.epoch),
-        )
-        return merged
+        return self.events.merged_with(other.events)
 
     @property
     def is_sorted_by_fact_ts(self) -> bool:
@@ -276,7 +293,7 @@ class TPRelation:
     def select(self, **equalities: object) -> "TPRelation":
         """Selection σ by attribute equality, e.g. ``r.select(product='milk')``.
 
-        The result keeps the full event map; lineage is unchanged
+        The result shares this relation's event map; lineage is unchanged
         (selection never merges or splits intervals).  Sortedness
         propagates: filtering a ``(F, Ts)``-ordered relation keeps the
         order, so downstream sweeps over the selection never re-sort —
@@ -298,27 +315,26 @@ class TPRelation:
                 if all(t.fact[i] == value for i, value in pairs)
             ]
         label = ",".join(f"{k}={v!r}" for k, v in equalities.items())
-        return TPRelation(
+        return TPRelation._derived(
             f"σ[{label}]({self.name})",
             self.schema,
             kept,
             self.events,
-            validate=False,
             assume_sorted=self.is_sorted_by_fact_ts,
         )
 
     def where(self, predicate: Callable[[TPTuple], bool]) -> "TPRelation":
         """Selection by arbitrary tuple predicate (sortedness propagates)."""
         kept = [t for t in self._tuples if predicate(t)]
-        return TPRelation(
+        return TPRelation._derived(
             f"σ({self.name})", self.schema, kept, self.events,
-            validate=False, assume_sorted=self.is_sorted_by_fact_ts,
+            assume_sorted=self.is_sorted_by_fact_ts,
         )
 
     def rename(self, name: str) -> "TPRelation":
         """The same relation under a new catalog name (sort cache kept)."""
-        renamed = TPRelation(
-            name, self.schema, self._tuples, self.events, validate=False,
+        renamed = TPRelation._derived(
+            name, self.schema, self._tuples, self.events,
             assume_sorted=self._in_fact_ts_order,
         )
         renamed._sorted_cache = self._sorted_cache
@@ -351,9 +367,9 @@ class TPRelation:
             t if t.p is not None else t.with_probability(next(values))
             for t in self._tuples
         ]
-        return TPRelation(
+        return TPRelation._derived(
             self.name, self.schema, materialized, self.events,
-            validate=False, assume_sorted=self._in_fact_ts_order,
+            assume_sorted=self._in_fact_ts_order,
         )
 
     def probability_of(self, t: TPTuple, *, method: Method = Method.AUTO) -> float:

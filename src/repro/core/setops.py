@@ -415,7 +415,7 @@ def _finish(
     ``p`` (``None`` for a lineage-only result).  The batch valuates
     against the operand pair's cached merged event map, whose epoch is
     stable across queries: repeated reads of one pair share one memo
-    bucket (DESIGN.md §5).
+    bucket, and the result holds that map by reference (DESIGN.md §5).
     """
     events = r.merged_events(s)
     probs = (
@@ -423,12 +423,11 @@ def _finish(
         if materialize
         else None
     )
-    return TPRelation(
+    return TPRelation._derived(
         f"({r.name} {symbol} {s.name})",
         r.schema,
         tuples_from_rows(rows, probs),
         events,
-        validate=False,
         assume_sorted=True,
     )
 

@@ -42,8 +42,11 @@ by **bounded eviction**: at the bound, the oldest entries are dropped in
 chunks, in insertion order — but never entries written by the batch in
 flight (including parallel-warmed ones), so a large batch can no longer
 wipe out its own working set mid-flight the way the previous wholesale
-``clear()`` did.  The cache can be switched off per call via
-``ProbabilityOptions(cache=False)``.
+``clear()`` did.  A batch that outgrows the bound scans for victims
+until only its own entries are left and then not again, so its cost per
+row does not depend on its size; the bucket exceeds the bound by that
+batch's distinct formulas until the next batch trims it.  The cache can
+be switched off per call via ``ProbabilityOptions(cache=False)``.
 
 With the columnar knob on (``REPRO_COLUMNAR``, DESIGN.md §15),
 :func:`probability_batch` valuates each batch's distinct uncached 1OF
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -113,7 +117,7 @@ class ProbabilityOptions:
         excluding entries the current batch itself wrote, which are
         never evicted.  A bucket can therefore transiently exceed the
         bound by at most one batch's distinct-formula count; it settles
-        back under it on the next non-batch insert.
+        back under it on the next insert from another batch.
     """
 
     __slots__ = ("exact_repeated_limit", "samples", "confidence", "rng",
@@ -178,13 +182,60 @@ class EventMap(dict):
     keyed on ``(formula, epoch)`` are invalidated the instant the mapping
     changes — no identity or fingerprint heuristics involved.  Relations
     wrap their event maps in this type at construction.
+
+    A map also remembers the maps it has been merged with
+    (:meth:`merged_with`), so every operation over one pair of operand
+    maps valuates against one shared merged map — one memo bucket.
     """
 
-    __slots__ = ("epoch",)
+    __slots__ = ("epoch", "_merged", "__weakref__")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.epoch = next(_epoch_counter)
+        #: id(right map) -> (weakref to it, merged map, the three epochs
+        #: the merge was made at); created on first merge.
+        self._merged: Optional[dict[int, tuple]] = None
+
+    def merged_with(self, other: "EventMap") -> "EventMap":
+        """The merged map ``{**self, **other}``, cached per right-hand map.
+
+        The cache lives on the left map and holds each right map weakly,
+        so it holds exactly as many merged maps as there are live
+        partners, and a merged map dies with its operands.  An entry is
+        served only while none of the three maps has been mutated since
+        the merge — the merged map's own epoch participates, so a caller
+        that mutated the returned mapping is never served it again.
+        Treat the returned mapping as read-only.
+        """
+        cache = self._merged
+        if cache is None:
+            cache = self._merged = {}
+        key = id(other)
+        entry = cache.get(key)
+        if entry is not None:
+            ref, merged, epochs = entry
+            if ref() is other and epochs == (self.epoch, other.epoch, merged.epoch):
+                return merged
+        merged = EventMap(self)
+        dict.update(merged, other)  # no epoch bump: freshly built
+
+        # The callback reaches the cache through a weak reference to this
+        # map: closing over the cache itself would tie it into a cycle
+        # and leave dead merged maps to the cyclic collector.
+        def forget(ref, left=weakref.ref(self), key=key) -> None:
+            owner = left()
+            if owner is not None:
+                entry = owner._merged.get(key)
+                if entry is not None and entry[0] is ref:
+                    del owner._merged[key]
+
+        cache[key] = (
+            weakref.ref(other, forget),
+            merged,
+            (self.epoch, other.epoch, merged.epoch),
+        )
+        return merged
 
     def _bump(self) -> None:
         self.epoch = next(_epoch_counter)
@@ -269,7 +320,7 @@ def invalidate_events(events: Mapping[str, float]) -> None:
 _NO_PROTECTED: frozenset = frozenset()
 
 
-def _evict_entries(bucket: dict, cap: int, protected) -> None:
+def _evict_entries(bucket: dict, cap: int, protected) -> bool:
     """Bounded memo eviction: oldest unprotected entries, in chunks.
 
     Called when an insert would push ``bucket`` past ``cap``.  Entries in
@@ -281,16 +332,23 @@ def _evict_entries(bucket: dict, cap: int, protected) -> None:
     order (oldest first) in chunks of ``cap // 8`` to amortize the scan;
     when every entry is protected the bucket transiently exceeds the cap
     by at most the batch's distinct-formula count.
+
+    Returns whether unprotected entries may remain.  ``False`` means the
+    scan ran to the end of the bucket: all that is left is the caller's
+    own batch, so the caller must not scan again until that batch is
+    done — a batch that outgrows the cap would otherwise walk the whole
+    bucket, find nothing, and do so again for every further row.
     """
     overshoot = len(bucket) - cap + 1
     if overshoot <= 0:
-        return
+        return True
     chunk = max(overshoot, cap >> 3, 1)
     victims = list(
         itertools.islice((key for key in bucket if key not in protected), chunk)
     )
     for key in victims:
         del bucket[key]
+    return len(victims) == chunk
 
 
 def _memo_bucket(epoch: int) -> dict[Lineage, float]:
@@ -367,11 +425,12 @@ def _parallel_warm(
         return set()
     cap = opts.cache_max_entries
     protected = set(pending)
+    evictable = True
     for formula, value in zip(pending, values):
-        if len(bucket) >= cap:
-            _evict_entries(bucket, cap, protected)
+        if evictable and len(bucket) >= cap:
+            evictable = _evict_entries(bucket, cap, protected)
         bucket[formula] = value
-    return set(pending)
+    return protected
 
 
 # ----------------------------------------------------------------------
@@ -538,8 +597,11 @@ def probability_batch(
     limit = opts.cache_max_entries
     misses = hits = 0
     # Everything this batch writes (warmed or serial) is protected from
-    # eviction until the batch completes.
+    # eviction until the batch completes; once a scan has found nothing
+    # but the batch's own entries (``evictable`` false) it stops scanning
+    # instead of walking the bucket again for every further row.
     protected: set[Lineage] = set(warmed)
+    evictable = True
     for formula in lineages:
         value = bucket_get(formula, _MISS)
         if value is not _MISS and warmed and formula in warmed:
@@ -575,8 +637,8 @@ def probability_batch(
             else:
                 value, deterministic = _compute_auto(formula, probabilities, opts)
             if deterministic:
-                if len(bucket) >= limit:
-                    _evict_entries(bucket, limit, protected)
+                if evictable and len(bucket) >= limit:
+                    evictable = _evict_entries(bucket, limit, protected)
                 bucket[formula] = value
                 protected.add(formula)
         else:

@@ -18,11 +18,12 @@ machinery on demand.
 
 from __future__ import annotations
 
-from .cache import LRUCache
+from .cache import CachedResult, LRUCache
 from .service import QueryResponse, QueryService
 from .session import Session
 
 __all__ = [
+    "CachedResult",
     "LRUCache",
     "QueryResponse",
     "QueryService",

@@ -13,14 +13,49 @@ unreachable history is wasted memory, not a correctness problem).
 
 Counters (``hits`` / ``misses`` / ``evictions``) are the observable the
 acceptance tests key on: a hot query at a fixed epoch must bump ``hits``.
+
+A result-cache value is a :class:`CachedResult` — the relation plus its
+wire encoding, rendered at most once — in the writer and in every
+replica alike (DESIGN.md §14.2, §16.1).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Iterator, Optional
 
-__all__ = ["LRUCache"]
+from ..core.relation import TPRelation
+from .protocol import relation_fragment
+
+__all__ = ["CachedResult", "LRUCache"]
+
+
+class CachedResult:
+    """One query result: the relation and, lazily, its wire fragment.
+
+    The fragment (:func:`~repro.serve.protocol.relation_fragment`) is
+    rendered by the first reply that puts the result on the wire and
+    kept, so every later hit splices bytes instead of walking rows; a
+    result only ever read in-process never pays for it.
+    """
+
+    __slots__ = ("relation", "_fragment")
+
+    def __init__(self, relation: TPRelation) -> None:
+        self.relation = relation
+        self._fragment: Optional[bytes] = None
+
+    def fragment(self) -> bytes:
+        """The relation's canonical JSON encoding (rendered once)."""
+        fragment = self._fragment
+        if fragment is None:
+            fragment = self._fragment = relation_fragment(self.relation)
+        return fragment
+
+    @property
+    def encoded_bytes(self) -> int:
+        """Bytes of encoding held (0 until some reply has rendered it)."""
+        return 0 if self._fragment is None else len(self._fragment)
 
 
 class LRUCache:
@@ -64,6 +99,10 @@ class LRUCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+
+    def values(self) -> Iterator[Any]:
+        """The cached values, least recently used first (no refresh)."""
+        return iter(self._entries.values())
 
     def sweep(self, keep: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key fails ``keep``; returns the count.

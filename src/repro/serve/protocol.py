@@ -23,6 +23,12 @@ report under ``"explain"`` instead of ``"relation"``.  Relations are
 serialized in sorted ``(F, Ts)`` order with lineage rendered to its
 canonical string — deliberately canonical, so "bit-identical responses"
 is a meaningful equality across server and oracle.
+
+A relation is encoded **once**: :func:`relation_fragment` renders its
+canonical JSON object to bytes, the result cache keeps those bytes
+beside the relation, and :func:`encode_line` splices them into each
+reply's small envelope — a cache hit costs a buffer copy, not a walk
+over the rows (DESIGN.md §14.2).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "decode_line",
     "encode_line",
     "error_payload",
+    "relation_fragment",
     "relation_payload",
 ]
 
@@ -69,6 +76,13 @@ def decode_line(line: bytes) -> dict[str, Any]:
     return request
 
 
+def _canonical(value: Any) -> bytes:
+    """The canonical JSON encoding: sorted keys, compact separators."""
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), default=repr
+    ).encode("utf-8")
+
+
 def encode_line(payload: dict[str, Any]) -> bytes:
     """Serialize one response object to its wire line.
 
@@ -76,13 +90,23 @@ def encode_line(payload: dict[str, Any]) -> bytes:
     equal payloads produce equal bytes, which is what the stress harness
     compares.  Values outside JSON's types fall back to ``repr`` — both
     sides of any equality check pass through this same encoder.
+
+    A ``bytes`` value under ``"relation"`` is a :func:`relation_fragment`
+    — already canonical JSON — and is spliced in rather than re-encoded.
+    ``relation`` sorts after every other key of a query reply
+    (``cached`` / ``epochs`` / ``id`` / ``ok``), so appending it as the
+    last member yields exactly the bytes ``sort_keys`` would have.
     """
-    return (
-        json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), default=repr
-        ).encode("utf-8")
-        + b"\n"
-    )
+    fragment = payload.get("relation")
+    if type(fragment) is not bytes:
+        return _canonical(payload) + b"\n"
+    envelope = {key: value for key, value in payload.items() if key != "relation"}
+    if not envelope or max(envelope) > "relation":
+        raise ValueError(
+            "an encoded relation can only be spliced in as the last key "
+            f"of a non-empty envelope, got keys {sorted(payload)}"
+        )
+    return _canonical(envelope)[:-1] + b',"relation":' + fragment + b"}\n"
 
 
 def relation_payload(relation: TPRelation) -> dict[str, Any]:
@@ -94,6 +118,12 @@ def relation_payload(relation: TPRelation) -> dict[str, Any]:
             for t in relation.sorted_tuples()
         ],
     }
+
+
+def relation_fragment(relation: TPRelation) -> bytes:
+    """:func:`relation_payload` in its canonical wire encoding — the
+    bytes :func:`encode_line` splices into a query reply."""
+    return _canonical(relation_payload(relation))
 
 
 def error_payload(exc: BaseException, request_id: Optional[Any]) -> dict[str, Any]:

@@ -9,7 +9,9 @@ replicas; each holds its own copy of every store and constant relation,
 shipped through the PR 4 lineage batch codec
 (:mod:`repro.lineage.serialize`, via the WAL's tuple codec) so lineage
 is re-interned on arrival and the replica's canonical strings — and
-therefore its wire payloads — are bit-identical to the writer's.
+therefore its encoded result fragments, which it caches and ships as
+bytes exactly as the writer does (:class:`~repro.serve.cache
+.CachedResult`) — are bit-identical to the writer's.
 
 The writer process stays authoritative.  On every commit the server fans
 the encoded :class:`~repro.store.ChangeSet` out to each replica, stamped
@@ -35,6 +37,7 @@ reproduces the canonical result or error.
 from __future__ import annotations
 
 import contextlib
+import json
 import multiprocessing
 import threading
 import time
@@ -43,6 +46,7 @@ from typing import Any, Optional
 from ..core.relation import TPRelation
 from ..core.schema import TPSchema
 from ..db.database import TPDatabase
+from ..exec.config import mark_worker
 from ..exec.pool import forget_pools, shutdown_pools
 from ..query.ast import QueryNode, relation_references
 from ..query.cost import choose_plan
@@ -54,8 +58,7 @@ from ..query.stats import RelationStats, relation_stats
 from ..store import ChangeSet
 from ..store.segment import SegmentStore
 from ..store.wal import decode_tuples, encode_tuples
-from .cache import LRUCache
-from .protocol import relation_payload
+from .cache import CachedResult, LRUCache
 
 __all__ = [
     "ReplicaQueryError",
@@ -249,16 +252,17 @@ class _ReplicaState:
         key_base = canonical_key(ast)
         epoch_key = tuple(part for _, part in parts)
         result_key = (key_base, level, self.workers, epoch_key)
-        payload = self.results.get(result_key)
-        if payload is not None:
-            return ("ok", True, epoch_key, payload)
+        # The writer's entry type: the reply ships the encoded fragment,
+        # which the parent splices into the wire line untouched.
+        cached = self.results.get(result_key)
+        if cached is not None:
+            return ("ok", True, epoch_key, cached.fragment())
         plan = self._plan(ast, level, key_base, epoch_key, catalog)
-        result = execute_plan(
-            plan, catalog, materialize=True, parallel=self.workers
+        result = CachedResult(
+            execute_plan(plan, catalog, materialize=True, parallel=self.workers)
         )
-        payload = relation_payload(result)
-        self.results.put(result_key, payload)
-        return ("ok", False, epoch_key, payload)
+        self.results.put(result_key, result)
+        return ("ok", False, epoch_key, result.fragment())
 
     def _plan(
         self,
@@ -308,9 +312,12 @@ def _replica_main(conn: Any, seed: tuple, cache_size: int) -> None:
     First act: forget any exec pools inherited through the fork — their
     workers belong to the parent, and reaping them at shutdown would be
     both impossible (join asserts parenthood) and wrong (terminate would
-    kill the parent's live pool).
+    kill the parent's live pool).  And it never opens one of its own: a
+    replica is a daemonic process, which may not have children, so it
+    marks itself a worker and every operator under it runs serially.
     """
     forget_pools()
+    mark_worker()
     state = _ReplicaState(seed, cache_size)
     try:
         while True:
@@ -430,7 +437,7 @@ class ReplicaHandle:
 class ReplicaSet:
     """N read replicas of one database, with watchdog respawn.
 
-    Thread contract: ``query`` may be called from any number of
+    Thread contract: ``read`` may be called from any number of
     dispatcher threads concurrently; ``start``, ``respawn`` and the
     fan-out methods must run on the service thread (they read live
     store/session state to build seeds and live-part stamps).
@@ -499,8 +506,11 @@ class ReplicaSet:
                 self._handles[index] = None
 
     # -- the request surface -------------------------------------------
-    def query(self, index: int, ticket: tuple) -> dict[str, Any]:
-        """One routed read on replica ``index % count``; the full payload.
+    def read(self, index: int, ticket: tuple) -> dict[str, Any]:
+        """One routed read on replica ``index % count``, in wire form:
+        the reply envelope with the relation as the replica's encoded
+        fragment (bytes), ready for :func:`~repro.serve.protocol
+        .encode_line` — exactly what the writer's own reply holds.
 
         Raises :class:`ReplicaUnavailable` (dead/hung — retry on the
         writer, then respawn) or :class:`ReplicaQueryError` (the replica
@@ -509,15 +519,22 @@ class ReplicaSet:
         handle = self._handles[index % self.count]
         if handle is None or handle.failed:
             raise ReplicaUnavailable(f"replica #{index % self.count} is down")
-        _tag, cached, epoch_key, payload = handle.request(
+        _tag, cached, epoch_key, fragment = handle.request(
             ("query",) + tuple(ticket), self.request_timeout
         )
         return {
             "ok": True,
             "cached": cached,
             "epochs": epoch_key,
-            "relation": payload,
+            "relation": fragment,
         }
+
+    def query(self, index: int, ticket: tuple) -> dict[str, Any]:
+        """:meth:`read` with the fragment parsed — the payload a client
+        sees, for in-process callers (tests, benchmarks)."""
+        payload = self.read(index, ticket)
+        payload["relation"] = json.loads(payload["relation"])
+        return payload
 
     def fan_out_commit(
         self, name: str, changeset: ChangeSet, live_parts: tuple

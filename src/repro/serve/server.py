@@ -34,7 +34,6 @@ from .protocol import (
     decode_line,
     encode_line,
     error_payload,
-    relation_payload,
 )
 from .replica import ReplicaQueryError, ReplicaSet, ReplicaUnavailable
 from .service import QueryService
@@ -279,7 +278,7 @@ class ServeServer:
                     return await asyncio.wait_for(
                         loop.run_in_executor(
                             self._replica_executor,
-                            self.replicas.query,
+                            self.replicas.read,
                             replica_index,
                             ticket,
                         ),
@@ -337,12 +336,14 @@ class ServeServer:
         )
         if response.explain is not None:
             return {"ok": True, "explain": response.explain}
-        assert response.relation is not None
+        assert response.result is not None
+        # The entry's encoded fragment, rendered by the first reply that
+        # needs it; encode_line splices the bytes into the envelope.
         return {
             "ok": True,
             "cached": response.cached,
             "epochs": response.epoch_key,
-            "relation": relation_payload(response.relation),
+            "relation": response.result.fragment(),
         }
 
     def _do_commit(self, session_id: int, request: dict) -> dict[str, Any]:

@@ -15,7 +15,11 @@ any I/O so tests and benchmarks can drive it in-process:
   *result cache* additionally keys on the session's epoch signature
   restricted to the query's referenced names — a commit changes the
   signature, so stale results can never be served, and a sweep retires
-  entries once no live session pins their epochs.
+  entries once no live session pins their epochs.  An entry is the
+  relation plus its wire encoding, rendered once (:class:`CachedResult`).
+- **Statistics** are pinned with the snapshot: each store's
+  incrementally maintained summary (``db.stats_of``) is captured at pin
+  time, so planning after a commit costs the change set, not a rescan.
 
 Thread model: **not** thread-safe.  Lineage interning and the valuation
 memo are process-global and unlocked, so the server funnels every call
@@ -44,7 +48,7 @@ from ..query.parser import parse_query, strip_explain_prefix
 from ..query.planner import plan_query
 from ..query.stats import RelationStats, relation_stats
 from ..store import ChangeSet
-from .cache import LRUCache
+from .cache import CachedResult, LRUCache
 from .session import EpochPart, Session
 
 __all__ = ["QueryResponse", "QueryService"]
@@ -52,12 +56,21 @@ __all__ = ["QueryResponse", "QueryService"]
 
 @dataclass(frozen=True)
 class QueryResponse:
-    """One query's outcome: a relation or an EXPLAIN report, plus cache facts."""
+    """One query's outcome: a result or an EXPLAIN report, plus cache facts.
 
-    relation: Optional[TPRelation]
+    ``result`` is the result-cache entry itself — the wire layer takes
+    its encoded fragment from there, so a hit never re-encodes.
+    """
+
+    result: Optional[CachedResult]
     explain: Optional[str]
     cached: bool
     epoch_key: tuple[EpochPart, ...]
+
+    @property
+    def relation(self) -> Optional[TPRelation]:
+        """The result relation (``None`` for an EXPLAIN request)."""
+        return None if self.result is None else self.result.relation
 
 
 class QueryService:
@@ -112,10 +125,16 @@ class QueryService:
         of the base epochs recorded in their part); a ``manual`` view's
         cached state is *not* such a function, so it gets a fresh unique
         part each pin — correct, merely uncacheable across pins.
+
+        Each store's statistics are pinned beside its snapshot: the
+        database maintains them from the change log, so this costs the
+        transactions since the last pin, and the session plans with the
+        summary of exactly the epoch it reads.
         """
         db = self.db
         catalog: dict[str, TPRelation] = {}
         epochs: dict[str, EpochPart] = {}
+        stats: dict[str, RelationStats] = {}
         with parallel_execution(db.parallel):
             for name in db.view_names():
                 view = db.view(name)
@@ -132,12 +151,14 @@ class QueryService:
             store = db.store(name)
             catalog[name] = store.snapshot()
             epochs[name] = ("store", name, store.epoch)
+            stats[name] = db.stats_of(name)
         for name in db.relation_names():
             if name not in catalog:
                 catalog[name] = db.relation(name)
                 epochs[name] = ("const", name)
         session.catalog = catalog
         session.epochs = epochs
+        session.stats = stats
 
     # ------------------------------------------------------------------
     # reads
@@ -177,8 +198,8 @@ class QueryService:
         if cached is not None:
             return QueryResponse(cached, None, True, epoch_key)
         plan = self._plan(session, ast, level, key_base, workers, epoch_key)
-        result = execute_plan(
-            plan, session.catalog, materialize=True, parallel=workers
+        result = CachedResult(
+            execute_plan(plan, session.catalog, materialize=True, parallel=workers)
         )
         self.results.put(result_key, result)
         return QueryResponse(result, None, False, epoch_key)
@@ -287,17 +308,20 @@ class QueryService:
         return plan
 
     def _stats(self, session: Session, ast: QueryNode) -> dict[str, RelationStats]:
-        """Optimizer statistics computed from the session's *pinned* relations.
+        """Optimizer statistics of what the session reads, as pinned.
 
-        Pinned snapshots are immutable, and :func:`relation_stats` caches
-        per relation identity — so a session's statistics are warm after
-        the first optimized query and consistent with what it reads.
+        Stores answer from the summary captured at pin time — the one
+        ``TPDatabase.query`` plans with, maintained from the change log
+        rather than rescanned.  Views and constant relations are
+        immutable once pinned, and :func:`relation_stats` caches per
+        relation identity, so they are summarized at most once.
         """
         stats: dict[str, RelationStats] = {}
         for name in relation_references(ast):
-            relation = session.catalog.get(name)
-            if relation is not None:
-                stats[name] = relation_stats(relation)
+            if name in session.stats:
+                stats[name] = session.stats[name]
+            elif name in session.catalog:
+                stats[name] = relation_stats(session.catalog[name])
         return stats
 
     def _explain(self, session: Session, ast: QueryNode, level: str) -> str:
@@ -413,10 +437,18 @@ class QueryService:
         return parts
 
     def stats(self) -> dict:
-        """Introspection snapshot: sessions, cache counters, store epochs."""
+        """Introspection snapshot: sessions, cache counters, store epochs.
+
+        ``results.bytes`` is the encoded fragments the result cache
+        holds right now — a reading, not a cap.
+        """
+        results = self.results.stats()
+        results["bytes"] = sum(
+            entry.encoded_bytes for entry in self.results.values()
+        )
         return {
             "sessions": len(self._sessions),
-            "results": self.results.stats(),
+            "results": results,
             "plans": self.plans.stats(),
             "epochs": {
                 name: self.db.store(name).epoch for name in self.db.store_names()

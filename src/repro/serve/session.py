@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core.relation import TPRelation
+from ..query.stats import RelationStats
 
 __all__ = ["EpochPart", "Session"]
 
@@ -39,13 +40,17 @@ class Session:
 
     ``catalog`` maps every resolvable name to the immutable relation the
     session reads for it; ``epochs`` maps the same names to their
-    :data:`EpochPart`.  Holding the relations is what keeps the store's
-    weakly-retained historical snapshots alive (DESIGN.md §14.1).
+    :data:`EpochPart`, and ``stats`` maps each store to the statistics
+    pinned with its snapshot.  Holding the relations is what keeps the
+    store's weakly-retained historical snapshots alive (DESIGN.md §14.1).
     """
 
     session_id: int
     catalog: dict[str, TPRelation] = field(default_factory=dict)
     epochs: dict[str, EpochPart] = field(default_factory=dict)
+    #: Each pinned store's optimizer statistics as of its pinned epoch
+    #: (views and constants are summarized from ``catalog`` on demand).
+    stats: dict[str, RelationStats] = field(default_factory=dict)
     #: Set once the session commits or creates a relation.  A written
     #: session is pinned to the authoritative process for the rest of its
     #: life (DESIGN.md §16): its reads must see its own writes, and only

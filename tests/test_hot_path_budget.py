@@ -1,4 +1,4 @@
-"""A deterministic budget for the serial read path (DESIGN.md §6.3).
+"""Deterministic budgets for the read paths (DESIGN.md §6.3, §14.2).
 
 Counts the calls (Python functions and C functions alike, as cProfile
 would) made while ``TPDatabase.query`` answers ``a | b``, ``a & b`` and
@@ -8,6 +8,12 @@ it stops a later change from quietly re-adding a per-row copy or a
 per-node Python-level hop to the pipeline
 
     sweep → batch-valuate distinct lineages → build each tuple once.
+
+The same instrument pins two more shapes: the valuation memo's bound
+must not make a batch larger than the bound cost more *per row* (it
+once rescanned the whole bucket for every row past the cap), and a
+served result-cache hit must cost the same number of calls whatever the
+size of the result (it once re-walked and re-encoded every row).
 """
 
 from __future__ import annotations
@@ -17,8 +23,19 @@ import random
 import sys
 from collections import Counter
 
+import pytest
+
+from repro import TPRelation
+from repro.core.setops import tp_except, tp_union
 from repro.db import TPDatabase
-from repro.prob.valuation import clear_valuation_cache
+from repro.exec.config import columnar_execution, parallel_execution
+from repro.prob.valuation import (
+    ProbabilityOptions,
+    clear_valuation_cache,
+    valuation_cache_stats,
+)
+from repro.serve import QueryService
+from repro.serve.protocol import encode_line
 
 #: Calls per output row.  Measured when this budget was set: 12.2
 #: (it was 27.7 before tuples were built once and interning lost its
@@ -91,3 +108,139 @@ def test_calls_per_output_row_stay_under_the_ceiling():
     assert sum(repeat_calls.values()) <= total
     # … and repeat exactly: the count is a function of the input alone.
     assert count_calls(run)[0] == repeat_calls
+
+
+# ----------------------------------------------------------------------
+# the valuation memo's bound: cost per row is independent of batch size
+# ----------------------------------------------------------------------
+#: A cap far below either batch's distinct-formula count.
+SMALL_CAP = 1024
+
+
+def _pair(n: int) -> tuple[TPRelation, TPRelation]:
+    """Two seeded relations of ``n`` tuples, 25 per key, already sorted."""
+    pair = tuple(
+        TPRelation.from_rows(
+            name, ("k",), seeded_rows(seed, n=n, keys=n // 25), validate=False
+        )
+        for name, seed in (("a", 1), ("b", 2))
+    )
+    for relation in pair:
+        relation.sorted_tuples()
+    return pair
+
+
+@pytest.mark.parametrize("operation", [tp_union, tp_except])
+def test_calls_per_row_do_not_grow_once_a_batch_outgrows_the_memo(operation):
+    options = ProbabilityOptions(cache_max_entries=SMALL_CAP)
+
+    def per_row(n: int) -> tuple[float, int]:
+        r, s = _pair(n)
+        clear_valuation_cache()
+        # Pinned to the serial tuple path whatever the ambient CI leg is.
+        with parallel_execution(1), columnar_execution(False):
+            calls, out = count_calls(lambda: operation(r, s, options=options))
+        assert len(out) > 3 * SMALL_CAP  # the batch really outgrows the cap
+        return sum(calls.values()) / len(out), calls[("py", "_evict_entries")]
+
+    (small, small_scans), (large, large_scans) = per_row(2000), per_row(8000)
+    assert abs(large - small) / small <= 0.05, (
+        f"{small:.2f} calls per output row at n, {large:.2f} at 4n"
+    )
+    # The scan that finds only the batch's own entries is the batch's
+    # last: a rescan per row would make this count grow with the input.
+    assert small_scans == large_scans == 1
+
+
+def test_the_memo_stays_bounded_across_batches_that_overfill_it():
+    """A bucket holds at most the cap plus the distinct formulas of the
+    batch in flight, and the next batch trims what the last one left."""
+    options = ProbabilityOptions(cache_max_entries=SMALL_CAP)
+    r, s = _pair(2000)
+    clear_valuation_cache()
+    results = []
+    with parallel_execution(1), columnar_execution(False):
+        for operation in (tp_union, tp_except, tp_union, tp_except):
+            out = operation(r, s, options=options)
+            distinct = len({t.lineage for t in out})
+            assert distinct > 3 * SMALL_CAP  # filled well past the cap
+            stats = valuation_cache_stats()
+            # Same operand maps, same merged map: one bucket throughout.
+            assert stats["memo_epochs"] == 1
+            assert stats["entries"] <= SMALL_CAP + distinct
+            results.append([t.p for t in out])
+        # A batch that fits leaves the bucket at the cap again.
+        tp_union(r.select(k="k000"), s.select(k="k000"), options=options)
+        assert valuation_cache_stats()["entries"] <= SMALL_CAP
+        # Eviction between the rounds changed no value.
+        assert results[0] == results[2] and results[1] == results[3]
+        clear_valuation_cache()
+        assert [t.p for t in tp_union(r, s)] == results[0]
+
+
+# ----------------------------------------------------------------------
+# serving: a cache hit costs the same whatever the result's size
+# ----------------------------------------------------------------------
+#: Calls for one hit through ``execute`` + ``encode_line``: parse,
+#: canonical key, LRU probe, envelope encode.  Measured 153 when set.
+HIT_CALLS_CEILING = 175
+
+
+def _hit_calls(n: int, keys: int) -> tuple[int, int]:
+    db = TPDatabase(parallel=1, columnar=False)
+    db.create_relation("a", ("k",), seeded_rows(1, n=n, keys=keys))
+    db.create_relation("b", ("k",), seeded_rows(2, n=n, keys=keys))
+    service = QueryService(db)
+    session = service.open_session()
+
+    def reply() -> bytes:
+        response = service.execute(session, "a | b", optimize="safe")
+        return encode_line({
+            "ok": True,
+            "cached": response.cached,
+            "epochs": response.epoch_key,
+            "relation": response.result.fragment(),
+        })
+
+    miss = reply()
+    calls, hit = count_calls(reply)
+    assert hit == miss.replace(b'"cached":false', b'"cached":true', 1)
+    return sum(calls.values()), hit.count(b"],[[") + 1  # calls, rows
+
+
+def test_a_cache_hit_costs_the_same_for_ten_rows_and_a_thousand():
+    small_calls, small_rows = _hit_calls(4, 2)
+    large_calls, large_rows = _hit_calls(400, 8)
+    assert small_rows <= 10 and large_rows >= 1000
+    assert small_calls == large_calls <= HIT_CALLS_CEILING
+
+
+def test_a_served_query_after_a_commit_does_not_rescan_for_statistics(monkeypatch):
+    import repro.query.stats
+    import repro.store.stats
+
+    db = TPDatabase(parallel=1, columnar=False)
+    db.create_relation("a", ("k",), seeded_rows(1, n=400, keys=8))
+    db.create_relation("b", ("k",), seeded_rows(2, n=400, keys=8))
+    service = QueryService(db)
+    session = service.open_session()
+    service.commit(session, "a", inserts=[("k000", 10_000, 10_005, 0.5)])
+    service.execute(session, "(a | b)[k='k001']", optimize="safe")  # warm: b is summarized
+
+    scans = []
+    original = repro.query.stats.stats_from_tuples
+
+    def counting(*args, **kwargs):
+        scans.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repro.query.stats, "stats_from_tuples", counting)
+    monkeypatch.setattr(repro.store.stats, "stats_from_tuples", counting)
+    service.commit(session, "a", inserts=[("k000", 10_010, 10_015, 0.5)])
+    # A text the plan cache has not seen, so the optimizer asks for statistics.
+    response = service.execute(session, "(a & b)[k='k002']", optimize="safe")
+    assert not response.cached and len(response.relation) > 0
+    assert scans == [], f"statistics were rebuilt by a full scan of {scans}"
+    # The session plans with the statistics the database itself maintains.
+    assert service.session(session).stats["a"] == db.stats_of("a")
+    assert db.stats_of("a").n_tuples == 402
