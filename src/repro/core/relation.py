@@ -30,7 +30,7 @@ from __future__ import annotations
 from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..lineage.formula import Lineage, variables
+from ..lineage.formula import Lineage, variable_names
 from ..prob.valuation import (
     EventMap,
     Method,
@@ -181,7 +181,7 @@ class TPRelation:
                     f"tuple {t} has fact arity {len(t.fact)}, "
                     f"schema expects {self.schema.arity}"
                 )
-            for var in variables(t.lineage):
+            for var in variable_names(t.lineage):
                 if var not in self.events:
                     raise UnknownVariableError(
                         f"tuple {t} references unknown event {var!r}"

@@ -22,11 +22,12 @@ Two execution paths produce bit-identical results (pinned by
 ``tests/test_setops_fused.py``):
 
 * the **fused kernel** (default, DESIGN.md §6) runs sort → LAWA →
-  λ-filter → λ-concat → valuation as one loop over plain local state —
-  no per-window :class:`~repro.core.window.LineageWindow` allocation, no
-  per-call sweep-state write-back, cached ``(F, Ts)`` sort order via
-  :meth:`TPRelation.sorted_tuples`, and batch probability
-  materialization that valuates each *distinct* interned lineage once;
+  λ-filter → λ-concat → tuple construction as one loop over plain local
+  state — no per-window :class:`~repro.core.window.LineageWindow`
+  allocation, no intermediate row, no per-call sweep-state write-back,
+  cached ``(F, Ts)`` sort order via :meth:`TPRelation.sorted_tuples` —
+  followed by one batch valuation that computes each *distinct* interned
+  lineage once and fills the tuples' probabilities;
 * the **unfused reference path** (``fused=False``) drives the
   single-step :class:`~repro.core.lawa.LawaSweep` exactly as the paper's
   pseudocode reads, window objects and all — the oracle the kernel is
@@ -42,10 +43,21 @@ from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
 from .errors import UnsupportedOperationError
+from .interval import Interval
 from .lawa import LawaSweep
 from .relation import TPRelation
 from .sorting import fact_lt, sort_tuples
-from .tuple import TPTuple, tuples_from_rows
+from .tuple import (
+    TPTuple,
+    fill_probabilities,
+    new_object,
+    set_end,
+    set_fact,
+    set_interval,
+    set_lineage,
+    set_p,
+    set_start,
+)
 from .window import LineageWindow
 
 __all__ = [
@@ -179,14 +191,18 @@ def _sorted_input(rel: TPRelation, sort_strategy: str) -> list[TPTuple]:
 # ----------------------------------------------------------------------
 def _fused_sweep(
     tr: list[TPTuple], ts: list[TPTuple], opcode: int
-) -> list[tuple]:
-    """sort → LAWA → λ-filter → λ-concat in one loop (DESIGN.md §6).
+) -> list[TPTuple]:
+    """sort → LAWA → λ-filter → λ-concat → tuple in one loop (DESIGN.md §6).
 
     Semantically identical to driving :class:`LawaSweep` step by step; the
     sweep state lives in local variables (cursor tuple, its fact and start
-    point, the valid tuples' lineage and end point per side) and windows
-    are never materialized — output rows ``(fact, λ, winTs, winTe)`` are
-    appended directly.
+    point, the valid tuples' lineage and interval per side) and windows
+    are never materialized — each output window becomes its lineage-only
+    :class:`TPTuple` right here, through the trusted slot writers of
+    :mod:`repro.core.tuple`; nothing sits between the sweep and the
+    result but the batch valuation that fills ``p`` (:func:`_finish`).
+    A window that equals a valid tuple's interval takes that (immutable)
+    :class:`Interval` object instead of a new one.
     """
     nr, ns = len(tr), len(ts)
     ri = si = 0
@@ -205,15 +221,19 @@ def _fused_sweep(
         st = None
         st_fact = st_start = None
 
-    r_lam: Optional[Lineage] = None  # lineage of the valid left tuple
-    r_end = 0
-    s_lam: Optional[Lineage] = None  # lineage of the valid right tuple
-    s_end = 0
+    # The valid tuple per side: its lineage (None: no valid tuple), its
+    # interval object and that interval's end points.
+    r_lam: Optional[Lineage] = None
+    r_iv = None
+    r_start = r_end = 0
+    s_lam: Optional[Lineage] = None
+    s_iv = None
+    s_start = s_end = 0
     prev_te = -1
     fact: object = object()  # currFact sentinel distinct from any real fact
 
-    rows: list[tuple] = []
-    append = rows.append
+    out: list[TPTuple] = []
+    append = out.append
     union = opcode == _OP_UNION
     intersect = opcode == _OP_INTERSECT
     diff = opcode == _OP_EXCEPT
@@ -259,7 +279,9 @@ def _fused_sweep(
         # Absorb cursor tuples that become valid exactly at winTs.
         if rt is not None and rt_fact == fact and rt_start == win_ts:
             r_lam = rt.lineage
-            r_end = rt.interval.end
+            r_iv = rt.interval
+            r_start = win_ts
+            r_end = r_iv.end
             ri += 1
             if ri < nr:
                 rt = tr[ri]
@@ -269,7 +291,9 @@ def _fused_sweep(
                 rt = None
         if st is not None and st_fact == fact and st_start == win_ts:
             s_lam = st.lineage
-            s_end = st.interval.end
+            s_iv = st.interval
+            s_start = win_ts
+            s_end = s_iv.end
             si += 1
             if si < ns:
                 st = ts[si]
@@ -291,36 +315,54 @@ def _fused_sweep(
             win_te = s_end
         assert win_te is not None and win_te > win_ts, "LAWA produced an empty window"
 
-        # λ-filter + λ-concat (Table I), inlined per operation.  Base
-        # lineages are atomic variables — for those the smart-constructor
+        # λ-filter + λ-concat (Table I), inlined per operation; ``lam``
+        # stays None for a window the filter drops.  Base lineages are
+        # atomic variables — for those the smart-constructor
         # normalizations (flattening, constant folding) cannot fire, so
         # the interned node is built directly; anything else goes through
         # land/lor/lnot and stays bit-identical to the reference path.
         if union:
             if r_lam is None:
-                append((fact, s_lam, win_ts, win_te))
+                lam = s_lam
             elif s_lam is None:
-                append((fact, r_lam, win_ts, win_te))
+                lam = r_lam
             elif type(r_lam) is Var and type(s_lam) is Var:
-                append((fact, Or((r_lam, s_lam)), win_ts, win_te))
+                lam = Or((r_lam, s_lam))
             else:
-                append((fact, lor(r_lam, s_lam), win_ts, win_te))
+                lam = lor(r_lam, s_lam)
         elif intersect:
-            if r_lam is not None and s_lam is not None:
-                if type(r_lam) is Var and type(s_lam) is Var:
-                    append((fact, And((r_lam, s_lam)), win_ts, win_te))
-                else:
-                    append((fact, land(r_lam, s_lam), win_ts, win_te))
+            if r_lam is None or s_lam is None:
+                lam = None
+            elif type(r_lam) is Var and type(s_lam) is Var:
+                lam = And((r_lam, s_lam))
+            else:
+                lam = land(r_lam, s_lam)
+        elif r_lam is None:
+            lam = None
+        elif s_lam is None:
+            lam = r_lam
         else:
-            if r_lam is not None:
-                if s_lam is None:
-                    append((fact, r_lam, win_ts, win_te))
-                else:
-                    neg = Not(s_lam) if type(s_lam) is Var else lnot(s_lam)
-                    if type(r_lam) is Var:
-                        append((fact, And((r_lam, neg)), win_ts, win_te))
-                    else:
-                        append((fact, land(r_lam, neg), win_ts, win_te))
+            neg = Not(s_lam) if type(s_lam) is Var else lnot(s_lam)
+            if type(r_lam) is Var:
+                lam = And((r_lam, neg))
+            else:
+                lam = land(r_lam, neg)
+
+        if lam is not None:
+            if r_lam is not None and r_start == win_ts and r_end == win_te:
+                interval = r_iv
+            elif s_lam is not None and s_start == win_ts and s_end == win_te:
+                interval = s_iv
+            else:
+                interval = new_object(Interval)
+                set_start(interval, win_ts)
+                set_end(interval, win_te)
+            t = new_object(TPTuple)
+            set_fact(t, fact)
+            set_lineage(t, lam)
+            set_interval(t, interval)
+            set_p(t, None)
+            append(t)
 
         # Expire valid tuples that end exactly at the window boundary.
         if r_lam is not None and r_end == win_te:
@@ -329,22 +371,22 @@ def _fused_sweep(
             s_lam = None
         prev_te = win_te
 
-    return rows
+    return out
 
 
 def sweep_rows(
     tr: list[TPTuple], ts: list[TPTuple], op: str
-) -> list[tuple]:
+) -> list[TPTuple]:
     """LAWA + λ-filter + λ-concat over two already-sorted tuple runs.
 
     The public per-group seam of the fused kernel, consumed by the
     incremental view maintenance of :mod:`repro.store`: windows are
     determined purely locally by the ``(F, Ts)``-sorted neighborhood, so
     a dirty region of a relation can be re-swept in isolation by feeding
-    only the tuples of that region.  Returns raw output rows
-    ``(fact, λ, winTs, winTe)`` — exactly what the full operators emit
-    before materialization, so splicing re-swept rows into a cached
-    result is lineage-identical to a full recompute.
+    only the tuples of that region.  Returns the kernel's lineage-only
+    tuples (``p`` is None) — exactly what the full operators build
+    before valuation, so splicing a re-swept region into a cached result
+    is lineage-identical to a full recompute.
     """
     try:
         opcode = _OPCODES[op]
@@ -364,35 +406,36 @@ def sweep_rows(
 # ----------------------------------------------------------------------
 def _unfused_sweep(
     r_sorted: list[TPTuple], s_sorted: list[TPTuple], opcode: int
-) -> list[tuple]:
+) -> list[TPTuple]:
     sweep = LawaSweep(r_sorted, s_sorted)
-    rows: list[tuple] = []
+    out: list[TPTuple] = []
     if opcode == _OP_UNION:
         while True:
             window = sweep.advance()
             if window is None:
                 break
             if window.lam_r is not None or window.lam_s is not None:
-                rows.append(_row(window, concat_or(window.lam_r, window.lam_s)))
+                out.append(_tuple(window, concat_or(window.lam_r, window.lam_s)))
     elif opcode == _OP_INTERSECT:
         while not (sweep.r_exhausted or sweep.s_exhausted):
             window = sweep.advance()
             if window is None:
                 break
             if window.lam_r is not None and window.lam_s is not None:
-                rows.append(_row(window, concat_and(window.lam_r, window.lam_s)))
+                out.append(_tuple(window, concat_and(window.lam_r, window.lam_s)))
     else:
         while not sweep.r_exhausted:
             window = sweep.advance()
             if window is None:
                 break
             if window.lam_r is not None:
-                rows.append(_row(window, concat_and_not(window.lam_r, window.lam_s)))
-    return rows
+                out.append(_tuple(window, concat_and_not(window.lam_r, window.lam_s)))
+    return out
 
 
-def _row(window: LineageWindow, lineage: Lineage) -> tuple:
-    return (window.fact, lineage, window.win_ts, window.win_te)
+def _tuple(window: LineageWindow, lineage: Lineage) -> TPTuple:
+    # The reference path builds through the validating constructors.
+    return TPTuple(window.fact, lineage, window.interval)
 
 
 # ----------------------------------------------------------------------
@@ -402,33 +445,31 @@ def _finish(
     r: TPRelation,
     s: TPRelation,
     symbol: str,
-    rows: list[tuple],
+    out: list[TPTuple],
     materialize: bool,
     options: Optional[ProbabilityOptions] = None,
 ) -> TPRelation:
-    """Build the result relation from output rows, each tuple once.
+    """Valuate the kernel's tuples and publish them as the result.
 
-    Probabilities are computed first, in one batch over the interned
-    lineages — each distinct formula is valuated once, however many
-    windows emitted it (see :func:`repro.prob.valuation
-    .probability_batch`) — so every tuple is constructed with its final
-    ``p`` (``None`` for a lineage-only result).  The batch valuates
+    ``out`` holds the lineage-only tuples a sweep has just built and
+    nobody else has seen.  Probabilities are computed in one batch over
+    the interned lineages — each distinct formula is valuated once,
+    however many windows emitted it (see :func:`repro.prob.valuation
+    .probability_batch`) — and written into the tuples before the
+    relation exists, so every tuple is still built exactly once and a
+    published tuple never changes (DESIGN.md §6.3).  The batch valuates
     against the operand pair's cached merged event map, whose epoch is
     stable across queries: repeated reads of one pair share one memo
     bucket, and the result holds that map by reference (DESIGN.md §5).
     """
     events = r.merged_events(s)
-    probs = (
-        probability_batch([row[1] for row in rows], events, options=options)
-        if materialize
-        else None
-    )
+    if materialize:
+        fill_probabilities(
+            out,
+            probability_batch([t.lineage for t in out], events, options=options),
+        )
     return TPRelation._derived(
-        f"({r.name} {symbol} {s.name})",
-        r.schema,
-        tuples_from_rows(rows, probs),
-        events,
-        assume_sorted=True,
+        f"({r.name} {symbol} {s.name})", r.schema, out, events, assume_sorted=True
     )
 
 

@@ -12,6 +12,7 @@ lineage and the relation's event map.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Optional
@@ -20,7 +21,20 @@ from ..lineage.formula import Lineage, Var
 from .interval import Interval
 from .schema import Fact
 
-__all__ = ["TPTuple", "base_tuple", "tuples_from_rows"]
+__all__ = [
+    "TPTuple",
+    "base_tuple",
+    "fill_probabilities",
+    "tuples_from_rows",
+    # trusted slot writers, for the kernels that build their output inline
+    "new_object",
+    "set_fact",
+    "set_lineage",
+    "set_interval",
+    "set_p",
+    "set_start",
+    "set_end",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,20 +77,20 @@ class TPTuple:
 
     def with_probability(self, p: float) -> "TPTuple":
         """A copy of this tuple with its probability materialized."""
-        t = _new(TPTuple)
-        _set_fact(t, self.fact)
-        _set_lineage(t, self.lineage)
-        _set_interval(t, self.interval)
-        _set_p(t, p)
+        t = new_object(TPTuple)
+        set_fact(t, self.fact)
+        set_lineage(t, self.lineage)
+        set_interval(t, self.interval)
+        set_p(t, p)
         return t
 
     def with_interval(self, interval: Interval) -> "TPTuple":
         """A copy of this tuple valid over a different interval."""
-        t = _new(TPTuple)
-        _set_fact(t, self.fact)
-        _set_lineage(t, self.lineage)
-        _set_interval(t, interval)
-        _set_p(t, self.p)
+        t = new_object(TPTuple)
+        set_fact(t, self.fact)
+        set_lineage(t, self.lineage)
+        set_interval(t, interval)
+        set_p(t, self.p)
         return t
 
     def __str__(self) -> str:
@@ -85,18 +99,31 @@ class TPTuple:
         return f"({fact_text}, {self.lineage}, {self.interval}, {p_text})"
 
 
-# Trusted construction (DESIGN.md §6): the frozen dataclasses' slots are
+# Trusted construction (DESIGN.md §6.3): the frozen dataclasses' slots are
 # written through their member descriptors, skipping ``__init__`` (and
 # with it ``Interval``'s range validation) and the per-field
-# ``object.__setattr__`` name lookup.  Only this module does so; every
-# kernel builds its output through :func:`tuples_from_rows`.
-_new = object.__new__
-_set_fact = TPTuple.fact.__set__  # type: ignore[attr-defined]
-_set_lineage = TPTuple.lineage.__set__  # type: ignore[attr-defined]
-_set_interval = TPTuple.interval.__set__  # type: ignore[attr-defined]
-_set_p = TPTuple.p.__set__  # type: ignore[attr-defined]
-_set_start = Interval.start.__set__  # type: ignore[attr-defined]
-_set_end = Interval.end.__set__  # type: ignore[attr-defined]
+# ``object.__setattr__`` name lookup.  The descriptors are bound here and
+# nowhere else (CI greps for it); the kernels that build their output
+# inline import the writers below, everything else goes through
+# :func:`tuples_from_rows`.  A writer may only touch an object no caller
+# has seen yet — that is what keeps published tuples immutable.
+new_object = object.__new__
+set_fact = TPTuple.fact.__set__  # type: ignore[attr-defined]
+set_lineage = TPTuple.lineage.__set__  # type: ignore[attr-defined]
+set_interval = TPTuple.interval.__set__  # type: ignore[attr-defined]
+set_p = TPTuple.p.__set__  # type: ignore[attr-defined]
+set_start = Interval.start.__set__  # type: ignore[attr-defined]
+set_end = Interval.end.__set__  # type: ignore[attr-defined]
+
+
+def fill_probabilities(tuples: list[TPTuple], probs: Iterable[float]) -> None:
+    """Write each freshly built tuple's final ``p`` in place.
+
+    For the operator that built ``tuples`` and has not handed them to
+    anyone yet: the batch valuation needs all lineages first, so ``p``
+    is the one slot a kernel cannot fill while it sweeps.
+    """
+    deque(map(set_p, tuples, probs), maxlen=0)
 
 
 def tuples_from_rows(
@@ -104,25 +131,20 @@ def tuples_from_rows(
 ) -> list[TPTuple]:
     """Build one tuple per ``(fact, λ, winTs, winTe)`` row and aligned ``p``.
 
-    The single trusted constructor of kernel-emitted tuples: the caller
-    guarantees ``winTs < winTe`` (sweeps emit non-empty windows only), so
-    nothing is validated.  Without ``probs`` the tuples are lineage-only
-    (``p=None``).
+    The trusted constructor for kernels that emit rows (joins, the
+    multiway sweep, block decoding): the caller guarantees
+    ``winTs < winTe`` (sweeps emit non-empty windows only), so nothing is
+    validated.  Without ``probs`` the tuples are lineage-only (``p=None``).
     """
     if probs is None:
         probs = repeat(None)
     out: list[TPTuple] = []
     append = out.append
-    new, interval_cls, tuple_cls = _new, Interval, TPTuple
-    set_start, set_end = _set_start, _set_end
-    set_fact, set_lineage, set_interval, set_p = (
-        _set_fact, _set_lineage, _set_interval, _set_p,
-    )
     for (fact, lineage, start, end), p in zip(rows, probs):
-        interval = new(interval_cls)
+        interval = new_object(Interval)
         set_start(interval, start)
         set_end(interval, end)
-        t = new(tuple_cls)
+        t = new_object(TPTuple)
         set_fact(t, fact)
         set_lineage(t, lineage)
         set_interval(t, interval)

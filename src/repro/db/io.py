@@ -31,7 +31,7 @@ from ..core.interval import Interval
 from ..core.relation import TPRelation
 from ..core.schema import TPSchema, coerce_value, make_fact
 from ..core.tuple import TPTuple
-from ..lineage.formula import Var, variables
+from ..lineage.formula import Var
 from ..lineage.parser import parse_lineage
 from ..store.faultpoints import trip
 
@@ -185,7 +185,4 @@ def load_csv(path: _PathLike, *, name: str | None = None) -> TPRelation:
 
 
 def _all_atomic(relation: TPRelation) -> bool:
-    return all(
-        isinstance(t.lineage, Var) and len(variables(t.lineage)) == 1
-        for t in relation
-    )
+    return all(isinstance(t.lineage, Var) for t in relation)

@@ -278,7 +278,7 @@ def columnar_setop_rows(
     opcode: int,
     block_r: Optional[ColumnarBlock] = None,
     block_s: Optional[ColumnarBlock] = None,
-) -> Optional[list[tuple]]:
+) -> Optional[list[TPTuple]]:
     """One set-operation sweep over blocks; decodes via the engine path."""
     try:
         if block_r is None:
@@ -295,7 +295,7 @@ def columnar_setop_rows(
     )
     from .engine import _decode_setop_codes
 
-    rows: list[tuple] = []
+    rows: list[TPTuple] = []
     _decode_setop_codes(codes, tr, 0, ts, 0, opcode, rows)
     return rows
 

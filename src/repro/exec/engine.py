@@ -31,8 +31,18 @@ from typing import Mapping, Optional, Sequence
 
 from ..algebra.join import JoinLayout, join_group_rows, preserved_lineage
 from ..core.gtwindow import WindowPolicy
+from ..core.interval import Interval
 from ..core.setops import sweep_rows
-from ..core.tuple import TPTuple
+from ..core.tuple import (
+    TPTuple,
+    new_object,
+    set_end,
+    set_fact,
+    set_interval,
+    set_lineage,
+    set_p,
+    set_start,
+)
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from ..lineage.serialize import encode_batch
 from .chunking import aligned_chunks, balanced_partition
@@ -48,8 +58,10 @@ __all__ = [
 ]
 
 #: A view-maintenance sweep job: ("setop", op, lt, rt) runs the fused
-#: set-operation kernel over one group range, ("join", layout, policy,
-#: lt, rt) runs the generalized-window sweep over one key-group range.
+#: set-operation kernel over one group range and yields its lineage-only
+#: tuples; ("join", layout, policy, lt, rt) runs the generalized-window
+#: sweep over one key-group range and yields ``(fact, λ, winTs, winTe)``
+#: rows.
 GroupJob = tuple
 
 
@@ -76,55 +88,64 @@ def _decode_setop_codes(
     ts: Sequence[TPTuple],
     s_base: int,
     opcode: int,
-    out: list[tuple],
+    out: list[TPTuple],
 ) -> None:
     """Resolve window codes against the parent's tuples.
 
-    The branch structure replicates the λ-filter + λ-concat section of
-    ``repro.core.setops._fused_sweep`` exactly (including the direct
+    Appends what ``repro.core.setops._fused_sweep`` appends for the same
+    windows: the same λ-filter + λ-concat branches (including the direct
     ``And``/``Or``/``Not`` construction for atomic operands), so decoded
-    rows carry the identical interned lineage objects.
+    tuples carry the identical interned lineage objects, and the same
+    hand-through of an operand's ``Interval`` when the window equals it
+    (left operand first).
     """
+    assert opcode in (OP_UNION, OP_INTERSECT, OP_EXCEPT)
     append = out.append
-    if opcode == OP_UNION:
-        for r_idx, s_idx, win_ts, win_te in codes:
-            if r_idx < 0:
-                t = ts[s_base + s_idx]
-                append((t.fact, t.lineage, win_ts, win_te))
-            elif s_idx < 0:
-                t = tr[r_base + r_idx]
-                append((t.fact, t.lineage, win_ts, win_te))
-            else:
-                rt = tr[r_base + r_idx]
-                r_lam = rt.lineage
-                s_lam = ts[s_base + s_idx].lineage
+    for r_idx, s_idx, win_ts, win_te in codes:
+        rt = tr[r_base + r_idx] if r_idx >= 0 else None
+        st = ts[s_base + s_idx] if s_idx >= 0 else None
+        if rt is None:
+            fact = st.fact
+            lam = st.lineage
+        elif st is None:
+            fact = rt.fact
+            lam = rt.lineage
+        else:
+            fact = rt.fact
+            r_lam = rt.lineage
+            s_lam = st.lineage
+            if opcode == OP_UNION:
                 if type(r_lam) is Var and type(s_lam) is Var:
-                    append((rt.fact, Or((r_lam, s_lam)), win_ts, win_te))
+                    lam = Or((r_lam, s_lam))
                 else:
-                    append((rt.fact, lor(r_lam, s_lam), win_ts, win_te))
-    elif opcode == OP_INTERSECT:
-        for r_idx, s_idx, win_ts, win_te in codes:
-            rt = tr[r_base + r_idx]
-            r_lam = rt.lineage
-            s_lam = ts[s_base + s_idx].lineage
-            if type(r_lam) is Var and type(s_lam) is Var:
-                append((rt.fact, And((r_lam, s_lam)), win_ts, win_te))
+                    lam = lor(r_lam, s_lam)
+            elif opcode == OP_INTERSECT:
+                if type(r_lam) is Var and type(s_lam) is Var:
+                    lam = And((r_lam, s_lam))
+                else:
+                    lam = land(r_lam, s_lam)
             else:
-                append((rt.fact, land(r_lam, s_lam), win_ts, win_te))
-    else:
-        assert opcode == OP_EXCEPT
-        for r_idx, s_idx, win_ts, win_te in codes:
-            rt = tr[r_base + r_idx]
-            r_lam = rt.lineage
-            if s_idx < 0:
-                append((rt.fact, r_lam, win_ts, win_te))
-            else:
-                s_lam = ts[s_base + s_idx].lineage
                 neg = Not(s_lam) if type(s_lam) is Var else lnot(s_lam)
                 if type(r_lam) is Var:
-                    append((rt.fact, And((r_lam, neg)), win_ts, win_te))
+                    lam = And((r_lam, neg))
                 else:
-                    append((rt.fact, land(r_lam, neg), win_ts, win_te))
+                    lam = land(r_lam, neg)
+        r_iv = rt.interval if rt is not None else None
+        s_iv = st.interval if st is not None else None
+        if r_iv is not None and r_iv.start == win_ts and r_iv.end == win_te:
+            interval = r_iv
+        elif s_iv is not None and s_iv.start == win_ts and s_iv.end == win_te:
+            interval = s_iv
+        else:
+            interval = new_object(Interval)
+            set_start(interval, win_ts)
+            set_end(interval, win_te)
+        t = new_object(TPTuple)
+        set_fact(t, fact)
+        set_lineage(t, lam)
+        set_interval(t, interval)
+        set_p(t, None)
+        append(t)
 
 
 def _decode_join_codes(
@@ -190,7 +211,7 @@ def setop_sweep_rows(
     op: str,
     config: Optional[ParallelConfig] = None,
     chunks: Optional[list] = None,
-) -> Optional[list[tuple]]:
+) -> Optional[list[TPTuple]]:
     """Parallel fused sweep; ``None`` when the call should stay serial.
 
     ``chunks`` overrides the chunker — the differential suite drives
@@ -217,7 +238,7 @@ def setop_sweep_rows(
         for (r_lo, r_hi), (s_lo, s_hi) in chunks
     ]
     results = run_tasks(tasks, cfg.workers)
-    rows: list[tuple] = []
+    rows: list[TPTuple] = []
     for ((r_lo, _), (s_lo, _)), codes in zip(chunks, results):
         _decode_setop_codes(codes, tr, r_lo, ts, s_lo, opcode, rows)
     return rows
@@ -274,7 +295,7 @@ def join_sweep_rows(
 # ----------------------------------------------------------------------
 # per-group job batches (incremental view maintenance)
 # ----------------------------------------------------------------------
-def _serial_job_rows(job: GroupJob) -> list[tuple]:
+def _serial_job_rows(job: GroupJob) -> list:
     if job[0] == "setop":
         _, op, lt, rt = job
         return sweep_rows(lt, rt, op)
@@ -284,8 +305,8 @@ def _serial_job_rows(job: GroupJob) -> list[tuple]:
 
 def group_rows_many(
     jobs: Sequence[GroupJob], config: Optional[ParallelConfig] = None
-) -> list[list[tuple]]:
-    """Rows of every sweep job, serial or pool-sharded — bit-identical.
+) -> list[list]:
+    """Output of every sweep job, serial or pool-sharded — bit-identical.
 
     The serial path calls the exact kernels the view nodes called before
     parallelism existed; the parallel path ships index-coded jobs and
@@ -324,10 +345,10 @@ def group_rows_many(
                 )
         tasks.append(("jobs", wire_jobs))
     results = run_tasks(tasks, cfg.workers)
-    out: list[list[tuple]] = []
+    out: list[list] = []
     for (lo, hi), chunk_codes in zip(spans, results):
         for job, codes in zip(jobs[lo:hi], chunk_codes):
-            rows: list[tuple] = []
+            rows: list = []
             if job[0] == "setop":
                 _, op, lt, rt = job
                 _decode_setop_codes(codes, lt, 0, rt, 0, OPCODES[op], rows)

@@ -22,15 +22,21 @@ Design notes
   kernels exploit this heavily — adjacent LAWA windows reuse the same
   valid tuples, hence concatenate the identical lineage objects, and the
   probability-valuation memo can key on node identity.
-* **Structural metadata** is computed incrementally at construction time
-  from the children's cached metadata: :attr:`Lineage.size` (AST node
-  count), :attr:`Lineage.var_total` (total variable occurrences),
-  :attr:`Lineage.var_set` (free variables) and :attr:`Lineage.is_1of`
-  (one-occurrence form).  The classic traversal functions
-  :func:`formula_size`, :func:`variables`, :func:`variable_occurrences`
-  and :func:`repro.lineage.onef.is_one_occurrence_form` therefore run in
-  O(1) — the lever that lets :func:`repro.prob.valuation.probability`
-  dispatch without re-walking formulas per result tuple.
+* **Structural metadata** (DESIGN.md §4).  Computed at construction
+  time from the children's metadata, in O(1) for the two-child nodes the
+  sweeps emit: :attr:`Lineage.size` (AST node count),
+  :attr:`Lineage.var_total` (total variable occurrences) and
+  :attr:`Lineage.is_1of` (one-occurrence form) — the flag that lets
+  :func:`repro.prob.valuation.probability` dispatch without re-walking
+  formulas per result tuple.  Computed on first read and then stored:
+  :attr:`Lineage.var_set` (free variables) and
+  :meth:`Lineage.occurrences`.  A result tuple's root lineage is
+  valuated, rendered and encoded without anyone asking for its variable
+  set, so constructors do not build one frozenset per node; the classic
+  traversal functions :func:`formula_size`, :func:`variables`,
+  :func:`variable_occurrences` and
+  :func:`repro.lineage.onef.is_one_occurrence_form` read the stored
+  values.
 * Interning is per-process.  Pickling round-trips through
   :meth:`__reduce__`, which rebuilds (and thereby re-interns) nodes, so
   identity equality survives serialization.  Construction is not guarded
@@ -45,7 +51,7 @@ Design notes
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Mapping
 
 __all__ = [
     "Lineage",
@@ -61,6 +67,7 @@ __all__ = [
     "lor",
     "lnot",
     "variables",
+    "variable_names",
     "variable_occurrences",
     "evaluate",
     "restrict",
@@ -121,12 +128,13 @@ class Lineage:
         Number of AST nodes (the |λ| of the linear-time 1OF bound).
     ``var_total``
         Total number of variable occurrences (with multiplicity).
-    ``var_set``
-        Frozen set of the distinct variable names.
     ``is_1of``
         True iff no variable occurs more than once (one-occurrence form).
-        Maintained incrementally: a connective is in 1OF exactly when its
-        total occurrence count equals its distinct-variable count.
+        Maintained incrementally: a connective is in 1OF exactly when
+        its children are and no two of them share a variable.
+    ``var_set``
+        Frozen set of the distinct variable names — computed from the
+        children's sets on first read, then stored in the node's slot.
 
     Supports the Python operators ``&``, ``|`` and ``~`` as shorthands for
     the smart constructors, so tests and examples can write
@@ -150,6 +158,21 @@ class Lineage:
     # ------------------------------------------------------------------
     # cached-metadata helpers
     # ------------------------------------------------------------------
+    if TYPE_CHECKING:
+        var_set: frozenset[str]
+    else:
+
+        def __getattr__(self, name: str) -> frozenset[str]:
+            # Reached only while the ``var_set`` slot is unset (a set
+            # slot is found before ``__getattr__`` is consulted), so a
+            # read costs nothing extra from the second one on.
+            if name != "var_set":
+                raise AttributeError(
+                    f"{type(self).__name__!r} object has no attribute {name!r}"
+                )
+            value = self.var_set = self._compute_var_set()
+            return value
+
     def occurrences(self) -> Mapping[str, int]:
         """Per-variable occurrence counts, computed once and cached.
 
@@ -172,6 +195,9 @@ class Lineage:
     def _compute_occ(self) -> Dict[str, int]:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _compute_var_set(self) -> frozenset[str]:  # pragma: no cover - abstract
+        raise NotImplementedError
+
 
 class Var(Lineage):
     """An atomic lineage variable — the identifier of a base tuple."""
@@ -188,7 +214,6 @@ class Var(Lineage):
         self.name = name
         self.size = 1
         self.var_total = 1
-        self.var_set = frozenset((name,))
         self.is_1of = True
         self._occ = None
         ref = _NodeRef(self, _drop_var)
@@ -198,6 +223,9 @@ class Var(Lineage):
 
     def _compute_occ(self) -> Dict[str, int]:
         return {self.name: 1}
+
+    def _compute_var_set(self) -> frozenset[str]:
+        return frozenset((self.name,))
 
     def __reduce__(self):
         return (Var, (self.name,))
@@ -224,7 +252,6 @@ class Not(Lineage):
         self.child = child
         self.size = child.size + 1
         self.var_total = child.var_total
-        self.var_set = child.var_set
         self.is_1of = child.is_1of
         self._occ = None
         ref = _NodeRef(self, _drop_not)
@@ -235,6 +262,9 @@ class Not(Lineage):
     def _compute_occ(self) -> Dict[str, int]:
         return dict(self.child.occurrences())
 
+    def _compute_var_set(self) -> frozenset[str]:
+        return self.child.var_set
+
     def __reduce__(self):
         return (Not, (self.child,))
 
@@ -243,6 +273,32 @@ class Not(Lineage):
 
     def __str__(self) -> str:
         return _format(self, parent_prec=0)
+
+
+def _init_nary(node: "And | Or", children: tuple[Lineage, ...]) -> None:
+    """Metadata of a connective with other than two children.
+
+    Such a node is in 1OF iff its children are and their variable sets
+    are pairwise disjoint; deciding the latter builds the union anyway,
+    so it is stored rather than recomputed on first read.
+    """
+    size = 1
+    total = 0
+    one = True
+    for child in children:
+        size += child.size
+        total += child.var_total
+        one = one and child.is_1of
+    node.size = size
+    node.var_total = total
+    if one:
+        node.var_set = _union_var_sets(children)
+        one = total == len(node.var_set)
+    node.is_1of = one
+
+
+def _union_var_sets(children: tuple[Lineage, ...]) -> frozenset[str]:
+    return _EMPTY_SET.union(*[child.var_set for child in children])
 
 
 def _merge_occ(children: tuple[Lineage, ...]) -> Dict[str, int]:
@@ -269,23 +325,24 @@ class And(Lineage):
         self = _new(cls)
         self.children = children
         if len(children) == 2:
-            # Every window the binary sweep kernels emit is two-child.
+            # Every window the binary sweep kernels emit is two-child:
+            # in 1OF iff both children are and they share no variable —
+            # an identity test when both are (negated) variables, so no
+            # variable set is built for the node or asked of its leaves.
             left, right = children
             self.size = 1 + left.size + right.size
-            total = left.var_total + right.var_total
-            var_set = left.var_set | right.var_set
+            self.var_total = left.var_total + right.var_total
+            if left.is_1of and right.is_1of:
+                a = left.child if type(left) is Not else left
+                b = right.child if type(right) is Not else right
+                if type(a) is Var and type(b) is Var:
+                    self.is_1of = a is not b
+                else:
+                    self.is_1of = left.var_set.isdisjoint(right.var_set)
+            else:
+                self.is_1of = False
         else:
-            size = 1
-            total = 0
-            var_set = _EMPTY_SET
-            for child in children:
-                size += child.size
-                total += child.var_total
-                var_set = var_set | child.var_set
-            self.size = size
-        self.var_total = total
-        self.var_set = var_set
-        self.is_1of = total == len(var_set)
+            _init_nary(self, children)
         self._occ = None
         ref = _NodeRef(self, _drop_and)
         ref.key = children
@@ -294,6 +351,9 @@ class And(Lineage):
 
     def _compute_occ(self) -> Dict[str, int]:
         return _merge_occ(self.children)
+
+    def _compute_var_set(self) -> frozenset[str]:
+        return _union_var_sets(self.children)
 
     def __reduce__(self):
         return (And, (self.children,))
@@ -321,23 +381,24 @@ class Or(Lineage):
         self = _new(cls)
         self.children = children
         if len(children) == 2:
-            # Every window the binary sweep kernels emit is two-child.
+            # Every window the binary sweep kernels emit is two-child:
+            # in 1OF iff both children are and they share no variable —
+            # an identity test when both are (negated) variables, so no
+            # variable set is built for the node or asked of its leaves.
             left, right = children
             self.size = 1 + left.size + right.size
-            total = left.var_total + right.var_total
-            var_set = left.var_set | right.var_set
+            self.var_total = left.var_total + right.var_total
+            if left.is_1of and right.is_1of:
+                a = left.child if type(left) is Not else left
+                b = right.child if type(right) is Not else right
+                if type(a) is Var and type(b) is Var:
+                    self.is_1of = a is not b
+                else:
+                    self.is_1of = left.var_set.isdisjoint(right.var_set)
+            else:
+                self.is_1of = False
         else:
-            size = 1
-            total = 0
-            var_set = _EMPTY_SET
-            for child in children:
-                size += child.size
-                total += child.var_total
-                var_set = var_set | child.var_set
-            self.size = size
-        self.var_total = total
-        self.var_set = var_set
-        self.is_1of = total == len(var_set)
+            _init_nary(self, children)
         self._occ = None
         ref = _NodeRef(self, _drop_or)
         ref.key = children
@@ -346,6 +407,9 @@ class Or(Lineage):
 
     def _compute_occ(self) -> Dict[str, int]:
         return _merge_occ(self.children)
+
+    def _compute_var_set(self) -> frozenset[str]:
+        return _union_var_sets(self.children)
 
     def __reduce__(self):
         return (Or, (self.children,))
@@ -494,10 +558,24 @@ def lnot(part: Lineage) -> Lineage:
 
 
 # ----------------------------------------------------------------------
-# structural queries — O(1) via the cached construction-time metadata
+# structural queries — reads of the metadata stored on the nodes
 # ----------------------------------------------------------------------
 def variables(formula: Lineage) -> frozenset[str]:
-    """The set of variable names occurring in ``formula`` (O(1), cached)."""
+    """The set of variable names occurring in ``formula`` (stored on the
+    node once computed)."""
+    return formula.var_set
+
+
+def variable_names(formula: Lineage) -> Iterable[str]:
+    """The distinct variable names of ``formula``, for iterating.
+
+    An atomic variable — every base tuple's lineage — answers with its
+    own name, so bookkeeping over base tuples (validation, the stores'
+    event reference counts) does not store one single-element set per
+    tuple.
+    """
+    if type(formula) is Var:
+        return (formula.name,)
     return formula.var_set
 
 

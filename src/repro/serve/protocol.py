@@ -15,7 +15,7 @@ Operations::
     {"op": "create", "relation": "a", "attributes": [...], "rows": [...]}
     {"op": "begin"}                      # re-pin the session to now
     {"op": "epochs"}                     # the session's epoch signature
-    {"op": "stats"}                      # cache counters, sessions, pids
+    {"op": "stats"}                      # cache counters, sessions, memory, pids
     {"op": "close"}                      # goodbye (server closes after reply)
 
 A ``query`` whose text carries the ``EXPLAIN`` prefix returns the plan

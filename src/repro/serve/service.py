@@ -29,6 +29,7 @@ callers (tests, benchmarks) are single-threaded already.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -37,6 +38,8 @@ from ..core.errors import QueryParseError, UnknownRelationError
 from ..core.relation import TPRelation
 from ..db.database import TPDatabase
 from ..exec.config import parallel_execution
+from ..lineage.formula import intern_stats
+from ..prob.valuation import valuation_cache_stats
 from ..query.analysis import analyze
 from ..query.ast import QueryNode, relation_references
 from ..query.cost import choose_plan
@@ -440,7 +443,11 @@ class QueryService:
         """Introspection snapshot: sessions, cache counters, store epochs.
 
         ``results.bytes`` is the encoded fragments the result cache
-        holds right now — a reading, not a cap.
+        holds right now — a reading, not a cap.  ``memory`` is what this
+        process's object graph costs to keep: the cyclic collector's runs
+        per generation since start, the live interned lineage nodes, and
+        the valuation memo's entries — readings too, nothing is bounded
+        by them.
         """
         results = self.results.stats()
         results["bytes"] = sum(
@@ -452,6 +459,13 @@ class QueryService:
             "plans": self.plans.stats(),
             "epochs": {
                 name: self.db.store(name).epoch for name in self.db.store_names()
+            },
+            "memory": {
+                "gc_collections": [
+                    generation["collections"] for generation in gc.get_stats()
+                ],
+                "lineage_nodes": intern_stats(),
+                "valuation_entries": valuation_cache_stats()["entries"],
             },
         }
 

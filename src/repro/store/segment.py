@@ -45,7 +45,7 @@ from ..core.relation import TPRelation
 from ..core.schema import Fact, TPSchema, make_fact
 from ..core.sorting import null_safe_fact_key
 from ..core.tuple import TPTuple, base_tuple
-from ..lineage.formula import Var, variables
+from ..lineage.formula import Var, variable_names
 
 __all__ = [
     "ChangeSet",
@@ -293,7 +293,7 @@ class SegmentStore:
         )
         for t in relation.sorted_tuples():
             store._group_for(t.fact).insert(t)
-            for var in variables(t.lineage):
+            for var in variable_names(t.lineage):
                 store._var_refs[var] = store._var_refs.get(var, 0) + 1
         store.events.update(relation.events)
         return store
@@ -323,7 +323,7 @@ class SegmentStore:
         store = cls(name, attributes, segment_capacity=segment_capacity)
         for t in tuples:
             store._group_for(t.fact).insert(t)
-            for var in variables(t.lineage):
+            for var in variable_names(t.lineage):
                 store._var_refs[var] = store._var_refs.get(var, 0) + 1
         store.events.update(events)
         store.epoch = epoch
@@ -401,11 +401,11 @@ class SegmentStore:
         # touches counts): drop events no surviving lineage references.
         refs = self._var_refs
         for t in added:
-            for var in variables(t.lineage):
+            for var in variable_names(t.lineage):
                 refs[var] = refs.get(var, 0) + 1
         dropped: list[str] = []
         for t in removed:
-            for var in variables(t.lineage):
+            for var in variable_names(t.lineage):
                 count = refs.get(var, 0) - 1
                 if count > 0:
                     refs[var] = count
@@ -467,7 +467,7 @@ class SegmentStore:
                     f"tuple {t.fact!r} @ {t.interval} in store {self.name!r}"
                 )
             group.remove(target)
-            for var in variables(target.lineage):
+            for var in variable_names(target.lineage):
                 count = refs.get(var, 0) - 1
                 if count > 0:
                     refs[var] = count
@@ -475,7 +475,7 @@ class SegmentStore:
                     refs.pop(var, None)
         for t in changeset.inserted:
             self._group_for(t.fact).insert(t)
-            for var in variables(t.lineage):
+            for var in variable_names(t.lineage):
                 refs[var] = refs.get(var, 0) + 1
         self._prune_empty_groups()
         self.events.update(changeset.events)

@@ -48,12 +48,11 @@ from ..algebra.join import (
 )
 from ..core.errors import UnsupportedOperationError
 from ..core.gtwindow import WINDOW_POLICIES, WindowPolicy
-from ..core.interval import Interval
 from ..core.relation import TPRelation
 from ..core.schema import Fact
 from ..core.setops import tp_set_operation
 from ..core.sorting import null_safe_fact_key
-from ..core.tuple import TPTuple
+from ..core.tuple import TPTuple, tuples_from_rows
 from ..exec.config import parallel_execution
 from ..prob.valuation import ProbabilityOptions, probability_batch
 from ..query.ast import JoinNode, QueryNode, RelationRef, SelectionNode, SetOpNode
@@ -213,11 +212,6 @@ def _splice(
     return changed_ranges
 
 
-def _tuples_from_rows(rows: list) -> list[TPTuple]:
-    """Materialize kernel rows ``(fact, λ, winTs, winTe)`` as tuples."""
-    return [TPTuple(fact, lam, Interval(ts, te)) for fact, lam, ts, te in rows]
-
-
 def _group_rows_many(jobs: list) -> list[list]:
     """Batch sweep jobs through :func:`repro.exec.engine.group_rows_many`.
 
@@ -315,9 +309,9 @@ class _SetOpNode:
         # One batch through the kernel seam: serial by default, sharded
         # across the worker pool under an active parallel configuration
         # (bit-identical either way, DESIGN.md §10).
-        for fact, rows in zip(facts, _group_rows_many(jobs)):
-            if rows:
-                self.cache[fact] = _tuples_from_rows(rows)
+        for fact, tuples in zip(facts, _group_rows_many(jobs)):
+            if tuples:
+                self.cache[fact] = tuples
 
     def pull(self) -> list[Region]:
         child_regions = self.left.pull() + self.right.pull()
@@ -365,13 +359,11 @@ class _SetOpNode:
             prepared.append((fact, widened))
         # Phase 2: sweep all jobs (serial or pooled), then splice in the
         # same deterministic order the serial engine used.
-        rows_iter = iter(_group_rows_many(jobs))
+        swept = iter(_group_rows_many(jobs))
         out: list[Region] = []
         for fact, widened in prepared:
-            parts = [
-                ((lo, hi), _tuples_from_rows(next(rows_iter)))
-                for lo, hi in widened
-            ]
+            # The kernel's lineage-only tuples are spliced in as they are.
+            parts = [((lo, hi), next(swept)) for lo, hi in widened]
             out.extend(
                 (fact, lo, hi) for lo, hi in _splice(self.cache, fact, parts)
             )
@@ -416,7 +408,7 @@ class _JoinNode:
             self._left_facts.setdefault(self._left_key(fact), set()).add(fact)
         for fact in right.facts():
             self._right_facts.setdefault(self._right_key(fact), set()).add(fact)
-        plans: list[tuple[tuple, list[TPTuple], bool]] = []
+        plans: list[tuple[tuple, list[TPTuple], Optional[str]]] = []
         jobs: list = []
         for key in set(self._left_facts) | set(self._right_facts):
             if not self._can_emit(key):
@@ -426,12 +418,11 @@ class _JoinNode:
             carried, job = self._group_plan(group_l, group_s)
             if job is not None:
                 jobs.append(job)
-            plans.append((key, carried, job is not None))
-        rows_iter = iter(_group_rows_many(jobs))
-        for key, carried, has_job in plans:
-            rows = next(rows_iter) if has_job else []
+            plans.append((key, carried, job[0] if job is not None else None))
+        swept = iter(_group_rows_many(jobs))
+        for key, carried, kind in plans:
             by_fact: dict[Fact, list[TPTuple]] = {}
-            for t in self._assemble(carried, rows):
+            for t in self._assemble(carried, kind, next(swept) if kind else []):
                 by_fact.setdefault(t.fact, []).append(t)
             if by_fact:
                 self._out_facts[key] = set(by_fact)
@@ -523,10 +514,14 @@ class _JoinNode:
         return carried, None
 
     @staticmethod
-    def _assemble(carried: list[TPTuple], rows: list) -> list[TPTuple]:
-        """Kernel rows first, then the collapse-carried tuples — the
-        emission order of the pre-batching implementation."""
-        out = _tuples_from_rows(rows)
+    def _assemble(
+        carried: list[TPTuple], kind: Optional[str], swept: list
+    ) -> list[TPTuple]:
+        """The sweep job's output first, then the collapse-carried tuples
+        — the emission order of the pre-batching implementation.  A
+        ``"join"`` job yields ``(fact, λ, winTs, winTe)`` rows, a
+        ``"setop"`` job the kernel's tuples (no job: nothing)."""
+        out = tuples_from_rows(swept) if kind == "join" else swept
         out.extend(carried)
         return out
 
@@ -569,25 +564,24 @@ class _JoinNode:
             widened = _merge_ranges(
                 _expand(lo, hi, [index]) for lo, hi in _merge_ranges(ranges)
             )
-            range_plans: list[tuple[list[TPTuple], bool]] = []
+            range_plans: list[tuple[list[TPTuple], Optional[str]]] = []
             for lo, hi in widened:
                 sub_l = self._clip(group_l, lo, hi)
                 sub_s = self._clip(group_s, lo, hi)
                 carried, job = self._group_plan(sub_l, sub_s)
                 if job is not None:
                     jobs.append(job)
-                range_plans.append((carried, job is not None))
+                range_plans.append((carried, job[0] if job is not None else None))
             prepared.append((key, widened, range_plans))
         # Phase 2: sweep all jobs (serial or pooled), then splice in the
         # same deterministic order the serial engine used.
-        rows_iter = iter(_group_rows_many(jobs))
+        swept = iter(_group_rows_many(jobs))
         out: list[Region] = []
         for key, widened, range_plans in prepared:
             buckets: list[dict[Fact, list[TPTuple]]] = []
-            for carried, has_job in range_plans:
-                rows = next(rows_iter) if has_job else []
+            for carried, kind in range_plans:
                 bucket: dict[Fact, list[TPTuple]] = {}
-                for t in self._assemble(carried, rows):
+                for t in self._assemble(carried, kind, next(swept) if kind else []):
                     bucket.setdefault(t.fact, []).append(t)
                 for run in bucket.values():
                     run.sort(key=_interval_start)

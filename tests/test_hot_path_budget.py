@@ -7,7 +7,10 @@ Counts repeat exactly from run to run, so the ceiling cannot flake — and
 it stops a later change from quietly re-adding a per-row copy or a
 per-node Python-level hop to the pipeline
 
-    sweep → batch-valuate distinct lineages → build each tuple once.
+    sweep-and-build each tuple once → batch-valuate distinct lineages → fill p.
+
+Next to it sits the allocation budget: collector runs and GC-tracked
+objects retained per output row, counted the same deterministic way.
 
 The same instrument pins two more shapes: the valuation memo's bound
 must not make a batch larger than the bound cost more *per row* (it
@@ -19,6 +22,7 @@ size of the result (it once re-walked and re-encoded every row).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import sys
 from collections import Counter
@@ -37,10 +41,22 @@ from repro.prob.valuation import (
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line
 
-#: Calls per output row.  Measured when this budget was set: 12.2
-#: (it was 27.7 before tuples were built once and interning lost its
-#: Python-level weakref bookkeeping); the ceiling leaves ~15 % headroom.
-CALLS_PER_ROW_CEILING = 14.0
+#: Calls per output row.  Measured when this budget was set: 10.27
+#: (27.7 before tuples were built once and interning lost its
+#: Python-level weakref bookkeeping, 12.17 while the sweep still emitted
+#: rows for a second pass to turn into tuples); ~12 % headroom.
+CALLS_PER_ROW_CEILING = 11.5
+
+#: Collector runs per 1 000 output rows under ``ALLOCATION_THRESHOLDS``,
+#: and GC-tracked objects a result keeps alive per output row.  Measured
+#: when set: 5.45 and 3.68 (7.65 and 4.57 with an intermediate row, an
+#: ``Interval`` per window and a ``var_set`` per lineage node).  What is
+#: left per row — children tuple, node, its weak reference, ``TPTuple``,
+#: and an ``Interval`` for a window that is no operand's — is the object
+#: design itself (DESIGN.md §6.3).
+COLLECTIONS_PER_1000_ROWS_CEILING = 6.0
+RETAINED_PER_ROW_CEILING = 4.0
+ALLOCATION_THRESHOLDS = (700, 10, 10)  # CPython's defaults, pinned
 
 READS = ("a | b", "a & b", "a - b")
 
@@ -97,6 +113,8 @@ def test_calls_per_output_row_stay_under_the_ceiling():
         f"{total / rows:.2f} calls per output row; the biggest callers: "
         f"{calls.most_common(8)}"
     )
+    # The sweep's output row is the result tuple: no row format between.
+    assert calls[("py", "tuples_from_rows")] == 0
     # No result tuple may be built and then copied.  (The one generic
     # field-introspecting copy per query is the ``parallel=1`` override
     # of the worker configuration, not a tuple.)
@@ -108,6 +126,44 @@ def test_calls_per_output_row_stay_under_the_ceiling():
     assert sum(repeat_calls.values()) <= total
     # … and repeat exactly: the count is a function of the input alone.
     assert count_calls(run)[0] == repeat_calls
+
+
+def test_allocations_per_output_row_stay_under_the_ceiling():
+    """Half of a large scan used to be the cyclic collector: what a read
+    allocates is budgeted like what it calls.  Both readings are deltas
+    of the interpreter's own counters and repeat exactly."""
+    db = TPDatabase(parallel=1, columnar=False)
+    db.create_relation("a", ("k",), seeded_rows(1))
+    db.create_relation("b", ("k",), seeded_rows(2))
+    clear_valuation_cache()
+    collections = 0
+
+    def on_collection(phase: str, info: dict) -> None:
+        nonlocal collections
+        collections += phase == "start"
+
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(*ALLOCATION_THRESHOLDS)
+    gc.callbacks.append(on_collection)
+    try:
+        tracked = len(gc.get_objects())
+        results = [db.query(text) for text in READS]
+        gc.callbacks.remove(on_collection)
+        gc.collect()
+        retained = len(gc.get_objects()) - tracked
+    finally:
+        if on_collection in gc.callbacks:
+            gc.callbacks.remove(on_collection)
+        gc.set_threshold(*thresholds)
+    rows = sum(len(result) for result in results)
+    assert rows == 11368
+    assert 1000 * collections / rows <= COLLECTIONS_PER_1000_ROWS_CEILING, (
+        f"{collections} collector runs for {rows} output rows"
+    )
+    assert retained / rows <= RETAINED_PER_ROW_CEILING, (
+        f"{retained / rows:.2f} tracked objects retained per output row"
+    )
 
 
 # ----------------------------------------------------------------------

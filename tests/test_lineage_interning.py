@@ -253,6 +253,48 @@ class TestCachedMetadata:
         variable_occurrences(f)["a"] = 99
         assert variable_occurrences(f) == {"a": 1, "b": 1}
 
+    @given(formulas(), formulas(), formulas())
+    def test_lazy_metadata_is_the_same_metadata(self, f, g, h):
+        """``var_set`` is computed on first read and ``is_1of`` without
+        it (DESIGN.md §4): both must be what an eager computation
+        would have stored, for every way a node comes into being."""
+        shapes = [
+            a, Not(a), And((a, Not(a))), Or((a, a)), And((a, Not(b))),  # leaves
+            f, lnot(f), land(f, g), lor(f, g), land(f, lnot(f)),  # two children
+            land(f, g, h), lor(f, g, h), lor(land(f, g), lnot(h)),  # n-ary, nested
+            # The kernels' direct construction, compound operands included.
+            And((f, g)), Or((f, g)), And((f, g, h)), Or((f, Not(g))),
+        ]
+        for node in shapes:
+            names = list(_iter_var_names(node))
+            assert node.var_total == len(names)
+            assert node.is_1of == (node.var_total == len(set(names)))
+            assert node.var_set == frozenset(names)  # first read: computed
+            assert node.var_set is node.var_set  # … and stored
+            assert node.is_1of == (node.var_total == len(node.var_set))
+            assert pickle.loads(pickle.dumps(node)) is node
+
+    def test_var_set_stays_unset_until_someone_reads_it(self):
+        def unset(node) -> bool:
+            # The slot itself, not the attribute: reading the attribute
+            # would compute it.
+            try:
+                type(node).var_set.__get__(node)
+            except AttributeError:
+                return True
+            return False
+
+        x, y = Var("lazy_x"), Var("lazy_y")
+        both = x & y
+        less = And((x, Not(y)))
+        assert both.is_1of and less.is_1of and not (x & ~x).is_1of
+        assert all(unset(node) for node in (x, y, both, less, less.children[1]))
+        assert both.var_set == {"lazy_x", "lazy_y"}
+        assert not unset(both) and not unset(x) and not unset(y)
+        assert unset(less)  # reading one node computes no other root
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            x.nope
+
 
 class TestValuationMemo:
     def setup_method(self):

@@ -35,6 +35,7 @@ from repro.algebra.join import (
 )
 from repro.core.gtwindow import WINDOW_POLICIES
 from repro.core.setops import OPERATIONS, sweep_rows, tp_set_operation
+from repro.core.tuple import TPTuple
 from repro.datasets import generate_join_pair, generate_pair
 from repro.exec import engine
 from repro.exec.chunking import (
@@ -81,8 +82,16 @@ def assert_bit_identical(parallel, serial) -> None:
 
 
 def assert_rows_identical(parallel_rows, serial_rows) -> None:
+    """Kernel output, pool against serial: the set-operation kernels emit
+    lineage-only tuples, the join kernels ``(fact, λ, winTs, winTe)``
+    rows — the same four things, compared the same way."""
     assert len(parallel_rows) == len(serial_rows)
     for p, s in zip(parallel_rows, serial_rows):
+        assert type(p) is type(s)
+        if isinstance(p, TPTuple):
+            assert p.p is None and s.p is None
+            p = (p.fact, p.lineage, p.start, p.end)
+            s = (s.fact, s.lineage, s.start, s.end)
         assert p[0] == s[0] and p[2] == s[2] and p[3] == s[3]
         assert p[1] is s[1]
 

@@ -138,6 +138,8 @@ def test_many_clients_bit_identical_to_serial_oracle(seed):
             # The hot-query path is observable: repeated reads hit the cache.
             stats = await writer.request(op="stats")
             assert stats["stats"]["results"]["hits"] > 0
+            # ... and so is the collector, without a profiler attached.
+            assert len(stats["stats"]["memory"]["gc_collections"]) == 3
             for client, _ in readers:
                 await client.close()
             await writer.close()

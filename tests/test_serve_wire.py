@@ -13,12 +13,15 @@ every other reply kind still goes through the plain encoder.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import TPDatabase
+from repro.lineage import intern_stats
+from repro.prob import valuation_cache_stats
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line, relation_payload
 from repro.serve.replica import ReplicaSet
@@ -194,3 +197,21 @@ def test_results_bytes_counts_the_fragments_held():
     assert service.stats()["results"]["bytes"] > len(fragment)
     service.results.clear()
     assert service.stats()["results"]["bytes"] == 0
+
+
+def test_stats_report_the_collector_and_the_object_graph():
+    """``memory``: counters a running server can be asked for, so the
+    collector's share of its time needs no profiler to see."""
+    db = _glyph_db()
+    service = QueryService(db)
+    before = service.stats()["memory"]
+    assert len(before["gc_collections"]) == 3
+    service.execute(service.open_session(), "a | b")
+    gc.collect()
+    after = service.stats()["memory"]
+    assert after["gc_collections"][2] == before["gc_collections"][2] + 1
+    assert all(x >= y for x, y in zip(after["gc_collections"], before["gc_collections"]))
+    assert after["lineage_nodes"] == intern_stats()
+    assert after["lineage_nodes"]["or"] > 0
+    assert after["valuation_entries"] == valuation_cache_stats()["entries"] > 0
+    assert json.loads(encode_line({"ok": True, "stats": service.stats()}))["stats"]["memory"]

@@ -20,6 +20,7 @@ from repro.core.sorting import is_sorted, sort_comparison, sort_counting
 from repro.core.tuple import TPTuple
 from repro.lineage import Var
 from tests.strategies import tp_relation_pair
+from tests.test_hot_path_budget import seeded_rows
 
 OPS = [tp_union, tp_intersect, tp_except]
 
@@ -68,6 +69,25 @@ class TestFusedEqualsUnfused:
                     outer(base_f, t, fused=True),
                     outer(base_u, t, fused=False),
                 )
+
+    def test_a_window_equal_to_an_operand_interval_hands_it_through(self):
+        """Pass-through is identity, everything else is value: a result
+        tuple over exactly an operand tuple's interval carries that very
+        (immutable) ``Interval``, the left operand's when both match;
+        nothing else about the result may differ from the reference."""
+        r = TPRelation.from_rows("a", ("k",), seeded_rows(1))
+        s = TPRelation.from_rows("b", ("k",), seeded_rows(2))
+        operand = {(t.fact, t.interval): t.interval for t in (*s, *r)}
+        for op in OPS:
+            out = op(r, s)
+            handed_through = 0
+            for t in out:
+                original = operand.get((t.fact, t.interval))
+                if original is not None:
+                    assert t.interval is original
+                    handed_through += 1
+            assert 0 < handed_through < len(out)
+            assert_bit_identical(out, op(r, s, fused=False))
 
     def test_paper_example_all_ops(self):
         a = TPRelation.from_rows(
