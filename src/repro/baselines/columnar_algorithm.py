@@ -7,7 +7,6 @@ Appears in ablation benchmarks alongside the faithful implementation.
 
 from __future__ import annotations
 
-from ..core.columnar import columnar_except, columnar_intersect, columnar_union
 from ..core.relation import TPRelation
 from ..core.tuple import TPTuple
 from .interface import SetOpAlgorithm
@@ -22,11 +21,19 @@ class ColumnarAlgorithm(SetOpAlgorithm):
     supports = frozenset({"union", "intersect", "except"})
     in_paper = False
 
+    # ``core.columnar`` (and with it NumPy, the package's only third-party
+    # import) is loaded by the first LAWA-COL run, not by ``import repro``.
     def _compute_union(self, r: TPRelation, s: TPRelation) -> list[TPTuple]:
+        from ..core.columnar import columnar_union
+
         return list(columnar_union(r, s, materialize=False).tuples)
 
     def _compute_intersect(self, r: TPRelation, s: TPRelation) -> list[TPTuple]:
+        from ..core.columnar import columnar_intersect
+
         return list(columnar_intersect(r, s, materialize=False).tuples)
 
     def _compute_except(self, r: TPRelation, s: TPRelation) -> list[TPTuple]:
+        from ..core.columnar import columnar_except
+
         return list(columnar_except(r, s, materialize=False).tuples)

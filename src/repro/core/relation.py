@@ -27,6 +27,7 @@ call sorts once and caches (relations are immutable).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -45,6 +46,10 @@ from .sorting import _full_key, null_safe_key
 from .tuple import TPTuple, base_tuple
 
 __all__ = ["TPRelation"]
+
+
+def _leading_value(t: TPTuple) -> object:
+    return t.fact[0]
 
 
 class TPRelation:
@@ -307,7 +312,9 @@ class TPRelation:
         if len(pairs) == 1:
             # The optimizer's pushed-down selections are all of this shape.
             ((index, wanted),) = pairs
-            kept = [t for t in self._tuples if t.fact[index] == wanted]
+            kept = self._leading_range(wanted) if index == 0 else None
+            if kept is None:
+                kept = [t for t in self._tuples if t.fact[index] == wanted]
         else:
             kept = [
                 t
@@ -322,6 +329,24 @@ class TPRelation:
             self.events,
             assume_sorted=self.is_sorted_by_fact_ts,
         )
+
+    def _leading_range(self, wanted: object) -> Optional[tuple[TPTuple, ...]]:
+        """The tuples whose first attribute equals ``wanted``, bisected
+        out of the ``(F, Ts)`` order — ``None`` when that order is not
+        the insertion order or does not decide the question (a
+        null-padded or mixed-type column, a value equal to nothing it is
+        ordered with): the caller scans instead."""
+        if not self._in_fact_ts_order:
+            return None
+        tuples = self._tuples
+        try:
+            i = bisect_left(tuples, wanted, key=_leading_value)
+            j = bisect_right(tuples, wanted, i, key=_leading_value)
+        except TypeError:
+            return None
+        if i < j and not (tuples[i].fact[0] == wanted == tuples[j - 1].fact[0]):
+            return None
+        return tuples[i:j]
 
     def where(self, predicate: Callable[[TPTuple], bool]) -> "TPRelation":
         """Selection by arbitrary tuple predicate (sortedness propagates)."""

@@ -425,6 +425,11 @@ class TPDatabase:
         with parallel_execution(self.parallel), columnar_execution(self.columnar):
             return {view.name: view.refresh() for view in views}
 
+    def stats(self) -> dict:
+        """Introspection snapshot: per view, what maintaining it has cost
+        so far (:meth:`~repro.store.MaterializedView.stats`)."""
+        return {"views": {name: view.stats() for name, view in self._views.items()}}
+
     def _view_substitutions(self) -> dict[QueryNode, str]:
         """Defining ASTs of the views a query may transparently read.
 

@@ -73,6 +73,10 @@ def encode_batch(formulas: Sequence[Lineage]) -> EncodedBatch:
         return i
 
     roots = [encode(formula) for formula in formulas]
+    # ``encode`` names itself, so it and everything it closes over — the
+    # index of every node of the batch — would wait for the cyclic
+    # collector (a checkpoint's worth of entries per checkpoint).
+    del encode
     return nodes, roots
 
 

@@ -132,9 +132,12 @@ def order_multiway_children(node: OptimizedNode, stats: StatsCatalog) -> Optimiz
 
     An ``aggressive`` rewrite: ∨/∧ are commutative and window boundaries
     are order-blind, so facts, intervals and probabilities are
-    preserved, but the lineage argument order changes.  Estimation runs
-    at ``workers=1`` so the ordering never depends on the ambient pool
-    configuration.
+    preserved, but the lineage argument order changes.  The first
+    operand names the output's attributes, so it stays first unless all
+    operands carry the same names (positionally compatible operands may
+    differ in them, and a selection above resolves its attribute by
+    name).  Estimation runs at ``workers=1`` so the ordering never
+    depends on the ambient pool configuration.
     """
     if isinstance(node, RelationRef):
         return node
@@ -156,9 +159,15 @@ def order_multiway_children(node: OptimizedNode, stats: StatsCatalog) -> Optimiz
             order_multiway_children(node.right, stats),
         )
     assert isinstance(node, MultiOpNode)
-    children = tuple(order_multiway_children(c, stats) for c in node.children)
-    ordered = sorted(  # stable: equal estimates keep their given order
-        children, key=lambda child: estimate(child, stats, workers=1).rows
+    children = [order_multiway_children(c, stats) for c in node.children]
+    estimates = {child: estimate(child, stats, workers=1) for child in children}
+    names = {
+        e.schema.attributes if e.schema is not None else None
+        for e in estimates.values()
+    }
+    pinned = 0 if len(names) == 1 and None not in names else 1
+    ordered = children[:pinned] + sorted(  # stable: equal estimates keep their order
+        children[pinned:], key=lambda child: estimates[child].rows
     )
     return MultiOpNode(node.op, tuple(ordered))
 

@@ -440,7 +440,8 @@ class QueryService:
         return parts
 
     def stats(self) -> dict:
-        """Introspection snapshot: sessions, cache counters, store epochs.
+        """Introspection snapshot: sessions, cache counters, store epochs,
+        per-view maintenance counters.
 
         ``results.bytes`` is the encoded fragments the result cache
         holds right now — a reading, not a cap.  ``memory`` is what this
@@ -460,6 +461,7 @@ class QueryService:
             "epochs": {
                 name: self.db.store(name).epoch for name in self.db.store_names()
             },
+            "views": self.db.stats()["views"],
             "memory": {
                 "gc_collections": [
                     generation["collections"] for generation in gc.get_stats()

@@ -133,7 +133,7 @@ def load_checkpoint(path: _PathLike) -> Checkpoint:
         raise ValueError(f"{path.name}: not a checkpoint file")
     length, crc = _HEADER.unpack_from(data, len(MAGIC))
     start = len(MAGIC) + _HEADER.size
-    payload = data[start : start + length]
+    payload = memoryview(data)[start : start + length]
     if len(payload) != length:
         raise ValueError(f"{path.name}: truncated checkpoint payload")
     if zlib.crc32(payload) != crc:
@@ -141,14 +141,20 @@ def load_checkpoint(path: _PathLike) -> Checkpoint:
     obj = pickle.loads(payload)
     if obj[0] != "ckpt" or obj[1] != _VERSION:
         raise ValueError(f"{path.name}: unsupported checkpoint format")
+    # Every commit-triggered checkpoint is re-read here to verify it, at
+    # the store's largest: hold the file's bytes, the unpickled tables and
+    # the decoded tuples one after the other, not all at once.
+    del data, payload
     (_, _, name, attributes, capacity, epoch, counter,
      rows, nodes, roots, events) = obj
+    del obj
+    events = dict(events)
     return Checkpoint(
         WalMeta(name, attributes, capacity),
         epoch,
         counter,
         decode_tuples(rows, nodes, roots),
-        dict(events),
+        events,
         path,
     )
 

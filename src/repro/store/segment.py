@@ -37,6 +37,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.errors import DuplicateFactError, SnapshotUnavailableError
@@ -62,6 +63,11 @@ Region = tuple  # (Fact, int, int)
 #: constant work is amortized, small enough that a point mutation's list
 #: shift stays cheap.
 DEFAULT_SEGMENT_CAPACITY = 256
+
+#: Bisect keys: runs are kept in ``Ts`` order and the change log in epoch
+#: order, so neither column is ever copied out to be searched.
+_start_of = attrgetter("interval.start")
+_epoch_of = attrgetter("epoch")
 
 #: Change-log retention while *no* consumer is registered: enough for
 #: ad-hoc ``changes_since`` polling, bounded so a store mutated outside
@@ -100,7 +106,8 @@ class ChangeSet:
         """Per-fact dirty regions: merged spans of the changed tuples."""
         spans: dict[Fact, list[list[int]]] = {}
         for t in self.inserted + self.deleted:
-            spans.setdefault(t.fact, []).append([t.start, t.end])
+            interval = t.interval
+            spans.setdefault(t.fact, []).append([interval.start, interval.end])
         regions: list[Region] = []
         for fact, ranges in spans.items():
             ranges.sort()
@@ -166,32 +173,64 @@ class _FactGroup:
         """Index of the segment whose range owns ``start``."""
         return max(0, bisect_right(self.bounds, start) - 1)
 
+    def _before(self, point: int) -> Optional[TPTuple]:
+        """The last tuple starting before ``point`` — in a duplicate-free
+        run, where ends are sorted like starts, the only tuple starting
+        before ``point`` that can reach past it."""
+        si = bisect_left(self.bounds, point) - 1
+        if si < 0:
+            return None
+        segment = self.segments[si]
+        return segment[bisect_left(segment, point, key=_start_of) - 1]
+
     def find(self, start: int, end: int) -> Optional[TPTuple]:
         """The tuple with exactly this interval, if present."""
         if not self.segments:
             return None
         segment = self.segments[self._locate(start)]
-        i = bisect_left([t.start for t in segment], start)
-        if i < len(segment) and segment[i].start == start and segment[i].end == end:
-            return segment[i]
+        i = bisect_left(segment, start, key=_start_of)
+        if i < len(segment):
+            interval = segment[i].interval
+            if interval.start == start and interval.end == end:
+                return segment[i]
         return None
 
     def overlapping(self, start: int, end: int) -> Optional[TPTuple]:
-        """Any stored tuple whose interval overlaps ``[start, end)``."""
-        if not self.segments:
+        """The first stored tuple (in ``Ts`` order) overlapping ``[start, end)``."""
+        last = self._before(end)
+        if last is None or last.interval.end <= start:
             return None
-        si = self._locate(start)
-        # The owning segment's predecessor may hold a long tuple spanning
-        # into it, so scan from one segment back.
-        for segment in self.segments[max(0, si - 1):]:
-            if segment[0].start >= end:
-                break
-            for t in segment:
-                if t.start >= end:
-                    break
-                if t.end > start:
-                    return t
-        return None
+        first = self._before(start)
+        if first is not None and first.interval.end > start:
+            return first
+        return self.run(start, end)[0]
+
+    def run(self, lo: int, hi: int) -> list[TPTuple]:
+        """The tuples starting inside ``[lo, hi)``, in ``Ts`` order."""
+        first = self._locate(lo)
+        stop = bisect_left(self.bounds, hi)  # segments[stop:] start at or after hi
+        if first >= stop:
+            return []
+        segment = self.segments[first]
+        i = bisect_left(segment, lo, key=_start_of)
+        if stop - first == 1:
+            return segment[i:bisect_left(segment, hi, i, key=_start_of)]
+        out = segment[i:]
+        for segment in self.segments[first + 1:stop - 1]:
+            out += segment
+        segment = self.segments[stop - 1]
+        out += segment[:bisect_left(segment, hi, key=_start_of)]
+        return out
+
+    def widen(self, lo: int, hi: int) -> tuple[int, int]:
+        """Grow ``[lo, hi)`` until no stored tuple crosses either end."""
+        t = self._before(lo)
+        if t is not None and t.interval.end > lo:
+            lo = t.interval.start
+        t = self._before(hi)
+        if t is not None and t.interval.end > hi:
+            hi = t.interval.end
+        return lo, hi
 
     # -- writes --------------------------------------------------------
     def insert(self, t: TPTuple) -> None:
@@ -199,30 +238,32 @@ class _FactGroup:
         self._block = None
         if not self.segments:
             self.segments.append([t])
-            self.bounds.append(t.start)
+            self.bounds.append(t.interval.start)
             return
-        si = self._locate(t.start)
+        start = t.interval.start
+        si = self._locate(start)
         segment = self.segments[si]
-        i = bisect_left([u.start for u in segment], t.start)
+        i = bisect_left(segment, start, key=_start_of)
         segment.insert(i, t)
         if i == 0:
-            self.bounds[si] = segment[0].start
+            self.bounds[si] = start
         if len(segment) > self.capacity:
             self._split(si)
 
     def remove(self, t: TPTuple) -> None:
         self._flat = None
         self._block = None
-        si = self._locate(t.start)
+        start = t.interval.start
+        si = self._locate(start)
         segment = self.segments[si]
-        i = bisect_left([u.start for u in segment], t.start)
-        assert i < len(segment) and segment[i].start == t.start, "tuple not stored"
+        i = bisect_left(segment, start, key=_start_of)
+        assert i < len(segment) and segment[i].interval.start == start, "tuple not stored"
         del segment[i]
         if not segment:
             del self.segments[si]
             del self.bounds[si]
         elif i == 0:
-            self.bounds[si] = segment[0].start
+            self.bounds[si] = segment[0].interval.start
 
     def _split(self, si: int) -> None:
         segment = self.segments[si]
@@ -230,7 +271,7 @@ class _FactGroup:
         tail = segment[mid:]
         del segment[mid:]
         self.segments.insert(si + 1, tail)
-        self.bounds.insert(si + 1, tail[0].start)
+        self.bounds.insert(si + 1, tail[0].interval.start)
 
 
 class SegmentStore:
@@ -364,7 +405,9 @@ class SegmentStore:
             for fact, interval in delete_specs:
                 group = self._groups.get(fact)
                 target = (
-                    group.find(interval.start, interval.end) if group else None
+                    group.find(interval.start, interval.end)
+                    if group is not None
+                    else None
                 )
                 if target is None:
                     raise KeyError(
@@ -460,7 +503,7 @@ class SegmentStore:
         refs = self._var_refs
         for t in changeset.deleted:
             group = self._groups.get(t.fact)
-            target = group.find(t.start, t.end) if group else None
+            target = group.find(t.start, t.end) if group is not None else None
             if target is None:
                 raise ValueError(
                     f"replay of epoch {changeset.epoch} deletes unknown "
@@ -551,13 +594,11 @@ class SegmentStore:
             raise ValueError(
                 f"change log of store {self.name!r} was pruned past epoch {epoch}"
             )
-        i = bisect_right([cs.epoch for cs in self._log], epoch)
-        return self._log[i:]
+        return self._log[bisect_right(self._log, epoch, key=_epoch_of):]
 
     def prune_log(self, up_to_epoch: int) -> None:
         """Drop change sets at or below ``up_to_epoch`` (consumed by all views)."""
-        i = bisect_right([cs.epoch for cs in self._log], up_to_epoch)
-        del self._log[:i]
+        del self._log[:bisect_right(self._log, up_to_epoch, key=_epoch_of)]
 
     def register_consumer(self, consumer: object) -> None:
         """Track a change-log consumer (anything with a ``seen_epoch``).
@@ -592,6 +633,16 @@ class SegmentStore:
         """The fact's tuples in ``Ts`` order (cached until the fact mutates)."""
         group = self._groups.get(fact)
         return group.tuples() if group is not None else []
+
+    def run_of(self, fact: Fact, lo: int, hi: int) -> list[TPTuple]:
+        """The fact's tuples starting inside ``[lo, hi)`` — ``O(log n + k)``."""
+        group = self._groups.get(fact)
+        return group.run(lo, hi) if group is not None else []
+
+    def widen_of(self, fact: Fact, lo: int, hi: int) -> tuple[int, int]:
+        """``[lo, hi)`` grown until none of the fact's tuples crosses an end."""
+        group = self._groups.get(fact)
+        return group.widen(lo, hi) if group is not None else (lo, hi)
 
     def block_of(self, fact: Fact) -> Optional[object]:
         """The fact's tuples as a packed columnar block (DESIGN.md §15).

@@ -15,9 +15,10 @@ mutation therefore perturbs the result only inside **dirty regions**:
 
 1. each committed transaction yields per-fact-group dirty time ranges
    (the spans of the inserted and deleted tuples);
-2. every operator node **widens** a dirty range through the maximal
-   covered spans of its current inputs that overlap it — after which no
-   input tuple, old or new, crosses the widened boundaries;
+2. every operator node **widens** a dirty range until no tuple of its
+   current input runs crosses an end — a predecessor test per run and
+   end, the runs being duplicate-free — after which no input tuple, old
+   or new, crosses the widened boundaries;
 3. the node re-runs the kernel sweep (:func:`repro.core.setops.sweep_rows`
    / :func:`repro.algebra.join.join_group_rows`) over the widened range
    only and **splices** the rows into its cached output, reusing old
@@ -37,8 +38,7 @@ property suite holds the incremental engine against.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from bisect import bisect_left
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..algebra.join import (
@@ -63,7 +63,12 @@ __all__ = ["MaterializedView", "REFRESH_POLICIES"]
 #: Supported refresh policies, in "how automatic" order.
 REFRESH_POLICIES = ("eager", "deferred", "manual")
 
-_get_interval = operator.attrgetter("interval")
+#: What a view counts while it is maintained (``MaterializedView.stats``).
+STAT_NAMES = (
+    "refreshes", "ranges_reswept", "rows_reswept",
+    "rows_spliced", "rows_reused", "rows_valuated",
+)
+
 _interval_start = operator.attrgetter("interval.start")
 
 
@@ -89,142 +94,117 @@ def _merge_ranges(ranges: Iterable[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-class _CrossIndex:
-    """Crossing queries over interval pairs sorted by start.
+def _run_between(run: list[TPTuple], lo: int, hi: int) -> list[TPTuple]:
+    """The tuples of a ``Ts``-sorted run that start inside ``[lo, hi)``."""
+    i = bisect_left(run, lo, key=_interval_start)
+    return run[i:bisect_left(run, hi, i, key=_interval_start)]
 
-    ``starts`` is the sorted start column; ``prefmax[i]`` is the largest
-    end among the first ``i+1`` intervals.  Because ``prefmax`` is
-    non-decreasing, both "does any interval cross point p" and "which is
-    the leftmost interval crossing p" are single bisects.
+
+def _widen_run(run: Sequence[TPTuple], lo: int, hi: int) -> tuple[int, int]:
+    """Grow ``[lo, hi)`` until no tuple of a duplicate-free run crosses it.
+
+    In a duplicate-free ``Ts``-sorted run the ends are sorted too, so the
+    only tuple that can reach past a point is the last one starting
+    before it — one predecessor test per end, exact in a single step.
     """
-
-    __slots__ = ("starts", "prefmax")
-
-    def __init__(self, pairs: list[tuple[int, int]]) -> None:
-        self.starts = [p[0] for p in pairs]
-        self.prefmax = (
-            list(accumulate((p[1] for p in pairs), max)) if pairs else []
-        )
-
-
-def _pairs_of(runs: Iterable[Sequence[TPTuple]]) -> list[tuple[int, int]]:
-    """The (start, end) pairs of the given runs, sorted by start."""
-    pairs = [
-        (interval.start, interval.end)
-        for run in runs
-        for interval in map(_get_interval, run)
-    ]
-    pairs.sort()
-    return pairs
+    i = bisect_left(run, lo, key=_interval_start)
+    if i and run[i - 1].interval.end > lo:
+        lo = run[i - 1].interval.start
+    i = bisect_left(run, hi, i, key=_interval_start)
+    if i and run[i - 1].interval.end > hi:
+        hi = run[i - 1].interval.end
+    return lo, hi
 
 
-def _expand(lo: int, hi: int, indexes: Sequence[_CrossIndex]) -> list[int]:
-    """Widen ``[lo, hi)`` until no indexed interval crosses a boundary.
+def _widen(inputs: Sequence[tuple], lo: int, hi: int) -> list[int]:
+    """Widen ``[lo, hi)`` until no tuple of any input run crosses an end.
 
-    This is the minimal sound widening (DESIGN.md §9): every window —
-    old or new — lies inside some input tuple's interval, so boundaries
-    that no input tuple crosses are points no output window crosses
-    either, and the kernel sweep restricted to the tuples inside the
-    range reproduces exactly the windows a full sweep emits there.  The
-    fixpoint converges in a few steps (each move lands on an existing
-    start/end), expanding only through directly-overlapping chains — far
-    narrower than the connected coverage component.
+    ``inputs`` are the ``(child node, fact)`` runs a node's kernel reads
+    for one group.  This is the minimal sound widening (DESIGN.md §9.2):
+    every window — old or new — lies inside some input tuple's interval,
+    so boundaries no input tuple crosses are points no output window
+    crosses either, and the kernel sweep over the tuples inside the range
+    reproduces exactly the windows a full sweep emits there.  Each run's
+    answer is exact for that run, so the fixpoint is reached once every
+    *other* run has confirmed the ends the last mover set.
     """
-    moved = True
-    while moved:
-        moved = False
-        for index in indexes:
-            starts, prefmax = index.starts, index.prefmax
-            i = bisect_left(starts, lo)
-            if i:
-                # Leftmost interval whose end reaches past lo (if any
-                # earlier-starting interval crosses lo at all).
-                j = bisect_right(prefmax, lo, 0, i)
-                if j < i:
-                    lo = starts[j]
-                    moved = True
-            i = bisect_left(starts, hi)
-            if i and prefmax[i - 1] > hi:
-                hi = prefmax[i - 1]
-                moved = True
+    confirmed = i = 0
+    while confirmed < len(inputs):
+        node, fact = inputs[i]
+        ends = node.widen(fact, lo, hi)
+        if ends == (lo, hi):
+            confirmed += 1
+        else:
+            lo, hi = ends
+            confirmed = 1
+        i = (i + 1) % len(inputs)
     return [lo, hi]
-
-
-def _starts_of(tuples: Sequence[TPTuple]) -> list[int]:
-    """The ``Ts`` column of a start-sorted run (C-level attribute walk)."""
-    return list(map(_interval_start, tuples))
-
-
-def _slice_run(tuples: Sequence[TPTuple], starts: list[int], lo: int, hi: int):
-    """The tuples starting inside ``[lo, hi)`` — all of them lie entirely
-    inside, because the boundaries are coverage-gap points."""
-    i = bisect_left(starts, lo)
-    j = bisect_left(starts, hi)
-    return tuples[i:j] if i < j else []
 
 
 def _splice(
     cache: dict,
     fact: Fact,
     parts: list[tuple[Sequence[int], list[TPTuple]]],
+    stats: dict,
 ) -> list[tuple[int, int]]:
     """Replace the cached tuples of ``fact`` inside each dirty range.
 
     ``parts`` pairs every widened range (sorted, disjoint) with the
     regenerated tuples for that range.  Cached tuples lie entirely
     inside or outside every range (the widening invariant), so the
-    replacement is pure slice surgery — no per-tuple scan, no re-sort.
-    Old tuple objects are reused whenever a regenerated window is
-    identical in (interval, lineage): their materialized probabilities
-    survive, so a refresh only ever valuates genuinely new lineages.
+    replacement is slice surgery on the bisected run — no per-tuple
+    scan, no re-sort.  Old tuple objects are reused whenever a
+    regenerated window is identical in (interval, lineage): their
+    materialized probabilities survive, so a refresh only ever valuates
+    genuinely new lineages.
 
     Returns the ranges whose content actually changed (empty: no-op).
     """
-    old = cache.get(fact, [])
-    starts = _starts_of(old)
-    merged: list[TPTuple] = []
+    run = cache.get(fact, [])
     changed_ranges: list[tuple[int, int]] = []
-    prev = 0
     for (lo, hi), fresh in parts:
-        i = bisect_left(starts, lo)
-        j = bisect_left(starts, hi)
-        removed = old[i:j]
+        i = bisect_left(run, lo, key=_interval_start)
+        j = bisect_left(run, hi, i, key=_interval_start)
+        removed = run[i:j]
         if removed and fresh:
             reuse = {
                 (t.interval.start, t.interval.end, t.lineage): t for t in removed
             }
-            fresh = [
+            kept = [
                 reuse.get((t.interval.start, t.interval.end, t.lineage), t)
                 for t in fresh
             ]
+            stats["rows_reused"] += len(kept) - sum(map(operator.is_, kept, fresh))
+            fresh = kept
         if removed != fresh:
+            run[i:j] = fresh
             changed_ranges.append((lo, hi))
-        merged += old[prev:i]
-        merged += fresh
-        prev = j
-    if not changed_ranges:
-        return []
-    merged += old[prev:]
-    if merged:
-        cache[fact] = merged
-    elif fact in cache:
-        del cache[fact]
+            stats["rows_spliced"] += len(fresh)
+    if run:
+        cache[fact] = run
+    else:
+        cache.pop(fact, None)
     return changed_ranges
 
 
-def _group_rows_many(jobs: list) -> list[list]:
+def _group_rows_many(jobs: list, stats: dict) -> list[list]:
     """Batch sweep jobs through :func:`repro.exec.engine.group_rows_many`.
 
     Imported lazily so purely serial use of the store never loads the
     pool machinery (the same deferral the batch operators practice)."""
     from ..exec.engine import group_rows_many
 
+    stats["ranges_reswept"] += len(jobs)
+    stats["rows_reswept"] += sum(len(job[-2]) + len(job[-1]) for job in jobs)
     return group_rows_many(jobs)
 
 
 # ----------------------------------------------------------------------
 # operator nodes
 # ----------------------------------------------------------------------
+# Every node answers three range questions about one fact's run — has /
+# run / widen, each O(log n + k) — besides handing out whole groups for
+# full builds and relation().
 class _BaseNode:
     """A scan of a :class:`SegmentStore`, replaying its change log."""
 
@@ -251,6 +231,15 @@ class _BaseNode:
             regions.extend(cs.regions())
         return regions
 
+    def has(self, fact: Fact) -> bool:
+        return fact in self.store
+
+    def run(self, fact: Fact, lo: int, hi: int) -> list[TPTuple]:
+        return self.store.run_of(fact, lo, hi)
+
+    def widen(self, fact: Fact, lo: int, hi: int) -> tuple[int, int]:
+        return self.store.widen_of(fact, lo, hi)
+
     def group(self, fact: Fact) -> Sequence[TPTuple]:
         return self.store.tuples_of(fact)
 
@@ -275,6 +264,15 @@ class _SelectNode:
     def pull(self) -> list[Region]:
         return [r for r in self.child.pull() if self._passes(r[0])]
 
+    def has(self, fact: Fact) -> bool:
+        return self._passes(fact) and self.child.has(fact)
+
+    def run(self, fact: Fact, lo: int, hi: int) -> list[TPTuple]:
+        return self.child.run(fact, lo, hi) if self._passes(fact) else []
+
+    def widen(self, fact: Fact, lo: int, hi: int) -> tuple[int, int]:
+        return self.child.widen(fact, lo, hi) if self._passes(fact) else (lo, hi)
+
     def group(self, fact: Fact) -> Sequence[TPTuple]:
         return self.child.group(fact) if self._passes(fact) else []
 
@@ -282,92 +280,23 @@ class _SelectNode:
         return [f for f in self.child.facts() if self._passes(f)]
 
 
-class _SetOpNode:
-    """∪/∩/− maintained per fact group via the fused-kernel seam."""
+class _CachedNode:
+    """What the operator nodes share: range reads over ``cache``, the
+    node's output per fact as ``Ts``-sorted, duplicate-free runs."""
 
-    __slots__ = ("op", "left", "right", "schema", "cache", "_index")
+    __slots__ = ("schema", "cache", "stats")
+    cache: dict[Fact, list[TPTuple]]
+    stats: dict[str, int]
 
-    def __init__(self, op: str, left, right) -> None:
-        left.schema.check_compatible(right.schema)
-        self.op = op
-        self.left = left
-        self.right = right
-        self.schema = left.schema
-        self.cache: dict[Fact, list[TPTuple]] = {}
-        # Per fact group: a cached crossing index over the inputs plus an
-        # overlay of dirty ranges absorbed since it was built.  Only
-        # tuples that existed when the index was built can cross a dirty
-        # boundary (later inserts are confined inside reported dirty
-        # ranges), so index ∪ overlay always over-approximates the
-        # crossing set — over-approximation merely widens a bit more.
-        self._index: dict[Fact, list] = {}
-        facts = list(set(left.facts()) | set(right.facts()))
-        jobs = [
-            ("setop", self.op, list(left.group(fact)), list(right.group(fact)))
-            for fact in facts
-        ]
-        # One batch through the kernel seam: serial by default, sharded
-        # across the worker pool under an active parallel configuration
-        # (bit-identical either way, DESIGN.md §10).
-        for fact, tuples in zip(facts, _group_rows_many(jobs)):
-            if tuples:
-                self.cache[fact] = tuples
+    def has(self, fact: Fact) -> bool:
+        return fact in self.cache
 
-    def pull(self) -> list[Region]:
-        child_regions = self.left.pull() + self.right.pull()
-        if not child_regions:
-            return []
-        dirty: dict[Fact, list[list[int]]] = {}
-        for fact, lo, hi in child_regions:
-            dirty.setdefault(fact, []).append([lo, hi])
-        # Phase 1: widen every dirty fact's ranges and collect one sweep
-        # job per widened range (jobs are atomic per group range, so the
-        # pool shards them without ever splitting a group).
-        prepared: list[tuple[Fact, list]] = []
-        jobs: list = []
-        for fact, ranges in dirty.items():
-            lt = self.left.group(fact)
-            rt = self.right.group(fact)
-            merged = _merge_ranges(ranges)
-            entry = self._index.get(fact)
-            if entry is None:
-                entry = [_CrossIndex(_pairs_of((lt, rt))), []]
-                self._index[fact] = entry
-            else:
-                overlay = entry[1]
-                overlay.extend((lo, hi) for lo, hi in merged)
-                if len(overlay) > max(64, len(entry[0].starts) // 4):
-                    entry[0] = _CrossIndex(_pairs_of((lt, rt)))
-                    entry[1] = []
-            indexes = [entry[0]]
-            if entry[1]:
-                indexes.append(_CrossIndex(sorted(entry[1])))
-            widened = _merge_ranges(
-                _expand(lo, hi, indexes) for lo, hi in merged
-            )
-            l_starts = _starts_of(lt)
-            r_starts = _starts_of(rt)
-            for lo, hi in widened:
-                jobs.append(
-                    (
-                        "setop",
-                        self.op,
-                        _slice_run(lt, l_starts, lo, hi),
-                        _slice_run(rt, r_starts, lo, hi),
-                    )
-                )
-            prepared.append((fact, widened))
-        # Phase 2: sweep all jobs (serial or pooled), then splice in the
-        # same deterministic order the serial engine used.
-        swept = iter(_group_rows_many(jobs))
-        out: list[Region] = []
-        for fact, widened in prepared:
-            # The kernel's lineage-only tuples are spliced in as they are.
-            parts = [((lo, hi), next(swept)) for lo, hi in widened]
-            out.extend(
-                (fact, lo, hi) for lo, hi in _splice(self.cache, fact, parts)
-            )
-        return out
+    def run(self, fact: Fact, lo: int, hi: int) -> list[TPTuple]:
+        run = self.cache.get(fact)
+        return _run_between(run, lo, hi) if run else []
+
+    def widen(self, fact: Fact, lo: int, hi: int) -> tuple[int, int]:
+        return _widen_run(self.cache.get(fact, ()), lo, hi)
 
     def group(self, fact: Fact) -> Sequence[TPTuple]:
         return self.cache.get(fact, [])
@@ -376,7 +305,70 @@ class _SetOpNode:
         return list(self.cache)
 
 
-class _JoinNode:
+class _SetOpNode(_CachedNode):
+    """∪/∩/− maintained per fact group via the fused-kernel seam."""
+
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right, stats: dict) -> None:
+        left.schema.check_compatible(right.schema)
+        self.op = op
+        self.left = left
+        self.right = right
+        self.schema = left.schema
+        self.cache = {}
+        self.stats = stats
+        facts = list(set(left.facts()) | set(right.facts()))
+        jobs = [
+            ("setop", self.op, list(left.group(fact)), list(right.group(fact)))
+            for fact in facts
+        ]
+        # One batch through the kernel seam: serial by default, sharded
+        # across the worker pool under an active parallel configuration
+        # (bit-identical either way, DESIGN.md §10).
+        for fact, tuples in zip(facts, _group_rows_many(jobs, stats)):
+            if tuples:
+                self.cache[fact] = tuples
+
+    def pull(self) -> list[Region]:
+        left, right = self.left, self.right
+        child_regions = left.pull() + right.pull()
+        if not child_regions:
+            return []
+        dirty: dict[Fact, list[list[int]]] = {}
+        for fact, lo, hi in child_regions:
+            dirty.setdefault(fact, []).append([lo, hi])
+        # Phase 1: widen every dirty fact's ranges over both input runs
+        # and collect one sweep job per widened range (jobs are atomic
+        # per group range, so the pool shards them without ever
+        # splitting a group).
+        prepared: list[tuple[Fact, list]] = []
+        jobs: list = []
+        for fact, ranges in dirty.items():
+            inputs = ((left, fact), (right, fact))
+            widened = _merge_ranges(
+                _widen(inputs, lo, hi) for lo, hi in _merge_ranges(ranges)
+            )
+            for lo, hi in widened:
+                jobs.append(
+                    ("setop", self.op, left.run(fact, lo, hi), right.run(fact, lo, hi))
+                )
+            prepared.append((fact, widened))
+        # Phase 2: sweep all jobs (serial or pooled), then splice in the
+        # same deterministic order the serial engine used.
+        swept = iter(_group_rows_many(jobs, self.stats))
+        out: list[Region] = []
+        for fact, widened in prepared:
+            # The kernel's lineage-only tuples are spliced in as they are.
+            parts = [((lo, hi), next(swept)) for lo, hi in widened]
+            out.extend(
+                (fact, lo, hi)
+                for lo, hi in _splice(self.cache, fact, parts, self.stats)
+            )
+        return out
+
+
+class _JoinNode(_CachedNode):
     """Generalized join maintained per join-key group.
 
     Mirrors the batch driver of :mod:`repro.algebra.join` exactly —
@@ -386,11 +378,11 @@ class _JoinNode:
     """
 
     __slots__ = (
-        "kind", "on", "left", "right", "layout", "policy", "schema",
-        "cache", "_left_facts", "_right_facts", "_out_facts",
+        "kind", "on", "left", "right", "layout", "policy",
+        "_left_facts", "_right_facts", "_out_facts",
     )
 
-    def __init__(self, kind: str, on, left, right) -> None:
+    def __init__(self, kind: str, on, left, right, stats: dict) -> None:
         self.kind = kind
         self.on = on
         self.left = left
@@ -400,7 +392,8 @@ class _JoinNode:
         )
         self.policy = WINDOW_POLICIES[kind]
         self.schema = self.layout.out_schema
-        self.cache: dict[Fact, list[TPTuple]] = {}
+        self.cache = {}
+        self.stats = stats
         self._left_facts: dict[tuple, set[Fact]] = {}
         self._right_facts: dict[tuple, set[Fact]] = {}
         self._out_facts: dict[tuple, set[Fact]] = {}
@@ -413,13 +406,13 @@ class _JoinNode:
         for key in set(self._left_facts) | set(self._right_facts):
             if not self._can_emit(key):
                 continue
-            group_l = self._gather(self.left, self._left_facts.get(key))
-            group_s = self._gather(self.right, self._right_facts.get(key))
+            group_l = self._gather(left, self._key_facts(self._left_facts, key))
+            group_s = self._gather(right, self._key_facts(self._right_facts, key))
             carried, job = self._group_plan(group_l, group_s)
             if job is not None:
                 jobs.append(job)
             plans.append((key, carried, job[0] if job is not None else None))
-        swept = iter(_group_rows_many(jobs))
+        swept = iter(_group_rows_many(jobs, stats))
         for key, carried, kind in plans:
             by_fact: dict[Fact, list[TPTuple]] = {}
             for t in self._assemble(carried, kind, next(swept) if kind else []):
@@ -427,7 +420,7 @@ class _JoinNode:
             if by_fact:
                 self._out_facts[key] = set(by_fact)
                 for fact, tuples in by_fact.items():
-                    tuples.sort(key=lambda t: t.start)
+                    tuples.sort(key=_interval_start)
                     self.cache[fact] = tuples
 
     def _left_key(self, fact: Fact) -> tuple:
@@ -451,16 +444,20 @@ class _JoinNode:
             or (policy.matches and has_l and has_r)
         )
 
-    def _gather(self, node, facts: Optional[set]) -> list[TPTuple]:
-        """A key group's tuples in the child's ``(F, Ts)`` order."""
-        if not facts:
-            return []
-        if len(facts) == 1:
-            (fact,) = facts
-            return list(node.group(fact))
+    @staticmethod
+    def _key_facts(index: dict, key: tuple) -> Sequence[Fact]:
+        """One side's facts of a join key, in the ``(F, Ts)`` fact order."""
+        return sorted(index.get(key, ()), key=null_safe_fact_key)
+
+    @staticmethod
+    def _gather(
+        node, facts: Sequence[Fact], lo: Optional[int] = None, hi: int = 0
+    ) -> list[TPTuple]:
+        """A key group's tuples — given ``lo``, those starting inside
+        ``[lo, hi)`` — in the child's ``(F, Ts)`` order (fact-major)."""
         out: list[TPTuple] = []
-        for fact in sorted(facts, key=null_safe_fact_key):
-            out.extend(node.group(fact))
+        for fact in facts:
+            out += node.group(fact) if lo is None else node.run(fact, lo, hi)
         return out
 
     def _group_plan(
@@ -527,28 +524,25 @@ class _JoinNode:
 
     def pull(self) -> list[Region]:
         dirty: dict[tuple, list[list[int]]] = {}
-        for fact, lo, hi in self.left.pull():
-            key = self._left_key(fact)
-            dirty.setdefault(key, []).append([lo, hi])
-            index = self._left_facts.setdefault(key, set())
-            if self.left.group(fact):
-                index.add(fact)
-            else:
-                index.discard(fact)
-        for fact, lo, hi in self.right.pull():
-            key = self._right_key(fact)
-            dirty.setdefault(key, []).append([lo, hi])
-            index = self._right_facts.setdefault(key, set())
-            if self.right.group(fact):
-                index.add(fact)
-            else:
-                index.discard(fact)
+        for child, key_of, index in (
+            (self.left, self._left_key, self._left_facts),
+            (self.right, self._right_key, self._right_facts),
+        ):
+            for fact, lo, hi in child.pull():
+                key = key_of(fact)
+                dirty.setdefault(key, []).append([lo, hi])
+                facts = index.setdefault(key, set())
+                if child.has(fact):
+                    facts.add(fact)
+                else:
+                    facts.discard(fact)
         if not dirty:
             return []
 
-        # Phase 1: widen each dirty key's ranges and plan one sweep job
-        # per widened range (clipped sub-groups stay in (F, Ts) order —
-        # the group lists are fact-major and clip preserves that order).
+        # Phase 1: widen each dirty key's ranges over every fact run of
+        # the key on both sides and plan one sweep job per widened range
+        # (gathered sub-groups stay in (F, Ts) order — fact-major).
+        left, right = self.left, self.right
         prepared: list[tuple[tuple, list, list]] = []
         jobs: list = []
         for key, ranges in dirty.items():
@@ -556,26 +550,26 @@ class _JoinNode:
                 # The group can emit nothing and holds no stale cache to
                 # splice away — skip the gather/widen/sweep entirely.
                 continue
-            group_l = self._gather(self.left, self._left_facts.get(key))
-            group_s = self._gather(self.right, self._right_facts.get(key))
-            # Key groups are small; an exact crossing index per dirty key
-            # is cheaper than maintaining overlays as the set-op node does.
-            index = _CrossIndex(_pairs_of((group_l, group_s)))
+            left_facts = self._key_facts(self._left_facts, key)
+            right_facts = self._key_facts(self._right_facts, key)
+            inputs = [(left, fact) for fact in left_facts]
+            inputs += [(right, fact) for fact in right_facts]
             widened = _merge_ranges(
-                _expand(lo, hi, [index]) for lo, hi in _merge_ranges(ranges)
+                _widen(inputs, lo, hi) for lo, hi in _merge_ranges(ranges)
             )
             range_plans: list[tuple[list[TPTuple], Optional[str]]] = []
             for lo, hi in widened:
-                sub_l = self._clip(group_l, lo, hi)
-                sub_s = self._clip(group_s, lo, hi)
-                carried, job = self._group_plan(sub_l, sub_s)
+                carried, job = self._group_plan(
+                    self._gather(left, left_facts, lo, hi),
+                    self._gather(right, right_facts, lo, hi),
+                )
                 if job is not None:
                     jobs.append(job)
                 range_plans.append((carried, job[0] if job is not None else None))
             prepared.append((key, widened, range_plans))
         # Phase 2: sweep all jobs (serial or pooled), then splice in the
         # same deterministic order the serial engine used.
-        swept = iter(_group_rows_many(jobs))
+        swept = iter(_group_rows_many(jobs, self.stats))
         out: list[Region] = []
         for key, widened, range_plans in prepared:
             buckets: list[dict[Fact, list[TPTuple]]] = []
@@ -597,24 +591,14 @@ class _JoinNode:
                     for (lo, hi), bucket in zip(widened, buckets)
                 ]
                 out.extend(
-                    (fact, lo, hi) for lo, hi in _splice(self.cache, fact, parts)
+                    (fact, lo, hi)
+                    for lo, hi in _splice(self.cache, fact, parts, self.stats)
                 )
                 if fact in self.cache:
                     out_index.add(fact)
                 else:
                     out_index.discard(fact)
         return out
-
-    @staticmethod
-    def _clip(group: list[TPTuple], lo: int, hi: int) -> list[TPTuple]:
-        """Range restriction of a fact-major group list, order-preserving."""
-        return [t for t in group if lo <= t.start < hi]
-
-    def group(self, fact: Fact) -> Sequence[TPTuple]:
-        return self.cache.get(fact, [])
-
-    def facts(self) -> Iterable[Fact]:
-        return list(self.cache)
 
 
 # ----------------------------------------------------------------------
@@ -631,14 +615,17 @@ class IncrementalEngine:
         parallel: Optional[int] = None,
     ) -> None:
         self.events: dict[str, float] = {}
+        self.stats = dict.fromkeys(STAT_NAMES, 0)
         self._options = options
         self._parallel = parallel
         self._base_nodes: list[_BaseNode] = []
         with parallel_execution(parallel):
             self.root = self._build(query, stores)
         self.schema = self.root.schema
-        self._revision = 0
-        self._cached: Optional[tuple[int, TPRelation]] = None
+        # The assembled result, until a refresh changes it: a stale copy
+        # (its tuple of rows, its event-map snapshot) is dropped at once,
+        # not kept until the next read replaces it.
+        self._cached: Optional[TPRelation] = None
         # In-place materialization may only write into lists the engine
         # owns (operator-node caches).  A base/selection root serves the
         # *store's* flat-cache lists — writing probabilities there would
@@ -666,6 +653,7 @@ class IncrementalEngine:
                 node.op,
                 self._build(node.left, stores),
                 self._build(node.right, stores),
+                self.stats,
             )
         if isinstance(node, JoinNode):
             return _JoinNode(
@@ -673,6 +661,7 @@ class IncrementalEngine:
                 node.on,
                 self._build(node.left, stores),
                 self._build(node.right, stores),
+                self.stats,
             )
         raise UnsupportedOperationError(
             f"incremental maintenance does not support query node {node!r}"
@@ -682,11 +671,14 @@ class IncrementalEngine:
         return all(b.store.epoch == b.seen_epoch for b in self._base_nodes)
 
     def refresh(self) -> bool:
+        if self.is_fresh():
+            return False
+        self.stats["refreshes"] += 1
         with parallel_execution(self._parallel):
             regions = self.root.pull()
             if not regions:
                 return False
-            self._revision += 1
+            self._cached = None
             if self._root_owns_cache:
                 self._materialize_regions(regions)
         return True
@@ -699,6 +691,7 @@ class IncrementalEngine:
         """
         if not pending:
             return
+        self.stats["rows_valuated"] += len(pending)
         probs = probability_batch(
             (t.lineage for _, _, t in pending), self.events, options=self._options
         )
@@ -723,21 +716,17 @@ class IncrementalEngine:
         pending: list[tuple[list, int, TPTuple]] = []
         for fact, ranges in by_fact.items():
             run = self.root.group(fact)
-            if not run:
-                continue
-            starts = _starts_of(run)
             for lo, hi in _merge_ranges(ranges):
-                i = bisect_left(starts, lo)
-                j = bisect_left(starts, hi)
+                i = bisect_left(run, lo, key=_interval_start)
+                j = bisect_left(run, hi, i, key=_interval_start)
                 for k in range(i, j):
                     if run[k].p is None:
                         pending.append((run, k, run[k]))
         self._materialize(pending)
 
     def relation(self, name: str) -> TPRelation:
-        cached = self._cached
-        if cached is not None and cached[0] == self._revision:
-            return cached[1]
+        if self._cached is not None:
+            return self._cached
         tuples: list[TPTuple] = []
         for fact in sorted(self.root.facts(), key=null_safe_fact_key):
             tuples.extend(self.root.group(fact))
@@ -753,7 +742,7 @@ class IncrementalEngine:
             # Base/selection roots: store tuples are usually materialized
             # already (no-op); seeded p=None tuples valuate on a *copy*.
             relation = relation.materialize_probabilities(options=self._options)
-        self._cached = (self._revision, relation)
+        self._cached = relation
         return relation
 
 
@@ -780,6 +769,7 @@ class RecomputeEngine:
         self._parallel = parallel
         self._seen: dict[str, int] = {}
         self._relation: Optional[TPRelation] = None
+        self.stats = dict.fromkeys(STAT_NAMES, 0)
         self.refresh()
         self.schema = self._relation.schema
 
@@ -790,7 +780,8 @@ class RecomputeEngine:
         )
 
     def refresh(self) -> bool:
-        if self._relation is not None and self.is_fresh():
+        built = self._relation is not None
+        if built and self.is_fresh():
             return False
         # Pin the epochs first, then evaluate every scan through the
         # public epoch-pinned snapshot API: the recompute reads one
@@ -799,6 +790,12 @@ class RecomputeEngine:
         with parallel_execution(self._parallel):
             result = self._evaluate(self._query)
             self._relation = result.materialize_probabilities(options=self._options)
+        # A recompute re-derives, re-installs and re-valuates every row
+        # (the build is no refresh and splices nothing, as in stats()).
+        if built:
+            self.stats["refreshes"] += 1
+            self.stats["rows_spliced"] += len(result)
+        self.stats["rows_valuated"] += sum(t.p is None for t in result)
         return True
 
     def _evaluate(self, node: QueryNode) -> TPRelation:
@@ -808,20 +805,14 @@ class RecomputeEngine:
         if isinstance(node, SelectionNode):
             child = self._evaluate(node.child)
             return child.select(**{node.attribute: node.value})
-        if isinstance(node, SetOpNode):
-            return tp_set_operation(
-                node.op,
-                self._evaluate(node.left),
-                self._evaluate(node.right),
-                materialize=False,
-            )
-        if isinstance(node, JoinNode):
+        if isinstance(node, (SetOpNode, JoinNode)):
+            left, right = self._evaluate(node.left), self._evaluate(node.right)
+            self.stats["ranges_reswept"] += 1
+            self.stats["rows_reswept"] += len(left) + len(right)
+            if isinstance(node, SetOpNode):
+                return tp_set_operation(node.op, left, right, materialize=False)
             return tp_join_operation(
-                node.kind,
-                self._evaluate(node.left),
-                self._evaluate(node.right),
-                node.on,
-                materialize=False,
+                node.kind, left, right, node.on, materialize=False
             )
         raise UnsupportedOperationError(
             f"view recomputation does not support query node {node!r}"
@@ -903,6 +894,15 @@ class MaterializedView:
         if self.policy != "manual":
             self._engine.refresh()
         return self._engine.relation(self.name)
+
+    def stats(self) -> dict[str, int]:
+        """Maintenance counters: ``refreshes`` that found base changes,
+        ``ranges_reswept`` and ``rows_reswept`` (kernel sweeps run and
+        their input rows), ``rows_spliced`` into a node's output,
+        ``rows_reused`` (regenerated windows that kept their old tuple)
+        and ``rows_valuated`` — the build's sweeps and valuations
+        included; it is no refresh and splices nothing."""
+        return dict(self._engine.stats)
 
     @property
     def schema(self):

@@ -12,11 +12,14 @@ per-node Python-level hop to the pipeline
 Next to it sits the allocation budget: collector runs and GC-tracked
 objects retained per output row, counted the same deterministic way.
 
-The same instrument pins two more shapes: the valuation memo's bound
+The same instrument pins three more shapes: the valuation memo's bound
 must not make a batch larger than the bound cost more *per row* (it
-once rescanned the whole bucket for every row past the cap), and a
-served result-cache hit must cost the same number of calls whatever the
-size of the result (it once re-walked and re-encoded every row).
+once rescanned the whole bucket for every row past the cap), a served
+result-cache hit must cost the same number of calls whatever the size of
+the result (it once re-walked and re-encoded every row), and a ten-row
+transaction under two eager views must cost the same whatever the size
+of the fact groups it touches (it once walked each of them a dozen
+times).
 """
 
 from __future__ import annotations
@@ -164,6 +167,81 @@ def test_allocations_per_output_row_stay_under_the_ceiling():
     assert retained / rows <= RETAINED_PER_ROW_CEILING, (
         f"{retained / rows:.2f} tracked objects retained per output row"
     )
+
+
+# ----------------------------------------------------------------------
+# writes: a transaction costs its rows, not the fact groups it touches
+# ----------------------------------------------------------------------
+#: Calls per ten-row transaction through ``TPDatabase.apply`` with the
+#: views ``r1 - r2`` and ``r1 JOIN r2 ON k`` eager.  Measured when set:
+#: 3 078 at 250 tuples per fact group, 3 110 at 4 000 (16 719 and
+#: 134 054 while the store and the view nodes still copied a group's
+#: start column out to bisect it).
+CALLS_PER_TRANSACTION_CEILING = 4000
+TRANSACTIONS = 40
+
+
+def _calls_per_transaction(per_group: int, facts: int = 8) -> tuple[float, Counter]:
+    """``TRANSACTIONS`` seeded ten-row transactions (70 % inserts at a
+    fact's frontier, 30 % uniform deletes), alternating between two
+    stores of ``facts`` × ``per_group`` tuples."""
+    rng = random.Random(5)
+    db = TPDatabase(parallel=1, columnar=False)
+    live: dict[str, list] = {}
+    frontier: dict[tuple, int] = {}
+    for name in ("r1", "r2"):
+        rows = []
+        for k in range(facts):
+            t = rng.randrange(0, 8)
+            for _ in range(per_group):
+                t += rng.randint(0, 7)
+                te = t + rng.randint(1, 9)
+                rows.append((f"k{k:02d}", t, te, rng.randrange(50, 951) / 1000))
+                t = te
+            frontier[name, k] = t
+        db.create_relation(name, ("k",), rows)
+        live[name] = [row[:3] for row in rows]
+    db.create_view("v1", "r1 - r2", policy="eager")
+    db.create_view("v2", "r1 JOIN r2 ON k", policy="eager")
+    script = []
+    for i in range(TRANSACTIONS):
+        name = ("r1", "r2")[i % 2]
+        inserts, deletes = [], []
+        for _ in range(10):
+            if rng.random() < 0.7:
+                k = rng.randrange(facts)
+                t = frontier[name, k] + rng.randint(0, 7)
+                frontier[name, k] = te = t + rng.randint(1, 9)
+                inserts.append((f"k{k:02d}", t, te, 0.5))
+            else:
+                pool = live[name]
+                j = rng.randrange(len(pool))
+                pool[j], pool[-1] = pool[-1], pool[j]
+                deletes.append(pool.pop())
+        live[name].extend(row[:3] for row in inserts)
+        script.append((name, inserts, deletes))
+
+    def run() -> None:
+        for name, inserts, deletes in script:
+            db.apply(name, inserts=inserts, deletes=deletes)
+
+    calls, _ = count_calls(run)
+    for name, text in (("v1", "r1 - r2"), ("v2", "r1 JOIN r2 ON k")):
+        assert db.relation(name).equivalent_to(db.query(text, use_views=False))
+    return sum(calls.values()) / TRANSACTIONS, calls
+
+
+def test_calls_per_transaction_do_not_grow_with_the_fact_group():
+    small, small_calls = _calls_per_transaction(250)
+    large, large_calls = _calls_per_transaction(4000)
+    assert abs(large - small) / small <= 0.10, (
+        f"{small:.0f} calls per transaction at 250 tuples per fact group, "
+        f"{large:.0f} at 4 000; the biggest callers: {large_calls.most_common(8)}"
+    )
+    assert max(small, large) <= CALLS_PER_TRANSACTION_CEILING
+    # No start column is walked: a run is bisected where it lies.
+    for calls in (small_calls, large_calls):
+        assert calls[("py", "TPTuple.start")] < 100 * TRANSACTIONS
 
 
 # ----------------------------------------------------------------------

@@ -234,6 +234,19 @@ class TestMetamorphicRandomTrees:
         )
 
 
+def test_multiway_reordering_keeps_the_operand_that_names_the_schema_first():
+    """``q3`` is the smallest operand but names the second attribute ``b``."""
+    catalog = {
+        "q2": TPRelation.from_rows("q2", ("k", "a"), [("k1", "k1", 0, 4, 0.5)]),
+        "q3": TPRelation.from_rows("q3", ("k", "b"), []),
+    }
+    query = parse_query("((q2 | q2) | q3)[a='k1']")
+    plans = enumerate_plans(query, stats=stats_of(catalog), aggressive=True)
+    reference = run_plan(plans[0], catalog)
+    for plan in plans[1:]:
+        assert_probability_identical(run_plan(plan, catalog), reference)
+
+
 # ----------------------------------------------------------------------
 # statistics: lazy relation path ≡ incremental store path
 # ----------------------------------------------------------------------

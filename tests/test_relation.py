@@ -128,6 +128,72 @@ class TestSelection:
         assert list(r.select()) == list(r)
         assert len(r.select(k="nope")) == 0
 
+    @staticmethod
+    def _same_as_where(r: TPRelation, value: object) -> TPRelation:
+        """``select`` on the leading attribute (a bisect over a sorted
+        relation) must be ``where`` by predicate: same tuples, same
+        order, same sortedness flag, the very same event map."""
+        selected = r.select(k=value)
+        scanned = r.where(lambda t: t.fact[0] == value)
+        assert list(selected) == list(scanned)
+        assert all(a is b for a, b in zip(selected, scanned))
+        assert selected.is_sorted_by_fact_ts == scanned.is_sorted_by_fact_ts
+        assert selected.events is r.events
+        return selected
+
+    def test_select_by_bisect_equals_where_by_predicate(self):
+        rows = [
+            (k, c, ts, ts + 2, 0.5)
+            for ts, (k, c) in enumerate(
+                [("x", 1), ("y", 1), ("x", 2), ("z", 1), ("x", 1), ("y", 2)]
+            )
+        ]
+        unsorted = TPRelation.from_rows("r", ("k", "c"), rows)
+        assert not unsorted.is_sorted_by_fact_ts
+        ordered = TPRelation(
+            "r", unsorted.schema, unsorted.sorted_tuples(), unsorted.events,
+            assume_sorted=True,
+        )
+        empty = TPRelation("r", unsorted.schema, [], {}, assume_sorted=True)
+        for r in (unsorted, ordered, empty):
+            for value in ("x", "y", "z", "a", "xx", "zz", 7, None, float("nan")):
+                self._same_as_where(r, value)  # present, absent, wrong type
+        assert len(ordered.select(k="x")) == 3
+        assert ordered.select(k="x").is_sorted_by_fact_ts
+        numbers = TPRelation.from_rows(
+            "n", ("k",), [(1, 0, 2, 0.5), (2, 0, 2, 0.5), (2, 3, 4, 0.5), (5, 0, 1, 0.5)]
+        )
+        numbers.sorted_tuples()  # discovers that insertion order is (F, Ts)
+        assert numbers.is_sorted_by_fact_ts
+        for value in (0, 1, 2, 2.0, True, 3, 9, "2", float("nan")):
+            self._same_as_where(numbers, value)
+
+    def test_select_on_a_null_padded_join_output(self):
+        from repro import tp_join_operation
+
+        r = TPRelation.from_rows(
+            "r", ("k", "a"), [("k1", "a1", 0, 4, 0.5), ("k2", "a1", 1, 3, 0.5)]
+        )
+        s = TPRelation.from_rows(
+            "s", ("k", "b"), [("k1", "b1", 2, 6, 0.5), ("k3", "b1", 0, 2, 0.5)]
+        )
+        outer = tp_join_operation("full_outer", r, s, ("k",))
+        assert outer.is_sorted_by_fact_ts
+        assert {t.fact[1] for t in outer} >= {None, "a1"}
+        for value in ("k1", "k2", "k3", "k0", "k9", None):
+            self._same_as_where(outer, value)
+        # A leading column that itself ends in nulls (k and a swapped; the
+        # a column reads a1 … a1, None): a probe that lands on a null
+        # cannot be ordered against the value, and the scan answers.
+        null_led = TPRelation(
+            "p", TPSchema(("k", "rest")),
+            [TPTuple((t.fact[1], t.fact[0]), t.lineage, t.interval, t.p) for t in outer],
+            outer.events, validate=False, assume_sorted=True,
+        )
+        assert [t.fact[0] for t in null_led][-1] is None
+        for value in ("a1", None, "zz"):
+            self._same_as_where(null_led, value)
+
     def test_select_unknown_attribute(self, rel_c):
         from repro import SchemaMismatchError
 

@@ -215,3 +215,17 @@ def test_stats_report_the_collector_and_the_object_graph():
     assert after["lineage_nodes"]["or"] > 0
     assert after["valuation_entries"] == valuation_cache_stats()["entries"] > 0
     assert json.loads(encode_line({"ok": True, "stats": service.stats()}))["stats"]["memory"]
+
+
+def test_stats_list_every_view_with_its_maintenance_counters():
+    """``views``: a refresh that re-sweeps far more rows than a commit
+    changed shows in a running server's ``stats`` reply."""
+    db = _glyph_db()
+    view = db.create_view("v", "a - b", policy="eager")
+    service = QueryService(db)
+    before = service.stats()["views"]["v"]
+    assert before == view.stats() and before["refreshes"] == 0
+    service.commit(service.open_session(), "a", inserts=[("mjölk", 20, 22, 0.5)])
+    after = json.loads(encode_line({"ok": True, "stats": service.stats()}))["stats"]
+    assert after["views"]["v"]["refreshes"] == 1
+    assert after["views"]["v"]["rows_reswept"] == before["rows_reswept"] + 1

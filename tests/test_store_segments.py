@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import DuplicateFactError
 from repro.store import Delta, SegmentStore, load_delta, save_delta
@@ -149,6 +151,74 @@ class TestSegmentation:
         assert [cs.epoch for cs in store.changes_since(1)] == [2]
         with pytest.raises(ValueError, match="pruned"):
             store.changes_since(0)
+
+
+class TestRangeReads:
+    """``run`` / ``widen`` / ``overlapping`` / ``find`` bisect the
+    segments; each must equal the scan of ``tuples()`` it replaced."""
+
+    FACT = ("x",)
+
+    @staticmethod
+    def _check(store: SegmentStore, points: list[int]) -> None:
+        group = store._groups.get(TestRangeReads.FACT)
+        tuples = store.tuples_of(TestRangeReads.FACT)
+        if group is not None:
+            assert group.bounds == [segment[0].start for segment in group.segments]
+            # Before the first start, on every segment bound, past the last end.
+            points = points + [tuples[0].start - 1, *group.bounds, tuples[-1].end + 1]
+        for lo in points:
+            for hi in points:
+                if lo >= hi:
+                    continue
+                inside = [t for t in tuples if lo <= t.start < hi]
+                assert store.run_of(TestRangeReads.FACT, lo, hi) == inside
+                crossing_lo = [t.start for t in tuples if t.start < lo < t.end]
+                crossing_hi = [t.end for t in tuples if t.start < hi < t.end]
+                assert store.widen_of(TestRangeReads.FACT, lo, hi) == (
+                    min(crossing_lo, default=lo), max(crossing_hi, default=hi)
+                )
+                if group is None:
+                    continue
+                clashes = [t for t in tuples if t.start < hi and lo < t.end]
+                assert group.overlapping(lo, hi) is (clashes[0] if clashes else None)
+                exact = [t for t in tuples if (t.start, t.end) == (lo, hi)]
+                assert group.find(lo, hi) is (exact[0] if exact else None)
+
+    @given(
+        capacity=st.integers(min_value=2, max_value=4),
+        steps=st.lists(
+            st.tuples(
+                st.booleans(),  # insert (or remove)
+                st.integers(min_value=0, max_value=40),  # start / victim
+                st.integers(min_value=1, max_value=6),  # length
+            ),
+            max_size=30,
+        ),
+        points=st.lists(st.integers(min_value=-2, max_value=50), max_size=6),
+    )
+    def test_range_reads_equal_brute_force_after_every_mutation(
+        self, capacity, steps, points
+    ):
+        store = SegmentStore("s", ("k",), segment_capacity=capacity)
+        for insert, at, length in steps:
+            tuples = store.tuples_of(self.FACT)
+            if not insert:
+                if tuples:
+                    victim = tuples[at % len(tuples)]
+                    store.delete([("x", victim.start, victim.end)])
+            else:
+                clashes = [t for t in tuples if t.start < at + length and at < t.end]
+                if clashes:
+                    # Rejected, and the error names the first clash in Ts order.
+                    with pytest.raises(DuplicateFactError) as rejected:
+                        store.insert([("x", at, at + length, 0.5)])
+                    assert str(rejected.value).endswith(
+                        f"overlaps stored interval {clashes[0].interval}"
+                    )
+                else:
+                    store.insert([("x", at, at + length, 0.5)])
+            self._check(store, points)
 
 
 class TestDeltaFiles:

@@ -293,3 +293,72 @@ class TestStandaloneViews:
         # Refill after total deletion.
         a.insert([("milk", 1, 4, 0.5)])
         assert len(view.relation()) == 1
+
+
+class TestMaintenanceCounters:
+    """``MaterializedView.stats()``: what a refresh re-swept, spliced,
+    reused and valuated — visible without a profiler (DESIGN.md §9.2)."""
+
+    @staticmethod
+    def _reswept_per_refresh(per_group: int) -> float:
+        """Ten two-row transactions at the frontier of one fact group
+        that holds ``per_group`` untouched tuples on either side."""
+        db = TPDatabase(parallel=1, columnar=False)
+        for name in ("r", "s"):
+            rows = [("k", 3 * i, 3 * i + 2, 0.5) for i in range(per_group)]
+            db.create_relation(name, ("k",), rows)
+        views = [
+            db.create_view("d", "r - s", policy="eager"),
+            db.create_view("j", "r JOIN s ON k", policy="eager"),
+        ]
+        built = [view.stats() for view in views]
+        assert all(stats["rows_reswept"] == 2 * per_group for stats in built)
+        frontier = 3 * per_group
+        for i in range(10):
+            ts = frontier + 5 * (i // 2)  # s follows r: the windows change twice
+            db.apply(
+                "rs"[i % 2],
+                inserts=[("k", ts, ts + 2, 0.5), ("k", ts + 2, ts + 4, 0.5)],
+                deletes=[("k", 3 * i, 3 * i + 2)],
+            )
+        reswept = 0
+        for view, before in zip(views, built):
+            after = view.stats()
+            assert after["refreshes"] == 10 and before["refreshes"] == 0
+            assert after["ranges_reswept"] - before["ranges_reswept"] == 20
+            valuated = after["rows_valuated"] - before["rows_valuated"]
+            assert 0 < valuated <= after["rows_spliced"] <= 40
+            assert before["rows_spliced"] == 0  # the build splices nothing
+            reswept += after["rows_reswept"] - before["rows_reswept"]
+        assert db.stats()["views"]["d"] == views[0].stats()
+        return reswept / 20
+
+    def test_rows_reswept_do_not_grow_with_the_untouched_part_of_a_group(self):
+        small = self._reswept_per_refresh(50)
+        large = self._reswept_per_refresh(800)
+        assert small == large <= 8
+
+    def test_unchanged_windows_keep_their_tuples(self):
+        stores = {
+            "r": SegmentStore("r", ("k",)),
+            "s": SegmentStore("s", ("k",)),
+        }
+        stores["r"].insert([("x", 0, 4, 0.5), ("x", 4, 8, 0.5)])
+        stores["s"].insert([("x", 2, 6, 0.5)])
+        view = MaterializedView("v", parse_query("r | s"), stores)
+        before = view.relation()  # [0,2) [2,4) [4,6) [6,8)
+        # Replacing r's second tuple widens through s's [2,6) and r's
+        # [0,4) to [0,8): all four windows are re-swept, the two that r's
+        # first tuple decides come out as they were and keep their tuples.
+        stores["r"].apply(deletes=[("x", 4, 8)], inserts=[("x", 4, 7, 0.9)])
+        after = view.relation()
+        assert [(t.start, t.end) for t in after] == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        assert [t for t in after if any(t is u for u in before)] == list(after)[:2]
+        stats = view.stats()
+        assert stats["refreshes"] == 1 and stats["rows_reswept"] == 3 + 3
+        assert stats["rows_reused"] == 2 and stats["rows_valuated"] == 4 + 2
+        recompute = MaterializedView("w", parse_query("r | s"), stores, strategy="RECOMPUTE")
+        stores["r"].insert([("y", 1, 2, 0.5)])
+        assert recompute.relation().equivalent_to(view.relation())
+        assert recompute.stats()["refreshes"] == 1
+        assert recompute.stats()["rows_reused"] == 0
