@@ -15,7 +15,9 @@ through the public constructor owns a copy of the map it was given;
 relations *derived* from relations (selections, renames, operator
 results) share their parent's map or the operands' cached merged map by
 reference — a served result costs its rows, not its operands' events
-(DESIGN.md §5).
+(DESIGN.md §5).  A relation read out of a *live* structure — a keyed read
+of a view's fact groups (:meth:`TPRelation.restricted`) — holds a fresh
+map restricted to the variables its tuples reference.
 
 Sortedness propagation (DESIGN.md §6): a relation remembers whether its
 tuples are already in the ``(F, Ts)`` order the sweep algorithms require.
@@ -28,10 +30,10 @@ call sorts once and caches (relations are immutable).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import is_
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..lineage.formula import Lineage, variable_names
+from ..lineage.formula import Lineage, referenced_variables, variable_names
 from ..prob.valuation import (
     EventMap,
     Method,
@@ -45,11 +47,20 @@ from .schema import Fact, TPSchema, make_fact
 from .sorting import _full_key, null_safe_key
 from .tuple import TPTuple, base_tuple
 
-__all__ = ["TPRelation"]
+__all__ = ["TPRelation", "selection_name"]
 
 
 def _leading_value(t: TPTuple) -> object:
     return t.fact[0]
+
+
+_lineage_of = attrgetter("lineage")
+
+
+def selection_name(name: str, equalities: Mapping[str, object]) -> str:
+    """The name ``σ[a=v,…](name)`` of a selection's result."""
+    label = ",".join(f"{k}={v!r}" for k, v in equalities.items())
+    return f"σ[{label}]({name})"
 
 
 class TPRelation:
@@ -61,7 +72,7 @@ class TPRelation:
 
     __slots__ = (
         "name", "schema", "_tuples", "events",
-        "_sorted_cache", "_in_fact_ts_order", "_block_cache",
+        "_sorted_cache", "_in_fact_ts_order", "_block_cache", "_leading_index",
         "__weakref__",
     )
 
@@ -98,6 +109,9 @@ class TPRelation:
         # or discovered by the first sorted_tuples() call.
         self._in_fact_ts_order = assume_sorted
         self._block_cache: Optional[object] = None
+        # Leading value -> its tuples in insertion order; built by the
+        # first selection the (F, Ts) order cannot answer.
+        self._leading_index: Optional[dict[object, list[TPTuple]]] = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -122,6 +136,26 @@ class TPRelation:
         relation = object.__new__(cls)
         relation._init(name, schema, tuples, events, assume_sorted)
         return relation
+
+    @classmethod
+    def restricted(
+        cls,
+        name: str,
+        schema: TPSchema,
+        tuples: Iterable[TPTuple],
+        live_events: Mapping[str, float],
+    ) -> "TPRelation":
+        """A relation over tuples copied, in ``(F, Ts)`` order, out of a
+        structure that keeps changing — a view's cached runs.  Its event
+        map holds exactly the variables those tuples reference, with
+        their probabilities read from ``live_events``; it never aliases
+        ``live_events``, which the next transaction mutates (DESIGN.md
+        §5).  Unvalidated: the source is duplicate-free by construction.
+        """
+        tuples = tuple(tuples)
+        names = referenced_variables(map(_lineage_of, tuples))
+        events = EventMap({var: live_events[var] for var in names})
+        return cls._derived(name, schema, tuples, events, assume_sorted=True)
 
     @classmethod
     def from_rows(
@@ -304,49 +338,65 @@ class TPRelation:
         order, so downstream sweeps over the selection never re-sort —
         which also keeps null-padded outer-join outputs (born sorted in
         the null-safe order) sortable at all.
+
+        An equality on the leading attribute — every pushed-down
+        selection over the ``("k", …)`` schemas — narrows first
+        (:meth:`_led_by`: a bisect or an index lookup, not a scan); the
+        other equalities filter what is left.
         """
         pairs = [
             (self.schema.index_of(attribute), value)
             for attribute, value in equalities.items()
         ]
-        if len(pairs) == 1:
-            # The optimizer's pushed-down selections are all of this shape.
-            ((index, wanted),) = pairs
-            kept = self._leading_range(wanted) if index == 0 else None
-            if kept is None:
-                kept = [t for t in self._tuples if t.fact[index] == wanted]
-        else:
-            kept = [
-                t
-                for t in self._tuples
-                if all(t.fact[i] == value for i, value in pairs)
-            ]
-        label = ",".join(f"{k}={v!r}" for k, v in equalities.items())
+        leading = [value for index, value in pairs if index == 0]
+        kept: Sequence[TPTuple] = (
+            self._led_by(leading[0]) if leading else self._tuples
+        )
+        rest = [(index, value) for index, value in pairs if index != 0]
+        if len(rest) == 1:
+            ((index, wanted),) = rest
+            kept = [t for t in kept if t.fact[index] == wanted]
+        elif rest:
+            kept = [t for t in kept if all(t.fact[i] == v for i, v in rest)]
         return TPRelation._derived(
-            f"σ[{label}]({self.name})",
+            selection_name(self.name, equalities),
             self.schema,
             kept,
             self.events,
             assume_sorted=self.is_sorted_by_fact_ts,
         )
 
-    def _leading_range(self, wanted: object) -> Optional[tuple[TPTuple, ...]]:
-        """The tuples whose first attribute equals ``wanted``, bisected
-        out of the ``(F, Ts)`` order — ``None`` when that order is not
-        the insertion order or does not decide the question (a
-        null-padded or mixed-type column, a value equal to nothing it is
-        ordered with): the caller scans instead."""
-        if not self._in_fact_ts_order:
-            return None
+    def _led_by(self, wanted: object) -> Sequence[TPTuple]:
+        """The tuples whose first attribute equals ``wanted``, in
+        insertion order.
+
+        When the insertion order is the ``(F, Ts)`` order this is an
+        equal-range bisect — unless the order does not decide the
+        question (a null-padded or mixed-type column, a value equal to
+        nothing it is ordered with).  Otherwise the first call builds a
+        leading value → tuples index in one pass, and this and every
+        later call is a dictionary lookup (relations are immutable, so
+        the index never goes stale)."""
         tuples = self._tuples
+        if self._in_fact_ts_order:
+            try:
+                i = bisect_left(tuples, wanted, key=_leading_value)
+                j = bisect_right(tuples, wanted, i, key=_leading_value)
+            except TypeError:
+                pass
+            else:
+                if i == j or tuples[i].fact[0] == wanted == tuples[j - 1].fact[0]:
+                    return tuples[i:j]
+        index = self._leading_index
+        if index is None:
+            index = {}
+            for t in tuples:
+                index.setdefault(t.fact[0], []).append(t)
+            self._leading_index = index
         try:
-            i = bisect_left(tuples, wanted, key=_leading_value)
-            j = bisect_right(tuples, wanted, i, key=_leading_value)
-        except TypeError:
-            return None
-        if i < j and not (tuples[i].fact[0] == wanted == tuples[j - 1].fact[0]):
-            return None
-        return tuples[i:j]
+            return index.get(wanted, ())
+        except TypeError:  # an unhashable value: compare it the long way
+            return [t for t in tuples if t.fact[0] == wanted]
 
     def where(self, predicate: Callable[[TPTuple], bool]) -> "TPRelation":
         """Selection by arbitrary tuple predicate (sortedness propagates)."""
@@ -357,12 +407,14 @@ class TPRelation:
         )
 
     def rename(self, name: str) -> "TPRelation":
-        """The same relation under a new catalog name (sort cache kept)."""
+        """The same relation under a new catalog name (sort cache and
+        selection index kept)."""
         renamed = TPRelation._derived(
             name, self.schema, self._tuples, self.events,
             assume_sorted=self._in_fact_ts_order,
         )
         renamed._sorted_cache = self._sorted_cache
+        renamed._leading_index = self._leading_index
         return renamed
 
     # ------------------------------------------------------------------

@@ -60,7 +60,10 @@ class _RuntimeCatalog(Mapping[str, TPRelation]):
     """Name resolution for the executor: views, then stores, then catalog.
 
     Stores resolve to their epoch-cached snapshots; views resolve through
-    their refresh policy (``deferred`` views refresh on read)."""
+    their refresh policy (``deferred`` views refresh on read) and count
+    the read in their ``stats()``.  A selection over a scan asks
+    :meth:`select` instead, which views answer from the selected fact
+    groups alone."""
 
     def __init__(self, db: "TPDatabase") -> None:
         self._db = db
@@ -69,11 +72,23 @@ class _RuntimeCatalog(Mapping[str, TPRelation]):
         db = self._db
         view = db._views.get(name)
         if view is not None:
-            return view.relation()
+            return view.read()
         store = db._stores.get(name)
         if store is not None:
             return store.snapshot()
         return db.catalog[name]
+
+    def select(self, name: str, /, **equalities: object) -> TPRelation:
+        """``self[name].select(**equalities)``, without assembling a
+        view's whole relation first."""
+        view = self._db._views.get(name)
+        if view is not None:
+            return view.read(**equalities)
+        return self[name].select(**equalities)
+
+    def __contains__(self, name: object) -> bool:
+        db = self._db
+        return name in db._views or name in db._stores or name in db.catalog
 
     def __iter__(self) -> Iterator[str]:
         seen = set(self._db._views) | set(self._db._stores) | set(self._db.catalog)

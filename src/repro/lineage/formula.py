@@ -68,6 +68,7 @@ __all__ = [
     "lnot",
     "variables",
     "variable_names",
+    "referenced_variables",
     "variable_occurrences",
     "evaluate",
     "restrict",
@@ -577,6 +578,41 @@ def variable_names(formula: Lineage) -> Iterable[str]:
     if type(formula) is Var:
         return (formula.name,)
     return formula.var_set
+
+
+def referenced_variables(formulas: Iterable[Lineage]) -> set[str]:
+    """The distinct variable names of many formulas, by one walk of their
+    shared DAG (each ∧/∨ node visited once).
+
+    Reads no node's ``var_set`` and so stores none: a read that copies a
+    few hundred result tuples out of a large relation must not leave a
+    frozenset on every base variable and node it touches.
+    """
+    names: set[str] = set()
+    add = names.add
+    seen: set[Lineage] = set()
+    stack = list(formulas)
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is Var:
+            add(node.name)
+        elif kind is Not:
+            push(node.child)
+        elif (kind is And or kind is Or) and node not in seen:
+            seen.add(node)
+            # Window lineages are connectives over (negated) base
+            # variables: read those in place instead of stacking them.
+            for child in node.children:
+                kind = type(child)
+                if kind is Var:
+                    add(child.name)
+                elif kind is Not and type(child.child) is Var:
+                    add(child.child.name)
+                else:
+                    push(child)
+    return names
 
 
 def variable_occurrences(formula: Lineage) -> dict[str, int]:

@@ -91,18 +91,29 @@ def _evaluate(
     Operators valuate and construct their own output in one pass; scans
     and selections hand on existing tuples, so a root of that kind
     materializes whatever is still pending (nothing, over base
-    relations)."""
+    relations).
+
+    A selection directly over a scan goes to the catalog's own
+    ``select(name, **equalities)`` when it has one — the database's
+    catalog answers it from a view's selected fact groups, without
+    assembling the whole view.  Under ``observe`` the scan runs as a
+    node of its own, so ``EXPLAIN ANALYZE`` still reports its full row
+    count."""
     if isinstance(plan, ScanPlan):
         try:
             result = catalog[plan.relation]
         except KeyError as exc:
-            raise UnknownRelationError(
-                f"query references unknown relation {plan.relation!r}"
-            ) from exc
+            raise _unknown(plan.relation) from exc
         return result.materialize_probabilities() if materialize else result
     if isinstance(plan, SelectPlan):
-        child = _run(plan.child, catalog, observe, path + (0,))
-        result = child.select(**{plan.attribute: plan.value})
+        equality = {plan.attribute: plan.value}
+        child = plan.child
+        if observe is None and isinstance(child, ScanPlan) and hasattr(catalog, "select"):
+            if child.relation not in catalog:
+                raise _unknown(child.relation)
+            result = catalog.select(child.relation, **equality)
+        else:
+            result = _run(child, catalog, observe, path + (0,)).select(**equality)
         return result.materialize_probabilities() if materialize else result
     if isinstance(plan, MultiSetOpPlan):
         inputs = [
@@ -121,3 +132,7 @@ def _evaluate(
     left = _run(plan.left, catalog, observe, path + (0,))
     right = _run(plan.right, catalog, observe, path + (1,))
     return plan.algorithm.compute(plan.op, left, right, materialize=materialize)
+
+
+def _unknown(name: str) -> UnknownRelationError:
+    return UnknownRelationError(f"query references unknown relation {name!r}")

@@ -48,7 +48,7 @@ from ..algebra.join import (
 )
 from ..core.errors import UnsupportedOperationError
 from ..core.gtwindow import WINDOW_POLICIES, WindowPolicy
-from ..core.relation import TPRelation
+from ..core.relation import TPRelation, selection_name
 from ..core.schema import Fact
 from ..core.setops import tp_set_operation
 from ..core.sorting import null_safe_fact_key
@@ -63,10 +63,11 @@ __all__ = ["MaterializedView", "REFRESH_POLICIES"]
 #: Supported refresh policies, in "how automatic" order.
 REFRESH_POLICIES = ("eager", "deferred", "manual")
 
-#: What a view counts while it is maintained (``MaterializedView.stats``).
+#: What a view counts while it is maintained and read (``MaterializedView.stats``).
 STAT_NAMES = (
     "refreshes", "ranges_reswept", "rows_reswept",
     "rows_spliced", "rows_reused", "rows_valuated",
+    "reads", "rows_read",
 )
 
 _interval_start = operator.attrgetter("interval.start")
@@ -635,6 +636,11 @@ class IncrementalEngine:
         while isinstance(owner, _SelectNode):
             owner = owner.child
         self._root_owns_cache = isinstance(owner, (_SetOpNode, _JoinNode))
+        # Where a read takes its probabilities: the map that is current
+        # for the runs it copies — the store's own for a root that reads
+        # the store's lists (this engine's map catches up with those
+        # only when it refreshes, which a manual view may not have).
+        self._live_events = self.events if self._root_owns_cache else owner.store.events
         if self._root_owns_cache:
             with parallel_execution(parallel):
                 self._materialize_all()
@@ -734,7 +740,7 @@ class IncrementalEngine:
             name,
             self.schema,
             tuples,
-            self.events,
+            self._live_events,
             validate=False,
             assume_sorted=True,
         )
@@ -743,6 +749,32 @@ class IncrementalEngine:
             # already (no-op); seeded p=None tuples valuate on a *copy*.
             relation = relation.materialize_probabilities(options=self._options)
         self._cached = relation
+        return relation
+
+    def select(self, name: str, equalities: dict[str, object]) -> TPRelation:
+        """``relation(name).select(**equalities)`` from the fact groups
+        the selection keeps (DESIGN.md §9.4): a result assembled at this
+        revision is bisected; otherwise their runs are copied (splicing
+        rewrites them in place) under an event map restricted to what
+        they reference, read from the live one.  A selection on fact
+        attributes keeps or drops whole fact groups; the kept ones are
+        copied in ``null_safe_fact_key`` order, which is the ``(F, Ts)``
+        order."""
+        if self._cached is not None:
+            return self._cached.select(**equalities)
+        pairs = [(self.schema.index_of(a), value) for a, value in equalities.items()]
+        facts = sorted(
+            (f for f in self.root.facts() if all(f[i] == v for i, v in pairs)),
+            key=null_safe_fact_key,
+        )
+        relation = TPRelation.restricted(
+            selection_name(name, equalities),
+            self.schema,
+            [t for fact in facts for t in self.root.group(fact)],
+            self._live_events,
+        )
+        if not self._root_owns_cache:
+            relation = relation.materialize_probabilities(options=self._options)
         return relation
 
 
@@ -825,6 +857,10 @@ class RecomputeEngine:
         self._relation = self._relation.rename(name)
         return self._relation
 
+    def select(self, name: str, equalities: dict[str, object]) -> TPRelation:
+        """A bisect of the relation the last recompute built."""
+        return self.relation(name).select(**equalities)
+
 
 # ----------------------------------------------------------------------
 # the view object
@@ -895,13 +931,34 @@ class MaterializedView:
             self._engine.refresh()
         return self._engine.relation(self.name)
 
+    def select(self, **equalities: object) -> TPRelation:
+        """``relation().select(**equalities)``, read from the fact groups
+        the selection keeps: a keyed read costs its answer, not the view
+        (DESIGN.md §9.4).  Refreshes by policy, like :meth:`relation`."""
+        if self.policy != "manual":
+            self._engine.refresh()
+        return self._engine.select(self.name, equalities)
+
+    def read(self, **equalities: object) -> TPRelation:
+        """A query's read of the view — :meth:`select` when ``equalities``
+        are given, else :meth:`relation` — counted in :meth:`stats`.
+        The planner's statistics and a server session's pins call
+        :meth:`relation` and are not counted."""
+        result = self.select(**equalities) if equalities else self.relation()
+        stats = self._engine.stats
+        stats["reads"] += 1
+        stats["rows_read"] += len(result)
+        return result
+
     def stats(self) -> dict[str, int]:
         """Maintenance counters: ``refreshes`` that found base changes,
         ``ranges_reswept`` and ``rows_reswept`` (kernel sweeps run and
         their input rows), ``rows_spliced`` into a node's output,
         ``rows_reused`` (regenerated windows that kept their old tuple)
         and ``rows_valuated`` — the build's sweeps and valuations
-        included; it is no refresh and splices nothing."""
+        included; it is no refresh and splices nothing — and the
+        query ``reads`` (:meth:`read`, whole or keyed) with the
+        ``rows_read`` they returned."""
         return dict(self._engine.stats)
 
     @property

@@ -12,14 +12,16 @@ per-node Python-level hop to the pipeline
 Next to it sits the allocation budget: collector runs and GC-tracked
 objects retained per output row, counted the same deterministic way.
 
-The same instrument pins three more shapes: the valuation memo's bound
+The same instrument pins four more shapes: the valuation memo's bound
 must not make a batch larger than the bound cost more *per row* (it
 once rescanned the whole bucket for every row past the cap), a served
 result-cache hit must cost the same number of calls whatever the size of
-the result (it once re-walked and re-encoded every row), and a ten-row
+the result (it once re-walked and re-encoded every row), a ten-row
 transaction under two eager views must cost the same whatever the size
 of the fact groups it touches (it once walked each of them a dozen
-times).
+times), and a keyed read of a view must cost its answer whatever the
+size of the groups it does not select (it once copied the whole view
+and its event map).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import dataclasses
 import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -81,7 +84,12 @@ def seeded_rows(seed: int, n: int = 2000, keys: int = 80) -> list[tuple]:
 
 
 def count_calls(run) -> tuple[Counter, object]:
-    """Run ``run()`` under a profile hook; calls by (kind, name)."""
+    """Run ``run()`` under a profile hook; calls by (kind, name).
+
+    Garbage left by earlier tests is collected first: a collection
+    inside ``run()`` would otherwise count the finalizers of whatever
+    it frees (a suspended generator's ``close``, say)."""
+    gc.collect()
     calls: Counter = Counter()
 
     def hook(frame, event, arg):
@@ -242,6 +250,80 @@ def test_calls_per_transaction_do_not_grow_with_the_fact_group():
     # No start column is walked: a run is bisected where it lies.
     for calls in (small_calls, large_calls):
         assert calls[("py", "TPTuple.start")] < 100 * TRANSACTIONS
+
+
+# ----------------------------------------------------------------------
+# keyed reads: v[k='k00'] costs k00's groups, not the view
+# ----------------------------------------------------------------------
+KEYED_READS = ("v1[k='k00']", "v2[k='k00']")
+READ_ROUNDS = 10
+
+
+def _per_keyed_read(per_group: int, facts: int = 8) -> tuple[float, float, int]:
+    """Calls and peak bytes allocated per keyed read (and the rows read)
+    of the eager views ``r1 - r2`` and ``r1 JOIN r2 ON k``, each right
+    after a commit changed them.  The selected key ``k00`` holds the
+    same 250 tuples per store whatever ``per_group`` the other seven
+    keys hold, and the commits touch only ``k01``."""
+    db = TPDatabase(parallel=1, columnar=False)
+    for name, seed in (("r1", 1), ("r2", 2)):
+        rows = []
+        for k in range(facts):
+            rng = random.Random(100 * seed + k)
+            t = rng.randrange(0, 8)
+            for _ in range(250 if k == 0 else per_group):
+                t += rng.randint(0, 7)
+                te = t + rng.randint(1, 9)
+                rows.append((f"k{k:02d}", t, te, rng.randrange(50, 951) / 1000))
+                t = te
+        db.create_relation(name, ("k",), rows)
+    db.create_view("v1", "r1 - r2", policy="eager")
+    db.create_view("v2", "r1 JOIN r2 ON k", policy="eager")
+    calls = allocated = rows_read = 0
+    for i in range(2 * READ_ROUNDS):
+        ts = 10**7 + 10 * i  # overlapping on both sides: both views change
+        db.apply("r1", inserts=[("k01", ts, ts + 5, 0.5)])
+        db.apply("r2", inserts=[("k01", ts + 2, ts + 7, 0.5)])
+        if i % 2 == 0:
+            for text in KEYED_READS:
+                counted, result = count_calls(lambda: db.query(text))
+                calls += sum(counted.values())
+                rows_read += len(result)
+            continue
+        # Allocation is read with the collector off, so that what it
+        # frees of earlier garbage cannot move the reading.
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for text in KEYED_READS:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                db.query(text)
+                allocated += tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    reads = READ_ROUNDS * len(KEYED_READS)
+    return calls / reads, allocated / reads, rows_read
+
+
+def test_a_keyed_read_costs_its_answer_not_the_view():
+    """Both readings agree within 10 % between 250 and 4 000 tuples in
+    every unselected group.  The call count alone would not show a
+    whole-view copy — that runs inside single C calls (``tuple(...)``,
+    ``dict(...)``) — so the bytes a read allocates are pinned beside it:
+    they once grew ×16 between the two sizes."""
+    small_calls, small_bytes, small_rows = _per_keyed_read(250)
+    large_calls, large_bytes, large_rows = _per_keyed_read(4000)
+    assert small_rows == large_rows > 0  # the same answer at both sizes
+    assert abs(large_calls - small_calls) / small_calls <= 0.10, (
+        f"{small_calls:.0f} calls per keyed read at 250 tuples per group, "
+        f"{large_calls:.0f} at 4 000"
+    )
+    assert abs(large_bytes - small_bytes) / small_bytes <= 0.10, (
+        f"{small_bytes:.0f} bytes allocated per keyed read at 250 tuples "
+        f"per group, {large_bytes:.0f} at 4 000"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -168,6 +168,31 @@ class TestSelection:
         for value in (0, 1, 2, 2.0, True, 3, 9, "2", float("nan")):
             self._same_as_where(numbers, value)
 
+    def test_select_on_an_unsorted_relation_indexes_the_leading_value_once(self):
+        rows = [
+            (k, c, ts, ts + 2, 0.5)
+            for ts, (k, c) in enumerate(
+                [("x", 1), ("y", 1), ("x", 2), ("z", 1), ("x", 1), ("y", 2)]
+            )
+        ]
+        r = TPRelation.from_rows("r", ("k", "c"), rows)
+        assert not r.is_sorted_by_fact_ts
+        assert [t.start for t in r.select(k="x")] == [0, 2, 4]  # insertion order
+        index = r._leading_index
+        assert index is not None
+        # Later selections look the value up; nothing is re-indexed.
+        assert [t.start for t in r.select(k="y")] == [1, 5]
+        assert [t.start for t in r.select(c=1, k="x")] == [0, 4]  # narrowed first
+        assert len(r.select(k=["x"])) == 0  # unhashable: compared, not looked up
+        assert r._leading_index is index
+        assert r.rename("q")._leading_index is index
+        # A sorted relation answers by bisect and builds no index.
+        ordered = TPRelation(
+            "o", r.schema, r.sorted_tuples(), r.events, assume_sorted=True
+        )
+        assert [t.start for t in ordered.select(c=1, k="x")] == [0, 4]
+        assert ordered._leading_index is None
+
     def test_select_on_a_null_padded_join_output(self):
         from repro import tp_join_operation
 

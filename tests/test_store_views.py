@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import UnsupportedOperationError, tp_set_operation
 from repro.baselines import (
     get_view_maintenance_strategy,
     view_maintenance_strategies,
 )
+from repro.core.sorting import null_safe_key
 from repro.db import TPDatabase
+from repro.lineage.formula import variables
+from repro.prob.valuation import clear_valuation_cache
 from repro.query.parser import parse_query
-from repro.store import MaterializedView, SegmentStore
+from repro.serve import QueryService
+from repro.store import REFRESH_POLICIES, MaterializedView, SegmentStore
+from tests.strategies import JOIN_KEY_POOL, tp_join_relation
 
 
 @pytest.fixture
@@ -362,3 +369,199 @@ class TestMaintenanceCounters:
         assert recompute.relation().equivalent_to(view.relation())
         assert recompute.stats()["refreshes"] == 1
         assert recompute.stats()["rows_reused"] == 0
+
+
+# ----------------------------------------------------------------------
+# keyed reads: σ over a view from the selected fact groups
+# ----------------------------------------------------------------------
+#: The stores, by schema: two attributes put several facts under one
+#: key; one attribute makes the selection name a single fact.
+KEYED_STORES = {
+    "r": (("k", "a"), ["a1", "a2"]),
+    "s": (("k", "a"), ["a1", "a2"]),
+    "t": (("k", "b"), ["b1"]),
+    "p": (("k",), []),
+    "q": (("k",), []),
+}
+#: Every kind of view root: set operation, join, selection over an
+#: operator, selection over a store and a bare store (the last two do
+#: not own their cache and valuate on the copy they serve).
+KEYED_VIEWS = {
+    "v_setop": "r - s",
+    "v_join": "r JOIN t ON k",
+    "v_select": "(r | s)[a='a1']",
+    "v_select_base": "r[a='a2']",
+    "v_base": "s",
+    "v_key": "p & q",
+}
+KEYS = (*JOIN_KEY_POOL, "k9")
+
+
+def _candidate_facts(name: str) -> list[tuple]:
+    _, rest = KEYED_STORES[name]
+    if not rest:
+        return [(k,) for k in JOIN_KEY_POOL]
+    return [(k, v) for k in JOIN_KEY_POOL for v in rest]
+
+
+@st.composite
+def keyed_scenario(draw):
+    relations = {
+        name: draw(tp_join_relation(name, attributes, rest, max_facts=4))
+        for name, (attributes, rest) in KEYED_STORES.items()
+    }
+    views = {
+        name: (
+            draw(st.sampled_from(REFRESH_POLICIES)),
+            draw(st.sampled_from(["INCREMENTAL", "RECOMPUTE"])),
+        )
+        for name in KEYED_VIEWS
+    }
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(KEYED_STORES)),
+                st.lists(st.integers(0, 30), max_size=3),  # delete picks
+                st.lists(  # inserts: (fact pick, gap, length)
+                    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+                    max_size=3,
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return relations, views, steps
+
+
+def _apply_step(db: TPDatabase, name: str, picks: list, inserts: list) -> None:
+    """One transaction: deletes by index, inserts at a fact's frontier
+    (duplicate-free by construction, adjacency included)."""
+    stored = list(db.store(name).iter_sorted())
+    doomed = {stored[pick % len(stored)] for pick in picks} if stored else set()
+    frontier: dict = {}
+    for t in stored:
+        frontier[t.fact] = max(frontier.get(t.fact, 0), t.end)
+    facts = _candidate_facts(name)
+    rows = []
+    for pick, gap, length in inserts:
+        fact = facts[pick % len(facts)]
+        ts = frontier.get(fact, 0) + gap
+        frontier[fact] = ts + length
+        rows.append((*fact, ts, ts + length, 0.25 + 0.1 * gap))
+    db.apply(
+        name,
+        inserts=rows,
+        deletes=[(*t.fact, t.start, t.end) for t in doomed],
+    )
+
+
+def _rows(relation) -> list[tuple]:
+    return [(t.fact, t.interval, t.p) for t in relation]
+
+
+def _live_maps(db: TPDatabase) -> list:
+    """The maps later transactions and refreshes mutate in place: every
+    store's, and every incremental engine's."""
+    engines = [db.view(name)._engine for name in KEYED_VIEWS]
+    return [db.store(name).events for name in KEYED_STORES] + [
+        engine.events for engine in engines if hasattr(engine, "events")
+    ]
+
+
+class TestKeyedReads:
+    """``db.query("v[k='x']")`` ≡ ``db.relation("v").select(k='x')`` —
+    a view's read from the selected fact groups, holding only the events
+    it references, never the live map (DESIGN.md §5, §9.4); a store's
+    keyed read bisects its snapshot."""
+
+    @given(scenario=keyed_scenario())
+    @settings(max_examples=25)
+    def test_keyed_read_equals_select_over_the_whole_relation(self, scenario):
+        relations, views, steps = scenario
+        db = TPDatabase(parallel=1, columnar=False)
+        for relation in relations.values():
+            db.register(relation)
+        for name, text in KEYED_VIEWS.items():
+            policy, strategy = views[name]
+            db.create_view(name, text, policy=policy, strategy=strategy)
+        held = []
+        for step in steps:
+            _apply_step(db, *step)
+            live = _live_maps(db)
+            for name in (*KEYED_VIEWS, *KEYED_STORES):
+                for key in KEYS:
+                    # use_views=False: no view may stand in for a store.
+                    keyed = db.query(f"{name}[k='{key}']", use_views=False)
+                    whole = db.relation(name)
+                    expected = whole.select(k=key)
+                    assert _rows(keyed) == _rows(expected)
+                    assert all(a.lineage is b.lineage for a, b in zip(keyed, expected))
+                    assert [null_safe_key(t) for t in keyed] == sorted(
+                        null_safe_key(t) for t in keyed
+                    )
+                    assert keyed.is_sorted_by_fact_ts
+                    assert all(keyed.events is not m for m in live)
+                    referenced = {v for t in keyed for v in variables(t.lineage)}
+                    # A result assembled at this revision is bisected and
+                    # shares its map; otherwise the map is restricted.
+                    if keyed.events is not whole.events:
+                        assert set(keyed.events) == referenced
+                    held.append((keyed, _rows(keyed)))
+        # Later writes — deletes of base tuples included — leave a held
+        # result exactly as it was, and it still valuates on its own.
+        for name in KEYED_STORES:
+            db.apply(name, deletes=[
+                (*t.fact, t.start, t.end) for t in db.store(name).iter_sorted()
+            ])
+        clear_valuation_cache()
+        for keyed, rows in held:
+            assert _rows(keyed) == rows
+            for t in keyed:
+                assert keyed.probability_of(t) == pytest.approx(t.p)
+
+    def test_a_manual_view_over_a_store_reads_the_stores_probabilities(self, db):
+        """A bare-store root serves the store's current lists; its engine
+        map catches up only at the refresh a manual view has not had."""
+        db.create_view("v", "a", policy="manual")
+        db.insert("a", [("milk", 20, 22, 0.5)])
+        keyed = db.query("v[product='milk']")
+        whole = db.relation("v")
+        assert _rows(keyed) == _rows(whole.select(product="milk"))
+        assert [t.start for t in keyed] == [2, 20]
+        for relation in (keyed, whole):
+            assert [relation.probability_of(t) for t in relation] == pytest.approx(
+                [t.p for t in relation]
+            )
+
+    def test_keyed_reads_are_counted(self, db):
+        view = db.create_view("v", "c - (a | b)", policy="eager")
+        db.insert("a", [("beer", 1, 6, 0.5)])
+        before = view.stats()
+        milk = db.query("v[product='milk']")
+        optimized = db.query("v[product='milk']", optimize="safe")
+        whole = db.relation("v")
+        after = view.stats()
+        assert _rows(optimized) == _rows(milk)
+        assert after["reads"] == before["reads"] + 3
+        assert after["rows_read"] == before["rows_read"] + 2 * len(milk) + len(whole)
+        assert 0 < len(milk) < len(whole)
+        assert db.stats()["views"]["v"] == after
+        # The keyed read restricts its map to what its rows reference.
+        assert set(milk.events) == {v for t in milk for v in variables(t.lineage)}
+        # Neither the planner's statistics nor a server session's pin is
+        # a query's read of the view; a served query reads the pinned
+        # copy, not the view.
+        db.stats_of("v")
+        service = QueryService(db)
+        session = service.open_session()
+        service.begin(session)
+        service.execute(session, "v[product='milk']", optimize="safe")
+        assert view.stats() == after
+        assert service.stats()["views"]["v"] == after
+
+    def test_explain_analyze_reports_the_whole_scan(self, db):
+        db.create_view("v", "c - (a | b)")
+        report = db.query("EXPLAIN v[product='milk']")
+        scan = next(line for line in report.splitlines() if "Scan[v]" in line)
+        assert f"actual rows={len(db.relation('v'))}" in scan
