@@ -320,12 +320,12 @@ def check_suite(
 
     CPU-gated part (skipped below 2 CPUs, or when ``max_slowdown`` is 0
     — the "zeroed thresholds" smoke mode): per scenario, the ``safe``
-    optimize level, the serving result cache, the columnar engine and
-    the serving replica tier must not be more than ``max_slowdown``
-    times slower than their reference configurations (``speedup_safe``
-    / ``speedup_cache`` / ``speedup_columnar`` / ``speedup_replicas``
-    ``>= 1/max_slowdown``; the replica ratio is requests/s rather than
-    ``min_s`` — its timed region also pays the fork/stop lifecycle) and
+    optimize level, the serving result cache and the serving replica
+    tier must not be more than ``max_slowdown`` times slower than their
+    reference configurations (``speedup_safe`` / ``speedup_cache`` /
+    ``speedup_replicas`` ``>= 1/max_slowdown``; the replica ratio is
+    requests/s rather than ``min_s`` — its timed region also pays the
+    fork/stop lifecycle) and
     the store backend must not be more than ``max_slowdown`` times
     slower than the immutable relation
     (``overhead_store_vs_relation <= max_slowdown``).
@@ -383,7 +383,6 @@ def check_suite(
             if key in (
                 "speedup_safe",
                 "speedup_cache",
-                "speedup_columnar",
                 "speedup_replicas",
             ):
                 floor = 1.0 / max_slowdown

@@ -9,8 +9,6 @@ configuration axes —
 * ``backend`` (immutable relation vs. ``SegmentStore`` snapshot),
 * ``durability`` (WAL ``off`` / ``batch`` / fsync-per-``commit``),
 * ``cache`` (the serving layer's plan/result cache on vs. off),
-* ``columnar`` (tuple-at-a-time sweeps vs. the packed-column engine
-  with compiled valuation programs, DESIGN.md §15),
 
 and **asserts bit-identical results across every configuration before
 timing anything** — same facts, same intervals, same lineage, same
@@ -73,22 +71,19 @@ class Config:
     backend: str = "relation"  # "relation" | "store"
     durability: str = "off"  # "off" | "batch" | "commit"
     cache: bool = True  # serving result/plan cache on | off
-    columnar: bool = False  # packed-column sweeps + compiled valuation
     replicas: int = 0  # serving read-replica processes (0 = writer only)
 
     @property
     def label(self) -> str:
         """The stable key this config gets in ``BENCH_suite.json``.
 
-        ``cache``, ``columnar`` and ``replicas`` only mark the label when
-        they differ from the default, so every pre-existing label (and
-        the committed records keyed by them) stays byte-identical.
+        ``cache`` and ``replicas`` only mark the label when they differ
+        from the default, so every pre-existing label (and the committed
+        records keyed by them) stays byte-identical.
         """
         label = f"{self.optimize}-{self.workers}w-{self.backend}-{self.durability}"
         if not self.cache:
             label += "-nocache"
-        if self.columnar:
-            label += "-columnar"
         if self.replicas:
             label += f"-replicas{self.replicas}"
         return label
@@ -108,9 +103,6 @@ def configs_for(kind: str) -> list[Config]:
             for o in ("off", "safe")
             for w in (1, 2)
             for b in ("relation", "store")
-        ] + [
-            Config(columnar=True),
-            Config(optimize="safe", columnar=True),
         ]
     if kind == "delta-storm":
         return [
@@ -124,7 +116,7 @@ def configs_for(kind: str) -> list[Config]:
             for o in ("off", "safe")
             for w in (1, 2)
             for d in ("off", "batch")
-        ] + [Config(backend="store", columnar=True)]
+        ]
     if kind == "commit-stream":
         return [
             Config(backend="store", durability=d)
@@ -182,7 +174,6 @@ def _setup(scenario: Scenario, config: Config, data_dir: Optional[Path]) -> TPDa
     """
     db = TPDatabase(
         parallel=config.workers,
-        columnar=config.columnar,
         data_dir=data_dir,
         durability=config.durability if data_dir is not None else None,
     )
@@ -416,7 +407,6 @@ def _ratios(kind: str, timings: dict[str, dict]) -> dict[str, float]:
         base = _min("off-1w-relation-off")
         pairs["speedup_safe"] = (base, _min("safe-1w-relation-off"))
         pairs["speedup_parallel2"] = (base, _min("off-2w-relation-off"))
-        pairs["speedup_columnar"] = (base, _min("off-1w-relation-off-columnar"))
         pairs["overhead_store_vs_relation"] = (_min("off-1w-store-off"), base)
     elif kind == "delta-storm":
         base = _min("off-1w-store-off")
@@ -426,7 +416,6 @@ def _ratios(kind: str, timings: dict[str, dict]) -> dict[str, float]:
         base = _min("off-1w-store-off")
         pairs["speedup_safe"] = (base, _min("safe-1w-store-off"))
         pairs["speedup_parallel2"] = (base, _min("off-2w-store-off"))
-        pairs["speedup_columnar"] = (base, _min("off-1w-store-off-columnar"))
         pairs["overhead_batch_vs_off"] = (_min("off-1w-store-batch"), base)
     elif kind == "commit-stream":
         base = _min("off-1w-store-off")

@@ -17,7 +17,7 @@ from repro.core.lawa import LawaSweep
 from repro.core.sorting import sort_tuples
 from repro.core.setops import tp_intersect
 from repro.datasets import generate_pair
-from repro.exec.config import columnar_execution, parallel_execution
+from repro.exec.config import parallel_execution
 from repro.prob.valuation import clear_valuation_cache
 
 from tests.test_hot_path_budget import count_calls
@@ -40,8 +40,8 @@ def test_lawa_subquadratic_growth(op):
     def calls_per_row(n: int) -> float:
         r, s = generate_pair(n, seed=0)
         clear_valuation_cache()
-        # Pinned to the serial tuple path whatever the ambient CI leg is.
-        with parallel_execution(1), columnar_execution(False):
+        # Pinned to the serial path whatever the ambient CI leg is.
+        with parallel_execution(1):
             calls, out = count_calls(lambda: algorithm.compute(op, r, s))
         return sum(calls.values()) / len(out)
 
@@ -52,13 +52,12 @@ def test_lawa_subquadratic_growth(op):
     )
 
 
-@pytest.mark.parametrize("engine", ["LAWA", "LAWA-COL"])
 @pytest.mark.parametrize("op", ["union", "intersect", "except"])
-def test_columnar_vs_reference(benchmark, engine, op, synthetic_medium):
-    """The faithful object sweep vs the vectorized NumPy kernels."""
-    benchmark.group = f"ablation-columnar-{op}"
+def test_lawa_set_operation(benchmark, op, synthetic_medium):
+    """One full LAWA set operation over the medium synthetic pair."""
+    benchmark.group = f"ablation-lawa-{op}"
     r, s = synthetic_medium
-    algorithm = get_algorithm(engine)
+    algorithm = get_algorithm("LAWA")
     result = benchmark.pedantic(
         lambda: algorithm.compute(op, r, s), rounds=2, iterations=1
     )

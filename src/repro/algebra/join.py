@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..core.errors import SchemaMismatchError, UnsupportedOperationError
-from ..exec.config import active_config, columnar_enabled
+from ..exec.config import active_config
 from ..core.gtwindow import (
     LEFT,
     MatchWindow,
@@ -62,6 +62,7 @@ __all__ = [
     "join_layout",
     "join_layout_from_schemas",
     "join_group_rows",
+    "merge_fact_overlaps",
     "preserved_lineage",
     "tp_join",
     "tp_left_outer_join",
@@ -424,6 +425,15 @@ def _generalized_join(
     out = tuples_from_rows(rows, probs)
     out.extend(carried)
     _sort_output(out)
+    if policy.matches and (policy.preserve_left or policy.preserve_right):
+        merged = merge_fact_overlaps(out)
+        if merged is not out:
+            result = TPRelation._derived(
+                name, layout.out_schema, merged, events, assume_sorted=True
+            )
+            if materialize:
+                result = result.materialize_probabilities(options=options)
+            return result
     return TPRelation._derived(
         name, layout.out_schema, out, events, assume_sorted=True
     )
@@ -448,6 +458,58 @@ def _sort_output(out: list[TPTuple]) -> None:
         return (wrapped, interval.start, interval.end)
 
     out.sort(key=key)
+
+
+def merge_fact_overlaps(tuples: list[TPTuple]) -> list[TPTuple]:
+    """Collapse tuples of one fact that overlap in time (DESIGN.md §8.4).
+
+    An outer join's null-padded fact coincides with a matched fact, or
+    with the other side's padded fact, when the source tuple already
+    holds nulls in the padded positions — its operand is itself an
+    outer join.  Set semantics make them one fact (as in the
+    possible-worlds oracle): at each point it exists iff any of the
+    coinciding tuples does.  Each cluster of overlapping tuples is split
+    at its end points; a segment carries the disjunction of the
+    lineages valid there, and contiguous segments of the same lineage
+    are re-joined.  Merged tuples are lineage-only.
+
+    ``tuples`` is ordered by fact, then start (facts contiguous); the
+    same list is returned when no two tuples of a fact overlap.
+    """
+    out: Optional[list[TPTuple]] = None
+    i, n = 0, len(tuples)
+    while i < n:
+        t = tuples[i]
+        fact = t.fact
+        end = t.interval.end
+        j = i + 1
+        while j < n and tuples[j].fact == fact and tuples[j].interval.start < end:
+            end = max(end, tuples[j].interval.end)
+            j += 1
+        if j - i > 1:
+            if out is None:
+                out = tuples[:i]
+            out.extend(_merge_cluster(fact, tuples[i:j]))
+        elif out is not None:
+            out.append(t)
+        i = j
+    return tuples if out is None else out
+
+
+def _merge_cluster(fact: Fact, run: list[TPTuple]) -> list[TPTuple]:
+    run = sorted(run, key=lambda t: (t.interval.start, t.interval.end))
+    points = sorted({p for t in run for p in (t.interval.start, t.interval.end)})
+    segments: list[list] = []
+    for lo, hi in zip(points, points[1:]):
+        valid = [
+            t.lineage for t in run if t.interval.start <= lo and hi <= t.interval.end
+        ]
+        lam = valid[0] if len(valid) == 1 else lor(*valid)
+        if segments and segments[-1][2] is lam:
+            segments[-1][1] = hi
+        else:
+            segments.append([lo, hi, lam])
+    return tuples_from_rows((fact, lam, lo, hi) for lo, hi, lam in segments)
 
 
 def _sweep_rows(
@@ -503,14 +565,6 @@ def join_group_rows(
     dirty regions through: returned rows ``(fact, λ, winTs, winTe)`` are
     exactly what :func:`tp_join_operation` emits before materialization.
     """
-    if columnar_enabled():
-        # End-point-column sweep (DESIGN.md §15); None = time points
-        # outside int64, stay on the tuple sweep below.
-        from ..exec.block_kernels import columnar_join_group_rows
-
-        rows = columnar_join_group_rows(layout, policy, group_l, group_s)
-        if rows is not None:
-            return rows
     matched_fact = layout.matched_fact
     left_fact = layout.left_fact
     right_fact = layout.right_fact

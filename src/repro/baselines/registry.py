@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 from ..algebra.join import JOIN_KINDS, tp_join_operation
 from ..core.errors import UnsupportedOperationError
 from ..core.relation import TPRelation
-from .columnar_algorithm import ColumnarAlgorithm
 from .interface import ALL_OPERATIONS, OP_SYMBOLS, SetOpAlgorithm
 from .lawa_algorithm import LawaAlgorithm
 from .naive_join import naive_join_operation
@@ -55,7 +54,6 @@ def all_algorithms() -> list[SetOpAlgorithm]:
         OipAlgorithm(),
         TimelineIndexAlgorithm(),
         SweeplineAlgorithm(),
-        ColumnarAlgorithm(),
     ]
 
 

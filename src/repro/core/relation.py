@@ -72,7 +72,7 @@ class TPRelation:
 
     __slots__ = (
         "name", "schema", "_tuples", "events",
-        "_sorted_cache", "_in_fact_ts_order", "_block_cache", "_leading_index",
+        "_sorted_cache", "_in_fact_ts_order", "_leading_index",
         "__weakref__",
     )
 
@@ -108,7 +108,6 @@ class TPRelation:
         # Whether insertion order is the (F, Ts) order: declared here,
         # or discovered by the first sorted_tuples() call.
         self._in_fact_ts_order = assume_sorted
-        self._block_cache: Optional[object] = None
         # Leading value -> its tuples in insertion order; built by the
         # first selection the (F, Ts) order cannot answer.
         self._leading_index: Optional[dict[object, list[TPTuple]]] = None
@@ -276,19 +275,6 @@ class TPRelation:
                 self._in_fact_ts_order = all(map(is_, cache, self._tuples))
             self._sorted_cache = cache
         return cache
-
-    def columnar_block(self):
-        """The relation's tuples as a :class:`~repro.core.blocks
-        .ColumnarBlock` over the ``(F, Ts)`` order — computed once and
-        cached (relations are immutable), the column source of the
-        columnar sweep seams (DESIGN.md §15)."""
-        block = self._block_cache
-        if block is None:
-            from .blocks import ColumnarBlock
-
-            block = ColumnarBlock.from_tuples(self.sorted_tuples())
-            self._block_cache = block
-        return block
 
     def __getstate__(self) -> dict:
         # The caches are pure derived state — rebuilt lazily after

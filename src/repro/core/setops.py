@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..exec.config import active_config, columnar_enabled
+from ..exec.config import active_config
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
@@ -154,23 +154,6 @@ def _dispatch(
             rows = setop_sweep_rows(
                 r_sorted, s_sorted, _OPNAMES[opcode], config=config
             )
-        if rows is None and columnar_enabled():
-            # Columnar serial sweep over the relations' cached blocks
-            # (DESIGN.md §15); None = input outside the int64 domain,
-            # stay on the tuple kernel.
-            from ..exec.block_kernels import columnar_setop_rows
-
-            try:
-                cached = sort_strategy == "comparison"
-                rows = columnar_setop_rows(
-                    r_sorted,
-                    s_sorted,
-                    opcode,
-                    block_r=r.columnar_block() if cached else None,
-                    block_s=s.columnar_block() if cached else None,
-                )
-            except OverflowError:  # time points outside int64
-                rows = None
         if rows is None:
             rows = _fused_sweep(r_sorted, s_sorted, opcode)
     else:
@@ -392,12 +375,6 @@ def sweep_rows(
         opcode = _OPCODES[op]
     except KeyError as exc:
         raise UnsupportedOperationError(f"unknown TP set operation {op!r}") from exc
-    if columnar_enabled():
-        from ..exec.block_kernels import columnar_setop_rows
-
-        rows = columnar_setop_rows(tr, ts, opcode)
-        if rows is not None:
-            return rows
     return _fused_sweep(tr, ts, opcode)
 
 

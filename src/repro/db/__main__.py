@@ -16,10 +16,7 @@ before the query runs — the relation is converted to a mutable
 :class:`~repro.store.SegmentStore` and the batch applied as one
 transaction.  ``--parallel N`` executes the query (and any delta
 application) on an N-worker pool; results are bit-identical to serial
-execution (DESIGN.md §10).  ``--columnar`` runs the sweeps over packed
-integer columns with compiled valuation programs (DESIGN.md §15) —
-also bit-identical, usually faster on large relations.
-``--optimize {off,safe,aggressive}`` runs
+execution (DESIGN.md §10).  ``--optimize {off,safe,aggressive}`` runs
 the cost-based optimizer over the query (DESIGN.md §11); prefixing the
 query with ``EXPLAIN`` (or using ``--explain``) prints the chosen plan
 with estimated vs. actual row counts instead of the result table::
@@ -130,15 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are bit-identical to serial execution",
     )
     parser.add_argument(
-        "--columnar",
-        action="store_true",
-        default=None,
-        help="run sweeps over packed integer columns with compiled "
-        "valuation programs (default: the tuple path, or the "
-        "REPRO_COLUMNAR environment variable); results are bit-identical "
-        "to the tuple path",
-    )
-    parser.add_argument(
         "--data-dir",
         default=None,
         metavar="DIR",
@@ -190,7 +178,6 @@ def main(argv: list[str] | None = None) -> int:
 
     db = TPDatabase(
         parallel=args.parallel,
-        columnar=args.columnar,
         data_dir=args.data_dir,
         durability=args.durability,
     )

@@ -38,7 +38,7 @@ from ..core.errors import (
     UnsupportedOperationError,
 )
 from ..core.relation import TPRelation
-from ..exec.config import columnar_execution, parallel_execution, parse_workers
+from ..exec.config import parallel_execution, parse_workers
 from ..query.analysis import QueryAnalysis, analyze
 from ..query.ast import QueryNode, relation_references
 from ..query.cost import PlanChoice, choose_plan
@@ -108,14 +108,6 @@ class TPDatabase:
     the parallel engine with N workers.  Results are bit-identical
     either way.
 
-    ``columnar`` selects the columnar sweep engine (DESIGN.md §15) for
-    this database's queries, mutations and view refreshes: ``None``
-    inherits the ambient configuration (the ``REPRO_COLUMNAR``
-    environment variable), ``True`` sweeps packed integer columns and
-    valuates through compiled opcode programs, ``False`` forces the
-    tuple-at-a-time reference path.  Results are bit-identical either
-    way — facts, intervals, interned lineage identity and probabilities.
-
     ``data_dir`` turns on durability (DESIGN.md §12): every store-backed
     relation gets a subdirectory holding a checksummed write-ahead log
     plus periodic checkpoints, and opening a database on an existing
@@ -132,7 +124,6 @@ class TPDatabase:
         self,
         *,
         parallel: Optional[int] = None,
-        columnar: Optional[bool] = None,
         data_dir: Union[str, Path, None] = None,
         durability: Optional[str] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -140,7 +131,6 @@ class TPDatabase:
         if parallel is not None:
             parallel = parse_workers(str(parallel), source="parallel")
         self.parallel = parallel
-        self.columnar = columnar
         if durability is not None:
             durability = parse_durability(durability)
         if data_dir is None:
@@ -318,7 +308,7 @@ class TPDatabase:
         ``inserts`` rows are ``(*fact_values, ts, te, p)``; ``deletes``
         rows are ``(*fact_values, ts, te)``.  Eager views refresh before
         this returns."""
-        with parallel_execution(self.parallel), columnar_execution(self.columnar):
+        with parallel_execution(self.parallel):
             changeset = self.store(name).apply(inserts=inserts, deletes=deletes)
             persistence = self._persistence.get(name)
             if persistence is not None:
@@ -437,7 +427,7 @@ class TPDatabase:
     def refresh(self, name: Optional[str] = None) -> dict[str, bool]:
         """Refresh one view (or all); returns per-view "anything changed"."""
         views = [self.view(name)] if name is not None else self._views.values()
-        with parallel_execution(self.parallel), columnar_execution(self.columnar):
+        with parallel_execution(self.parallel):
             return {view.name: view.refresh() for view in views}
 
     def stats(self) -> dict:
@@ -569,13 +559,12 @@ class TPDatabase:
         level = resolve_level(optimize, aggressive)
         ast, _, _ = self._optimize(self._to_ast(text_or_ast), level, use_views)
         plan = plan_query(ast, algorithm=algorithm, join_algorithm=join_algorithm)
-        with columnar_execution(self.columnar):
-            return execute_plan(
-                plan,
-                _RuntimeCatalog(self),
-                materialize=materialize,
-                parallel=self.parallel,
-            )
+        return execute_plan(
+            plan,
+            _RuntimeCatalog(self),
+            materialize=materialize,
+            parallel=self.parallel,
+        )
 
     def _optimize(
         self, ast: QueryNode, level: str, use_views: bool
@@ -640,16 +629,15 @@ class TPDatabase:
         actuals: Optional[dict[tuple, int]] = None
         if analyze:
             counts: dict[tuple, int] = {}
-            with columnar_execution(self.columnar):
-                execute_plan(
-                    plan,
-                    _RuntimeCatalog(self),
-                    materialize=False,
-                    parallel=self.parallel,
-                    observe=lambda path, _node, result: counts.__setitem__(
-                        path, len(result)
-                    ),
-                )
+            execute_plan(
+                plan,
+                _RuntimeCatalog(self),
+                materialize=False,
+                parallel=self.parallel,
+                observe=lambda path, _node, result: counts.__setitem__(
+                    path, len(result)
+                ),
+            )
             actuals = counts
         return render_explain(
             lowered,

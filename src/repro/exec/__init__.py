@@ -19,29 +19,21 @@ from typing import Any
 from .config import (
     ParallelConfig,
     active_config,
-    columnar_enabled,
-    columnar_execution,
     config_from_env,
     parallel_execution,
-    parse_columnar,
     parse_workers,
-    set_columnar,
     set_parallel,
 )
 
 __all__ = [
     "ParallelConfig",
     "active_config",
-    "columnar_enabled",
-    "columnar_execution",
     "config_from_env",
     "group_rows_many",
     "join_sweep_rows",
     "parallel_execution",
     "parallel_probability_values",
-    "parse_columnar",
     "parse_workers",
-    "set_columnar",
     "set_parallel",
     "setop_sweep_rows",
     "shutdown_pools",

@@ -20,15 +20,6 @@ change a result, only its wall-clock time.
 Worker processes force themselves serial (:func:`mark_worker`): nested
 parallelism would oversubscribe the pool and can deadlock the
 fork-based start method.
-
-This module also owns the **columnar** knob (``REPRO_COLUMNAR``): a
-boolean selecting the packed-array data layout for the serial sweep
-kernels and the compiled valuation program (DESIGN.md §15).  Like the
-worker count it can be set by environment variable, programmatically
-(:func:`set_columnar` / :func:`columnar_execution`, which is what
-``TPDatabase(columnar=True)`` wraps its work in), and it is
-bit-identical to the tuple path by construction — the tuple path stays
-the reference oracle (``tests/test_columnar_differential.py``).
 """
 
 from __future__ import annotations
@@ -42,15 +33,11 @@ __all__ = [
     "ParallelConfig",
     "SERIAL",
     "active_config",
-    "columnar_enabled",
-    "columnar_execution",
     "config_from_env",
     "estimated_speedup",
     "mark_worker",
     "parallel_execution",
-    "parse_columnar",
     "parse_workers",
-    "set_columnar",
     "set_parallel",
 ]
 
@@ -58,8 +45,6 @@ __all__ = [
 ENV_WORKERS = "REPRO_PARALLEL"
 ENV_MIN_TUPLES = "REPRO_PARALLEL_MIN_TUPLES"
 ENV_MIN_FORMULAS = "REPRO_PARALLEL_MIN_FORMULAS"
-#: Environment variable consulted by :func:`columnar_enabled`.
-ENV_COLUMNAR = "REPRO_COLUMNAR"
 
 
 @dataclass(frozen=True)
@@ -231,73 +216,3 @@ def parallel_execution(
         yield override
     finally:
         _ACTIVE = previous
-
-
-# ---------------------------------------------------------------------------
-# The columnar knob (REPRO_COLUMNAR, DESIGN.md §15)
-# ---------------------------------------------------------------------------
-
-_TRUTHY = frozenset({"1", "true", "on", "yes"})
-_FALSY = frozenset({"0", "false", "off", "no", ""})
-
-# Resolved lazily, like _ACTIVE: importing repro never fails on a
-# malformed environment; the first columnar-capable call does.
-_COLUMNAR: Optional[bool] = None
-_COLUMNAR_RESOLVED = False
-
-
-def parse_columnar(text: str, *, source: str = ENV_COLUMNAR) -> bool:
-    """Parse a columnar on/off switch (1/true/on/yes vs 0/false/off/no)."""
-    lowered = text.strip().lower()
-    if lowered in _TRUTHY:
-        return True
-    if lowered in _FALSY:
-        return False
-    raise ValueError(
-        f"{source} must be one of 1/true/on/yes or 0/false/off/no, got {text!r}"
-    )
-
-
-def columnar_enabled() -> bool:
-    """Whether the serial sweep/valuation seams use the columnar layout.
-
-    Worker processes always answer ``False``: the pool workers run the
-    scalar wire-row kernels (DESIGN.md §10), and the parent decodes their
-    index codes identically either way, so the knob only selects the
-    layout of the *serial* hot path.
-    """
-    global _COLUMNAR, _COLUMNAR_RESOLVED
-    if _IN_WORKER:
-        return False
-    if not _COLUMNAR_RESOLVED:
-        text = os.environ.get(ENV_COLUMNAR)
-        _COLUMNAR = parse_columnar(text) if text is not None else False
-        _COLUMNAR_RESOLVED = True
-    return bool(_COLUMNAR)
-
-
-def set_columnar(enabled: Optional[bool]) -> None:
-    """Set the columnar knob (``None`` = fall back to the environment)."""
-    global _COLUMNAR, _COLUMNAR_RESOLVED
-    if enabled is None:
-        _COLUMNAR = None
-        _COLUMNAR_RESOLVED = False
-    else:
-        _COLUMNAR = bool(enabled)
-        _COLUMNAR_RESOLVED = True
-
-
-@contextmanager
-def columnar_execution(enabled: Optional[bool]) -> Iterator[bool]:
-    """Run a block with the columnar knob pinned (``None`` = no-op)."""
-    global _COLUMNAR, _COLUMNAR_RESOLVED
-    if enabled is None:
-        yield columnar_enabled()
-        return
-    previous = (_COLUMNAR, _COLUMNAR_RESOLVED)
-    _COLUMNAR = bool(enabled)
-    _COLUMNAR_RESOLVED = True
-    try:
-        yield bool(enabled)
-    finally:
-        _COLUMNAR, _COLUMNAR_RESOLVED = previous

@@ -24,12 +24,6 @@ so decoding reproduces the identical (already-normalized) structure —
 no smart-constructor re-normalization is involved, and
 ``decode_batch(encode_batch(fs))`` returns formulas that are
 `is`-identical to ``fs`` within one process.
-
-The dependency ordering (children strictly before parents) makes the
-node table double as an *instruction stream*: the columnar engine
-compiles it directly into flat valuation programs
-(:mod:`repro.prob.program`) and into the lineage columns of
-:class:`~repro.core.blocks.ColumnarBlock` wire forms (DESIGN.md §15).
 """
 
 from __future__ import annotations

@@ -47,12 +47,6 @@ until only its own entries are left and then not again, so its cost per
 row does not depend on its size; the bucket exceeds the bound by that
 batch's distinct formulas until the next batch trims it.  The cache can
 be switched off per call via ``ProbabilityOptions(cache=False)``.
-
-With the columnar knob on (``REPRO_COLUMNAR``, DESIGN.md §15),
-:func:`probability_batch` valuates each batch's distinct uncached 1OF
-formulas through a compiled flat opcode program
-(:mod:`repro.prob.program`) instead of per-formula tree recursion —
-bit-identical values, identical memo contents and hit/miss counters.
 """
 
 from __future__ import annotations
@@ -64,7 +58,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional
 
 from ..exec.config import active_config as _active_parallel_config
-from ..exec.config import columnar_enabled as _columnar_enabled
 from ..lineage.formula import Lineage, Var
 from .bdd import probability_bdd
 from .exact_1of import _missing_variable, probability_1of
@@ -584,15 +577,6 @@ def probability_batch(
         # been serially).
         lineages = lineages if isinstance(lineages, list) else list(lineages)
         warmed = _parallel_warm(lineages, bucket, probabilities, opts, parallel)
-    programmed: dict[Lineage, float] = {}
-    if _columnar_enabled():
-        # Compiled valuation (DESIGN.md §15): valuate the batch's
-        # distinct uncached 1OF formulas in one flat opcode pass; the
-        # loop below consumes the values exactly where it would have
-        # called the tree recursion, so memo contents and counters are
-        # unchanged.
-        lineages = lineages if isinstance(lineages, list) else list(lineages)
-        programmed = _program_values(lineages, bucket, probabilities)
     bucket_get = bucket.get
     limit = opts.cache_max_entries
     misses = hits = 0
@@ -627,12 +611,7 @@ def probability_batch(
                     raise _missing_variable(formula.name) from exc
                 deterministic = True
             elif formula.is_1of:
-                if programmed:
-                    value = programmed.pop(formula, _MISS)
-                    if value is _MISS:
-                        value = _prob_1of(formula, probabilities)
-                else:
-                    value = _prob_1of(formula, probabilities)
+                value = _prob_1of(formula, probabilities)
                 deterministic = True
             else:
                 value, deterministic = _compute_auto(formula, probabilities, opts)
@@ -647,33 +626,3 @@ def probability_batch(
     _MEMO_HITS += hits
     _MEMO_MISSES += misses
     return out
-
-
-def _program_values(
-    formulas: list,
-    bucket: dict,
-    probabilities: Mapping[str, float],
-) -> dict[Lineage, float]:
-    """Compile and run the batch's distinct uncached 1OF formulas.
-
-    Returns ``{}`` (stay on tree recursion) when the batch has no such
-    formulas or contains non-codec nodes (``Top``/``Bottom``).
-    """
-    bucket_get = bucket.get
-    distinct: list[Lineage] = []
-    seen: set[Lineage] = set()
-    for formula in formulas:
-        if type(formula) is Var or formula in seen:
-            continue
-        seen.add(formula)
-        if formula.is_1of and bucket_get(formula, _MISS) is _MISS:
-            distinct.append(formula)
-    if not distinct:
-        return {}
-    from .program import ValuationProgram
-
-    try:
-        program = ValuationProgram(distinct)
-    except TypeError:
-        return {}
-    return dict(zip(distinct, program.evaluate(probabilities)))

@@ -130,14 +130,13 @@ class _FactGroup:
     index bisected to locate the segment owning a time point.
     """
 
-    __slots__ = ("segments", "bounds", "capacity", "_flat", "_block")
+    __slots__ = ("segments", "bounds", "capacity", "_flat")
 
     def __init__(self, capacity: int) -> None:
         self.segments: list[list[TPTuple]] = []
         self.bounds: list[int] = []
         self.capacity = capacity
         self._flat: Optional[list[TPTuple]] = None
-        self._block: Optional[object] = None
 
     # -- reads ---------------------------------------------------------
     def tuples(self) -> list[TPTuple]:
@@ -149,22 +148,6 @@ class _FactGroup:
                 flat = [t for segment in self.segments for t in segment]
             self._flat = flat
         return flat
-
-    def block(self) -> object:
-        """The group's tuples as a :class:`~repro.core.blocks.ColumnarBlock`.
-
-        Cached alongside the flat view and invalidated by the same
-        mutations, so a read-mostly columnar workload packs each fact
-        group once per write.  Raises ``OverflowError`` when an interval
-        endpoint falls outside int64 (callers fall back to tuples).
-        """
-        block = self._block
-        if block is None:
-            from ..core.blocks import ColumnarBlock
-
-            block = ColumnarBlock.from_tuples(self.tuples())
-            self._block = block
-        return block
 
     def __len__(self) -> int:
         return sum(len(segment) for segment in self.segments)
@@ -235,7 +218,6 @@ class _FactGroup:
     # -- writes --------------------------------------------------------
     def insert(self, t: TPTuple) -> None:
         self._flat = None
-        self._block = None
         if not self.segments:
             self.segments.append([t])
             self.bounds.append(t.interval.start)
@@ -252,7 +234,6 @@ class _FactGroup:
 
     def remove(self, t: TPTuple) -> None:
         self._flat = None
-        self._block = None
         start = t.interval.start
         si = self._locate(start)
         segment = self.segments[si]
@@ -643,23 +624,6 @@ class SegmentStore:
         """``[lo, hi)`` grown until none of the fact's tuples crosses an end."""
         group = self._groups.get(fact)
         return group.widen(lo, hi) if group is not None else (lo, hi)
-
-    def block_of(self, fact: Fact) -> Optional[object]:
-        """The fact's tuples as a packed columnar block (DESIGN.md §15).
-
-        Cached per fact group and invalidated by any mutation touching
-        the group, exactly like :meth:`tuples_of`'s flat list.  Returns
-        ``None`` when the fact is not stored or when an interval
-        endpoint falls outside the block's int64 time domain — callers
-        treat ``None`` as "use the tuple path".
-        """
-        group = self._groups.get(fact)
-        if group is None:
-            return None
-        try:
-            return group.block()
-        except OverflowError:
-            return None
 
     def iter_sorted(self) -> Iterator[TPTuple]:
         """All tuples in ``(F, Ts)`` order, lazily, segment by segment.

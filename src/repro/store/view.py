@@ -44,6 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ..algebra.join import (
     JoinLayout,
     join_layout_from_schemas,
+    merge_fact_overlaps,
     tp_join_operation,
 )
 from ..core.errors import UnsupportedOperationError
@@ -420,9 +421,8 @@ class _JoinNode(_CachedNode):
                 by_fact.setdefault(t.fact, []).append(t)
             if by_fact:
                 self._out_facts[key] = set(by_fact)
-                for fact, tuples in by_fact.items():
-                    tuples.sort(key=_interval_start)
-                    self.cache[fact] = tuples
+                self._sort_runs(by_fact)
+                self.cache.update(by_fact)
 
     def _left_key(self, fact: Fact) -> tuple:
         return tuple(fact[i] for i in self.layout.r_key_idx)
@@ -523,6 +523,17 @@ class _JoinNode(_CachedNode):
         out.extend(carried)
         return out
 
+    def _sort_runs(self, by_fact: dict[Fact, list[TPTuple]]) -> None:
+        """Order each fact's run by start and, for the outer joins,
+        collapse coinciding facts as the batch driver does
+        (:func:`repro.algebra.join.merge_fact_overlaps`)."""
+        policy = self.policy
+        merges = policy.matches and (policy.preserve_left or policy.preserve_right)
+        for fact, run in by_fact.items():
+            run.sort(key=_interval_start)
+            if merges:
+                by_fact[fact] = merge_fact_overlaps(run)
+
     def pull(self) -> list[Region]:
         dirty: dict[tuple, list[list[int]]] = {}
         for child, key_of, index in (
@@ -578,8 +589,7 @@ class _JoinNode(_CachedNode):
                 bucket: dict[Fact, list[TPTuple]] = {}
                 for t in self._assemble(carried, kind, next(swept) if kind else []):
                     bucket.setdefault(t.fact, []).append(t)
-                for run in bucket.values():
-                    run.sort(key=_interval_start)
+                self._sort_runs(bucket)
                 buckets.append(bucket)
             out_index = self._out_facts.setdefault(key, set())
             affected = set(out_index)

@@ -16,7 +16,6 @@ from repro.baselines import (
     TimelineIndexAlgorithm,
     TpdbAlgorithm,
 )
-from repro.baselines.columnar_algorithm import ColumnarAlgorithm
 from repro.semantics import (
     check_change_preservation,
     check_duplicate_free,
@@ -36,7 +35,6 @@ ALGORITHMS = {
     "OIP": OipAlgorithm,
     "TI": TimelineIndexAlgorithm,
     "SWEEP": SweeplineAlgorithm,
-    "LAWA-COL": ColumnarAlgorithm,
 }
 
 SUPPORTED = [

@@ -31,7 +31,6 @@ FLAG = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 #: the PR-8 serving CLI and the PR-10 replica tier).
 REQUIRED_IN_README = {
     "--parallel",
-    "--columnar",
     "--optimize",
     "--explain",
     "--data-dir",
@@ -68,7 +67,6 @@ def test_front_door_documents_exist():
     design = DESIGN.read_text()
     assert "## §13" in design, "DESIGN.md must cover the suite (§13)"
     assert "## §14" in design, "DESIGN.md must cover the query service (§14)"
-    assert "## §15" in design, "DESIGN.md must cover the columnar engine (§15)"
     assert "## §16" in design, "DESIGN.md must cover the read-replica tier (§16)"
 
 

@@ -38,7 +38,7 @@ import pytest
 from repro import TPRelation
 from repro.core.setops import tp_except, tp_union
 from repro.db import TPDatabase
-from repro.exec.config import columnar_execution, parallel_execution
+from repro.exec.config import parallel_execution
 from repro.prob.valuation import (
     ProbabilityOptions,
     clear_valuation_cache,
@@ -109,7 +109,7 @@ def count_calls(run) -> tuple[Counter, object]:
 
 def test_calls_per_output_row_stay_under_the_ceiling():
     # Pinned to the serial tuple path whatever the ambient CI leg is.
-    db = TPDatabase(parallel=1, columnar=False)
+    db = TPDatabase(parallel=1)
     db.create_relation("a", ("k",), seeded_rows(1))
     db.create_relation("b", ("k",), seeded_rows(2))
     clear_valuation_cache()
@@ -143,7 +143,7 @@ def test_allocations_per_output_row_stay_under_the_ceiling():
     """Half of a large scan used to be the cyclic collector: what a read
     allocates is budgeted like what it calls.  Both readings are deltas
     of the interpreter's own counters and repeat exactly."""
-    db = TPDatabase(parallel=1, columnar=False)
+    db = TPDatabase(parallel=1)
     db.create_relation("a", ("k",), seeded_rows(1))
     db.create_relation("b", ("k",), seeded_rows(2))
     clear_valuation_cache()
@@ -194,7 +194,7 @@ def _calls_per_transaction(per_group: int, facts: int = 8) -> tuple[float, Count
     fact's frontier, 30 % uniform deletes), alternating between two
     stores of ``facts`` × ``per_group`` tuples."""
     rng = random.Random(5)
-    db = TPDatabase(parallel=1, columnar=False)
+    db = TPDatabase(parallel=1)
     live: dict[str, list] = {}
     frontier: dict[tuple, int] = {}
     for name in ("r1", "r2"):
@@ -265,7 +265,7 @@ def _per_keyed_read(per_group: int, facts: int = 8) -> tuple[float, float, int]:
     after a commit changed them.  The selected key ``k00`` holds the
     same 250 tuples per store whatever ``per_group`` the other seven
     keys hold, and the commits touch only ``k01``."""
-    db = TPDatabase(parallel=1, columnar=False)
+    db = TPDatabase(parallel=1)
     for name, seed in (("r1", 1), ("r2", 2)):
         rows = []
         for k in range(facts):
@@ -354,7 +354,7 @@ def test_calls_per_row_do_not_grow_once_a_batch_outgrows_the_memo(operation):
         r, s = _pair(n)
         clear_valuation_cache()
         # Pinned to the serial tuple path whatever the ambient CI leg is.
-        with parallel_execution(1), columnar_execution(False):
+        with parallel_execution(1):
             calls, out = count_calls(lambda: operation(r, s, options=options))
         assert len(out) > 3 * SMALL_CAP  # the batch really outgrows the cap
         return sum(calls.values()) / len(out), calls[("py", "_evict_entries")]
@@ -375,7 +375,7 @@ def test_the_memo_stays_bounded_across_batches_that_overfill_it():
     r, s = _pair(2000)
     clear_valuation_cache()
     results = []
-    with parallel_execution(1), columnar_execution(False):
+    with parallel_execution(1):
         for operation in (tp_union, tp_except, tp_union, tp_except):
             out = operation(r, s, options=options)
             distinct = len({t.lineage for t in out})
@@ -403,7 +403,7 @@ HIT_CALLS_CEILING = 175
 
 
 def _hit_calls(n: int, keys: int) -> tuple[int, int]:
-    db = TPDatabase(parallel=1, columnar=False)
+    db = TPDatabase(parallel=1)
     db.create_relation("a", ("k",), seeded_rows(1, n=n, keys=keys))
     db.create_relation("b", ("k",), seeded_rows(2, n=n, keys=keys))
     service = QueryService(db)
@@ -435,7 +435,7 @@ def test_a_served_query_after_a_commit_does_not_rescan_for_statistics(monkeypatc
     import repro.query.stats
     import repro.store.stats
 
-    db = TPDatabase(parallel=1, columnar=False)
+    db = TPDatabase(parallel=1)
     db.create_relation("a", ("k",), seeded_rows(1, n=400, keys=8))
     db.create_relation("b", ("k",), seeded_rows(2, n=400, keys=8))
     service = QueryService(db)

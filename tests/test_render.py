@@ -1,78 +1,16 @@
-"""Tests for the columnar (NumPy) fast path and the ASCII renderers."""
+"""Tests for the ASCII renderers (timelines and LAWA windows)."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
 
 from repro import (
     TPRelation,
-    UnsupportedOperationError,
     lawa_windows,
     render_timeline,
     render_windows,
-    tp_except,
-    tp_intersect,
-    tp_union,
-)
-from repro.core.columnar import (
-    columnar_except,
-    columnar_intersect,
-    columnar_set_operation,
-    columnar_union,
 )
 from repro.core.sorting import sort_tuples
-
-from .strategies import tp_relation_pair
-
-PAIRS = (
-    (columnar_union, tp_union),
-    (columnar_intersect, tp_intersect),
-    (columnar_except, tp_except),
-)
-
-
-class TestColumnarEquivalence:
-    def test_paper_example(self, rel_a, rel_c):
-        for columnar, reference in PAIRS:
-            assert columnar(rel_a, rel_c).equivalent_to(reference(rel_a, rel_c))
-
-    @settings(max_examples=50, deadline=None)
-    @given(pair=tp_relation_pair())
-    def test_random_relations(self, pair):
-        r, s = pair
-        for columnar, reference in PAIRS:
-            expected = reference(r, s)
-            actual = columnar(r, s)
-            assert actual.equivalent_to(expected), (
-                f"{columnar.__name__}:\nexpected:\n{expected.to_table()}\n"
-                f"actual:\n{actual.to_table()}"
-            )
-
-    @settings(max_examples=30, deadline=None)
-    @given(pair=tp_relation_pair(max_facts=3, max_intervals=4))
-    def test_unmaterialized_matches(self, pair):
-        r, s = pair
-        for columnar, reference in PAIRS:
-            assert columnar(r, s, materialize=False).contents() == reference(
-                r, s, materialize=False
-            ).contents()
-
-    def test_dispatch(self, rel_a, rel_c):
-        assert columnar_set_operation("union", rel_a, rel_c).equivalent_to(
-            tp_union(rel_a, rel_c)
-        )
-
-    def test_dispatch_unknown(self, rel_a, rel_c):
-        with pytest.raises(UnsupportedOperationError):
-            columnar_set_operation("xor", rel_a, rel_c)
-
-    def test_large_synthetic_spotcheck(self):
-        from repro.datasets import generate_pair
-
-        r, s = generate_pair(3000, n_facts=7, seed=3)
-        for columnar, reference in PAIRS:
-            assert columnar(r, s).equivalent_to(reference(r, s))
 
 
 class TestRenderTimeline:

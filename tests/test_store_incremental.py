@@ -231,12 +231,17 @@ def test_nested_query_view(pair, script):
 #: Operators over operators, over two-attribute schemas — a join key
 #: holds several facts, null-padded facts flow into a set operation, a
 #: selection sits above a join — the shapes whose range reads go through
-#: an operator node's cache instead of a store.
+#: an operator node's cache instead of a store.  The last three join an
+#: outer-join output naturally on (k, a), so padded facts coincide and
+#: the maintained runs must collapse exactly as the batch join does.
 NESTED_QUERIES = (
     "(r - s) JOIN t ON k",
     "(r | s) JOIN (t - u) ON k",
     "(r FULL OUTER JOIN t ON k) - (r JOIN t ON k)",
     "(r JOIN t ON k)[k='k1']",
+    "(r LEFT OUTER JOIN t ON k) RIGHT OUTER JOIN s",
+    "s LEFT OUTER JOIN (r LEFT OUTER JOIN t ON k)",
+    "(r LEFT OUTER JOIN t ON k) FULL OUTER JOIN s",
 )
 NESTED_SCHEMAS = {
     "r": (("k", "a"), ["a1", "a2"]),

@@ -19,6 +19,7 @@ from repro.query.parser import parse_query
 from repro.serve import QueryService
 from repro.store import REFRESH_POLICIES, MaterializedView, SegmentStore
 from tests.strategies import JOIN_KEY_POOL, tp_join_relation
+from tests.test_join_generalized import NULL_PADDED_CATALOG, NULL_PADDED_SHAPES
 
 
 @pytest.fixture
@@ -71,6 +72,28 @@ class TestViewCorrectness:
         db.delete("c", [("chips", 4, 5)])
         direct = db.query("c LEFT OUTER JOIN prices ON product", use_views=False)
         assert view.relation().equivalent_to(direct)
+
+    @pytest.mark.parametrize("strategy", ["INCREMENTAL", "RECOMPUTE"])
+    @pytest.mark.parametrize("shape", sorted(NULL_PADDED_SHAPES))
+    def test_view_over_null_padded_outer_join(self, shape, strategy):
+        # The inner outer join pads with None; the outer join above it
+        # then produces the same padded fact from two sources, and the
+        # coinciding runs must collapse as in the batch join.
+        query = NULL_PADDED_SHAPES[shape]
+        database = TPDatabase()
+        for relation in NULL_PADDED_CATALOG.values():
+            database.register(relation)
+        view = database.create_view("v", query, strategy=strategy)
+        database.insert("p", [("k1", "a1", 7, 9, 0.3)])
+        database.insert("q", [("k1", "a1", 6, 8, 0.6)])
+        database.insert("f", [("k1", "c1", 7, 8, 0.5)])
+        database.delete("e", [("k1", "b1", 1, 3)])
+        direct = database.query(query, use_views=False)
+        assert view.relation().equivalent_to(direct)
+        ordered = sorted(view.relation(), key=null_safe_key)
+        for prev, curr in zip(ordered, ordered[1:]):
+            if prev.fact == curr.fact:
+                assert curr.start >= prev.end, "view not duplicate-free"
 
 
 class TestRefreshPolicies:
@@ -310,7 +333,7 @@ class TestMaintenanceCounters:
     def _reswept_per_refresh(per_group: int) -> float:
         """Ten two-row transactions at the frontier of one fact group
         that holds ``per_group`` untouched tuples on either side."""
-        db = TPDatabase(parallel=1, columnar=False)
+        db = TPDatabase(parallel=1)
         for name in ("r", "s"):
             rows = [("k", 3 * i, 3 * i + 2, 0.5) for i in range(per_group)]
             db.create_relation(name, ("k",), rows)
@@ -479,7 +502,7 @@ class TestKeyedReads:
     @settings(max_examples=25)
     def test_keyed_read_equals_select_over_the_whole_relation(self, scenario):
         relations, views, steps = scenario
-        db = TPDatabase(parallel=1, columnar=False)
+        db = TPDatabase(parallel=1)
         for relation in relations.values():
             db.register(relation)
         for name, text in KEYED_VIEWS.items():
