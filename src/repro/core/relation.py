@@ -16,8 +16,9 @@ relations *derived* from relations (selections, renames, operator
 results) share their parent's map or the operands' cached merged map by
 reference — a served result costs its rows, not its operands' events
 (DESIGN.md §5).  A relation read out of a *live* structure — a keyed read
-of a view's fact groups (:meth:`TPRelation.restricted`) — holds a fresh
-map restricted to the variables its tuples reference.
+of a view's fact groups (:meth:`TPRelation.restricted`) — and a result
+kept in the serving cache (:meth:`TPRelation.with_own_events`) hold a
+fresh map restricted to the variables their tuples reference.
 
 Sortedness propagation (DESIGN.md §6): a relation remembers whether its
 tuples are already in the ``(F, Ts)`` order the sweep algorithms require.
@@ -55,6 +56,14 @@ def _leading_value(t: TPTuple) -> object:
 
 
 _lineage_of = attrgetter("lineage")
+
+
+def _own_events(
+    tuples: Sequence[TPTuple], events: Mapping[str, float]
+) -> EventMap:
+    """A new map of the variables ``tuples`` reference, read from ``events``."""
+    names = referenced_variables(map(_lineage_of, tuples))
+    return EventMap({var: events[var] for var in names})
 
 
 def selection_name(name: str, equalities: Mapping[str, object]) -> str:
@@ -152,9 +161,24 @@ class TPRelation:
         §5).  Unvalidated: the source is duplicate-free by construction.
         """
         tuples = tuple(tuples)
-        names = referenced_variables(map(_lineage_of, tuples))
-        events = EventMap({var: live_events[var] for var in names})
-        return cls._derived(name, schema, tuples, events, assume_sorted=True)
+        return cls._derived(
+            name, schema, tuples, _own_events(tuples, live_events),
+            assume_sorted=True,
+        )
+
+    def with_own_events(self) -> "TPRelation":
+        """This relation under a fresh event map holding exactly the
+        variables its tuples reference — what a result kept past the
+        epoch it was computed at carries, instead of pinning its
+        operands' whole (merged) map (DESIGN.md §14.2).  Sortedness and
+        the sort cache carry over."""
+        relation = TPRelation._derived(
+            self.name, self.schema, self._tuples,
+            _own_events(self._tuples, self.events),
+            assume_sorted=self._in_fact_ts_order,
+        )
+        relation._sorted_cache = self._sorted_cache
+        return relation
 
     @classmethod
     def from_rows(

@@ -39,10 +39,12 @@ class CachedResult:
     result only ever read in-process never pays for it.
     """
 
-    __slots__ = ("relation", "_fragment")
+    __slots__ = ("relation", "epochs", "_fragment")
 
-    def __init__(self, relation: TPRelation) -> None:
+    def __init__(self, relation: TPRelation, epochs: tuple = ()) -> None:
         self.relation = relation
+        #: The wire epoch signature of the session that computed it.
+        self.epochs = epochs
         self._fragment: Optional[bytes] = None
 
     def fragment(self) -> bytes:

@@ -243,7 +243,7 @@ class _ReplicaState:
                 # Raises SnapshotUnavailableError when the pinned epoch
                 # predates this replica's seed — the writer answers then.
                 catalog[name] = store.snapshot(part[2])
-            else:  # ("const", name)
+            else:  # ("const", name, incarnation)
                 relation = self.consts.get(name)
                 if relation is None:
                     raise KeyError(f"replica has no relation named {name!r}")
@@ -252,17 +252,20 @@ class _ReplicaState:
         key_base = canonical_key(ast)
         epoch_key = tuple(part for _, part in parts)
         result_key = (key_base, level, self.workers, epoch_key)
+        # Replies show each part without its incarnation token, as the
+        # writer's do (serve/session.py).
+        wire_key = tuple(part[:-1] for part in epoch_key)
         # The writer's entry type: the reply ships the encoded fragment,
         # which the parent splices into the wire line untouched.
         cached = self.results.get(result_key)
         if cached is not None:
-            return ("ok", True, epoch_key, cached.fragment())
+            return ("ok", True, wire_key, cached.fragment())
         plan = self._plan(ast, level, key_base, epoch_key, catalog)
         result = CachedResult(
             execute_plan(plan, catalog, materialize=True, parallel=self.workers)
         )
         self.results.put(result_key, result)
-        return ("ok", False, epoch_key, result.fragment())
+        return ("ok", False, wire_key, result.fragment())
 
     def _plan(
         self,

@@ -15,8 +15,12 @@ any I/O so tests and benchmarks can drive it in-process:
   *result cache* additionally keys on the session's epoch signature
   restricted to the query's referenced names — a commit changes the
   signature, so stale results can never be served, and a sweep retires
-  entries once no live session pins their epochs.  An entry is the
-  relation plus its wire encoding, rendered once (:class:`CachedResult`).
+  entries once no live session pins their epochs.  A store the plan
+  reads only through σ on its leading attribute is keyed on the versions
+  of the fact groups selected instead of on its epoch, so a commit to
+  other keys leaves the entry hot.  An entry is the relation, under an
+  event map of its own variables, plus its wire encoding, rendered once
+  (:class:`CachedResult`).
 - **Statistics** are pinned with the snapshot: each store's
   incrementally maintained summary (``db.stats_of``) is captured at pin
   time, so planning after a commit costs the change set, not a rescan.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -48,13 +53,96 @@ from ..query.explain import render_explain
 from ..query.fingerprint import canonical_key
 from ..query.optimize import resolve_level
 from ..query.parser import parse_query, strip_explain_prefix
-from ..query.planner import plan_query
+from ..query.planner import (
+    MultiSetOpPlan,
+    PhysicalPlan,
+    ScanPlan,
+    SelectPlan,
+    plan_query,
+)
 from ..query.stats import RelationStats, relation_stats
-from ..store import ChangeSet
+from ..store import ChangeSet, SegmentStore
 from .cache import CachedResult, LRUCache
 from .session import EpochPart, Session
 
 __all__ = ["QueryResponse", "QueryService"]
+
+#: Name → ``(attribute, values)``: what a plan reads of that relation.
+Footprint = dict[str, tuple[str, tuple]]
+
+
+def _footprint(plan: PhysicalPlan) -> Footprint:
+    """The relations ``plan`` reads only through a selection.
+
+    A name maps to ``(attribute, values)`` when every scan of it sits
+    directly under σ[attribute=value] on one attribute: the result then
+    depends only on that relation's rows with those values.  A name
+    scanned any other way — bare, under selections on two attributes, or
+    with an unhashable value — is absent: the whole relation is read.
+    """
+    reads: dict[str, Optional[dict]] = {}
+    attributes: dict[str, str] = {}
+    stack: list[tuple[PhysicalPlan, Optional[SelectPlan]]] = [(plan, None)]
+    while stack:
+        node, above = stack.pop()
+        if isinstance(node, ScanPlan):
+            name = node.relation
+            values = reads.setdefault(name, {})
+            if values is None:
+                continue
+            if (
+                above is None
+                or attributes.setdefault(name, above.attribute) != above.attribute
+            ):
+                reads[name] = None
+                continue
+            try:
+                values[above.value] = None
+            except TypeError:
+                reads[name] = None
+        elif isinstance(node, SelectPlan):
+            stack.append((node.child, node))
+        elif isinstance(node, MultiSetOpPlan):
+            stack.extend((child, None) for child in node.children)
+        else:
+            stack += [(node.left, None), (node.right, None)]
+    return {
+        name: (attributes[name], tuple(values))
+        for name, values in reads.items()
+        if values is not None
+    }
+
+
+def _keyed(session: Session, part: EpochPart, reads: Optional[tuple]) -> EpochPart:
+    """``part`` as the versions of the fact groups a result reads.
+
+    Only a store read through σ on its leading attribute qualifies, and
+    only while every selected value's last change is no later than the
+    epoch the session pinned: the pinned groups are then the ones at that
+    version.  Anything else keeps the whole-store part.
+    """
+    if reads is None or part[0] != "store":
+        return part
+    name, epoch = part[1], part[2]
+    store = session.stores[name]
+    attribute, values = reads
+    if store.schema.attributes[:1] != (attribute,):
+        return part
+    versions = []
+    for value in values:
+        changed = store.changed_at(value)
+        if changed > epoch:
+            return part
+        versions.append((value, changed))
+    return ("keyed", name, part[3], tuple(versions))
+
+
+def _older(born: tuple[EpochPart, ...], pinned: tuple[EpochPart, ...]) -> bool:
+    """Whether a store in ``born`` (wire parts) is at an earlier epoch
+    than in ``pinned`` — both signatures of one result key's names."""
+    return any(
+        b[0] == "store" and b[2] < p[2] for b, p in zip(born, pinned)
+    )
 
 
 @dataclass(frozen=True)
@@ -83,8 +171,16 @@ class QueryService:
         self.db = db
         self.results = LRUCache(cache_size)
         self.plans = LRUCache(cache_size)
+        #: Result-cache hits served from an entry computed at an older
+        #: store epoch than the reader's pin (keyed parts only).
+        self.cross_epoch_hits = 0
         self._sessions: dict[int, Session] = {}
         self._ids = itertools.count(1)
+        # Relation, store or view object → its incarnation token: drawn
+        # from ``_ids`` on first sight, so never reused, unlike ``id()``.
+        self._incarnations: "weakref.WeakKeyDictionary[object, int]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     # sessions
@@ -132,36 +228,51 @@ class QueryService:
         Each store's statistics are pinned beside its snapshot: the
         database maintains them from the change log, so this costs the
         transactions since the last pin, and the session plans with the
-        summary of exactly the epoch it reads.
+        summary of exactly the epoch it reads.  So is the store object,
+        whose per-value versions keyed result parts are built from.
         """
         db = self.db
         catalog: dict[str, TPRelation] = {}
         epochs: dict[str, EpochPart] = {}
-        stats: dict[str, RelationStats] = {}
         with parallel_execution(db.parallel):
             for name in db.view_names():
                 view = db.view(name)
                 catalog[name] = view.relation()
                 if view.policy == "manual":
-                    epochs[name] = ("view-manual", name, next(self._ids))
+                    token = next(self._ids)  # unique per pin
+                    epochs[name] = ("view-manual", name, token, self._incarnation(view))
                 else:
-                    bases = tuple(
-                        (base, db.store(base).epoch)
-                        for base in db.view_base_stores(name)
-                    )
-                    epochs[name] = ("view", name, bases)
-        for name in db.store_names():
-            store = db.store(name)
+                    epochs[name] = self._view_part(name)
+        stores = {name: db.store(name) for name in db.store_names()}
+        for name, store in stores.items():
             catalog[name] = store.snapshot()
-            epochs[name] = ("store", name, store.epoch)
-            stats[name] = db.stats_of(name)
-        for name in db.relation_names():
-            if name not in catalog:
-                catalog[name] = db.relation(name)
-                epochs[name] = ("const", name)
+            epochs[name] = self._store_part(name, store)
+        for name, relation in db.catalog.items():
+            catalog[name] = relation
+            epochs[name] = ("const", name, self._incarnation(relation))
         session.catalog = catalog
         session.epochs = epochs
-        session.stats = stats
+        session.stats = {name: db.stats_of(name) for name in stores}
+        session.stores = stores
+
+    def _incarnation(self, obj: object) -> int:
+        """The token of one registered relation, store or view object."""
+        token = self._incarnations.get(obj)
+        if token is None:
+            token = self._incarnations[obj] = next(self._ids)
+        return token
+
+    def _store_part(self, name: str, store: SegmentStore) -> EpochPart:
+        return ("store", name, store.epoch, self._incarnation(store))
+
+    def _view_part(self, name: str) -> EpochPart:
+        """An auto-refreshed view's part: its content is a function of
+        its base stores' epochs."""
+        db = self.db
+        bases = tuple(
+            (base, db.store(base).epoch) for base in db.view_base_stores(name)
+        )
+        return ("view", name, bases, self._incarnation(db.view(name)))
 
     # ------------------------------------------------------------------
     # reads
@@ -182,11 +293,17 @@ class QueryService:
         re-pins.  Results are cached keyed on (canonical form, level,
         workers, epoch signature of the referenced names) — a repeated
         query at a fixed epoch is served from cache, bit-identically.
+
+        At levels ``off`` and ``safe`` the plan is looked up first: a
+        store its plan reads only through σ on the leading attribute is
+        keyed on the versions of the selected fact groups (:func:`_keyed`),
+        so the entry is served across commits to other keys.
         """
         session = self.session(session_id)
         ast, explained = self._parse(text_or_ast)
         level = resolve_level(optimize, aggressive)
-        missing = [n for n in relation_references(ast) if n not in session.catalog]
+        references = relation_references(ast)
+        missing = [n for n in references if n not in session.catalog]
         if missing:
             raise UnknownRelationError(
                 f"no relation named {missing[0]!r} in this session's snapshot"
@@ -195,15 +312,27 @@ class QueryService:
             return QueryResponse(None, self._explain(session, ast, level), False, ())
         key_base = canonical_key(ast)
         workers = self.db.parallel
-        epoch_key = session.epoch_key(relation_references(ast))
-        result_key = (key_base, level, workers, epoch_key)
+        parts = session.parts(references)
+        epoch_key = tuple(part[:-1] for part in parts)  # the wire form
+        plan = None
+        if level != "aggressive":
+            plan, footprint = self._plan(session, ast, level, key_base, workers, parts)
+            if footprint:
+                parts = tuple(
+                    _keyed(session, part, footprint.get(part[1])) for part in parts
+                )
+        result_key = (key_base, level, workers, parts)
         cached = self.results.get(result_key)
         if cached is not None:
+            if cached.epochs != epoch_key and _older(cached.epochs, epoch_key):
+                self.cross_epoch_hits += 1
             return QueryResponse(cached, None, True, epoch_key)
-        plan = self._plan(session, ast, level, key_base, workers, epoch_key)
-        result = CachedResult(
-            execute_plan(plan, session.catalog, materialize=True, parallel=workers)
+        if plan is None:
+            plan, _ = self._plan(session, ast, level, key_base, workers, parts)
+        relation = execute_plan(
+            plan, session.catalog, materialize=True, parallel=workers
         )
+        result = CachedResult(relation.with_own_events(), epoch_key)
         self.results.put(result_key, result)
         return QueryResponse(result, None, False, epoch_key)
 
@@ -221,7 +350,9 @@ class QueryService:
         read replica needs to answer bit-identically to :meth:`execute`:
         the raw query text, the resolved optimize level, and the session's
         epoch part for each referenced name (sorted, matching
-        :meth:`Session.epoch_key` order).  Replica-ineligible reads return
+        :meth:`Session.parts` order, incarnation included).  Replicas key
+        their results on these whole-epoch parts, never on fact-group
+        versions.  Replica-ineligible reads return
         ``None`` — a written session (must see its own writes), a
         non-string query, an ``EXPLAIN`` request, a reference to a view
         (replicas hold only stores and constants), or anything that fails
@@ -276,27 +407,29 @@ class QueryService:
         level: str,
         key_base: tuple,
         workers: Optional[int],
-        epoch_key: tuple[EpochPart, ...],
-    ):
-        """The physical plan for ``ast``, through the plan cache.
+        parts: tuple[EpochPart, ...],
+    ) -> tuple[PhysicalPlan, Footprint]:
+        """The physical plan for ``ast`` and its footprint, through the
+        plan cache — so the footprint is derived once per plan.
 
         Key shape per level: ``off`` executes the raw parsed tree, so the
         tree itself is the key; ``safe`` rewrites are lineage-identical,
         so any cached plan for the canonical form answers bit-identically
         regardless of the epoch its statistics came from; ``aggressive``
         rewrites may change the lineage *form*, so the key pins the
-        epochs too — equal keys must imply bit-identical results.
+        epochs too — equal keys must imply bit-identical results — and
+        its results are keyed on whole epochs (empty footprint).
         """
         plan_key: tuple
         if level == "off":
             plan_key = ("off", ast)
         elif level == "aggressive":
-            plan_key = (level, key_base, workers, epoch_key)
+            plan_key = (level, key_base, workers, parts)
         else:
             plan_key = (level, key_base, workers)
-        plan = self.plans.get(plan_key)
-        if plan is not None:
-            return plan
+        entry = self.plans.get(plan_key)
+        if entry is not None:
+            return entry
         lowered: QueryNode = ast
         if level != "off":
             choice = choose_plan(
@@ -307,8 +440,9 @@ class QueryService:
             )
             lowered = choice.chosen
         plan = plan_query(lowered)
-        self.plans.put(plan_key, plan)
-        return plan
+        entry = (plan, {} if level == "aggressive" else _footprint(plan))
+        self.plans.put(plan_key, entry)
+        return entry
 
     def _stats(self, session: Session, ast: QueryNode) -> dict[str, RelationStats]:
         """Optimizer statistics of what the session reads, as pinned.
@@ -402,11 +536,27 @@ class QueryService:
     # maintenance and introspection
     # ------------------------------------------------------------------
     def sweep(self) -> int:
-        """Retire result-cache entries no live session (nor the present) pins."""
+        """Retire result-cache entries no live session (nor the present) pins.
+
+        A keyed part is retired once one of its versions is no longer
+        current: a session pinned before that change falls back to the
+        whole-store part, and every later pin sees the new version, so
+        nobody can produce the key again.
+        """
         live = self.live_parts()
-        return self.results.sweep(
-            lambda key: all(part in live for part in key[3])
-        )
+        stores = {name: self.db.store(name) for name in self.db.store_names()}
+
+        def alive(part: EpochPart) -> bool:
+            if part[0] != "keyed":
+                return part in live
+            store = stores.get(part[1])
+            return (
+                store is not None
+                and self._incarnation(store) == part[2]
+                and all(store.changed_at(value) == at for value, at in part[3])
+            )
+
+        return self.results.sweep(lambda key: all(map(alive, key[3])))
 
     def live_parts(self) -> set[EpochPart]:
         """Every epoch part reachable right now: current state + live pins.
@@ -424,19 +574,16 @@ class QueryService:
     def _current_parts(self) -> set[EpochPart]:
         """The epoch parts a session pinned right now would hold."""
         db = self.db
-        parts: set[EpochPart] = set()
-        for name in db.store_names():
-            parts.add(("store", name, db.store(name).epoch))
-        for name in db.view_names():
-            if db.view(name).policy != "manual":
-                bases = tuple(
-                    (base, db.store(base).epoch)
-                    for base in db.view_base_stores(name)
-                )
-                parts.add(("view", name, bases))
-        for name in db.relation_names():
-            if name not in db.store_names() and name not in db.view_names():
-                parts.add(("const", name))
+        parts = {self._store_part(name, db.store(name)) for name in db.store_names()}
+        parts.update(
+            self._view_part(name)
+            for name in db.view_names()
+            if db.view(name).policy != "manual"
+        )
+        parts.update(
+            ("const", name, self._incarnation(relation))
+            for name, relation in db.catalog.items()
+        )
         return parts
 
     def stats(self) -> dict:
@@ -444,7 +591,9 @@ class QueryService:
         per-view maintenance counters.
 
         ``results.bytes`` is the encoded fragments the result cache
-        holds right now — a reading, not a cap.  ``memory`` is what this
+        holds right now — a reading, not a cap.  ``results.cross_epoch_hits``
+        counts the hits served from an entry computed at an older store
+        epoch than the reader's pin.  ``memory`` is what this
         process's object graph costs to keep: the cyclic collector's runs
         per generation since start, the live interned lineage nodes, and
         the valuation memo's entries — readings too, nothing is bounded
@@ -454,6 +603,7 @@ class QueryService:
         results["bytes"] = sum(
             entry.encoded_bytes for entry in self.results.values()
         )
+        results["cross_epoch_hits"] = self.cross_epoch_hits
         return {
             "sessions": len(self._sessions),
             "results": results,

@@ -11,14 +11,29 @@ Alongside the pinned catalog the session records an *epoch signature*:
 one hashable part per name, precise enough that two sessions share a
 part exactly when they see the same bytes for that name —
 
-- a store pins ``("store", name, epoch)``;
-- a view pins ``("view", name, ((base, epoch), …))`` — its content is a
-  pure function of its base stores' epochs;
-- an immutable catalog relation pins ``("const", name)``.
+- a store pins ``("store", name, epoch, incarnation)``;
+- a view pins ``("view", name, ((base, epoch), …), incarnation)`` — its
+  content is a pure function of its base stores' epochs;
+- a ``manual`` view pins ``("view-manual", name, token, incarnation)``
+  with a token unique to the pin;
+- an immutable catalog relation pins ``("const", name, incarnation)``.
+
+The trailing *incarnation* is a token unique to the registered relation,
+store or view object the part was read from, so a relation replaced
+under the same name (or a store re-created at an epoch its predecessor
+also reached) never shares a part with what it replaced.  ``part[2]`` is
+a store's epoch, which read replicas rely on.
 
 The signature restricted to a query's referenced names is the epoch
 component of the result-cache key, and the set of parts pinned by live
-sessions is what the cache sweep keeps alive.
+sessions is what the cache sweep keeps alive.  A result that reads a
+store only through σ on its leading attribute is keyed more finely, on
+``("keyed", name, incarnation, ((value, changed_at), …))`` — the
+versions of the fact groups it reads (DESIGN.md §14.2); the service
+builds those parts from the pinned store objects in ``stores``.
+
+On the wire (``epochs`` in replies, ``begin`` and ``commit``) a part is
+shown without its incarnation, as :meth:`Session.signature` returns it.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from typing import Iterable
 
 from ..core.relation import TPRelation
 from ..query.stats import RelationStats
+from ..store import SegmentStore
 
 __all__ = ["EpochPart", "Session"]
 
@@ -51,13 +67,16 @@ class Session:
     #: Each pinned store's optimizer statistics as of its pinned epoch
     #: (views and constants are summarized from ``catalog`` on demand).
     stats: dict[str, RelationStats] = field(default_factory=dict)
+    #: The store object behind each pinned store name: its per-value
+    #: versions are what a keyed result part is built from.
+    stores: dict[str, SegmentStore] = field(default_factory=dict)
     #: Set once the session commits or creates a relation.  A written
     #: session is pinned to the authoritative process for the rest of its
     #: life (DESIGN.md §16): its reads must see its own writes, and only
     #: the writer is guaranteed to hold them.
     written: bool = False
 
-    def epoch_key(self, names: Iterable[str]) -> tuple[EpochPart, ...]:
+    def parts(self, names: Iterable[str]) -> tuple[EpochPart, ...]:
         """The signature restricted to ``names`` (sorted, unknowns skipped).
 
         Unknown names are left out rather than raised on: execution will
@@ -69,8 +88,8 @@ class Session:
         )
 
     def signature(self) -> tuple[EpochPart, ...]:
-        """The full epoch signature, sorted by name."""
-        return tuple(part for _, part in sorted(self.epochs.items()))
+        """The full epoch signature in wire form, sorted by name."""
+        return tuple(part[:-1] for _, part in sorted(self.epochs.items()))
 
     def __repr__(self) -> str:
         return f"Session(#{self.session_id}, {len(self.catalog)} relations)"

@@ -9,7 +9,8 @@ the serving layer's acceptance walk in one process tree:
    the bound port;
 2. create relations, run a query twice — the second must be served from
    cache — commit, and see the re-run miss (epoch invalidation) with
-   the new row visible;
+   the new row visible, while ``(a | b)[product='milk']`` stays cached
+   across that commit of a ``beer`` row (keyed on milk's fact groups);
 3. with replicas: open a second, read-only connection — its queries are
    routed to a replica — and check its answers are bit-identical to the
    writer's, its repeat is served from the replica's cache, and the
@@ -96,12 +97,23 @@ def _exercise(port: int, replicas: int = 0) -> list[int]:
         explain = client.query("EXPLAIN a | b", optimize="safe")
         assert "plan" in explain["explain"].lower()
 
+        # The first commit makes ``a`` a store; a selection on its leading
+        # attribute is then keyed on the fact groups it reads.
+        client.commit("a", inserts=[["chips", 20, 22, 0.4]])
+        milk = client.query("(a | b)[product='milk']", optimize="safe")
+        assert milk["cached"] is False
+
         committed = client.commit("a", inserts=[["beer", 3, 8, 0.5]])
         assert committed["inserted"] == 1
         after = client.query("a | b", optimize="safe")
         assert after["cached"] is False, "commit must invalidate the cache"
         facts = {row[0][0] for row in after["relation"]["rows"]}
         assert "beer" in facts, "the committing session reads its own write"
+        milk_again = client.query("(a | b)[product='milk']", optimize="safe")
+        assert milk_again["cached"] is True, (
+            "a commit to another key must keep a selected entry cached"
+        )
+        assert milk_again["relation"] == milk["relation"]
 
         stats = client.stats()["stats"]
         assert stats["results"]["hits"] >= 1

@@ -283,6 +283,11 @@ class SegmentStore:
         # stored lineage, e.g. seeded alongside a derived relation — are
         # never counted and therefore never dropped.
         self._var_refs: dict[str, int] = {}
+        # Leading-attribute value → epoch of the last transaction that
+        # inserted or deleted a tuple with that value (absent: none since
+        # this object was built).  The serving layer keys cached results
+        # of σ on the leading attribute on these versions (DESIGN.md §14.2).
+        self._changed_at: dict[object, int] = {}
         self._counter = 0
         self._snapshot: Optional[tuple[int, TPRelation]] = None
         # Epoch → snapshot relation, weakly referenced: a snapshot stays
@@ -438,6 +443,7 @@ class SegmentStore:
                     if self.events.pop(var, None) is not None:
                         dropped.append(var)
         self.epoch += 1
+        self._mark_changed(added, removed)
         changeset = ChangeSet(
             self.epoch,
             tuple(added),
@@ -506,6 +512,7 @@ class SegmentStore:
         for name in changeset.removed_events:
             self.events.pop(name, None)
         self.epoch = changeset.epoch
+        self._mark_changed(changeset.inserted, changeset.deleted)
         if changeset.counter > self._counter:
             self._counter = changeset.counter
         self._snapshot = None
@@ -544,6 +551,18 @@ class SegmentStore:
             )
         ts, te, p = values[arity:]
         return make_fact(values[:arity]), Interval(int(ts), int(te)), float(p)
+
+    def _mark_changed(
+        self, inserted: Sequence[TPTuple], deleted: Sequence[TPTuple]
+    ) -> None:
+        """Stamp the leading values of a committed transaction's tuples
+        with the epoch it produced — O(changed rows)."""
+        if self.schema.arity:
+            changed_at, epoch = self._changed_at, self.epoch
+            for t in inserted:
+                changed_at[t.fact[0]] = epoch
+            for t in deleted:
+                changed_at[t.fact[0]] = epoch
 
     def _group_for(self, fact: Fact) -> _FactGroup:
         group = self._groups.get(fact)
@@ -624,6 +643,14 @@ class SegmentStore:
         """``[lo, hi)`` grown until none of the fact's tuples crosses an end."""
         group = self._groups.get(fact)
         return group.widen(lo, hi) if group is not None else (lo, hi)
+
+    def changed_at(self, value: object) -> int:
+        """The epoch of the last transaction that inserted or deleted a
+        tuple whose leading attribute equals ``value`` — 0 when none has
+        since this store object was built.  The fact groups led by
+        ``value`` hold the same tuples at every epoch from that one to
+        the current one."""
+        return self._changed_at.get(value, 0)
 
     def iter_sorted(self) -> Iterator[TPTuple]:
         """All tuples in ``(F, Ts)`` order, lazily, segment by segment.

@@ -21,7 +21,9 @@ transaction under two eager views must cost the same whatever the size
 of the fact groups it touches (it once walked each of them a dozen
 times), and a keyed read of a view must cost its answer whatever the
 size of the groups it does not select (it once copied the whole view
-and its event map).
+and its event map).  A served keyed read stays a hit across a commit to
+another key (every commit once evicted it), and the entry it hits holds
+its own events only, not its operands' merged map.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ from repro import TPRelation
 from repro.core.setops import tp_except, tp_union
 from repro.db import TPDatabase
 from repro.exec.config import parallel_execution
+from repro.lineage.formula import referenced_variables
 from repro.prob.valuation import (
     ProbabilityOptions,
     clear_valuation_cache,
     valuation_cache_stats,
 )
+from repro.query.parser import parse_query
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line
 
@@ -259,7 +263,22 @@ KEYED_READS = ("v1[k='k00']", "v2[k='k00']")
 READ_ROUNDS = 10
 
 
-def _per_keyed_read(per_group: int, facts: int = 8) -> tuple[float, float, int]:
+def _keyed_rows(seed: int, per_group: int, facts: int = 8) -> list[tuple]:
+    """``(key, ts, te, p)`` rows: the same 250 tuples under ``k00``
+    whatever ``per_group`` tuples each of the other keys holds."""
+    rows = []
+    for k in range(facts):
+        rng = random.Random(100 * seed + k)
+        t = rng.randrange(0, 8)
+        for _ in range(250 if k == 0 else per_group):
+            t += rng.randint(0, 7)
+            te = t + rng.randint(1, 9)
+            rows.append((f"k{k:02d}", t, te, rng.randrange(50, 951) / 1000))
+            t = te
+    return rows
+
+
+def _per_keyed_read(per_group: int) -> tuple[float, float, int]:
     """Calls and peak bytes allocated per keyed read (and the rows read)
     of the eager views ``r1 - r2`` and ``r1 JOIN r2 ON k``, each right
     after a commit changed them.  The selected key ``k00`` holds the
@@ -267,16 +286,7 @@ def _per_keyed_read(per_group: int, facts: int = 8) -> tuple[float, float, int]:
     keys hold, and the commits touch only ``k01``."""
     db = TPDatabase(parallel=1)
     for name, seed in (("r1", 1), ("r2", 2)):
-        rows = []
-        for k in range(facts):
-            rng = random.Random(100 * seed + k)
-            t = rng.randrange(0, 8)
-            for _ in range(250 if k == 0 else per_group):
-                t += rng.randint(0, 7)
-                te = t + rng.randint(1, 9)
-                rows.append((f"k{k:02d}", t, te, rng.randrange(50, 951) / 1000))
-                t = te
-        db.create_relation(name, ("k",), rows)
+        db.create_relation(name, ("k",), _keyed_rows(seed, per_group))
     db.create_view("v1", "r1 - r2", policy="eager")
     db.create_view("v2", "r1 JOIN r2 ON k", policy="eager")
     calls = allocated = rows_read = 0
@@ -460,3 +470,65 @@ def test_a_served_query_after_a_commit_does_not_rescan_for_statistics(monkeypatc
     # The session plans with the statistics the database itself maintains.
     assert service.session(session).stats["a"] == db.stats_of("a")
     assert db.stats_of("a").n_tuples == 402
+
+
+# ----------------------------------------------------------------------
+# keyed result parts: a commit to other keys keeps a selected entry hot
+# ----------------------------------------------------------------------
+def test_a_keyed_hit_survives_a_commit_to_another_key():
+    """After a commit to ``k000`` a cached ``(a | b)[k='k001']`` is still
+    a hit: no plan runs, and it costs no more than the ceiling set for a
+    hit on ``a | b``.  The query is handed over parsed — parsing this
+    longer text costs 132 calls of its own, hit or miss alike."""
+    db = TPDatabase(parallel=1)
+    db.create_relation("a", ("k",), seeded_rows(1, n=400, keys=8))
+    db.create_relation("b", ("k",), seeded_rows(2, n=400, keys=8))
+    service = QueryService(db)
+    session = service.open_session()
+    service.commit(session, "a", inserts=[("k000", 10_000, 10_005, 0.5)])
+    query = parse_query("(a | b)[k='k001']")
+
+    def reply() -> tuple:
+        response = service.execute(session, query, optimize="safe")
+        return response, encode_line({
+            "ok": True,
+            "cached": response.cached,
+            "epochs": response.epoch_key,
+            "relation": response.result.fragment(),
+        })
+
+    miss, miss_line = reply()
+    service.commit(session, "a", inserts=[("k000", 10_010, 10_015, 0.5)])
+    calls, (hit, hit_line) = count_calls(reply)
+    assert hit.cached and hit.result is miss.result
+    assert hit.epoch_key != miss.epoch_key  # the reader's own, newer pin
+    assert calls[("py", "execute_plan")] == 0
+    assert sum(calls.values()) <= HIT_CALLS_CEILING, calls.most_common(8)
+    assert service.stats()["results"]["cross_epoch_hits"] == 1
+
+
+def _cached_entry(per_group: int) -> TPRelation:
+    """The relation a served ``(a | b)[k='k00']`` leaves in the result
+    cache, right after a commit made ``a`` a store."""
+    db = TPDatabase(parallel=1)
+    for name, seed in (("a", 1), ("b", 2)):
+        db.create_relation(name, ("k",), _keyed_rows(seed, per_group))
+    service = QueryService(db)
+    session = service.open_session()
+    service.commit(session, "a", inserts=[("k01", 10**7, 10**7 + 5, 0.5)])
+    service.execute(session, "(a | b)[k='k00']", optimize="safe")
+    (entry,) = service.results.values()
+    return entry.relation
+
+
+def test_a_cached_entry_holds_only_the_events_it_references():
+    """An entry that outlives its epoch must not pin the operands' whole
+    merged event map: from 250 to 4 000 tuples in every unselected
+    group, it holds exactly its own result's distinct variables."""
+    small, large = _cached_entry(250), _cached_entry(4000)
+    for relation in (small, large):
+        assert len(relation.events) == len(
+            referenced_variables(t.lineage for t in relation)
+        )
+    assert len(small) == len(large) > 0
+    assert len(small.events) == len(large.events)
