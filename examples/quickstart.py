@@ -150,8 +150,8 @@ def optimizer_and_explain_tour(db) -> None:
 
     ``optimize='safe'`` enumerates lineage-identical rewrites —
     selection pushdown to the scans (through set operations *and*
-    joins), flattening into single-pass multiway sweeps, inner-join
-    reassociation — scores them by estimated sweep rows from the
+    joins), flattening ∪/∩ chains into n-ary nodes (run as a left fold
+    of the binary sweep), inner-join reassociation — scores them by estimated sweep rows from the
     statistics catalog, and runs the cheapest.  ``EXPLAIN`` (as a query
     prefix, or ``db.explain``) renders the chosen plan with the
     estimates next to the actual row counts, so you can see both what

@@ -21,11 +21,18 @@ from .gtwindow import (
 )
 from .interval import AllenRelation, Interval, allen_relation
 from .lawa import LawaSweep, lawa_windows
-from .multiway import MultiwaySweep, MultiWindow, multi_intersect, multi_union
 from .render import render_timeline, render_windows
 from .relation import TPRelation
 from .schema import Fact, TPSchema, make_fact
-from .setops import OPERATIONS, tp_except, tp_intersect, tp_set_operation, tp_union
+from .setops import (
+    OPERATIONS,
+    multi_intersect,
+    multi_union,
+    tp_except,
+    tp_intersect,
+    tp_set_operation,
+    tp_union,
+)
 from .sorting import is_sorted, sort_comparison, sort_counting, sort_tuples
 from .timeslice import snapshot_lineages, timeslice
 from .tuple import TPTuple, base_tuple
@@ -40,8 +47,6 @@ __all__ = [
     "LawaSweep",
     "LineageWindow",
     "MatchWindow",
-    "MultiWindow",
-    "MultiwaySweep",
     "OPERATIONS",
     "PreservedWindow",
     "WINDOW_POLICIES",

@@ -18,6 +18,11 @@ tuple spanning the current boundary, so
 * difference stops once the *left* side is exhausted,
 * union runs until both sides are exhausted.
 
+∪ᵀᵖ and ∩ᵀᵖ are associative and the lineage constructors flatten nested
+∨/∧, so the n-ary :func:`multi_union` / :func:`multi_intersect` are left
+folds of the binary kernel: lineage-identical to the left-deep chain,
+with only the last step valuating.
+
 Two execution paths produce bit-identical results (pinned by
 ``tests/test_setops_fused.py``):
 
@@ -65,6 +70,8 @@ __all__ = [
     "tp_intersect",
     "tp_except",
     "tp_set_operation",
+    "multi_union",
+    "multi_intersect",
     "sweep_rows",
     "OPERATIONS",
 ]
@@ -127,6 +134,30 @@ def tp_except(
     unlike purely temporal difference).
     """
     return _dispatch(_OP_EXCEPT, "−", r, s, materialize, sort_strategy, fused, options)
+
+
+def multi_union(*relations: TPRelation, materialize: bool = True) -> TPRelation:
+    """r1 ∪ᵀᵖ r2 ∪ᵀᵖ … ∪ᵀᵖ rm, the left fold of :func:`tp_union`."""
+    return _fold(tp_union, relations, materialize)
+
+
+def multi_intersect(*relations: TPRelation, materialize: bool = True) -> TPRelation:
+    """r1 ∩ᵀᵖ r2 ∩ᵀᵖ … ∩ᵀᵖ rm, the left fold of :func:`tp_intersect`."""
+    return _fold(tp_intersect, relations, materialize)
+
+
+def _fold(
+    operation: Callable[..., TPRelation],
+    relations: tuple[TPRelation, ...],
+    materialize: bool,
+) -> TPRelation:
+    """Intermediate results stay lineage-only; the last step valuates."""
+    if len(relations) < 2:
+        raise UnsupportedOperationError("n-ary set operations need at least two relations")
+    result = relations[0]
+    for i, other in enumerate(relations[1:], start=2):
+        result = operation(result, other, materialize=materialize and i == len(relations))
+    return result
 
 
 def _dispatch(

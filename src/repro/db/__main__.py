@@ -147,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="off",
         metavar="LEVEL",
         help="query optimization level: off (default), safe (cost-based "
-        "lineage-identical rewrites: selection pushdown, multiway "
-        "flattening, join reassociation) or aggressive (additionally "
+        "lineage-identical rewrites: selection pushdown, union/intersect "
+        "chain flattening (run as a left fold of the binary sweep), join "
+        "reassociation) or aggressive (additionally "
         "difference fusion and operand reordering; same facts, intervals "
         "and probabilities, lineage form may differ)",
     )

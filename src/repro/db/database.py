@@ -510,11 +510,12 @@ class TPDatabase:
         runs the plan the parser produced; ``'safe'`` (or ``True``) runs
         the cost-based optimizer over the lineage-identical rewrites —
         selection pushdown to the scans (through set operations and
-        joins), associative flattening into multiway sweeps, and inner
-        natural-join reassociation, scored by estimated sweep rows from
-        the statistics catalog; ``'aggressive'`` (or ``aggressive=True``)
+        joins), associative flattening of ∪/∩ chains into n-ary nodes
+        (run as a left fold of the binary sweep), and inner natural-join
+        reassociation, scored by estimated sweep rows from the
+        statistics catalog; ``'aggressive'`` (or ``aggressive=True``)
         additionally considers difference fusion ``(a − b) − c →
-        a − (b ∪ c)`` and cardinality-ordered multiway operands, which
+        a − (b ∪ c)`` and n-ary operands ordered by cardinality, which
         preserve facts, intervals and probabilities but may change the
         lineage *form*.
 

@@ -2,9 +2,14 @@
 
 Plans are scored in **estimated sweep rows**: every operator of the
 system is a sweep over its sorted inputs (set operations, generalized
-joins, the multiway kernel) or a filter pass (selections), so the work
-of a plan is well approximated by the number of tuples its sweeps read
-plus the matches its joins enumerate.  Estimates come from the
+joins; an n-ary ∪/∩ is a left fold of binary sweeps) or a filter pass
+(selections), so the work of a plan is well approximated by the number
+of tuples its sweeps read plus the matches its joins enumerate.
+Flattening is therefore cost-neutral: a left-deep chain and its n-ary
+node tie, and the earlier candidate — the chain — wins the tie.  An
+n-ary node is chosen where its left-to-right fold beats the parsed
+association (a right-nested chain, or operands reordered by
+cardinality).  Estimates come from the
 statistics catalog (:mod:`repro.query.stats`): cardinalities,
 per-attribute distinct counts (selectivity, join fan-out) and covering
 spans/histograms (temporal-overlap factors).
@@ -316,46 +321,45 @@ def _span_intersection(a, b):
 
 
 def _setop_estimate(node, stats: StatsCatalog, workers: int) -> Estimate:
-    children = (
-        [_estimate(c, stats, workers) for c in node.children]
-        if isinstance(node, MultiOpNode)
-        else [
+    """A binary sweep, or an n-ary ∪/∩ priced as the left fold it runs:
+    each step sweeps the running intermediate plus the next child, so an
+    n-ary node costs exactly what its left-deep binary chain costs."""
+    if isinstance(node, MultiOpNode):
+        children = [_estimate(c, stats, workers) for c in node.children]
+    else:
+        children = [
             _estimate(node.left, stats, workers),
             _estimate(node.right, stats, workers),
         ]
-    )
-    op = node.op
-    sweep = sum(c.rows for c in children)
-    groups = max(c.groups for c in children)
-    cost = sum(c.cost for c in children) + _sweep_cost(sweep, groups, workers)
+    result = children[0]
+    for child in children[1:]:
+        result = _sweep_estimate(node.op, result, child, workers)
+    return result
+
+
+def _sweep_estimate(op: str, left: Estimate, right: Estimate, workers: int) -> Estimate:
+    sweep = left.rows + right.rows
+    groups = max(left.groups, right.groups)
+    cost = left.cost + right.cost + _sweep_cost(sweep, groups, workers)
     if op == "union":
         rows = sweep
-        distinct = {}
-        for c in children:
-            for a, d in c.distinct.items():
-                distinct[a] = max(distinct.get(a, 0.0), d)
-        span = None
-        for c in children:
-            span = _span_hull(span, c.span)
+        distinct = dict(left.distinct)
+        for a, d in right.distinct.items():
+            distinct[a] = max(distinct.get(a, 0.0), d)
+        span = _span_hull(left.span, right.span)
     elif op == "intersect":
-        first = children[0]
-        rows = min(c.rows for c in children)
-        for c in children[1:]:
-            rows *= _overlap_fraction(first, c)
-        distinct = {a: min(d, max(rows, 1.0)) for a, d in first.distinct.items()}
-        span = first.span
-        for c in children[1:]:
-            span = _span_intersection(span, c.span)
+        rows = min(left.rows, right.rows) * _overlap_fraction(left, right)
+        distinct = {a: min(d, max(rows, 1.0)) for a, d in left.distinct.items()}
+        span = _span_intersection(left.span, right.span)
     else:  # except: the minuend's coverage survives, split and filtered
-        first = children[0]
-        rows = first.rows
-        distinct = dict(first.distinct)
-        span = first.span
+        rows = left.rows
+        distinct = dict(left.distinct)
+        span = left.span
     return Estimate(
         rows=rows,
         cost=cost,
         groups=groups,
-        schema=children[0].schema,
+        schema=left.schema,
         distinct=distinct,
         span=span,
         histogram=None,

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Union
 
 from ..core.errors import UnknownRelationError
-from ..core.multiway import multi_intersect, multi_union
 from ..core.relation import TPRelation
+from ..core.setops import multi_intersect, multi_union
 from ..exec.config import ParallelConfig, parallel_execution
 from .planner import (
     JoinPlan,

@@ -54,7 +54,7 @@ def _label(plan: PhysicalPlan) -> str:
     if isinstance(plan, SelectPlan):
         return f"Select[{plan.attribute}={plan.value!r}]"
     if isinstance(plan, MultiSetOpPlan):
-        return f"{plan.op.capitalize()}[MULTIWAY×{len(plan.children)}]"
+        return f"{plan.op.capitalize()}[LAWA×{len(plan.children)}]"
     if isinstance(plan, JoinPlan):
         label = "".join(part.capitalize() for part in plan.kind.split("_"))
         on_text = "" if plan.on is None else " on(" + ", ".join(plan.on) + ")"

@@ -5,10 +5,13 @@ expression shape; this module exploits that with a rule set the
 cost-based planner (:mod:`repro.query.cost`) enumerates over:
 
 1. **Associative flattening** (always sound): ``(a ∪ b) ∪ c`` and
-   ``(a ∩ b) ∩ c`` chains collapse into n-ary nodes executed by the
-   single-pass multiway sweep (:mod:`repro.core.multiway`).  Because the
-   lineage smart-constructors flatten nested ∧/∨, the output lineage is
-   *syntactically identical* to the binary chain's.
+   ``(a ∩ b) ∩ c`` chains collapse into n-ary nodes, executed as a left
+   fold of the binary kernel over the children in order
+   (:func:`repro.core.setops.multi_union`).  Because the lineage
+   smart-constructors flatten nested ∧/∨, the output lineage is
+   *syntactically identical* to the binary chain's, whatever the
+   association; the cost model prices the fold, so an n-ary node wins
+   only where folding left to right is the cheaper association.
 2. **Selection pushdown** (always sound): σ filters whole facts and TP
    set operations only combine positionally-equal facts, so σ commutes
    with ∪/∩/− and is cheapest at the scans.  With leaf schemas available

@@ -95,14 +95,15 @@ class JoinPlan:
 
 @dataclass(frozen=True, slots=True)
 class MultiSetOpPlan:
-    """n-ary union/intersection executed by the single-pass multiway sweep."""
+    """n-ary union/intersection, run as a left fold of the binary LAWA
+    kernel: children in order, only the last step valuating."""
 
     op: str
     children: tuple["PhysicalPlan", ...]
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
-        lines = [f"{pad}{self.op.capitalize()}[MULTIWAY×{len(self.children)}]"]
+        lines = [f"{pad}{self.op.capitalize()}[LAWA×{len(self.children)}]"]
         lines.extend(child.describe(indent + 2) for child in self.children)
         return "\n".join(lines)
 

@@ -16,8 +16,7 @@ import weakref
 import pytest
 
 from repro import TPRelation
-from repro.core.multiway import multi_union
-from repro.core.setops import tp_except, tp_union
+from repro.core.setops import multi_union, tp_except, tp_union
 from repro.db import TPDatabase
 from repro.prob.valuation import clear_valuation_cache
 from repro.serve import QueryService
@@ -66,7 +65,7 @@ def test_operator_results_hold_the_operands_merged_map():
     # and therefore one valuation-memo bucket.
     assert tp_union(r.select(x="v"), s.select(x="v")).events is merged
     assert tp_union(r.select(x="w"), s.rename("t")).events is merged
-    # n-ary sweeps fold through the same pairwise cache.
+    # n-ary folds go through the same pairwise cache.
     t = _r("t")
     assert multi_union(r, s, t).events is merged.merged_with(t.events)
 

@@ -64,6 +64,9 @@ CASES = {
     "pushdown_safe_analyze": lambda db: db.explain(
         "((a | b) | c)[product='milk']", optimize="safe", analyze=True
     ),
+    "union_fold_aggressive": lambda db: db.explain(
+        "(a | c) | b", optimize="aggressive", analyze=True
+    ),  # smallest operands first: the n-ary fold beats the parsed chain
     "difference_chain_aggressive": lambda db: db.explain(
         "c - a - b", optimize="aggressive"
     ),  # the model keeps the chain here: fusion only pays on longer chains

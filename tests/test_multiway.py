@@ -1,16 +1,56 @@
-"""Tests for n-ary (multiway) TP union and intersection."""
+"""Tests for n-ary TP union and intersection: left folds of the binary
+LAWA kernel, lineage-identical to the left-deep ``tp_union`` /
+``tp_intersect`` chain."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import UnsupportedOperationError, tp_except, tp_intersect, tp_union
-from repro.core.multiway import MultiwaySweep, multi_intersect, multi_union
-from repro.core.sorting import sort_tuples
-from repro.semantics import check_change_preservation, check_duplicate_free
+from repro.core.setops import multi_intersect, multi_union
+from repro.query import MultiOpNode, RelationRef
+from repro.semantics import (
+    check_change_preservation,
+    check_duplicate_free,
+    query_marginals_via_worlds,
+)
 
 from .strategies import tp_relation
+
+FOLDS = {"union": (multi_union, tp_union), "intersect": (multi_intersect, tp_intersect)}
+
+
+@st.composite
+def operands(draw, max_relations: int = 5, **kwargs):
+    """2–``max_relations`` relations with distinct names and event ids."""
+    n = draw(st.integers(min_value=2, max_value=max_relations))
+    return [draw(tp_relation(f"x{i + 1}", **kwargs)) for i in range(n)]
+
+
+def assert_is_left_deep_chain(op: str, relations) -> None:
+    nary, binary = FOLDS[op]
+    result = nary(*relations)
+    chain = relations[0]
+    for relation in relations[1:]:
+        chain = binary(chain, relation)
+    assert len(result) == len(chain)
+    for mine, theirs in zip(result.sorted_tuples(), chain.sorted_tuples()):
+        assert (mine.fact, mine.interval) == (theirs.fact, theirs.interval)
+        assert mine.lineage is theirs.lineage  # interned: one node each
+        assert mine.p == theirs.p
+
+
+def assert_matches_worlds(op: str, relations) -> None:
+    result = FOLDS[op][0](*relations)
+    query = MultiOpNode(op, tuple(RelationRef(r.name) for r in relations))
+    oracle = query_marginals_via_worlds(query, {r.name: r for r in relations})
+    computed = {
+        (t.fact, point): t.p for t in result for point in range(t.start, t.end)
+    }
+    for key in set(oracle) | set(computed):
+        assert computed.get(key, 0.0) == pytest.approx(oracle.get(key, 0.0), abs=1e-9), key
 
 
 class TestMultiUnion:
@@ -42,15 +82,14 @@ class TestMultiUnion:
         }
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        r1=tp_relation("x1", max_facts=2, max_intervals=3),
-        r2=tp_relation("x2", max_facts=2, max_intervals=3),
-        r3=tp_relation("x3", max_facts=2, max_intervals=3),
-    )
-    def test_equals_folded_binary(self, r1, r2, r3):
-        result = multi_union(r1, r2, r3)
-        folded = tp_union(tp_union(r1, r2), r3)
-        assert result.contents() == folded.contents()
+    @given(relations=operands(max_facts=2, max_intervals=3))
+    def test_equals_folded_binary(self, relations):
+        assert_is_left_deep_chain("union", relations)
+
+    @settings(max_examples=20, deadline=None)
+    @given(relations=operands(max_facts=1, max_intervals=2))
+    def test_agrees_with_possible_worlds(self, relations):
+        assert_matches_worlds("union", relations)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -86,15 +125,14 @@ class TestMultiIntersect:
         assert t.p == pytest.approx(0.5 * 0.4 * 0.2)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        r1=tp_relation("x1", max_facts=2, max_intervals=3),
-        r2=tp_relation("x2", max_facts=2, max_intervals=3),
-        r3=tp_relation("x3", max_facts=2, max_intervals=3),
-    )
-    def test_equals_folded_binary(self, r1, r2, r3):
-        result = multi_intersect(r1, r2, r3)
-        folded = tp_intersect(tp_intersect(r1, r2), r3)
-        assert result.contents() == folded.contents()
+    @given(relations=operands(max_facts=2, max_intervals=3))
+    def test_equals_folded_binary(self, relations):
+        assert_is_left_deep_chain("intersect", relations)
+
+    @settings(max_examples=20, deadline=None)
+    @given(relations=operands(max_facts=1, max_intervals=2))
+    def test_agrees_with_possible_worlds(self, relations):
+        assert_matches_worlds("intersect", relations)
 
     def test_early_exit_on_exhausted_side(self, rel_a, rel_b):
         from repro import TPRelation
@@ -144,20 +182,13 @@ class TestSweepMechanics:
             multi_union(rel_a, wide)
 
     def test_window_count_bound(self, rel_a, rel_b, rel_c):
-        """Generalized Prop. 1: ≤ Σ nᵢ − fd windows."""
-        sweep = MultiwaySweep(
-            [
-                sort_tuples(rel_a.tuples),
-                sort_tuples(rel_b.tuples),
-                sort_tuples(rel_c.tuples),
-            ]
-        )
-        while sweep.advance() is not None:
-            pass
+        """Generalized Prop. 1: the n-ary union, one tuple per window,
+        has ≤ Σ nᵢ − fd tuples (nᵢ: end points of rᵢ; fd: distinct facts)."""
+        result = multi_union(rel_a, rel_b, rel_c)
         bound = (
             rel_a.endpoint_count()
             + rel_b.endpoint_count()
             + rel_c.endpoint_count()
             - len(rel_a.facts() | rel_b.facts() | rel_c.facts())
         )
-        assert sweep.windows_produced <= bound
+        assert len(result) <= bound
