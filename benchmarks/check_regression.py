@@ -20,28 +20,20 @@ process, so it is stable —
   ``--pr3-min-speedup`` on every workload.  The committed full-scale
   record's ≥5x acceptance bar is asserted by ``bench_pr3.py`` itself at
   scale 1.0.
-* PR 4: parallel engine vs. serial kernels.  The
-  ``serial.min_s / parallel4.min_s`` speedup is same-machine,
-  same-process — machine-independent in the ratio sense — but only
-  meaningful when the runner actually has CPUs to parallelize over, so
-  the floor (``--pr4-min-speedup``, a smoke-scale value well below the
-  full-scale ≥2x bar asserted by ``bench_pr4.py`` on ≥4-CPU machines)
-  applies only when the smoke run's recorded ``cpu_count`` is ≥ 4; on
-  smaller runners the workloads are reported as skipped.
 * PR 6: durability overhead.  The ``batch.min_s / off.min_s`` ratio of
   the ``wal_commit`` workload (WAL append without fsync vs. the pure
   in-memory commit path) is same-machine, same-process; the gate is an
   absolute ceiling — the smoke ratio must stay below
   ``--pr6-max-overhead``.  ``commit`` mode is fsync-bound (a property
   of the runner's disk, not the code) and reported informationally;
-  like the PR 4/5 gates this one is CPU-gated (< 2 CPUs: skipped).
+  like the PR 5 gate this one is CPU-gated (< 2 CPUs: skipped).
 * PR 5: cost-based optimizer vs. unoptimized plans.  The
   ``unoptimized.min_s / optimized.min_s`` speedup is same-machine,
   same-process; the floor (``--pr5-min-speedup``) gates the
   ``pushdown_*`` workloads only (the flattening-only workload's payoff
-  is scale-dependent and reported informationally) and — like the PR-4
-  gate — is CPU-gated: skipped when the smoke runner has < 2 CPUs,
-  where single-run wall-clock ratios are too noisy to fail a build on.
+  is scale-dependent and reported informationally) and is CPU-gated:
+  skipped when the smoke runner has < 2 CPUs, where single-run
+  wall-clock ratios are too noisy to fail a build on.
 
 * SUITE: the unified scenario benchmark suite (``benchmarks/suite.py``,
   PR 7).  Machine-independent checks always run — the smoke
@@ -50,7 +42,7 @@ process, so it is stable —
   scenario of the committed ``BENCH_suite.json``.  The per-scenario
   ratio gates (``--suite-max-slowdown``: the ``safe`` optimize level
   and the store backend must not lose more than that factor against
-  their reference configurations) are CPU-gated like PR 4/5/6 and
+  their reference configurations) are CPU-gated like PR 5/6 and
   disabled entirely when the flag is 0 (the CI smoke's "zeroed
   thresholds" mode).
 
@@ -157,49 +149,6 @@ def check(
             failures.append(
                 f"{label} {key}: ratio {smoke_ratio:.3f} > "
                 f"{tolerance}x committed {committed_ratio:.3f}"
-            )
-    return failures
-
-
-def check_parallel_speedup(
-    committed: dict,
-    smoke: dict,
-    min_speedup: float,
-    min_seconds: float,
-) -> list[str]:
-    """PR-4 gate: parallel-vs-serial speedup floor, CPU-gated.
-
-    Iterates the committed record's workloads (a smoke run that silently
-    dropped one cannot pass vacuously); skips entirely on runners with
-    fewer than 4 CPUs, where a wall-clock speedup is unattainable."""
-    cpu_count = smoke.get("meta", {}).get("cpu_count", 0)
-    if cpu_count < 4:
-        print(
-            f"  pr4: smoke runner has {cpu_count} CPU(s) — parallel "
-            f"speedup floor skipped (needs >= 4)"
-        )
-        return []
-    failures: list[str] = []
-    for key in committed["timings"]:
-        entry = smoke["timings"].get(key)
-        if entry is None:
-            failures.append(f"pr4 {key}: missing from the smoke run")
-            print(f"  pr4 {key}: MISSING from smoke run")
-            continue
-        serial_s = entry["serial"]["min_s"]
-        parallel_s = entry["parallel4"]["min_s"]
-        if serial_s < min_seconds:
-            print(f"  pr4 {key}: below {min_seconds}s — skipped (noise)")
-            continue
-        speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-        verdict = "ok" if speedup >= min_speedup else "REGRESSION"
-        print(
-            f"  pr4 {key}: serial/parallel4 speedup {speedup:.2f}x "
-            f"(floor {min_speedup}x) {verdict}"
-        )
-        if speedup < min_speedup:
-            failures.append(
-                f"pr4 {key}: speedup {speedup:.2f}x < floor {min_speedup}x"
             )
     return failures
 
@@ -329,9 +278,9 @@ def check_suite(
     the store backend must not be more than ``max_slowdown`` times
     slower than the immutable relation
     (``overhead_store_vs_relation <= max_slowdown``).
-    Parallel and durability ratios are printed informationally — their
-    honest values are runner-dependent (CPU count, disk) and gated by
-    the dedicated PR-4/PR-6 records instead.
+    Durability ratios are printed informationally — their honest values
+    are runner-dependent (disk) and gated by the dedicated PR-6 record
+    instead.
     """
     failures: list[str] = []
     if smoke.get("schema_version") != committed.get("schema_version"):
@@ -421,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pr3-committed", type=Path, default=Path("BENCH_pr3.json"))
     parser.add_argument("--pr3-smoke", type=Path, default=None)
     parser.add_argument("--pr3-min-speedup", type=float, default=3.0)
-    parser.add_argument("--pr4-committed", type=Path, default=Path("BENCH_pr4.json"))
-    parser.add_argument("--pr4-smoke", type=Path, default=None)
-    parser.add_argument("--pr4-min-speedup", type=float, default=1.2)
     parser.add_argument("--pr5-committed", type=Path, default=Path("BENCH_pr5.json"))
     parser.add_argument("--pr5-smoke", type=Path, default=None)
     parser.add_argument("--pr5-min-speedup", type=float, default=1.2)
@@ -480,20 +426,6 @@ def main() -> int:
             args.pr3_min_speedup,
             args.min_seconds,
             "pr3",
-        )
-    if args.pr4_smoke is not None:
-        committed_pr4 = _load(args.pr4_committed)
-        committed_meta = committed_pr4.get("meta", {})
-        print(
-            f"PR4 (parallel engine vs serial kernels; committed record "
-            f"taken on {committed_meta.get('cpu_count', '?')} CPU(s), "
-            f"bar {committed_meta.get('speedup_bar', '?')}):"
-        )
-        failures += check_parallel_speedup(
-            committed_pr4,
-            _load(args.pr4_smoke),
-            args.pr4_min_speedup,
-            args.min_seconds,
         )
     if args.pr5_smoke is not None:
         committed_pr5 = _load(args.pr5_committed)

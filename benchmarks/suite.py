@@ -5,7 +5,6 @@ One runner sweeps every registered workload scenario
 configuration axes —
 
 * ``optimize`` level (``off`` vs. the cost-based ``safe`` rewrites),
-* ``workers`` (serial vs. the 2-worker parallel engine),
 * ``backend`` (immutable relation vs. ``SegmentStore`` snapshot),
 * ``durability`` (WAL ``off`` / ``batch`` / fsync-per-``commit``),
 * ``cache`` (the serving layer's plan/result cache on vs. off),
@@ -67,7 +66,6 @@ class Config:
     """One point of the configuration sweep."""
 
     optimize: str = "off"  # "off" | "safe"
-    workers: int = 1  # 1 | 2
     backend: str = "relation"  # "relation" | "store"
     durability: str = "off"  # "off" | "batch" | "commit"
     cache: bool = True  # serving result/plan cache on | off
@@ -79,9 +77,10 @@ class Config:
 
         ``cache`` and ``replicas`` only mark the label when they differ
         from the default, so every pre-existing label (and the committed
-        records keyed by them) stays byte-identical.
+        records keyed by them) stays byte-identical.  ``1w`` is the one
+        engine the records were taken on (serial; there is no pool).
         """
-        label = f"{self.optimize}-{self.workers}w-{self.backend}-{self.durability}"
+        label = f"{self.optimize}-1w-{self.backend}-{self.durability}"
         if not self.cache:
             label += "-nocache"
         if self.replicas:
@@ -99,22 +98,19 @@ def configs_for(kind: str) -> list[Config]:
     """
     if kind == "query":
         return [
-            Config(optimize=o, workers=w, backend=b)
+            Config(optimize=o, backend=b)
             for o in ("off", "safe")
-            for w in (1, 2)
             for b in ("relation", "store")
         ]
     if kind == "delta-storm":
         return [
-            Config(workers=w, backend="store", durability=d)
-            for w in (1, 2)
+            Config(backend="store", durability=d)
             for d in ("off", "batch")
         ]
     if kind == "session":
         return [
-            Config(optimize=o, workers=w, backend="store", durability=d)
+            Config(optimize=o, backend="store", durability=d)
             for o in ("off", "safe")
-            for w in (1, 2)
             for d in ("off", "batch")
         ]
     if kind == "commit-stream":
@@ -173,7 +169,6 @@ def _setup(scenario: Scenario, config: Config, data_dir: Optional[Path]) -> TPDa
     compute inside the clock (they are cached/maintained in production).
     """
     db = TPDatabase(
-        parallel=config.workers,
         data_dir=data_dir,
         durability=config.durability if data_dir is not None else None,
     )
@@ -406,16 +401,13 @@ def _ratios(kind: str, timings: dict[str, dict]) -> dict[str, float]:
     if kind == "query":
         base = _min("off-1w-relation-off")
         pairs["speedup_safe"] = (base, _min("safe-1w-relation-off"))
-        pairs["speedup_parallel2"] = (base, _min("off-2w-relation-off"))
         pairs["overhead_store_vs_relation"] = (_min("off-1w-store-off"), base)
     elif kind == "delta-storm":
         base = _min("off-1w-store-off")
-        pairs["speedup_parallel2"] = (base, _min("off-2w-store-off"))
         pairs["overhead_batch_vs_off"] = (_min("off-1w-store-batch"), base)
     elif kind == "session":
         base = _min("off-1w-store-off")
         pairs["speedup_safe"] = (base, _min("safe-1w-store-off"))
-        pairs["speedup_parallel2"] = (base, _min("off-2w-store-off"))
         pairs["overhead_batch_vs_off"] = (_min("off-1w-store-batch"), base)
     elif kind == "commit-stream":
         base = _min("off-1w-store-off")

@@ -17,7 +17,6 @@ from repro.core.lawa import LawaSweep
 from repro.core.sorting import sort_tuples
 from repro.core.setops import tp_intersect
 from repro.datasets import generate_pair
-from repro.exec.config import parallel_execution
 from repro.prob.valuation import clear_valuation_cache
 
 from tests.test_hot_path_budget import count_calls
@@ -40,9 +39,7 @@ def test_lawa_subquadratic_growth(op):
     def calls_per_row(n: int) -> float:
         r, s = generate_pair(n, seed=0)
         clear_valuation_cache()
-        # Pinned to the serial path whatever the ambient CI leg is.
-        with parallel_execution(1):
-            calls, out = count_calls(lambda: algorithm.compute(op, r, s))
+        calls, out = count_calls(lambda: algorithm.compute(op, r, s))
         return sum(calls.values()) / len(out)
 
     small, large = calls_per_row(4_000), calls_per_row(16_000)

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..core.errors import SchemaMismatchError, UnsupportedOperationError
-from ..exec.config import active_config
 from ..core.gtwindow import (
     LEFT,
     MatchWindow,
@@ -527,18 +526,6 @@ def _sweep_rows(
         keys = list(s_groups)
     else:  # matches only: other groups cannot contribute
         keys = [k for k in r_groups if k in s_groups]
-
-    config = active_config()
-    if config.enabled:
-        # Key-group-sharded pool execution, bit-identical to the serial
-        # loop below (DESIGN.md §10); None = stay serial.
-        from ..exec.engine import join_sweep_rows
-
-        rows = join_sweep_rows(
-            layout, policy, keys, r_groups, s_groups, config=config
-        )
-        if rows is not None:
-            return rows
 
     empty: tuple[TPTuple, ...] = ()
     rows = []

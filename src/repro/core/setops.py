@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..exec.config import active_config
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
@@ -78,7 +77,6 @@ __all__ = [
 
 _OP_UNION, _OP_INTERSECT, _OP_EXCEPT = 0, 1, 2
 _OPCODES = {"union": _OP_UNION, "intersect": _OP_INTERSECT, "except": _OP_EXCEPT}
-_OPNAMES = {code: name for name, code in _OPCODES.items()}
 
 
 def tp_intersect(
@@ -174,19 +172,7 @@ def _dispatch(
     r_sorted = _sorted_input(r, sort_strategy)
     s_sorted = _sorted_input(s, sort_strategy)
     if fused:
-        rows = None
-        config = active_config()
-        if config.enabled:
-            # Fact-group-sharded pool execution, bit-identical to the
-            # fused kernel (DESIGN.md §10); None = stay serial (input
-            # below break-even, or unsplittable).
-            from ..exec.engine import setop_sweep_rows
-
-            rows = setop_sweep_rows(
-                r_sorted, s_sorted, _OPNAMES[opcode], config=config
-            )
-        if rows is None:
-            rows = _fused_sweep(r_sorted, s_sorted, opcode)
+        rows = _fused_sweep(r_sorted, s_sorted, opcode)
     else:
         rows = _unfused_sweep(r_sorted, s_sorted, opcode)
     return _finish(r, s, symbol, rows, materialize, options)

@@ -131,8 +131,8 @@ def tuples_from_rows(
 ) -> list[TPTuple]:
     """Build one tuple per ``(fact, λ, winTs, winTe)`` row and aligned ``p``.
 
-    The trusted constructor for kernels that emit rows (the joins, the
-    pool's kernels, join-view refresh): the caller guarantees
+    The trusted constructor for kernels that emit rows (the joins and
+    join-view refresh): the caller guarantees
     ``winTs < winTe`` (sweeps emit non-empty windows only), so nothing is
     validated.  Without ``probs`` the tuples are lineage-only (``p=None``).
     """

@@ -14,9 +14,7 @@ queries.  ``--apply name=delta.csv`` replays a delta file (insert and
 delete rows, see :mod:`repro.store.delta`) against a loaded relation
 before the query runs — the relation is converted to a mutable
 :class:`~repro.store.SegmentStore` and the batch applied as one
-transaction.  ``--parallel N`` executes the query (and any delta
-application) on an N-worker pool; results are bit-identical to serial
-execution (DESIGN.md §10).  ``--optimize {off,safe,aggressive}`` runs
+transaction.  ``--optimize {off,safe,aggressive}`` runs
 the cost-based optimizer over the query (DESIGN.md §11); prefixing the
 query with ``EXPLAIN`` (or using ``--explain``) prints the chosen plan
 with estimated vs. actual row counts instead of the result table::
@@ -118,15 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the result to this .csv or .json file instead of stdout",
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker-pool size for query execution and delta application "
-        "(default: serial, or the REPRO_PARALLEL environment variable); "
-        "results are bit-identical to serial execution",
-    )
-    parser.add_argument(
         "--data-dir",
         default=None,
         metavar="DIR",
@@ -160,10 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.parallel is not None and args.parallel < 1:
-        parser.error(
-            f"--parallel must be a positive worker count, got {args.parallel}"
-        )
     if args.optimize not in OPTIMIZE_LEVELS:
         parser.error(
             f"--optimize must be one of {', '.join(OPTIMIZE_LEVELS)}, "
@@ -177,11 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.durability is not None and args.data_dir is None:
         parser.error("--durability requires --data-dir")
 
-    db = TPDatabase(
-        parallel=args.parallel,
-        data_dir=args.data_dir,
-        durability=args.durability,
-    )
+    db = TPDatabase(data_dir=args.data_dir, durability=args.durability)
     try:
         for _name, report in sorted(db.recovery_reports.items()):
             print(report, file=sys.stderr)

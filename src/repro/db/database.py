@@ -38,7 +38,6 @@ from ..core.errors import (
     UnsupportedOperationError,
 )
 from ..core.relation import TPRelation
-from ..exec.config import parallel_execution, parse_workers
 from ..query.analysis import QueryAnalysis, analyze
 from ..query.ast import QueryNode, relation_references
 from ..query.cost import PlanChoice, choose_plan
@@ -101,13 +100,6 @@ class _RuntimeCatalog(Mapping[str, TPRelation]):
 class TPDatabase:
     """An in-memory temporal-probabilistic database.
 
-    ``parallel`` selects the worker-pool size for this database's query
-    execution, view maintenance and root valuation (DESIGN.md §10):
-    ``None`` inherits the ambient configuration (the ``REPRO_PARALLEL``
-    environment variable), ``1`` forces serial execution, ``N > 1`` runs
-    the parallel engine with N workers.  Results are bit-identical
-    either way.
-
     ``data_dir`` turns on durability (DESIGN.md §12): every store-backed
     relation gets a subdirectory holding a checksummed write-ahead log
     plus periodic checkpoints, and opening a database on an existing
@@ -123,14 +115,10 @@ class TPDatabase:
     def __init__(
         self,
         *,
-        parallel: Optional[int] = None,
         data_dir: Union[str, Path, None] = None,
         durability: Optional[str] = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
-        if parallel is not None:
-            parallel = parse_workers(str(parallel), source="parallel")
-        self.parallel = parallel
         if durability is not None:
             durability = parse_durability(durability)
         if data_dir is None:
@@ -308,13 +296,12 @@ class TPDatabase:
         ``inserts`` rows are ``(*fact_values, ts, te, p)``; ``deletes``
         rows are ``(*fact_values, ts, te)``.  Eager views refresh before
         this returns."""
-        with parallel_execution(self.parallel):
-            changeset = self.store(name).apply(inserts=inserts, deletes=deletes)
-            persistence = self._persistence.get(name)
-            if persistence is not None:
-                persistence.on_commit()
-            if changeset:
-                self._notify_views()
+        changeset = self.store(name).apply(inserts=inserts, deletes=deletes)
+        persistence = self._persistence.get(name)
+        if persistence is not None:
+            persistence.on_commit()
+        if changeset:
+            self._notify_views()
         return changeset
 
     def insert(self, name: str, rows: Iterable[Sequence[object]]) -> ChangeSet:
@@ -406,8 +393,7 @@ class TPDatabase:
                 )
             stores[ref] = self.store(ref)
         view = MaterializedView(
-            name, query, stores, policy=policy, strategy=strategy,
-            parallel=self.parallel,
+            name, query, stores, policy=policy, strategy=strategy
         )
         self._views[name] = view
         return view
@@ -427,8 +413,7 @@ class TPDatabase:
     def refresh(self, name: Optional[str] = None) -> dict[str, bool]:
         """Refresh one view (or all); returns per-view "anything changed"."""
         views = [self.view(name)] if name is not None else self._views.values()
-        with parallel_execution(self.parallel):
-            return {view.name: view.refresh() for view in views}
+        return {view.name: view.refresh() for view in views}
 
     def stats(self) -> dict:
         """Introspection snapshot: per view, what maintaining it has cost
@@ -560,12 +545,7 @@ class TPDatabase:
         level = resolve_level(optimize, aggressive)
         ast, _, _ = self._optimize(self._to_ast(text_or_ast), level, use_views)
         plan = plan_query(ast, algorithm=algorithm, join_algorithm=join_algorithm)
-        return execute_plan(
-            plan,
-            _RuntimeCatalog(self),
-            materialize=materialize,
-            parallel=self.parallel,
-        )
+        return execute_plan(plan, _RuntimeCatalog(self), materialize=materialize)
 
     def _optimize(
         self, ast: QueryNode, level: str, use_views: bool
@@ -586,12 +566,7 @@ class TPDatabase:
         # original reference walk did not see — top the stats up.
         for name, entry in self._stats_catalog(ast).items():
             stats.setdefault(name, entry)
-        choice = choose_plan(
-            ast,
-            stats,
-            aggressive=level == "aggressive",
-            workers=self.parallel,
-        )
+        choice = choose_plan(ast, stats, aggressive=level == "aggressive")
         return choice.chosen, choice, stats
 
     def analyze(self, text_or_ast: Union[str, QueryNode]) -> QueryAnalysis:
@@ -634,7 +609,6 @@ class TPDatabase:
                 plan,
                 _RuntimeCatalog(self),
                 materialize=False,
-                parallel=self.parallel,
                 observe=lambda path, _node, result: counts.__setitem__(
                     path, len(result)
                 ),
@@ -648,7 +622,6 @@ class TPDatabase:
             analysis=analysis,
             choice=choice,
             actuals=actuals,
-            workers=self.parallel,
         )
 
     @staticmethod

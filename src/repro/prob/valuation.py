@@ -40,7 +40,7 @@ Entries live in per-epoch buckets (dead epochs are evicted wholesale).
 Each live bucket is bounded (``ProbabilityOptions.cache_max_entries``)
 by **bounded eviction**: at the bound, the oldest entries are dropped in
 chunks, in insertion order — but never entries written by the batch in
-flight (including parallel-warmed ones), so a large batch can no longer
+flight, so a large batch can no longer
 wipe out its own working set mid-flight the way the previous wholesale
 ``clear()`` did.  A batch that outgrows the bound scans for victims
 until only its own entries are left and then not again, so its cost per
@@ -57,7 +57,6 @@ import weakref
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from ..exec.config import active_config as _active_parallel_config
 from ..lineage.formula import Lineage, Var
 from .bdd import probability_bdd
 from .exact_1of import _missing_variable, probability_1of
@@ -317,14 +316,14 @@ def _evict_entries(bucket: dict, cap: int, protected) -> bool:
     """Bounded memo eviction: oldest unprotected entries, in chunks.
 
     Called when an insert would push ``bucket`` past ``cap``.  Entries in
-    ``protected`` — everything the batch in flight has written, warmed or
-    serial — are never dropped, so a batch cannot evict values it still
-    needs (the bug this replaced: a wholesale ``bucket.clear()`` that
-    discarded the entire epoch's memo, parallel-warmed entries included,
-    on every insert past the cap).  Eviction proceeds in dict insertion
-    order (oldest first) in chunks of ``cap // 8`` to amortize the scan;
-    when every entry is protected the bucket transiently exceeds the cap
-    by at most the batch's distinct-formula count.
+    ``protected`` — everything the batch in flight has written — are
+    never dropped, so a batch cannot evict values it still needs (the
+    bug this replaced: a wholesale ``bucket.clear()`` that discarded the
+    entire epoch's memo on every insert past the cap).  Eviction
+    proceeds in dict insertion order (oldest first) in chunks of
+    ``cap // 8`` to amortize the scan; when every entry is protected the
+    bucket transiently exceeds the cap by at most the batch's
+    distinct-formula count.
 
     Returns whether unprotected entries may remain.  ``False`` means the
     scan ran to the end of the bucket: all that is left is the caller's
@@ -372,58 +371,6 @@ def valuation_cache_stats() -> dict[str, int]:
         "memo_epochs": len(_VALUATION_MEMO),
         "plain_epochs": len(_PLAIN_EPOCHS),
     }
-
-
-def _parallel_warm(
-    formulas: list,
-    bucket: dict,
-    probabilities: Mapping[str, float],
-    opts: "ProbabilityOptions",
-    parallel,
-) -> set:
-    """Pool-valuate a batch's distinct deterministic formulas into the memo.
-
-    Only formulas the AUTO dispatch computes deterministically are
-    farmed out (atomic variables are a plain dict probe — cheaper inline
-    — and Monte-Carlo-bound formulas must consume the caller's RNG in
-    serial order, so both stay in the parent).  Below the configured
-    batch threshold the scan returns without touching the pool.
-
-    Returns the warmed formulas, so the caller's counters can attribute
-    each one's first occurrence to a miss — exactly what the serial path
-    would have recorded.
-    """
-    if len(formulas) < parallel.min_formulas:
-        return set()
-    limit = opts.exact_repeated_limit
-    bucket_get = bucket.get
-    pending: list[Lineage] = []
-    seen: set[Lineage] = set()
-    for formula in formulas:
-        if (
-            type(formula) is Var
-            or formula in seen
-            or bucket_get(formula, _MISS) is not _MISS
-        ):
-            continue
-        seen.add(formula)
-        if formula.is_1of or formula.repeated_count() <= limit:
-            pending.append(formula)
-    if len(pending) < parallel.min_formulas:
-        return set()
-    from ..exec.engine import parallel_probability_values
-
-    values = parallel_probability_values(pending, probabilities, config=parallel)
-    if values is None:
-        return set()
-    cap = opts.cache_max_entries
-    protected = set(pending)
-    evictable = True
-    for formula, value in zip(pending, values):
-        if evictable and len(bucket) >= cap:
-            evictable = _evict_entries(bucket, cap, protected)
-        bucket[formula] = value
-    return protected
 
 
 # ----------------------------------------------------------------------
@@ -564,42 +511,18 @@ def probability_batch(
         return out
 
     bucket = _memo_bucket(epoch)
-    warmed: set[Lineage] = set()
-    parallel = _active_parallel_config()
-    if parallel.enabled:
-        # Root-materialization parallelism (DESIGN.md §10.5): warm the
-        # memo bucket with pool-computed values for the batch's distinct
-        # deterministic formulas, then let the serial loop below serve
-        # them as ordinary memo hits.  Values are bit-identical to the
-        # serial computation, so the memo contents stay exact; the
-        # ``warmed`` set keeps the hit/miss counters exact too (a warmed
-        # formula's first occurrence counts as the miss it would have
-        # been serially).
-        lineages = lineages if isinstance(lineages, list) else list(lineages)
-        warmed = _parallel_warm(lineages, bucket, probabilities, opts, parallel)
     bucket_get = bucket.get
     limit = opts.cache_max_entries
     misses = hits = 0
-    # Everything this batch writes (warmed or serial) is protected from
-    # eviction until the batch completes; once a scan has found nothing
-    # but the batch's own entries (``evictable`` false) it stops scanning
-    # instead of walking the bucket again for every further row.
-    protected: set[Lineage] = set(warmed)
+    # Everything this batch writes is protected from eviction until the
+    # batch completes; once a scan has found nothing but the batch's own
+    # entries (``evictable`` false) it stops scanning instead of walking
+    # the bucket again for every further row.
+    protected: set[Lineage] = set()
     evictable = True
     for formula in lineages:
         value = bucket_get(formula, _MISS)
-        if value is not _MISS and warmed and formula in warmed:
-            warmed.discard(formula)
-            misses += 1
-            append(value)
-            continue
         if value is _MISS:
-            if warmed:
-                # Defensive marker consumption (warmed entries are
-                # eviction-protected, so this should not trigger): keep
-                # later occurrences counting as the hits they would have
-                # been serially.
-                warmed.discard(formula)
             misses += 1
             # Inlined AUTO fast paths — atomic lineages and 1OF formulas
             # cover every non-repeating set query (Theorem 1).  Keep in

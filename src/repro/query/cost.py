@@ -14,13 +14,6 @@ statistics catalog (:mod:`repro.query.stats`): cardinalities,
 per-attribute distinct counts (selectivity, join fan-out) and covering
 spans/histograms (temporal-overlap factors).
 
-The model is **worker-aware** through
-:func:`repro.exec.config.estimated_speedup`: sweep terms are discounted
-by the speedup the parallel engine can realistically reach for that
-operator — bounded by the worker count *and* by the number of
-shardable fact/key groups, gated by the engine's own ``min_tuples``
-threshold.
-
 :func:`choose_plan` enumerates the bounded candidate space
 (:func:`repro.query.optimize.enumerate_plans`), scores every candidate
 and picks the cheapest (ties resolve to the earliest candidate, so the
@@ -31,12 +24,11 @@ every candidate is result-equivalent by construction, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
 from ..core.errors import SchemaMismatchError
 from ..core.schema import TPSchema
-from ..exec.config import active_config, estimated_speedup
 from .ast import JoinNode, QueryNode, RelationRef, SelectionNode, SetOpNode
 from .optimize import (
     MultiOpNode,
@@ -62,9 +54,6 @@ DEFAULT_GROUPS = 8.0
 DEFAULT_SELECTIVITY = 0.25
 #: Assumed distinct count of a join attribute without statistics.
 DEFAULT_DISTINCT = 8.0
-#: Cost charged per operator dispatched to the worker pool (the
-#: serialization round-trip), in sweep-row equivalents.
-POOL_OVERHEAD = 256.0
 
 
 @dataclass(frozen=True)
@@ -107,20 +96,13 @@ def choose_plan(
     *,
     aggressive: bool = False,
     limit: int = 24,
-    workers: Optional[int] = None,
 ) -> PlanChoice:
-    """Enumerate the candidate space and pick the cheapest plan.
-
-    ``workers`` overrides the worker count the sweep-discount uses
-    (``None`` reads the ambient :func:`repro.exec.config.active_config`).
-    """
+    """Enumerate the candidate space and pick the cheapest plan."""
     schemas = schemas_from_stats(stats, query)
     candidates = enumerate_plans(
         query, schemas=schemas, stats=stats, aggressive=aggressive, limit=limit
     )
-    scored = tuple(
-        (node, estimate(node, stats, workers=workers)) for node in candidates
-    )
+    scored = tuple((node, estimate(node, stats)) for node in candidates)
     best_index = min(
         range(len(scored)), key=lambda i: (scored[i][1].cost, i)
     )
@@ -141,8 +123,7 @@ def order_multiway_children(node: OptimizedNode, stats: StatsCatalog) -> Optimiz
     operand names the output's attributes, so it stays first unless all
     operands carry the same names (positionally compatible operands may
     differ in them, and a selection above resolves its attribute by
-    name).  Estimation runs at ``workers=1`` so the ordering never
-    depends on the ambient pool configuration.
+    name).
     """
     if isinstance(node, RelationRef):
         return node
@@ -165,7 +146,7 @@ def order_multiway_children(node: OptimizedNode, stats: StatsCatalog) -> Optimiz
         )
     assert isinstance(node, MultiOpNode)
     children = [order_multiway_children(c, stats) for c in node.children]
-    estimates = {child: estimate(child, stats, workers=1) for child in children}
+    estimates = {child: estimate(child, stats) for child in children}
     names = {
         e.schema.attributes if e.schema is not None else None
         for e in estimates.values()
@@ -180,39 +161,16 @@ def order_multiway_children(node: OptimizedNode, stats: StatsCatalog) -> Optimiz
 # ----------------------------------------------------------------------
 # the estimator
 # ----------------------------------------------------------------------
-def estimate(
-    node: Union[QueryNode, OptimizedNode],
-    stats: StatsCatalog,
-    *,
-    workers: Optional[int] = None,
-) -> Estimate:
+def estimate(node: Union[QueryNode, OptimizedNode], stats: StatsCatalog) -> Estimate:
     """Bottom-up cost/cardinality estimate of a logical plan."""
-    if workers is None:
-        workers = active_config().workers
-    return _estimate(node, stats, workers)
-
-
-def _sweep_cost(work: float, groups: float, workers: int) -> float:
-    """Worker-aware cost of one sweep over ``work`` rows."""
-    if workers <= 1:
-        return work
-    config = active_config()
-    if config.workers != workers:
-        config = replace(config, workers=workers)
-    speedup = estimated_speedup(work, groups, config)
-    overhead = POOL_OVERHEAD if speedup > 1.0 else 0.0
-    return work / speedup + overhead
-
-
-def _estimate(node, stats: StatsCatalog, workers: int) -> Estimate:
     if isinstance(node, RelationRef):
         return _leaf_estimate(node.name, stats)
     if isinstance(node, SelectionNode):
-        return _selection_estimate(node, stats, workers)
+        return _selection_estimate(node, stats)
     if isinstance(node, (SetOpNode, MultiOpNode)):
-        return _setop_estimate(node, stats, workers)
+        return _setop_estimate(node, stats)
     assert isinstance(node, JoinNode)
-    return _join_estimate(node, stats, workers)
+    return _join_estimate(node, stats)
 
 
 def _leaf_estimate(name: str, stats: StatsCatalog) -> Estimate:
@@ -238,10 +196,8 @@ def _leaf_estimate(name: str, stats: StatsCatalog) -> Estimate:
     )
 
 
-def _selection_estimate(
-    node: SelectionNode, stats: StatsCatalog, workers: int
-) -> Estimate:
-    child = _estimate(node.child, stats, workers)
+def _selection_estimate(node: SelectionNode, stats: StatsCatalog) -> Estimate:
+    child = estimate(node.child, stats)
     d = child.distinct.get(node.attribute, 0.0)
     selectivity = 1.0 / d if d >= 1.0 else DEFAULT_SELECTIVITY
     selectivity = min(1.0, selectivity)
@@ -320,27 +276,24 @@ def _span_intersection(a, b):
     return (lo, hi) if hi > lo else None
 
 
-def _setop_estimate(node, stats: StatsCatalog, workers: int) -> Estimate:
+def _setop_estimate(node, stats: StatsCatalog) -> Estimate:
     """A binary sweep, or an n-ary ∪/∩ priced as the left fold it runs:
     each step sweeps the running intermediate plus the next child, so an
     n-ary node costs exactly what its left-deep binary chain costs."""
     if isinstance(node, MultiOpNode):
-        children = [_estimate(c, stats, workers) for c in node.children]
+        children = [estimate(c, stats) for c in node.children]
     else:
-        children = [
-            _estimate(node.left, stats, workers),
-            _estimate(node.right, stats, workers),
-        ]
+        children = [estimate(node.left, stats), estimate(node.right, stats)]
     result = children[0]
     for child in children[1:]:
-        result = _sweep_estimate(node.op, result, child, workers)
+        result = _sweep_estimate(node.op, result, child)
     return result
 
 
-def _sweep_estimate(op: str, left: Estimate, right: Estimate, workers: int) -> Estimate:
+def _sweep_estimate(op: str, left: Estimate, right: Estimate) -> Estimate:
     sweep = left.rows + right.rows
     groups = max(left.groups, right.groups)
-    cost = left.cost + right.cost + _sweep_cost(sweep, groups, workers)
+    cost = left.cost + right.cost + sweep
     if op == "union":
         rows = sweep
         distinct = dict(left.distinct)
@@ -366,11 +319,11 @@ def _sweep_estimate(op: str, left: Estimate, right: Estimate, workers: int) -> E
     )
 
 
-def _join_estimate(node: JoinNode, stats: StatsCatalog, workers: int) -> Estimate:
+def _join_estimate(node: JoinNode, stats: StatsCatalog) -> Estimate:
     from ..algebra.join import join_layout_from_schemas
 
-    left = _estimate(node.left, stats, workers)
-    right = _estimate(node.right, stats, workers)
+    left = estimate(node.left, stats)
+    right = estimate(node.right, stats)
     layout = None
     if left.schema is not None and right.schema is not None:
         try:
@@ -415,7 +368,7 @@ def _join_estimate(node: JoinNode, stats: StatsCatalog, workers: int) -> Estimat
         span = left.span
     key_groups = max(1.0, min(dk_left, dk_right))
     sweep = left.rows + right.rows + pairs
-    cost = left.cost + right.cost + _sweep_cost(sweep, key_groups, workers)
+    cost = left.cost + right.cost + sweep
     distinct: dict[str, float] = {}
     if out_schema is not None and layout is not None:
         r_arity = left.schema.arity

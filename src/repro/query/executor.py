@@ -17,12 +17,11 @@ output tuples, each exactly once, with the final probability.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from ..core.errors import UnknownRelationError
 from ..core.relation import TPRelation
 from ..core.setops import multi_intersect, multi_union
-from ..exec.config import ParallelConfig, parallel_execution
 from .planner import (
     JoinPlan,
     MultiSetOpPlan,
@@ -46,24 +45,16 @@ def execute_plan(
     catalog: Mapping[str, TPRelation],
     *,
     materialize: bool = True,
-    parallel: Union[int, ParallelConfig, None] = None,
     observe: Optional[Observer] = None,
 ) -> TPRelation:
     """Evaluate a physical plan against a catalog of named relations.
-
-    ``parallel`` overrides the active worker-pool configuration for this
-    plan (DESIGN.md §10): every parallel-capable operator under the plan
-    — set-operation sweeps, join drivers, and the root batch valuation —
-    runs under it.  ``None`` inherits the ambient configuration
-    (``REPRO_PARALLEL`` or an enclosing :func:`parallel_execution`).
 
     ``observe`` is called once per plan node with its result
     (``EXPLAIN`` uses this to report actual row counts): interior nodes
     are lineage-only; the root is what this call returns — materialized
     under ``materialize=True``.
     """
-    with parallel_execution(parallel):
-        return _run(plan, catalog, observe, (), materialize)
+    return _run(plan, catalog, observe, (), materialize)
 
 
 def _run(

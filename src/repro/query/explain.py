@@ -66,7 +66,7 @@ def _label(plan: PhysicalPlan) -> str:
 def _children(
     node: OptimizedNode, plan: PhysicalPlan
 ) -> list[tuple[OptimizedNode, PhysicalPlan]]:
-    """Lockstep child pairs — the planner lowers 1:1, so shapes match."""
+    """Matching child pairs — the planner lowers 1:1, so shapes match."""
     if isinstance(plan, ScanPlan):
         return []
     if isinstance(plan, SelectPlan):
@@ -84,20 +84,18 @@ def _render_node(
     plan: PhysicalPlan,
     stats: StatsCatalog,
     actuals: Optional[Mapping[tuple, int]],
-    workers: Optional[int],
     path: tuple,
     indent: int,
     lines: list[str],
 ) -> None:
-    est = estimate(node, stats, workers=workers)
+    est = estimate(node, stats)
     fields = [f"est rows={_fmt(est.rows)}", f"cost={_fmt(est.cost)}"]
     if actuals is not None and path in actuals:
         fields.append(f"actual rows={actuals[path]}")
     lines.append(" " * indent + _label(plan) + "  (" + ", ".join(fields) + ")")
     for i, (child_node, child_plan) in enumerate(_children(node, plan)):
         _render_node(
-            child_node, child_plan, stats, actuals, workers,
-            path + (i,), indent + 2, lines,
+            child_node, child_plan, stats, actuals, path + (i,), indent + 2, lines
         )
 
 
@@ -110,7 +108,6 @@ def render_explain(
     analysis: QueryAnalysis,
     choice: Optional[PlanChoice] = None,
     actuals: Optional[Mapping[tuple, int]] = None,
-    workers: Optional[int] = None,
 ) -> str:
     """The full ``EXPLAIN`` report for one (logical, physical) plan pair."""
     lines = [f"query: {node if not isinstance(node, RelationRef) else node.name}"]
@@ -121,7 +118,7 @@ def render_explain(
         )
     else:
         lines.append(f"optimizer: {level}")
-    _render_node(node, plan, stats, actuals, workers, (), 0, lines)
+    _render_node(node, plan, stats, actuals, (), 0, lines)
     lines.append("--")
     lines.append(analysis.describe())
     return "\n".join(lines)

@@ -4,7 +4,7 @@ The optimizer scores candidate plans by *estimated sweep rows*, which
 needs three kinds of per-relation information:
 
 * **cardinalities** — tuple count and fact-group count (the unit the
-  sweep kernels and the parallel sharder work in);
+  sweep kernels work in);
 * **distinct-key counts** — per attribute, how many distinct values
   occur; drives selection selectivity (σ[a=v] keeps ≈ 1/d of the rows)
   and join fan-out (matching pairs ≈ |r|·|s| / max(dᵣ, dₛ));

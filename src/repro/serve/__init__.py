@@ -9,7 +9,7 @@ Three layers, separately testable:
 - :mod:`repro.serve.server` — the asyncio socket front-end speaking
   newline-delimited JSON (:mod:`repro.serve.protocol`), with
   per-request timeouts and graceful SIGTERM shutdown.  Run it with
-  ``python -m repro.serve --data-dir DIR --port N --workers W``.
+  ``python -m repro.serve --data-dir DIR --port N``.
 - :mod:`repro.serve.client` — a small synchronous client.
 
 Only the compute layer is imported eagerly; the server pulls in asyncio

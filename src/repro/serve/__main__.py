@@ -2,16 +2,15 @@
 
 Usage::
 
-    python -m repro.serve --data-dir ./tpdata --port 7070 --workers 4
+    python -m repro.serve --data-dir ./tpdata --port 7070
     python -m repro.serve --load a=examples/a.csv --port 0   # ephemeral port
 
 The server speaks newline-delimited JSON (:mod:`repro.serve.protocol`)
 and prints one parseable ready line — ``serving on HOST:PORT`` — once
 the socket is listening, so scripts (and the smoke harness) can start it
 with ``--port 0`` and discover the bound port.  SIGTERM or Ctrl-C shuts
-it down gracefully: sessions close, the WAL is released, and the exec
-pools are reaped — a killed server always leaves a recoverable
-``--data-dir``.
+it down gracefully: sessions close and the WAL is released — a killed
+server always leaves a recoverable ``--data-dir``.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(no persistence)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exec-pool size for query execution and view maintenance "
-        "(default: serial); results are bit-identical to serial execution",
-    )
-    parser.add_argument(
         "--load",
         action="append",
         default=[],
@@ -113,8 +104,6 @@ def main(argv: list[str] | None = None) -> int:
     """Parse arguments, open the database, serve until signalled."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be a positive count, got {args.workers}")
     if args.durability is not None and args.durability not in DURABILITY_LEVELS:
         parser.error(
             f"--durability must be one of {', '.join(DURABILITY_LEVELS)}, "
@@ -129,11 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.replicas < 0:
         parser.error("--replicas must be >= 0")
 
-    db = TPDatabase(
-        parallel=args.workers,
-        data_dir=args.data_dir,
-        durability=args.durability,
-    )
+    db = TPDatabase(data_dir=args.data_dir, durability=args.durability)
     # The context manager guarantees TPDatabase.close() — releasing the
     # WAL/persistence handles — even when serve() dies mid-request.
     with db:

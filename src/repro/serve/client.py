@@ -120,7 +120,7 @@ class ServeClient:
         return self.request({"op": "epochs"})
 
     def stats(self) -> dict[str, Any]:
-        """Server introspection: cache counters, sessions, pool workers."""
+        """Server introspection: cache counters, sessions, replicas."""
         return self.request({"op": "stats"})
 
     def close(self) -> None:

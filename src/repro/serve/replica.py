@@ -6,7 +6,7 @@ and unlocked (DESIGN.md §14.2).  This module scales reads past that
 thread the only way the constraint allows: **more processes**
 (DESIGN.md §16).  A :class:`ReplicaSet` forks N long-lived read-only
 replicas; each holds its own copy of every store and constant relation,
-shipped through the PR 4 lineage batch codec
+shipped through the lineage batch codec
 (:mod:`repro.lineage.serialize`, via the WAL's tuple codec) so lineage
 is re-interned on arrival and the replica's canonical strings — and
 therefore its encoded result fragments, which it caches and ships as
@@ -24,8 +24,8 @@ by the time a commit's response reaches any client, every replica can
 already serve the new epoch.
 
 Failure semantics: each parent-side :class:`ReplicaHandle` watches the
-child process exactly like the exec pool's guarded map watches its
-workers — a vanished process, a dead pipe or a silent replica raises
+child process while it waits for a reply — a vanished process, a dead
+pipe or a silent replica raises
 :class:`ReplicaUnavailable`, the server re-runs the request on the
 writer (bit-identical by construction), and a fresh replica is forked
 from the writer's current state.  No client ever sees the failure.  A
@@ -46,8 +46,6 @@ from typing import Any, Optional
 from ..core.relation import TPRelation
 from ..core.schema import TPSchema
 from ..db.database import TPDatabase
-from ..exec.config import mark_worker
-from ..exec.pool import forget_pools, shutdown_pools
 from ..query.ast import QueryNode, relation_references
 from ..query.cost import choose_plan
 from ..query.executor import execute_plan
@@ -68,8 +66,7 @@ __all__ = [
     "encode_changeset",
 ]
 
-#: Poll interval while waiting on a replica's reply (seconds) — the same
-#: cadence the exec pool's guarded map uses to notice dead workers.
+#: Poll interval while waiting on a replica's reply (seconds).
 _POLL_INTERVAL = 0.05
 
 
@@ -187,7 +184,7 @@ def seed_payload(db: TPDatabase) -> tuple:
         for name in db.relation_names()
         if name not in store_names and name not in view_names
     )
-    return (db.parallel, stores, consts)
+    return (stores, consts)
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +194,7 @@ class _ReplicaState:
     """One replica's database-shaped state plus its epoch-keyed caches."""
 
     def __init__(self, seed: tuple, cache_size: int) -> None:
-        workers, stores_data, consts_data = seed
-        self.workers: Optional[int] = workers
+        stores_data, consts_data = seed
         self.stores = {
             store.name: store
             for store in (_decode_store(data) for data in stores_data)
@@ -225,7 +221,7 @@ class _ReplicaState:
         # every epoch part is still pinned by some live session (or is
         # current) on the writer — the same sweep rule the writer runs.
         live = set(live_parts)
-        self.results.sweep(lambda key: all(part in live for part in key[3]))
+        self.results.sweep(lambda key: all(part in live for part in key[2]))
         return ("ok", store.epoch)
 
     def create(self, data: tuple) -> tuple:
@@ -251,7 +247,7 @@ class _ReplicaState:
         ast = parse_query(text)
         key_base = canonical_key(ast)
         epoch_key = tuple(part for _, part in parts)
-        result_key = (key_base, level, self.workers, epoch_key)
+        result_key = (key_base, level, epoch_key)
         # Replies show each part without its incarnation token, as the
         # writer's do (serve/session.py).
         wire_key = tuple(part[:-1] for part in epoch_key)
@@ -261,9 +257,7 @@ class _ReplicaState:
         if cached is not None:
             return ("ok", True, wire_key, cached.fragment())
         plan = self._plan(ast, level, key_base, epoch_key, catalog)
-        result = CachedResult(
-            execute_plan(plan, catalog, materialize=True, parallel=self.workers)
-        )
+        result = CachedResult(execute_plan(plan, catalog, materialize=True))
         self.results.put(result_key, result)
         return ("ok", False, wire_key, result.fragment())
 
@@ -280,9 +274,9 @@ class _ReplicaState:
         if level == "off":
             plan_key = ("off", ast)
         elif level == "aggressive":
-            plan_key = (level, key_base, self.workers, epoch_key)
+            plan_key = (level, key_base, epoch_key)
         else:
-            plan_key = (level, key_base, self.workers)
+            plan_key = (level, key_base)
         plan = self.plans.get(plan_key)
         if plan is not None:
             return plan
@@ -293,12 +287,7 @@ class _ReplicaState:
                 for name in relation_references(ast)
                 if name in catalog
             }
-            lowered = choose_plan(
-                ast,
-                stats,
-                aggressive=level == "aggressive",
-                workers=self.workers,
-            ).chosen
+            lowered = choose_plan(ast, stats, aggressive=level == "aggressive").chosen
         plan = plan_query(lowered)
         self.plans.put(plan_key, plan)
         return plan
@@ -311,16 +300,7 @@ def _replica_main(conn: Any, seed: tuple, cache_size: int) -> None:
     under a lock), and per-message exceptions become ``("error", …)``
     replies — the replica survives a bad query; only process death or a
     torn pipe is unrecoverable, and the parent's watchdog owns that.
-
-    First act: forget any exec pools inherited through the fork — their
-    workers belong to the parent, and reaping them at shutdown would be
-    both impossible (join asserts parenthood) and wrong (terminate would
-    kill the parent's live pool).  And it never opens one of its own: a
-    replica is a daemonic process, which may not have children, so it
-    marks itself a worker and every operator under it runs serially.
     """
-    forget_pools()
-    mark_worker()
     state = _ReplicaState(seed, cache_size)
     try:
         while True:
@@ -351,7 +331,6 @@ def _replica_main(conn: Any, seed: tuple, cache_size: int) -> None:
             except (OSError, BrokenPipeError):
                 break
     finally:
-        shutdown_pools()
         conn.close()
 
 
@@ -362,9 +341,9 @@ class ReplicaHandle:
     """One live replica: its process, its pipe, and a pairing lock.
 
     ``request`` is the only conversation primitive: send one message,
-    watch the process while waiting (the exec pool's guarded-map
-    pattern), receive one reply.  The lock makes send+recv atomic per
-    request, so concurrent reader threads and the commit fan-out
+    watch the process while waiting, receive one reply.  The lock makes
+    send+recv atomic per request, so concurrent reader threads and the
+    commit fan-out
     interleave whole conversations, never halves — and the pipe's FIFO
     then guarantees a replica ingests a commit before any query sent
     after it.

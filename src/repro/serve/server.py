@@ -7,15 +7,15 @@ through one dedicated single-thread executor.  Lineage interning and
 the valuation memo are process-global and unlocked, so one service
 thread is the whole write *and* read path; concurrency across clients
 comes from MVCC sessions (readers pin snapshots, the writer never waits
-for them) and from the multi-process exec pool under each query
-(``--workers``), not from threading the engine.
+for them) and from read replicas (``--replicas``), not from threading
+the engine.
 
 Shutdown is a first-class path: SIGTERM/SIGINT (or
 :meth:`ServeServer.request_shutdown`) stops accepting, cancels the
 connection handlers, drains the service thread, closes every session,
 and finally closes the database — the WAL/persistence handles are
 released even when a request was mid-flight, so a killed server always
-leaves a recoverable data directory and no leaked pool workers.
+leaves a recoverable data directory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import itertools
 from typing import Any, Callable, Optional
 
 from ..db.database import TPDatabase
-from ..exec.pool import pool_worker_pids, shutdown_pools
 from .protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -389,7 +388,6 @@ class ServeServer:
 
     def _do_stats(self) -> dict[str, Any]:
         stats = self.service.stats()
-        stats["pool_workers"] = pool_worker_pids()
         if self.replicas is not None:
             stats["replicas"] = self.replicas.stats()
         return {"ok": True, "stats": stats}
@@ -408,9 +406,7 @@ async def serve(
     """Run a server until SIGTERM/SIGINT, then shut down gracefully.
 
     ``ready`` is called with the bound (host, port) once the socket is
-    listening — the CLI prints its parseable ready line from it.  The
-    exec pools are this process's to tear down (the server owns its
-    database's lifecycle), so they are shut down on the way out too.
+    listening — the CLI prints its parseable ready line from it.
     """
     server = ServeServer(
         db,
@@ -439,4 +435,3 @@ async def serve(
         await server.aclose()
         for signum in registered:
             loop.remove_signal_handler(signum)
-        shutdown_pools()

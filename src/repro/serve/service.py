@@ -10,7 +10,7 @@ any I/O so tests and benchmarks can drive it in-process:
   and durability path — then re-pin the committing session to the state
   it just produced.
 - **Caching** is two-tier.  The *plan cache* maps canonical form (plus
-  optimize level and worker count) to a physical plan; plans for one
+  optimize level) to a physical plan; plans for one
   canonical form are result-equivalent, so entries survive commits.  The
   *result cache* additionally keys on the session's epoch signature
   restricted to the query's referenced names — a commit changes the
@@ -42,7 +42,6 @@ from typing import Iterable, Optional, Sequence, Union
 from ..core.errors import QueryParseError, UnknownRelationError
 from ..core.relation import TPRelation
 from ..db.database import TPDatabase
-from ..exec.config import parallel_execution
 from ..lineage.formula import intern_stats
 from ..prob.valuation import valuation_cache_stats
 from ..query.analysis import analyze
@@ -234,15 +233,14 @@ class QueryService:
         db = self.db
         catalog: dict[str, TPRelation] = {}
         epochs: dict[str, EpochPart] = {}
-        with parallel_execution(db.parallel):
-            for name in db.view_names():
-                view = db.view(name)
-                catalog[name] = view.relation()
-                if view.policy == "manual":
-                    token = next(self._ids)  # unique per pin
-                    epochs[name] = ("view-manual", name, token, self._incarnation(view))
-                else:
-                    epochs[name] = self._view_part(name)
+        for name in db.view_names():
+            view = db.view(name)
+            catalog[name] = view.relation()
+            if view.policy == "manual":
+                token = next(self._ids)  # unique per pin
+                epochs[name] = ("view-manual", name, token, self._incarnation(view))
+            else:
+                epochs[name] = self._view_part(name)
         stores = {name: db.store(name) for name in db.store_names()}
         for name, store in stores.items():
             catalog[name] = store.snapshot()
@@ -291,7 +289,7 @@ class QueryService:
         :meth:`TPDatabase.query`; reads only the session's pinned
         relations, so concurrent commits are invisible until the session
         re-pins.  Results are cached keyed on (canonical form, level,
-        workers, epoch signature of the referenced names) — a repeated
+        epoch signature of the referenced names) — a repeated
         query at a fixed epoch is served from cache, bit-identically.
 
         At levels ``off`` and ``safe`` the plan is looked up first: a
@@ -311,27 +309,24 @@ class QueryService:
         if explained:
             return QueryResponse(None, self._explain(session, ast, level), False, ())
         key_base = canonical_key(ast)
-        workers = self.db.parallel
         parts = session.parts(references)
         epoch_key = tuple(part[:-1] for part in parts)  # the wire form
         plan = None
         if level != "aggressive":
-            plan, footprint = self._plan(session, ast, level, key_base, workers, parts)
+            plan, footprint = self._plan(session, ast, level, key_base, parts)
             if footprint:
                 parts = tuple(
                     _keyed(session, part, footprint.get(part[1])) for part in parts
                 )
-        result_key = (key_base, level, workers, parts)
+        result_key = (key_base, level, parts)
         cached = self.results.get(result_key)
         if cached is not None:
             if cached.epochs != epoch_key and _older(cached.epochs, epoch_key):
                 self.cross_epoch_hits += 1
             return QueryResponse(cached, None, True, epoch_key)
         if plan is None:
-            plan, _ = self._plan(session, ast, level, key_base, workers, parts)
-        relation = execute_plan(
-            plan, session.catalog, materialize=True, parallel=workers
-        )
+            plan, _ = self._plan(session, ast, level, key_base, parts)
+        relation = execute_plan(plan, session.catalog, materialize=True)
         result = CachedResult(relation.with_own_events(), epoch_key)
         self.results.put(result_key, result)
         return QueryResponse(result, None, False, epoch_key)
@@ -406,7 +401,6 @@ class QueryService:
         ast: QueryNode,
         level: str,
         key_base: tuple,
-        workers: Optional[int],
         parts: tuple[EpochPart, ...],
     ) -> tuple[PhysicalPlan, Footprint]:
         """The physical plan for ``ast`` and its footprint, through the
@@ -424,19 +418,16 @@ class QueryService:
         if level == "off":
             plan_key = ("off", ast)
         elif level == "aggressive":
-            plan_key = (level, key_base, workers, parts)
+            plan_key = (level, key_base, parts)
         else:
-            plan_key = (level, key_base, workers)
+            plan_key = (level, key_base)
         entry = self.plans.get(plan_key)
         if entry is not None:
             return entry
         lowered: QueryNode = ast
         if level != "off":
             choice = choose_plan(
-                ast,
-                self._stats(session, ast),
-                aggressive=level == "aggressive",
-                workers=workers,
+                ast, self._stats(session, ast), aggressive=level == "aggressive"
             )
             lowered = choice.chosen
         plan = plan_query(lowered)
@@ -468,9 +459,7 @@ class QueryService:
         choice = None
         lowered: QueryNode = ast
         if level != "off":
-            choice = choose_plan(
-                ast, stats, aggressive=level == "aggressive", workers=self.db.parallel
-            )
+            choice = choose_plan(ast, stats, aggressive=level == "aggressive")
             lowered = choice.chosen
         plan = plan_query(lowered)
         counts: dict[tuple, int] = {}
@@ -478,7 +467,6 @@ class QueryService:
             plan,
             session.catalog,
             materialize=False,
-            parallel=self.db.parallel,
             observe=lambda path, _node, result: counts.__setitem__(
                 path, len(result)
             ),
@@ -491,7 +479,6 @@ class QueryService:
             analysis=analysis,
             choice=choice,
             actuals=counts,
-            workers=self.db.parallel,
         )
 
     # ------------------------------------------------------------------
@@ -556,7 +543,7 @@ class QueryService:
                 and all(store.changed_at(value) == at for value, at in part[3])
             )
 
-        return self.results.sweep(lambda key: all(map(alive, key[3])))
+        return self.results.sweep(lambda key: all(map(alive, key[2])))
 
     def live_parts(self) -> set[EpochPart]:
         """Every epoch part reachable right now: current state + live pins.

@@ -4,9 +4,9 @@ Run as ``python -m repro.serve.smoke``; CI's serve-smoke job does (and
 the serve-replicas job re-runs it with ``--replicas 2``).  The script is
 the serving layer's acceptance walk in one process tree:
 
-1. launch ``python -m repro.serve --port 0 --data-dir D --workers 2``
-   (plus ``--replicas N`` when requested) and parse the ready line for
-   the bound port;
+1. launch ``python -m repro.serve --port 0 --data-dir D`` (plus
+   ``--replicas N`` when requested) and parse the ready line for the
+   bound port;
 2. create relations, run a query twice — the second must be served from
    cache — commit, and see the re-run miss (epoch invalidation) with
    the new row visible, while ``(a | b)[product='milk']`` stays cached
@@ -15,10 +15,9 @@ the serving layer's acceptance walk in one process tree:
    routed to a replica — and check its answers are bit-identical to the
    writer's, its repeat is served from the replica's cache, and the
    commit fan-out made the write visible;
-4. collect the exec-pool worker PIDs (and replica PIDs) via the
-   ``stats`` op, SIGTERM the server mid-conversation, and assert: exit
-   code 0, every collected PID gone, and the data directory recovers to
-   exactly the committed state.
+4. collect the replica PIDs via the ``stats`` op, SIGTERM the server
+   mid-conversation, and assert: exit code 0, every collected PID gone,
+   and the data directory recovers to exactly the committed state.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ def _launch(data_dir: Path, replicas: int = 0) -> tuple[subprocess.Popen, int]:
         "0",
         "--data-dir",
         str(data_dir),
-        "--workers",
-        "2",
     ]
     if replicas:
         argv += ["--replicas", str(replicas)]
@@ -117,7 +114,7 @@ def _exercise(port: int, replicas: int = 0) -> list[int]:
 
         stats = client.stats()["stats"]
         assert stats["results"]["hits"] >= 1
-        pids = list(stats["pool_workers"])
+        pids: list[int] = []
 
         if replicas:
             replica_stats = stats["replicas"]

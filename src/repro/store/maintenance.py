@@ -15,14 +15,6 @@ same mutating stores.
   .RecomputeEngine`) — the oracle the incremental engine is verified
   against, and a safe harbor for query shapes a future operator might
   not maintain incrementally.
-
-Both engines accept a ``parallel`` worker count (threaded through
-:class:`~repro.store.view.MaterializedView` from
-``TPDatabase(parallel=...)``): the incremental engine then shards its
-per-group re-sweeps across the worker pool via
-:func:`repro.exec.engine.group_rows_many`, the recompute engine runs the
-batch operators under the same pool configuration — bit-identical to
-serial maintenance in either case (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ class MaintenanceStrategy:
 
     name: str
     description: str
-    build: Callable  # (query, stores, options, parallel) -> engine
+    build: Callable  # (query, stores, options) -> engine
 
     def __repr__(self) -> str:
         return f"<{self.name}: {self.description}>"

@@ -43,6 +43,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..algebra.join import (
     JoinLayout,
+    join_group_rows,
     join_layout_from_schemas,
     merge_fact_overlaps,
     tp_join_operation,
@@ -51,10 +52,9 @@ from ..core.errors import UnsupportedOperationError
 from ..core.gtwindow import WINDOW_POLICIES, WindowPolicy
 from ..core.relation import TPRelation, selection_name
 from ..core.schema import Fact
-from ..core.setops import tp_set_operation
+from ..core.setops import sweep_rows, tp_set_operation
 from ..core.sorting import null_safe_fact_key
 from ..core.tuple import TPTuple, tuples_from_rows
-from ..exec.config import parallel_execution
 from ..prob.valuation import ProbabilityOptions, probability_batch
 from ..query.ast import JoinNode, QueryNode, RelationRef, SelectionNode, SetOpNode
 from .segment import Region, SegmentStore
@@ -189,16 +189,10 @@ def _splice(
     return changed_ranges
 
 
-def _group_rows_many(jobs: list, stats: dict) -> list[list]:
-    """Batch sweep jobs through :func:`repro.exec.engine.group_rows_many`.
-
-    Imported lazily so purely serial use of the store never loads the
-    pool machinery (the same deferral the batch operators practice)."""
-    from ..exec.engine import group_rows_many
-
-    stats["ranges_reswept"] += len(jobs)
-    stats["rows_reswept"] += sum(len(job[-2]) + len(job[-1]) for job in jobs)
-    return group_rows_many(jobs)
+def _count_sweep(stats: dict, lt: Sequence[TPTuple], rt: Sequence[TPTuple]) -> None:
+    """Count one kernel sweep over ``lt`` and ``rt`` in the view's stats."""
+    stats["ranges_reswept"] += 1
+    stats["rows_reswept"] += len(lt) + len(rt)
 
 
 # ----------------------------------------------------------------------
@@ -320,17 +314,14 @@ class _SetOpNode(_CachedNode):
         self.schema = left.schema
         self.cache = {}
         self.stats = stats
-        facts = list(set(left.facts()) | set(right.facts()))
-        jobs = [
-            ("setop", self.op, list(left.group(fact)), list(right.group(fact)))
-            for fact in facts
-        ]
-        # One batch through the kernel seam: serial by default, sharded
-        # across the worker pool under an active parallel configuration
-        # (bit-identical either way, DESIGN.md §10).
-        for fact, tuples in zip(facts, _group_rows_many(jobs, stats)):
+        for fact in set(left.facts()) | set(right.facts()):
+            tuples = self._sweep(left.group(fact), right.group(fact))
             if tuples:
                 self.cache[fact] = tuples
+
+    def _sweep(self, lt: Sequence[TPTuple], rt: Sequence[TPTuple]) -> list[TPTuple]:
+        _count_sweep(self.stats, lt, rt)
+        return sweep_rows(lt, rt, self.op)
 
     def pull(self) -> list[Region]:
         left, right = self.left, self.right
@@ -340,29 +331,17 @@ class _SetOpNode(_CachedNode):
         dirty: dict[Fact, list[list[int]]] = {}
         for fact, lo, hi in child_regions:
             dirty.setdefault(fact, []).append([lo, hi])
-        # Phase 1: widen every dirty fact's ranges over both input runs
-        # and collect one sweep job per widened range (jobs are atomic
-        # per group range, so the pool shards them without ever
-        # splitting a group).
-        prepared: list[tuple[Fact, list]] = []
-        jobs: list = []
+        out: list[Region] = []
         for fact, ranges in dirty.items():
             inputs = ((left, fact), (right, fact))
             widened = _merge_ranges(
                 _widen(inputs, lo, hi) for lo, hi in _merge_ranges(ranges)
             )
-            for lo, hi in widened:
-                jobs.append(
-                    ("setop", self.op, left.run(fact, lo, hi), right.run(fact, lo, hi))
-                )
-            prepared.append((fact, widened))
-        # Phase 2: sweep all jobs (serial or pooled), then splice in the
-        # same deterministic order the serial engine used.
-        swept = iter(_group_rows_many(jobs, self.stats))
-        out: list[Region] = []
-        for fact, widened in prepared:
             # The kernel's lineage-only tuples are spliced in as they are.
-            parts = [((lo, hi), next(swept)) for lo, hi in widened]
+            parts = [
+                ((lo, hi), self._sweep(left.run(fact, lo, hi), right.run(fact, lo, hi)))
+                for lo, hi in widened
+            ]
             out.extend(
                 (fact, lo, hi)
                 for lo, hi in _splice(self.cache, fact, parts, self.stats)
@@ -403,21 +382,14 @@ class _JoinNode(_CachedNode):
             self._left_facts.setdefault(self._left_key(fact), set()).add(fact)
         for fact in right.facts():
             self._right_facts.setdefault(self._right_key(fact), set()).add(fact)
-        plans: list[tuple[tuple, list[TPTuple], Optional[str]]] = []
-        jobs: list = []
         for key in set(self._left_facts) | set(self._right_facts):
             if not self._can_emit(key):
                 continue
-            group_l = self._gather(left, self._key_facts(self._left_facts, key))
-            group_s = self._gather(right, self._key_facts(self._right_facts, key))
-            carried, job = self._group_plan(group_l, group_s)
-            if job is not None:
-                jobs.append(job)
-            plans.append((key, carried, job[0] if job is not None else None))
-        swept = iter(_group_rows_many(jobs, stats))
-        for key, carried, kind in plans:
             by_fact: dict[Fact, list[TPTuple]] = {}
-            for t in self._assemble(carried, kind, next(swept) if kind else []):
+            for t in self._group_tuples(
+                self._gather(left, self._key_facts(self._left_facts, key)),
+                self._gather(right, self._key_facts(self._right_facts, key)),
+            ):
                 by_fact.setdefault(t.fact, []).append(t)
             if by_fact:
                 self._out_facts[key] = set(by_fact)
@@ -461,17 +433,12 @@ class _JoinNode(_CachedNode):
             out += node.group(fact) if lo is None else node.run(fact, lo, hi)
         return out
 
-    def _group_plan(
+    def _group_tuples(
         self, group_l: list[TPTuple], group_s: list[TPTuple]
-    ) -> tuple[list[TPTuple], Optional[tuple]]:
-        """One key group's work, collapse-aware: ``(carried, sweep job)``.
-
-        ``carried`` holds tuples the degenerate-layout collapses
-        (DESIGN.md §8.4) copy through without sweeping; the job — run
-        through :func:`repro.exec.engine.group_rows_many`, serially or
-        across the pool — produces the group's kernel rows.  Assembled by
-        :meth:`_assemble` in the same order the previous in-line code
-        emitted."""
+    ) -> list[TPTuple]:
+        """One key group's output, collapse-aware: the sweep's tuples
+        first, then the tuples the degenerate-layout collapses
+        (DESIGN.md §8.4) copy through without sweeping."""
         layout = self.layout
         policy = self.policy
         matches = policy.matches
@@ -492,7 +459,8 @@ class _JoinNode(_CachedNode):
                 for u in group_s
             ]
             projected.sort(key=lambda t: (null_safe_fact_key(t.fact), t.start))
-            return [], ("setop", "union", group_l, projected)
+            _count_sweep(self.stats, group_l, projected)
+            return sweep_rows(group_l, projected, "union")
 
         carried: list[TPTuple] = []
         if matches and preserve_left and layout.s_degenerate:
@@ -506,20 +474,13 @@ class _JoinNode(_CachedNode):
             )
             matches = preserve_right = False
 
+        out: list[TPTuple] = []
         if matches or preserve_left or preserve_right:
             sweep_policy = WindowPolicy(matches, preserve_left, preserve_right)
-            return carried, ("join", layout, sweep_policy, group_l, group_s)
-        return carried, None
-
-    @staticmethod
-    def _assemble(
-        carried: list[TPTuple], kind: Optional[str], swept: list
-    ) -> list[TPTuple]:
-        """The sweep job's output first, then the collapse-carried tuples
-        — the emission order of the pre-batching implementation.  A
-        ``"join"`` job yields ``(fact, λ, winTs, winTe)`` rows, a
-        ``"setop"`` job the kernel's tuples (no job: nothing)."""
-        out = tuples_from_rows(swept) if kind == "join" else swept
+            _count_sweep(self.stats, group_l, group_s)
+            out = tuples_from_rows(
+                join_group_rows(layout, sweep_policy, group_l, group_s)
+            )
         out.extend(carried)
         return out
 
@@ -551,12 +512,11 @@ class _JoinNode(_CachedNode):
         if not dirty:
             return []
 
-        # Phase 1: widen each dirty key's ranges over every fact run of
-        # the key on both sides and plan one sweep job per widened range
-        # (gathered sub-groups stay in (F, Ts) order — fact-major).
+        # Widen each dirty key's ranges over every fact run of the key on
+        # both sides and re-sweep each widened range (gathered sub-groups
+        # stay in (F, Ts) order — fact-major).
         left, right = self.left, self.right
-        prepared: list[tuple[tuple, list, list]] = []
-        jobs: list = []
+        out: list[Region] = []
         for key, ranges in dirty.items():
             if not self._can_emit(key) and not self._out_facts.get(key):
                 # The group can emit nothing and holds no stale cache to
@@ -569,25 +529,13 @@ class _JoinNode(_CachedNode):
             widened = _merge_ranges(
                 _widen(inputs, lo, hi) for lo, hi in _merge_ranges(ranges)
             )
-            range_plans: list[tuple[list[TPTuple], Optional[str]]] = []
+            buckets: list[dict[Fact, list[TPTuple]]] = []
             for lo, hi in widened:
-                carried, job = self._group_plan(
+                bucket: dict[Fact, list[TPTuple]] = {}
+                for t in self._group_tuples(
                     self._gather(left, left_facts, lo, hi),
                     self._gather(right, right_facts, lo, hi),
-                )
-                if job is not None:
-                    jobs.append(job)
-                range_plans.append((carried, job[0] if job is not None else None))
-            prepared.append((key, widened, range_plans))
-        # Phase 2: sweep all jobs (serial or pooled), then splice in the
-        # same deterministic order the serial engine used.
-        swept = iter(_group_rows_many(jobs, self.stats))
-        out: list[Region] = []
-        for key, widened, range_plans in prepared:
-            buckets: list[dict[Fact, list[TPTuple]]] = []
-            for carried, kind in range_plans:
-                bucket: dict[Fact, list[TPTuple]] = {}
-                for t in self._assemble(carried, kind, next(swept) if kind else []):
+                ):
                     bucket.setdefault(t.fact, []).append(t)
                 self._sort_runs(bucket)
                 buckets.append(bucket)
@@ -623,15 +571,12 @@ class IncrementalEngine:
         query: QueryNode,
         stores: Mapping[str, SegmentStore],
         options: Optional[ProbabilityOptions] = None,
-        parallel: Optional[int] = None,
     ) -> None:
         self.events: dict[str, float] = {}
         self.stats = dict.fromkeys(STAT_NAMES, 0)
         self._options = options
-        self._parallel = parallel
         self._base_nodes: list[_BaseNode] = []
-        with parallel_execution(parallel):
-            self.root = self._build(query, stores)
+        self.root = self._build(query, stores)
         self.schema = self.root.schema
         # The assembled result, until a refresh changes it: a stale copy
         # (its tuple of rows, its event-map snapshot) is dropped at once,
@@ -652,8 +597,7 @@ class IncrementalEngine:
         # only when it refreshes, which a manual view may not have).
         self._live_events = self.events if self._root_owns_cache else owner.store.events
         if self._root_owns_cache:
-            with parallel_execution(parallel):
-                self._materialize_all()
+            self._materialize_all()
 
     def _build(self, node: QueryNode, stores: Mapping[str, SegmentStore]):
         if isinstance(node, RelationRef):
@@ -690,13 +634,12 @@ class IncrementalEngine:
         if self.is_fresh():
             return False
         self.stats["refreshes"] += 1
-        with parallel_execution(self._parallel):
-            regions = self.root.pull()
-            if not regions:
-                return False
-            self._cached = None
-            if self._root_owns_cache:
-                self._materialize_regions(regions)
+        regions = self.root.pull()
+        if not regions:
+            return False
+        self._cached = None
+        if self._root_owns_cache:
+            self._materialize_regions(regions)
         return True
 
     def _materialize(self, pending: list) -> None:
@@ -803,12 +746,10 @@ class RecomputeEngine:
         query: QueryNode,
         stores: Mapping[str, SegmentStore],
         options: Optional[ProbabilityOptions] = None,
-        parallel: Optional[int] = None,
     ) -> None:
         self._query = query
         self._stores = dict(stores)
         self._options = options
-        self._parallel = parallel
         self._seen: dict[str, int] = {}
         self._relation: Optional[TPRelation] = None
         self.stats = dict.fromkeys(STAT_NAMES, 0)
@@ -829,9 +770,8 @@ class RecomputeEngine:
         # public epoch-pinned snapshot API: the recompute reads one
         # consistent cut of the stores even if a scan is revisited.
         self._seen = {name: store.epoch for name, store in self._stores.items()}
-        with parallel_execution(self._parallel):
-            result = self._evaluate(self._query)
-            self._relation = result.materialize_probabilities(options=self._options)
+        result = self._evaluate(self._query)
+        self._relation = result.materialize_probabilities(options=self._options)
         # A recompute re-derives, re-installs and re-valuates every row
         # (the build is no refresh and splices nothing, as in stats()).
         if built:
@@ -891,10 +831,6 @@ class MaterializedView:
         Maintenance strategy name (:func:`repro.store.maintenance
         .maintenance_strategies`): ``INCREMENTAL`` (default) or
         ``RECOMPUTE``.
-    parallel:
-        Worker-pool size for this view's builds and refreshes
-        (DESIGN.md §10).  ``None`` inherits the ambient configuration;
-        results are bit-identical either way.
     """
 
     def __init__(
@@ -906,7 +842,6 @@ class MaterializedView:
         policy: str = "deferred",
         strategy: str = "INCREMENTAL",
         options: Optional[ProbabilityOptions] = None,
-        parallel: Optional[int] = None,
     ) -> None:
         if policy not in REFRESH_POLICIES:
             raise ValueError(
@@ -918,7 +853,7 @@ class MaterializedView:
         self.query = query
         self.policy = policy
         self.strategy = get_maintenance_strategy(strategy)
-        self._engine = self.strategy.build(query, stores, options, parallel)
+        self._engine = self.strategy.build(query, stores, options)
 
     def refresh(self) -> bool:
         """Bring the view up to date; True when anything changed."""

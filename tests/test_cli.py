@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.__main__ import main as bench_main
-from repro.db import load_json, save_csv, save_json
+from repro.db import TPDatabase, load_csv, load_json, save_csv, save_json
 from repro.db.__main__ import main as db_main
 
 
@@ -123,38 +123,45 @@ class TestDbCli:
             db_main(["--load", f"a={a_path}"])
 
 
-class TestDbCliParallel:
-    """--parallel N: bit-identical results through the worker pool."""
+class TestDbCliOutput:
+    """--out files hold exactly the relation the query computes in-process."""
 
-    def _roundtrip(self, relation_files, tmp_path, out_name, parallel):
+    def _query_to(self, relation_files, tmp_path, out_name, *extra):
         a_path, c_path = relation_files
         out_path = tmp_path / out_name
-        argv = [
-            "--load", f"a={a_path}",
-            "--load", f"c={c_path}",
-            "--query", "a | c",
-            "--out", str(out_path),
-        ]
-        if parallel is not None:
-            argv += ["--parallel", str(parallel)]
-        code = db_main(argv)
+        code = db_main(
+            [
+                "--load", f"a={a_path}",
+                "--load", f"c={c_path}",
+                "--query", "a | c",
+                "--out", str(out_path),
+                *extra,
+            ]
+        )
         assert code == 0
         return out_path
 
-    def test_parallel_json_roundtrip_matches_serial(self, relation_files, tmp_path, capsys):
-        serial_path = self._roundtrip(relation_files, tmp_path, "serial.json", None)
-        parallel_path = self._roundtrip(relation_files, tmp_path, "parallel.json", 2)
-        serial = load_json(serial_path)
-        parallel = load_json(parallel_path)
-        assert len(parallel) == len(serial) == 9  # Fig. 3 union row count
-        assert parallel.equivalent_to(serial.rename(parallel.name), tol=0.0)
+    def _in_process(self, relation_files):
+        a_path, c_path = relation_files
+        db = TPDatabase()
+        db.register(load_csv(a_path, name="a"))
+        db.register(load_json(c_path).rename("c"))
+        return db.query("a | c")
 
-    def test_parallel_csv_roundtrip_matches_serial(self, relation_files, tmp_path, capsys):
-        serial_path = self._roundtrip(relation_files, tmp_path, "serial.csv", None)
-        parallel_path = self._roundtrip(relation_files, tmp_path, "parallel.csv", 4)
-        assert serial_path.read_text() == parallel_path.read_text()
+    def test_json_roundtrip_matches_in_process_query(self, relation_files, tmp_path, capsys):
+        written = load_json(self._query_to(relation_files, tmp_path, "out.json"))
+        expected = self._in_process(relation_files)
+        assert len(written) == len(expected) == 9  # Fig. 3 union row count
+        assert written.equivalent_to(expected.rename(written.name), tol=0.0)
 
-    def test_parallel_with_apply_delta(self, relation_files, tmp_path, capsys):
+    def test_csv_output_is_reproducible(self, relation_files, tmp_path, capsys):
+        first = self._query_to(relation_files, tmp_path, "first.csv")
+        second = self._query_to(relation_files, tmp_path, "second.csv")
+        expected = tmp_path / "expected.csv"
+        save_csv(self._in_process(relation_files).rename("expected"), expected)
+        assert first.read_text() == second.read_text() == expected.read_text()
+
+    def test_json_output_after_apply_delta(self, relation_files, tmp_path, capsys):
         a_path, c_path = relation_files
         delta = tmp_path / "delta.csv"
         delta.write_text(
@@ -169,7 +176,6 @@ class TestDbCliParallel:
                 "--load", f"c={c_path}",
                 "--apply", f"a={delta}",
                 "--query", "a | a",
-                "--parallel", "2",
                 "--out", str(out_path),
             ]
         )
@@ -180,21 +186,12 @@ class TestDbCliParallel:
         facts = {t.fact[0] for t in result}
         assert "beer" in facts and "chips" not in facts
 
-    def test_parallel_zero_rejected(self, relation_files, capsys):
-        a_path, _ = relation_files
-        with pytest.raises(SystemExit):
-            db_main(
-                ["--load", f"a={a_path}", "--query", "a", "--parallel", "0"]
-            )
-        assert "positive worker count" in capsys.readouterr().err
-
-    def test_parallel_negative_rejected(self, relation_files, capsys):
-        a_path, _ = relation_files
-        with pytest.raises(SystemExit):
-            db_main(
-                ["--load", f"a={a_path}", "--query", "a", "--parallel", "-3"]
-            )
-        assert "positive worker count" in capsys.readouterr().err
+    def test_optimized_json_equals_unoptimized(self, relation_files, tmp_path, capsys):
+        off = load_json(self._query_to(relation_files, tmp_path, "off.json"))
+        safe = load_json(
+            self._query_to(relation_files, tmp_path, "safe.json", "--optimize", "safe")
+        )
+        assert safe.equivalent_to(off.rename(safe.name), tol=0.0)
 
 
 class TestDbCliOptimize:

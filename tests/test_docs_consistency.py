@@ -30,13 +30,11 @@ FLAG = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 #: The flags the README is required to document (PR-7 acceptance, plus
 #: the PR-8 serving CLI and the PR-10 replica tier).
 REQUIRED_IN_README = {
-    "--parallel",
     "--optimize",
     "--explain",
     "--data-dir",
     "--durability",
     "--port",
-    "--workers",
     "--request-timeout",
     "--cache-size",
     "--replicas",

@@ -9,10 +9,6 @@ regression shows up as a readable diff.
 Regenerate after an intentional change with::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_explain_golden.py
-
-The databases are constructed with ``parallel=1`` so the worker-aware
-cost terms are pinned to the serial model whatever ``REPRO_PARALLEL``
-the suite runs under.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ UPDATE = os.environ.get("REPRO_UPDATE_GOLDEN") == "1"
 
 
 def build_db() -> TPDatabase:
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     db.create_relation(
         "a",
         ("product",),

@@ -42,7 +42,6 @@ import pytest
 from repro import TPRelation
 from repro.core.setops import tp_except, tp_union
 from repro.db import TPDatabase
-from repro.exec.config import parallel_execution
 from repro.lineage.formula import referenced_variables
 from repro.prob.valuation import (
     ProbabilityOptions,
@@ -115,7 +114,7 @@ def count_calls(run) -> tuple[Counter, object]:
 
 def test_calls_per_output_row_stay_under_the_ceiling():
     # Pinned to the serial tuple path whatever the ambient CI leg is.
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     db.create_relation("a", ("k",), seeded_rows(1))
     db.create_relation("b", ("k",), seeded_rows(2))
     clear_valuation_cache()
@@ -132,11 +131,9 @@ def test_calls_per_output_row_stay_under_the_ceiling():
     )
     # The sweep's output row is the result tuple: no row format between.
     assert calls[("py", "tuples_from_rows")] == 0
-    # No result tuple may be built and then copied.  (The one generic
-    # field-introspecting copy per query is the ``parallel=1`` override
-    # of the worker configuration, not a tuple.)
+    # No result tuple may be built and then copied.
     assert calls[("py", "TPTuple.with_probability")] == 0
-    assert calls[("py", dataclasses.replace.__qualname__)] <= len(READS)
+    assert calls[("py", dataclasses.replace.__qualname__)] == 0
 
     repeat_calls, _ = count_calls(run)
     # Warm repeats only save work (cached sort order, memo hits) …
@@ -149,7 +146,7 @@ def test_allocations_per_output_row_stay_under_the_ceiling():
     """Half of a large scan used to be the cyclic collector: what a read
     allocates is budgeted like what it calls.  Both readings are deltas
     of the interpreter's own counters and repeat exactly."""
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     db.create_relation("a", ("k",), seeded_rows(1))
     db.create_relation("b", ("k",), seeded_rows(2))
     clear_valuation_cache()
@@ -200,7 +197,7 @@ def test_an_nary_node_costs_no_more_than_the_binary_chain(op):
     node at ``safe`` (folding left to right is the cheaper association);
     it may cost no more than the left-deep chain ``(a op b) op c`` at
     ``off`` — the same sweeps — plus planning."""
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     for name, seed, n in (("a", 1, 1000), ("b", 2, 2000), ("c", 3, 3000)):
         db.create_relation(name, ("k",), seeded_rows(seed, n=n))
     nested, chain = f"a {op} (b {op} c)", f"(a {op} b) {op} c"
@@ -240,7 +237,7 @@ def _calls_per_transaction(per_group: int, facts: int = 8) -> tuple[float, Count
     fact's frontier, 30 % uniform deletes), alternating between two
     stores of ``facts`` × ``per_group`` tuples."""
     rng = random.Random(5)
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     live: dict[str, list] = {}
     frontier: dict[tuple, int] = {}
     for name in ("r1", "r2"):
@@ -326,7 +323,7 @@ def _per_keyed_read(per_group: int) -> tuple[float, float, int]:
     after a commit changed them.  The selected key ``k00`` holds the
     same 250 tuples per store whatever ``per_group`` the other seven
     keys hold, and the commits touch only ``k01``."""
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     for name, seed in (("r1", 1), ("r2", 2)):
         db.create_relation(name, ("k",), _keyed_rows(seed, per_group))
     db.create_view("v1", "r1 - r2", policy="eager")
@@ -405,9 +402,7 @@ def test_calls_per_row_do_not_grow_once_a_batch_outgrows_the_memo(operation):
     def per_row(n: int) -> tuple[float, int]:
         r, s = _pair(n)
         clear_valuation_cache()
-        # Pinned to the serial tuple path whatever the ambient CI leg is.
-        with parallel_execution(1):
-            calls, out = count_calls(lambda: operation(r, s, options=options))
+        calls, out = count_calls(lambda: operation(r, s, options=options))
         assert len(out) > 3 * SMALL_CAP  # the batch really outgrows the cap
         return sum(calls.values()) / len(out), calls[("py", "_evict_entries")]
 
@@ -427,23 +422,22 @@ def test_the_memo_stays_bounded_across_batches_that_overfill_it():
     r, s = _pair(2000)
     clear_valuation_cache()
     results = []
-    with parallel_execution(1):
-        for operation in (tp_union, tp_except, tp_union, tp_except):
-            out = operation(r, s, options=options)
-            distinct = len({t.lineage for t in out})
-            assert distinct > 3 * SMALL_CAP  # filled well past the cap
-            stats = valuation_cache_stats()
-            # Same operand maps, same merged map: one bucket throughout.
-            assert stats["memo_epochs"] == 1
-            assert stats["entries"] <= SMALL_CAP + distinct
-            results.append([t.p for t in out])
-        # A batch that fits leaves the bucket at the cap again.
-        tp_union(r.select(k="k000"), s.select(k="k000"), options=options)
-        assert valuation_cache_stats()["entries"] <= SMALL_CAP
-        # Eviction between the rounds changed no value.
-        assert results[0] == results[2] and results[1] == results[3]
-        clear_valuation_cache()
-        assert [t.p for t in tp_union(r, s)] == results[0]
+    for operation in (tp_union, tp_except, tp_union, tp_except):
+        out = operation(r, s, options=options)
+        distinct = len({t.lineage for t in out})
+        assert distinct > 3 * SMALL_CAP  # filled well past the cap
+        stats = valuation_cache_stats()
+        # Same operand maps, same merged map: one bucket throughout.
+        assert stats["memo_epochs"] == 1
+        assert stats["entries"] <= SMALL_CAP + distinct
+        results.append([t.p for t in out])
+    # A batch that fits leaves the bucket at the cap again.
+    tp_union(r.select(k="k000"), s.select(k="k000"), options=options)
+    assert valuation_cache_stats()["entries"] <= SMALL_CAP
+    # Eviction between the rounds changed no value.
+    assert results[0] == results[2] and results[1] == results[3]
+    clear_valuation_cache()
+    assert [t.p for t in tp_union(r, s)] == results[0]
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +449,7 @@ HIT_CALLS_CEILING = 175
 
 
 def _hit_calls(n: int, keys: int) -> tuple[int, int]:
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     db.create_relation("a", ("k",), seeded_rows(1, n=n, keys=keys))
     db.create_relation("b", ("k",), seeded_rows(2, n=n, keys=keys))
     service = QueryService(db)
@@ -487,7 +481,7 @@ def test_a_served_query_after_a_commit_does_not_rescan_for_statistics(monkeypatc
     import repro.query.stats
     import repro.store.stats
 
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     db.create_relation("a", ("k",), seeded_rows(1, n=400, keys=8))
     db.create_relation("b", ("k",), seeded_rows(2, n=400, keys=8))
     service = QueryService(db)
@@ -522,7 +516,7 @@ def test_a_keyed_hit_survives_a_commit_to_another_key():
     a hit: no plan runs, and it costs no more than the ceiling set for a
     hit on ``a | b``.  The query is handed over parsed — parsing this
     longer text costs 132 calls of its own, hit or miss alike."""
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     db.create_relation("a", ("k",), seeded_rows(1, n=400, keys=8))
     db.create_relation("b", ("k",), seeded_rows(2, n=400, keys=8))
     service = QueryService(db)
@@ -552,7 +546,7 @@ def test_a_keyed_hit_survives_a_commit_to_another_key():
 def _cached_entry(per_group: int) -> TPRelation:
     """The relation a served ``(a | b)[k='k00']`` leaves in the result
     cache, right after a commit made ``a`` a store."""
-    db = TPDatabase(parallel=1)
+    db = TPDatabase()
     for name, seed in (("a", 1), ("b", 2)):
         db.create_relation(name, ("k",), _keyed_rows(seed, per_group))
     service = QueryService(db)

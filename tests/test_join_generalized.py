@@ -36,8 +36,7 @@ from repro.baselines import get_join_algorithm, naive_join_operation
 from repro.core.errors import UnsupportedOperationError
 from repro.core.sorting import null_safe_key
 from repro.core.tuple import TPTuple
-from repro.exec.config import ParallelConfig, parallel_execution
-from repro.exec.pool import shutdown_pools
+from repro.db import TPDatabase
 from repro.lineage import Var, is_one_occurrence_form
 from repro.query import JoinNode, RelationRef, execute_plan, plan_query
 from repro.query.parser import parse_query
@@ -47,9 +46,6 @@ from .strategies import tp_join_pair, tp_join_relation, tp_relation_pair
 
 KINDS = sorted(JOIN_KINDS)
 
-
-def teardown_module(module) -> None:
-    shutdown_pools()
 
 relaxed = settings(
     max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -360,15 +356,17 @@ class TestNullPaddedCollisions:
         ]
         assert [t.p for t in union] == pytest.approx([t.p for t in result])
 
-    def test_pool_equals_serial(self, shape):
-        serial = self._result(shape)
-        forced = ParallelConfig(workers=2, min_tuples=0, min_formulas=0)
-        with parallel_execution(forced):
-            pooled = self._result(shape)
-        assert [(t.fact, t.interval, t.p) for t in pooled] == [
-            (t.fact, t.interval, t.p) for t in serial
+    def test_store_backed_equals_catalog(self, shape):
+        db = TPDatabase()
+        for relation in NULL_PADDED_CATALOG.values():
+            db.register(relation)
+            db.store(relation.name)
+        stored = db.query(NULL_PADDED_SHAPES[shape])
+        catalog = self._result(shape)
+        assert [(t.fact, t.interval, t.p) for t in stored] == [
+            (t.fact, t.interval, t.p) for t in catalog
         ]
-        assert all(t.lineage is u.lineage for t, u in zip(pooled, serial))
+        assert all(t.lineage is u.lineage for t, u in zip(stored, catalog))
 
 
 def test_right_outer_collision_segments():

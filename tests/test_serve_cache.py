@@ -1,9 +1,9 @@
 """Serving-cache correctness: key composition, LRU mechanics, sweeping.
 
 The regression that must never ship (DESIGN.md §14.3): a *near-miss*
-key — same query text, different optimize level, worker count or epoch
-— aliasing a cached result.  The key is (canonical form, level,
-workers, epoch signature); these tests pin each component's presence by
+key — same query text, different optimize level or epoch — aliasing a
+cached result.  The key is (canonical form, level, epoch signature);
+these tests pin each component's presence by
 driving real queries through :class:`repro.serve.QueryService`.  An
 epoch part names the registered object it was read from (a replaced
 relation never aliases its predecessor), and a store read only through

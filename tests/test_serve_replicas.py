@@ -239,47 +239,6 @@ def test_sigkilled_replica_is_detected_and_respawned():
         replicas.stop()
 
 
-def test_replica_forked_over_a_live_exec_pool_exits_cleanly():
-    """A replica inherits the parent's pool registry; it must not reap it.
-
-    The fork copies ``_POOLS``, but those workers are the *parent's*
-    children: the replica's shutdown used to terminate them (killing the
-    parent's live pool out from under it) and then crash on
-    ``join`` — the child exited with a traceback instead of 0.  The
-    replica now forgets inherited pools on startup, so the parent's
-    workers survive and the child's exit is clean.
-    """
-    from repro.exec import pool as pool_mod
-
-    pool_mod.get_pool(2)
-    parent_workers = pool_mod.pool_worker_pids()
-    assert len(parent_workers) == 2
-
-    db = TPDatabase()
-    db.create_relation("a", ("product",), [("milk", 2, 10, 0.3)])
-    db.store("a")
-    service = QueryService(db)
-    replicas = ReplicaSet(db, 1)
-    replicas.start()
-    try:
-        reader = service.open_session()
-        ticket = service.route_read(reader, "a | a", optimize="safe")
-        assert ticket is not None
-        assert replicas.query(0, ticket)["ok"] is True
-        process = replicas._handles[0].process
-    finally:
-        replicas.stop()
-
-    try:
-        assert process.exitcode == 0, "replica shutdown must be clean"
-        # stop() joined the child, so any terminate() it had issued
-        # would already be delivered: the parent's workers must still
-        # be running.
-        assert sorted(pool_mod.pool_worker_pids()) == sorted(parent_workers)
-    finally:
-        pool_mod.shutdown_pools()
-
-
 # ----------------------------------------------------------------------
 # wire-level stress: many clients, 2 replicas, vs. the serial oracle
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ baseline, a full view recompute and the operators called directly.  The
 shapes are the ones where off-by-one window handling shows first — empty
 operands, single-tuple groups, all-identical intervals, unit intervals,
 ``None``-padded facts and time points beyond 64 bits.  The last class
-checks that the removed execution mode left no option behind.
+checks that the removed execution modes (columnar blocks, the worker
+pool) left no option behind.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.core.tuple import base_tuple
 from repro.datasets import generate_join_pair, generate_pair
 from repro.db import TPDatabase
 from repro.db.__main__ import build_parser
+from repro.serve.__main__ import build_parser as serve_parser
 from repro.prob.valuation import clear_valuation_cache, valuation_cache_stats
 from repro.query.parser import parse_query
 from repro.store import MaterializedView, SegmentStore
@@ -258,7 +261,7 @@ class TestDatabase:
     def test_query_equals_operators(self, query, maker, direct, level):
         r, s = maker()
         r, s = r.rename("r"), s.rename("s")
-        db = TPDatabase(parallel=1)
+        db = TPDatabase()
         db.register(r)
         db.register(s)
         result = sorted(db.query(query, optimize=level), key=null_safe_key)
@@ -268,18 +271,27 @@ class TestDatabase:
         ]
         assert all(t.lineage is u.lineage for t, u in zip(result, reference))
 
-    def test_no_execution_mode_keyword(self):
+    @pytest.mark.parametrize("mode", [{"columnar": True}, {"parallel": 2}])
+    def test_no_execution_mode_keyword(self, mode):
         with pytest.raises(TypeError):
-            TPDatabase(columnar=True)  # type: ignore[call-arg]
+            TPDatabase(**mode)
 
     def test_cli_has_no_execution_mode_flag(self):
         options = {
             option
-            for action in build_parser()._actions
+            for parser in (build_parser(), serve_parser())
+            for action in parser._actions
             for option in action.option_strings
         }
-        assert "--parallel" in options
-        assert "--columnar" not in options
+        assert not options & {"--parallel", "--workers", "--columnar"}
+
+    def test_the_package_reads_no_environment(self):
+        """No module under ``src/repro`` consults ``os.environ``: every
+        option is an argument, so two databases in one process cannot
+        disagree with their environment."""
+        package = Path(repro.__file__).parent
+        readers = [p for p in package.rglob("*.py") if "os.environ" in p.read_text()]
+        assert readers == []
 
     def test_package_runs_on_the_standard_library(self):
         """Importing the package and running a query pulls in no NumPy."""

@@ -333,7 +333,7 @@ class TestMaintenanceCounters:
     def _reswept_per_refresh(per_group: int) -> float:
         """Ten two-row transactions at the frontier of one fact group
         that holds ``per_group`` untouched tuples on either side."""
-        db = TPDatabase(parallel=1)
+        db = TPDatabase()
         for name in ("r", "s"):
             rows = [("k", 3 * i, 3 * i + 2, 0.5) for i in range(per_group)]
             db.create_relation(name, ("k",), rows)
@@ -502,7 +502,7 @@ class TestKeyedReads:
     @settings(max_examples=25)
     def test_keyed_read_equals_select_over_the_whole_relation(self, scenario):
         relations, views, steps = scenario
-        db = TPDatabase(parallel=1)
+        db = TPDatabase()
         for relation in relations.values():
             db.register(relation)
         for name, text in KEYED_VIEWS.items():
