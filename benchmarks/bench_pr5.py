@@ -87,7 +87,7 @@ def _chained_relation(name: str, n_tuples: int, n_facts: int, seed: int) -> TPRe
                 (f"g{fact_index}", cursor, cursor + length, rng.uniform(0.05, 0.95))
             )
             cursor += length + rng.randint(0, 3)
-    return TPRelation.from_rows(name, ("g",), rows, validate=False)
+    return TPRelation.from_rows(name, ("g",), rows)
 
 
 def _run_workload(label: str, db: TPDatabase, query: str) -> dict:

@@ -298,7 +298,7 @@ def _generate_relation(
         frontier[key] = max(te for _, _, te, _ in chain)
         region_cursor = max(region_cursor, frontier[key]) + bounds[2] + 1
     rng.shuffle(rows)
-    relation = TPRelation.from_rows(name, ("k",), rows, validate=False)
+    relation = TPRelation.from_rows(name, ("k",), rows)
     return relation, frontier
 
 

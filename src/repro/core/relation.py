@@ -31,10 +31,11 @@ call sorts once and caches (relations are immutable).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import count
 from operator import attrgetter, is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..lineage.formula import Lineage, referenced_variables, variable_names
+from ..lineage.formula import Lineage, Var, referenced_variables, variable_names
 from ..prob.valuation import (
     EventMap,
     Method,
@@ -44,9 +45,9 @@ from ..prob.valuation import (
 )
 from .errors import DuplicateFactError, UnknownVariableError
 from .interval import Interval
-from .schema import Fact, TPSchema, make_fact
+from .schema import Fact, TPSchema
 from .sorting import _full_key, null_safe_key
-from .tuple import TPTuple, base_tuple
+from .tuple import TPTuple, base_tuples
 
 __all__ = ["TPRelation", "selection_name"]
 
@@ -188,13 +189,14 @@ class TPRelation:
         rows: Iterable[Sequence[object]],
         *,
         id_prefix: Optional[str] = None,
-        validate: bool = True,
     ) -> "TPRelation":
         """Build a base relation from ``(*fact_values, ts, te, p)`` rows.
 
         Tuple identifiers are generated as ``<prefix>1, <prefix>2, …`` in
         row order (the paper's a1, a2, …); the prefix defaults to the
-        relation name.
+        relation name.  Every row is validated while its tuple is built
+        (:func:`~repro.core.tuple.base_tuples`), and duplicate-freeness by
+        one pass over one sort.
 
         >>> a = TPRelation.from_rows(
         ...     "a", ("product",),
@@ -204,21 +206,12 @@ class TPRelation:
         """
         prefix = id_prefix if id_prefix is not None else name
         schema = TPSchema(tuple(attributes))
-        tuples = []
-        events: dict[str, float] = {}
-        for index, row in enumerate(rows):
-            values = list(row)
-            if len(values) != schema.arity + 3:
-                raise ValueError(
-                    f"row {index} has {len(values)} fields, expected "
-                    f"{schema.arity} fact values followed by ts, te, p"
-                )
-            fact = make_fact(values[: schema.arity])
-            ts, te, p = values[schema.arity :]
-            identifier = f"{prefix}{index + 1}"
-            tuples.append(base_tuple(fact, identifier, Interval(int(ts), int(te)), float(p)))
-            events[identifier] = float(p)
-        return cls(name, schema, tuples, events, validate=validate)
+        tuples, events = base_tuples(
+            rows, schema.arity, map(prefix.__add__, map(str, count(1)))
+        )
+        relation = cls._derived(name, schema, tuples, EventMap(events))
+        relation._check_duplicate_free()
+        return relation
 
     @classmethod
     def from_tuples(
@@ -237,30 +230,46 @@ class TPRelation:
     # invariant checking
     # ------------------------------------------------------------------
     def _validate(self) -> None:
+        arity, events = self.schema.arity, self.events
         for t in self._tuples:
-            if len(t.fact) != self.schema.arity:
+            if len(t.fact) != arity:
                 raise ValueError(
                     f"tuple {t} has fact arity {len(t.fact)}, "
-                    f"schema expects {self.schema.arity}"
+                    f"schema expects {arity}"
                 )
             for var in variable_names(t.lineage):
-                if var not in self.events:
+                if var not in events:
                     raise UnknownVariableError(
                         f"tuple {t} references unknown event {var!r}"
                     )
-            if t.p is not None and not 0.0 < t.p <= 1.0:
+            # A variable's probability is its event's, in (0, 1]; a derived
+            # lineage may be a contradiction, of probability 0.
+            p = t.p
+            if p is not None and not (
+                0.0 < p <= 1.0 or (p == 0.0 and type(t.lineage) is not Var)
+            ):
                 raise ValueError(f"tuple {t} has probability outside (0, 1]")
         self._check_duplicate_free()
 
     def _check_duplicate_free(self) -> None:
-        """Duplicate-freeness: same-fact intervals must not overlap."""
-        ordered = sorted(self._tuples, key=null_safe_key)
+        """Duplicate-freeness: same-fact intervals must not overlap.
+
+        One pass over the ``(F, Ts, Te)`` order.  The sort is thrown away,
+        not kept for the first read: kept, it made that read's collections
+        slower than the sort it saved (DESIGN.md §6.3).  Only null-padded
+        facts, which the raw order cannot compare, take the null-safe key.
+        """
+        try:
+            ordered = sorted(self._tuples, key=_full_key)
+        except TypeError:
+            ordered = sorted(self._tuples, key=null_safe_key)
         for prev, curr in zip(ordered, ordered[1:]):
-            if prev.fact == curr.fact and curr.start < prev.end:
+            if curr.interval.start < prev.interval.end and prev.fact == curr.fact:
                 raise DuplicateFactError(
                     f"relation {self.name!r} is not duplicate-free: fact "
                     f"{prev.fact!r} valid over overlapping intervals "
-                    f"{prev.interval} and {curr.interval}"
+                    f"{prev.interval} and {curr.interval} "
+                    f"({prev.lineage} and {curr.lineage})"
                 )
 
     # ------------------------------------------------------------------

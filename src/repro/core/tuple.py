@@ -15,15 +15,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Optional
+from operator import lt
+from typing import Iterable, Optional, Sequence
 
 from ..lineage.formula import Lineage, Var
+from .errors import InvalidIntervalError
 from .interval import Interval
-from .schema import Fact
+from .schema import _ATOMIC_TYPES, Fact
 
 __all__ = [
     "TPTuple",
     "base_tuple",
+    "base_tuples",
+    "check_intervals",
     "fill_probabilities",
     "tuples_from_rows",
     # trusted slot writers, for the kernels that build their output inline
@@ -153,13 +157,89 @@ def tuples_from_rows(
     return out
 
 
+def check_intervals(starts: Sequence[int], ends: Sequence[int]) -> None:
+    """Raise unless every ``[starts[i], ends[i])`` is non-empty.
+
+    The one check a loader that builds through :func:`tuples_from_rows`
+    still owes (a WAL record or a file is not a sweep): one C-level pass,
+    and a second one only to name the first offending row.
+    """
+    if not all(map(lt, starts, ends)):
+        for index, (start, end) in enumerate(zip(starts, ends)):
+            if not start < end:
+                raise InvalidIntervalError(
+                    f"row {index}: interval requires start < end, "
+                    f"got [{start}, {end})"
+                )
+
+
+def base_tuples(
+    rows: Iterable[Sequence[object]], arity: int, identifiers: Iterable[str]
+) -> tuple[list[TPTuple], dict[str, float]]:
+    """Build one base tuple per ``(*fact_values, ts, te, p)`` row.
+
+    The validated batch front door for base relations: each row's tuple
+    lineage is the variable of the aligned identifier, and the same loop
+    that writes the slots (DESIGN.md §6.3) checks the row — its width,
+    that its fact values are atomic, ``ts < te`` and ``0 < p ≤ 1`` — in
+    that order, raising on the first violation with the identifier of
+    the offending row.  Returns the tuples in row order and their event
+    map ``{identifier: p}``.  Duplicate-freeness spans rows and is the
+    relation's check (:meth:`repro.core.relation.TPRelation.from_rows`).
+    """
+    width = arity + 3
+    tuples: list[TPTuple] = []
+    events: dict[str, float] = {}
+    append = tuples.append
+    for row, identifier in zip(rows, identifiers):
+        if len(row) != width:
+            raise ValueError(
+                f"row {identifier} has {len(row)} fields, expected "
+                f"{arity} fact values followed by ts, te, p"
+            )
+        fact = tuple(row[:arity])
+        for value in fact:
+            if not isinstance(value, _ATOMIC_TYPES):
+                raise TypeError(
+                    f"row {identifier}: fact component {value!r} is not an "
+                    "atomic immutable value"
+                )
+        ts, te, p = row[arity:]
+        start = int(ts)
+        end = int(te)
+        if not start < end:
+            raise InvalidIntervalError(
+                f"row {identifier}: interval requires start < end, "
+                f"got [{start}, {end})"
+            )
+        p = float(p)
+        if not 0.0 < p <= 1.0:
+            raise ValueError(
+                f"row {identifier}: base-tuple probability must be in "
+                f"(0, 1], got {p}"
+            )
+        interval = new_object(Interval)
+        set_start(interval, start)
+        set_end(interval, end)
+        t = new_object(TPTuple)
+        set_fact(t, fact)
+        set_lineage(t, Var(identifier))
+        set_interval(t, interval)
+        set_p(t, p)
+        append(t)
+        events[identifier] = p
+    return tuples, events
+
+
 def base_tuple(fact: Fact, identifier: str, interval: Interval, p: float) -> TPTuple:
-    """Construct a base tuple whose lineage is its own identifier.
+    """Construct a base tuple whose lineage is its own identifier — the
+    one-row case of :func:`base_tuples`.
 
     >>> t = base_tuple(("milk",), "a1", Interval(2, 10), 0.3)
     >>> str(t.lineage)
     'a1'
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"base-tuple probability must be in (0, 1], got {p}")
-    return TPTuple(fact=fact, lineage=Var(identifier), interval=interval, p=p)
+    (t,), _ = base_tuples(
+        ((*fact, interval.start, interval.end, p),), len(fact), (identifier,)
+    )
+    return t

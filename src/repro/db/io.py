@@ -25,12 +25,11 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO, Union
+from typing import Iterator, Mapping, Optional, TextIO, Union
 
-from ..core.interval import Interval
 from ..core.relation import TPRelation
 from ..core.schema import TPSchema, coerce_value, make_fact
-from ..core.tuple import TPTuple
+from ..core.tuple import check_intervals, tuples_from_rows
 from ..lineage.formula import Var
 from ..lineage.parser import parse_lineage
 from ..store.faultpoints import trip
@@ -87,18 +86,13 @@ def save_json(relation: TPRelation, path: _PathLike) -> None:
 def load_json(path: _PathLike) -> TPRelation:
     """Load a relation previously written by :func:`save_json`."""
     document = json.loads(Path(path).read_text())
-    schema = TPSchema(tuple(document["attributes"]))
-    tuples = [
-        TPTuple(
-            fact=make_fact(item["fact"]),
-            lineage=parse_lineage(item["lineage"]),
-            interval=Interval(int(item["ts"]), int(item["te"])),
-            p=item["p"],
-        )
+    rows = [
+        (item["fact"], item["lineage"], item["ts"], item["te"], item["p"])
         for item in document["tuples"]
     ]
-    return TPRelation(
-        document["name"], schema, tuples, document["events"], validate=False
+    return _validated(
+        document["name"], TPSchema(tuple(document["attributes"])), rows,
+        document["events"], path,
     )
 
 
@@ -145,22 +139,23 @@ def load_csv(path: _PathLike, *, name: str | None = None) -> TPRelation:
                 f"{path} does not look like a TP relation CSV "
                 f"(trailing columns {header[-4:]!r})"
             )
-        attributes = tuple(header[:-4])
-        schema = TPSchema(attributes)
-        tuples = []
+        schema = TPSchema(tuple(header[:-4]))
+        arity = schema.arity
+        rows = []
         for row in reader:
-            fact = make_fact(coerce_value(v) for v in row[: len(attributes)])
-            lineage_text, ts, te, p_text = row[len(attributes):]
-            tuples.append(
-                TPTuple(
-                    fact=fact,
-                    lineage=parse_lineage(lineage_text),
-                    interval=Interval(int(ts), int(te)),
-                    p=float(p_text) if p_text else None,
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {len(rows)} has {len(row)} fields, "
+                    f"expected {len(header)}"
                 )
-            )
+            lineage_text, ts, te, p_text = row[arity:]
+            rows.append((
+                [coerce_value(v) for v in row[:arity]], lineage_text, ts, te,
+                float(p_text) if p_text else None,
+            ))
 
     sidecar = path.with_suffix(path.suffix + ".events.csv")
+    events = None
     if sidecar.exists():
         events = {}
         with sidecar.open(newline="") as handle:
@@ -168,20 +163,42 @@ def load_csv(path: _PathLike, *, name: str | None = None) -> TPRelation:
             next(reader)
             for event, p in reader:
                 events[event] = float(p)
-    else:
-        events = {}
-        for t in tuples:
-            if not isinstance(t.lineage, Var) or t.p is None:
-                raise ValueError(
-                    f"{path} has compound lineage but no sidecar "
-                    f"{sidecar.name} with event probabilities"
-                )
-            events[t.lineage.name] = t.p
-
-    return TPRelation(
-        name if name is not None else path.stem, schema, tuples, events,
-        validate=False,
+    return _validated(
+        name if name is not None else path.stem, schema, rows, events, path
     )
+
+
+def _validated(
+    name: str,
+    schema: TPSchema,
+    rows: list[tuple],
+    events: Optional[Mapping[str, float]],
+    path: _PathLike,
+) -> TPRelation:
+    """The file loaders' one path from ``(fact values, lineage text, ts,
+    te, p)`` rows to a relation, checked throughout: atomic fact values
+    and ``ts < te`` here; arity, every lineage variable (compound ones
+    included) in ``events``, each ``p`` in range and duplicate-freeness
+    by the validating constructor.  Without ``events`` every lineage must
+    be a variable with a probability, and the map is implied.
+    """
+    values, texts, ts_values, te_values, probs = zip(*rows) if rows else ((),) * 5
+    facts = list(map(make_fact, values))
+    lineages = list(map(parse_lineage, texts))
+    starts, ends = list(map(int, ts_values)), list(map(int, te_values))
+    check_intervals(starts, ends)
+    if events is None:
+        if not all(
+            type(lineage) is Var and p is not None
+            for lineage, p in zip(lineages, probs)
+        ):
+            raise ValueError(
+                f"{path} has compound lineage but no sidecar "
+                f"{Path(path).name}.events.csv with event probabilities"
+            )
+        events = {lineage.name: p for lineage, p in zip(lineages, probs)}
+    tuples = tuples_from_rows(zip(facts, lineages, starts, ends), probs)
+    return TPRelation(name, schema, tuples, events)
 
 
 def _all_atomic(relation: TPRelation) -> bool:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -68,6 +69,8 @@ DEFAULT_SEGMENT_CAPACITY = 256
 #: order, so neither column is ever copied out to be searched.
 _start_of = attrgetter("interval.start")
 _epoch_of = attrgetter("epoch")
+_fact_of = attrgetter("fact")
+_lineage_of = attrgetter("lineage")
 
 #: Change-log retention while *no* consumer is registered: enough for
 #: ad-hoc ``changes_since`` polling, bounded so a store mutated outside
@@ -318,10 +321,7 @@ class SegmentStore:
             relation.schema.attributes,
             segment_capacity=segment_capacity,
         )
-        for t in relation.sorted_tuples():
-            store._group_for(t.fact).insert(t)
-            for var in variable_names(t.lineage):
-                store._var_refs[var] = store._var_refs.get(var, 0) + 1
+        store._load_sorted(relation.sorted_tuples())
         store.events.update(relation.events)
         return store
 
@@ -344,18 +344,46 @@ class SegmentStore:
         store is indistinguishable from the one that crashed: subsequent
         inserts mint the identifiers the old store would have minted,
         and consumers registered afterwards see a consistent epoch.
-        ``events`` is carried verbatim (it may hold sidecar-only
-        variables no stored lineage references).
+        ``tuples`` come in ``(F, Ts)`` order, as :meth:`iter_sorted`
+        wrote them.  ``events`` is carried verbatim (it may hold
+        sidecar-only variables no stored lineage references).
         """
         store = cls(name, attributes, segment_capacity=segment_capacity)
-        for t in tuples:
-            store._group_for(t.fact).insert(t)
-            for var in variable_names(t.lineage):
-                store._var_refs[var] = store._var_refs.get(var, 0) + 1
+        store._load_sorted(tuples)
         store.events.update(events)
         store.epoch = epoch
         store._counter = counter
         return store
+
+    def _load_sorted(self, tuples: Iterable[TPTuple]) -> None:
+        """Bulk-build this empty store from an ``(F, Ts)``-sorted run
+        (DESIGN.md §9.1): each fact's consecutive tuples are cut into
+        segments of ``segment_capacity``, the bounds are their first
+        starts, and every ``Var`` lineage adds one to its reference
+        count — no per-tuple bisect, no per-tuple call beyond the count.
+        A fact seen out of order is refused: the groups and the sorted
+        fact list would disagree."""
+        capacity = self.segment_capacity
+        groups, facts, refs = self._groups, self._facts_sorted, self._var_refs
+        count_of = refs.get
+        for fact, same_fact in groupby(tuples, _fact_of):
+            if facts and not facts[-1] < fact:
+                raise ValueError(
+                    f"store {self.name!r} loaded out of (F, Ts) order at fact {fact!r}"
+                )
+            run = list(same_fact)
+            group = _FactGroup(capacity)
+            group.segments = [run[i:i + capacity] for i in range(0, len(run), capacity)]
+            group.bounds = [segment[0].interval.start for segment in group.segments]
+            groups[fact] = group
+            facts.append(fact)
+            for lineage in map(_lineage_of, run):
+                if type(lineage) is Var:
+                    var = lineage.name
+                    refs[var] = count_of(var, 0) + 1
+                else:
+                    for var in lineage.var_set:
+                        refs[var] = count_of(var, 0) + 1
 
     # ------------------------------------------------------------------
     # transactions

@@ -43,8 +43,7 @@ import zlib
 from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, Union
 
-from ..core.interval import Interval
-from ..core.tuple import TPTuple
+from ..core.tuple import TPTuple, check_intervals, tuples_from_rows
 from ..lineage.serialize import decode_batch, encode_batch
 from .faultpoints import trip
 from .segment import ChangeSet, SegmentStore
@@ -127,17 +126,15 @@ def encode_tuples(tuples: Sequence[TPTuple]) -> tuple:
 
 
 def decode_tuples(rows: Sequence, nodes: Sequence, roots: Sequence) -> list[TPTuple]:
-    """Rebuild tuples, replaying lineage through the interning codec."""
+    """Rebuild tuples through the trusted slot writers (DESIGN.md §6.3),
+    replaying lineage through the interning codec.  A record is not a
+    sweep's output, so its intervals are still checked to be non-empty."""
+    if not rows:
+        return []
+    facts, starts, ends, probs = zip(*rows)
+    check_intervals(starts, ends)
     lineages = decode_batch(nodes, roots)
-    return [
-        TPTuple(
-            fact=tuple(fact),
-            lineage=lineage,
-            interval=Interval(ts, te),
-            p=p,
-        )
-        for (fact, ts, te, p), lineage in zip(rows, lineages)
-    ]
+    return tuples_from_rows(zip(facts, lineages, starts, ends), probs)
 
 
 def _meta_payload(meta: WalMeta) -> bytes:

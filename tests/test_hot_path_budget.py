@@ -25,7 +25,9 @@ and its event map).  A served keyed read stays a hit across a commit to
 another key (every commit once evicted it), and the entry it hits holds
 its own events only, not its operands' merged map.  An n-ary ∪/∩ node
 costs no more than the binary chain it stands for (a sweep of its own
-once made 3–10× the chain's calls).
+once made 3–10× the chain's calls).  Loading a base relation costs a
+handful of calls and four tracked objects per row (it once made 25 calls
+per row, as many as sweeping it).
 """
 
 from __future__ import annotations
@@ -177,6 +179,59 @@ def test_allocations_per_output_row_stay_under_the_ceiling():
     )
     assert retained / rows <= RETAINED_PER_ROW_CEILING, (
         f"{retained / rows:.2f} tracked objects retained per output row"
+    )
+
+
+# ----------------------------------------------------------------------
+# loading: a base tuple costs a handful of calls, not a sweep's worth
+# ----------------------------------------------------------------------
+#: Calls per row ``TPRelation.from_rows`` makes.  Measured when set: 9.0
+#: — a length and an atomicity check, the interned variable (three), two
+#: bare allocations, the append, and the duplicate check's sort key.
+#: 25.0 while each row went through the dataclass constructors and
+#: validation walked every tuple a second time.
+LOAD_CALLS_PER_ROW_CEILING = 10.0
+
+#: GC-tracked objects a loaded relation holds per row: ``TPTuple``,
+#: ``Interval``, the ``Var`` and its intern table's weak reference.  The
+#: validation sort is thrown away, not kept (DESIGN.md §6.3).
+LOAD_TRACKED_PER_ROW_CEILING = 4.0
+
+
+def test_calls_per_loaded_row_stay_under_the_ceiling():
+    rows = seeded_rows(1, n=4000)
+    calls, relation = count_calls(lambda: TPRelation.from_rows("a", ("k",), rows))
+    assert len(relation) == 4000
+    total = sum(calls.values())
+    assert total / len(relation) <= LOAD_CALLS_PER_ROW_CEILING, (
+        f"{total / len(relation):.2f} calls per loaded row; the biggest callers: "
+        f"{calls.most_common(8)}"
+    )
+    # Built through the slot writers, not the dataclass constructors.
+    assert calls[("py", "Interval.__post_init__")] == 0
+    assert calls[("py", "base_tuple")] == 0
+    # Deterministic once the first load's interned variables are gone.
+    del relation
+    assert count_calls(lambda: TPRelation.from_rows("a", ("k",), rows))[0] == calls
+
+
+def test_tracked_objects_per_loaded_row_stay_under_the_ceiling():
+    """What a relation of ``n`` more rows holds, per row: the slope
+    between two loads, so the relation's own few objects drop out."""
+
+    def tracked(n: int) -> int:
+        rows = seeded_rows(1, n=n)
+        gc.collect()
+        before = len(gc.get_objects())
+        relation = TPRelation.from_rows("a", ("k",), rows)
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        assert len(relation) == n
+        return held
+
+    per_row = (tracked(4000) - tracked(2000)) / 2000
+    assert per_row <= LOAD_TRACKED_PER_ROW_CEILING, (
+        f"{per_row:.2f} tracked objects per loaded row"
     )
 
 
@@ -385,9 +440,7 @@ SMALL_CAP = 1024
 def _pair(n: int) -> tuple[TPRelation, TPRelation]:
     """Two seeded relations of ``n`` tuples, 25 per key, already sorted."""
     pair = tuple(
-        TPRelation.from_rows(
-            name, ("k",), seeded_rows(seed, n=n, keys=n // 25), validate=False
-        )
+        TPRelation.from_rows(name, ("k",), seeded_rows(seed, n=n, keys=n // 25))
         for name, seed in (("a", 1), ("b", 2))
     )
     for relation in pair:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import DuplicateFactError
+from repro import DuplicateFactError, tp_union
+from repro.lineage.formula import variable_names
 from repro.store import Delta, SegmentStore, load_delta, save_delta
+
+from .strategies import tp_relation
 
 
 @pytest.fixture
@@ -219,6 +224,62 @@ class TestRangeReads:
                 else:
                     store.insert([("x", at, at + length, 0.5)])
             self._check(store, points)
+
+
+class TestBulkBuild:
+    """``from_relation`` and ``restore`` cut each fact's sorted run into
+    segments directly, with no per-tuple insert: the layout must keep
+    every invariant the insert path keeps, and further mutations must
+    behave as on any store."""
+
+    @staticmethod
+    def _check(store: SegmentStore, relation) -> None:
+        assert list(store.iter_sorted()) == relation.sorted_tuples()
+        assert store.facts() == sorted({t.fact for t in relation})
+        for fact in store.facts():
+            group = store._groups[fact]
+            assert all(0 < len(s) <= store.segment_capacity for s in group.segments)
+            assert group.bounds == [segment[0].start for segment in group.segments]
+            starts = [t.start for t in group.tuples()]
+            assert starts == sorted(set(starts))
+        assert store._var_refs == Counter(
+            var for t in relation for var in variable_names(t.lineage)
+        )
+
+    @given(
+        r=tp_relation("r", max_intervals=12),
+        s=tp_relation("s", max_intervals=12),
+        capacity=st.integers(min_value=2, max_value=5),
+        derived=st.booleans(),
+    )
+    def test_bulk_built_stores_keep_the_segment_invariants(self, r, s, capacity, derived):
+        relation = tp_union(r, s) if derived else r
+        seeded = SegmentStore.from_relation(relation, segment_capacity=capacity)
+        self._check(seeded, relation)
+        restored = SegmentStore.restore(
+            relation.name, relation.schema.attributes, relation.sorted_tuples(),
+            dict(relation.events), epoch=3, counter=7, segment_capacity=capacity,
+        )
+        self._check(restored, relation)
+        assert (restored.epoch, restored._counter) == (3, 7)
+        # A bulk-built store mutates like any other.
+        for store in (seeded, restored):
+            last = store.tuples_of(("x",))
+            end = last[-1].end if last else 0
+            store.insert([("x", end, end + 2, 0.5), ("x", end + 3, end + 4, 0.5)])
+            store.delete_where(lambda t: t.start % 3 == 0)
+            expected = store.snapshot()
+            for fact in store.facts():
+                group = store._groups[fact]
+                assert group.bounds == [segment[0].start for segment in group.segments]
+            assert list(store.iter_sorted()) == expected.sorted_tuples()
+
+    def test_restore_refuses_a_run_out_of_fact_order(self, rel_a):
+        backwards = sorted(rel_a, key=lambda t: t.fact, reverse=True)
+        with pytest.raises(ValueError, match="order"):
+            SegmentStore.restore(
+                "a", ("product",), backwards, dict(rel_a.events), epoch=0, counter=0
+            )
 
 
 class TestDeltaFiles:
