@@ -178,22 +178,22 @@ def optimizer_and_explain_tour(db) -> None:
 
 
 def performance_notes(db) -> None:
-    """Sortedness propagation and the probability-valuation cache.
+    """Sortedness propagation and batch valuation.
 
     Set operations run a fused kernel (sort → LAWA → λ-filter → λ-concat
-    → valuation in one loop).  Two knobs matter at scale:
+    → valuation in one loop).  Two properties matter at scale:
 
     * **Sortedness.**  Relations cache their (F, Ts) order, and every
       set-operation output is *born sorted* — chained operations never
       re-sort.  If your loader already emits (F, Ts) order, construct
       with ``TPRelation(..., assume_sorted=True)`` to skip even the
       first sort.
-    * **Valuation caching.**  Lineage formulas are hash-consed, and
-      probabilities of repeated lineages are memoized per events-map
-      epoch.  Tune with ``ProbabilityOptions(cache=...,
-      cache_max_entries=...)``, observe with ``valuation_cache_stats()``.
+    * **Batch valuation.**  Lineage formulas are hash-consed, so a
+      result's repeated lineages are one object each, valuated once per
+      batch; nothing is kept after it.  Observe the repeats with
+      ``valuation_cache_stats()``.
     """
-    from repro import ProbabilityOptions, tp_union, valuation_cache_stats
+    from repro import clear_valuation_cache, tp_union, valuation_cache_stats
 
     a, c = db.relation("a"), db.relation("c")
 
@@ -203,11 +203,12 @@ def performance_notes(db) -> None:
     chained = tp_union(u, c)  # input already sorted — no re-sort happens
     print(f"chained result sorted too: {chained.is_sorted_by_fact_ts}")
 
-    print("\n=== Performance: valuation cache ===")
-    tp_union(a, c)  # identical lineages as before: memo hits
-    print(f"cache stats: {valuation_cache_stats()}")
-    uncached = tp_union(a, c, options=ProbabilityOptions(cache=False))
-    print(f"cache=False still bit-identical: {uncached.equivalent_to(u)}")
+    print("\n=== Performance: batch valuation ===")
+    clear_valuation_cache()
+    again = tp_union(a, c)  # one batch: each distinct lineage valuated once
+    print(f"valuated {valuation_cache_stats()['misses']} distinct lineages "
+          f"for {len(again)} tuples")
+    print(f"repeat bit-identical: {again.equivalent_to(u)}")
 
 
 def persistence_tour() -> None:

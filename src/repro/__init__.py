@@ -31,11 +31,10 @@ Performance notes
   outputs are born sorted (``TPRelation(..., assume_sorted=True)``), so
   chained operations never re-sort.  Construct base relations with
   ``assume_sorted=True`` when the loader already emits ``(F, Ts)`` order.
-* Lineage formulas are hash-consed and probability valuations of
-  repeated lineages are memoized; tune or disable via
-  ``ProbabilityOptions(cache=..., cache_max_entries=...)`` passed to
-  :func:`probability` / :func:`tp_set_operation`, and see
-  ``repro.prob.valuation_cache_stats`` / ``clear_valuation_cache``.
+* Lineage formulas are hash-consed, so a result's repeated lineages
+  are one object each: :func:`probability_batch` valuates every
+  distinct formula once per batch and remembers nothing across calls
+  (``valuation_cache_stats`` counts its repeats).
 """
 
 from .algebra import (

@@ -21,8 +21,8 @@ operations are built on:
 The temporal work is delegated to
 :func:`repro.core.gtwindow.generalized_windows`, run per join-key group
 (hash partitioning on the join attributes); probabilities are
-materialized through the batched, memoized valuation path, so each
-distinct interned lineage is valuated once.
+materialized through the batched valuation path, so each
+distinct interned lineage is valuated once per batch.
 
 Degenerate layouts collapse (DESIGN.md §8.4): when the non-preserved
 side contributes no non-join attributes, its matched and preserved

@@ -30,7 +30,7 @@ from ..core.relation import TPRelation
 from ..core.schema import TPSchema
 from ..core.tuple import TPTuple
 from ..lineage.concat import concat_or
-from ..prob.valuation import probability
+from ..prob.valuation import probability_batch
 
 __all__ = ["tp_project"]
 
@@ -66,12 +66,10 @@ def tp_project(
     out = coalesce(out)
 
     if materialize:
-        out = [
-            TPTuple(
-                t.fact, t.lineage, t.interval, probability(t.lineage, relation.events)
-            )
-            for t in out
-        ]
+        # One batch: a disjunction repeated across output tuples is
+        # valuated once, which matters where it is not in 1OF.
+        probs = probability_batch([t.lineage for t in out], relation.events)
+        out = [TPTuple(t.fact, t.lineage, t.interval, p) for t, p in zip(out, probs)]
     label = ",".join(attrs)
     return TPRelation._derived(
         f"π[{label}]({relation.name})", out_schema, out, relation.events

@@ -97,7 +97,7 @@ class TPRelation:
         assume_sorted: bool = False,
     ) -> None:
         # The public constructor owns a private copy of the event map
-        # (EventMap self-invalidates the valuation memo on mutation).
+        # (EventMap self-invalidates the merged maps cached on it).
         self._init(name, schema, tuples, EventMap(events), assume_sorted)
         if validate:
             self._validate()
@@ -332,9 +332,9 @@ class TPRelation:
         not per relation: selections and renames share their parent's
         map, so every operation over one operand pair at one epoch —
         benchmark rounds, chained queries, each pushed-down selection of
-        a served query — presents the *same* mapping object to the
-        valuation layer, whose epoch registry keeps the probability memo
-        warm across calls.  Treat the returned mapping as read-only.
+        a served query — valuates against the *same* mapping object, and
+        its results hold that object instead of a copy.  Treat the
+        returned mapping as read-only.
         """
         return self.events.merged_with(other.events)
 

@@ -452,9 +452,8 @@ def _finish(
     .probability_batch`) — and written into the tuples before the
     relation exists, so every tuple is still built exactly once and a
     published tuple never changes (DESIGN.md §6.3).  The batch valuates
-    against the operand pair's cached merged event map, whose epoch is
-    stable across queries: repeated reads of one pair share one memo
-    bucket, and the result holds that map by reference (DESIGN.md §5).
+    against the operand pair's cached merged event map, and the result
+    holds that map by reference (DESIGN.md §5).
     """
     events = r.merged_events(s)
     if materialize:

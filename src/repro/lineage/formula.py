@@ -20,8 +20,8 @@ Design notes
   weak table, so syntactically equal formulas are *identity*-equal and
   ``==`` / ``hash`` collapse to pointer comparisons.  The set-operation
   kernels exploit this heavily — adjacent LAWA windows reuse the same
-  valid tuples, hence concatenate the identical lineage objects, and the
-  probability-valuation memo can key on node identity.
+  valid tuples, hence concatenate the identical lineage objects, and a
+  batch valuation can deduplicate on node identity.
 * **Structural metadata** (DESIGN.md §4).  Computed at construction
   time from the children's metadata, in O(1) for the two-child nodes the
   sweeps emit: :attr:`Lineage.size` (AST node count),

@@ -2,8 +2,8 @@
 
 Interning is per-process, so lineage crossing a process boundary must be
 rebuilt *through the interning constructors* on the receiving side —
-that is what keeps identity equality (and with it the valuation memo and
-the O(1) metadata) intact after transport.  Two forms exist:
+that is what keeps identity equality (and with it batch deduplication
+and the O(1) metadata) intact after transport.  Two forms exist:
 
 * **Pickle** — every node's ``__reduce__`` rebuilds through its
   constructor, so ``pickle.loads`` re-interns automatically.  Right for

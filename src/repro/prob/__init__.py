@@ -11,8 +11,6 @@ from .valuation import (
     Method,
     ProbabilityOptions,
     clear_valuation_cache,
-    events_epoch,
-    invalidate_events,
     probability,
     probability_batch,
     valuation_cache_stats,
@@ -30,8 +28,6 @@ __all__ = [
     "ProbabilityOptions",
     "clear_valuation_cache",
     "equivalent",
-    "events_epoch",
-    "invalidate_events",
     "probability",
     "probability_1of",
     "probability_anytime",

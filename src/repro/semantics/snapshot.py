@@ -22,7 +22,7 @@ from ..core.relation import TPRelation
 from ..core.tuple import TPTuple
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import Lineage
-from ..prob.valuation import probability
+from ..prob.valuation import probability_batch
 
 __all__ = [
     "snapshot_intersect",
@@ -99,7 +99,8 @@ def snapshot_set_operation(
 
     out = coalesce(point_tuples)
     if materialize:
-        out = [u.with_probability(probability(u.lineage, events)) for u in out]
+        probs = probability_batch([u.lineage for u in out], events)
+        out = [u.with_probability(p) for u, p in zip(out, probs)]
     return TPRelation(name, r.schema, out, events, validate=False)
 
 

@@ -1,8 +1,8 @@
 """Read replicas: forked processes answering pinned-snapshot queries.
 
 The serving layer's single service thread is the whole read *and* write
-path because lineage interning and the valuation memo are process-global
-and unlocked (DESIGN.md §14.2).  This module scales reads past that
+path because lineage interning is process-global and unlocked
+(DESIGN.md §14.2).  This module scales reads past that
 thread the only way the constraint allows: **more processes**
 (DESIGN.md §16).  A :class:`ReplicaSet` forks N long-lived read-only
 replicas; each holds its own copy of every store and constant relation,

@@ -3,9 +3,9 @@
 Concurrency model (DESIGN.md §14.2): the event loop handles sockets,
 request framing, per-request timeouts and shutdown; **every**
 state-touching call — session open/close, query, commit — is funneled
-through one dedicated single-thread executor.  Lineage interning and
-the valuation memo are process-global and unlocked, so one service
-thread is the whole write *and* read path; concurrency across clients
+through one dedicated single-thread executor.  Lineage interning is
+process-global and unlocked, so one service thread is the whole write
+*and* read path; concurrency across clients
 comes from MVCC sessions (readers pin snapshots, the writer never waits
 for them) and from read replicas (``--replicas``), not from threading
 the engine.

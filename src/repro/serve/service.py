@@ -25,10 +25,10 @@ any I/O so tests and benchmarks can drive it in-process:
   incrementally maintained summary (``db.stats_of``) is captured at pin
   time, so planning after a commit costs the change set, not a rescan.
 
-Thread model: **not** thread-safe.  Lineage interning and the valuation
-memo are process-global and unlocked, so the server funnels every call
-here through one dedicated executor thread (DESIGN.md §14.2); in-process
-callers (tests, benchmarks) are single-threaded already.
+Thread model: **not** thread-safe.  Lineage interning is process-global
+and unlocked, so the server funnels every call here through one
+dedicated executor thread (DESIGN.md §14.2); in-process callers (tests,
+benchmarks) are single-threaded already.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from ..core.errors import QueryParseError, UnknownRelationError
 from ..core.relation import TPRelation
 from ..db.database import TPDatabase
 from ..lineage.formula import intern_stats
-from ..prob.valuation import valuation_cache_stats
 from ..query.analysis import analyze
 from ..query.ast import QueryNode, relation_references
 from ..query.cost import choose_plan
@@ -582,9 +581,8 @@ class QueryService:
         counts the hits served from an entry computed at an older store
         epoch than the reader's pin.  ``memory`` is what this
         process's object graph costs to keep: the cyclic collector's runs
-        per generation since start, the live interned lineage nodes, and
-        the valuation memo's entries — readings too, nothing is bounded
-        by them.
+        per generation since start and the live interned lineage nodes —
+        readings too, nothing is bounded by them.
         """
         results = self.results.stats()
         results["bytes"] = sum(
@@ -604,7 +602,6 @@ class QueryService:
                     generation["collections"] for generation in gc.get_stats()
                 ],
                 "lineage_nodes": intern_stats(),
-                "valuation_entries": valuation_cache_stats()["entries"],
             },
         }
 

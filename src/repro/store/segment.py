@@ -703,7 +703,7 @@ class SegmentStore:
         Without ``epoch`` (or at the current epoch) this is the cached
         current view: repeated calls between transactions return the
         *same* relation object, so downstream caches keyed on relation
-        identity (optimizer statistics, valuation memos) stay warm.
+        identity (optimizer statistics, merged event maps) stay warm.
 
         With an older ``epoch`` it is the MVCC read path (DESIGN.md
         §14): the exact relation the store would have snapshotted right

@@ -13,8 +13,8 @@ Payloads are plain-data structures (tags, strings, integers, floats,
 tuples) pickled at C speed; lineage is flattened through the PR 4 batch
 codec (:mod:`repro.lineage.serialize`) — one shared node table per
 record, replayed through the interning constructors on decode, so
-recovered tuples carry *re-interned* lineage with identity equality and
-the valuation memo intact.
+recovered tuples carry *re-interned* lineage with identity equality
+intact.
 
 The torn-write rule: a record is **committed** iff its length prefix,
 checksum and payload are all fully on disk and the checksum verifies.

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from repro import SchemaMismatchError, TPRelation
 from repro.algebra import tp_join, tp_project
 from repro.lineage import is_one_occurrence_form
+from repro.prob import clear_valuation_cache, valuation_cache_stats
 from repro.semantics import check_change_preservation, check_duplicate_free
 
 from .strategies import tp_relation
@@ -163,6 +164,19 @@ class TestProjectBasics:
         (t,) = list(result)
         assert str(t.lineage) == "r1∨r2"
         assert (t.start, t.end) == (1, 5)
+
+    def test_repeated_lineages_are_valuated_once(self):
+        # r1 covers [1,5); r2 inside it splits r1 into two fragments that
+        # carry the same lineage object.
+        r = TPRelation.from_rows(
+            "r",
+            ("item", "store"),
+            [("milk", "a", 1, 5, 0.5), ("milk", "b", 3, 4, 0.5)],
+        )
+        clear_valuation_cache()
+        result = tp_project(r, ["item"])
+        assert [str(t.lineage) for t in result] == ["r1", "r1∨r2", "r1"]
+        assert valuation_cache_stats() == {"hits": 1, "misses": 2}
 
     @settings(max_examples=40, deadline=None)
     @given(r=tp_relation("r", max_facts=3, max_intervals=3))

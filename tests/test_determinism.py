@@ -1,19 +1,23 @@
-"""Determinism of query results, and the memo/interning contract.
+"""Determinism of query results, and the batch-valuation/interning contract.
 
 Running the same plan twice must yield identical results — the same
 tuples in the same order, float-exact probabilities and the identical
 interned lineage objects — whether it runs through the operators or the
 database, and whether its operands are the same relation objects or
-rebuilt copies of them.  A materialization leaves the valuation memo
-warm: a follow-up valuation over the same operand pair recomputes
-nothing.  The batch lineage codec the write-ahead log, checkpoints and
+rebuilt copies of them.  A materialization valuates each distinct
+lineage once and remembers nothing after it, and the Monte-Carlo
+fallback of ``Method.AUTO`` is a function of the formula, in and across
+processes.  The batch lineage codec the write-ahead log, checkpoints and
 replicas ship formulas with round-trips to the very same interned
 objects.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +35,12 @@ from repro.lineage.serialize import (
     encode_batch,
     encode_lineage,
 )
-from repro.prob.valuation import clear_valuation_cache, valuation_cache_stats
+from repro.prob.valuation import (
+    clear_valuation_cache,
+    probability,
+    probability_batch,
+    valuation_cache_stats,
+)
 
 
 def assert_bit_identical(a, b) -> None:
@@ -108,31 +117,73 @@ class TestReinterning:
         assert_bit_identical(db.query("(r & s) | (r | s)"), direct)
 
 
-class TestMemoAfterMaterialization:
-    def test_memo_hits_after_a_root(self):
-        """A materialized root leaves every distinct lineage memoized."""
+class TestValuationPerBatch:
+    def test_a_root_misses_once_per_distinct_lineage(self):
+        """A materialized root valuates each distinct lineage once, and
+        the same operation again does the same work: nothing is kept."""
         clear_valuation_cache()
         r, s = generate_pair(1500, n_facts=5, seed=3)
         first = tp_union(r, s)
-        warmed = valuation_cache_stats()
-        assert warmed["entries"] > 0, "the root left the memo cold"
-        # The same operation again: every distinct lineage must hit.
+        distinct = len({t.lineage for t in first})
+        assert distinct < len(first)  # repeats exist, and they hit
+        assert valuation_cache_stats() == {
+            "hits": len(first) - distinct, "misses": distinct,
+        }
         second = tp_union(r, s)
-        stats = valuation_cache_stats()
-        assert stats["hits"] > warmed["hits"]
-        assert stats["misses"] == warmed["misses"], (
-            "the follow-up recomputed probabilities the root had "
-            "already materialized"
-        )
+        assert valuation_cache_stats() == {
+            "hits": 2 * (len(first) - distinct), "misses": 2 * distinct,
+        }
         assert_bit_identical(first, second)
 
     def test_cold_values_equal_warm_values(self):
-        """A valuation from a cleared memo gives bit-identical floats."""
+        """A read after cleared counters gives bit-identical floats."""
         r, s = generate_pair(1500, n_facts=5, seed=10)
         warm = tp_union(r, s)
         clear_valuation_cache()
         cold = tp_union(r, s)
         assert_bit_identical(cold, warm)
+
+
+#: 25 repeated variables, one past ``exact_repeated_limit``, so
+#: ``Method.AUTO`` estimates by Monte Carlo.  Run as-is in this process
+#: and in fresh interpreters under other hash seeds.
+_SAMPLED = """
+from repro.lineage.formula import Var, land, lor
+from repro.prob.valuation import ProbabilityOptions, probability
+f = lor(*(land(Var(f"mc{i}"), Var(f"mc{i}_{side}")) for side in "lr" for i in range(25)))
+events = {name: 0.05 + (i % 7) / 20 for i, name in enumerate(sorted(f.var_set))}
+options = ProbabilityOptions(samples=400)
+value = probability(f, events, options=options)
+"""
+
+
+def _sampled() -> dict:
+    namespace: dict = {}
+    exec(_SAMPLED, namespace)
+    return namespace
+
+
+class TestAutoMonteCarloIsAFunctionOfTheFormula:
+    def test_the_same_query_gets_the_same_estimate(self):
+        run = _sampled()
+        f, events, options, first = run["f"], run["events"], run["options"], run["value"]
+        assert f.repeated_count() == 25
+        assert probability(f, events, options=options) == first
+        # Being a function of the formula, the estimate is shared in a batch.
+        clear_valuation_cache()
+        assert probability_batch([f, f], events, options=options) == [first, first]
+        assert valuation_cache_stats() == {"hits": 1, "misses": 1}
+
+    def test_the_estimate_does_not_depend_on_the_hash_seed(self):
+        here = _sampled()["value"]
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _SAMPLED + "print(repr(value))"],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert float(out.stdout) == here
 
 
 _pa, _pb, _pc = Var("pa"), Var("pb"), Var("pc")

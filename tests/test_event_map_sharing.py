@@ -61,8 +61,8 @@ def test_operator_results_hold_the_operands_merged_map():
     merged = r.merged_events(s)
     assert tp_union(r, s).events is merged
     assert tp_except(r, s).events is merged
-    # Every selection over the pair shares the pair's one merged map —
-    # and therefore one valuation-memo bucket.
+    # Every selection over the pair shares the pair's one merged map
+    # instead of a copy of its own.
     assert tp_union(r.select(x="v"), s.select(x="v")).events is merged
     assert tp_union(r.select(x="w"), s.rename("t")).events is merged
     # n-ary folds go through the same pairwise cache.

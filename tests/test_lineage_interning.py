@@ -1,17 +1,18 @@
-"""Tests for the hash-consing layer and the memoized valuation.
+"""Tests for the hash-consing layer and the batch valuation.
 
 Covers the three contract pillars of DESIGN.md §4–§5:
 
 * identity equality — equal constructions yield the *same object*;
 * cached metadata — O(1) lookups agree with the traversal oracles;
-* valuation-memo invalidation — changing an events map is observed —
-  and bounded eviction, which keeps the hit/miss counters exact.
+* batch valuation — each distinct formula is valuated once per batch,
+  nothing outlives the batch, and changing an events map is observed.
 """
 
 from __future__ import annotations
 
 import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,6 @@ from repro.prob import (
     Method,
     ProbabilityOptions,
     clear_valuation_cache,
-    events_epoch,
     probability,
     probability_batch,
     valuation_cache_stats,
@@ -308,17 +308,25 @@ def _formula_corpus(n: int, events: EventMap) -> list:
     return batch + list(batch)
 
 
-class TestValuationMemo:
+class TestBatchValuation:
+    """Valuation is batch-scoped (DESIGN.md §5): each distinct interned
+    formula is valuated once per :func:`probability_batch` call, and
+    nothing outlives the call."""
+
     def setup_method(self):
         clear_valuation_cache()
 
-    def test_repeated_valuation_hits_memo(self):
-        events = EventMap({"a": 0.5, "b": 0.25})
-        f = a | b
-        first = probability(f, events)
-        before = valuation_cache_stats()["hits"]
-        assert probability(f, events) == first == pytest.approx(0.625)
-        assert valuation_cache_stats()["hits"] == before + 1
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(formulas(), min_size=1, max_size=12))
+    def test_a_batch_misses_once_per_distinct_lineage(self, batch):
+        clear_valuation_cache()
+        events = EventMap({"a": 0.5, "b": 0.25, "c": 0.7})
+        values = probability_batch(batch, events)
+        assert values == [probability(f, events) for f in batch]
+        distinct = len(set(batch))
+        assert valuation_cache_stats() == {
+            "hits": len(batch) - distinct, "misses": distinct,
+        }
 
     def test_eventmap_mutation_invalidates(self):
         events = EventMap({"a": 0.5, "b": 0.25})
@@ -333,22 +341,22 @@ class TestValuationMemo:
         events |= {"a": 0.9}  # dict.__ior__ mutates in place
         assert probability(a, events) == pytest.approx(0.9)
 
-    def test_explicit_method_bypasses_memo(self):
+    def test_explicit_method_keeps_its_validation(self):
         from repro.core.errors import ValuationError
 
         events = EventMap({"a": 0.5})
         repeated = a & a  # not in 1OF
-        probability(repeated, events)  # AUTO caches the Shannon value
+        assert probability_batch([repeated], events) == [0.5]  # AUTO: Shannon
         with pytest.raises(ValuationError):
-            # The cached AUTO value must not mask 1OF validation.
-            probability(repeated, events, method=Method.ONE_OCCURRENCE)
+            # The batch's AUTO fast paths must not mask 1OF validation.
+            probability_batch([a, repeated], events, method=Method.ONE_OCCURRENCE)
 
     def test_eventmap_noop_probes_keep_epoch(self):
         events = EventMap({"a": 0.5})
         before = events.epoch
         assert events.setdefault("a", 0.9) == 0.5  # pure read
         events.update()
-        assert events.epoch == before  # memo stays warm
+        assert events.epoch == before  # merged maps stay valid
         events.setdefault("b", 0.7)  # actual insertion
         assert events.epoch != before
 
@@ -377,38 +385,40 @@ class TestValuationMemo:
         r.events["r1"] = 0.9
         assert r.probability_of(t) == pytest.approx(0.9)
 
-    def test_plain_small_dicts_keyed_by_content(self):
+    def test_plain_dicts_valuate_by_content(self):
         f = a & b
         assert probability(f, {"a": 0.5, "b": 0.5}) == pytest.approx(0.25)
-        # Same content, different object: epochs coincide — and that is
-        # sound, because equal content implies equal probabilities.
-        assert events_epoch({"a": 0.5, "b": 0.5}) == events_epoch(
-            {"a": 0.5, "b": 0.5}
-        )
-        # Different content must never share an epoch.
-        assert events_epoch({"a": 0.5, "b": 0.5}) != events_epoch(
-            {"a": 0.5, "b": 0.6}
-        )
+        # Another dict with other content is read afresh.
         assert probability(f, {"a": 0.5, "b": 0.6}) == pytest.approx(0.30)
 
-    def test_large_plain_dicts_skip_the_memo(self):
+    def test_large_plain_dicts_deduplicate_within_a_batch(self):
         events = {f"v{i}": 0.5 for i in range(1000)}
-        before = valuation_cache_stats()["entries"]
-        probability(Var("v0"), events)
-        assert valuation_cache_stats()["entries"] == before
+        f = land(Var("v0"), Var("v1"))
+        assert probability_batch([f, Var("v0"), f], events) == [0.25, 0.5, 0.25]
+        assert valuation_cache_stats() == {"hits": 1, "misses": 2}
 
-    def test_monte_carlo_never_cached(self):
-        events = EventMap({"a": 0.5})
-        before = valuation_cache_stats()["entries"]
-        probability(a, events, method=Method.MONTE_CARLO)
-        assert valuation_cache_stats()["entries"] == before
+    def test_explicit_monte_carlo_is_never_shared(self):
+        import random
 
-    def test_cache_can_be_disabled(self):
         events = EventMap({"a": 0.5})
-        opts = ProbabilityOptions(cache=False)
-        before = valuation_cache_stats()["entries"]
-        probability(a, events, options=opts)
-        assert valuation_cache_stats()["entries"] == before
+        f = a & a
+        batch = probability_batch(
+            [f, f], events, method=Method.MONTE_CARLO,
+            options=ProbabilityOptions(samples=200, rng=random.Random(3)),
+        )
+        o = ProbabilityOptions(samples=200, rng=random.Random(3))
+        singles = [
+            probability(f, events, method=Method.MONTE_CARLO, options=o)
+            for _ in range(2)
+        ]
+        assert batch == singles  # two draws from one stream
+        assert valuation_cache_stats() == {"hits": 0, "misses": 2}
+
+    def test_options_have_no_cache_knob(self):
+        """Nothing is cached across calls, so there is nothing to tune."""
+        for knob in ("cache", "cache_max_entries"):
+            with pytest.raises(TypeError):
+                ProbabilityOptions(**{knob: 1})
 
     def test_batch_deduplicates_identical_lineages(self):
         events = EventMap({"a": 0.5, "b": 0.25})
@@ -432,7 +442,7 @@ class TestValuationMemo:
         # re-wrap the message once per recursion level.
         assert message.count("no probability registered") == 1
 
-    def test_uncached_batch_keeps_monte_carlo_draws_independent(self):
+    def test_batch_keeps_seeded_monte_carlo_draws_independent(self):
         import random
 
         f = a & a  # repeated variable: AUTO resorts to Monte Carlo below
@@ -440,8 +450,7 @@ class TestValuationMemo:
 
         def opts():
             return ProbabilityOptions(
-                cache=False, exact_repeated_limit=-1, samples=500,
-                rng=random.Random(7),
+                exact_repeated_limit=-1, samples=500, rng=random.Random(7),
             )
 
         batch = probability_batch([f, f], events, options=opts())
@@ -456,63 +465,56 @@ class TestValuationMemo:
 
     @settings(max_examples=25, deadline=None)
     @given(tp_relation_pair())
-    def test_memoized_results_match_uncached(self, pair):
+    def test_repeated_and_cold_reads_are_bit_identical(self, pair):
         r, s = pair
-        cached = tp_union(r, s)
-        clear_valuation_cache()
-        uncached = tp_union(r, s, options=ProbabilityOptions(cache=False))
-        assert cached.equivalent_to(uncached)
+        first = tp_union(r, s)
+        repeated = tp_union(r, s)  # first is alive: the same lineage objects
+        assert len(first) == len(repeated)
+        assert all(
+            x.lineage is y.lineage and x.p == y.p for x, y in zip(first, repeated)
+        )
+        rows = [(t.fact, t.interval, str(t.lineage), t.p) for t in first]
+        del first, repeated
+        gc.collect()  # nothing of the earlier reads survives
+        cold = tp_union(r, s)
+        assert [(t.fact, t.interval, str(t.lineage), t.p) for t in cold] == rows
 
-    def test_bounded_eviction_keeps_counters_serial_exact(self):
-        """A tiny cache cap must not change hits/misses: the old
-        wholesale ``bucket.clear()`` dropped same-batch entries and
-        turned would-be hits into recomputed misses."""
+    def test_counters_are_exact_per_batch(self):
+        """No value survives its batch: a second batch over the same
+        formulas misses exactly as the first did."""
         events = EventMap()
         batch = _formula_corpus(100, events)  # 200 formulas, 100 distinct
-        options = ProbabilityOptions(cache_max_entries=10)
-
+        first = probability_batch(batch, events)
+        assert valuation_cache_stats() == {"hits": 100, "misses": 100}
+        assert probability_batch(batch, events) == first
+        assert valuation_cache_stats() == {"hits": 200, "misses": 200}
         clear_valuation_cache()
-        capped = probability_batch(batch, events, options=options)
-        capped_stats = valuation_cache_stats()
-        clear_valuation_cache()
-        uncapped = probability_batch(batch, events)
-        uncapped_stats = valuation_cache_stats()
+        assert valuation_cache_stats() == {"hits": 0, "misses": 0}
 
-        assert capped == uncapped
-        assert capped_stats["hits"] == uncapped_stats["hits"] == 100
-        assert capped_stats["misses"] == uncapped_stats["misses"] == 100
+    def test_a_dropped_result_leaves_no_lineage_node_behind(self):
+        r = TPRelation.from_rows(
+            "r", ("x",), [("v", 1, 5, 0.5), ("v", 7, 9, 0.6), ("w", 2, 4, 0.3)]
+        )
+        s = TPRelation.from_rows("s", ("x",), [("v", 3, 8, 0.4), ("w", 1, 3, 0.2)])
+        before = settled_intern_stats()
+        result = tp_union(r, s)
+        refs = [weakref.ref(t.lineage) for t in result if type(t.lineage) is not Var]
+        assert refs and intern_stats() != before
+        del result
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert intern_stats() == before
 
-    def test_eviction_is_bounded_not_wholesale(self):
-        """Across batches the bucket stays near the cap: old entries go,
-        the newest survive — never a full clear."""
-        events = EventMap()
-        options = ProbabilityOptions(cache_max_entries=8)
-        clear_valuation_cache()
-        for i in range(6):
-            x = Var(f"ev{i}")
-            events[f"ev{i}"] = 0.5
-            probability_batch([land(x, x)], events)
-        # Mutating events bumps the epoch; valuate a long batch in one
-        # epoch so the cap engages mid-run.
-        batch = _formula_corpus(30, events)
-        probability_batch(batch, events, options=options)
-        stats = valuation_cache_stats()
-        # Everything the batch computed is protected while it runs, so
-        # the bucket may exceed the cap by the batch's distinct count —
-        # but never by the wholesale-clear signature of entries == the
-        # final sub-batch only.
-        assert stats["entries"] >= 30
-
-    def test_next_insert_after_batch_trims_to_cap(self):
-        events = EventMap()
-        options = ProbabilityOptions(cache_max_entries=8)
-        clear_valuation_cache()
-        batch = _formula_corpus(30, events)
-        probability_batch(batch, events, options=options)
-        x = Var("post")
-        events["post"] = 0.5
-        # New epoch, fresh bucket: the overshoot bucket above is simply
-        # retired with its epoch; the new bucket respects the cap.
-        probability_batch([land(x, ~x)], events, options=options)
-        stats = valuation_cache_stats()
-        assert stats["memo_epochs"] >= 2
+    def test_eventmap_mutation_invalidates_merged_with(self):
+        r = TPRelation.from_rows("r", ("x",), [("v", 1, 5, 0.5)])
+        s = TPRelation.from_rows("s", ("x",), [("v", 3, 8, 0.4)])
+        merged = r.merged_events(s)
+        assert r.merged_events(s) is merged  # cached while nothing changes
+        f = lor(Var("r1"), Var("s1"))
+        assert probability_batch([f], merged) == [pytest.approx(0.7)]
+        for events, name in ((r.events, "r1"), (s.events, "s1")):
+            events[name] = 0.9
+            fresh = r.merged_events(s)
+            assert fresh is not merged and fresh[name] == 0.9
+            merged = fresh
+        assert probability_batch([f], merged) == [pytest.approx(0.99)]

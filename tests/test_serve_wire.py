@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.db import TPDatabase
 from repro.lineage import intern_stats
-from repro.prob import valuation_cache_stats
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line, relation_payload
 from repro.serve.replica import ReplicaSet
@@ -213,7 +212,8 @@ def test_stats_report_the_collector_and_the_object_graph():
     assert all(x >= y for x, y in zip(after["gc_collections"], before["gc_collections"]))
     assert after["lineage_nodes"] == intern_stats()
     assert after["lineage_nodes"]["or"] > 0
-    assert after["valuation_entries"] == valuation_cache_stats()["entries"] > 0
+    # No valuation outlives its batch, so there is no memo to report.
+    assert set(after) == {"gc_collections", "lineage_nodes"}
     assert json.loads(encode_line({"ok": True, "stats": service.stats()}))["stats"]["memory"]
 
 

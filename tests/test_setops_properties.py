@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import tp_except, tp_intersect, tp_union
 from repro.lineage import is_one_occurrence_form
+from repro.prob import clear_valuation_cache, valuation_cache_stats
 from repro.semantics import (
     check_change_preservation,
     check_duplicate_free,
@@ -29,6 +30,19 @@ OPS = {"union": tp_union, "intersect": tp_intersect, "except": tp_except}
 relaxed = settings(
     max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@relaxed
+@given(pair=tp_relation_pair())
+def test_the_oracle_valuates_each_distinct_lineage_once(op, pair):
+    r, s = pair
+    clear_valuation_cache()
+    expected = snapshot_set_operation(op, r, s)
+    distinct = len({t.lineage for t in expected})
+    assert valuation_cache_stats() == {
+        "hits": len(expected) - distinct, "misses": distinct,
+    }
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
