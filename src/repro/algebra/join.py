@@ -393,9 +393,7 @@ def _generalized_join(
         do_matches = preserve_left = False
     if policy.matches and preserve_right and layout.r_degenerate:
         # Mirror: the right side collapses to its key-ordered projection.
-        carried.extend(
-            TPTuple(layout.right_fact(u.fact), u.lineage, u.interval, u.p) for u in s
-        )
+        carried.extend(u.with_fact(layout.right_fact(u.fact)) for u in s)
         do_matches = preserve_right = False
 
     rows: list = []
@@ -453,8 +451,7 @@ def _sort_output(out: list[TPTuple]) -> None:
         if wrapped is None:
             wrapped = tuple((v is None, v) for v in fact)
             _cache[fact] = wrapped
-        interval = t.interval
-        return (wrapped, interval.start, interval.end)
+        return (wrapped, t.start, t.end)
 
     out.sort(key=key)
 
@@ -480,10 +477,10 @@ def merge_fact_overlaps(tuples: list[TPTuple]) -> list[TPTuple]:
     while i < n:
         t = tuples[i]
         fact = t.fact
-        end = t.interval.end
+        end = t.end
         j = i + 1
-        while j < n and tuples[j].fact == fact and tuples[j].interval.start < end:
-            end = max(end, tuples[j].interval.end)
+        while j < n and tuples[j].fact == fact and tuples[j].start < end:
+            end = max(end, tuples[j].end)
             j += 1
         if j - i > 1:
             if out is None:
@@ -496,12 +493,12 @@ def merge_fact_overlaps(tuples: list[TPTuple]) -> list[TPTuple]:
 
 
 def _merge_cluster(fact: Fact, run: list[TPTuple]) -> list[TPTuple]:
-    run = sorted(run, key=lambda t: (t.interval.start, t.interval.end))
-    points = sorted({p for t in run for p in (t.interval.start, t.interval.end)})
+    run = sorted(run, key=lambda t: (t.start, t.end))
+    points = sorted({p for t in run for p in (t.start, t.end)})
     segments: list[list] = []
     for lo, hi in zip(points, points[1:]):
         valid = [
-            t.lineage for t in run if t.interval.start <= lo and hi <= t.interval.end
+            t.lineage for t in run if t.start <= lo and hi <= t.end
         ]
         lam = valid[0] if len(valid) == 1 else lor(*valid)
         if segments and segments[-1][2] is lam:
@@ -609,9 +606,7 @@ def _degenerate_full_outer(
 ) -> TPRelation:
     """Full outer join of two key-only relations ≡ TP union of the key
     projections — delegated to the fused LAWA kernel."""
-    projected = [
-        TPTuple(layout.right_fact(u.fact), u.lineage, u.interval, u.p) for u in s
-    ]
+    projected = [u.with_fact(layout.right_fact(u.fact)) for u in s]
     # The projection may reorder key columns, and null-padded facts (the
     # operand may itself be an outer join) only sort in the null-safe order.
     _sort_output(projected)

@@ -25,10 +25,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.coalesce import coalesce
-from ..core.interval import Interval
 from ..core.relation import TPRelation
 from ..core.schema import TPSchema
-from ..core.tuple import TPTuple
+from ..core.tuple import TPTuple, fill_probabilities, tuples_from_rows
 from ..lineage.concat import concat_or
 from ..prob.valuation import probability_batch
 
@@ -67,9 +66,10 @@ def tp_project(
 
     if materialize:
         # One batch: a disjunction repeated across output tuples is
-        # valuated once, which matters where it is not in 1OF.
+        # valuated once, which matters where it is not in 1OF.  The
+        # tuples are this call's own, so ``p`` is written in place.
         probs = probability_batch([t.lineage for t in out], relation.events)
-        out = [TPTuple(t.fact, t.lineage, t.interval, p) for t, p in zip(out, probs)]
+        fill_probabilities(out, probs)
     label = ",".join(attrs)
     return TPRelation._derived(
         f"π[{label}]({relation.name})", out_schema, out, relation.events
@@ -80,7 +80,7 @@ def _merge_group(fact, group: list[TPTuple]) -> list[TPTuple]:
     """Fragment one projected-fact group and OR contributor lineages."""
     if len(group) == 1:
         t = group[0]
-        return [TPTuple(fact, t.lineage, t.interval)]
+        return tuples_from_rows(((fact, t.lineage, t.start, t.end),))
 
     boundaries = sorted({t.start for t in group} | {t.end for t in group})
     index_of = {point: i for i, point in enumerate(boundaries)}
@@ -92,12 +92,10 @@ def _merge_group(fact, group: list[TPTuple]) -> list[TPTuple]:
         for i in range(lo, hi):
             fragments.setdefault(i, []).append(t)
 
-    out = []
+    rows = []
     for i, contributors in sorted(fragments.items()):
         lineage = contributors[0].lineage
         for t in contributors[1:]:
             lineage = concat_or(lineage, t.lineage)
-        out.append(
-            TPTuple(fact, lineage, Interval(boundaries[i], boundaries[i + 1]))
-        )
-    return out
+        rows.append((fact, lineage, boundaries[i], boundaries[i + 1]))
+    return tuples_from_rows(rows)

@@ -63,11 +63,11 @@ def _stream_windows(
             r_continues = head_r is not None and head_r.fact == fact
             s_continues = head_s is not None and head_s.fact == fact
             if r_continues and s_continues:
-                win_ts = min(head_r.interval.start, head_s.interval.start)
+                win_ts = min(head_r.start, head_s.start)
             elif r_continues:
-                win_ts = head_r.interval.start
+                win_ts = head_r.start
             elif s_continues:
-                win_ts = head_s.interval.start
+                win_ts = head_s.start
             elif head_r is None and head_s is None:
                 return
             else:
@@ -79,35 +79,35 @@ def _stream_windows(
                     opener = head_s
                 assert opener is not None
                 fact = opener.fact
-                win_ts = opener.interval.start
+                win_ts = opener.start
             if guard is not None and (fact, win_ts) < guard:
                 raise ValueError("stream inputs must be sorted by (fact, Ts)")
         else:
             win_ts = prev_win_te
         guard = (fact, win_ts)
 
-        if head_r is not None and head_r.fact == fact and head_r.interval.start == win_ts:
+        if head_r is not None and head_r.fact == fact and head_r.start == win_ts:
             r_valid = head_r
             cr.advance()
             head_r = cr.head
-        if head_s is not None and head_s.fact == fact and head_s.interval.start == win_ts:
+        if head_s is not None and head_s.fact == fact and head_s.start == win_ts:
             s_valid = head_s
             cs.advance()
             head_s = cs.head
 
         win_te: Optional[int] = None
         if head_r is not None and head_r.fact == fact:
-            win_te = head_r.interval.start
+            win_te = head_r.start
         if head_s is not None and head_s.fact == fact:
-            start = head_s.interval.start
+            start = head_s.start
             if win_te is None or start < win_te:
                 win_te = start
         if r_valid is not None:
-            end = r_valid.interval.end
+            end = r_valid.end
             if win_te is None or end < win_te:
                 win_te = end
         if s_valid is not None:
-            end = s_valid.interval.end
+            end = s_valid.end
             if win_te is None or end < win_te:
                 win_te = end
         if win_te is None or win_te <= win_ts:
@@ -117,9 +117,9 @@ def _stream_windows(
 
         yield fact, win_ts, win_te, r_valid, s_valid
 
-        if r_valid is not None and r_valid.interval.end == win_te:
+        if r_valid is not None and r_valid.end == win_te:
             r_valid = None
-        if s_valid is not None and s_valid.interval.end == win_te:
+        if s_valid is not None and s_valid.end == win_te:
             s_valid = None
         prev_win_te = win_te
 

@@ -137,11 +137,11 @@ def generalized_windows(
     """
     events: list[tuple[int, int, int, int]] = []  # (time, phase, side, idx)
     for idx, u in enumerate(left):
-        events.append((u.interval.start, 1, LEFT, idx))
-        events.append((u.interval.end, 0, LEFT, idx))
+        events.append((u.start, 1, LEFT, idx))
+        events.append((u.end, 0, LEFT, idx))
     for idx, u in enumerate(right):
-        events.append((u.interval.start, 1, RIGHT, idx))
-        events.append((u.interval.end, 0, RIGHT, idx))
+        events.append((u.start, 1, RIGHT, idx))
+        events.append((u.end, 0, RIGHT, idx))
     # Ends (phase 0) before starts (phase 1) at equal time.
     events.sort(key=lambda e: (e[0], e[1]))
 
@@ -200,9 +200,9 @@ def generalized_windows(
             if matches:
                 # Emission order across pairs is irrelevant (the join
                 # driver re-sorts); no need to order the active set.
-                u_end = u.interval.end
+                u_end = u.end
                 for v in active[1 - side].values():
-                    v_end = v.interval.end
+                    v_end = v.end
                     te = u_end if u_end < v_end else v_end
                     if side == LEFT:
                         yield MatchWindow(u, v, t, te)

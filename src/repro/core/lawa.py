@@ -122,11 +122,11 @@ class LawaSweep:
             r_continues = r is not None and r.fact == fact
             s_continues = s is not None and s.fact == fact
             if r_continues and s_continues:
-                win_ts = min(r.interval.start, s.interval.start)
+                win_ts = min(r.start, s.start)
             elif r_continues:
-                win_ts = r.interval.start
+                win_ts = r.start
             elif s_continues:
-                win_ts = s.interval.start
+                win_ts = s.start
             elif r is None and s is None:
                 return None
             else:
@@ -135,17 +135,17 @@ class LawaSweep:
                 else:
                     opener = s
                 fact = self._curr_fact = opener.fact
-                win_ts = opener.interval.start
+                win_ts = opener.start
         else:
             # Continuation: the new window is adjacent to the previous one.
             win_ts = self._prev_win_te
 
         # Absorb cursor tuples that become valid exactly at winTs.
-        if r is not None and r.fact == fact and r.interval.start == win_ts:
+        if r is not None and r.fact == fact and r.start == win_ts:
             r_valid = r
             ri += 1
             r = tuples_r[ri] if ri < len(tuples_r) else None
-        if s is not None and s.fact == fact and s.interval.start == win_ts:
+        if s is not None and s.fact == fact and s.start == win_ts:
             s_valid = s
             si += 1
             s = tuples_s[si] if si < len(tuples_s) else None
@@ -155,20 +155,20 @@ class LawaSweep:
         # change in the set of valid tuples and therefore a new window.
         win_te: Optional[int] = None
         if r is not None and r.fact == fact:
-            win_te = r.interval.start
+            win_te = r.start
         if s is not None and s.fact == fact:
-            start = s.interval.start
+            start = s.start
             if win_te is None or start < win_te:
                 win_te = start
         lam_r = lam_s = None
         if r_valid is not None:
             lam_r = r_valid.lineage
-            end = r_valid.interval.end
+            end = r_valid.end
             if win_te is None or end < win_te:
                 win_te = end
         if s_valid is not None:
             lam_s = s_valid.lineage
-            end = s_valid.interval.end
+            end = s_valid.end
             if win_te is None or end < win_te:
                 win_te = end
         assert win_te is not None and win_te > win_ts, "LAWA produced an empty window"
@@ -176,9 +176,9 @@ class LawaSweep:
         window = LineageWindow(fact, win_ts, win_te, lam_r, lam_s)
 
         # Expire valid tuples that end exactly at the window boundary.
-        if r_valid is not None and r_valid.interval.end == win_te:
+        if r_valid is not None and r_valid.end == win_te:
             r_valid = None
-        if s_valid is not None and s_valid.interval.end == win_te:
+        if s_valid is not None and s_valid.end == win_te:
             s_valid = None
 
         self._ri, self._si = ri, si

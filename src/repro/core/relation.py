@@ -264,7 +264,7 @@ class TPRelation:
         except TypeError:
             ordered = sorted(self._tuples, key=null_safe_key)
         for prev, curr in zip(ordered, ordered[1:]):
-            if curr.interval.start < prev.interval.end and prev.fact == curr.fact:
+            if curr.start < prev.end and prev.fact == curr.fact:
                 raise DuplicateFactError(
                     f"relation {self.name!r} is not duplicate-free: fact "
                     f"{prev.fact!r} valid over overlapping intervals "
@@ -502,9 +502,9 @@ class TPRelation:
     # ------------------------------------------------------------------
     # comparison & display
     # ------------------------------------------------------------------
-    def contents(self) -> frozenset[tuple[Fact, Interval, Lineage]]:
-        """Hashable summary of (fact, interval, lineage) triples."""
-        return frozenset((t.fact, t.interval, t.lineage) for t in self._tuples)
+    def contents(self) -> frozenset[tuple[Fact, int, int, Lineage]]:
+        """Hashable summary of (fact, Ts, Te, lineage) entries."""
+        return frozenset((t.fact, t.start, t.end, t.lineage) for t in self._tuples)
 
     def equivalent_to(self, other: "TPRelation", *, tol: float = 1e-9) -> bool:
         """Set equality on (fact, interval, lineage), probabilities within tol.
@@ -513,8 +513,8 @@ class TPRelation:
         """
         if self.contents() != other.contents():
             return False
-        mine = {(t.fact, t.interval): t.p for t in self._tuples}
-        theirs = {(t.fact, t.interval): t.p for t in other._tuples}
+        mine = {(t.fact, t.start, t.end): t.p for t in self._tuples}
+        theirs = {(t.fact, t.start, t.end): t.p for t in other._tuples}
         for key, p in mine.items():
             q = theirs[key]
             if p is None or q is None:

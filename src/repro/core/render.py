@@ -44,9 +44,9 @@ def _lane(
     """One text lane: '[' at start, ')' before end, label inside, '.' gaps."""
     width = (hi - lo) * cell
     lane = [" "] * width
-    for t in sorted(tuples, key=lambda t: t.interval.start):
-        start = (t.interval.start - lo) * cell
-        end = (t.interval.end - lo) * cell - 1
+    for t in sorted(tuples, key=lambda t: t.start):
+        start = (t.start - lo) * cell
+        end = (t.end - lo) * cell - 1
         lane[start] = "["
         lane[end] = ")"
         label = label_of(t)

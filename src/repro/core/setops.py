@@ -47,7 +47,6 @@ from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
 from .errors import UnsupportedOperationError
-from .interval import Interval
 from .lawa import LawaSweep
 from .relation import TPRelation
 from .sorting import fact_lt, sort_tuples
@@ -57,7 +56,6 @@ from .tuple import (
     new_object,
     set_end,
     set_fact,
-    set_interval,
     set_lineage,
     set_p,
     set_start,
@@ -196,39 +194,36 @@ def _fused_sweep(
 
     Semantically identical to driving :class:`LawaSweep` step by step; the
     sweep state lives in local variables (cursor tuple, its fact and start
-    point, the valid tuples' lineage and interval per side) and windows
+    point, the valid tuples' lineage and end point per side) and windows
     are never materialized — each output window becomes its lineage-only
-    :class:`TPTuple` right here, through the trusted slot writers of
+    :class:`TPTuple` right here, its ``winTs``/``winTe`` written straight
+    into the tuple's slots through the trusted writers of
     :mod:`repro.core.tuple`; nothing sits between the sweep and the
     result but the batch valuation that fills ``p`` (:func:`_finish`).
-    A window that equals a valid tuple's interval takes that (immutable)
-    :class:`Interval` object instead of a new one.
     """
     nr, ns = len(tr), len(ts)
     ri = si = 0
     if nr:
         rt = tr[0]
         rt_fact = rt.fact
-        rt_start = rt.interval.start
+        rt_start = rt.start
     else:
         rt = None
         rt_fact = rt_start = None
     if ns:
         st = ts[0]
         st_fact = st.fact
-        st_start = st.interval.start
+        st_start = st.start
     else:
         st = None
         st_fact = st_start = None
 
-    # The valid tuple per side: its lineage (None: no valid tuple), its
-    # interval object and that interval's end points.
+    # The valid tuple per side: its lineage (None: no valid tuple) and
+    # its end point.
     r_lam: Optional[Lineage] = None
-    r_iv = None
-    r_start = r_end = 0
+    r_end = 0
     s_lam: Optional[Lineage] = None
-    s_iv = None
-    s_start = s_end = 0
+    s_end = 0
     prev_te = -1
     fact: object = object()  # currFact sentinel distinct from any real fact
 
@@ -279,26 +274,22 @@ def _fused_sweep(
         # Absorb cursor tuples that become valid exactly at winTs.
         if rt is not None and rt_fact == fact and rt_start == win_ts:
             r_lam = rt.lineage
-            r_iv = rt.interval
-            r_start = win_ts
-            r_end = r_iv.end
+            r_end = rt.end
             ri += 1
             if ri < nr:
                 rt = tr[ri]
                 rt_fact = rt.fact
-                rt_start = rt.interval.start
+                rt_start = rt.start
             else:
                 rt = None
         if st is not None and st_fact == fact and st_start == win_ts:
             s_lam = st.lineage
-            s_iv = st.interval
-            s_start = win_ts
-            s_end = s_iv.end
+            s_end = st.end
             si += 1
             if si < ns:
                 st = ts[si]
                 st_fact = st.fact
-                st_start = st.interval.start
+                st_start = st.start
             else:
                 st = None
 
@@ -349,18 +340,11 @@ def _fused_sweep(
                 lam = land(r_lam, neg)
 
         if lam is not None:
-            if r_lam is not None and r_start == win_ts and r_end == win_te:
-                interval = r_iv
-            elif s_lam is not None and s_start == win_ts and s_end == win_te:
-                interval = s_iv
-            else:
-                interval = new_object(Interval)
-                set_start(interval, win_ts)
-                set_end(interval, win_te)
             t = new_object(TPTuple)
             set_fact(t, fact)
             set_lineage(t, lam)
-            set_interval(t, interval)
+            set_start(t, win_ts)
+            set_end(t, win_te)
             set_p(t, None)
             append(t)
 

@@ -24,12 +24,13 @@ import csv
 import json
 import os
 from contextlib import contextmanager
+from itertools import count
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, TextIO, Union
 
 from ..core.relation import TPRelation
 from ..core.schema import TPSchema, coerce_value, make_fact
-from ..core.tuple import check_intervals, tuples_from_rows
+from ..core.tuple import check_intervals, time_point, tuples_from_rows
 from ..lineage.formula import Var
 from ..lineage.parser import parse_lineage
 from ..store.faultpoints import trip
@@ -176,8 +177,9 @@ def _validated(
     path: _PathLike,
 ) -> TPRelation:
     """The file loaders' one path from ``(fact values, lineage text, ts,
-    te, p)`` rows to a relation, checked throughout: atomic fact values
-    and ``ts < te`` here; arity, every lineage variable (compound ones
+    te, p)`` rows to a relation, checked throughout: atomic fact values,
+    integer time points (:func:`repro.core.tuple.time_point`) and
+    ``ts < te`` here; arity, every lineage variable (compound ones
     included) in ``events``, each ``p`` in range and duplicate-freeness
     by the validating constructor.  Without ``events`` every lineage must
     be a variable with a probability, and the map is implied.
@@ -185,7 +187,8 @@ def _validated(
     values, texts, ts_values, te_values, probs = zip(*rows) if rows else ((),) * 5
     facts = list(map(make_fact, values))
     lineages = list(map(parse_lineage, texts))
-    starts, ends = list(map(int, ts_values)), list(map(int, te_values))
+    starts = list(map(time_point, ts_values, count()))
+    ends = list(map(time_point, te_values, count()))
     check_intervals(starts, ends)
     if events is None:
         if not all(

@@ -41,12 +41,11 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..core.errors import DuplicateFactError, SnapshotUnavailableError
-from ..core.interval import Interval
+from ..core.errors import DuplicateFactError, InvalidIntervalError, SnapshotUnavailableError
 from ..core.relation import TPRelation
 from ..core.schema import Fact, TPSchema, make_fact
 from ..core.sorting import null_safe_fact_key
-from ..core.tuple import TPTuple, base_tuple
+from ..core.tuple import TPTuple, base_tuples, time_point
 from ..lineage.formula import Var, variable_names
 
 __all__ = [
@@ -67,7 +66,7 @@ DEFAULT_SEGMENT_CAPACITY = 256
 
 #: Bisect keys: runs are kept in ``Ts`` order and the change log in epoch
 #: order, so neither column is ever copied out to be searched.
-_start_of = attrgetter("interval.start")
+_start_of = attrgetter("start")
 _epoch_of = attrgetter("epoch")
 _fact_of = attrgetter("fact")
 _lineage_of = attrgetter("lineage")
@@ -76,6 +75,18 @@ _lineage_of = attrgetter("lineage")
 #: ad-hoc ``changes_since`` polling, bounded so a store mutated outside
 #: any view does not grow its log forever.
 UNCONSUMED_LOG_CAP = 1024
+
+
+def _time_points(values: Sequence[object], arity: int) -> tuple[int, int]:
+    """The ``(Ts, Te)`` of a transaction row as integer time points
+    (:func:`repro.core.tuple.time_point`), refused unless ``Ts < Te``."""
+    start = time_point(values[arity], values)
+    end = time_point(values[arity + 1], values)
+    if not start < end:
+        raise InvalidIntervalError(
+            f"row {values}: interval requires start < end, got [{start}, {end})"
+        )
+    return start, end
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,7 @@ class ChangeSet:
         """Per-fact dirty regions: merged spans of the changed tuples."""
         spans: dict[Fact, list[list[int]]] = {}
         for t in self.inserted + self.deleted:
-            interval = t.interval
-            spans.setdefault(t.fact, []).append([interval.start, interval.end])
+            spans.setdefault(t.fact, []).append([t.start, t.end])
         regions: list[Region] = []
         for fact, ranges in spans.items():
             ranges.sort()
@@ -176,18 +186,18 @@ class _FactGroup:
         segment = self.segments[self._locate(start)]
         i = bisect_left(segment, start, key=_start_of)
         if i < len(segment):
-            interval = segment[i].interval
-            if interval.start == start and interval.end == end:
-                return segment[i]
+            t = segment[i]
+            if t.start == start and t.end == end:
+                return t
         return None
 
     def overlapping(self, start: int, end: int) -> Optional[TPTuple]:
         """The first stored tuple (in ``Ts`` order) overlapping ``[start, end)``."""
         last = self._before(end)
-        if last is None or last.interval.end <= start:
+        if last is None or last.end <= start:
             return None
         first = self._before(start)
-        if first is not None and first.interval.end > start:
+        if first is not None and first.end > start:
             return first
         return self.run(start, end)[0]
 
@@ -211,11 +221,11 @@ class _FactGroup:
     def widen(self, lo: int, hi: int) -> tuple[int, int]:
         """Grow ``[lo, hi)`` until no stored tuple crosses either end."""
         t = self._before(lo)
-        if t is not None and t.interval.end > lo:
-            lo = t.interval.start
+        if t is not None and t.end > lo:
+            lo = t.start
         t = self._before(hi)
-        if t is not None and t.interval.end > hi:
-            hi = t.interval.end
+        if t is not None and t.end > hi:
+            hi = t.end
         return lo, hi
 
     # -- writes --------------------------------------------------------
@@ -223,9 +233,9 @@ class _FactGroup:
         self._flat = None
         if not self.segments:
             self.segments.append([t])
-            self.bounds.append(t.interval.start)
+            self.bounds.append(t.start)
             return
-        start = t.interval.start
+        start = t.start
         si = self._locate(start)
         segment = self.segments[si]
         i = bisect_left(segment, start, key=_start_of)
@@ -237,17 +247,17 @@ class _FactGroup:
 
     def remove(self, t: TPTuple) -> None:
         self._flat = None
-        start = t.interval.start
+        start = t.start
         si = self._locate(start)
         segment = self.segments[si]
         i = bisect_left(segment, start, key=_start_of)
-        assert i < len(segment) and segment[i].interval.start == start, "tuple not stored"
+        assert i < len(segment) and segment[i].start == start, "tuple not stored"
         del segment[i]
         if not segment:
             del self.segments[si]
             del self.bounds[si]
         elif i == 0:
-            self.bounds[si] = segment[0].interval.start
+            self.bounds[si] = segment[0].start
 
     def _split(self, si: int) -> None:
         segment = self.segments[si]
@@ -255,7 +265,7 @@ class _FactGroup:
         tail = segment[mid:]
         del segment[mid:]
         self.segments.insert(si + 1, tail)
-        self.bounds.insert(si + 1, tail[0].interval.start)
+        self.bounds.insert(si + 1, tail[0].start)
 
 
 class SegmentStore:
@@ -374,7 +384,7 @@ class SegmentStore:
             run = list(same_fact)
             group = _FactGroup(capacity)
             group.segments = [run[i:i + capacity] for i in range(0, len(run), capacity)]
-            group.bounds = [segment[0].interval.start for segment in group.segments]
+            group.bounds = [segment[0].start for segment in group.segments]
             groups[fact] = group
             facts.append(fact)
             for lineage in map(_lineage_of, run):
@@ -416,30 +426,26 @@ class SegmentStore:
         added: list[TPTuple] = []
         new_events: dict[str, float] = {}
         try:
-            for fact, interval in delete_specs:
+            for fact, start, end in delete_specs:
                 group = self._groups.get(fact)
-                target = (
-                    group.find(interval.start, interval.end)
-                    if group is not None
-                    else None
-                )
+                target = group.find(start, end) if group is not None else None
                 if target is None:
                     raise KeyError(
-                        f"no tuple {fact!r} @ {interval} in store {self.name!r}"
+                        f"no tuple {fact!r} @ [{start},{end}) in store {self.name!r}"
                     )
                 group.remove(target)
                 removed.append(target)
-            for fact, interval, p in insert_rows:
+            for fact, start, end, p in insert_rows:
                 group = self._group_for(fact)
-                clash = group.overlapping(interval.start, interval.end)
+                clash = group.overlapping(start, end)
                 if clash is not None:
                     raise DuplicateFactError(
                         f"store {self.name!r} rejects insert {fact!r} @ "
-                        f"{interval}: overlaps stored interval {clash.interval}"
+                        f"[{start},{end}): overlaps stored interval {clash.interval}"
                     )
                 self._counter += 1
                 identifier = f"{self.name}_n{self._counter}"
-                t = base_tuple(fact, identifier, interval, p)
+                (t,), _ = base_tuples(((*fact, start, end, p),), arity, (identifier,))
                 group.insert(t)
                 added.append(t)
                 new_events[identifier] = p
@@ -568,7 +574,8 @@ class SegmentStore:
                 f"delete row {values!r} has {len(values)} fields, expected "
                 f"{arity} fact values followed by ts, te"
             )
-        return make_fact(values[:arity]), Interval(int(values[arity]), int(values[arity + 1]))
+        start, end = _time_points(values, arity)
+        return make_fact(values[:arity]), start, end
 
     def _parse_insert(self, row: Sequence[object], arity: int):
         values = list(row)
@@ -577,8 +584,8 @@ class SegmentStore:
                 f"insert row {values!r} has {len(values)} fields, expected "
                 f"{arity} fact values followed by ts, te, p"
             )
-        ts, te, p = values[arity:]
-        return make_fact(values[:arity]), Interval(int(ts), int(te)), float(p)
+        start, end = _time_points(values, arity)
+        return make_fact(values[:arity]), start, end, float(values[arity + 2])
 
     def _mark_changed(
         self, inserted: Sequence[TPTuple], deleted: Sequence[TPTuple]

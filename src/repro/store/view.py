@@ -71,7 +71,7 @@ STAT_NAMES = (
     "reads", "rows_read",
 )
 
-_interval_start = operator.attrgetter("interval.start")
+_interval_start = operator.attrgetter("start")
 
 
 # ----------------------------------------------------------------------
@@ -110,11 +110,11 @@ def _widen_run(run: Sequence[TPTuple], lo: int, hi: int) -> tuple[int, int]:
     before it — one predecessor test per end, exact in a single step.
     """
     i = bisect_left(run, lo, key=_interval_start)
-    if i and run[i - 1].interval.end > lo:
-        lo = run[i - 1].interval.start
+    if i and run[i - 1].end > lo:
+        lo = run[i - 1].start
     i = bisect_left(run, hi, i, key=_interval_start)
-    if i and run[i - 1].interval.end > hi:
-        hi = run[i - 1].interval.end
+    if i and run[i - 1].end > hi:
+        hi = run[i - 1].end
     return lo, hi
 
 
@@ -169,13 +169,8 @@ def _splice(
         j = bisect_left(run, hi, i, key=_interval_start)
         removed = run[i:j]
         if removed and fresh:
-            reuse = {
-                (t.interval.start, t.interval.end, t.lineage): t for t in removed
-            }
-            kept = [
-                reuse.get((t.interval.start, t.interval.end, t.lineage), t)
-                for t in fresh
-            ]
+            reuse = {(t.start, t.end, t.lineage): t for t in removed}
+            kept = [reuse.get((t.start, t.end, t.lineage), t) for t in fresh]
             stats["rows_reused"] += len(kept) - sum(map(operator.is_, kept, fresh))
             fresh = kept
         if removed != fresh:
@@ -454,10 +449,7 @@ class _JoinNode(_CachedNode):
         ):
             # Full outer join of key-only sides ≡ TP union of the key
             # projections (DESIGN.md §8.4), via the fused-kernel seam.
-            projected = [
-                TPTuple(layout.right_fact(u.fact), u.lineage, u.interval, u.p)
-                for u in group_s
-            ]
+            projected = [u.with_fact(layout.right_fact(u.fact)) for u in group_s]
             projected.sort(key=lambda t: (null_safe_fact_key(t.fact), t.start))
             _count_sweep(self.stats, group_l, projected)
             return sweep_rows(group_l, projected, "union")
@@ -468,10 +460,7 @@ class _JoinNode(_CachedNode):
             carried.extend(group_l)
             matches = preserve_left = False
         if policy.matches and preserve_right and layout.r_degenerate:
-            carried.extend(
-                TPTuple(layout.right_fact(u.fact), u.lineage, u.interval, u.p)
-                for u in group_s
-            )
+            carried.extend(u.with_fact(layout.right_fact(u.fact)) for u in group_s)
             matches = preserve_right = False
 
         out: list[TPTuple] = []

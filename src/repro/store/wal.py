@@ -118,9 +118,7 @@ class WalMeta:
 # ----------------------------------------------------------------------
 def encode_tuples(tuples: Sequence[TPTuple]) -> tuple:
     """Flatten tuples into (rows, node table, roots) — shared lineage."""
-    rows = tuple(
-        (t.fact, t.interval.start, t.interval.end, t.p) for t in tuples
-    )
+    rows = tuple((t.fact, t.start, t.end, t.p) for t in tuples)
     nodes, roots = encode_batch([t.lineage for t in tuples])
     return rows, nodes, tuple(roots)
 

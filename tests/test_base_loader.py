@@ -27,7 +27,7 @@ from repro import (
 )
 from repro.core.schema import make_fact
 from repro.core.tuple import TPTuple, base_tuples
-from repro.db import load_csv, load_json, save_csv
+from repro.db import TPDatabase, load_csv, load_json, save_csv
 from repro.lineage import Var
 
 
@@ -204,3 +204,72 @@ class TestFileLoadersValidate:
         )
         with pytest.raises(DuplicateFactError):
             load_json(path)
+
+    def test_json_fractional_time_point_is_refused(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(
+            '{"name": "r", "attributes": ["k"], "events": {"x1": 0.5},'
+            ' "tuples": [{"fact": ["a"], "lineage": "x1", "ts": 0.5, "te": 3.7, "p": 0.5}]}'
+        )
+        with pytest.raises(InvalidIntervalError, match="0.5"):
+            load_json(path)
+
+
+# ----------------------------------------------------------------------
+# time points are integers: nothing is truncated on the way in
+# ----------------------------------------------------------------------
+#: ``int()`` would once have turned each of these into a different point.
+NOT_A_TIME_POINT = [True, False, 0.5, 3.7, -1.5]
+
+
+def bad_row(value: object, position: str) -> tuple:
+    return ("b", value, 9, 0.5) if position == "ts" else ("b", -5, value, 0.5)
+
+
+@pytest.mark.parametrize("position", ["ts", "te"])
+@pytest.mark.parametrize("value", NOT_A_TIME_POINT, ids=repr)
+class TestNonIntegerTimePointsAreRefused:
+    def test_from_rows(self, value, position):
+        with pytest.raises(InvalidIntervalError, match=r"\ba2\b.*time point") as raised:
+            TPRelation.from_rows("a", ("k",), [("a", 0, 3, 0.5), bad_row(value, position)])
+        assert repr(value) in str(raised.value)
+
+    def test_create_relation(self, value, position):
+        db = TPDatabase()
+        with pytest.raises(InvalidIntervalError, match="time point"):
+            db.create_relation("r", ("k",), [bad_row(value, position)])
+        assert "r" not in db.catalog
+
+    def test_apply(self, value, position):
+        db = TPDatabase()
+        db.create_relation("r", ("k",), [("a", 0, 3, 0.5)])
+        before = sorted((t.fact, t.start, t.end) for t in db.relation("r"))
+        with pytest.raises(InvalidIntervalError, match="time point"):
+            db.apply("r", inserts=[bad_row(value, position)])
+        delete = ("a", value, 3) if position == "ts" else ("a", 0, value)
+        with pytest.raises(InvalidIntervalError, match="time point"):
+            db.apply("r", deletes=[delete])
+        assert sorted((t.fact, t.start, t.end) for t in db.relation("r")) == before
+
+    def test_served_create(self, value, position):
+        from tests.test_serve_wire import served_lines
+
+        request = {
+            "op": "create", "relation": "c", "attributes": ["k"],
+            "rows": [list(bad_row(value, position))],
+        }
+        ((payload, _line),) = served_lines(TPDatabase(), [request])
+        assert payload["ok"] is False
+        assert payload["error"]["type"] == "InvalidIntervalError"
+        assert "time point" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("ts, te", [(2, 9), (2.0, 9.0), (-5.0, 2)])
+def test_integral_time_points_load_as_before(ts, te):
+    db = TPDatabase()
+    db.create_relation("r", ("k",), [("a", ts, te, 0.5)])
+    db.apply("r", inserts=[("b", ts, te, 0.5)])
+    db.apply("r", deletes=[("a", ts, te)])
+    (t,) = db.relation("r")
+    assert (t.fact, t.start, t.end) == (("b",), int(ts), int(te))
+    assert type(t.start) is int and type(t.end) is int

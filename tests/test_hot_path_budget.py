@@ -29,7 +29,8 @@ its own events only, not its operands' merged map.  An n-ary ∪/∩ node
 costs no more than the binary chain it stands for (a sweep of its own
 once made 3–10× the chain's calls).  Loading a base relation costs a
 handful of calls and four tracked objects per row (it once made 25 calls
-per row, as many as sweeping it).
+per row, as many as sweeping it), and neither a load nor a read leaves
+an ``Interval`` object behind: a tuple holds its two end points itself.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from collections import Counter
 
 import pytest
 
-from repro import TPRelation
+from repro import Interval, TPRelation
 from repro.core.setops import tp_except, tp_union
 from repro.db import TPDatabase
 from repro.lineage.formula import referenced_variables
@@ -55,18 +56,20 @@ from repro.serve.protocol import encode_line
 #: Calls per output row.  Measured when this budget was set: 10.27
 #: (27.7 before tuples were built once and interning lost its
 #: Python-level weakref bookkeeping, 12.17 while the sweep still emitted
-#: rows for a second pass to turn into tuples); ~12 % headroom.
+#: rows for a second pass to turn into tuples); ~12 % headroom.  9.03
+#: since a tuple holds its end points itself (no ``Interval`` to
+#: allocate per window).
 CALLS_PER_ROW_CEILING = 11.5
 
 #: Collector runs per 1 000 output rows under ``ALLOCATION_THRESHOLDS``,
 #: and GC-tracked objects a result keeps alive per output row.  Measured
-#: when set: 5.45 and 3.68 (7.65 and 4.57 with an intermediate row, an
-#: ``Interval`` per window and a ``var_set`` per lineage node).  What is
-#: left per row — children tuple, node, its weak reference, ``TPTuple``,
-#: and an ``Interval`` for a window that is no operand's — is the object
-#: design itself (DESIGN.md §6.3).
-COLLECTIONS_PER_1000_ROWS_CEILING = 6.0
-RETAINED_PER_ROW_CEILING = 4.0
+#: when set: 4.49 and 3.00 (5.45 and 3.68 while a tuple kept its interval
+#: in a separate ``Interval`` object; 7.65 and 4.57 with an intermediate
+#: row, an ``Interval`` per window and a ``var_set`` per lineage node).
+#: What is left per row — children tuple, node, its weak reference and
+#: the ``TPTuple`` — is the object design itself (DESIGN.md §6.3).
+COLLECTIONS_PER_1000_ROWS_CEILING = 5.0
+RETAINED_PER_ROW_CEILING = 3.3
 ALLOCATION_THRESHOLDS = (700, 10, 10)  # CPython's defaults, pinned
 
 #: GC-tracked objects per output row still alive once the results are
@@ -203,6 +206,19 @@ def test_dropped_results_leave_no_tracked_objects_behind():
     )
 
 
+def test_no_interval_object_is_alive_after_loading_and_reading():
+    """The kernels read ``t.start`` / ``t.end`` and build no ``Interval``:
+    one is built only when someone asks for ``t.interval``."""
+    db = TPDatabase()
+    db.create_relation("a", ("k",), seeded_rows(1))
+    db.create_relation("b", ("k",), seeded_rows(2))
+    results = [db.query(text) for text in READS]
+    gc.collect()
+    alive = sum(type(obj) is Interval for obj in gc.get_objects())
+    assert sum(map(len, results)) == 11368
+    assert alive == 0, f"{alive} Interval objects alive"
+
+
 # ----------------------------------------------------------------------
 # loading: a base tuple costs a handful of calls, not a sweep's worth
 # ----------------------------------------------------------------------
@@ -210,13 +226,15 @@ def test_dropped_results_leave_no_tracked_objects_behind():
 #: — a length and an atomicity check, the interned variable (three), two
 #: bare allocations, the append, and the duplicate check's sort key.
 #: 25.0 while each row went through the dataclass constructors and
-#: validation walked every tuple a second time.
+#: validation walked every tuple a second time.  7.0 since the tuple is
+#: the one bare allocation and the sort key is a C-level ``attrgetter``.
 LOAD_CALLS_PER_ROW_CEILING = 10.0
 
-#: GC-tracked objects a loaded relation holds per row: ``TPTuple``,
-#: ``Interval``, the ``Var`` and its intern table's weak reference.  The
-#: validation sort is thrown away, not kept (DESIGN.md §6.3).
-LOAD_TRACKED_PER_ROW_CEILING = 4.0
+#: GC-tracked objects a loaded relation holds per row: ``TPTuple``, the
+#: ``Var`` and its intern table's weak reference (4.0 while each tuple
+#: kept an ``Interval`` object too).  The validation sort is thrown away,
+#: not kept (DESIGN.md §6.3).
+LOAD_TRACKED_PER_ROW_CEILING = 3.0
 
 
 def test_calls_per_loaded_row_stay_under_the_ceiling():

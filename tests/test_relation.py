@@ -253,7 +253,7 @@ class TestProbabilities:
         assert m is not r and m.name == "r"
         assert m.tuples[0] is valued
         assert m.tuples[1].p == pytest.approx(0.1)
-        assert m.tuples[1].interval is pending.interval
+        assert m.tuples[1].interval == pending.interval
         assert m.tuples[1].lineage is pending.lineage
 
     def test_materialize_fills_missing(self):

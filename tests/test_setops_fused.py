@@ -70,23 +70,23 @@ class TestFusedEqualsUnfused:
                     outer(base_u, t, fused=False),
                 )
 
-    def test_a_window_equal_to_an_operand_interval_hands_it_through(self):
-        """Pass-through is identity, everything else is value: a result
-        tuple over exactly an operand tuple's interval carries that very
-        (immutable) ``Interval``, the left operand's when both match;
+    def test_a_window_equal_to_an_operand_interval_keeps_its_end_points(self):
+        """A tuple holds its end points by value: a result tuple over
+        exactly an operand tuple's interval reads back an equal
+        ``Interval`` (windows of both kinds occur on this input), and
         nothing else about the result may differ from the reference."""
         r = TPRelation.from_rows("a", ("k",), seeded_rows(1))
         s = TPRelation.from_rows("b", ("k",), seeded_rows(2))
-        operand = {(t.fact, t.interval): t.interval for t in (*s, *r)}
+        operand = {(t.fact, t.start, t.end): t for t in (*s, *r)}
         for op in OPS:
             out = op(r, s)
-            handed_through = 0
+            equal_to_an_operand = 0
             for t in out:
-                original = operand.get((t.fact, t.interval))
+                original = operand.get((t.fact, t.start, t.end))
                 if original is not None:
-                    assert t.interval is original
-                    handed_through += 1
-            assert 0 < handed_through < len(out)
+                    assert t.interval == original.interval
+                    equal_to_an_operand += 1
+            assert 0 < equal_to_an_operand < len(out)
             assert_bit_identical(out, op(r, s, fused=False))
 
     def test_paper_example_all_ops(self):
