@@ -12,8 +12,7 @@ The temporal machinery shares nothing with the single-scan window sweep
 — no window objects, no incremental active sets — which is what makes it
 a useful cross-check: ``tests/test_join_generalized.py`` asserts the two
 implementations agree tuple-for-tuple (facts, intervals, syntactic
-lineage, probabilities) on randomized inputs, and
-``benchmarks/bench_pr2.py`` uses it as the performance baseline.
+lineage, probabilities) on randomized inputs.
 
 Per-segment membership rule (the generalized paper's Table I):
 

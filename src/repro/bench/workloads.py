@@ -1,18 +1,17 @@
-"""Seeded, config-driven scenario generators for the unified benchmark suite.
+"""Seeded, config-driven scenario generators.
 
-Every scale/speed claim in this repository is measured by
-``benchmarks/suite.py`` over the *scenarios* defined here.  A scenario
-bundles everything one benchmark run needs — input relations, the
+A scenario bundles everything one test run needs — input relations, the
 queries to evaluate, a delta script to replay, or a mixed
 read/write/refresh session — generated deterministically from
-``(spec, scale, seed)``:
+``(spec, scale, seed)``.  The serve stress tests build their inputs
+with it, and ``tests/test_workloads.py`` runs every scenario under each
+engine configuration it admits against its reference configuration:
 
 * the same ``(spec, scale, seed)`` triple always produces the identical
   scenario, byte for byte (:meth:`Scenario.fingerprint` is the audited
   witness; ``tests/test_workloads.py`` pins it);
-* ``scale`` shrinks or grows the nominal sizes so the same catalog runs
-  as a CI smoke (``--scale 0.05``) or a full-scale record
-  (``--scale 1.0``);
+* ``scale`` shrinks or grows the nominal sizes, so the same catalog
+  runs at a few dozen tuples per relation or at full size;
 * every random draw goes through one :class:`random.Random` seeded from
   a *string* (stable across processes, unlike ``hash()``), so adding a
   scenario never perturbs the existing ones.
@@ -21,9 +20,8 @@ The catalog (:data:`SCENARIOS`) covers the axes the engine is built
 around: uniform vs. skewed (Zipf) vs. time-clustered fact keys, long
 vs. point validity intervals, delta storms against a
 :class:`~repro.store.SegmentStore` under incremental view maintenance,
-mixed read/write/refresh sessions, and durability-on commit streams.
-See ``docs/benchmarks.md`` for the methodology and how to add a
-scenario.
+mixed read/write/refresh sessions, and durability-on commit streams
+(DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ class ScenarioSpec:
     "config-driven": :func:`build_scenario` turns a spec plus
     ``(scale, seed)`` into concrete data.
 
-    ``kind`` selects what the suite executes and times:
+    ``kind`` selects what a run of the scenario executes:
 
     * ``"query"`` — evaluate ``queries`` over the generated relations;
     * ``"delta-storm"`` — replay ``n_batches`` mutation batches against
@@ -137,7 +135,7 @@ class SessionOp:
 
 @dataclass
 class Scenario:
-    """A fully materialized scenario: the suite's unit of work.
+    """A fully materialized scenario: one run's inputs and script.
 
     ``relations`` maps catalog names (``r1``, ``r2``, …) to generated
     base relations; depending on ``spec.kind``, ``queries``, ``deltas``
@@ -157,7 +155,7 @@ class Scenario:
 
     @property
     def name(self) -> str:
-        """The spec's name (the key used in ``BENCH_suite.json``)."""
+        """The spec's name (its key in :func:`scenario_catalog`)."""
         return self.spec.name
 
     def total_tuples(self) -> int:
@@ -474,9 +472,8 @@ def tiny_spec(spec: ScenarioSpec, *, n_tuples: int = 6, n_facts: int = 2) -> Sce
     )
 
 
-#: The scenario catalog the suite sweeps.  Names are stable identifiers:
-#: ``BENCH_suite.json`` keys, regression-gate keys and documentation all
-#: refer to them.  See ``docs/benchmarks.md`` for how to add one.
+#: The scenario catalog.  Names are stable identifiers: the tests and
+#: the frozen ``BENCH_suite.json`` record refer to them.
 SCENARIOS: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="uniform_setops",

@@ -9,8 +9,8 @@ and the O(1) metadata) intact after transport.  Two forms exist:
   constructor, so ``pickle.loads`` re-interns automatically.  Right for
   incidental transport (deep copies, stored relations), but it pays a
   Python-level callback per node on *both* sides.
-* **The batch codec here** — the explicit form the write-ahead log,
-  checkpoints and read replicas carry lineage in.  A batch of formulas is
+* **The batch codec here** — the explicit form the write-ahead log and
+  checkpoints carry lineage in.  A batch of formulas is
   flattened into one node table in dependency order, with shared
   subformulas (ubiquitous in set-operation lineage, where adjacent
   windows reuse the same operands) encoded **once**; every table entry

@@ -4,8 +4,8 @@ Three layers, separately testable:
 
 - :mod:`repro.serve.service` — MVCC snapshot sessions over a
   :class:`~repro.db.TPDatabase`, with an epoch-invalidated plan/result
-  cache.  Pure compute, no I/O: the benchmark suite and the stress
-  tests drive it in-process.
+  cache.  Pure compute, no I/O: tpbench and the stress tests drive it
+  in-process.
 - :mod:`repro.serve.server` — the asyncio socket front-end speaking
   newline-delimited JSON (:mod:`repro.serve.protocol`), with
   per-request timeouts and graceful SIGTERM shutdown.  Run it with

@@ -3,8 +3,7 @@
 One generic building block backs both serving caches: the *plan cache*
 (canonical key → physical plan, epoch-free — every plan for a canonical
 form is result-equivalent) and the *result cache* (canonical key +
-optimize level + worker count + epoch signature → materialized
-relation).  The epoch signature inside the result key **is** the
+optimize level + epoch signature → materialized relation).  The epoch signature inside the result key **is** the
 invalidation mechanism: a commit bumps the store's epoch, so every
 subsequent lookup misses naturally and the stale entry ages out of the
 LRU.  :meth:`LRUCache.sweep` additionally lets the service drop entries
@@ -15,8 +14,7 @@ Counters (``hits`` / ``misses`` / ``evictions``) are the observable the
 acceptance tests key on: a hot query at a fixed epoch must bump ``hits``.
 
 A result-cache value is a :class:`CachedResult` — the relation plus its
-wire encoding, rendered at most once — in the writer and in every
-replica alike (DESIGN.md §14.2, §16.1).
+wire encoding, rendered at most once (DESIGN.md §14.2).
 """
 
 from __future__ import annotations

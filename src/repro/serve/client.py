@@ -1,7 +1,7 @@
 """A small synchronous client for the serve protocol.
 
-Used by the tests, the smoke harness and the benchmark suite's
-``serving`` scenario; applications are equally welcome to it::
+Used by the tests, the smoke harness and tpbench's ``serve_mixed``
+workload; applications are equally welcome to it::
 
     with ServeClient("127.0.0.1", 7070) as client:
         client.create("a", ["product"], [["milk", 2, 10, 0.3]])
@@ -120,7 +120,7 @@ class ServeClient:
         return self.request({"op": "epochs"})
 
     def stats(self) -> dict[str, Any]:
-        """Server introspection: cache counters, sessions, replicas."""
+        """Server introspection: sessions, cache counters, store epochs, memory."""
         return self.request({"op": "stats"})
 
     def close(self) -> None:

@@ -59,7 +59,12 @@ class ProtocolError(ValueError):
 
 
 def decode_line(line: bytes) -> dict[str, Any]:
-    """Parse and validate one request line into its object form."""
+    """Parse one request line into its object form.
+
+    The ``op`` is not checked here: the server dispatches on it after
+    reading the ``id``, so a request with an unknown or missing op still
+    gets its id echoed in the error reply.
+    """
     try:
         request = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -67,11 +72,6 @@ def decode_line(line: bytes) -> dict[str, Any]:
     if not isinstance(request, dict):
         raise ProtocolError(
             f"request must be a JSON object, got {type(request).__name__}"
-        )
-    op = request.get("op")
-    if op not in OPS:
-        raise ProtocolError(
-            f"unknown op {op!r}; expected one of {', '.join(OPS)}"
         )
     return request
 

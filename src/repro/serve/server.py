@@ -7,8 +7,7 @@ through one dedicated single-thread executor.  Lineage interning is
 process-global and unlocked, so one service thread is the whole write
 *and* read path; concurrency across clients
 comes from MVCC sessions (readers pin snapshots, the writer never waits
-for them) and from read replicas (``--replicas``), not from threading
-the engine.
+for them), not from threading the engine.
 
 Shutdown is a first-class path: SIGTERM/SIGINT (or
 :meth:`ServeServer.request_shutdown`) stops accepting, cancels the
@@ -23,18 +22,17 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
-import itertools
 from typing import Any, Callable, Optional
 
 from ..db.database import TPDatabase
 from .protocol import (
     MAX_LINE_BYTES,
+    OPS,
     ProtocolError,
     decode_line,
     encode_line,
     error_payload,
 )
-from .replica import ReplicaQueryError, ReplicaSet, ReplicaUnavailable
 from .service import QueryService
 
 __all__ = ["ServeServer", "serve"]
@@ -54,7 +52,6 @@ class ServeServer:
         port: int = 0,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         cache_size: int = 256,
-        replicas: int = 0,
     ) -> None:
         self.db = db
         self.host = host
@@ -64,26 +61,6 @@ class ServeServer:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
-        # The replica tier (DESIGN.md §16): N forked read-only processes,
-        # round-robin over connections.  Replica I/O gets its own executor
-        # — a replica round-trip must not occupy the service thread, or
-        # the tier would serialize behind the writer it exists to relieve.
-        self.replicas: Optional[ReplicaSet] = None
-        self._replica_executor: Optional[
-            concurrent.futures.ThreadPoolExecutor
-        ] = None
-        if replicas > 0:
-            self.replicas = ReplicaSet(
-                db,
-                replicas,
-                cache_size=cache_size,
-                request_timeout=request_timeout,
-            )
-            self._replica_executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=replicas, thread_name_prefix="repro-replica-io"
-            )
-        self._rr = itertools.count()
-        self._respawn_tasks: set[asyncio.Task] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._stopped = asyncio.Event()
@@ -93,10 +70,6 @@ class ServeServer:
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
         """Bind and listen; returns the bound (host, port) — port 0 resolves."""
-        # Fork the replicas BEFORE binding: a forked child must not
-        # inherit (and hold open) the listening socket's descriptor.
-        if self.replicas is not None:
-            self.replicas.start()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port, limit=MAX_LINE_BYTES
         )
@@ -127,17 +100,11 @@ class ServeServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._conn_tasks) + list(self._respawn_tasks):
+        for task in self._conn_tasks:
             task.cancel()
-        if self._conn_tasks or self._respawn_tasks:
-            await asyncio.gather(
-                *self._conn_tasks, *self._respawn_tasks, return_exceptions=True
-            )
-        if self._replica_executor is not None:
-            self._replica_executor.shutdown(wait=True, cancel_futures=True)
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._executor.shutdown(wait=True, cancel_futures=True)
-        if self.replicas is not None:
-            self.replicas.stop()
         self.service.close()
         self.db.close()
 
@@ -160,9 +127,6 @@ class ServeServer:
         if task is not None:
             self._conn_tasks.add(task)
         session_id: Optional[int] = None
-        # Round-robin replica assignment is per *connection*: one client's
-        # repeated reads hit the same replica's warm result cache.
-        replica_index = next(self._rr)
         try:
             session_id = await self._call(self.service.open_session)
             writer.write(
@@ -186,9 +150,7 @@ class ServeServer:
                     break
                 if not line.strip():
                     continue
-                payload, closing = await self._respond(
-                    session_id, line, replica_index
-                )
+                payload, closing = await self._respond(session_id, line)
                 writer.write(encode_line(payload))
                 await writer.drain()
                 if closing:
@@ -210,20 +172,20 @@ class ServeServer:
                     )
 
     async def _respond(
-        self, session_id: int, line: bytes, replica_index: int = 0
+        self, session_id: int, line: bytes
     ) -> tuple[dict[str, Any], bool]:
         """One request line → (response payload, close-after-reply?)."""
         request_id: Any = None
         try:
             request = decode_line(line)
             request_id = request.get("id")
-            op = request["op"]
+            op = request.get("op")
             if op == "ping":
                 payload: dict[str, Any] = {"ok": True, "pong": True}
             elif op == "close":
                 payload = {"ok": True, "closing": True}
             elif op == "query":
-                payload = await self._query(session_id, request, replica_index)
+                payload = await self._call(self._do_query, session_id, request)
             elif op == "commit":
                 payload = await self._call(self._do_commit, session_id, request)
             elif op == "create":
@@ -236,8 +198,12 @@ class ServeServer:
                     lambda sid: self.service.session(sid).signature(), session_id
                 )
                 payload = {"ok": True, "epochs": signature}
-            else:  # op == "stats"
-                payload = await self._call(self._do_stats)
+            elif op == "stats":
+                payload = {"ok": True, "stats": await self._call(self.service.stats)}
+            else:
+                raise ProtocolError(
+                    f"unknown op {op!r}; expected one of {', '.join(OPS)}"
+                )
         except asyncio.TimeoutError:
             payload = error_payload(
                 TimeoutError(
@@ -254,75 +220,8 @@ class ServeServer:
         return payload, bool(payload.get("closing"))
 
     # ------------------------------------------------------------------
-    # replica routing
-    # ------------------------------------------------------------------
-    async def _query(
-        self, session_id: int, request: dict, replica_index: int
-    ) -> dict[str, Any]:
-        """One query, replica-first when eligible, writer as the backstop.
-
-        The routing decision (is this read replica-eligible, and what is
-        its ticket?) runs on the service thread; the replica round-trip
-        itself runs on the replica I/O executor so it never occupies the
-        service thread.  Every failure mode falls through to the writer's
-        :meth:`_do_query`, which by construction produces the identical
-        payload or the canonical error — no client ever sees a replica
-        fail (DESIGN.md §16.4).
-        """
-        if self.replicas is not None:
-            ticket = await self._call(self._route_read, session_id, request)
-            if ticket is not None:
-                loop = asyncio.get_running_loop()
-                try:
-                    return await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self._replica_executor,
-                            self.replicas.read,
-                            replica_index,
-                            ticket,
-                        ),
-                        self.request_timeout,
-                    )
-                except ReplicaQueryError:
-                    # The replica answered with an error (e.g. its seed
-                    # postdates a pinned epoch); the writer reproduces
-                    # the canonical result or error.
-                    pass
-                except (ReplicaUnavailable, asyncio.TimeoutError):
-                    # Dead or hung replica: retry on the writer now, fork
-                    # a replacement in the background.
-                    self._schedule_respawn(replica_index)
-        return await self._call(self._do_query, session_id, request)
-
-    def _schedule_respawn(self, replica_index: int) -> None:
-        """Fork a replacement replica on the service thread, asynchronously.
-
-        Seeding reads live store state, which only the service thread may
-        touch; scheduling it as a task keeps the failed request's retry
-        ahead of it in line.  Idempotent at the :meth:`ReplicaSet.respawn`
-        level, so overlapping schedules for one slot are harmless.
-        """
-        assert self.replicas is not None
-
-        async def _respawn() -> None:
-            with contextlib.suppress(Exception):
-                await self._call(self.replicas.respawn, replica_index)
-
-        task = asyncio.get_running_loop().create_task(_respawn())
-        self._respawn_tasks.add(task)
-        task.add_done_callback(self._respawn_tasks.discard)
-
-    # ------------------------------------------------------------------
     # ops (these bodies run on the service thread)
     # ------------------------------------------------------------------
-    def _route_read(self, session_id: int, request: dict):
-        return self.service.route_read(
-            session_id,
-            request.get("q"),
-            optimize=request.get("optimize", False),
-            aggressive=bool(request.get("aggressive", False)),
-        )
-
     def _do_query(self, session_id: int, request: dict) -> dict[str, Any]:
         q = request.get("q")
         if not isinstance(q, str):
@@ -355,15 +254,6 @@ class ServeServer:
             inserts=request.get("inserts", ()),
             deletes=request.get("deletes", ()),
         )
-        # Fan the commit out before replying (still on the service
-        # thread): the acknowledged FIFO pipes mean that once the client
-        # sees this response, every replica already serves the new epoch.
-        # Empty change sets are not logged and do not advance the epoch,
-        # so there is nothing to ship for them.
-        if self.replicas is not None and changeset:
-            self.replicas.fan_out_commit(
-                name, changeset, tuple(self.service.live_parts())
-            )
         return {
             "ok": True,
             "epoch": changeset.epoch,
@@ -382,15 +272,7 @@ class ServeServer:
         relation = self.service.create_relation(
             session_id, name, attributes, request.get("rows", ())
         )
-        if self.replicas is not None:
-            self.replicas.fan_out_create(relation)
         return {"ok": True, "relation": name, "rows": len(relation)}
-
-    def _do_stats(self) -> dict[str, Any]:
-        stats = self.service.stats()
-        if self.replicas is not None:
-            stats["replicas"] = self.replicas.stats()
-        return {"ok": True, "stats": stats}
 
 
 async def serve(
@@ -400,7 +282,6 @@ async def serve(
     port: int = 0,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     cache_size: int = 256,
-    replicas: int = 0,
     ready: Optional[Callable[[str, int], None]] = None,
 ) -> None:
     """Run a server until SIGTERM/SIGINT, then shut down gracefully.
@@ -414,7 +295,6 @@ async def serve(
         port=port,
         request_timeout=request_timeout,
         cache_size=cache_size,
-        replicas=replicas,
     )
     bound_host, bound_port = await server.start()
     loop = asyncio.get_running_loop()

@@ -330,49 +330,6 @@ class QueryService:
         self.results.put(result_key, result)
         return QueryResponse(result, None, False, epoch_key)
 
-    def route_read(
-        self,
-        session_id: int,
-        text_or_ast: Union[str, QueryNode],
-        *,
-        optimize: Union[bool, str, None] = False,
-        aggressive: bool = False,
-    ) -> Optional[tuple[str, str, tuple]]:
-        """A replica ticket for this query, or ``None`` to keep it local.
-
-        The ticket ``(text, level, ((name, part), …))`` names everything a
-        read replica needs to answer bit-identically to :meth:`execute`:
-        the raw query text, the resolved optimize level, and the session's
-        epoch part for each referenced name (sorted, matching
-        :meth:`Session.parts` order, incarnation included).  Replicas key
-        their results on these whole-epoch parts, never on fact-group
-        versions.  Replica-ineligible reads return
-        ``None`` — a written session (must see its own writes), a
-        non-string query, an ``EXPLAIN`` request, a reference to a view
-        (replicas hold only stores and constants), or anything that fails
-        to parse/resolve (the writer then surfaces the canonical error).
-        Routing is advisory: a ``None`` or a failed replica round-trip
-        always falls back to :meth:`execute` on the writer.
-        """
-        try:
-            session = self.session(session_id)
-            if session.written or not isinstance(text_or_ast, str):
-                return None
-            ast, explained = self._parse(text_or_ast)
-            if explained:
-                return None
-            level = resolve_level(optimize, aggressive)
-            names = sorted(set(relation_references(ast)))
-            parts = []
-            for name in names:
-                part = session.epochs.get(name)
-                if part is None or part[0] not in ("store", "const"):
-                    return None
-                parts.append((name, part))
-            return (text_or_ast, level, tuple(parts))
-        except Exception:
-            return None
-
     def _parse(
         self, text_or_ast: Union[str, QueryNode]
     ) -> tuple[QueryNode, bool]:
@@ -499,7 +456,6 @@ class QueryService:
         """
         session = self.session(session_id)
         changeset = self.db.apply(name, inserts=inserts, deletes=deletes)
-        session.written = True
         self._pin(session)
         self.sweep()
         return changeset
@@ -514,7 +470,6 @@ class QueryService:
         """Create and register a base relation; the session re-pins to see it."""
         session = self.session(session_id)
         relation = self.db.create_relation(name, attributes, rows)
-        session.written = True
         self._pin(session)
         return relation
 
@@ -529,7 +484,9 @@ class QueryService:
         whole-store part, and every later pin sees the new version, so
         nobody can produce the key again.
         """
-        live = self.live_parts()
+        live = self._current_parts()
+        for session in self._sessions.values():
+            live.update(session.epochs.values())
         stores = {name: self.db.store(name) for name in self.db.store_names()}
 
         def alive(part: EpochPart) -> bool:
@@ -543,19 +500,6 @@ class QueryService:
             )
 
         return self.results.sweep(lambda key: all(map(alive, key[2])))
-
-    def live_parts(self) -> set[EpochPart]:
-        """Every epoch part reachable right now: current state + live pins.
-
-        This is the sweep's keep-set, and it is also what the replica
-        tier stamps onto every commit fan-out (DESIGN.md §16) — each
-        replica sweeps its own result cache against the same set, so a
-        replica never caches more history than the writer keeps alive.
-        """
-        live: set[EpochPart] = set(self._current_parts())
-        for session in self._sessions.values():
-            live.update(session.epochs.values())
-        return live
 
     def _current_parts(self) -> set[EpochPart]:
         """The epoch parts a session pinned right now would hold."""

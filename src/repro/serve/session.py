@@ -22,7 +22,7 @@ The trailing *incarnation* is a token unique to the registered relation,
 store or view object the part was read from, so a relation replaced
 under the same name (or a store re-created at an epoch its predecessor
 also reached) never shares a part with what it replaced.  ``part[2]`` is
-a store's epoch, which read replicas rely on.
+a store's epoch.
 
 The signature restricted to a query's referenced names is the epoch
 component of the result-cache key, and the set of parts pinned by live
@@ -70,11 +70,6 @@ class Session:
     #: The store object behind each pinned store name: its per-value
     #: versions are what a keyed result part is built from.
     stores: dict[str, SegmentStore] = field(default_factory=dict)
-    #: Set once the session commits or creates a relation.  A written
-    #: session is pinned to the authoritative process for the rest of its
-    #: life (DESIGN.md §16): its reads must see its own writes, and only
-    #: the writer is guaranteed to hold them.
-    written: bool = False
 
     def parts(self, names: Iterable[str]) -> tuple[EpochPart, ...]:
         """The signature restricted to ``names`` (sorted, unknowns skipped).

@@ -551,22 +551,6 @@ class SegmentStore:
             self._counter = changeset.counter
         self._snapshot = None
 
-    def ingest_changeset(self, changeset: ChangeSet) -> None:
-        """Replay a shipped transaction *and* log it (replica ingestion).
-
-        :meth:`replay_changeset` is recovery's verb: it applies a logged
-        change set verbatim but does not append it to the change log —
-        recovery already holds the whole log.  A read replica ingesting
-        the writer's commits (DESIGN.md §16) additionally needs each
-        change set in its own log, so historical epochs pinned by MVCC
-        sessions stay reconstructible via :meth:`snapshot`; the usual
-        consumer-driven pruning then bounds the log exactly as on the
-        writer.
-        """
-        self.replay_changeset(changeset)
-        self._log.append(changeset)
-        self.prune_consumed()
-
     def _parse_delete(self, row: Sequence[object], arity: int):
         values = list(row)
         if len(values) != arity + 2:

@@ -7,9 +7,8 @@ database, and whether its operands are the same relation objects or
 rebuilt copies of them.  A materialization valuates each distinct
 lineage once and remembers nothing after it, and the Monte-Carlo
 fallback of ``Method.AUTO`` is a function of the formula, in and across
-processes.  The batch lineage codec the write-ahead log, checkpoints and
-replicas ship formulas with round-trips to the very same interned
-objects.
+processes.  The batch lineage codec the write-ahead log and checkpoints
+ship formulas with round-trips to the very same interned objects.
 """
 
 from __future__ import annotations

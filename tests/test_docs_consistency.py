@@ -9,13 +9,14 @@ README is required to document are actually documented.
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from benchmarks.check_regression import build_parser as regression_parser
-from benchmarks.suite import build_parser as suite_parser
+from benchmarks.tpbench import run as tpbench_run
 from repro.bench.__main__ import build_parser as bench_parser
 from repro.db.__main__ import build_parser as db_parser
 from repro.serve.__main__ import build_parser as serve_parser
@@ -27,8 +28,8 @@ DESIGN = REPO / "DESIGN.md"
 
 FLAG = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]*)")
 
-#: The flags the README is required to document (PR-7 acceptance, plus
-#: the PR-8 serving CLI and the PR-10 replica tier).
+#: The flags the README is required to document: the db CLI's query and
+#: durability options and the serving CLI.
 REQUIRED_IN_README = {
     "--optimize",
     "--explain",
@@ -37,7 +38,6 @@ REQUIRED_IN_README = {
     "--port",
     "--request-timeout",
     "--cache-size",
-    "--replicas",
 }
 
 
@@ -45,15 +45,18 @@ def documented_flags(path: Path) -> set[str]:
     return set(FLAG.findall(path.read_text()))
 
 
+def tpbench_parser() -> argparse.ArgumentParser:
+    """tpbench's parser, which its ``parse_args`` builds and parses in one
+    call: stubbing the parse step hands back the parser itself."""
+    with mock.patch.object(
+        argparse.ArgumentParser, "parse_args", lambda parser, argv=None: parser
+    ):
+        return tpbench_run.parse_args([])
+
+
 def real_flags() -> set[str]:
     flags: set[str] = set()
-    for parser in (
-        db_parser(),
-        serve_parser(),
-        suite_parser(),
-        regression_parser(),
-        bench_parser(),
-    ):
+    for parser in (db_parser(), serve_parser(), bench_parser(), tpbench_parser()):
         for action in parser._actions:
             flags.update(s for s in action.option_strings if s.startswith("--"))
     return flags
@@ -63,9 +66,8 @@ def test_front_door_documents_exist():
     assert README.is_file(), "README.md is the repository's front door"
     assert BENCH_DOC.is_file(), "docs/benchmarks.md is the methodology page"
     design = DESIGN.read_text()
-    assert "## §13" in design, "DESIGN.md must cover the suite (§13)"
+    assert "## §13" in design, "DESIGN.md must cover the workload generator (§13)"
     assert "## §14" in design, "DESIGN.md must cover the query service (§14)"
-    assert "## §16" in design, "DESIGN.md must cover the read-replica tier (§16)"
 
 
 @pytest.mark.parametrize("path", [README, BENCH_DOC], ids=lambda p: p.name)
@@ -82,7 +84,7 @@ def test_readme_documents_the_required_flags():
 def test_readme_points_to_the_methodology_page():
     text = README.read_text()
     assert "docs/benchmarks.md" in text
-    assert "benchmarks.suite" in text
+    assert "benchmarks/tpbench/run.py" in text
 
 
 def test_design_cross_links_the_methodology_page():

@@ -193,8 +193,8 @@ class TestInternTableLifecycle:
 
     @given(formulas(), formulas())
     def test_codecs_reintern_to_identity(self, f, g):
-        # pickle, and the dependency-ordered batch codec the WAL and the
-        # replicas ship lineage with
+        # pickle, and the dependency-ordered batch codec the WAL and
+        # checkpoints ship lineage with
         assert pickle.loads(pickle.dumps((f, g))) == (f, g)
         nodes, roots = encode_batch([f, g, f])
         decoded = decode_batch(nodes, roots)

@@ -167,11 +167,17 @@ def test_protocol_errors_keep_the_connection_alive():
             # Unknown op.
             response = await client.request(op="launch")
             assert response["ok"] is False
+            # An unknown or missing op still echoes the request's id.
+            for payload in ({"op": "nope", "id": 5}, {"id": 6}):
+                response = await client.request(**payload)
+                assert response["ok"] is False
+                assert response["error"]["type"] == "ProtocolError"
+                assert response["id"] == payload["id"]
             # Unknown relation: a clean engine error, not a hang or close.
             response = await client.request(op="query", q="nope | nope")
             assert response["ok"] is False
             assert "nope" in response["error"]["message"]
-            # The connection survived all three.
+            # The connection survived all of them.
             response = await client.request(op="ping", id=42)
             assert response["ok"] and response["pong"] and response["id"] == 42
             # An explicit close op ends the conversation.

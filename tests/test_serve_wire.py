@@ -1,4 +1,4 @@
-"""Wire identity of encoded cache hits (DESIGN.md §14.2, §16.1).
+"""Wire identity of encoded cache hits (DESIGN.md §14.2).
 
 A query reply is no longer ``json.dumps`` over the whole payload: the
 result-cache entry keeps the relation's canonical JSON fragment as
@@ -6,8 +6,8 @@ bytes and ``encode_line`` splices it into the small per-request
 envelope.  These tests pin that the spliced line is *byte for byte* the
 line the plain canonical encoder would have produced — for hits and
 misses, with and without a request id, for empty results, non-ASCII
-facts and the ``∧ ∨ ¬`` lineage glyphs, and through a replica — and that
-every other reply kind still goes through the plain encoder.
+facts and the ``∧ ∨ ¬`` lineage glyphs — and that every other reply kind
+still goes through the plain encoder.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.db import TPDatabase
 from repro.lineage import intern_stats
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line, relation_payload
-from repro.serve.replica import ReplicaSet
 from repro.serve.server import ServeServer
 
 from .strategies import tp_relation_pair
@@ -137,31 +136,6 @@ def test_an_empty_result_splices_byte_identically():
             "ok": True, "cached": cached, "epochs": (("const", "a"), ("const", "b")),
             "relation": {"attributes": ["product"], "rows": []},
         })
-
-
-def test_a_replica_ships_the_same_bytes():
-    db = _glyph_db()
-    db.store("a")
-    db.store("b")
-    service = QueryService(db)
-    reader = service.open_session()
-    text = "(a - b) | (b & a)"
-    ticket = service.route_read(reader, text, optimize="safe")
-    assert ticket is not None
-    replicas = ReplicaSet(db, 1)
-    replicas.start()
-    try:
-        cold, hot = replicas.read(0, ticket), replicas.read(0, ticket)
-    finally:
-        replicas.stop()
-    assert (cold["cached"], hot["cached"]) == (False, True)
-    assert type(cold["relation"]) is bytes and cold["relation"] == hot["relation"]
-    writer = service.execute(reader, text, optimize="safe")
-    assert cold["relation"] == writer.result.fragment()
-    for payload in (cold, hot):
-        assert encode_line(payload) == plain_line(
-            {**payload, "relation": relation_payload(writer.relation)}
-        )
 
 
 def test_other_reply_kinds_go_through_the_plain_encoder():

@@ -1,7 +1,7 @@
-"""Tier-1 tests for the benchmark-suite workload generators.
+"""Tier-1 tests for the scenario workload generators.
 
-Three properties keep ``repro.bench.workloads`` trustworthy as the
-input source for every published benchmark number:
+Four properties keep ``repro.bench.workloads`` trustworthy as the
+input source of the serve stress tests and the configuration sweep:
 
 * **determinism** — the same ``(spec, scale, seed)`` triple produces
   the byte-identical scenario (fingerprint equality across rebuilds;
@@ -11,10 +11,16 @@ input source for every published benchmark number:
   every delta batch applies cleanly to a live store;
 * **semantic round-trip** — at possible-worlds scale, every catalog
   query evaluated through ``TPDatabase.query`` matches the brute-force
-  possible-worlds oracle point for point.
+  possible-worlds oracle point for point;
+* **configuration equivalence** — every scenario run under each engine
+  configuration it admits (optimize level, relation or store backend,
+  WAL durability) is bit-identical to its reference configuration, and
+  a durable run reopens from disk to the same store states.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -159,3 +165,106 @@ def test_tiny_scenarios_match_possible_worlds(spec):
             assert computed.get(key, 0.0) == pytest.approx(
                 oracle.get(key, 0.0), abs=1e-9
             ), (spec.name, query, key)
+
+
+# ----------------------------------------------------------------------
+# every configuration a scenario admits ≡ its reference configuration
+# ----------------------------------------------------------------------
+TINY_SCALE = 0.002  # a few dozen tuples per relation
+
+
+def configurations(kind: str) -> list[tuple[str, str, str]]:
+    """``(optimize, backend, durability)`` points a scenario kind admits;
+    the first is the reference.  Mutating kinds always run on stores, and
+    durability applies only where there are transactions to log.  The
+    serving kind's cache on/off pair is
+    ``test_cached_and_uncached_responses_are_bit_identical``."""
+    if kind == "query":
+        return [(o, b, "off") for o in ("off", "safe") for b in ("relation", "store")]
+    if kind in ("delta-storm", "commit-stream"):
+        return [("off", "store", d) for d in ("off", "batch", "commit")]
+    if kind == "session":
+        return [(o, "store", d) for o in ("off", "safe") for d in ("off", "batch")]
+    return []
+
+
+@functools.lru_cache(maxsize=None)
+def tiny(name: str):
+    return build_scenario(scenario_catalog()[name], scale=TINY_SCALE, seed=SEED)
+
+
+def canonical(relation) -> tuple:
+    """Order-independent ``(fact, start, end, lineage text, p)`` rows:
+    lineage text, not identity, because recovery re-interns."""
+    return tuple(
+        sorted(
+            ((t.fact, t.start, t.end, str(t.lineage), t.p) for t in relation),
+            key=repr,
+        )
+    )
+
+
+def run_configuration(scenario, optimize, backend, durability, data_dir=None):
+    """The scenario's workload under one configuration: the canonical
+    query and view results, and the canonical final store states."""
+    kind = scenario.spec.kind
+    db = TPDatabase(
+        data_dir=data_dir, durability=durability if data_dir is not None else None
+    )
+    try:
+        for relation in scenario.relations.values():
+            db.register(relation)
+        if backend == "store":
+            for name in scenario.relations:
+                db.store(name)
+        if scenario.view_query is not None:
+            policy = "eager" if kind == "delta-storm" else "deferred"
+            db.create_view("v", scenario.view_query, policy=policy)
+        results = []
+        if kind == "query":
+            results = [db.query(query, optimize=optimize) for query in scenario.queries]
+        for target, delta in scenario.deltas:
+            db.apply(target, inserts=delta.inserts, deletes=delta.deletes)
+        for op in scenario.session:
+            if op.action == "query":
+                results.append(db.query(op.target, optimize=optimize))
+            elif op.action == "apply":
+                db.apply(op.target, inserts=op.inserts, deletes=op.deletes)
+            else:
+                db.refresh()
+        if scenario.view_query is not None:
+            results.append(db.relation("v"))
+        stores = {name: canonical(db.relation(name)) for name in scenario.relations}
+        return tuple(map(canonical, results)), stores
+    finally:
+        db.close()
+
+
+@functools.lru_cache(maxsize=None)
+def reference_run(name: str):
+    scenario = tiny(name)
+    return run_configuration(scenario, *configurations(scenario.spec.kind)[0])
+
+
+@pytest.mark.parametrize(
+    "spec,configuration",
+    [
+        pytest.param(spec, configuration, id=f"{spec.name}-{'-'.join(configuration)}")
+        for spec in SCENARIOS
+        for configuration in configurations(spec.kind)[1:]
+    ],
+)
+def test_configurations_match_the_reference(spec, configuration, tmp_path):
+    optimize, backend, durability = configuration
+    data_dir = tmp_path / "db" if durability != "off" else None
+    results, stores = run_configuration(
+        tiny(spec.name), optimize, backend, durability, data_dir
+    )
+    expected_results, expected_stores = reference_run(spec.name)
+    assert sum(map(len, expected_stores.values())) > 0
+    assert results == expected_results
+    assert stores == expected_stores
+    if data_dir is not None:
+        with TPDatabase(data_dir=data_dir, durability=durability) as reopened:
+            for name, state in stores.items():
+                assert canonical(reopened.relation(name)) == state, name
