@@ -146,7 +146,7 @@ def store_and_views_tour(db) -> None:
 
 
 def optimizer_and_explain_tour(db) -> None:
-    """The cost-based optimizer and EXPLAIN (DESIGN.md §11).
+    """The cost-based optimizer and EXPLAIN (DESIGN.md §10).
 
     ``optimize='safe'`` enumerates lineage-identical rewrites —
     selection pushdown to the scans (through set operations *and*
@@ -212,7 +212,7 @@ def performance_notes(db) -> None:
 
 
 def persistence_tour() -> None:
-    """Durability (DESIGN.md §12): WAL, checkpoints, crash recovery.
+    """Durability (DESIGN.md §11): WAL, checkpoints, crash recovery.
 
     Pass ``data_dir`` and every committed transaction is appended to a
     checksummed write-ahead log (fsynced at the default ``commit``

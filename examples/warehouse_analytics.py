@@ -2,9 +2,8 @@
 
 Beyond set operations, the library implements the relational-algebra
 extensions the paper names as future work: TP equi-join, projection with
-duplicate elimination, expected-value aggregation, correlated (x-tuple)
-events, and constant-space streaming operators.  This example runs all
-of them over a small warehouse scenario.
+duplicate elimination, and constant-space streaming operators.  This
+example runs all of them over a small warehouse scenario.
 
 Run:  python examples/warehouse_analytics.py
 """
@@ -12,16 +11,8 @@ Run:  python examples/warehouse_analytics.py
 from __future__ import annotations
 
 from repro import TPRelation
-from repro.algebra import (
-    expected_count,
-    expected_sum,
-    stream_intersect,
-    tp_join,
-    tp_project,
-)
+from repro.algebra import stream_intersect, tp_join, tp_project
 from repro.core.sorting import sort_tuples
-from repro.lineage import Var, land
-from repro.prob import BlockEventSpace, probability_bid
 
 
 def main() -> None:
@@ -64,16 +55,6 @@ def main() -> None:
             f"the contributing shelves."
         )
 
-    print("\n=== Expected aggregates over time ===")
-    count = expected_count(stock)
-    print("E[#stocked (item,shelf) entries]:")
-    for interval, value in count:
-        print(f"  {interval}: {value:.2f}")
-    qty = expected_sum(orders, "qty")
-    print("E[ordered quantity]:")
-    for interval, value in qty:
-        print(f"  {interval}: {value:.2f}")
-
     print("\n=== Streaming intersection (constant-space pipeline) ===")
     shelf_s1 = stock.select(shelf="S1")
     shelf_s2 = stock.select(shelf="S2")
@@ -84,21 +65,6 @@ def main() -> None:
     )
     for t in stream:
         print(f"  on both shelves: {t.fact[0]} over {t.interval} ({t.lineage})")
-
-    print("\n=== Correlated events: an x-tuple pallet location ===")
-    # One pallet is on shelf S1 XOR S2 (mutually exclusive alternatives);
-    # a scanner sighting is independent.
-    space = BlockEventSpace(
-        {"onS1": 0.55, "onS2": 0.35, "scan": 0.9},
-        {"palletPos": ("onS1", "onS2")},
-    )
-    confirmed_s1 = land(Var("onS1"), Var("scan"))
-    impossible = land(Var("onS1"), Var("onS2"))
-    print(f"P(on S1 and scanned)  = {probability_bid(confirmed_s1, space):.3f}")
-    print(f"P(on S1 and on S2)    = {probability_bid(impossible, space):.3f} "
-          f"(mutually exclusive)")
-    print(f"P(somewhere)          = "
-          f"{probability_bid(Var('onS1') | Var('onS2'), space):.3f}")
 
 
 if __name__ == "__main__":

@@ -38,9 +38,6 @@ Performance notes
 """
 
 from .algebra import (
-    StepFunction,
-    expected_count,
-    expected_sum,
     stream_except,
     stream_intersect,
     stream_union,
@@ -78,8 +75,6 @@ from .core import (
     make_fact,
     multi_intersect,
     multi_union,
-    render_timeline,
-    render_windows,
     snapshot_lineages,
     timeslice,
     tp_except,
@@ -109,7 +104,6 @@ from .prob import (
     probability,
     probability_1of,
     probability_batch,
-    probability_bdd,
     probability_montecarlo,
     probability_shannon,
     valuation_cache_stats,
@@ -135,9 +129,6 @@ __all__ = [
     "SegmentStore",
     "load_delta",
     "save_delta",
-    "StepFunction",
-    "expected_count",
-    "expected_sum",
     "stream_except",
     "stream_intersect",
     "stream_union",
@@ -184,14 +175,11 @@ __all__ = [
     "multi_intersect",
     "multi_union",
     "parse_lineage",
-    "render_timeline",
-    "render_windows",
     "ProbabilityOptions",
     "clear_valuation_cache",
     "probability",
     "probability_1of",
     "probability_batch",
-    "probability_bdd",
     "probability_montecarlo",
     "probability_shannon",
     "valuation_cache_stats",

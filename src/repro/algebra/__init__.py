@@ -2,11 +2,10 @@
 
 TP equi-join plus the generalized-window join family (left/right/full
 outer and anti joins, arXiv:1902.04379), projection with duplicate
-elimination, expected-value aggregation, and streaming (constant-space)
-variants of the three set operations.
+elimination, and streaming (constant-space) variants of the three set
+operations.
 """
 
-from .aggregate import StepFunction, expected_count, expected_sum
 from .join import (
     JOIN_KINDS,
     JOIN_OPERATIONS,
@@ -28,9 +27,6 @@ __all__ = [
     "JOIN_OPERATIONS",
     "JOIN_SYMBOLS",
     "JoinLayout",
-    "StepFunction",
-    "expected_count",
-    "expected_sum",
     "join_layout",
     "stream_except",
     "stream_intersect",

@@ -17,7 +17,7 @@ Note the complexity consequence the paper's Section V-B hints at:
 projection can merge *distinct* base tuples of the same relation into
 one lineage, so downstream set operations on projected relations may
 leave the non-repeating/1OF regime; probabilities remain correct because
-the valuation dispatcher falls back to exact Shannon/BDD evaluation.
+the valuation dispatcher falls back to exact Shannon expansion.
 """
 
 from __future__ import annotations

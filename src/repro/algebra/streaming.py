@@ -41,13 +41,20 @@ class _Cursor:
 
 
 def _stream_windows(
-    r: Iterable[TPTuple], s: Iterable[TPTuple]
+    r: Iterable[TPTuple],
+    s: Iterable[TPTuple],
+    *,
+    stop_on_r: bool,
+    stop_on_s: bool,
 ) -> Iterator[tuple[object, int, int, Optional[TPTuple], Optional[TPTuple]]]:
     """The LAWA sweep over iterators; yields (fact, ts, te, rValid, sValid).
 
     A transliteration of :meth:`repro.core.lawa.LawaSweep.advance` onto
     lookahead cursors; kept separate so the in-memory sweep stays free of
-    iterator overhead in benchmarks.
+    iterator overhead in benchmarks.  ``stop_on_r`` / ``stop_on_s`` end
+    the sweep once that side is exhausted (DESIGN.md §3.1), so ∩ and −
+    never read the other stream further than one lookahead past the
+    point where no more output can appear — even when it is unbounded.
     """
     cr = _Cursor(r)
     cs = _Cursor(s)
@@ -59,6 +66,12 @@ def _stream_windows(
 
     while True:
         head_r, head_s = cr.head, cs.head
+        # A side is exhausted when it has neither a lookahead tuple nor
+        # a tuple spanning the boundary (DESIGN.md §3, rule 1).
+        if stop_on_r and r_valid is None and head_r is None:
+            return
+        if stop_on_s and s_valid is None and head_s is None:
+            return
         if r_valid is None and s_valid is None:
             r_continues = head_r is not None and head_r.fact == fact
             s_continues = head_s is not None and head_s.fact == fact
@@ -132,7 +145,9 @@ def stream_union(
     Probabilities are not materialized (the stream carries lineage only);
     pipe through a valuation step if needed.
     """
-    for fact, ts, te, r_valid, s_valid in _stream_windows(r, s):
+    for fact, ts, te, r_valid, s_valid in _stream_windows(
+        r, s, stop_on_r=False, stop_on_s=False
+    ):
         if r_valid is not None or s_valid is not None:
             lam_r = r_valid.lineage if r_valid is not None else None
             lam_s = s_valid.lineage if s_valid is not None else None
@@ -143,7 +158,9 @@ def stream_intersect(
     r: Iterable[TPTuple], s: Iterable[TPTuple]
 ) -> Iterator[TPTuple]:
     """Lazily yield r ∩Tp s from sorted tuple streams."""
-    for fact, ts, te, r_valid, s_valid in _stream_windows(r, s):
+    for fact, ts, te, r_valid, s_valid in _stream_windows(
+        r, s, stop_on_r=True, stop_on_s=True
+    ):
         if r_valid is not None and s_valid is not None:
             yield TPTuple(
                 fact, concat_and(r_valid.lineage, s_valid.lineage), Interval(ts, te)
@@ -154,7 +171,9 @@ def stream_except(
     r: Iterable[TPTuple], s: Iterable[TPTuple]
 ) -> Iterator[TPTuple]:
     """Lazily yield r −Tp s from sorted tuple streams."""
-    for fact, ts, te, r_valid, s_valid in _stream_windows(r, s):
+    for fact, ts, te, r_valid, s_valid in _stream_windows(
+        r, s, stop_on_r=True, stop_on_s=False
+    ):
         if r_valid is not None:
             lam_s = s_valid.lineage if s_valid is not None else None
             yield TPTuple(

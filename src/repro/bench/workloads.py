@@ -21,7 +21,7 @@ around: uniform vs. skewed (Zipf) vs. time-clustered fact keys, long
 vs. point validity intervals, delta storms against a
 :class:`~repro.store.SegmentStore` under incremental view maintenance,
 mixed read/write/refresh sessions, and durability-on commit streams
-(DESIGN.md §13).
+(DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -76,10 +76,7 @@ class ScenarioSpec:
     * ``"session"`` — a mixed stream of query / apply / refresh
       operations against store-backed relations plus a deferred view;
     * ``"commit-stream"`` — a stream of small transactions, the workload
-      the durability axis (WAL off / batch / commit) is measured on;
-    * ``"serving"`` — concurrent snapshot sessions re-running ``queries``
-      through :class:`repro.serve.QueryService` while ``n_batches``
-      commit batches land — the result-cache regime (DESIGN.md §14).
+      the durability axis (WAL off / batch / commit) is measured on.
 
     ``queries`` may reference ``{hot}``, replaced by the most populous
     generated key (``k0``).
@@ -111,9 +108,7 @@ class ScenarioSpec:
                 f"interval_profile must be one of "
                 f"{tuple(INTERVAL_PROFILES)}, got {self.interval_profile!r}"
             )
-        if self.kind not in (
-            "query", "delta-storm", "session", "commit-stream", "serving"
-        ):
+        if self.kind not in ("query", "delta-storm", "session", "commit-stream"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
 
 
@@ -422,7 +417,7 @@ def build_scenario(
     scenario = Scenario(
         spec=spec, scale=scale, seed=seed, relations=relations, queries=queries
     )
-    if spec.kind in ("delta-storm", "commit-stream", "serving"):
+    if spec.kind in ("delta-storm", "commit-stream"):
         n_batches = max(2, int(round(spec.n_batches * min(1.0, scale * 2))))
         batch_size = (
             max(1, int(round(3 * min(1.0, scale * 2))))
@@ -438,10 +433,7 @@ def build_scenario(
             n_batches,
             batch_size,
         )
-        # Serving queries go through QueryService sessions directly; the
-        # maintained-view axis belongs to the delta-storm scenarios.
-        if spec.kind != "serving":
-            scenario.view_query = queries[0] if queries else None
+        scenario.view_query = queries[0] if queries else None
     elif spec.kind == "session":
         length = max(6, int(round(spec.session_length * min(1.0, scale * 2))))
         scenario.session = _generate_session(
@@ -556,21 +548,6 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
         queries=("r1 | r2", "(r1 - r2)[k='{hot}']"),
         batch_fraction=0.005,
         session_length=30,
-    ),
-    ScenarioSpec(
-        name="serving",
-        description="Concurrent snapshot sessions re-running queries "
-        "through the query service while commit batches land — the "
-        "plan/result-cache regime.",
-        kind="serving",
-        key_distribution="uniform",
-        interval_profile="short",
-        n_relations=2,
-        n_tuples=6_000,
-        n_facts=30,
-        queries=("r1 | r2", "(r1 - r2)[k='{hot}']"),
-        n_batches=5,
-        batch_fraction=0.01,
     ),
     ScenarioSpec(
         name="commit_stream",

@@ -21,7 +21,6 @@ from .gtwindow import (
 )
 from .interval import AllenRelation, Interval, allen_relation
 from .lawa import LawaSweep, lawa_windows
-from .render import render_timeline, render_windows
 from .relation import TPRelation
 from .schema import Fact, TPSchema, make_fact
 from .setops import (
@@ -71,8 +70,6 @@ __all__ = [
     "make_fact",
     "multi_intersect",
     "multi_union",
-    "render_timeline",
-    "render_windows",
     "snapshot_lineages",
     "sort_comparison",
     "sort_counting",

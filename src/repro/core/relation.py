@@ -171,7 +171,7 @@ class TPRelation:
         """This relation under a fresh event map holding exactly the
         variables its tuples reference — what a result kept past the
         epoch it was computed at carries, instead of pinning its
-        operands' whole (merged) map (DESIGN.md §14.2).  Sortedness and
+        operands' whole (merged) map (DESIGN.md §13.2).  Sortedness and
         the sort cache carry over."""
         relation = TPRelation._derived(
             self.name, self.schema, self._tuples,

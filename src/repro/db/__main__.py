@@ -15,13 +15,13 @@ delete rows, see :mod:`repro.store.delta`) against a loaded relation
 before the query runs — the relation is converted to a mutable
 :class:`~repro.store.SegmentStore` and the batch applied as one
 transaction.  ``--optimize {off,safe,aggressive}`` runs
-the cost-based optimizer over the query (DESIGN.md §11); prefixing the
+the cost-based optimizer over the query (DESIGN.md §10); prefixing the
 query with ``EXPLAIN`` (or using ``--explain``) prints the chosen plan
 with estimated vs. actual row counts instead of the result table::
 
     python -m repro.db --load a=a.csv --query "EXPLAIN a | a" --optimize safe
 
-``--data-dir DIR`` opens a durable database (DESIGN.md §12): stores that
+``--data-dir DIR`` opens a durable database (DESIGN.md §11): stores that
 already live under ``DIR`` are crash-recovered before anything else
 runs, relations touched by ``--apply`` persist their transactions to a
 checksummed write-ahead log, and the next invocation with the same

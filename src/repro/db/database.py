@@ -100,7 +100,7 @@ class _RuntimeCatalog(Mapping[str, TPRelation]):
 class TPDatabase:
     """An in-memory temporal-probabilistic database.
 
-    ``data_dir`` turns on durability (DESIGN.md §12): every store-backed
+    ``data_dir`` turns on durability (DESIGN.md §11): every store-backed
     relation gets a subdirectory holding a checksummed write-ahead log
     plus periodic checkpoints, and opening a database on an existing
     ``data_dir`` recovers all stores — including after a crash mid-write.
@@ -322,7 +322,7 @@ class TPDatabase:
                 view.refresh()
 
     # ------------------------------------------------------------------
-    # durability (DESIGN.md §12)
+    # durability (DESIGN.md §11)
     # ------------------------------------------------------------------
     def checkpoint(self, name: Optional[str] = None) -> dict[str, Path]:
         """Checkpoint one durable store (or all), rotating its WAL.
@@ -433,7 +433,7 @@ class TPDatabase:
         }
 
     # ------------------------------------------------------------------
-    # statistics (the optimizer's input, DESIGN.md §11)
+    # statistics (the optimizer's input, DESIGN.md §10)
     # ------------------------------------------------------------------
     def stats_of(self, name: str) -> RelationStats:
         """Statistics of a relation, store or view, by name.

@@ -10,7 +10,7 @@ Two formats:
 * **JSON** — one self-contained document with schema, tuples and events;
   the format used by the benchmark harness to cache generated datasets.
 
-Both savers write atomically (DESIGN.md §12): the complete file is
+Both savers write atomically (DESIGN.md §11): the complete file is
 built as ``<name>.tmp`` beside the target, fsynced, then
 :func:`os.replace`\\ d into place — a crash mid-save leaves either the
 previous file intact or the new one, never a torn half of each.  The

@@ -44,8 +44,8 @@ Design notes
   produce a duplicate node, of which exactly one wins the table — the
   CPython GIL makes this a non-issue today (DESIGN.md §4.3).
 * ``Top`` and ``Bottom`` (true/false) never appear in lineage attached to
-  tuples; they exist for the restriction step of Shannon expansion and BDD
-  construction in :mod:`repro.prob`.
+  tuples; they exist for the restriction step of Shannon expansion in
+  :mod:`repro.prob`.
 """
 
 from __future__ import annotations

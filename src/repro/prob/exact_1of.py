@@ -47,7 +47,7 @@ def probability_1of(
     if validate and not is_one_occurrence_form(formula):
         raise ValuationError(
             "formula is not in one-occurrence form; "
-            "use the Shannon or BDD valuation instead"
+            "use the Shannon valuation instead"
         )
     return _prob(formula, probabilities)
 

@@ -1,14 +1,14 @@
 """Monte-Carlo (approximate) probability valuation.
 
 The paper's data model admits approximate confidence computation
-(Section III cites anytime and simulation-based approaches).  We provide a
+(Section III cites simulation-based approaches).  We provide a
 straightforward independent-sample estimator with a normal-approximation
 confidence interval: sample a truth assignment for every variable from the
 event probabilities, evaluate the lineage, and average.
 
 The estimator is unbiased for any formula and needs no structural
 assumptions, making it the fallback when a lineage is neither in 1OF nor
-small enough for Shannon/BDD evaluation.
+small enough for exact Shannon expansion.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ computation whenever possible and keeps the exponential blow-up confined
 to genuinely entangled variable groups.
 
 This mirrors the "exact algorithms" route of the paper (Section III cites
-Dalvi & Suciu and OBDD-based evaluation); TP set queries with repeating
+Dalvi & Suciu); TP set queries with repeating
 subgoals are #P-hard in general, so the worst case is unavoidable.
 """
 

@@ -10,8 +10,7 @@ Chooses the cheapest correct method for a lineage formula:
    no longer re-traverses formulas per tuple.
 2. **Shannon expansion** — exact for arbitrary formulas; exponential only
    in the number of *entangled* repeated variables.
-3. **BDD** — alternative exact method, selectable explicitly.
-4. **Monte Carlo** — approximate fallback, selectable explicitly or
+3. **Monte Carlo** — approximate fallback, selectable explicitly or
    automatically once the repeated-variable count exceeds a threshold.
    The automatic fallback is seeded from the formula's text unless a
    caller passes an ``rng``, so the same query gets the same estimate.
@@ -37,8 +36,8 @@ import weakref
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
+from ..core.errors import ValuationError
 from ..lineage.formula import Lineage, Var
-from .bdd import probability_bdd
 from .exact_1of import _missing_variable, probability_1of
 from .exact_1of import _prob as _prob_1of
 from .montecarlo import probability_montecarlo
@@ -61,7 +60,6 @@ class Method(Enum):
     AUTO = "auto"
     ONE_OCCURRENCE = "1of"
     SHANNON = "shannon"
-    BDD = "bdd"
     MONTE_CARLO = "montecarlo"
 
 
@@ -251,8 +249,6 @@ def _compute(
         return probability_1of(formula, probabilities), True
     if method is Method.SHANNON:
         return probability_shannon(formula, probabilities), True
-    if method is Method.BDD:
-        return probability_bdd(formula, probabilities), True
     if method is Method.MONTE_CARLO:
         estimate = probability_montecarlo(
             formula,
@@ -262,7 +258,7 @@ def _compute(
             rng=opts.rng,
         )
         return estimate.estimate, False
-    return _compute_auto(formula, probabilities, opts)
+    raise ValuationError(f"unknown valuation method {method!r}; pass a Method member")
 
 
 def _compute_auto(

@@ -102,7 +102,7 @@ def analyze(query: QueryNode) -> QueryAnalysis:
         complexity = (
             "#P-hard in general — repeated subgoals "
             f"({', '.join(repeated)}) entangle lineage variables; exact "
-            "valuation falls back to Shannon expansion / BDDs"
+            "valuation falls back to Shannon expansion"
         )
 
     return QueryAnalysis(

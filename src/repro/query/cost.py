@@ -1,4 +1,4 @@
-"""Cost model and cost-based plan choice (DESIGN.md §11).
+"""Cost model and cost-based plan choice (DESIGN.md §10).
 
 Plans are scored in **estimated sweep rows**: every operator of the
 system is a sweep over its sorted inputs (set operations, generalized

@@ -6,7 +6,7 @@ to the same canonical form under the safe rules of
 :mod:`repro.query.optimize`, and safe rewrites are *lineage-identical*:
 equal canonical forms produce syntactically identical results.  That
 makes the canonical form the correct unit of result caching
-(DESIGN.md §14) — and anything *not* absorbed by canonicalization
+(DESIGN.md §13) — and anything *not* absorbed by canonicalization
 (optimize level, worker count, physical algorithm, store epochs) must
 live in the key beside it, never inside it.
 

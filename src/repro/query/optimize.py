@@ -1,4 +1,4 @@
-"""Logical rewrites for TP set queries (DESIGN.md §11).
+"""Logical rewrites for TP set queries (DESIGN.md §10).
 
 The LAWA papers prove the kernels change-preserving for any equivalent
 expression shape; this module exploits that with a rule set the

@@ -127,7 +127,7 @@ def substitute_views(
     :mod:`repro.store`.  Matching is outside-in: the largest matching
     subtree wins.
 
-    ``canonical=True`` (the cost-based optimizer's mode, DESIGN.md §11)
+    ``canonical=True`` (the cost-based optimizer's mode, DESIGN.md §10)
     matches *modulo the safe rewrites*: a subtree and a view definition
     match when their :func:`repro.query.optimize.canonical_form` normal
     forms coincide — e.g. ``a[x=1] | b[x=1]`` reads a view defined as

@@ -1,4 +1,4 @@
-"""Relation statistics for the cost-based optimizer (DESIGN.md §11).
+"""Relation statistics for the cost-based optimizer (DESIGN.md §10).
 
 The optimizer scores candidate plans by *estimated sweep rows*, which
 needs three kinds of per-relation information:

@@ -1,4 +1,4 @@
-"""Concurrent query serving (DESIGN.md §14).
+"""Concurrent query serving (DESIGN.md §13).
 
 Three layers, separately testable:
 

@@ -1,4 +1,4 @@
-"""Atomic full-store checkpoints (DESIGN.md §12).
+"""Atomic full-store checkpoints (DESIGN.md §11).
 
 A checkpoint is one self-contained snapshot of a
 :class:`~repro.store.SegmentStore` — schema, every tuple (lineage via

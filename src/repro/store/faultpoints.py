@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the durability layer (DESIGN.md §12).
+"""Deterministic fault injection for the durability layer (DESIGN.md §11).
 
 Every write/fsync/rename boundary of the persistence code — the WAL
 appender, the checkpoint writer, the atomic relation saves — announces

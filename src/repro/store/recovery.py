@@ -1,4 +1,4 @@
-"""Crash recovery and the per-store durability manager (DESIGN.md §12).
+"""Crash recovery and the per-store durability manager (DESIGN.md §11).
 
 Recovery is a two-phase state machine:
 

@@ -1,4 +1,4 @@
-"""Incrementally maintained statistics for mutable stores (DESIGN.md §11).
+"""Incrementally maintained statistics for mutable stores (DESIGN.md §10).
 
 The optimizer's :class:`~repro.query.stats.RelationStats` summary is a
 single pass over an immutable relation; for a write-heavy

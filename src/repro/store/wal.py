@@ -1,4 +1,4 @@
-"""Checksummed write-ahead log of committed ChangeSets (DESIGN.md §12).
+"""Checksummed write-ahead log of committed ChangeSets (DESIGN.md §11).
 
 One WAL file per :class:`~repro.store.SegmentStore`.  The file is a
 fixed 8-byte magic followed by length-prefixed, CRC32-checksummed

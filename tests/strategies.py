@@ -1,11 +1,15 @@
-"""Hypothesis strategies for random duplicate-free TP relations and
-random TP query trees (the plan-space metamorphic harness's generator)."""
+"""Hypothesis strategies for random lineage formulas, random
+duplicate-free TP relations and random TP query trees (the plan-space
+metamorphic harness's generator)."""
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from hypothesis import strategies as st
 
-from repro import Interval, TPRelation, TPSchema, base_tuple
+from repro import Interval, TPRelation, TPSchema, Var, base_tuple
+from repro.lineage import land, lnot, lor
 from repro.algebra.join import JOIN_KINDS, join_layout_from_schemas
 from repro.query import JoinNode, RelationRef, SelectionNode, SetOpNode
 
@@ -17,6 +21,22 @@ JOIN_KEY_POOL = ["k1", "k2"]
 #: Selection values drawn by the query-tree strategy: every fact value
 #: the catalog relations can produce, plus one that never matches.
 QUERY_VALUE_POOL = ["k1", "k2", "a1", "a2", "b1", "b2", "nope"]
+
+
+@st.composite
+def formulas(draw, *, names: Sequence[str], depth: int):
+    """A random lineage formula over the variables ``names``: a variable,
+    or ¬ / ∧ / ∨ of subformulas, at most ``depth`` connectives deep."""
+    if depth == 0:
+        return Var(draw(st.sampled_from(names)))
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return Var(draw(st.sampled_from(names)))
+    if kind == 1:
+        return lnot(draw(formulas(names=names, depth=depth - 1)))
+    left = draw(formulas(names=names, depth=depth - 1))
+    right = draw(formulas(names=names, depth=depth - 1))
+    return land(left, right) if kind == 2 else lor(left, right)
 
 
 @st.composite

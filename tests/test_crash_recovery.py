@@ -1,4 +1,4 @@
-"""Deterministic crash fault injection over the durability layer (§12).
+"""Deterministic crash fault injection over the durability layer (§11).
 
 The harness enumerates *every* write/fsync/rename boundary a workload
 crosses (dry-run with a counting hook), then re-runs the workload once

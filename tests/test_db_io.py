@@ -97,7 +97,7 @@ class TestCsv:
 
 
 class TestAtomicSaves:
-    """Crash fault injection over the atomic save protocol (§12).
+    """Crash fault injection over the atomic save protocol (§11).
 
     A simulated crash at every write/fsync/replace boundary must leave
     the *previous* file contents fully readable — never a torn file —

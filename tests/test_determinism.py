@@ -27,7 +27,7 @@ from repro.core.setops import tp_intersect, tp_union
 from repro.core.tuple import base_tuple
 from repro.datasets import generate_join_pair, generate_pair
 from repro.db.database import TPDatabase
-from repro.lineage.formula import FALSE, TRUE, Bottom, Top, Var, land, lnot, lor
+from repro.lineage.formula import FALSE, TRUE, Bottom, Top, Var, land, lor
 from repro.lineage.serialize import (
     decode_batch,
     decode_lineage,
@@ -40,6 +40,8 @@ from repro.prob.valuation import (
     probability_batch,
     valuation_cache_stats,
 )
+
+from .strategies import formulas
 
 
 def assert_bit_identical(a, b) -> None:
@@ -186,20 +188,7 @@ class TestAutoMonteCarloIsAFunctionOfTheFormula:
 
 
 _pa, _pb, _pc = Var("pa"), Var("pb"), Var("pc")
-
-
-@st.composite
-def _formulas(draw, depth: int = 3):
-    if depth == 0:
-        return draw(st.sampled_from([_pa, _pb, _pc]))
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return draw(st.sampled_from([_pa, _pb, _pc]))
-    if kind == 1:
-        return lnot(draw(_formulas(depth=depth - 1)))
-    left = draw(_formulas(depth=depth - 1))
-    right = draw(_formulas(depth=depth - 1))
-    return land(left, right) if kind == 2 else lor(left, right)
+_FORMULAS = formulas(names=("pa", "pb", "pc"), depth=3)
 
 
 def _non_constant(formulas):
@@ -210,7 +199,7 @@ class TestLineageBatchCodec:
     """The §4.1 batch codec the write-ahead log ships formulas with."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(_formulas(), max_size=8))
+    @given(st.lists(_FORMULAS, max_size=8))
     def test_round_trip_is_identity(self, batch):
         batch = _non_constant(batch)
         nodes, roots = encode_batch(batch)
@@ -220,14 +209,14 @@ class TestLineageBatchCodec:
             assert back is original  # re-interning == same process identity
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(_formulas(), max_size=8))
+    @given(st.lists(_FORMULAS, max_size=8))
     def test_wire_form_survives_pickling(self, batch):
         batch = _non_constant(batch)
         encoded = pickle.loads(pickle.dumps(encode_batch(batch), protocol=-1))
         assert decode_batch(*encoded) == batch
 
     @settings(max_examples=30, deadline=None)
-    @given(_formulas())
+    @given(_FORMULAS)
     def test_single_formula_round_trip(self, formula):
         if isinstance(formula, (Top, Bottom)):
             return

@@ -66,8 +66,60 @@ def test_front_door_documents_exist():
     assert README.is_file(), "README.md is the repository's front door"
     assert BENCH_DOC.is_file(), "docs/benchmarks.md is the methodology page"
     design = DESIGN.read_text()
-    assert "## §13" in design, "DESIGN.md must cover the workload generator (§13)"
-    assert "## §14" in design, "DESIGN.md must cover the query service (§14)"
+    assert "## §12 Scenario generators" in design, (
+        "DESIGN.md must cover the workload generator (§12)"
+    )
+    assert "## §13 The concurrent query service" in design, (
+        "DESIGN.md must cover the query service (§13)"
+    )
+
+
+#: Where DESIGN.md sections are cited; every citation must resolve.
+CITING_PATHS = ("src", "tests", "examples", "README.md", ".github", ".claude", "DESIGN.md")
+
+CITATION = re.compile(r"§(\d+(?:\.\d+)?)")
+HEADING = re.compile(r"^#{2,3} §(\d+(?:\.\d+)?) ", re.M)
+
+
+def citing_files():
+    for name in CITING_PATHS:
+        path = REPO / name
+        if path.is_file():
+            yield path
+        elif path.is_dir():
+            for child in sorted(path.rglob("*")):
+                if child.is_file() and child.suffix in (".py", ".md", ".txt", ".yml"):
+                    yield child
+
+
+def test_every_design_citation_resolves():
+    """Every arabic section number cited in the code, tests, examples,
+    README, CI and DESIGN.md itself names a heading of DESIGN.md."""
+    headings = set(HEADING.findall(DESIGN.read_text()))
+    dangling = [
+        f"{path.relative_to(REPO)}:{lineno}: §{number}"
+        for path in citing_files()
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for number in CITATION.findall(line)
+        if number not in headings
+    ]
+    assert not dangling, "citations of missing DESIGN.md sections:\n" + "\n".join(dangling)
+
+
+def test_design_sections_are_numbered_without_gaps():
+    """Sections run §1, §2, … and each one's subsections §N.1, §N.2, …
+    in order, so a deleted section leaves no hole in the numbering."""
+    numbers = [tuple(map(int, n.split("."))) for n in HEADING.findall(DESIGN.read_text())]
+    expected = []
+    section = 0
+    for number in numbers:
+        if len(number) == 1:
+            section += 1
+            expected.append((section,))
+        else:
+            sub = expected[-1][1] + 1 if len(expected[-1]) == 2 else 1
+            expected.append((section, sub))
+    assert numbers == expected
 
 
 @pytest.mark.parametrize("path", [README, BENCH_DOC], ids=lambda p: p.name)

@@ -60,7 +60,7 @@ def build(r, s, source: str) -> TPDatabase:
 class TestOptimizerDifferential:
     """Optimized queries over stores ≡ optimized queries over relations.
 
-    Two guarantees (DESIGN.md §11): the cost-based *choice* does not
+    Two guarantees (DESIGN.md §10): the cost-based *choice* does not
     depend on whether the statistics were summarized from a relation or
     maintained by a store, and executing the chosen plan is bit-identical
     across the two sources at every optimization level.

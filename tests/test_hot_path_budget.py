@@ -1,4 +1,4 @@
-"""Deterministic budgets for the read paths (DESIGN.md §6.3, §14.2).
+"""Deterministic budgets for the read paths (DESIGN.md §6.3, §13.2).
 
 Counts the calls (Python functions and C functions alike, as cProfile
 would) made while ``TPDatabase.query`` answers ``a | b``, ``a & b`` and

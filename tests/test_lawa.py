@@ -65,7 +65,7 @@ class TestCornerCases:
     """The pseudocode corrections of DESIGN.md §3, pinned."""
 
     def test_no_truncation_by_other_fact(self):
-        # DESIGN §3.3: a cursor tuple of fact f must not bound a window
+        # DESIGN §3, rule 3: a cursor tuple of fact f must not bound a window
         # of fact e.  Here e's single tuple spans [1,10) while f's tuple
         # starts at 5.
         r = TPRelation.from_rows("r", ("x",), [("f", 5, 6, 0.5)])
@@ -76,7 +76,7 @@ class TestCornerCases:
         assert len(produced) == 2
 
     def test_trailing_windows_after_left_cursor_exhausted(self):
-        # DESIGN §3.4: r's only tuple is split repeatedly by s after the
+        # DESIGN §3, rule 1: r's only tuple is split repeatedly by s after the
         # r cursor is exhausted; all five windows must be produced.
         r = TPRelation.from_rows("r", ("x",), [("f", 0, 100, 0.5)])
         s = TPRelation.from_rows(

@@ -23,22 +23,12 @@ from repro.lineage import (
     variables,
 )
 
+from .strategies import formulas
+
 a, b, c = Var("a"), Var("b"), Var("c")
 
 
-@st.composite
-def formulas(draw, depth: int = 3):
-    """Random small lineage formulas over variables a, b, c."""
-    if depth == 0:
-        return draw(st.sampled_from([a, b, c]))
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return draw(st.sampled_from([a, b, c]))
-    if kind == 1:
-        return lnot(draw(formulas(depth=depth - 1)))
-    left = draw(formulas(depth=depth - 1))
-    right = draw(formulas(depth=depth - 1))
-    return land(left, right) if kind == 2 else lor(left, right)
+FORMULAS = formulas(names=("a", "b", "c"), depth=3)
 
 
 class TestConstructors:
@@ -128,7 +118,7 @@ class TestEvaluate:
         with pytest.raises(KeyError):
             evaluate(a & b, {"a": True})
 
-    @given(formulas(), st.booleans(), st.booleans(), st.booleans())
+    @given(FORMULAS, st.booleans(), st.booleans(), st.booleans())
     def test_de_morgan(self, formula, va, vb, vc):
         env = {"a": va, "b": vb, "c": vc}
         assert evaluate(lnot(land(a, formula)), env) == evaluate(
@@ -147,13 +137,26 @@ class TestRestrict:
         assert restrict(a | b, "a", True) == TRUE
         assert restrict(a | b, "a", False) is b
 
-    @given(formulas(), st.booleans(), st.booleans(), st.booleans())
+    @given(FORMULAS, st.booleans(), st.booleans(), st.booleans())
     def test_restrict_agrees_with_evaluate(self, formula, va, vb, vc):
         env = {"a": va, "b": vb, "c": vc}
         restricted = restrict(formula, "a", va)
         assert evaluate(restricted, env) == evaluate(formula, env)
 
-    @given(formulas())
+    @given(FORMULAS)
     def test_restrict_removes_variable(self, formula):
         restricted = restrict(formula, "a", True)
         assert "a" not in variables(restricted)
+
+
+class TestFormulasStrategy:
+    """The shared ``formulas`` strategy keeps each caller's input space."""
+
+    @given(formulas(names=("p", "q"), depth=2))
+    def test_draws_only_from_its_pool(self, formula):
+        assert variables(formula) <= {"p", "q"}
+
+    @given(st.data(), st.integers(0, 4))
+    def test_depth_bounds_the_leaves(self, data, depth):
+        formula = data.draw(formulas(names=("a", "b", "c"), depth=depth))
+        assert sum(variable_occurrences(formula).values()) <= 2**depth

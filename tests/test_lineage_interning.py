@@ -47,24 +47,12 @@ from repro.prob import (
     probability_batch,
     valuation_cache_stats,
 )
-from tests.strategies import tp_relation_pair
+from tests.strategies import formulas, tp_relation_pair
 
 a, b, c = Var("a"), Var("b"), Var("c")
 
 
-@st.composite
-def formulas(draw, depth: int = 4):
-    """Random lineage formulas over a small variable pool (repeats likely)."""
-    if depth == 0:
-        return draw(st.sampled_from([a, b, c]))
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return draw(st.sampled_from([a, b, c]))
-    if kind == 1:
-        return lnot(draw(formulas(depth=depth - 1)))
-    left = draw(formulas(depth=depth - 1))
-    right = draw(formulas(depth=depth - 1))
-    return land(left, right) if kind == 2 else lor(left, right)
+FORMULAS = formulas(names=("a", "b", "c"), depth=4)
 
 
 class TestIdentityEquality:
@@ -92,13 +80,13 @@ class TestIdentityEquality:
         assert land(a, b) is not land(b, a)
         assert land(a, b) != land(b, a)
 
-    @given(formulas(), formulas())
+    @given(FORMULAS, FORMULAS)
     def test_syntactic_equality_iff_identity(self, f, g):
         # With interning, == (identity) must coincide with syntactic
         # equality, proxied here by the printed form.
         assert (f == g) == (str(f) == str(g))
 
-    @given(formulas())
+    @given(FORMULAS)
     def test_pickle_roundtrip_reinterns(self, f):
         assert pickle.loads(pickle.dumps(f)) is f
 
@@ -191,7 +179,7 @@ class TestInternTableLifecycle:
             3, 2, frozenset({"route_x", "route_y"}), True,
         )
 
-    @given(formulas(), formulas())
+    @given(FORMULAS, FORMULAS)
     def test_codecs_reintern_to_identity(self, f, g):
         # pickle, and the dependency-ordered batch codec the WAL and
         # checkpoints ship lineage with
@@ -215,7 +203,7 @@ class TestInternTableLifecycle:
 
 
 class TestCachedMetadata:
-    @given(formulas())
+    @given(FORMULAS)
     def test_size_matches_traversal(self, f):
         count = 0
         stack = [f]
@@ -228,11 +216,11 @@ class TestCachedMetadata:
                 stack.extend(node.children)
         assert formula_size(f) == f.size == count
 
-    @given(formulas())
+    @given(FORMULAS)
     def test_variables_match_traversal(self, f):
         assert variables(f) == frozenset(_iter_var_names(f))
 
-    @given(formulas())
+    @given(FORMULAS)
     def test_occurrences_match_traversal(self, f):
         oracle: dict[str, int] = {}
         for name in _iter_var_names(f):
@@ -240,11 +228,11 @@ class TestCachedMetadata:
         assert variable_occurrences(f) == oracle
         assert f.var_total == sum(oracle.values())
 
-    @given(formulas())
+    @given(FORMULAS)
     def test_1of_flag_matches_traversal(self, f):
         assert is_one_occurrence_form(f) == _is_one_occurrence_form_traversal(f)
 
-    @given(formulas())
+    @given(FORMULAS)
     def test_repeated_count_matches_occurrences(self, f):
         expected = sum(1 for n in variable_occurrences(f).values() if n > 1)
         assert f.repeated_count() == expected
@@ -254,7 +242,7 @@ class TestCachedMetadata:
         variable_occurrences(f)["a"] = 99
         assert variable_occurrences(f) == {"a": 1, "b": 1}
 
-    @given(formulas(), formulas(), formulas())
+    @given(FORMULAS, FORMULAS, FORMULAS)
     def test_lazy_metadata_is_the_same_metadata(self, f, g, h):
         """``var_set`` is computed on first read and ``is_1of`` without
         it (DESIGN.md §4): both must be what an eager computation
@@ -317,7 +305,7 @@ class TestBatchValuation:
         clear_valuation_cache()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(formulas(), min_size=1, max_size=12))
+    @given(st.lists(FORMULAS, min_size=1, max_size=12))
     def test_a_batch_misses_once_per_distinct_lineage(self, batch):
         clear_valuation_cache()
         events = EventMap({"a": 0.5, "b": 0.25, "c": 0.7})

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro import QueryParseError, parse_lineage
 from repro.lineage import FALSE, TRUE, Var, land, lnot, lor
+
+from .strategies import formulas
 
 
 class TestNotations:
@@ -54,22 +55,10 @@ class TestErrors:
             parse_lineage(text)
 
 
-@st.composite
-def formulas(draw, depth: int = 3):
-    names = st.sampled_from(["a1", "b2", "c3", "x"])
-    if depth == 0:
-        return Var(draw(names))
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return Var(draw(names))
-    if kind == 1:
-        return lnot(draw(formulas(depth=depth - 1)))
-    left = draw(formulas(depth=depth - 1))
-    right = draw(formulas(depth=depth - 1))
-    return land(left, right) if kind == 2 else lor(left, right)
+FORMULAS = formulas(names=("a1", "b2", "c3", "x"), depth=3)
 
 
 class TestRoundTrip:
-    @given(formulas())
+    @given(FORMULAS)
     def test_parse_of_str_is_identity(self, formula):
         assert parse_lineage(str(formula)) == formula

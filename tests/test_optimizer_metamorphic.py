@@ -1,6 +1,6 @@
 """Plan-space metamorphic harness for the cost-based optimizer.
 
-The optimizer's contract (DESIGN.md §11): **every** plan the enumerator
+The optimizer's contract (DESIGN.md §10): **every** plan the enumerator
 can emit is result-equivalent to the unoptimized plan —
 
 * *safe* plans (pushdown, flattening, join reassociation) are

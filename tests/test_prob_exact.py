@@ -1,4 +1,4 @@
-"""Tests for the exact probability valuations (1OF, Shannon, BDD).
+"""Tests for the exact probability valuations (1OF and Shannon).
 
 Ground truth is brute-force enumeration over all truth assignments, so
 every exact method is checked against the same oracle, and the paper's
@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 from repro import (
     UnknownVariableError,
     ValuationError,
+    probability,
     probability_1of,
-    probability_bdd,
+    probability_batch,
     probability_shannon,
 )
 from repro.lineage import Var, evaluate, land, lnot, lor, variables
-from repro.prob import BddManager, equivalent
+
+from .strategies import formulas
 
 a, b, c, d = Var("a"), Var("b"), Var("c"), Var("d")
 
@@ -39,20 +41,7 @@ def brute_force(formula, probs):
     return total
 
 
-@st.composite
-def formulas(draw, depth: int = 3):
-    pool = st.sampled_from([a, b, c, d])
-    if depth == 0:
-        return draw(pool)
-    kind = draw(st.integers(0, 3))
-    if kind == 0:
-        return draw(pool)
-    if kind == 1:
-        return lnot(draw(formulas(depth=depth - 1)))
-    left = draw(formulas(depth=depth - 1))
-    right = draw(formulas(depth=depth - 1))
-    return land(left, right) if kind == 2 else lor(left, right)
-
+FORMULAS = formulas(names=("a", "b", "c", "d"), depth=3)
 
 probs_strategy = st.fixed_dictionaries(
     {
@@ -97,7 +86,7 @@ class TestOneOccurrence:
         with pytest.raises(UnknownVariableError):
             probability_1of(a & b, {"a": 0.5})
 
-    @given(formulas(), probs_strategy)
+    @given(FORMULAS, probs_strategy)
     def test_matches_brute_force_when_1of(self, formula, probs):
         from repro.lineage import is_one_occurrence_form
 
@@ -108,7 +97,7 @@ class TestOneOccurrence:
 
 
 class TestShannon:
-    @given(formulas(), probs_strategy)
+    @given(FORMULAS, probs_strategy)
     def test_matches_brute_force(self, formula, probs):
         assert probability_shannon(formula, probs) == pytest.approx(
             brute_force(formula, probs)
@@ -125,31 +114,41 @@ class TestShannon:
     def test_tautology(self):
         assert probability_shannon(a | ~a, {"a": 0.7}) == pytest.approx(1.0)
 
-
-class TestBdd:
-    @given(formulas(), probs_strategy)
-    def test_matches_brute_force(self, formula, probs):
-        assert probability_bdd(formula, probs) == pytest.approx(
-            brute_force(formula, probs)
+    @given(FORMULAS, probs_strategy)
+    def test_complement_sums_to_one(self, formula, probs):
+        total = probability_shannon(formula, probs) + probability_shannon(
+            lnot(formula), probs
         )
+        assert total == pytest.approx(1.0)
 
-    @given(formulas(), formulas())
-    def test_equivalence_decision(self, f, g):
-        """BDD equivalence agrees with truth-table equivalence."""
-        names = sorted(variables(f) | variables(g))
-        truth_equal = all(
-            evaluate(f, dict(zip(names, bits))) == evaluate(g, dict(zip(names, bits)))
-            for bits in cartesian((False, True), repeat=len(names))
-        )
-        assert equivalent(f, g) == truth_equal
+    @given(FORMULAS, FORMULAS, probs_strategy)
+    def test_inclusion_exclusion(self, f, g, probs):
+        # P(f ∨ g) + P(f ∧ g) = P(f) + P(g), with f and g sharing variables.
+        assert probability_shannon(lor(f, g), probs) + probability_shannon(
+            land(f, g), probs
+        ) == pytest.approx(probability_shannon(f, probs) + probability_shannon(g, probs))
 
-    def test_canonical_roots_shared(self):
-        manager = BddManager()
-        root1 = manager.build((a & b) | (a & c))
-        root2 = manager.build(a & (b | c))
-        assert root1 is root2
+    @given(FORMULAS, FORMULAS, probs_strategy)
+    def test_connectives_bound_their_operands(self, f, g, probs):
+        pf, pg = probability_shannon(f, probs), probability_shannon(g, probs)
+        slack = 1e-9
+        assert probability_shannon(land(f, g), probs) <= min(pf, pg) + slack
+        assert probability_shannon(lor(f, g), probs) >= max(pf, pg) - slack
 
-    def test_node_count_reduced(self):
-        manager = BddManager(order=["a", "b"])
-        root = manager.build((a & b) | (a & ~b))  # reduces to just `a`
-        assert manager.node_count(root) == 1
+
+class TestExactPipeline:
+    """``Method.AUTO`` below the sampling limit: 1OF where it applies,
+    Shannon expansion elsewhere — exact either way."""
+
+    @given(FORMULAS, probs_strategy)
+    def test_auto_matches_brute_force(self, formula, probs):
+        assert probability(formula, probs) == pytest.approx(brute_force(formula, probs))
+
+    @given(st.lists(FORMULAS, max_size=6), probs_strategy)
+    def test_batch_matches_brute_force(self, batch, probs):
+        # Repeated formulas in one batch share a value; each still exact.
+        batch = batch + batch[:2]
+        values = probability_batch(batch, probs)
+        assert len(values) == len(batch)
+        for formula, value in zip(batch, values):
+            assert value == pytest.approx(brute_force(formula, probs))

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from repro import Method, probability, probability_montecarlo
+from repro import (
+    Method,
+    ValuationError,
+    probability,
+    probability_batch,
+    probability_montecarlo,
+)
 from repro.lineage import Var
 from repro.prob import ProbabilityOptions
 
@@ -71,8 +78,9 @@ class TestDispatcher:
     def test_explicit_methods_agree(self):
         formula = (a & b) | (~a & c)
         expected = 0.3 * 0.6 + 0.7 * 0.5
-        for method in (Method.SHANNON, Method.BDD):
-            assert probability(formula, PROBS, method=method) == pytest.approx(expected)
+        assert probability(formula, PROBS, method=Method.SHANNON) == pytest.approx(
+            expected
+        )
 
     def test_explicit_montecarlo(self):
         options = ProbabilityOptions(samples=30_000, rng=random.Random(5))
@@ -96,7 +104,34 @@ class TestDispatcher:
         assert 0.0 <= value <= 1.0
 
     def test_method_1of_validates(self):
-        from repro import ValuationError
-
         with pytest.raises(ValuationError):
             probability(a & ~a, PROBS, method=Method.ONE_OCCURRENCE)
+
+    @pytest.mark.parametrize("bad", ["1of", "bdd"])
+    @pytest.mark.parametrize(
+        "valuate",
+        [
+            lambda formula, method: probability(formula, PROBS, method=method),
+            lambda formula, method: probability_batch([formula], PROBS, method=method),
+        ],
+        ids=["probability", "probability_batch"],
+    )
+    def test_non_member_method_rejected(self, valuate, bad):
+        # A method that is not a Method member must not quietly run AUTO.
+        with pytest.raises(ValuationError, match=re.escape(repr(bad))):
+            valuate(a | (a & b), bad)
+
+    def test_methods_are_the_exact_pipeline_and_sampling(self):
+        assert [m.value for m in Method] == ["auto", "1of", "shannon", "montecarlo"]
+
+    def test_bdd_is_not_a_method(self):
+        with pytest.raises(ValueError):
+            Method("bdd")
+
+    @pytest.mark.parametrize(
+        "method", [Method.AUTO, Method.ONE_OCCURRENCE, Method.SHANNON], ids=lambda m: m.value
+    )
+    def test_batch_agrees_with_single_calls(self, method):
+        batch = [a & ~b, (a & b) | c, a, ~(b | c), a & ~b]
+        expected = [probability(formula, PROBS, method=method) for formula in batch]
+        assert probability_batch(batch, PROBS, method=method) == expected

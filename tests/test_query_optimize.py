@@ -161,7 +161,7 @@ def join_catalog():
 
 
 class TestJoinPushdown:
-    """The per-kind soundness table of σ-through-join (DESIGN.md §11)."""
+    """The per-kind soundness table of σ-through-join (DESIGN.md §10)."""
 
     def push(self, text, catalog):
         from repro.query import enumerate_plans

@@ -1,6 +1,6 @@
 """Wire-level stress: many concurrent clients vs. a serial oracle.
 
-The serving tentpole's acceptance bar (DESIGN.md §14): with reader
+The serving tentpole's acceptance bar (DESIGN.md §13): with reader
 connections opening at staggered points of a ``delta_storm`` commit
 stream, every wire response — the full relation payload, lineage text
 and probabilities included — must be bit-identical to a serial oracle

@@ -1,4 +1,4 @@
-"""Session stress: concurrent readers vs. a serial oracle (DESIGN.md §14).
+"""Session stress: concurrent readers vs. a serial oracle (DESIGN.md §13).
 
 The MVCC claim, made falsifiable: while a ``delta_storm`` workload
 (reused from :mod:`repro.bench.workloads`) commits batch after batch,

@@ -104,4 +104,4 @@ class TestPackageSurface:
         assert results.failed == 0
 
     def test_algebra_exports(self):
-        from repro import expected_count, tp_join, tp_project  # noqa: F401
+        from repro import tp_join, tp_project  # noqa: F401

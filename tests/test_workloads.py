@@ -93,6 +93,18 @@ def test_invalid_axis_values_rejected():
         ScenarioSpec(name="x", description="", kind="stress")
 
 
+def test_kinds_are_the_ones_a_run_executes():
+    """``serving`` is not a kind: nothing consumed what it built."""
+    assert {spec.kind for spec in SCENARIOS} == {
+        "query",
+        "delta-storm",
+        "session",
+        "commit-stream",
+    }
+    with pytest.raises(ValueError, match="serving"):
+        ScenarioSpec(name="x", description="", kind="serving")
+
+
 # ----------------------------------------------------------------------
 # schema validity
 # ----------------------------------------------------------------------
@@ -176,16 +188,13 @@ TINY_SCALE = 0.002  # a few dozen tuples per relation
 def configurations(kind: str) -> list[tuple[str, str, str]]:
     """``(optimize, backend, durability)`` points a scenario kind admits;
     the first is the reference.  Mutating kinds always run on stores, and
-    durability applies only where there are transactions to log.  The
-    serving kind's cache on/off pair is
-    ``test_cached_and_uncached_responses_are_bit_identical``."""
+    durability applies only where there are transactions to log."""
     if kind == "query":
         return [(o, b, "off") for o in ("off", "safe") for b in ("relation", "store")]
     if kind in ("delta-storm", "commit-stream"):
         return [("off", "store", d) for d in ("off", "batch", "commit")]
-    if kind == "session":
-        return [(o, "store", d) for o in ("off", "safe") for d in ("off", "batch")]
-    return []
+    assert kind == "session", kind
+    return [(o, "store", d) for o in ("off", "safe") for d in ("off", "batch")]
 
 
 @functools.lru_cache(maxsize=None)
