@@ -14,7 +14,7 @@ queries.  ``--apply name=delta.csv`` replays a delta file (insert and
 delete rows, see :mod:`repro.store.delta`) against a loaded relation
 before the query runs — the relation is converted to a mutable
 :class:`~repro.store.SegmentStore` and the batch applied as one
-transaction.  ``--optimize {off,safe,aggressive}`` runs
+transaction.  ``--optimize {off,safe}`` runs
 the cost-based optimizer over the query (DESIGN.md §10); prefixing the
 query with ``EXPLAIN`` (or using ``--explain``) prints the chosen plan
 with estimated vs. actual row counts instead of the result table::
@@ -135,12 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--optimize",
         default="off",
         metavar="LEVEL",
-        help="query optimization level: off (default), safe (cost-based "
+        help="query optimization level: off (default) or safe (cost-based "
         "lineage-identical rewrites: selection pushdown, union/intersect "
         "chain flattening (run as a left fold of the binary sweep), join "
-        "reassociation) or aggressive (additionally "
-        "difference fusion and operand reordering; same facts, intervals "
-        "and probabilities, lineage form may differ)",
+        "reassociation)",
     )
     return parser
 

@@ -43,7 +43,7 @@ from ..query.ast import QueryNode, relation_references
 from ..query.cost import PlanChoice, choose_plan
 from ..query.executor import execute_plan
 from ..query.explain import render_explain
-from ..query.optimize import resolve_level, schemas_from_stats
+from ..query.optimize import check_level, schemas_from_stats
 from ..query.parser import parse_query, strip_explain_prefix
 from ..query.planner import plan_query, substitute_views
 from ..query.stats import RelationStats, relation_stats
@@ -479,8 +479,7 @@ class TPDatabase:
         algorithm: Union[str, SetOpAlgorithm, None] = None,
         join_algorithm: Optional[str] = None,
         materialize: bool = True,
-        optimize: Union[bool, str, None] = False,
-        aggressive: bool = False,
+        optimize: str = "off",
         use_views: bool = True,
     ) -> Union[TPRelation, str]:
         """Parse, plan and execute a TP set query.
@@ -492,17 +491,14 @@ class TPDatabase:
         NAIVE-SWEEP runs the sweepline reference).
 
         ``optimize`` selects the optimization level: ``'off'`` (default)
-        runs the plan the parser produced; ``'safe'`` (or ``True``) runs
-        the cost-based optimizer over the lineage-identical rewrites —
+        runs the plan the parser produced; ``'safe'`` runs the
+        cost-based optimizer over the lineage-identical rewrites —
         selection pushdown to the scans (through set operations and
-        joins), associative flattening of ∪/∩ chains into n-ary nodes
-        (run as a left fold of the binary sweep), and inner natural-join
-        reassociation, scored by estimated sweep rows from the
-        statistics catalog; ``'aggressive'`` (or ``aggressive=True``)
-        additionally considers difference fusion ``(a − b) − c →
-        a − (b ∪ c)`` and n-ary operands ordered by cardinality, which
-        preserve facts, intervals and probabilities but may change the
-        lineage *form*.
+        joins, where the schemas prove it sound), associative flattening
+        of ∪/∩ chains into n-ary nodes (run as a left fold of the binary
+        sweep), and inner natural-join reassociation, scored by
+        estimated sweep rows from the statistics catalog.  Any other
+        value raises :class:`UnsupportedOperationError`.
 
         ``use_views=True`` (default) lets the planner replace subqueries
         matching a fresh materialized view's definition by a read of the
@@ -538,27 +534,27 @@ class TPDatabase:
                         algorithm=algorithm,
                         join_algorithm=join_algorithm,
                         optimize=optimize,
-                        aggressive=aggressive,
                         use_views=use_views,
                         analyze=True,
                     )
-        level = resolve_level(optimize, aggressive)
-        ast, _, _ = self._optimize(self._to_ast(text_or_ast), level, use_views)
+        ast, _, _ = self._optimize(self._to_ast(text_or_ast), optimize, use_views)
         plan = plan_query(ast, algorithm=algorithm, join_algorithm=join_algorithm)
         return execute_plan(plan, _RuntimeCatalog(self), materialize=materialize)
 
     def _optimize(
         self, ast: QueryNode, level: str, use_views: bool
     ) -> tuple[QueryNode, Optional[PlanChoice], dict[str, RelationStats]]:
-        """The shared front half of ``query`` and ``explain``: view
-        substitution plus the cost-based (or no-op) rewrite."""
+        """The shared front half of ``query`` and ``explain``: level
+        validation, view substitution plus the cost-based (or no-op)
+        rewrite."""
+        check_level(level)
         stats = self._stats_catalog(ast) if level != "off" else {}
         if use_views and self._views:
             ast = substitute_views(
                 ast,
                 self._view_substitutions(),
                 canonical=level != "off",
-                schemas=schemas_from_stats(stats, ast) if stats else None,
+                schemas=schemas_from_stats(stats, ast),
             )
         if level == "off":
             return ast, None, stats
@@ -566,7 +562,7 @@ class TPDatabase:
         # original reference walk did not see — top the stats up.
         for name, entry in self._stats_catalog(ast).items():
             stats.setdefault(name, entry)
-        choice = choose_plan(ast, stats, aggressive=level == "aggressive")
+        choice = choose_plan(ast, stats)
         return choice.chosen, choice, stats
 
     def analyze(self, text_or_ast: Union[str, QueryNode]) -> QueryAnalysis:
@@ -579,8 +575,7 @@ class TPDatabase:
         *,
         algorithm: Union[str, SetOpAlgorithm, None] = None,
         join_algorithm: Optional[str] = None,
-        optimize: Union[bool, str, None] = False,
-        aggressive: bool = False,
+        optimize: str = "off",
         use_views: bool = True,
         analyze: bool = False,
     ) -> str:
@@ -597,8 +592,7 @@ class TPDatabase:
 
         ast = self._to_ast(text_or_ast)
         analysis = _analyze(ast)
-        level = resolve_level(optimize, aggressive)
-        lowered, choice, stats = self._optimize(ast, level, use_views)
+        lowered, choice, stats = self._optimize(ast, optimize, use_views)
         if not stats:
             stats = self._stats_catalog(lowered)
         plan = plan_query(lowered, algorithm=algorithm, join_algorithm=join_algorithm)
@@ -618,7 +612,7 @@ class TPDatabase:
             lowered,
             plan,
             stats,
-            level=level,
+            level=optimize,
             analysis=analysis,
             choice=choice,
             actuals=actuals,

@@ -12,18 +12,16 @@ from .ast import (
     iter_nodes,
     relation_references,
 )
-from .cost import Estimate, PlanChoice, choose_plan, estimate, order_multiway_children
+from .cost import Estimate, PlanChoice, choose_plan, estimate
 from .executor import execute_plan
 from .explain import render_explain
-from .fingerprint import canonical_key, plan_fingerprint
+from .fingerprint import canonical_key
 from .optimize import (
     MultiOpNode,
     OPTIMIZE_LEVELS,
     OptimizedNode,
     canonical_form,
     enumerate_plans,
-    optimize_query,
-    resolve_level,
 )
 from .parser import parse_query, strip_explain_prefix
 from .planner import (
@@ -63,20 +61,16 @@ __all__ = [
     "canonical_form",
     "canonical_key",
     "choose_plan",
-    "plan_fingerprint",
     "enumerate_plans",
     "estimate",
     "execute_plan",
     "infer_schema",
     "is_non_repeating",
     "iter_nodes",
-    "optimize_query",
-    "order_multiway_children",
     "parse_query",
     "plan_query",
     "relation_references",
     "relation_stats",
     "render_explain",
-    "resolve_level",
     "strip_explain_prefix",
 ]

@@ -8,8 +8,7 @@ of tuples its sweeps read plus the matches its joins enumerate.
 Flattening is therefore cost-neutral: a left-deep chain and its n-ary
 node tie, and the earlier candidate — the chain — wins the tie.  An
 n-ary node is chosen where its left-to-right fold beats the parsed
-association (a right-nested chain, or operands reordered by
-cardinality).  Estimates come from the
+association (a right-nested chain).  Estimates come from the
 statistics catalog (:mod:`repro.query.stats`): cardinalities,
 per-attribute distinct counts (selectivity, join fan-out) and covering
 spans/histograms (temporal-overlap factors).
@@ -30,12 +29,7 @@ from typing import Mapping, Optional, Union
 from ..core.errors import SchemaMismatchError
 from ..core.schema import TPSchema
 from .ast import JoinNode, QueryNode, RelationRef, SelectionNode, SetOpNode
-from .optimize import (
-    MultiOpNode,
-    OptimizedNode,
-    enumerate_plans,
-    schemas_from_stats,
-)
+from .optimize import MultiOpNode, OptimizedNode, enumerate_plans
 from .stats import RelationStats, StatsCatalog
 
 __all__ = [
@@ -43,7 +37,6 @@ __all__ = [
     "PlanChoice",
     "choose_plan",
     "estimate",
-    "order_multiway_children",
 ]
 
 #: Assumed cardinality of a relation without statistics.
@@ -90,18 +83,9 @@ class PlanChoice:
         return len(self.candidates)
 
 
-def choose_plan(
-    query: QueryNode,
-    stats: StatsCatalog,
-    *,
-    aggressive: bool = False,
-    limit: int = 24,
-) -> PlanChoice:
+def choose_plan(query: QueryNode, stats: StatsCatalog) -> PlanChoice:
     """Enumerate the candidate space and pick the cheapest plan."""
-    schemas = schemas_from_stats(stats, query)
-    candidates = enumerate_plans(
-        query, schemas=schemas, stats=stats, aggressive=aggressive, limit=limit
-    )
+    candidates = enumerate_plans(query, stats)
     scored = tuple((node, estimate(node, stats)) for node in candidates)
     best_index = min(
         range(len(scored)), key=lambda i: (scored[i][1].cost, i)
@@ -112,50 +96,6 @@ def choose_plan(
         candidates=scored,
         chosen_index=best_index,
     )
-
-
-def order_multiway_children(node: OptimizedNode, stats: StatsCatalog) -> OptimizedNode:
-    """Order every n-ary ∪/∩'s children by estimated cardinality.
-
-    An ``aggressive`` rewrite: ∨/∧ are commutative and window boundaries
-    are order-blind, so facts, intervals and probabilities are
-    preserved, but the lineage argument order changes.  The first
-    operand names the output's attributes, so it stays first unless all
-    operands carry the same names (positionally compatible operands may
-    differ in them, and a selection above resolves its attribute by
-    name).
-    """
-    if isinstance(node, RelationRef):
-        return node
-    if isinstance(node, SelectionNode):
-        return SelectionNode(
-            order_multiway_children(node.child, stats), node.attribute, node.value
-        )
-    if isinstance(node, JoinNode):
-        return JoinNode(
-            node.kind,
-            order_multiway_children(node.left, stats),
-            order_multiway_children(node.right, stats),
-            node.on,
-        )
-    if isinstance(node, SetOpNode):
-        return SetOpNode(
-            node.op,
-            order_multiway_children(node.left, stats),
-            order_multiway_children(node.right, stats),
-        )
-    assert isinstance(node, MultiOpNode)
-    children = [order_multiway_children(c, stats) for c in node.children]
-    estimates = {child: estimate(child, stats) for child in children}
-    names = {
-        e.schema.attributes if e.schema is not None else None
-        for e in estimates.values()
-    }
-    pinned = 0 if len(names) == 1 and None not in names else 1
-    ordered = children[:pinned] + sorted(  # stable: equal estimates keep their order
-        children[pinned:], key=lambda child: estimates[child].rows
-    )
-    return MultiOpNode(node.op, tuple(ordered))
 
 
 # ----------------------------------------------------------------------

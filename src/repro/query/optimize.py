@@ -12,36 +12,28 @@ cost-based planner (:mod:`repro.query.cost`) enumerates over:
    *syntactically identical* to the binary chain's, whatever the
    association; the cost model prices the fold, so an n-ary node wins
    only where folding left to right is the cheaper association.
-2. **Selection pushdown** (always sound): σ filters whole facts and TP
-   set operations only combine positionally-equal facts, so σ commutes
-   with ∪/∩/− and is cheapest at the scans.  With leaf schemas available
-   (the statistics catalog carries them) the rule is *guarded* — it
-   pushes only when the attribute resolves to the same position in every
-   operand — and extends **through joins**: to a side whose values
-   survive into the selected column unpadded (see
+2. **Selection pushdown** (guarded): σ filters whole facts and TP set
+   operations only combine positionally-equal facts, so σ commutes with
+   ∪/∩/− and is cheapest at the scans — but only where the attribute
+   resolves to the same position in every operand, which needs the leaf
+   schemas (the statistics catalog carries them).  Without schemas σ is
+   not pushed.  The rule extends **through joins**: to a side whose
+   values survive into the selected column unpadded (see
    ``_join_push_sides`` for the per-kind soundness table).
-3. **Inner natural-join reassociation** (safe): natural join is
-   associative on named relations, so a chain ``r ⋈ s ⋈ t`` may execute
-   in any association whose intermediate joins are valid and whose final
+3. **Inner natural-join reassociation**: natural join is associative on
+   named relations, so a chain ``r ⋈ s ⋈ t`` may execute in any
+   association whose intermediate joins are valid and whose final
    attribute layout is unchanged.  Matched lineages are ∧-concatenations
    in leaf order and ∧ flattens, so every association emits identical
    interned lineage objects; matched intervals are per-combination
    interval intersections, which are associative.  Candidates that would
    need output-name disambiguation anywhere are discarded (positional
    facts stop modelling named tuples there).
-4. **Difference fusion** (``aggressive``): ``(a − b) − c → a − (b ∪ c)``.
-   Facts, intervals and probabilities are preserved, but lineage changes
-   *form* (``(λa∧¬λb)∧¬λc`` becomes ``λa∧¬(λb∨λc)``).
-5. **Multiway reordering by cardinality** (``aggressive``): children of
-   an n-ary ∪/∩ sort by estimated cardinality.  ∨/∧ are commutative, so
-   probabilities (and intervals — window boundaries are order-blind) are
-   preserved, but the lineage argument order changes.
 
-Every *safe* rewrite is lineage-identical; ``aggressive`` rewrites are
-probability-identical.  ``tests/test_optimizer_metamorphic.py`` holds
-the system to that: it enumerates the full candidate space for random
-query trees and proves every plan tuple/interval/probability-equal to
-the unoptimized plan and the possible-worlds oracle.
+Every rewrite is lineage-identical.  ``tests/test_optimizer_metamorphic.py``
+holds the system to that: it enumerates the full candidate space for
+random query trees and proves every plan's result lineage-identical to
+the unoptimized plan's and equal to the possible-worlds oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
-from ..core.errors import SchemaMismatchError
+from ..core.errors import SchemaMismatchError, UnsupportedOperationError
 from ..core.schema import TPSchema
 from .analysis import infer_schema
 from .ast import JoinNode, OP_TOKENS, QueryNode, RelationRef, SelectionNode, SetOpNode
@@ -59,14 +51,16 @@ __all__ = [
     "OPTIMIZE_LEVELS",
     "OptimizedNode",
     "canonical_form",
+    "check_level",
     "enumerate_plans",
-    "optimize_query",
-    "resolve_level",
     "schemas_from_stats",
 ]
 
-#: Optimization levels accepted by ``TPDatabase`` and the CLI.
-OPTIMIZE_LEVELS = ("off", "safe", "aggressive")
+#: Optimization levels accepted by ``TPDatabase``, the service and the CLI.
+OPTIMIZE_LEVELS = ("off", "safe")
+
+#: Upper bound on the candidates :func:`enumerate_plans` returns.
+PLAN_LIMIT = 24
 
 #: Upper bound on inner-join chain length considered for reassociation
 #: (Catalan(4) = 14 shapes for 5 leaves keeps enumeration bounded).
@@ -96,69 +90,27 @@ OptimizedNode = Union[RelationRef, SelectionNode, SetOpNode, JoinNode, MultiOpNo
 Schemas = Mapping[str, TPSchema]
 
 
-def resolve_level(
-    optimize: Union[bool, str, None] = False, aggressive: bool = False
-) -> str:
-    """Normalize the ``optimize``/``aggressive`` knobs to one level name.
-
-    ``optimize`` accepts a level name (``'off'``, ``'safe'``,
-    ``'aggressive'``), a bool (``True`` ≙ ``'safe'``) or ``None``
-    (≙ ``'off'``); ``aggressive=True`` raises the result to
-    ``'aggressive'`` (backwards compatibility with the PR-1 API).
-    """
-    if optimize is None or optimize is False:
-        level = "off"
-    elif optimize is True:
-        level = "safe"
-    elif isinstance(optimize, str) and optimize in OPTIMIZE_LEVELS:
-        level = optimize
-    else:
-        raise ValueError(
-            f"optimize must be one of {', '.join(OPTIMIZE_LEVELS)} "
-            f"(or a bool), got {optimize!r}"
+def check_level(optimize: str) -> str:
+    """``optimize`` if it names a level, else :class:`UnsupportedOperationError`."""
+    if optimize not in OPTIMIZE_LEVELS:
+        raise UnsupportedOperationError(
+            f"optimize must be one of {', '.join(OPTIMIZE_LEVELS)}, "
+            f"got {optimize!r}"
         )
-    if aggressive and level != "aggressive":
-        level = "aggressive"
-    return level
+    return optimize
 
 
-def optimize_query(
-    query: QueryNode,
-    *,
-    aggressive: bool = False,
-    schemas: Optional[Schemas] = None,
-) -> OptimizedNode:
-    """Apply the deterministic rewrite pipeline to a parsed query tree.
+def canonical_form(query: QueryNode, schemas: Schemas) -> OptimizedNode:
+    """The rewrite normal form: selection pushdown, then flattening.
 
-    This is the *normalization* entry point: pushdown, optional
-    difference fusion, flattening.  The cost-based planner
-    (:func:`repro.query.cost.choose_plan`) additionally enumerates
-    reassociations and scores every candidate; without statistics this
-    pipeline is the safe default it falls back to.
+    Two query trees with the same canonical form under the same leaf
+    ``schemas`` produce syntactically identical results (every rewrite
+    is lineage-identical), so a materialized view whose definition
+    canonicalizes like a query subtree can serve that subtree.
 
     >>> from repro.query import parse_query
-    >>> str(optimize_query(parse_query("a | b | c")))
+    >>> str(canonical_form(parse_query("a | b | c"), {}))
     '(a ∪ b ∪ c)'
-    >>> str(optimize_query(parse_query("a - b - c"), aggressive=True))
-    '(a − (b ∪ c))'
-    """
-    node: OptimizedNode = query
-    node = _push_selections(node, schemas)
-    if aggressive:
-        node = _fuse_differences(node)
-    node = _flatten(node)
-    return node
-
-
-def canonical_form(
-    query: QueryNode, schemas: Optional[Schemas] = None
-) -> OptimizedNode:
-    """The safe-rewrite normal form used for view matching.
-
-    Two query trees with the same canonical form produce syntactically
-    identical results (safe rewrites are lineage-identical), so a
-    materialized view whose definition canonicalizes like a query
-    subtree can serve that subtree.
     """
     return _flatten(_push_selections(query, schemas))
 
@@ -167,26 +119,19 @@ def canonical_form(
 # plan-space enumeration
 # ----------------------------------------------------------------------
 def enumerate_plans(
-    query: QueryNode,
-    *,
-    schemas: Optional[Schemas] = None,
-    stats=None,
-    aggressive: bool = False,
-    limit: int = 24,
+    query: QueryNode, stats, *, limit: int = PLAN_LIMIT
 ) -> list[OptimizedNode]:
     """Distinct result-equivalent candidate plans, unrewritten first.
 
     The candidate space is the closure of the rule set over the parsed
     tree, bounded by ``limit``: the original shape, selection pushdown,
-    flattening, their composition, every valid reassociation of inner
-    natural-join chains, and — under ``aggressive`` — difference fusion
-    and cardinality-ordered multiway operands (``stats`` required for
-    the ordering rule).  Every returned plan is executable and
-    result-equivalent to the first; the metamorphic harness asserts
-    exactly that over random trees.
+    flattening, their composition and every valid reassociation of inner
+    natural-join chains.  The schema guards read the leaf schemas the
+    statistics catalog ``stats`` carries.  Every returned plan is
+    executable and lineage-identical to the first; the metamorphic
+    harness asserts exactly that over random trees.
     """
-    if schemas is None and stats is not None:
-        schemas = schemas_from_stats(stats, query)
+    schemas = schemas_from_stats(stats, query)
     seen: dict = {}
     out: list[OptimizedNode] = []
 
@@ -203,16 +148,6 @@ def enumerate_plans(
     add(flat)
     for variant in _reassociations(flat, schemas, cap=max(2, limit - len(out))):
         add(variant)
-    if aggressive:
-        fused = _flatten(_fuse_differences(pushed))
-        add(fused)
-        for variant in _reassociations(fused, schemas, cap=2):
-            add(variant)
-        if stats is not None:
-            from .cost import order_multiway_children
-
-            add(order_multiway_children(flat, stats))
-            add(order_multiway_children(fused, stats))
     return out
 
 
@@ -233,17 +168,14 @@ def schemas_from_stats(stats, query: QueryNode) -> Schemas:
 # ----------------------------------------------------------------------
 # rule: selection pushdown
 # ----------------------------------------------------------------------
-def _push_selections(
-    node: OptimizedNode, schemas: Optional[Schemas] = None
-) -> OptimizedNode:
+def _push_selections(node: OptimizedNode, schemas: Schemas) -> OptimizedNode:
     """σ(a op b) → σ(a) op σ(b), recursively, down to the scans.
 
-    Without ``schemas`` the rule keeps its legacy behavior: it pushes
-    through set operations unconditionally by attribute name (compatible
-    relations are expected to share attribute names) and never through
-    joins.  With schemas it is guarded — the attribute must resolve to
-    the same position in every operand — and extends through joins to
-    every side the per-kind soundness table allows.
+    The rule is guarded: through a set operation the attribute must
+    resolve to the same position in every operand, and through a join
+    only to the sides the per-kind soundness table allows.  A leaf
+    missing from ``schemas`` proves neither, so σ stays where it was
+    written.
     """
     if isinstance(node, RelationRef):
         return node
@@ -273,7 +205,7 @@ def _push_selections(
 
 
 def _push_into(
-    child: OptimizedNode, attribute: str, value: object, schemas: Optional[Schemas]
+    child: OptimizedNode, attribute: str, value: object, schemas: Schemas
 ) -> Optional[OptimizedNode]:
     """σ[attribute=value](child) pushed one level, or ``None`` to keep σ."""
     if isinstance(child, (SetOpNode, MultiOpNode)):
@@ -282,9 +214,7 @@ def _push_into(
             if isinstance(child, MultiOpNode)
             else (child.left, child.right)
         )
-        if schemas is not None and not _setop_push_sound(
-            operands, attribute, schemas
-        ):
+        if not _setop_push_sound(operands, attribute, schemas):
             return None
         pushed = tuple(
             _push_selections(SelectionNode(op_child, attribute, value), schemas)
@@ -293,7 +223,7 @@ def _push_into(
         if isinstance(child, MultiOpNode):
             return MultiOpNode(child.op, pushed)
         return SetOpNode(child.op, pushed[0], pushed[1])
-    if isinstance(child, JoinNode) and schemas is not None:
+    if isinstance(child, JoinNode):
         return _push_into_join(child, attribute, value, schemas)
     return None
 
@@ -426,36 +356,6 @@ def _absorb(op: str, children: tuple) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# rule: difference fusion (aggressive)
-# ----------------------------------------------------------------------
-def _fuse_differences(node: OptimizedNode) -> OptimizedNode:
-    """(a − b) − c → a − (b ∪ c), recursively, bottom-up."""
-    if isinstance(node, RelationRef):
-        return node
-    if isinstance(node, SelectionNode):
-        return SelectionNode(
-            _fuse_differences(node.child), node.attribute, node.value
-        )
-    if isinstance(node, MultiOpNode):
-        return MultiOpNode(node.op, tuple(_fuse_differences(c) for c in node.children))
-    if isinstance(node, JoinNode):
-        return JoinNode(
-            node.kind,
-            _fuse_differences(node.left),
-            _fuse_differences(node.right),
-            node.on,
-        )
-    assert isinstance(node, SetOpNode)
-    left = _fuse_differences(node.left)
-    right = _fuse_differences(node.right)
-    if node.op == "except" and isinstance(left, SetOpNode) and left.op == "except":
-        # left = (a − b); this node = (a − b) − c  →  a − (b ∪ c).
-        fused_subtrahend = SetOpNode("union", left.right, right)  # type: ignore[arg-type]
-        return _fuse_differences(SetOpNode("except", left.left, fused_subtrahend))  # type: ignore[arg-type]
-    return SetOpNode(node.op, left, right)  # type: ignore[arg-type]
-
-
-# ----------------------------------------------------------------------
 # rule: inner natural-join reassociation
 # ----------------------------------------------------------------------
 def _is_chain_join(node: OptimizedNode) -> bool:
@@ -503,7 +403,7 @@ def _assoc_schema(
 
 
 def _reassociations(
-    node: OptimizedNode, schemas: Optional[Schemas], cap: int
+    node: OptimizedNode, schemas: Schemas, cap: int
 ) -> list[OptimizedNode]:
     """Alternative trees for every inner natural-join chain in ``node``.
 
@@ -511,7 +411,7 @@ def _reassociations(
     only associations whose intermediate joins are valid and whose final
     attribute layout equals the original's are kept.
     """
-    if schemas is None or cap <= 0:
+    if cap <= 0:
         return []
     variants = _subtree_variants(node, schemas, cap + 1)
     return [v for v in variants if v != node][:cap]

@@ -139,6 +139,7 @@ def substitute_views(
         return _substitute(query, views.get)
     from .optimize import canonical_form
 
+    schemas = schemas or {}
     table: dict = {}
     for definition, view_name in views.items():
         table.setdefault(definition, view_name)

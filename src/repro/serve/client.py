@@ -67,17 +67,9 @@ class ServeClient:
         """Liveness check."""
         return self.request({"op": "ping"})
 
-    def query(
-        self,
-        q: str,
-        *,
-        optimize: Any = False,
-        aggressive: bool = False,
-    ) -> dict[str, Any]:
+    def query(self, q: str, *, optimize: str = "off") -> dict[str, Any]:
         """Run a query (or EXPLAIN-prefixed text) in this session."""
-        return self.request(
-            {"op": "query", "q": q, "optimize": optimize, "aggressive": aggressive}
-        )
+        return self.request({"op": "query", "q": q, "optimize": optimize})
 
     def commit(
         self,

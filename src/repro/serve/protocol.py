@@ -10,7 +10,7 @@ a bad query must not cost the client its session.
 Operations::
 
     {"op": "ping"}
-    {"op": "query",  "q": "a | b", "optimize": "safe", "aggressive": false}
+    {"op": "query",  "q": "a | b", "optimize": "safe"}  # or "off" (default)
     {"op": "commit", "relation": "a", "inserts": [...], "deletes": [...]}
     {"op": "create", "relation": "a", "attributes": [...], "rows": [...]}
     {"op": "begin"}                      # re-pin the session to now

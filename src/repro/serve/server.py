@@ -227,10 +227,7 @@ class ServeServer:
         if not isinstance(q, str):
             raise ProtocolError("query op needs a string under 'q'")
         response = self.service.execute(
-            session_id,
-            q,
-            optimize=request.get("optimize", False),
-            aggressive=bool(request.get("aggressive", False)),
+            session_id, q, optimize=request.get("optimize", "off")
         )
         if response.explain is not None:
             return {"ok": True, "explain": response.explain}

@@ -49,7 +49,7 @@ from ..query.cost import choose_plan
 from ..query.executor import execute_plan
 from ..query.explain import render_explain
 from ..query.fingerprint import canonical_key
-from ..query.optimize import resolve_level
+from ..query.optimize import check_level
 from ..query.parser import parse_query, strip_explain_prefix
 from ..query.planner import (
     MultiSetOpPlan,
@@ -279,8 +279,7 @@ class QueryService:
         session_id: int,
         text_or_ast: Union[str, QueryNode],
         *,
-        optimize: Union[bool, str, None] = False,
-        aggressive: bool = False,
+        optimize: str = "off",
     ) -> QueryResponse:
         """Run a query (or ``EXPLAIN`` request) against the session's snapshot.
 
@@ -291,14 +290,14 @@ class QueryService:
         epoch signature of the referenced names) — a repeated
         query at a fixed epoch is served from cache, bit-identically.
 
-        At levels ``off`` and ``safe`` the plan is looked up first: a
-        store its plan reads only through σ on the leading attribute is
-        keyed on the versions of the selected fact groups (:func:`_keyed`),
-        so the entry is served across commits to other keys.
+        The plan is looked up first: a store its plan reads only through
+        σ on the leading attribute is keyed on the versions of the
+        selected fact groups (:func:`_keyed`), so the entry is served
+        across commits to other keys.
         """
+        level = check_level(optimize)
         session = self.session(session_id)
         ast, explained = self._parse(text_or_ast)
-        level = resolve_level(optimize, aggressive)
         references = relation_references(ast)
         missing = [n for n in references if n not in session.catalog]
         if missing:
@@ -310,21 +309,17 @@ class QueryService:
         key_base = canonical_key(ast)
         parts = session.parts(references)
         epoch_key = tuple(part[:-1] for part in parts)  # the wire form
-        plan = None
-        if level != "aggressive":
-            plan, footprint = self._plan(session, ast, level, key_base, parts)
-            if footprint:
-                parts = tuple(
-                    _keyed(session, part, footprint.get(part[1])) for part in parts
-                )
+        plan, footprint = self._plan(session, ast, level, key_base, references)
+        if footprint:
+            parts = tuple(
+                _keyed(session, part, footprint.get(part[1])) for part in parts
+            )
         result_key = (key_base, level, parts)
         cached = self.results.get(result_key)
         if cached is not None:
             if cached.epochs != epoch_key and _older(cached.epochs, epoch_key):
                 self.cross_epoch_hits += 1
             return QueryResponse(cached, None, True, epoch_key)
-        if plan is None:
-            plan, _ = self._plan(session, ast, level, key_base, parts)
         relation = execute_plan(plan, session.catalog, materialize=True)
         result = CachedResult(relation.with_own_events(), epoch_key)
         self.results.put(result_key, result)
@@ -357,37 +352,34 @@ class QueryService:
         ast: QueryNode,
         level: str,
         key_base: tuple,
-        parts: tuple[EpochPart, ...],
+        references: list[str],
     ) -> tuple[PhysicalPlan, Footprint]:
         """The physical plan for ``ast`` and its footprint, through the
         plan cache — so the footprint is derived once per plan.
 
         Key shape per level: ``off`` executes the raw parsed tree, so the
-        tree itself is the key; ``safe`` rewrites are lineage-identical,
-        so any cached plan for the canonical form answers bit-identically
-        regardless of the epoch its statistics came from; ``aggressive``
-        rewrites may change the lineage *form*, so the key pins the
-        epochs too — equal keys must imply bit-identical results — and
-        its results are keyed on whole epochs (empty footprint).
+        tree itself is the key.  ``safe`` rewrites are lineage-identical
+        but guarded by the leaf schemas (σ pushdown, join reassociation),
+        so the key is the flattened tree plus the attribute names of each
+        leaf: a cached plan answers bit-identically whatever epoch its
+        statistics came from, but a name rebound to another column layout
+        plans anew.
         """
-        plan_key: tuple
         if level == "off":
-            plan_key = ("off", ast)
-        elif level == "aggressive":
-            plan_key = (level, key_base, parts)
+            plan_key: tuple = ("off", ast)
         else:
-            plan_key = (level, key_base)
+            layouts = tuple(
+                session.catalog[name].schema.attributes for name in references
+            )
+            plan_key = (level, key_base, layouts)
         entry = self.plans.get(plan_key)
         if entry is not None:
             return entry
         lowered: QueryNode = ast
         if level != "off":
-            choice = choose_plan(
-                ast, self._stats(session, ast), aggressive=level == "aggressive"
-            )
-            lowered = choice.chosen
+            lowered = choose_plan(ast, self._stats(session, ast)).chosen
         plan = plan_query(lowered)
-        entry = (plan, {} if level == "aggressive" else _footprint(plan))
+        entry = (plan, _footprint(plan))
         self.plans.put(plan_key, entry)
         return entry
 
@@ -415,7 +407,7 @@ class QueryService:
         choice = None
         lowered: QueryNode = ast
         if level != "off":
-            choice = choose_plan(ast, stats, aggressive=level == "aggressive")
+            choice = choose_plan(ast, stats)
             lowered = choice.chosen
         plan = plan_query(lowered)
         counts: dict[tuple, int] = {}

@@ -7,9 +7,7 @@ code paths — store snapshots and incrementally maintained statistics,
 the cost-based rewrites, delta-scoped splicing — over one sweep, so they
 must produce the same relation object graph: same tuples in the same
 order, same intervals, float-exact probabilities and the identical
-interned lineage objects (``is``, not just ``==``).  The one documented
-exception is the lineage *form* under ``aggressive``, which is compared
-by facts, intervals and probabilities against the unoptimized plan.
+interned lineage objects (``is``, not just ``==``).
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from repro.query import choose_plan
 from repro.query.parser import parse_query
 
 SOURCES = ("catalog", "store")
-LEVELS = ("off", "safe", "aggressive")
+LEVELS = ("off", "safe")
 
 
 def assert_bit_identical(result, reference) -> None:
@@ -83,14 +81,12 @@ class TestOptimizerDifferential:
         ),
     )
 
-    @pytest.mark.parametrize("level", ("safe", "aggressive"))
     @pytest.mark.parametrize("query,maker", QUERIES)
-    def test_chosen_plan_source_invariant(self, query, maker, level):
+    def test_chosen_plan_source_invariant(self, query, maker):
         r, s = maker()
         ast = parse_query(query)
-        aggressive = level == "aggressive"
         choices = [
-            choose_plan(ast, db._stats_catalog(ast), aggressive=aggressive)
+            choose_plan(ast, db._stats_catalog(ast))
             for db in (build(r, s, "catalog"), build(r, s, "store"))
         ]
         assert choices[0].chosen == choices[1].chosen
@@ -103,15 +99,9 @@ class TestOptimizerDifferential:
         result = build(r, s, source).query(query, optimize=level)
         assert_bit_identical(result, build(r, s, "catalog").query(query, optimize=level))
         unoptimized = build(r, s, "catalog").query(query, optimize="off")
-        mine = sorted(result, key=null_safe_key)
-        theirs = sorted(unoptimized, key=null_safe_key)
-        if level == "aggressive":
-            assert [(t.fact, t.interval) for t in mine] == [
-                (t.fact, t.interval) for t in theirs
-            ]
-            assert [t.p for t in mine] == pytest.approx([t.p for t in theirs])
-        else:
-            assert_same_tuples(mine, theirs)
+        assert_same_tuples(
+            sorted(result, key=null_safe_key), sorted(unoptimized, key=null_safe_key)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -131,7 +131,7 @@ class TestQueryPipelineOnSynthetic:
         db.register(s1.rename("s"))
         db.register(t1)
 
-        optimized = db.query("r | s | t", optimize=True)
+        optimized = db.query("r | s | t", optimize="safe")
         oracle = snapshot_set_operation(
             "union",
             snapshot_set_operation("union", db.relation("r"), db.relation("s")),

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import QueryParseError, UnsupportedOperationError, tp_join
+from repro import QueryParseError, TPSchema, UnsupportedOperationError, tp_join
 from repro.db import TPDatabase
 from repro.query import (
     JoinNode,
     JoinPlan,
     RelationRef,
     analyze,
+    canonical_form,
     execute_plan,
-    optimize_query,
     parse_query,
     plan_query,
     relation_references,
@@ -158,12 +158,21 @@ class TestAnalysisAndOptimizer:
 
     def test_optimizer_preserves_joins(self):
         query = parse_query("a JOIN b ON k | c | d")
-        optimized = optimize_query(query)
+        schemas = {
+            "a": TPSchema(("k", "x")),
+            "b": TPSchema(("k", "y")),
+            "c": TPSchema(("k", "x", "y")),
+            "d": TPSchema(("k", "x", "y")),
+        }
+        optimized = canonical_form(query, schemas)
         assert str(optimized) == "((a ⋈[k] b) ∪ c ∪ d)"
 
     def test_optimizer_keeps_selection_above_join(self):
+        """σ on the right side's rest attribute of a left outer join: the
+        column is padded for unmatched rows, so σ must stay above."""
         query = parse_query("(a LEFT JOIN b ON k)[item='milk']")
-        optimized = optimize_query(query)
+        schemas = {"a": TPSchema(("k", "qty")), "b": TPSchema(("k", "item"))}
+        optimized = canonical_form(query, schemas)
         assert str(optimized) == "σ[item='milk']((a ⟕[k] b))"
 
     def test_explain_renders_join_plan(self, db):

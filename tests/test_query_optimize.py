@@ -1,4 +1,4 @@
-"""Tests for the query optimizer (flattening + difference fusion)."""
+"""Tests for the query optimizer: rules, statistics, cost model, levels."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.query import (
     MultiSetOpPlan,
     RelationRef,
     SetOpNode,
-    optimize_query,
+    canonical_form,
     parse_query,
     plan_query,
 )
@@ -21,52 +21,38 @@ from .strategies import tp_relation
 
 class TestFlattening:
     def test_union_chain_flattens(self):
-        node = optimize_query(parse_query("a | b | c | d"))
+        node = canonical_form(parse_query("a | b | c | d"), {})
         assert isinstance(node, MultiOpNode)
         assert node.op == "union"
         assert [str(c) for c in node.children] == ["a", "b", "c", "d"]
 
     def test_intersect_chain_flattens(self):
-        node = optimize_query(parse_query("a & b & c"))
+        node = canonical_form(parse_query("a & b & c"), {})
         assert isinstance(node, MultiOpNode)
         assert node.op == "intersect"
 
     def test_mixed_ops_do_not_merge(self):
-        node = optimize_query(parse_query("(a | b) & (c | d)"))
+        node = canonical_form(parse_query("(a | b) & (c | d)"), {})
         assert isinstance(node, SetOpNode)
         assert node.op == "intersect"
         assert isinstance(node.left, RelationRef) is False
 
     def test_binary_stays_binary(self):
-        node = optimize_query(parse_query("a | b"))
+        node = canonical_form(parse_query("a | b"), {})
         assert isinstance(node, SetOpNode)
 
     def test_nested_parenthesized_chain(self):
-        node = optimize_query(parse_query("(a | (b | c)) | d"))
+        node = canonical_form(parse_query("(a | (b | c)) | d"), {})
         assert isinstance(node, MultiOpNode)
         assert len(node.children) == 4
 
     def test_difference_not_flattened(self):
-        node = optimize_query(parse_query("a - b - c"))
+        node = canonical_form(parse_query("a - b - c"), {})
         assert isinstance(node, SetOpNode)
         assert node.op == "except"
 
     def test_str_rendering(self):
-        assert str(optimize_query(parse_query("a | b | c"))) == "(a ∪ b ∪ c)"
-
-
-class TestDifferenceFusion:
-    def test_fusion(self):
-        node = optimize_query(parse_query("a - b - c"), aggressive=True)
-        assert str(node) == "(a − (b ∪ c))"
-
-    def test_long_chain_fuses_to_multiway_union(self):
-        node = optimize_query(parse_query("a - b - c - d"), aggressive=True)
-        assert str(node) == "(a − (b ∪ c ∪ d))"
-
-    def test_fusion_off_by_default(self):
-        node = optimize_query(parse_query("a - b - c"))
-        assert "∪" not in str(node)
+        assert str(canonical_form(parse_query("a | b | c"), {})) == "(a ∪ b ∪ c)"
 
 
 class TestPlanningAndExecution:
@@ -80,40 +66,31 @@ class TestPlanningAndExecution:
         return db
 
     def test_multiway_plan_node(self):
-        plan = plan_query(optimize_query(parse_query("a | b | c")))
+        plan = plan_query(canonical_form(parse_query("a | b | c"), {}))
         assert isinstance(plan, MultiSetOpPlan)
         assert "LAWA×3" in plan.describe()
 
     def test_optimized_union_matches_unoptimized(self, db):
         plain = db.query("r1 | r2 | r3 | r4")
-        optimized = db.query("r1 | r2 | r3 | r4", optimize=True)
+        optimized = db.query("r1 | r2 | r3 | r4", optimize="safe")
         assert optimized.equivalent_to(plain)  # lineage-identical
 
     def test_optimized_intersection_matches(self, db):
         plain = db.query("r1 & r2 & r3")
-        optimized = db.query("r1 & r2 & r3", optimize=True)
+        optimized = db.query("r1 & r2 & r3", optimize="safe")
         assert optimized.equivalent_to(plain)
-
-    def test_aggressive_difference_same_distribution(self, db):
-        plain = db.query("r1 - r2 - r3")
-        fused = db.query("r1 - r2 - r3", aggressive=True)
-        left = {(t.fact, p): t.p for t in plain for p in range(t.start, t.end)}
-        right = {(t.fact, p): t.p for t in fused for p in range(t.start, t.end)}
-        assert left.keys() == right.keys()
-        for key, value in left.items():
-            assert value == pytest.approx(right[key])
 
     def test_explain_shows_multiway(self, db):
         # A left-deep chain ties with its n-ary fold and stays a chain; a
         # right-nested one is cheaper folded left to right.
-        assert "LAWA×3" not in db.explain("r1 | r2 | r3", optimize=True)
-        text = db.explain("r4 | (r2 | r1)", optimize=True)
+        assert "LAWA×3" not in db.explain("r1 | r2 | r3", optimize="safe")
+        text = db.explain("r4 | (r2 | r1)", optimize="safe")
         assert "Union[LAWA×3]" in text
         assert "PTIME" in text  # analysis still reported on the original
 
     def test_mixed_query_end_to_end(self, db):
         plain = db.query("(r1 | r2 | r4) - r3")
-        optimized = db.query("(r1 | r2 | r4) - r3", optimize=True)
+        optimized = db.query("(r1 | r2 | r4) - r3", optimize="safe")
         assert optimized.equivalent_to(plain)
 
     @settings(max_examples=25, deadline=None)
@@ -129,7 +106,7 @@ class TestPlanningAndExecution:
         db.register(r3.rename("r3"))
         for query in ("r1 | r2 | r3", "r1 & r2 & r3", "(r1 | r2) & r3"):
             plain = db.query(query)
-            optimized = db.query(query, optimize=True)
+            optimized = db.query(query, optimize="safe")
             assert optimized.equivalent_to(plain), query
 
 
@@ -283,37 +260,6 @@ class TestCostModel:
         stats = {"r": relation_stats(r), "s": relation_stats(s)}
         union = estimate(parse_query("r | s"), stats)
         assert union.cost == len(r) + len(s)
-
-    def test_order_multiway_children_sorts_by_cardinality(self, join_catalog):
-        from repro import TPRelation
-        from repro.query import optimize_query, order_multiway_children
-
-        catalog = dict(join_catalog)
-        catalog["u"] = TPRelation.from_rows("u", ("k", "a"), [("k1", "a1", 0, 2, 0.5)])
-        stats = _stats(catalog)
-        flat = optimize_query(parse_query("r | r | u"))
-        ordered = order_multiway_children(flat, stats)
-        assert str(ordered) == "(u ∪ r ∪ r)"
-
-
-class TestResolveLevel:
-    def test_mappings(self):
-        from repro.query import resolve_level
-
-        assert resolve_level(False) == "off"
-        assert resolve_level(None) == "off"
-        assert resolve_level(True) == "safe"
-        assert resolve_level("safe") == "safe"
-        assert resolve_level("off", aggressive=True) == "aggressive"
-        assert resolve_level(True, aggressive=True) == "aggressive"
-
-    def test_rejects_unknown_levels(self):
-        from repro.query import resolve_level
-
-        with pytest.raises(ValueError, match="off, safe, aggressive"):
-            resolve_level("fast")
-        with pytest.raises(ValueError, match="off, safe, aggressive"):
-            resolve_level(2)
 
 
 class TestViewMatching:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import QueryParseError, tp_except
+from repro import QueryParseError, TPSchema, tp_except
 from repro.db import TPDatabase
 from repro.query import (
     RelationRef,
     SelectionNode,
-    optimize_query,
+    canonical_form,
     parse_query,
 )
 
@@ -95,20 +95,70 @@ class TestExecution:
 
 class TestPushdown:
     def test_selection_pushed_below_set_op(self):
-        node = optimize_query(parse_query("(a | b)[product='milk']"))
+        schemas = {name: TPSchema(("product",)) for name in "ab"}
+        node = canonical_form(parse_query("(a | b)[product='milk']"), schemas)
         assert str(node) == "(σ[product='milk'](a) ∪ σ[product='milk'](b))"
 
     def test_pushdown_through_multiway(self):
-        node = optimize_query(parse_query("(a | b | c)[x=1]"))
+        schemas = {name: TPSchema(("x",)) for name in "abc"}
+        node = canonical_form(parse_query("(a | b | c)[x=1]"), schemas)
         text = str(node)
         assert text.count("σ[x=1]") == 3
 
+    def test_selection_stays_put_without_schemas(self):
+        """Nothing proves 'product' sits at one position in a and b."""
+        node = canonical_form(parse_query("(a | b)[product='milk']"), {})
+        assert str(node) == "σ[product='milk']((a ∪ b))"
+
+    @pytest.mark.parametrize(
+        "text, layouts, expected",
+        [
+            pytest.param(
+                "(a - b)[x='1']",
+                {"a": ("x", "y"), "b": ("x", "z")},
+                "(σ[x='1'](a) − σ[x='1'](b))",
+                id="same-position",
+            ),
+            pytest.param(
+                "(a | b)[x='1']",
+                {"a": ("x", "y"), "b": ("y", "x")},
+                "σ[x='1']((a ∪ b))",
+                id="swapped-columns",
+            ),
+            pytest.param(
+                "(a & b)[x='1']",
+                {"a": ("x", "y"), "b": ("z", "y")},
+                "σ[x='1']((a ∩ b))",
+                id="missing-from-one-operand",
+            ),
+            pytest.param(
+                "(a | b | c)[x='1']",
+                {"a": ("x", "y"), "b": ("x", "y"), "c": ("y", "x")},
+                "σ[x='1']((a ∪ b ∪ c))",
+                id="one-multiway-operand-swapped",
+            ),
+            pytest.param(
+                "((a | b)[x='1'] | c)[y='2']",
+                {"a": ("x", "y"), "b": ("y", "x"), "c": ("x", "y")},
+                "(σ[y='2'](σ[x='1']((a ∪ b))) ∪ σ[y='2'](c))",
+                id="outer-pushed-inner-kept",
+            ),
+        ],
+    )
+    def test_pushdown_needs_one_position_in_every_operand(
+        self, text, layouts, expected
+    ):
+        """Set operations combine facts by position, so σ distributes only
+        when its attribute has the same index in every operand."""
+        schemas = {name: TPSchema(attrs) for name, attrs in layouts.items()}
+        assert str(canonical_form(parse_query(text), schemas)) == expected
+
     def test_pushdown_preserves_results(self, db):
         plain = db.query("(a | c)[product='milk']")
-        optimized = db.query("(a | c)[product='milk']", optimize=True)
+        optimized = db.query("(a | c)[product='milk']", optimize="safe")
         assert optimized.contents() == plain.contents()
 
     def test_explain_shows_pushed_plan(self, db):
-        text = db.explain("(a | c)[product='milk']", optimize=True)
+        text = db.explain("(a | c)[product='milk']", optimize="safe")
         assert "Select[product='milk']" in text
         assert text.index("Union") < text.index("Select")  # σ below the op

@@ -152,7 +152,7 @@ DIFFERENTIAL_QUERIES = (
     "r | s",
     "s - r",
 )
-LEVELS = ("off", "safe", "aggressive")
+LEVELS = ("off", "safe")
 
 
 def _initial_rows(data, frontier: dict, name: str) -> list[tuple]:
