@@ -46,7 +46,7 @@ from ..prob.valuation import (
 from .errors import DuplicateFactError, UnknownVariableError
 from .interval import Interval
 from .schema import Fact, TPSchema
-from .sorting import _full_key, null_safe_key
+from .sorting import null_safe_key, sort_comparison
 from .tuple import TPTuple, base_tuples
 
 __all__ = ["TPRelation", "selection_name"]
@@ -254,15 +254,13 @@ class TPRelation:
     def _check_duplicate_free(self) -> None:
         """Duplicate-freeness: same-fact intervals must not overlap.
 
-        One pass over the ``(F, Ts, Te)`` order.  The sort is thrown away,
-        not kept for the first read: kept, it made that read's collections
-        slower than the sort it saved (DESIGN.md §6.3).  Only null-padded
-        facts, which the raw order cannot compare, take the null-safe key.
+        One pass over the ``(F, Ts, Te)`` order of :func:`sort_comparison`.
+        The sort is thrown away, not kept for the first read: kept, it
+        made that read's collections slower than the sort it saved
+        (DESIGN.md §6.3).  Only null-padded facts, which the raw order
+        cannot compare, take the null-safe key.
         """
-        try:
-            ordered = sorted(self._tuples, key=_full_key)
-        except TypeError:
-            ordered = sorted(self._tuples, key=null_safe_key)
+        ordered = sort_comparison(self._tuples)
         for prev, curr in zip(ordered, ordered[1:]):
             if curr.start < prev.end and prev.fact == curr.fact:
                 raise DuplicateFactError(
@@ -301,10 +299,10 @@ class TPRelation:
             if self._in_fact_ts_order:
                 cache = list(self._tuples)
             else:
-                # Same full (F, Ts, Te) key as repro.core.sorting, so the
-                # default path and the explicit strategies order
-                # raw-stream ties identically (DESIGN.md §6.2).
-                cache = sorted(self._tuples, key=_full_key)
+                # The explicit strategies' own sort, so the default path
+                # and they order raw-stream ties identically (DESIGN.md
+                # §6.2).
+                cache = sort_comparison(self._tuples)
                 self._in_fact_ts_order = all(map(is_, cache, self._tuples))
             self._sorted_cache = cache
         return cache

@@ -27,25 +27,29 @@ Two execution paths produce bit-identical results (pinned by
 ``tests/test_setops_fused.py``):
 
 * the **fused kernel** (default, DESIGN.md §6) runs sort → LAWA →
-  λ-filter → λ-concat → tuple construction as one loop over plain local
-  state — no per-window :class:`~repro.core.window.LineageWindow`
-  allocation, no intermediate row, no per-call sweep-state write-back,
-  cached ``(F, Ts)`` sort order via :meth:`TPRelation.sorted_tuples` —
-  followed by one batch valuation that computes each *distinct* interned
-  lineage once and fills the tuples' probabilities;
+  λ-filter → λ-concat → tuple construction → valuation as one loop over
+  plain local state — no per-window
+  :class:`~repro.core.window.LineageWindow` allocation, no intermediate
+  row, no per-call sweep-state write-back, cached ``(F, Ts)`` sort
+  order via :meth:`TPRelation.sorted_tuples`.  Windows over base
+  variables get their probability in the loop; one batch valuation
+  computes each *distinct* interned lineage of the rest once and fills
+  their probabilities;
 * the **unfused reference path** (``fused=False``) drives the
   single-step :class:`~repro.core.lawa.LawaSweep` exactly as the paper's
-  pseudocode reads, window objects and all — the oracle the kernel is
-  verified against, and the hook for window-level instrumentation.
+  pseudocode reads, window objects and all, and valuates every row in
+  one batch — the oracle the kernel is verified against, and the hook
+  for window-level instrumentation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from operator import attrgetter
+from typing import Callable, Mapping, Optional
 
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
-from ..prob.valuation import ProbabilityOptions, probability_batch
+from ..prob.valuation import ProbabilityOptions, probability_batch, record_valuations
 from .errors import UnsupportedOperationError
 from .lawa import LawaSweep
 from .relation import TPRelation
@@ -75,6 +79,7 @@ __all__ = [
 
 _OP_UNION, _OP_INTERSECT, _OP_EXCEPT = 0, 1, 2
 _OPCODES = {"union": _OP_UNION, "intersect": _OP_INTERSECT, "except": _OP_EXCEPT}
+_lineage_of = attrgetter("lineage")
 
 
 def tp_intersect(
@@ -169,11 +174,19 @@ def _dispatch(
     r.schema.check_compatible(s.schema)
     r_sorted = _sorted_input(r, sort_strategy)
     s_sorted = _sorted_input(s, sort_strategy)
+    events = r.merged_events(s)
     if fused:
-        rows = _fused_sweep(r_sorted, s_sorted, opcode)
+        out, pending = _fused_sweep(
+            r_sorted, s_sorted, opcode, events if materialize else None
+        )
     else:
-        rows = _unfused_sweep(r_sorted, s_sorted, opcode)
-    return _finish(r, s, symbol, rows, materialize, options)
+        # The reference path leaves every row to the batch.
+        out = pending = _unfused_sweep(r_sorted, s_sorted, opcode)
+    if materialize:
+        _finish(out, pending, events, options)
+    return TPRelation._derived(
+        f"({r.name} {symbol} {s.name})", r.schema, out, events, assume_sorted=True
+    )
 
 
 def _sorted_input(rel: TPRelation, sort_strategy: str) -> list[TPTuple]:
@@ -188,18 +201,30 @@ def _sorted_input(rel: TPRelation, sort_strategy: str) -> list[TPTuple]:
 # the fused kernel
 # ----------------------------------------------------------------------
 def _fused_sweep(
-    tr: list[TPTuple], ts: list[TPTuple], opcode: int
-) -> list[TPTuple]:
-    """sort → LAWA → λ-filter → λ-concat → tuple in one loop (DESIGN.md §6).
+    tr: list[TPTuple],
+    ts: list[TPTuple],
+    opcode: int,
+    events: Optional[Mapping[str, float]] = None,
+) -> tuple[list[TPTuple], list[TPTuple]]:
+    """sort → LAWA → λ-filter → λ-concat → tuple → ``p`` in one loop
+    (DESIGN.md §6).
 
     Semantically identical to driving :class:`LawaSweep` step by step; the
     sweep state lives in local variables (cursor tuple, its fact and start
-    point, the valid tuples' lineage and end point per side) and windows
-    are never materialized — each output window becomes its lineage-only
+    point, the valid tuples' lineage, end point and probability per side)
+    and windows are never materialized — each output window becomes its
     :class:`TPTuple` right here, its ``winTs``/``winTe`` written straight
     into the tuple's slots through the trusted writers of
-    :mod:`repro.core.tuple`; nothing sits between the sweep and the
-    result but the batch valuation that fills ``p`` (:func:`_finish`).
+    :mod:`repro.core.tuple`.
+
+    With ``events`` the kernel also valuates the windows it builds over
+    base variables — ``x``, ``x∨y``, ``x∧y``, ``x∧¬y`` with ``x is not
+    y``, the one-occurrence forms of Theorem 1 — in the float order of
+    the batch's own 1OF valuation, reading each variable from ``events``
+    (DESIGN.md §6.3).  Returns the tuples and those of them left at
+    ``p=None`` for a batch: compound operands, self-operations' windows
+    and variables missing from ``events``.  Without ``events`` every
+    tuple is lineage-only and none is pending.
     """
     nr, ns = len(tr), len(ts)
     ri = si = 0
@@ -218,17 +243,24 @@ def _fused_sweep(
         st = None
         st_fact = st_start = None
 
-    # The valid tuple per side: its lineage (None: no valid tuple) and
-    # its end point.
+    # The valid tuple per side: its lineage (None: no valid tuple), its
+    # end point, and its variable's probability (None: a compound
+    # lineage, or a variable ``events`` lacks).
     r_lam: Optional[Lineage] = None
     r_end = 0
+    r_p: Optional[float] = None
     s_lam: Optional[Lineage] = None
     s_end = 0
+    s_p: Optional[float] = None
     prev_te = -1
     fact: object = object()  # currFact sentinel distinct from any real fact
 
     out: list[TPTuple] = []
     append = out.append
+    pending: list[TPTuple] = []
+    pend = pending.append
+    valuate = events is not None
+    probability_of = events.get if events is not None else {}.get
     union = opcode == _OP_UNION
     intersect = opcode == _OP_INTERSECT
     diff = opcode == _OP_EXCEPT
@@ -275,6 +307,7 @@ def _fused_sweep(
         if rt is not None and rt_fact == fact and rt_start == win_ts:
             r_lam = rt.lineage
             r_end = rt.end
+            r_p = probability_of(r_lam.name) if type(r_lam) is Var else None
             ri += 1
             if ri < nr:
                 rt = tr[ri]
@@ -285,6 +318,7 @@ def _fused_sweep(
         if st is not None and st_fact == fact and st_start == win_ts:
             s_lam = st.lineage
             s_end = st.end
+            s_p = probability_of(s_lam.name) if type(s_lam) is Var else None
             si += 1
             if si < ns:
                 st = ts[si]
@@ -312,11 +346,20 @@ def _fused_sweep(
         # normalizations (flattening, constant folding) cannot fire, so
         # the interned node is built directly; anything else goes through
         # land/lor/lnot and stays bit-identical to the reference path.
+        # Two known probabilities over distinct variables (``r_lam is not
+        # s_lam``: the node is 1OF) give ``p`` as the batch's _prob
+        # computes it; every other window keeps ``p = None``.
+        p = None
         if union:
             if r_lam is None:
                 lam = s_lam
+                p = s_p
             elif s_lam is None:
                 lam = r_lam
+                p = r_p
+            elif r_p is not None and s_p is not None and r_lam is not s_lam:
+                lam = Or((r_lam, s_lam))
+                p = 1.0 - (1.0 - r_p) * (1.0 - s_p)
             elif type(r_lam) is Var and type(s_lam) is Var:
                 lam = Or((r_lam, s_lam))
             else:
@@ -324,6 +367,9 @@ def _fused_sweep(
         elif intersect:
             if r_lam is None or s_lam is None:
                 lam = None
+            elif r_p is not None and s_p is not None and r_lam is not s_lam:
+                lam = And((r_lam, s_lam))
+                p = r_p * s_p
             elif type(r_lam) is Var and type(s_lam) is Var:
                 lam = And((r_lam, s_lam))
             else:
@@ -332,6 +378,10 @@ def _fused_sweep(
             lam = None
         elif s_lam is None:
             lam = r_lam
+            p = r_p
+        elif r_p is not None and s_p is not None and r_lam is not s_lam:
+            lam = And((r_lam, Not(s_lam)))
+            p = r_p * (1.0 - s_p)
         else:
             neg = Not(s_lam) if type(s_lam) is Var else lnot(s_lam)
             if type(r_lam) is Var:
@@ -345,8 +395,10 @@ def _fused_sweep(
             set_lineage(t, lam)
             set_start(t, win_ts)
             set_end(t, win_te)
-            set_p(t, None)
+            set_p(t, p)
             append(t)
+            if p is None and valuate:
+                pend(t)
 
         # Expire valid tuples that end exactly at the window boundary.
         if r_lam is not None and r_end == win_te:
@@ -355,7 +407,7 @@ def _fused_sweep(
             s_lam = None
         prev_te = win_te
 
-    return out
+    return out, pending
 
 
 def sweep_rows(
@@ -376,7 +428,7 @@ def sweep_rows(
         opcode = _OPCODES[op]
     except KeyError as exc:
         raise UnsupportedOperationError(f"unknown TP set operation {op!r}") from exc
-    return _fused_sweep(tr, ts, opcode)
+    return _fused_sweep(tr, ts, opcode)[0]
 
 
 # ----------------------------------------------------------------------
@@ -420,34 +472,40 @@ def _tuple(window: LineageWindow, lineage: Lineage) -> TPTuple:
 # shared plumbing
 # ----------------------------------------------------------------------
 def _finish(
-    r: TPRelation,
-    s: TPRelation,
-    symbol: str,
     out: list[TPTuple],
-    materialize: bool,
-    options: Optional[ProbabilityOptions] = None,
-) -> TPRelation:
-    """Valuate the kernel's tuples and publish them as the result.
+    pending: list[TPTuple],
+    events: Mapping[str, float],
+    options: Optional[ProbabilityOptions],
+) -> None:
+    """Valuate the sweep's ``pending`` tuples in one batch.
 
-    ``out`` holds the lineage-only tuples a sweep has just built and
-    nobody else has seen.  Probabilities are computed in one batch over
-    the interned lineages — each distinct formula is valuated once,
-    however many windows emitted it (see :func:`repro.prob.valuation
-    .probability_batch`) — and written into the tuples before the
-    relation exists, so every tuple is still built exactly once and a
-    published tuple never changes (DESIGN.md §6.3).  The batch valuates
-    against the operand pair's cached merged event map, and the result
-    holds that map by reference (DESIGN.md §5).
+    ``out`` holds the tuples a sweep has just built and nobody else has
+    seen; the fused kernel valued all but ``pending`` as it built them.
+    The pending probabilities are computed in one batch over the
+    interned lineages — each distinct formula is valuated once, however
+    many windows emitted it (see :func:`repro.prob.valuation
+    .probability_batch`) — against the operand pair's cached merged
+    event map, and written into the tuples before the relation exists,
+    so every tuple is still built exactly once and a published tuple
+    never changes (DESIGN.md §6.3).
+
+    The valuation counters then read as one batch over all of ``out``
+    would have read them: its misses are the distinct lineages, the
+    pending batch's included, and its hits the repeats.  Two C-level set
+    builds count that, not a call per row; they run after the batch, so
+    a batch that raises counts nothing, as one over all rows would not.
     """
-    events = r.merged_events(s)
-    if materialize:
+    if pending:
         fill_probabilities(
-            out,
-            probability_batch([t.lineage for t in out], events, options=options),
+            pending,
+            probability_batch(list(map(_lineage_of, pending)), events, options=options),
         )
-    return TPRelation._derived(
-        f"({r.name} {symbol} {s.name})", r.schema, out, events, assume_sorted=True
-    )
+    inline = len(out) - len(pending)
+    if inline:
+        misses = len(set(map(_lineage_of, out)))
+        if pending:
+            misses -= len(set(map(_lineage_of, pending)))
+        record_valuations(misses, inline - misses)
 
 
 #: Dispatch table, also consumed by the query executor and the benchmarks.

@@ -39,6 +39,10 @@ __all__ = [
 
 #: The ``(F, Ts, Te)`` key, read from the tuple's slots at C speed.
 _full_key = attrgetter("fact", "start", "end")
+#: Its three components, one per stable pass of :func:`sort_comparison`.
+_fact_of = attrgetter("fact")
+_start_of = attrgetter("start")
+_end_of = attrgetter("end")
 
 
 def fact_lt(a, b) -> bool:
@@ -103,8 +107,21 @@ def null_safe_key(t: TPTuple) -> tuple:
 
 
 def sort_comparison(tuples: Iterable[TPTuple]) -> list[TPTuple]:
-    """Timsort by the ``(fact, Ts, Te)`` key — the default strategy."""
-    return sorted(tuples, key=_full_key)
+    """Timsort by the ``(fact, Ts, Te)`` key — the default strategy.
+
+    Three stable passes, least significant first: ``Te``, then ``Ts``,
+    then the fact.  Stability composes them into the lexicographic
+    order, ties on all three kept in input order (DESIGN.md §6.2), and
+    each pass keys on an object the tuple already holds, so no key tuple
+    is built per row.  Facts the raw order cannot compare (null-padded
+    ones) take :func:`null_safe_key` instead.
+    """
+    by_time = sorted(tuples, key=_end_of)
+    by_time.sort(key=_start_of)
+    try:
+        return sorted(by_time, key=_fact_of)
+    except TypeError:
+        return sorted(by_time, key=null_safe_key)
 
 
 def sort_counting(tuples: Iterable[TPTuple]) -> list[TPTuple]:

@@ -168,8 +168,8 @@ def fill_probabilities(tuples: list[TPTuple], probs: Iterable[float]) -> None:
     """Write each freshly built tuple's final ``p`` in place.
 
     For the operator that built ``tuples`` and has not handed them to
-    anyone yet: the batch valuation needs all lineages first, so ``p``
-    is the one slot a kernel cannot fill while it sweeps.
+    anyone yet: a batch valuation needs all their lineages first, so
+    their ``p`` cannot be filled while the kernel sweeps.
     """
     deque(map(set_p, tuples, probs), maxlen=0)
 

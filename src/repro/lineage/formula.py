@@ -264,7 +264,10 @@ class Not(Lineage):
         return dict(self.child.occurrences())
 
     def _compute_var_set(self) -> frozenset[str]:
-        return self.child.var_set
+        child = self.child
+        if type(child) is Var:
+            return frozenset((child.name,))
+        return child.var_set
 
     def __reduce__(self):
         return (Not, (self.child,))
@@ -279,9 +282,11 @@ class Not(Lineage):
 def _init_nary(node: "And | Or", children: tuple[Lineage, ...]) -> None:
     """Metadata of a connective with other than two children.
 
-    Such a node is in 1OF iff its children are and their variable sets
-    are pairwise disjoint; deciding the latter builds the union anyway,
-    so it is stored rather than recomputed on first read.
+    Such a node is in 1OF iff its children are and their variables are
+    pairwise disjoint.  Over shallow children that is an identity count
+    of their leaves (:func:`_leaf_vars`), which stores nothing; deeper
+    nesting builds the union of the children's sets, and since that is
+    the node's own set it is stored rather than recomputed on first read.
     """
     size = 1
     total = 0
@@ -293,13 +298,50 @@ def _init_nary(node: "And | Or", children: tuple[Lineage, ...]) -> None:
     node.size = size
     node.var_total = total
     if one:
-        node.var_set = _union_var_sets(children)
-        one = total == len(node.var_set)
+        leaves = _leaf_vars(children)
+        if leaves is not None:
+            one = len(set(leaves)) == total
+        else:
+            node.var_set = _union_var_sets(children)
+            one = total == len(node.var_set)
     node.is_1of = one
 
 
+def _leaf_vars(children: tuple[Lineage, ...]) -> list[Var] | None:
+    """The variable occurrences under ``children``, or None.
+
+    Answers when every child is a variable, or a connective over
+    variables, each possibly negated — the lineage a chained set query
+    over base relations builds, such as ``(r1 ∪ r2) ∪ r3`` or
+    ``(r1 ∪ r2) ∩ (r2 ∪ r3)``.  Interned variables are one object per
+    name, so the children share no variable iff the list holds no
+    object twice: 1OF is decided without asking any node, base
+    variables included, for its ``var_set``.
+    """
+    leaves: list[Var] = []
+    append = leaves.append
+    for child in children:
+        if type(child) is Not:
+            child = child.child
+        kind = type(child)
+        if kind is Var:
+            append(child)
+        elif kind is And or kind is Or:
+            for leaf in child.children:
+                if type(leaf) is Not:
+                    leaf = leaf.child
+                if type(leaf) is not Var:
+                    return None
+                append(leaf)
+        else:
+            return None
+    return leaves
+
+
 def _union_var_sets(children: tuple[Lineage, ...]) -> frozenset[str]:
-    return _EMPTY_SET.union(*[child.var_set for child in children])
+    # A variable child answers with its name (variable_names): the union
+    # asks no base variable for a set of its own.
+    return _EMPTY_SET.union(*map(variable_names, children))
 
 
 def _merge_occ(children: tuple[Lineage, ...]) -> Dict[str, int]:
@@ -328,8 +370,10 @@ class And(Lineage):
         if len(children) == 2:
             # Every window the binary sweep kernels emit is two-child:
             # in 1OF iff both children are and they share no variable —
-            # an identity test when both are (negated) variables, so no
-            # variable set is built for the node or asked of its leaves.
+            # an identity test when both are (negated) variables, an
+            # identity count of the leaves when the children are shallow
+            # (_leaf_vars), so no variable set is built for the node or
+            # asked of its leaves; only deeper nesting compares sets.
             left, right = children
             self.size = 1 + left.size + right.size
             self.var_total = left.var_total + right.var_total
@@ -339,7 +383,11 @@ class And(Lineage):
                 if type(a) is Var and type(b) is Var:
                     self.is_1of = a is not b
                 else:
-                    self.is_1of = left.var_set.isdisjoint(right.var_set)
+                    leaves = _leaf_vars(children)
+                    if leaves is not None:
+                        self.is_1of = len(set(leaves)) == self.var_total
+                    else:
+                        self.is_1of = left.var_set.isdisjoint(right.var_set)
             else:
                 self.is_1of = False
         else:
@@ -384,8 +432,10 @@ class Or(Lineage):
         if len(children) == 2:
             # Every window the binary sweep kernels emit is two-child:
             # in 1OF iff both children are and they share no variable —
-            # an identity test when both are (negated) variables, so no
-            # variable set is built for the node or asked of its leaves.
+            # an identity test when both are (negated) variables, an
+            # identity count of the leaves when the children are shallow
+            # (_leaf_vars), so no variable set is built for the node or
+            # asked of its leaves; only deeper nesting compares sets.
             left, right = children
             self.size = 1 + left.size + right.size
             self.var_total = left.var_total + right.var_total
@@ -395,7 +445,11 @@ class Or(Lineage):
                 if type(a) is Var and type(b) is Var:
                     self.is_1of = a is not b
                 else:
-                    self.is_1of = left.var_set.isdisjoint(right.var_set)
+                    leaves = _leaf_vars(children)
+                    if leaves is not None:
+                        self.is_1of = len(set(leaves)) == self.var_total
+                    else:
+                        self.is_1of = left.var_set.isdisjoint(right.var_set)
             else:
                 self.is_1of = False
         else:
@@ -674,10 +728,12 @@ def restrict(formula: Lineage, name: str, value: bool) -> Lineage:
     cofactors identity-equal — which is what lets the Shannon memo in
     :mod:`repro.prob.shannon` hit across expansion branches.
     """
+    if type(formula) is Var:
+        if formula.name != name:
+            return formula
+        return TRUE if value else FALSE
     if name not in formula.var_set:
         return formula
-    if isinstance(formula, Var):
-        return TRUE if value else FALSE
     if isinstance(formula, Not):
         return lnot(restrict(formula.child, name, value))
     if isinstance(formula, And):

@@ -233,6 +233,19 @@ def valuation_cache_stats() -> dict[str, int]:
     return {"hits": _BATCH_HITS, "misses": _BATCH_MISSES}
 
 
+def record_valuations(misses: int, hits: int) -> None:
+    """Count valuations made outside :func:`probability_batch`.
+
+    For a kernel that valuates some of a result's rows as it builds them
+    (the fused set-operation sweep, DESIGN.md §6.3) and batches the
+    rest: it reports what one batch over all its rows would have
+    counted, so :func:`valuation_cache_stats` does not depend on where
+    a row was valuated."""
+    global _BATCH_HITS, _BATCH_MISSES
+    _BATCH_MISSES += misses
+    _BATCH_HITS += hits
+
+
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------

@@ -75,7 +75,9 @@ def test_front_door_documents_exist():
 
 
 #: Where DESIGN.md sections are cited; every citation must resolve.
-CITING_PATHS = ("src", "tests", "examples", "README.md", ".github", ".claude", "DESIGN.md")
+CITING_PATHS = (
+    "src", "tests", "examples", "docs", "README.md", ".github", ".claude", "DESIGN.md",
+)
 
 CITATION = re.compile(r"§(\d+(?:\.\d+)?)")
 HEADING = re.compile(r"^#{2,3} §(\d+(?:\.\d+)?) ", re.M)
@@ -94,7 +96,7 @@ def citing_files():
 
 def test_every_design_citation_resolves():
     """Every arabic section number cited in the code, tests, examples,
-    README, CI and DESIGN.md itself names a heading of DESIGN.md."""
+    docs, README, CI and DESIGN.md itself names a heading of DESIGN.md."""
     headings = set(HEADING.findall(DESIGN.read_text()))
     dangling = [
         f"{path.relative_to(REPO)}:{lineno}: §{number}"

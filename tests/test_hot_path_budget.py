@@ -7,7 +7,7 @@ Counts repeat exactly from run to run, so the ceiling cannot flake — and
 it stops a later change from quietly re-adding a per-row copy or a
 per-node Python-level hop to the pipeline
 
-    sweep-and-build each tuple once → batch-valuate distinct lineages → fill p.
+    sweep, build and valuate each tuple once → batch what is left → fill its p.
 
 Next to it sits the allocation budget: collector runs and GC-tracked
 objects retained per output row, counted the same deterministic way —
@@ -53,22 +53,25 @@ from repro.query.parser import parse_query
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line
 
-#: Calls per output row.  Measured when this budget was set: 10.27
-#: (27.7 before tuples were built once and interning lost its
-#: Python-level weakref bookkeeping, 12.17 while the sweep still emitted
-#: rows for a second pass to turn into tuples); ~12 % headroom.  9.03
-#: since a tuple holds its end points itself (no ``Interval`` to
-#: allocate per window).
-CALLS_PER_ROW_CEILING = 11.5
+#: Calls per output row.  Measured when set: 7.33, since the sweep
+#: values each base-variable window as it builds it (no batch over
+#: every row, no ``_prob`` call per distinct formula); ~12 % headroom.
+#: 9.03 while a batch valuated every row, 10.27 while a tuple held an
+#: ``Interval`` of its own, 12.17 while the sweep still emitted rows for
+#: a second pass to turn into tuples, 27.7 before tuples were built once
+#: and interning lost its Python-level weakref bookkeeping.
+CALLS_PER_ROW_CEILING = 8.2
 
 #: Collector runs per 1 000 output rows under ``ALLOCATION_THRESHOLDS``,
 #: and GC-tracked objects a result keeps alive per output row.  Measured
-#: when set: 4.49 and 3.00 (5.45 and 3.68 while a tuple kept its interval
-#: in a separate ``Interval`` object; 7.65 and 4.57 with an intermediate
-#: row, an ``Interval`` per window and a ``var_set`` per lineage node).
-#: What is left per row — children tuple, node, its weak reference and
-#: the ``TPTuple`` — is the object design itself (DESIGN.md §6.3).
-COLLECTIONS_PER_1000_ROWS_CEILING = 5.0
+#: when set: 4.22 and 3.00 (4.49 while a batch built a list of every
+#: row's lineage and a dict of the distinct ones; 5.45 and 3.68 while a
+#: tuple kept its interval in a separate ``Interval`` object; 7.65 and
+#: 4.57 with an intermediate row, an ``Interval`` per window and a
+#: ``var_set`` per lineage node).  What is left per row — children
+#: tuple, node, its weak reference and the ``TPTuple`` — is the object
+#: design itself (DESIGN.md §6.3).
+COLLECTIONS_PER_1000_ROWS_CEILING = 4.7
 RETAINED_PER_ROW_CEILING = 3.3
 ALLOCATION_THRESHOLDS = (700, 10, 10)  # CPython's defaults, pinned
 
@@ -142,6 +145,9 @@ def test_calls_per_output_row_stay_under_the_ceiling():
     # No result tuple may be built and then copied.
     assert calls[("py", "TPTuple.with_probability")] == 0
     assert calls[("py", dataclasses.replace.__qualname__)] == 0
+    # Every window over two base relations is valued where it is built:
+    # nothing is left for the batch's 1OF walk.
+    assert calls[("py", "_prob")] == 0
 
     repeat_calls, _ = count_calls(run)
     # Warm repeats only save work (cached sort order) …

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TPRelation, tp_union
+from repro.db import TPDatabase
 from repro.lineage import (
     And,
     Not,
@@ -35,7 +36,7 @@ from repro.lineage import (
     variables,
 )
 from repro.lineage import formula as formula_module
-from repro.lineage.formula import TRUE, FALSE, Bottom, Top, _iter_var_names
+from repro.lineage.formula import TRUE, FALSE, Bottom, Top, _iter_var_names, restrict
 from repro.lineage.serialize import decode_batch, encode_batch
 from repro.lineage.onef import _is_one_occurrence_form_traversal
 from repro.prob import (
@@ -279,10 +280,41 @@ class TestCachedMetadata:
         assert both.is_1of and less.is_1of and not (x & ~x).is_1of
         assert all(unset(node) for node in (x, y, both, less, less.children[1]))
         assert both.var_set == {"lazy_x", "lazy_y"}
-        assert not unset(both) and not unset(x) and not unset(y)
+        # A variable child answers with its name: the parent's set is
+        # stored, no base variable gets one of its own.
+        assert not unset(both) and unset(x) and unset(y)
         assert unset(less)  # reading one node computes no other root
+        assert restrict(both, "lazy_x", True) is y and unset(x) and unset(y)
+        assert x.var_set == {"lazy_x"} and not unset(x)  # asked directly: stored
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             x.nope
+
+    @pytest.mark.parametrize("optimize", ["off", "safe"])
+    @pytest.mark.parametrize("query", ["(nv1|nv2)|nv3", "(nv1|nv2)&(nv2|nv3)"])
+    def test_chained_reads_set_no_var_set_on_a_base_variable(self, query, optimize):
+        """``(r1|r2)|r3`` and ``(r1|r2)&(r2|r3)``: nodes over shallow
+        children decide 1OF by counting interned leaves, and Shannon's
+        cofactors of the repeated ``(x∨y)∧(y∨z)`` ask no variable for a
+        set, so neither read leaves a frozenset on any base tuple's
+        ``Var`` (DESIGN.md §4)."""
+        from tests.test_hot_path_budget import seeded_rows
+
+        db = TPDatabase()
+        for i in (1, 2, 3):
+            db.create_relation(f"nv{i}", ("k",), seeded_rows(10 + i, n=600, keys=12))
+        result = db.query(query, optimize=optimize)
+        assert len(result) > 0
+        assert any(not t.lineage.is_1of for t in result) == ("&" in query)
+        slot = Var.var_set  # the slot itself: the attribute would compute it
+        with_set = 0
+        for i in (1, 2, 3):
+            for t in db.relation(f"nv{i}"):
+                try:
+                    slot.__get__(t.lineage)
+                except AttributeError:
+                    continue
+                with_set += 1
+        assert with_set == 0, f"{with_set} base variables carry a var_set"
 
 
 def _formula_corpus(n: int, events: EventMap) -> list:

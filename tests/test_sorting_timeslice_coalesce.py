@@ -5,8 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from repro import Interval, TPRelation, coalesce, is_coalesced, timeslice
-from repro.core.sorting import is_sorted, sort_comparison, sort_counting, sort_tuples
+from repro import Interval, TPRelation, TPSchema, coalesce, is_coalesced, timeslice
+from repro.core.errors import DuplicateFactError
+from repro.core.sorting import (
+    is_sorted,
+    null_safe_key,
+    sort_comparison,
+    sort_counting,
+    sort_tuples,
+)
 from repro.core.timeslice import snapshot_lineages
 from repro.core.tuple import TPTuple
 from repro.lineage import Var
@@ -40,6 +47,35 @@ class TestSorting:
     def test_is_sorted_detects_disorder(self, rel_a):
         assert not is_sorted(list(rel_a.tuples))  # milk before chips in rows
         assert is_sorted(rel_a.sorted_tuples())
+
+    def test_three_stable_passes_are_the_full_key_order(self):
+        """``sort_comparison`` sorts by ``Te``, ``Ts`` and then the fact,
+        stably: the ``(F, Ts, Te)`` order, full ties in input order."""
+        rows = [("v", 3, 5), ("u", 3, 9), ("v", 1, 4), ("v", 3, 4), ("u", 3, 9)]
+        stream = [
+            TPTuple((f,), Var(f"full{i}"), Interval(s, e)) for i, (f, s, e) in enumerate(rows)
+        ]
+        ordered = sort_comparison(iter(stream))  # any iterable
+        assert ordered == sorted(stream, key=lambda t: (t.fact, t.start, t.end))
+        assert [t.lineage.name for t in ordered] == ["full1", "full4", "full2", "full3", "full0"]
+
+    def test_null_padded_facts_take_the_null_safe_order(self):
+        """Facts the raw order cannot compare fall back to
+        ``null_safe_key`` — for the sort, the sort cache and the
+        duplicate check alike."""
+        rows = [(("k", None), 2, 4), (("k", 1), 5, 6), (("k", None), 0, 2), (("k", 1), 0, 3)]
+        stream = [
+            TPTuple(f, Var(f"pad{i}"), Interval(s, e)) for i, (f, s, e) in enumerate(rows)
+        ]
+        expected = sorted(stream, key=null_safe_key)
+        assert [t.lineage.name for t in expected] == ["pad3", "pad1", "pad2", "pad0"]
+        assert sort_comparison(stream) == expected
+        events = {f"pad{i}": 0.5 for i in range(len(rows))}
+        relation = TPRelation("r", TPSchema(("a", "b")), stream, events)
+        assert relation.sorted_tuples() == expected
+        overlapping = [*stream, TPTuple(("k", None), Var("pad9"), Interval(3, 5))]
+        with pytest.raises(DuplicateFactError):
+            TPRelation("r", TPSchema(("a", "b")), overlapping, {**events, "pad9": 0.5})
 
 
 class TestTimeslice:
