@@ -55,6 +55,7 @@ from .core import (
     Fact,
     Interval,
     InvalidIntervalError,
+    InvalidProbabilityError,
     LawaSweep,
     LineageWindow,
     QueryParseError,
@@ -142,6 +143,7 @@ __all__ = [
     "Fact",
     "Interval",
     "InvalidIntervalError",
+    "InvalidProbabilityError",
     "LawaSweep",
     "Lineage",
     "LineageWindow",

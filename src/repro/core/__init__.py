@@ -4,6 +4,7 @@ from .coalesce import coalesce, is_coalesced
 from .errors import (
     DuplicateFactError,
     InvalidIntervalError,
+    InvalidProbabilityError,
     QueryParseError,
     SchemaMismatchError,
     TPError,
@@ -43,6 +44,7 @@ __all__ = [
     "Fact",
     "Interval",
     "InvalidIntervalError",
+    "InvalidProbabilityError",
     "LawaSweep",
     "LineageWindow",
     "MatchWindow",

@@ -10,6 +10,7 @@ from __future__ import annotations
 __all__ = [
     "TPError",
     "InvalidIntervalError",
+    "InvalidProbabilityError",
     "DuplicateFactError",
     "SchemaMismatchError",
     "UnknownRelationError",
@@ -27,6 +28,11 @@ class TPError(Exception):
 
 class InvalidIntervalError(TPError, ValueError):
     """An interval violates ``start < end`` or the domain bounds."""
+
+
+class InvalidProbabilityError(TPError, ValueError):
+    """A base tuple's probability is not a number in ``(0, 1]``: out of
+    range, NaN, or a ``bool`` or text that ``float()`` would convert."""
 
 
 class DuplicateFactError(TPError, ValueError):

@@ -44,7 +44,8 @@ Two execution paths produce bit-identical results (pinned by
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import filterfalse, repeat
+from operator import attrgetter, lshift, or_
 from typing import Callable, Mapping, Optional
 
 from ..lineage.concat import concat_and, concat_and_not, concat_or
@@ -55,13 +56,19 @@ from .lawa import LawaSweep
 from .relation import TPRelation
 from .sorting import fact_lt, sort_tuples
 from .tuple import (
+    DEFER_AND,
+    DEFER_AND_NOT,
+    DEFER_OR,
     TPTuple,
     fill_probabilities,
     new_object,
     set_end,
     set_fact,
+    set_left,
     set_lineage,
+    set_op,
     set_p,
+    set_right,
     set_start,
 )
 from .window import LineageWindow
@@ -80,6 +87,9 @@ __all__ = [
 _OP_UNION, _OP_INTERSECT, _OP_EXCEPT = 0, 1, 2
 _OPCODES = {"union": _OP_UNION, "intersect": _OP_INTERSECT, "except": _OP_EXCEPT}
 _lineage_of = attrgetter("lineage")
+_lineage_slot_of = attrgetter("_lineage")  # None on a deferred row
+_left_of = attrgetter("_left")
+_right_of = attrgetter("_right")
 
 
 def tp_intersect(
@@ -221,10 +231,12 @@ def _fused_sweep(
     base variables — ``x``, ``x∨y``, ``x∧y``, ``x∧¬y`` with ``x is not
     y``, the one-occurrence forms of Theorem 1 — in the float order of
     the batch's own 1OF valuation, reading each variable from ``events``
-    (DESIGN.md §6.3).  Returns the tuples and those of them left at
+    (DESIGN.md §6.3); a two-variable window's tuple holds the two
+    variables and the operator, and builds its node on the first read of
+    ``lineage``.  Returns the tuples and those of them left at
     ``p=None`` for a batch: compound operands, self-operations' windows
     and variables missing from ``events``.  Without ``events`` every
-    tuple is lineage-only and none is pending.
+    tuple is lineage-only, built with its node, and none is pending.
     """
     nr, ns = len(tr), len(ts)
     ri = si = 0
@@ -303,9 +315,13 @@ def _fused_sweep(
             # Continuation: the new window is adjacent to the previous one.
             win_ts = prev_te
 
-        # Absorb cursor tuples that become valid exactly at winTs.
+        # Absorb cursor tuples that become valid exactly at winTs.  The
+        # lineage slot is read directly; only a deferred row of an
+        # earlier result (its slot None) goes through the property.
         if rt is not None and rt_fact == fact and rt_start == win_ts:
-            r_lam = rt.lineage
+            r_lam = rt._lineage
+            if r_lam is None:
+                r_lam = rt.lineage
             r_end = rt.end
             r_p = probability_of(r_lam.name) if type(r_lam) is Var else None
             ri += 1
@@ -316,7 +332,9 @@ def _fused_sweep(
             else:
                 rt = None
         if st is not None and st_fact == fact and st_start == win_ts:
-            s_lam = st.lineage
+            s_lam = st._lineage
+            if s_lam is None:
+                s_lam = st.lineage
             s_end = st.end
             s_p = probability_of(s_lam.name) if type(s_lam) is Var else None
             si += 1
@@ -348,8 +366,12 @@ def _fused_sweep(
         # land/lor/lnot and stays bit-identical to the reference path.
         # Two known probabilities over distinct variables (``r_lam is not
         # s_lam``: the node is 1OF) give ``p`` as the batch's _prob
-        # computes it; every other window keeps ``p = None``.
+        # computes it, and the row defers its node: it keeps the two
+        # variables and the operator, and its first ``lineage`` read
+        # interns ``x∨y`` / ``x∧y`` / ``x∧¬y`` (DESIGN.md §6.3).  Every
+        # other window keeps ``p = None``.
         p = None
+        defer = None
         if union:
             if r_lam is None:
                 lam = s_lam
@@ -358,7 +380,7 @@ def _fused_sweep(
                 lam = r_lam
                 p = r_p
             elif r_p is not None and s_p is not None and r_lam is not s_lam:
-                lam = Or((r_lam, s_lam))
+                defer = DEFER_OR
                 p = 1.0 - (1.0 - r_p) * (1.0 - s_p)
             elif type(r_lam) is Var and type(s_lam) is Var:
                 lam = Or((r_lam, s_lam))
@@ -368,7 +390,7 @@ def _fused_sweep(
             if r_lam is None or s_lam is None:
                 lam = None
             elif r_p is not None and s_p is not None and r_lam is not s_lam:
-                lam = And((r_lam, s_lam))
+                defer = DEFER_AND
                 p = r_p * s_p
             elif type(r_lam) is Var and type(s_lam) is Var:
                 lam = And((r_lam, s_lam))
@@ -380,7 +402,7 @@ def _fused_sweep(
             lam = r_lam
             p = r_p
         elif r_p is not None and s_p is not None and r_lam is not s_lam:
-            lam = And((r_lam, Not(s_lam)))
+            defer = DEFER_AND_NOT
             p = r_p * (1.0 - s_p)
         else:
             neg = Not(s_lam) if type(s_lam) is Var else lnot(s_lam)
@@ -389,7 +411,18 @@ def _fused_sweep(
             else:
                 lam = land(r_lam, neg)
 
-        if lam is not None:
+        if defer is not None:
+            t = new_object(TPTuple)
+            set_fact(t, fact)
+            set_lineage(t, None)
+            set_left(t, r_lam)
+            set_right(t, s_lam)
+            set_op(t, defer)
+            set_start(t, win_ts)
+            set_end(t, win_te)
+            set_p(t, p)
+            append(t)
+        elif lam is not None:
             t = new_object(TPTuple)
             set_fact(t, fact)
             set_lineage(t, lam)
@@ -490,10 +523,18 @@ def _finish(
     never changes (DESIGN.md §6.3).
 
     The valuation counters then read as one batch over all of ``out``
-    would have read them: its misses are the distinct lineages, the
-    pending batch's included, and its hits the repeats.  Two C-level set
-    builds count that, not a call per row; they run after the batch, so
-    a batch that raises counts nothing, as one over all rows would not.
+    would have read them: its misses are the distinct formulas, the
+    pending batch's included, and its hits the repeats.  A deferred row
+    (its ``_lineage`` slot ``None``) is counted by its operand pair, not
+    its node, so counting builds none: within one operation two deferred
+    rows share a formula exactly when they share the pair — a derived
+    operand can repeat one — and a deferred formula is no other row's
+    (those hold a variable, or a node over a compound operand, a
+    repeated variable or one ``events`` lacks; only a ⊤/⊥ operand
+    lineage, which no loader or operator builds, could fold into one).
+    C-level set builds count it, not a call per row, and the pair keys
+    are untracked integers; they run after the batch, so a batch that
+    raises counts nothing, as one over all rows would not.
     """
     if pending:
         fill_probabilities(
@@ -502,9 +543,18 @@ def _finish(
         )
     inline = len(out) - len(pending)
     if inline:
-        misses = len(set(map(_lineage_of, out)))
+        misses = len(set(filter(None, map(_lineage_slot_of, out))))
         if pending:
             misses -= len(set(map(_lineage_of, pending)))
+        deferred = list(filterfalse(_lineage_slot_of, out))
+        if deferred:
+            # A pair's key is ``id(left) << 64 | id(right)``: the rows
+            # keep both operands alive, and an int is not GC-tracked.
+            misses += len(set(map(
+                or_,
+                map(lshift, map(id, map(_left_of, deferred)), repeat(64)),
+                map(id, map(_right_of, deferred)),
+            )))
         record_valuations(misses, inline - misses)
 
 

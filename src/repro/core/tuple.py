@@ -12,14 +12,15 @@ lineage and the relation's event map.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import repeat
-from operator import lt
+from operator import attrgetter, lt
 from typing import Iterable, Optional, Sequence
 
-from ..lineage.formula import Lineage, Var
-from .errors import InvalidIntervalError
+from ..lineage.formula import And, Lineage, Not, Or, Var
+from .errors import InvalidIntervalError, InvalidProbabilityError
 from .interval import Interval
 from .schema import _ATOMIC_TYPES, Fact
 
@@ -38,10 +39,22 @@ __all__ = [
     "set_start",
     "set_end",
     "set_p",
+    "set_left",
+    "set_right",
+    "set_op",
+    "DEFER_OR",
+    "DEFER_AND",
+    "DEFER_AND_NOT",
 ]
 
+#: The operator of a deferred row (DESIGN.md §6.3): the fused
+#: set-operation kernel leaves a row's ``_lineage`` slot ``None`` and its
+#: first :attr:`TPTuple.lineage` read builds ``Or((l, r))``,
+#: ``And((l, r))`` or ``And((l, Not(r)))`` from the ``_left`` /
+#: ``_right`` operands and this code in ``_op``.
+DEFER_OR, DEFER_AND, DEFER_AND_NOT = 1, 2, 3
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+
 class TPTuple:
     """One tuple of a temporal-probabilistic relation.
 
@@ -63,16 +76,29 @@ class TPTuple:
     The constructor takes the interval as one value, and :attr:`interval`
     hands it back as an equal :class:`Interval` built on request.
 
+    Immutable, and compared and hashed by its five fields, with the
+    semantics of a frozen dataclass.  A set-operation row valued in the sweep may hold
+    its lineage as two operands and an operator instead of a node: the
+    first read of :attr:`lineage` interns the node and stores it, so
+    every read returns the same object, and equality, hashing, ``repr``,
+    pickling and copying read it like any other field.
+
     >>> t = TPTuple(("milk",), Var("a1"), Interval(2, 10), 0.3)
     >>> (t.start, t.end, t.interval)
     (2, 10, Interval(2, 10))
     """
 
+    __slots__ = ("fact", "_lineage", "start", "end", "p", "_left", "_right", "_op")
+    __match_args__ = ("fact", "lineage", "start", "end", "p")
+
     fact: Fact
-    lineage: Lineage
     start: int
     end: int
     p: Optional[float]
+    _lineage: Optional[Lineage]  # None on a deferred row until read
+    _left: Lineage
+    _right: Lineage
+    _op: int
 
     def __init__(
         self,
@@ -85,6 +111,50 @@ class TPTuple:
         set_lineage(self, lineage)
         set_start(self, interval.start)
         set_end(self, interval.end)
+        set_p(self, p)
+
+    @property
+    def lineage(self) -> Lineage:
+        """λ: the slot, or — on a deferred row's first read — the node
+        interned and stored by :func:`_deferred_lineage`.
+
+        A property, not ``__getattr__``: on CPython 3.11 a class with
+        ``__getattr__`` loses the specialized slot read for *every*
+        attribute (measured 2× per read), a tax on every ``t.start``.
+        """
+        lineage = self._lineage
+        if lineage is None:
+            lineage = _deferred_lineage(self)
+        return lineage
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.fact, self.lineage, self.start, self.end, self.p) == (
+                other.fact, other.lineage, other.start, other.end, other.p
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fact, self.lineage, self.start, self.end, self.p))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # Pickling and copying: the five fields as a list — the form the
+    # frozen dataclass wrote, so older pickles still load — restored
+    # through the slot writers, since ``__setattr__`` refuses every write.
+    def __getstate__(self) -> list:
+        return [self.fact, self.lineage, self.start, self.end, self.p]
+
+    def __setstate__(self, state: list) -> None:
+        fact, lineage, start, end, p = state
+        set_fact(self, fact)
+        set_lineage(self, lineage)
+        set_start(self, start)
+        set_end(self, end)
         set_p(self, p)
 
     @property
@@ -144,7 +214,7 @@ class TPTuple:
         return f"({fact_text}, {self.lineage}, {self.interval}, {p_text})"
 
 
-# Trusted construction (DESIGN.md §6.3): the frozen dataclasses' slots are
+# Trusted construction (DESIGN.md §6.3): the frozen classes' slots are
 # written through their member descriptors, skipping the per-field
 # ``object.__setattr__`` name lookup (and, for ``Interval``, its range
 # validation).  The descriptors are bound here and nowhere else (CI greps
@@ -153,15 +223,47 @@ class TPTuple:
 # :func:`tuples_from_rows`.  ``Interval``'s own writers stay private to
 # this module: only :attr:`TPTuple.interval` builds one.  A writer may
 # only touch an object no caller has seen yet — that is what keeps
-# published tuples immutable.
+# published tuples immutable.  The one exception is the first read of a
+# deferred row's lineage, which stores the node the row already stands
+# for: no reader can see a value change.
 new_object = object.__new__
 set_fact = TPTuple.fact.__set__  # type: ignore[attr-defined]
-set_lineage = TPTuple.lineage.__set__  # type: ignore[attr-defined]
+set_lineage = TPTuple._lineage.__set__  # type: ignore[attr-defined]
 set_start = TPTuple.start.__set__  # type: ignore[attr-defined]
 set_end = TPTuple.end.__set__  # type: ignore[attr-defined]
 set_p = TPTuple.p.__set__  # type: ignore[attr-defined]
+set_left = TPTuple._left.__set__  # type: ignore[attr-defined]
+set_right = TPTuple._right.__set__  # type: ignore[attr-defined]
+set_op = TPTuple._op.__set__  # type: ignore[attr-defined]
 _set_interval_start = Interval.start.__set__  # type: ignore[attr-defined]
 _set_interval_end = Interval.end.__set__  # type: ignore[attr-defined]
+_operands_of = attrgetter("_left", "_right", "_op")
+_deferred_build = threading.Lock()
+
+
+def _deferred_lineage(t: TPTuple) -> Lineage:
+    """Intern a deferred row's lineage node and store it in its slot.
+
+    The node comes from the interning constructors, so it is the object
+    every other route to the same formula returns.  The lock makes the
+    check-then-store one step: a thread that finds the slot filled
+    returns the node another thread stored, so every reader of one row
+    gets one object even when the interning itself races (DESIGN.md
+    §4.3).  Only first reads take it.
+    """
+    with _deferred_build:
+        lineage = t._lineage
+        if lineage is not None:
+            return lineage
+        left, right, op = _operands_of(t)
+        if op == DEFER_OR:
+            lineage = Or((left, right))
+        elif op == DEFER_AND:
+            lineage = And((left, right))
+        else:
+            lineage = And((left, Not(right)))
+        set_lineage(t, lineage)
+        return lineage
 
 
 def fill_probabilities(tuples: list[TPTuple], probs: Iterable[float]) -> None:
@@ -252,9 +354,10 @@ def base_tuples(
     lineage is the variable of the aligned identifier, and the same loop
     that writes the slots (DESIGN.md §6.3) checks the row — its width,
     that its fact values are atomic, that ``ts`` and ``te`` are integer
-    time points (:func:`time_point`), ``ts < te`` and ``0 < p ≤ 1`` — in
-    that order, raising on the first violation with the identifier of
-    the offending row.  Returns the tuples in row order and their event
+    time points (:func:`time_point`), ``ts < te`` and that ``p`` is a
+    number (not a ``bool`` or text) with ``0 < p ≤ 1`` — in that order,
+    raising on the first violation with the identifier of the offending
+    row.  Returns the tuples in row order and their event
     map ``{identifier: p}``.  Duplicate-freeness spans rows and is the
     relation's check (:meth:`repro.core.relation.TPRelation.from_rows`).
     """
@@ -284,9 +387,15 @@ def base_tuples(
                 f"row {identifier}: interval requires start < end, "
                 f"got [{start}, {end})"
             )
-        p = float(p)
+        if type(p) is not float:
+            if isinstance(p, (bool, str, bytes, bytearray)):
+                raise InvalidProbabilityError(
+                    f"row {identifier}: base-tuple probability {p!r} is a "
+                    f"{type(p).__name__}, not a number"
+                )
+            p = float(p)
         if not 0.0 < p <= 1.0:
-            raise ValueError(
+            raise InvalidProbabilityError(
                 f"row {identifier}: base-tuple probability must be in "
                 f"(0, 1], got {p}"
             )

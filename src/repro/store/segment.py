@@ -448,7 +448,7 @@ class SegmentStore:
                 (t,), _ = base_tuples(((*fact, start, end, p),), arity, (identifier,))
                 group.insert(t)
                 added.append(t)
-                new_events[identifier] = p
+                new_events[identifier] = t.p
         except Exception:
             # Roll back: the store must be exactly as before the batch.
             for t in added:
@@ -569,7 +569,8 @@ class SegmentStore:
                 f"{arity} fact values followed by ts, te, p"
             )
         start, end = _time_points(values, arity)
-        return make_fact(values[:arity]), start, end, float(values[arity + 2])
+        # ``p`` stays as given: base_tuples refuses a bool or text.
+        return make_fact(values[:arity]), start, end, values[arity + 2]
 
     def _mark_changed(
         self, inserted: Sequence[TPTuple], deleted: Sequence[TPTuple]

@@ -22,6 +22,7 @@ from repro import (
     DuplicateFactError,
     Interval,
     InvalidIntervalError,
+    InvalidProbabilityError,
     TPRelation,
     base_tuple,
 )
@@ -46,9 +47,11 @@ def reference(name: str, arity: int, rows: list) -> tuple[list[TPTuple], dict]:
             fact = make_fact(values[:arity])
             ts, te, p = values[arity:]
             interval = Interval(int(ts), int(te))
+            if isinstance(p, (bool, str, bytes, bytearray)):
+                raise InvalidProbabilityError
             p = float(p)
             if not 0.0 < p <= 1.0:
-                raise ValueError
+                raise InvalidProbabilityError
         except (TypeError, ValueError) as exc:
             raise type(exc)(identifier) from None
         tuples.append(TPTuple(fact, Var(identifier), interval, p))
@@ -273,3 +276,56 @@ def test_integral_time_points_load_as_before(ts, te):
     (t,) = db.relation("r")
     assert (t.fact, t.start, t.end) == (("b",), int(ts), int(te))
     assert type(t.start) is int and type(t.end) is int
+
+
+# ----------------------------------------------------------------------
+# a probability is a number: nothing is converted on the way in
+# ----------------------------------------------------------------------
+#: ``float()`` would once have loaded each of these (``True`` as 1.0).
+NOT_A_PROBABILITY = [True, False, "0.5", "1", b"0.5"]
+
+
+@pytest.mark.parametrize("value", NOT_A_PROBABILITY, ids=repr)
+class TestBoolAndTextProbabilitiesAreRefused:
+    def test_from_rows(self, value):
+        with pytest.raises(InvalidProbabilityError, match=r"\ba2\b.*probability") as raised:
+            TPRelation.from_rows("a", ("k",), [("a", 0, 3, 0.5), ("b", 0, 3, value)])
+        assert repr(value) in str(raised.value)
+
+    def test_create_relation(self, value):
+        db = TPDatabase()
+        with pytest.raises(InvalidProbabilityError, match="probability"):
+            db.create_relation("r", ("k",), [("a", 0, 3, value)])
+        assert "r" not in db.catalog
+
+    def test_apply(self, value):
+        db = TPDatabase()
+        db.create_relation("r", ("k",), [("a", 0, 3, 0.5)])
+        with pytest.raises(InvalidProbabilityError, match="probability"):
+            db.apply("r", inserts=[("b", 0, 3, value)])
+        assert [t.fact for t in db.relation("r")] == [("a",)]
+
+
+def test_a_served_bool_probability_is_refused():
+    from tests.test_serve_wire import served_lines
+
+    request = {
+        "op": "create", "relation": "c", "attributes": ["k"],
+        "rows": [["a", 0, 3, True]],
+    }
+    ((payload, _line),) = served_lines(TPDatabase(), [request])
+    assert payload["ok"] is False
+    assert payload["error"]["type"] == "InvalidProbabilityError"
+
+
+@pytest.mark.parametrize("p", [1.5, 0.0, -0.5, float("nan")], ids=repr)
+def test_an_out_of_range_probability_is_a_typed_value_error(p):
+    with pytest.raises(InvalidProbabilityError, match=r"\ba1\b.*\(0, 1\]") as raised:
+        TPRelation.from_rows("a", ("k",), [("a", 0, 3, p)])
+    assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize("p", [1, 0.5, 1.0])
+def test_numeric_probabilities_load_as_before(p):
+    relation = TPRelation.from_rows("a", ("k",), [("a", 0, 3, p)])
+    assert relation.events == {"a1": float(p)} and type(relation.events["a1"]) is float

@@ -53,26 +53,30 @@ from repro.query.parser import parse_query
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line
 
-#: Calls per output row.  Measured when set: 7.33, since the sweep
-#: values each base-variable window as it builds it (no batch over
-#: every row, no ``_prob`` call per distinct formula); ~12 % headroom.
-#: 9.03 while a batch valuated every row, 10.27 while a tuple held an
-#: ``Interval`` of its own, 12.17 while the sweep still emitted rows for
-#: a second pass to turn into tuples, 27.7 before tuples were built once
-#: and interning lost its Python-level weakref bookkeeping.
-CALLS_PER_ROW_CEILING = 8.2
+#: Calls per output row.  Measured when set: 3.10, since a row valued in
+#: the sweep builds no lineage node until its ``lineage`` is read (no
+#: ``Or``/``And``/``Not`` construction, no weak-reference callback when
+#: the result is dropped); ~12 % headroom.  7.33 while every such row
+#: interned its node, 9.03 while a batch valuated every row, 10.27 while
+#: a tuple held an ``Interval`` of its own, 12.17 while the sweep still
+#: emitted rows for a second pass to turn into tuples, 27.7 before
+#: tuples were built once and interning lost its Python-level weakref
+#: bookkeeping.
+CALLS_PER_ROW_CEILING = 3.5
 
 #: Collector runs per 1 000 output rows under ``ALLOCATION_THRESHOLDS``,
 #: and GC-tracked objects a result keeps alive per output row.  Measured
-#: when set: 4.22 and 3.00 (4.49 while a batch built a list of every
+#: when set: 1.41 and 1.00 (4.22 and 3.00 while every row valued in the
+#: sweep interned its node; 4.49 while a batch built a list of every
 #: row's lineage and a dict of the distinct ones; 5.45 and 3.68 while a
 #: tuple kept its interval in a separate ``Interval`` object; 7.65 and
 #: 4.57 with an intermediate row, an ``Interval`` per window and a
-#: ``var_set`` per lineage node).  What is left per row — children
-#: tuple, node, its weak reference and the ``TPTuple`` — is the object
-#: design itself (DESIGN.md §6.3).
-COLLECTIONS_PER_1000_ROWS_CEILING = 4.7
-RETAINED_PER_ROW_CEILING = 3.3
+#: ``var_set`` per lineage node).  What is left per row is the
+#: ``TPTuple`` alone: a window over two base variables keeps its two
+#: ``Var`` operands, which the input relations hold anyway, until
+#: someone reads its lineage (DESIGN.md §6.3).
+COLLECTIONS_PER_1000_ROWS_CEILING = 1.6
+RETAINED_PER_ROW_CEILING = 1.12
 ALLOCATION_THRESHOLDS = (700, 10, 10)  # CPython's defaults, pinned
 
 #: GC-tracked objects per output row still alive once the results are
@@ -146,8 +150,10 @@ def test_calls_per_output_row_stay_under_the_ceiling():
     assert calls[("py", "TPTuple.with_probability")] == 0
     assert calls[("py", dataclasses.replace.__qualname__)] == 0
     # Every window over two base relations is valued where it is built:
-    # nothing is left for the batch's 1OF walk.
+    # nothing is left for the batch's 1OF walk …
     assert calls[("py", "_prob")] == 0
+    # … and none of them builds its lineage node: nobody has read it.
+    assert calls[("py", "Or.__new__")] == calls[("py", "And.__new__")] == 0
 
     repeat_calls, _ = count_calls(run)
     # Warm repeats only save work (cached sort order) …
