@@ -1,8 +1,9 @@
 """Shared dataset fixtures for the pytest-benchmark suite.
 
 Datasets are generated once per session and shared across benchmarks;
-sizes are laptop-scale stand-ins for the paper's sweeps (the mapping is
-documented in EXPERIMENTS.md).  Set the environment variable
+sizes are laptop-scale stand-ins for the paper's sweeps (the paper's own
+sizes are ``repro.bench.figures.PAPER_SIZES``; README.md shows how to
+run the figure drivers).  Set the environment variable
 ``REPRO_BENCH_SCALE`` to a float to grow or shrink every dataset.
 """
 

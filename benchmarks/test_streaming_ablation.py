@@ -1,10 +1,12 @@
 """Ablation: materialized vs streaming (constant-space) set operations.
 
 Section VI-B claims constant space for the operator pipeline; the
-streaming variants realize it.  This benchmark compares the in-memory
-operators against the iterator pipeline on the same inputs — the
-throughput difference is the cost of Python generator plumbing, not of
-the algorithm.
+streaming variants realize it.  Both sides run the same kernel,
+``repro.core.setops.sweep_chunks``: the in-memory operators hand it one
+chunk per side, the streams one tuple per chunk through their order
+check.  The throughput difference is the cost of that per-tuple
+plumbing (a checked generator, a 1-tuple per row, a flush and a pull
+per input tuple), not of the algorithm.
 """
 
 from __future__ import annotations

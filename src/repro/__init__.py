@@ -55,6 +55,7 @@ from .core import (
     Fact,
     Interval,
     InvalidIntervalError,
+    InvalidFactError,
     InvalidProbabilityError,
     LawaSweep,
     LineageWindow,
@@ -66,6 +67,7 @@ from .core import (
     TPTuple,
     UnknownRelationError,
     UnknownVariableError,
+    UnsortedInputError,
     UnsupportedOperationError,
     ValuationError,
     allen_relation,
@@ -143,6 +145,7 @@ __all__ = [
     "Fact",
     "Interval",
     "InvalidIntervalError",
+    "InvalidFactError",
     "InvalidProbabilityError",
     "LawaSweep",
     "Lineage",
@@ -158,6 +161,7 @@ __all__ = [
     "TPTuple",
     "UnknownRelationError",
     "UnknownVariableError",
+    "UnsortedInputError",
     "UnsupportedOperationError",
     "ValuationError",
     "Var",

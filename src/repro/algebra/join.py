@@ -48,7 +48,8 @@ from ..core.gtwindow import (
 )
 from ..core.relation import TPRelation
 from ..core.schema import Fact, TPSchema
-from ..core.setops import tp_union
+from ..core.setops import sweep_rows
+from ..core.sorting import null_safe_key
 from ..core.tuple import TPTuple, tuples_from_rows
 from ..lineage.formula import Lineage, land, lnot, lor
 from ..prob.valuation import ProbabilityOptions, probability_batch
@@ -60,6 +61,8 @@ __all__ = [
     "JoinLayout",
     "join_layout",
     "join_layout_from_schemas",
+    "group_emits",
+    "join_group",
     "join_group_rows",
     "merge_fact_overlaps",
     "preserved_lineage",
@@ -370,36 +373,17 @@ def _generalized_join(
     events = r.merged_events(s)
 
     policy = WINDOW_POLICIES[kind]
-    do_matches = policy.matches
-    preserve_left = policy.preserve_left
-    preserve_right = policy.preserve_right
-    carried: list[TPTuple] = []
-
-    # Degenerate collapses (see module docstring / DESIGN.md §8.4).
-    # They merge matched with preserved output, so they only apply to
-    # policies that emit matches — never to the anti join, whose negated
-    # lineage must survive even when the layouts coincide.
-    if (
-        do_matches
-        and preserve_left
-        and layout.s_degenerate
-        and preserve_right
-        and layout.r_degenerate
-    ):
-        return _degenerate_full_outer(name, layout, r, s, events, materialize, options)
-    if do_matches and preserve_left and layout.s_degenerate:
-        # Matched and preserved-left facts coincide; lineages merge to λr.
-        carried.extend(r.tuples)
-        do_matches = preserve_left = False
-    if policy.matches and preserve_right and layout.r_degenerate:
-        # Mirror: the right side collapses to its key-ordered projection.
-        carried.extend(u.with_fact(layout.right_fact(u.fact)) for u in s)
-        do_matches = preserve_right = False
-
+    r_groups = _group_by_key(r.sorted_tuples(), layout.r_key_idx)
+    s_groups = _group_by_key(s.sorted_tuples(), layout.s_key_idx)
+    empty: tuple[TPTuple, ...] = ()
     rows: list = []
-    if do_matches or preserve_left or preserve_right:
-        sweep_policy = WindowPolicy(do_matches, preserve_left, preserve_right)
-        rows = _sweep_rows(layout, r, s, sweep_policy)
+    carried: list[TPTuple] = []
+    for key in {**r_groups, **s_groups}:
+        group_rows, group_carried = join_group(
+            layout, policy, r_groups.get(key, empty), s_groups.get(key, empty)
+        )
+        rows += group_rows
+        carried += group_carried
 
     probs = None
     if materialize:
@@ -508,31 +492,67 @@ def _merge_cluster(fact: Fact, run: list[TPTuple]) -> list[TPTuple]:
     return tuples_from_rows((fact, lam, lo, hi) for lo, hi, lam in segments)
 
 
-def _sweep_rows(
-    layout: JoinLayout, r: TPRelation, s: TPRelation, policy: WindowPolicy
-) -> list:
-    """Partition on the join key, sweep each group, assemble output rows."""
-    r_groups = _group_by_key(r.sorted_tuples(), layout.r_key_idx)
-    s_groups = _group_by_key(s.sorted_tuples(), layout.s_key_idx)
+def group_emits(policy: WindowPolicy, has_left: bool, has_right: bool) -> bool:
+    """Can a join-key group with tuples on these sides emit anything?
 
-    if policy.preserve_left and policy.preserve_right:
-        keys = list(r_groups) + [k for k in s_groups if k not in r_groups]
-    elif policy.preserve_left:
-        keys = list(r_groups)
-    elif policy.preserve_right:
-        keys = list(s_groups)
-    else:  # matches only: other groups cannot contribute
-        keys = [k for k in r_groups if k in s_groups]
+    A match needs both sides, a preserved side its own; sweeping any
+    other group is provably empty work, which the batch driver and the
+    view maintenance of :mod:`repro.store` both skip."""
+    return (
+        (policy.preserve_left and has_left)
+        or (policy.preserve_right and has_right)
+        or (policy.matches and has_left and has_right)
+    )
 
-    empty: tuple[TPTuple, ...] = ()
-    rows = []
-    for key in keys:
-        rows.extend(
-            join_group_rows(
-                layout, policy, r_groups.get(key, empty), s_groups.get(key, empty)
-            )
-        )
-    return rows
+
+def join_group(
+    layout: JoinLayout,
+    policy: WindowPolicy,
+    group_l: Sequence[TPTuple],
+    group_s: Sequence[TPTuple],
+) -> tuple[list, list[TPTuple]]:
+    """One join-key group's output: the rows ``(fact, λ, winTs, winTe)``
+    its sweep builds, and the tuples it carries through unswept.
+
+    The one group step of the batch driver and of the incremental view
+    maintenance of :mod:`repro.store`, which re-runs it over dirty
+    regions.  ``group_l`` / ``group_s`` are the group's tuples in their
+    relations' ``(F, Ts)`` order.  Degenerate layouts collapse here
+    (DESIGN.md §8.4), and only for policies that emit matches — never
+    for the anti join, whose negated lineage must survive even when the
+    layouts coincide:
+
+    * a key-only right side makes matched and preserved-left facts
+      coincide, and their lineages merge to the left tuple's own: the
+      left tuples are carried;
+    * mirrored, a key-only left side carries the right tuples under
+      their key-ordered projection;
+    * both key-only, a full outer join is the TP union of the key
+      projections, which the set-operation kernel sweeps.
+    """
+    if not group_emits(policy, bool(group_l), bool(group_s)):
+        return [], []
+    sweep = policy
+    carried: list[TPTuple] = []
+    if policy.matches:
+        s_collapse = policy.preserve_left and layout.s_degenerate
+        r_collapse = policy.preserve_right and layout.r_degenerate
+        if s_collapse and r_collapse:
+            projected = [u.with_fact(layout.right_fact(u.fact)) for u in group_s]
+            # The projection may reorder key columns, and null-padded
+            # facts (the operand may itself be an outer join) only sort
+            # in the null-safe order.
+            projected.sort(key=null_safe_key)
+            return [], sweep_rows(group_l, projected, "union")
+        if s_collapse:
+            carried += group_l
+            sweep = WindowPolicy(False, False, policy.preserve_right)
+        elif r_collapse:
+            carried += [u.with_fact(layout.right_fact(u.fact)) for u in group_s]
+            sweep = WindowPolicy(False, policy.preserve_left, False)
+    if not (sweep.matches or sweep.preserve_left or sweep.preserve_right):
+        return [], carried
+    return join_group_rows(layout, sweep, group_l, group_s), carried
 
 
 def join_group_rows(
@@ -541,13 +561,12 @@ def join_group_rows(
     group_l: Sequence[TPTuple],
     group_s: Sequence[TPTuple],
 ) -> list:
-    """Sweep one join-key group and assemble output rows.
+    """Sweep one join-key group under ``policy`` and assemble its rows
+    ``(fact, λ, winTs, winTe)`` — the sweep half of :func:`join_group`,
+    which decides the policy a group is swept under.
 
     ``group_l`` / ``group_s`` are the group's tuples in their relations'
-    ``(F, Ts)`` order.  Like :func:`repro.core.setops.sweep_rows`, this
-    is the per-group seam the incremental view maintenance re-sweeps
-    dirty regions through: returned rows ``(fact, λ, winTs, winTe)`` are
-    exactly what :func:`tp_join_operation` emits before materialization.
+    ``(F, Ts)`` order.
     """
     matched_fact = layout.matched_fact
     left_fact = layout.left_fact
@@ -593,27 +612,3 @@ def _group_by_key(
     for u in tuples_sorted:
         groups.setdefault(tuple(u.fact[i] for i in key_idx), []).append(u)
     return groups
-
-
-def _degenerate_full_outer(
-    name: str,
-    layout: JoinLayout,
-    r: TPRelation,
-    s: TPRelation,
-    events,
-    materialize: bool,
-    options: Optional[ProbabilityOptions],
-) -> TPRelation:
-    """Full outer join of two key-only relations ≡ TP union of the key
-    projections — delegated to the fused LAWA kernel."""
-    projected = [u.with_fact(layout.right_fact(u.fact)) for u in s]
-    # The projection may reorder key columns, and null-padded facts (the
-    # operand may itself be an outer join) only sort in the null-safe order.
-    _sort_output(projected)
-    s_projected = TPRelation._derived(
-        s.name, layout.out_schema, projected, s.events, assume_sorted=True
-    )
-    union = tp_union(r, s_projected, materialize=materialize, options=options)
-    return TPRelation._derived(
-        name, layout.out_schema, union.tuples, events, assume_sorted=True
-    )

@@ -3,8 +3,8 @@
 Every driver returns a :class:`~repro.bench.runner.SeriesResult` with the
 same series the corresponding figure plots.  Dataset sizes default to
 laptop-scale (pure Python vs. the authors' C++/PostgreSQL testbed); the
-paper's original sizes are recorded in ``PAPER_SIZES`` and the mapping is
-documented in EXPERIMENTS.md.  Pass ``sizes=`` explicitly to run larger
+paper's original sizes are recorded in ``PAPER_SIZES``, and README.md
+shows how to run the drivers.  Pass ``sizes=`` explicitly to run larger
 sweeps.
 
 Figure inventory (paper → driver):
@@ -42,7 +42,7 @@ __all__ = [
     "sample_relation",
 ]
 
-#: The paper's sweep points, for the record (EXPERIMENTS.md maps them).
+#: The paper's sweep points, for the record.
 PAPER_SIZES = {
     "fig7": [20_000 * i for i in range(1, 11)],        # 20K … 200K
     "fig8": [5_000_000 * i for i in (1, 2, 4, 6, 10)],  # 5M … 50M

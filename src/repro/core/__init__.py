@@ -4,12 +4,14 @@ from .coalesce import coalesce, is_coalesced
 from .errors import (
     DuplicateFactError,
     InvalidIntervalError,
+    InvalidFactError,
     InvalidProbabilityError,
     QueryParseError,
     SchemaMismatchError,
     TPError,
     UnknownRelationError,
     UnknownVariableError,
+    UnsortedInputError,
     UnsupportedOperationError,
     ValuationError,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "Fact",
     "Interval",
     "InvalidIntervalError",
+    "InvalidFactError",
     "InvalidProbabilityError",
     "LawaSweep",
     "LineageWindow",
@@ -60,6 +63,7 @@ __all__ = [
     "TPTuple",
     "UnknownRelationError",
     "UnknownVariableError",
+    "UnsortedInputError",
     "UnsupportedOperationError",
     "ValuationError",
     "allen_relation",

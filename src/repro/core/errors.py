@@ -11,7 +11,9 @@ __all__ = [
     "TPError",
     "InvalidIntervalError",
     "InvalidProbabilityError",
+    "InvalidFactError",
     "DuplicateFactError",
+    "UnsortedInputError",
     "SchemaMismatchError",
     "UnknownRelationError",
     "UnknownVariableError",
@@ -35,12 +37,22 @@ class InvalidProbabilityError(TPError, ValueError):
     range, NaN, or a ``bool`` or text that ``float()`` would convert."""
 
 
+class InvalidFactError(TPError, ValueError):
+    """A base tuple's fact holds a value unequal to itself (NaN), so no
+    duplicate-freeness check could ever match its fact."""
+
+
 class DuplicateFactError(TPError, ValueError):
     """A relation violates duplicate-freeness.
 
     A temporal-probabilistic relation is duplicate-free iff no two tuples
     share a fact over overlapping time intervals (paper, Section III).
     """
+
+
+class UnsortedInputError(TPError, ValueError):
+    """A stream handed to a streaming set operation is not sorted by
+    ``(F, Ts)``."""
 
 
 class SchemaMismatchError(TPError, ValueError):

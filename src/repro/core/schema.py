@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SchemaMismatchError
+from .errors import InvalidFactError, SchemaMismatchError
 
 __all__ = ["TPSchema", "Fact", "make_fact", "coerce_value"]
 
@@ -93,12 +93,19 @@ def make_fact(values: Sequence[object]) -> Fact:
     """Build a fact from attribute values, validating hashable atoms.
 
     Restricting fact components to atomic immutable types keeps facts
-    hashable (group-by) and mutually orderable within a relation (sort).
+    hashable (group-by) and mutually orderable within a relation (sort);
+    refusing NaN keeps every fact equal to itself (duplicate checks,
+    store lookups).
     """
     fact = tuple(values)
     for value in fact:
         if not isinstance(value, _ATOMIC_TYPES):
             raise TypeError(
                 f"fact component {value!r} is not an atomic immutable value"
+            )
+        if value != value:
+            raise InvalidFactError(
+                f"fact component {value!r} is unequal to itself, so no "
+                "duplicate check could match its fact"
             )
     return fact

@@ -26,7 +26,9 @@ with only the last step valuating.
 Two execution paths produce bit-identical results (pinned by
 ``tests/test_setops_fused.py``):
 
-* the **fused kernel** (default, DESIGN.md §6) runs sort → LAWA →
+* the **fused kernel** (default, DESIGN.md §6), :func:`sweep_chunks`,
+  the one set-operation sweep (the streams of
+  :mod:`repro.algebra.streaming` run it too), runs sort → LAWA →
   λ-filter → λ-concat → tuple construction → valuation as one loop over
   plain local state — no per-window
   :class:`~repro.core.window.LineageWindow` allocation, no intermediate
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from itertools import filterfalse, repeat
 from operator import attrgetter, lshift, or_
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
@@ -54,7 +56,7 @@ from ..prob.valuation import ProbabilityOptions, probability_batch, record_valua
 from .errors import UnsupportedOperationError
 from .lawa import LawaSweep
 from .relation import TPRelation
-from .sorting import fact_lt, sort_tuples
+from .sorting import fact_lt
 from .tuple import (
     DEFER_AND,
     DEFER_AND_NOT,
@@ -81,11 +83,11 @@ __all__ = [
     "multi_union",
     "multi_intersect",
     "sweep_rows",
+    "sweep_chunks",
     "OPERATIONS",
 ]
 
-_OP_UNION, _OP_INTERSECT, _OP_EXCEPT = 0, 1, 2
-_OPCODES = {"union": _OP_UNION, "intersect": _OP_INTERSECT, "except": _OP_EXCEPT}
+_SYMBOLS = {"union": "∪", "intersect": "∩", "except": "−"}
 _lineage_of = attrgetter("lineage")
 _lineage_slot_of = attrgetter("_lineage")  # None on a deferred row
 _left_of = attrgetter("_left")
@@ -97,7 +99,6 @@ def tp_intersect(
     s: TPRelation,
     *,
     materialize: bool = True,
-    sort_strategy: str = "comparison",
     fused: bool = True,
     options: Optional[ProbabilityOptions] = None,
 ) -> TPRelation:
@@ -107,7 +108,7 @@ def tp_intersect(
     valid over it (λr ≠ null ∧ λs ≠ null); the output lineage is
     ``and(λr, λs)``.
     """
-    return _dispatch(_OP_INTERSECT, "∩", r, s, materialize, sort_strategy, fused, options)
+    return _dispatch("intersect", r, s, materialize, fused, options)
 
 
 def tp_union(
@@ -115,7 +116,6 @@ def tp_union(
     s: TPRelation,
     *,
     materialize: bool = True,
-    sort_strategy: str = "comparison",
     fused: bool = True,
     options: Optional[ProbabilityOptions] = None,
 ) -> TPRelation:
@@ -124,7 +124,7 @@ def tp_union(
     Every window yields an output tuple (by construction at least one side
     is valid); the output lineage is ``or(λr, λs)``.
     """
-    return _dispatch(_OP_UNION, "∪", r, s, materialize, sort_strategy, fused, options)
+    return _dispatch("union", r, s, materialize, fused, options)
 
 
 def tp_except(
@@ -132,7 +132,6 @@ def tp_except(
     s: TPRelation,
     *,
     materialize: bool = True,
-    sort_strategy: str = "comparison",
     fused: bool = True,
     options: Optional[ProbabilityOptions] = None,
 ) -> TPRelation:
@@ -144,7 +143,7 @@ def tp_except(
     probabilistic dimension keeps such tuples with reduced probability,
     unlike purely temporal difference).
     """
-    return _dispatch(_OP_EXCEPT, "−", r, s, materialize, sort_strategy, fused, options)
+    return _dispatch("except", r, s, materialize, fused, options)
 
 
 def multi_union(*relations: TPRelation, materialize: bool = True) -> TPRelation:
@@ -172,52 +171,78 @@ def _fold(
 
 
 def _dispatch(
-    opcode: int,
-    symbol: str,
+    op: str,
     r: TPRelation,
     s: TPRelation,
     materialize: bool,
-    sort_strategy: str,
     fused: bool,
     options: Optional[ProbabilityOptions],
 ) -> TPRelation:
     r.schema.check_compatible(s.schema)
-    r_sorted = _sorted_input(r, sort_strategy)
-    s_sorted = _sorted_input(s, sort_strategy)
+    # Cached on the relation; set-operation outputs carry their
+    # sortedness flag, so chained operations never re-sort.
+    r_sorted = r.sorted_tuples()
+    s_sorted = s.sorted_tuples()
     events = r.merged_events(s)
     if fused:
         out, pending = _fused_sweep(
-            r_sorted, s_sorted, opcode, events if materialize else None
+            r_sorted, s_sorted, op, events if materialize else None
         )
     else:
         # The reference path leaves every row to the batch.
-        out = pending = _unfused_sweep(r_sorted, s_sorted, opcode)
+        out = pending = _unfused_sweep(r_sorted, s_sorted, op)
     if materialize:
         _finish(out, pending, events, options)
     return TPRelation._derived(
-        f"({r.name} {symbol} {s.name})", r.schema, out, events, assume_sorted=True
+        f"({r.name} {_SYMBOLS[op]} {s.name})", r.schema, out, events, assume_sorted=True
     )
-
-
-def _sorted_input(rel: TPRelation, sort_strategy: str) -> list[TPTuple]:
-    if sort_strategy == "comparison":
-        # Cached on the relation; set-operation outputs carry their
-        # sortedness flag, so chained operations never re-sort.
-        return rel.sorted_tuples()
-    return sort_tuples(rel.tuples, strategy=sort_strategy)
 
 
 # ----------------------------------------------------------------------
 # the fused kernel
 # ----------------------------------------------------------------------
 def _fused_sweep(
-    tr: list[TPTuple],
-    ts: list[TPTuple],
-    opcode: int,
+    tr: Sequence[TPTuple],
+    ts: Sequence[TPTuple],
+    op: str,
     events: Optional[Mapping[str, float]] = None,
 ) -> tuple[list[TPTuple], list[TPTuple]]:
+    """The kernel over two in-memory runs, one chunk each: the tuples it
+    builds and those of them left for a batch, concatenated from its
+    flushes (at most three: one per side's end, one at the end)."""
+    out: Optional[list[TPTuple]] = None
+    for more, more_pending in sweep_chunks(iter((tr,)), iter((ts,)), op, events):
+        if out is None:
+            out, pending = more, more_pending
+        else:
+            out += more
+            pending += more_pending
+    if out is None:
+        return [], []
+    return out, pending
+
+
+def sweep_chunks(
+    r_chunks: Iterator[Sequence[TPTuple]],
+    s_chunks: Iterator[Sequence[TPTuple]],
+    op: str,
+    events: Optional[Mapping[str, float]] = None,
+) -> Iterator[tuple[list[TPTuple], list[TPTuple]]]:
     """sort → LAWA → λ-filter → λ-concat → tuple → ``p`` in one loop
-    (DESIGN.md §6).
+    (DESIGN.md §6) — the one set-operation sweep of the engine.
+
+    Each side is an iterator of *chunks*: sequences of tuples which,
+    read one after the other, form that side's ``(F, Ts)``-sorted,
+    duplicate-free run.  The in-memory operators pass one chunk per side
+    (the relation's sorted list), the streams of
+    :mod:`repro.algebra.streaming` one tuple per chunk.  Inside a chunk
+    the cursor is a plain index; when a side's chunk runs out the kernel
+    first yields ``(out, pending)`` built so far (when it built any),
+    then pulls that side's next chunk — so a stream gets every row as
+    soon as the inputs decide it, and reads each input at most one tuple
+    past the point where the operation's termination rule stops the
+    sweep (DESIGN.md §3.1).  The kernel trusts the order of its inputs;
+    the streams check theirs.
 
     Semantically identical to driving :class:`LawaSweep` step by step; the
     sweep state lives in local variables (cursor tuple, its fact and start
@@ -233,12 +258,27 @@ def _fused_sweep(
     the batch's own 1OF valuation, reading each variable from ``events``
     (DESIGN.md §6.3); a two-variable window's tuple holds the two
     variables and the operator, and builds its node on the first read of
-    ``lineage``.  Returns the tuples and those of them left at
-    ``p=None`` for a batch: compound operands, self-operations' windows
-    and variables missing from ``events``.  Without ``events`` every
-    tuple is lineage-only, built with its node, and none is pending.
+    ``lineage``.  ``pending`` holds the tuples left at ``p=None`` for a
+    batch: compound operands, self-operations' windows and variables
+    missing from ``events``.  Without ``events`` every tuple is
+    lineage-only, built with its node, and none is pending.
     """
-    nr, ns = len(tr), len(ts)
+    if op not in _SYMBOLS:
+        raise UnsupportedOperationError(f"unknown TP set operation {op!r}")
+    # A side's next chunk is its next non-empty one; ``()`` once the
+    # side is exhausted.
+    for tr in r_chunks:
+        if tr:
+            break
+    else:
+        tr = ()
+    nr = len(tr)
+    for ts in s_chunks:
+        if ts:
+            break
+    else:
+        ts = ()
+    ns = len(ts)
     ri = si = 0
     if nr:
         rt = tr[0]
@@ -273,9 +313,9 @@ def _fused_sweep(
     pend = pending.append
     valuate = events is not None
     probability_of = events.get if events is not None else {}.get
-    union = opcode == _OP_UNION
-    intersect = opcode == _OP_INTERSECT
-    diff = opcode == _OP_EXCEPT
+    union = op == "union"
+    intersect = op == "intersect"
+    diff = op == "except"
 
     while True:
         # Early termination (corrected rules, DESIGN.md §3): a side is
@@ -330,7 +370,26 @@ def _fused_sweep(
                 rt_fact = rt.fact
                 rt_start = rt.start
             else:
-                rt = None
+                # Flush before the pull (DESIGN.md §6).
+                if out:
+                    yield out, pending
+                    out = []
+                    append = out.append
+                    pending = []
+                    pend = pending.append
+                for tr in r_chunks:
+                    if tr:
+                        break
+                else:
+                    tr = ()
+                nr = len(tr)
+                ri = 0
+                if nr:
+                    rt = tr[0]
+                    rt_fact = rt.fact
+                    rt_start = rt.start
+                else:
+                    rt = None
         if st is not None and st_fact == fact and st_start == win_ts:
             s_lam = st._lineage
             if s_lam is None:
@@ -343,7 +402,25 @@ def _fused_sweep(
                 st_fact = st.fact
                 st_start = st.start
             else:
-                st = None
+                if out:
+                    yield out, pending
+                    out = []
+                    append = out.append
+                    pending = []
+                    pend = pending.append
+                for ts in s_chunks:
+                    if ts:
+                        break
+                else:
+                    ts = ()
+                ns = len(ts)
+                si = 0
+                if ns:
+                    st = ts[0]
+                    st_fact = st.fact
+                    st_start = st.start
+                else:
+                    st = None
 
         # winTe: the earliest among end points of the valid tuples and
         # start points of upcoming same-fact tuples.
@@ -440,7 +517,8 @@ def _fused_sweep(
             s_lam = None
         prev_te = win_te
 
-    return out, pending
+    if out:
+        yield out, pending
 
 
 def sweep_rows(
@@ -457,29 +535,25 @@ def sweep_rows(
     before valuation, so splicing a re-swept region into a cached result
     is lineage-identical to a full recompute.
     """
-    try:
-        opcode = _OPCODES[op]
-    except KeyError as exc:
-        raise UnsupportedOperationError(f"unknown TP set operation {op!r}") from exc
-    return _fused_sweep(tr, ts, opcode)[0]
+    return _fused_sweep(tr, ts, op)[0]
 
 
 # ----------------------------------------------------------------------
 # the unfused reference path (paper-shaped, window objects and all)
 # ----------------------------------------------------------------------
 def _unfused_sweep(
-    r_sorted: list[TPTuple], s_sorted: list[TPTuple], opcode: int
+    r_sorted: list[TPTuple], s_sorted: list[TPTuple], op: str
 ) -> list[TPTuple]:
     sweep = LawaSweep(r_sorted, s_sorted)
     out: list[TPTuple] = []
-    if opcode == _OP_UNION:
+    if op == "union":
         while True:
             window = sweep.advance()
             if window is None:
                 break
             if window.lam_r is not None or window.lam_s is not None:
                 out.append(_tuple(window, concat_or(window.lam_r, window.lam_s)))
-    elif opcode == _OP_INTERSECT:
+    elif op == "intersect":
         while not (sweep.r_exhausted or sweep.s_exhausted):
             window = sweep.advance()
             if window is None:
@@ -572,7 +646,6 @@ def tp_set_operation(
     s: TPRelation,
     *,
     materialize: bool = True,
-    sort_strategy: str = "comparison",
     fused: bool = True,
     options: Optional[ProbabilityOptions] = None,
 ) -> TPRelation:
@@ -585,7 +658,6 @@ def tp_set_operation(
         r,
         s,
         materialize=materialize,
-        sort_strategy=sort_strategy,
         fused=fused,
         options=options,
     )

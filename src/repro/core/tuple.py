@@ -20,7 +20,7 @@ from operator import attrgetter, lt
 from typing import Iterable, Optional, Sequence
 
 from ..lineage.formula import And, Lineage, Not, Or, Var
-from .errors import InvalidIntervalError, InvalidProbabilityError
+from .errors import InvalidFactError, InvalidIntervalError, InvalidProbabilityError
 from .interval import Interval
 from .schema import _ATOMIC_TYPES, Fact
 
@@ -353,11 +353,11 @@ def base_tuples(
     The validated batch front door for base relations: each row's tuple
     lineage is the variable of the aligned identifier, and the same loop
     that writes the slots (DESIGN.md §6.3) checks the row — its width,
-    that its fact values are atomic, that ``ts`` and ``te`` are integer
-    time points (:func:`time_point`), ``ts < te`` and that ``p`` is a
-    number (not a ``bool`` or text) with ``0 < p ≤ 1`` — in that order,
-    raising on the first violation with the identifier of the offending
-    row.  Returns the tuples in row order and their event
+    that its fact values are atomic and equal to themselves (not NaN),
+    that ``ts`` and ``te`` are integer time points (:func:`time_point`),
+    ``ts < te`` and that ``p`` is a number (not a ``bool`` or text) with
+    ``0 < p ≤ 1`` — in that order, raising on the first violation with
+    the identifier of the offending row.  Returns the tuples in row order and their event
     map ``{identifier: p}``.  Duplicate-freeness spans rows and is the
     relation's check (:meth:`repro.core.relation.TPRelation.from_rows`).
     """
@@ -377,6 +377,11 @@ def base_tuples(
                 raise TypeError(
                     f"row {identifier}: fact component {value!r} is not an "
                     "atomic immutable value"
+                )
+            if value != value:
+                raise InvalidFactError(
+                    f"row {identifier}: fact component {value!r} is unequal "
+                    "to itself, so no duplicate check could match its fact"
                 )
         start, end, p = row[arity:]
         if type(start) is not int or type(end) is not int:

@@ -39,10 +39,10 @@ Design notes
   values.
 * Interning is per-process.  Pickling round-trips through
   :meth:`__reduce__`, which rebuilds (and thereby re-interns) nodes, so
-  identity equality survives serialization.  Construction is not guarded
-  by a lock: under free-threaded interpreters a race can momentarily
-  produce a duplicate node, of which exactly one wins the table — the
-  CPython GIL makes this a non-issue today (DESIGN.md §4.3).
+  identity equality survives serialization.  A new node enters its
+  table by ``setdefault``, an atomic insert-if-absent under the GIL, so
+  of two threads building one formula at once the second gets the
+  first's node; replacing a dead entry takes a lock (DESIGN.md §4.3).
 * ``Top`` and ``Bottom`` (true/false) never appear in lineage attached to
   tuples; they exist for the restriction step of Shannon expansion in
   :mod:`repro.prob`.
@@ -50,6 +50,7 @@ Design notes
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Mapping
 
@@ -92,6 +93,12 @@ class _NodeRef(weakref.ref):
     key: object
 
 
+#: Guards the two table writes that read before they write: a dead
+#: reference's removal and its replacement by a new node.  Reentrant, as
+#: a node may die (and its callback run) on the thread that holds it.
+_TABLE_LOCK = threading.RLock()
+
+
 def _intern_table() -> tuple[dict, Callable[[_NodeRef], None]]:
     """A fresh intern table and the removal callback of its references."""
     table: dict = {}
@@ -101,10 +108,24 @@ def _intern_table() -> tuple[dict, Callable[[_NodeRef], None]]:
         # under the same key after its predecessor died owns the entry
         # now, and the dead reference's late callback must not evict it.
         key = ref.key
-        if table.get(key) is ref:
-            del table[key]
+        with _TABLE_LOCK:
+            if table.get(key) is ref:
+                del table[key]
 
     return table, drop
+
+
+def _settle(table: dict, ref: _NodeRef) -> "Lineage":
+    """The node interned under ``ref.key`` once ``setdefault`` found the
+    key taken: the live winner of a race, or, over a dead predecessor
+    whose callback has not run yet, ``ref``'s own node."""
+    with _TABLE_LOCK:
+        current = table.get(ref.key)
+        node = current() if current is not None else None
+        if node is None:
+            table[ref.key] = ref
+            node = ref()
+    return node
 
 
 # Per-class intern tables: key -> weak reference to the canonical node.
@@ -219,7 +240,8 @@ class Var(Lineage):
         self._occ = None
         ref = _NodeRef(self, _drop_var)
         ref.key = name
-        _INTERN_VAR[name] = ref
+        if _INTERN_VAR.setdefault(name, ref) is not ref:
+            return _settle(_INTERN_VAR, ref)
         return self
 
     def _compute_occ(self) -> Dict[str, int]:
@@ -257,7 +279,8 @@ class Not(Lineage):
         self._occ = None
         ref = _NodeRef(self, _drop_not)
         ref.key = child
-        _INTERN_NOT[child] = ref
+        if _INTERN_NOT.setdefault(child, ref) is not ref:
+            return _settle(_INTERN_NOT, ref)
         return self
 
     def _compute_occ(self) -> Dict[str, int]:
@@ -395,7 +418,8 @@ class And(Lineage):
         self._occ = None
         ref = _NodeRef(self, _drop_and)
         ref.key = children
-        _INTERN_AND[children] = ref
+        if _INTERN_AND.setdefault(children, ref) is not ref:
+            return _settle(_INTERN_AND, ref)
         return self
 
     def _compute_occ(self) -> Dict[str, int]:
@@ -457,7 +481,8 @@ class Or(Lineage):
         self._occ = None
         ref = _NodeRef(self, _drop_or)
         ref.key = children
-        _INTERN_OR[children] = ref
+        if _INTERN_OR.setdefault(children, ref) is not ref:
+            return _settle(_INTERN_OR, ref)
         return self
 
     def _compute_occ(self) -> Dict[str, int]:

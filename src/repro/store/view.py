@@ -20,7 +20,7 @@ mutation therefore perturbs the result only inside **dirty regions**:
    end, the runs being duplicate-free — after which no input tuple, old
    or new, crosses the widened boundaries;
 3. the node re-runs the kernel sweep (:func:`repro.core.setops.sweep_rows`
-   / :func:`repro.algebra.join.join_group_rows`) over the widened range
+   / :func:`repro.algebra.join.join_group`) over the widened range
    only and **splices** the rows into its cached output, reusing old
    tuple objects (and their materialized probabilities) whenever the
    regenerated window is identical;
@@ -43,13 +43,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..algebra.join import (
     JoinLayout,
-    join_group_rows,
+    group_emits,
+    join_group,
     join_layout_from_schemas,
     merge_fact_overlaps,
     tp_join_operation,
 )
 from ..core.errors import UnsupportedOperationError
-from ..core.gtwindow import WINDOW_POLICIES, WindowPolicy
+from ..core.gtwindow import WINDOW_POLICIES
 from ..core.relation import TPRelation, selection_name
 from ..core.schema import Fact
 from ..core.setops import sweep_rows, tp_set_operation
@@ -347,10 +348,10 @@ class _SetOpNode(_CachedNode):
 class _JoinNode(_CachedNode):
     """Generalized join maintained per join-key group.
 
-    Mirrors the batch driver of :mod:`repro.algebra.join` exactly —
-    including the degenerate-layout collapses of DESIGN.md §8.4 — so the
-    incrementally maintained output is lineage-identical to a full
-    recompute.
+    Each group runs the batch driver's own group step,
+    :func:`repro.algebra.join.join_group` (the degenerate-layout
+    collapses of DESIGN.md §8.4 included), so the incrementally
+    maintained output is lineage-identical to a full recompute.
     """
 
     __slots__ = (
@@ -398,18 +399,11 @@ class _JoinNode(_CachedNode):
         return tuple(fact[i] for i in self.layout.s_key_idx)
 
     def _can_emit(self, key: tuple) -> bool:
-        """Can this key group produce any output under the join policy?
-
-        Mirrors the batch driver's key restriction (``_sweep_rows``): a
-        match-only policy needs both sides, a preserved side needs its
-        own side — sweeping other groups is provably empty work."""
-        has_l = bool(self._left_facts.get(key))
-        has_r = bool(self._right_facts.get(key))
-        policy = self.policy
-        return (
-            (policy.preserve_left and has_l)
-            or (policy.preserve_right and has_r)
-            or (policy.matches and has_l and has_r)
+        """Can this key group produce any output (:func:`group_emits`)?"""
+        return group_emits(
+            self.policy,
+            bool(self._left_facts.get(key)),
+            bool(self._right_facts.get(key)),
         )
 
     @staticmethod
@@ -431,46 +425,12 @@ class _JoinNode(_CachedNode):
     def _group_tuples(
         self, group_l: list[TPTuple], group_s: list[TPTuple]
     ) -> list[TPTuple]:
-        """One key group's output, collapse-aware: the sweep's tuples
-        first, then the tuples the degenerate-layout collapses
-        (DESIGN.md §8.4) copy through without sweeping."""
-        layout = self.layout
-        policy = self.policy
-        matches = policy.matches
-        preserve_left = policy.preserve_left
-        preserve_right = policy.preserve_right
-
-        if (
-            matches
-            and preserve_left
-            and layout.s_degenerate
-            and preserve_right
-            and layout.r_degenerate
-        ):
-            # Full outer join of key-only sides ≡ TP union of the key
-            # projections (DESIGN.md §8.4), via the fused-kernel seam.
-            projected = [u.with_fact(layout.right_fact(u.fact)) for u in group_s]
-            projected.sort(key=lambda t: (null_safe_fact_key(t.fact), t.start))
-            _count_sweep(self.stats, group_l, projected)
-            return sweep_rows(group_l, projected, "union")
-
-        carried: list[TPTuple] = []
-        if matches and preserve_left and layout.s_degenerate:
-            # Matched and preserved-left facts coincide; lineages merge to λl.
-            carried.extend(group_l)
-            matches = preserve_left = False
-        if policy.matches and preserve_right and layout.r_degenerate:
-            carried.extend(u.with_fact(layout.right_fact(u.fact)) for u in group_s)
-            matches = preserve_right = False
-
-        out: list[TPTuple] = []
-        if matches or preserve_left or preserve_right:
-            sweep_policy = WindowPolicy(matches, preserve_left, preserve_right)
-            _count_sweep(self.stats, group_l, group_s)
-            out = tuples_from_rows(
-                join_group_rows(layout, sweep_policy, group_l, group_s)
-            )
-        out.extend(carried)
+        """One key group's output through the shared group step: the
+        sweep's tuples first, then those it carries through unswept."""
+        _count_sweep(self.stats, group_l, group_s)
+        rows, carried = join_group(self.layout, self.policy, group_l, group_s)
+        out = tuples_from_rows(rows)
+        out += carried
         return out
 
     def _sort_runs(self, by_fact: dict[Fact, list[TPTuple]]) -> None:

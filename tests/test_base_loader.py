@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from repro import (
     DuplicateFactError,
     Interval,
+    InvalidFactError,
     InvalidIntervalError,
     InvalidProbabilityError,
+    TPError,
     TPRelation,
     base_tuple,
 )
@@ -329,3 +331,33 @@ def test_an_out_of_range_probability_is_a_typed_value_error(p):
 def test_numeric_probabilities_load_as_before(p):
     relation = TPRelation.from_rows("a", ("k",), [("a", 0, 3, p)])
     assert relation.events == {"a1": float(p)} and type(relation.events["a1"]) is float
+
+
+# ----------------------------------------------------------------------
+# a fact value equal to itself: NaN would slip past the duplicate check
+# ----------------------------------------------------------------------
+def nan_rows() -> list[tuple]:
+    """Two overlapping rows of "one" fact, each with its own NaN object
+    (``nan != nan``, so their facts never compared equal)."""
+    return [(float("nan"), 1, 5, 0.5), (float("nan"), 3, 7, 0.5)]
+
+
+class TestNaNFactValuesAreRefused:
+    def test_from_rows(self):
+        with pytest.raises(InvalidFactError, match=r"\ba1\b.*nan") as raised:
+            TPRelation.from_rows("a", ("k",), nan_rows())
+        assert isinstance(raised.value, TPError)
+        assert isinstance(raised.value, ValueError)
+
+    def test_create_relation(self):
+        db = TPDatabase()
+        with pytest.raises(InvalidFactError, match=r"\br1\b.*nan"):
+            db.create_relation("r", ("k", "v"), [("a", float("nan"), 0, 3, 0.5)])
+        assert "r" not in db.catalog
+
+    def test_apply(self):
+        db = TPDatabase()
+        db.create_relation("r", ("k",), [(1.5, 0, 3, 0.5)])
+        with pytest.raises(InvalidFactError, match="nan"):
+            db.apply("r", inserts=[(float("nan"), 0, 3, 0.5)])
+        assert [t.fact for t in db.relation("r")] == [(1.5,)]

@@ -143,3 +143,35 @@ def test_readme_points_to_the_methodology_page():
 
 def test_design_cross_links_the_methodology_page():
     assert "docs/benchmarks.md" in DESIGN.read_text()
+
+
+#: Where markdown pages are named; every named page must exist.
+NAMING_DIRS = ("src", "tests", "benchmarks", "docs")
+MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def test_every_named_markdown_page_exists():
+    """A ``*.md`` path named in the code, tests, benchmarks or docs is a
+    file of the repository: a path with a directory part relative to the
+    root or to the naming file, a bare name anywhere in the tree (three
+    citations once sent readers to an experiments page that never
+    existed)."""
+    pages = {
+        path.name
+        for path in REPO.rglob("*.md")
+        if not any(part.startswith(".") for part in path.relative_to(REPO).parts)
+    }
+    dangling = []
+    for root in NAMING_DIRS:
+        for path in sorted((REPO / root).rglob("*")):
+            if not path.is_file() or path.suffix not in (".py", ".md", ".txt", ".yml"):
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for named in MD_PATH.findall(line):
+                    if "/" in named:
+                        found = (REPO / named).is_file() or (path.parent / named).is_file()
+                    else:
+                        found = named in pages
+                    if not found:
+                        dangling.append(f"{path.relative_to(REPO)}:{lineno}: {named}")
+    assert not dangling, "named markdown pages that do not exist:\n" + "\n".join(dangling)

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import gc
 import pickle
+import sys
+import threading
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import TPRelation, tp_union
+from repro import TPRelation, tp_except, tp_intersect, tp_union
 from repro.db import TPDatabase
 from repro.lineage import (
     And,
@@ -159,6 +161,46 @@ class TestInternTableLifecycle:
         assert land(x, y) is successor
         del successor
         assert (x, y) not in table
+
+    def test_threads_building_one_result_meet_in_one_node_per_formula(self):
+        """Four threads, switching every microsecond, build the same fresh
+        ∪/∩/− results at once: a thread switch between one thread's table
+        probe and its insert must not leave two nodes for one formula."""
+        from tests.test_hot_path_budget import seeded_rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(5):
+                r = TPRelation.from_rows(
+                    f"race{round_}r", ("k",), seeded_rows(round_, n=400, keys=8)
+                )
+                s = TPRelation.from_rows(
+                    f"race{round_}s", ("k",), seeded_rows(round_ + 7, n=400, keys=8)
+                )
+                start = threading.Barrier(4)
+                built: list[list] = []
+
+                def build() -> None:
+                    start.wait()
+                    built.append([
+                        t.lineage
+                        for op in (tp_union, tp_intersect, tp_except)
+                        for t in op(r, s, materialize=False)
+                    ])
+
+                threads = [threading.Thread(target=build) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(built) == 4
+                for lineages in built[1:]:
+                    assert len(lineages) == len(built[0])
+                    assert all(a is b for a, b in zip(lineages, built[0])), round_
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_every_construction_route_meets_in_one_object(self):
         x, y, z = Var("route_x"), Var("route_y"), Var("route_z")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import TPRelation
 from repro.core.errors import UnknownVariableError
-from repro.core.setops import _OPCODES, _fused_sweep, tp_except, tp_intersect, tp_union
+from repro.core.setops import OPERATIONS, _fused_sweep, tp_except, tp_intersect, tp_union
 from repro.lineage import Var
 from repro.prob.valuation import clear_valuation_cache, valuation_cache_stats
 from tests.strategies import tp_relation, tp_relation_pair
@@ -101,13 +101,13 @@ class TestTheSplit:
     def _sweep(r: TPRelation, s: TPRelation, op: str, events=None):
         if events is None:
             events = r.merged_events(s)
-        return _fused_sweep(r.sorted_tuples(), s.sorted_tuples(), _OPCODES[op], events)
+        return _fused_sweep(r.sorted_tuples(), s.sorted_tuples(), op, events)
 
     @settings(max_examples=30, deadline=None)
     @given(tp_relation_pair())
     def test_a_base_pair_leaves_nothing_pending(self, pair):
         r, s = pair
-        for op in _OPCODES:
+        for op in OPERATIONS:
             out, pending = self._sweep(r, s, op)
             assert pending == []
             assert all(t.p is not None for t in out)
@@ -115,7 +115,7 @@ class TestTheSplit:
     @settings(max_examples=30, deadline=None)
     @given(tp_relation("r"))
     def test_a_self_operation_batches_every_two_operand_window(self, r):
-        for op in _OPCODES:
+        for op in OPERATIONS:
             out, pending = self._sweep(r, r, op)
             two_operand = [t for t in out if type(t.lineage) is not Var]
             assert pending == two_operand
@@ -124,10 +124,8 @@ class TestTheSplit:
     def test_without_events_every_tuple_is_lineage_only(self):
         r = TPRelation.from_rows("a", ("k",), [("x", 0, 4, 0.5), ("x", 6, 9, 0.25)])
         s = TPRelation.from_rows("b", ("k",), [("x", 2, 7, 0.5)])
-        for op in _OPCODES:
-            out, pending = _fused_sweep(
-                r.sorted_tuples(), s.sorted_tuples(), _OPCODES[op]
-            )
+        for op in OPERATIONS:
+            out, pending = _fused_sweep(r.sorted_tuples(), s.sorted_tuples(), op)
             assert out and pending == []
             assert all(t.p is None for t in out)
 

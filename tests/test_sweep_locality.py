@@ -12,7 +12,7 @@ generalized joins have the same property per join-key group.
 This locality is what the incremental view maintenance of
 :mod:`repro.store` relies on when it re-sweeps only the dirty fact
 groups of a relation through :func:`repro.core.setops.sweep_rows` and
-:func:`repro.algebra.join.join_group_rows` (DESIGN.md §9).  It is
+:func:`repro.algebra.join.join_group` (DESIGN.md §9).  It is
 attacked three ways:
 
 * hypothesis property tests over random relation pairs, each swept
@@ -34,14 +34,14 @@ from hypothesis import given, settings
 from repro.algebra.join import (
     JOIN_KINDS,
     _group_by_key,
-    _sweep_rows,
-    join_group_rows,
+    join_group,
     join_layout,
     tp_join_operation,
 )
 from repro.core.gtwindow import WINDOW_POLICIES
 from repro.core.setops import OPERATIONS, sweep_rows, tp_set_operation
 from repro.core.sorting import null_safe_fact_key, null_safe_key
+from repro.core.tuple import tuples_from_rows
 from repro.datasets import generate_join_pair, generate_pair
 from repro.prob.valuation import probability_batch
 
@@ -227,7 +227,7 @@ class TestAdversarialPieces:
 # generalized joins
 # ----------------------------------------------------------------------
 def swept_keys(policy, r_groups, s_groups):
-    """The join-key groups that can contribute, in ``_sweep_rows``' order."""
+    """The join-key groups that can contribute, left side's keys first."""
     if policy.preserve_left and policy.preserve_right:
         return list(r_groups) + [k for k in s_groups if k not in r_groups]
     if policy.preserve_left:
@@ -258,15 +258,21 @@ def assert_join_decomposes(kind, r, s, key, layout) -> None:
     keys = swept_keys(policy, r_groups, s_groups)
     order = keys if layout == "key_groups" else keys[::-1]
     per_key = {
-        k: join_group_rows(layout_, policy, r_groups.get(k, ()), s_groups.get(k, ()))
+        k: join_group(layout_, policy, r_groups.get(k, ()), s_groups.get(k, ()))
         for k in order
     }
-    rows = [row for k in keys for row in per_key[k]]
-    reference = _sweep_rows(layout_, r, s, policy)
+    rows = [
+        t
+        for k in keys
+        for t in tuples_from_rows(per_key[k][0]) + per_key[k][1]
+    ]
+    rows.sort(key=null_safe_key)
+    reference = list(tp_join_operation(kind, r, s, (key,), materialize=False))
     assert len(rows) == len(reference)
     for mine, theirs in zip(rows, reference):
-        assert mine[0] == theirs[0] and mine[2:] == theirs[2:]
-        assert mine[1] is theirs[1]
+        assert mine.fact == theirs.fact
+        assert (mine.start, mine.end) == (theirs.start, theirs.end)
+        assert mine.lineage is theirs.lineage
 
 
 class TestJoinsDifferential:
@@ -285,7 +291,7 @@ class TestJoinsDifferential:
 
     @pytest.mark.parametrize("kind", JOIN_KINDS)
     def test_reversed_key_order_rows_identical(self, kind):
-        """Per-key group sweeps in reverse key order vs ``_sweep_rows``."""
+        """Per-key group sweeps in reverse key order vs the batch join."""
         r, s = generate_join_pair(1200, n_keys=6, seed=4)
         assert_join_decomposes(kind, r, s, "key", "reversed_key_groups")
 
@@ -296,6 +302,16 @@ class TestJoinsDifferential:
         """Key-only right side: the collapse paths, one key at a time."""
         r, s = pair
         assert_join_decomposes(kind, r, s, "k", "key_relations")
+
+    @pytest.mark.parametrize("layout", ("key_groups", "reversed_key_groups"))
+    @pytest.mark.parametrize("kind", ("left_outer", "full_outer", "anti"))
+    @settings(max_examples=15, deadline=None)
+    @given(pair=tp_join_pair(s_rest=False))
+    def test_degenerate_layouts_group_step(self, kind, layout, pair):
+        """Key-only right side: the shared group step, key by key, gives
+        the batch join's tuples, carried ones included."""
+        r, s = pair
+        assert_join_decomposes(kind, r, s, "k", layout)
 
 
 # ----------------------------------------------------------------------
