@@ -43,7 +43,7 @@ from ..prob.valuation import (
     probability,
     probability_batch,
 )
-from .errors import DuplicateFactError, UnknownVariableError
+from .errors import DuplicateFactError, InvalidFactError, UnknownVariableError
 from .interval import Interval
 from .schema import Fact, TPSchema
 from .sorting import null_safe_key, sort_comparison
@@ -196,7 +196,9 @@ class TPRelation:
         row order (the paper's a1, a2, …); the prefix defaults to the
         relation name.  Every row is validated while its tuple is built
         (:func:`~repro.core.tuple.base_tuples`), and duplicate-freeness by
-        one pass over one sort.
+        one pass over one sort, which also refuses facts that do not
+        order against each other (``'x'`` and ``1.5`` in one column) with
+        :class:`~repro.core.errors.InvalidFactError`.
 
         >>> a = TPRelation.from_rows(
         ...     "a", ("product",),
@@ -210,7 +212,10 @@ class TPRelation:
             rows, schema.arity, map(prefix.__add__, map(str, count(1)))
         )
         relation = cls._derived(name, schema, tuples, EventMap(events))
-        relation._check_duplicate_free()
+        try:
+            relation._check_duplicate_free()
+        except TypeError as exc:
+            raise _unorderable_fact(tuples, exc) from exc
         return relation
 
     @classmethod
@@ -551,3 +556,23 @@ class TPRelation:
             f"TPRelation({self.name!r}, {len(self._tuples)} tuples, "
             f"{len(self.facts())} facts)"
         )
+
+
+def _unorderable_fact(tuples: Sequence[TPTuple], exc: TypeError) -> InvalidFactError:
+    """The error for base tuples whose facts the sort could not order,
+    naming the first row with a value that does not compare with the first
+    row's value in the same column.  Only the error path looks: a load
+    checks no value's type (the sort's own ``TypeError`` is the test)."""
+    first = tuples[0]
+    for t in tuples:
+        for mine, theirs in zip(first.fact, t.fact):
+            if mine is None or theirs is None:
+                continue
+            try:
+                mine < theirs
+            except TypeError:
+                return InvalidFactError(
+                    f"row {t.lineage}: fact {t.fact!r} does not order against "
+                    f"row {first.lineage}'s fact {first.fact!r}: {exc}"
+                )
+    return InvalidFactError(f"the facts do not order against each other: {exc}")

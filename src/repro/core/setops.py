@@ -33,10 +33,13 @@ Two execution paths produce bit-identical results (pinned by
   plain local state — no per-window
   :class:`~repro.core.window.LineageWindow` allocation, no intermediate
   row, no per-call sweep-state write-back, cached ``(F, Ts)`` sort
-  order via :meth:`TPRelation.sorted_tuples`.  Windows over base
-  variables get their probability in the loop; one batch valuation
-  computes each *distinct* interned lineage of the rest once and fills
-  their probabilities;
+  order via :meth:`TPRelation.sorted_tuples`.  A window over base
+  variables, or over an unread row of an earlier result that is over
+  two of them, defers its lineage node to the first read and gets its
+  probability in the loop — so a chain such as ``(r1 ∪ r2) ∪ r3``
+  builds no node and runs no batch; one batch valuation computes each
+  *distinct* interned lineage of whatever else is left (repeated
+  variables, deeper chains) once and fills its probability;
 * the **unfused reference path** (``fused=False``) drives the
   single-step :class:`~repro.core.lawa.LawaSweep` exactly as the paper's
   pseudocode reads, window objects and all, and valuates every row in
@@ -46,8 +49,8 @@ Two execution paths produce bit-identical results (pinned by
 
 from __future__ import annotations
 
-from itertools import filterfalse, repeat
-from operator import attrgetter, lshift, or_
+from itertools import compress, filterfalse, repeat
+from operator import attrgetter, is_, lshift, not_, or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..lineage.concat import concat_and, concat_and_not, concat_or
@@ -62,6 +65,7 @@ from .tuple import (
     DEFER_AND_NOT,
     DEFER_OR,
     TPTuple,
+    deferred_node,
     fill_probabilities,
     new_object,
     set_end,
@@ -92,6 +96,10 @@ _lineage_of = attrgetter("lineage")
 _lineage_slot_of = attrgetter("_lineage")  # None on a deferred row
 _left_of = attrgetter("_left")
 _right_of = attrgetter("_right")
+_p_of = attrgetter("p")
+#: The value of a deferred operand row that cannot be valued from two
+#: variables of the event map (see :func:`_row_value`).
+_UNVALUED: tuple = (None, None, None)
 
 
 def tp_intersect(
@@ -208,8 +216,9 @@ def _fused_sweep(
     events: Optional[Mapping[str, float]] = None,
 ) -> tuple[list[TPTuple], list[TPTuple]]:
     """The kernel over two in-memory runs, one chunk each: the tuples it
-    builds and those of them left for a batch, concatenated from its
-    flushes (at most three: one per side's end, one at the end)."""
+    builds and those of them ``_finish`` still owes something, concatenated
+    from its flushes (at most three: one per side's end, one at the
+    end)."""
     out: Optional[list[TPTuple]] = None
     for more, more_pending in sweep_chunks(iter((tr,)), iter((ts,)), op, events):
         if out is None:
@@ -252,16 +261,25 @@ def sweep_chunks(
     into the tuple's slots through the trusted writers of
     :mod:`repro.core.tuple`.
 
-    With ``events`` the kernel also valuates the windows it builds over
-    base variables — ``x``, ``x∨y``, ``x∧y``, ``x∧¬y`` with ``x is not
-    y``, the one-occurrence forms of Theorem 1 — in the float order of
-    the batch's own 1OF valuation, reading each variable from ``events``
-    (DESIGN.md §6.3); a two-variable window's tuple holds the two
-    variables and the operator, and builds its node on the first read of
-    ``lineage``.  ``pending`` holds the tuples left at ``p=None`` for a
-    batch: compound operands, self-operations' windows and variables
-    missing from ``events``.  Without ``events`` every tuple is
-    lineage-only, built with its node, and none is pending.
+    A window over two distinct base variables builds no node: its tuple
+    holds the two variables and the operator, and builds its node on the
+    first read of ``lineage`` (DESIGN.md §6.3).  An input row that holds
+    no node yet — an unread row of an earlier result, say the interior
+    node of ``(r1 ∪ r2) ∪ r3`` — is read as an operand as it stands: a
+    window over it is deferred the same way, its operand the row, and a
+    window over it alone copies the row's operands.
+
+    With ``events`` the kernel also valuates what it builds in the float
+    order of the batch's own 1OF valuation, reading each variable from
+    ``events``: ``x``, ``x∨y``, ``x∧y``, ``x∧¬y`` with ``x is not y``
+    — the one-occurrence forms of Theorem 1 — and the windows over an
+    unread row over two such variables that :func:`_nested_p`'s table
+    covers.  ``pending`` holds what ``_finish`` still owes: the tuples
+    left at ``p=None`` for a batch (a repeated variable, a variable
+    missing from ``events``, a deeper chain), which intern their node
+    now, and the valued windows over an unread row, whose formulas it
+    counts by their variables.  Without ``events`` every tuple is
+    lineage-only and none is pending.
     """
     if op not in _SYMBOLS:
         raise UnsupportedOperationError(f"unknown TP set operation {op!r}")
@@ -295,15 +313,19 @@ def sweep_chunks(
         st = None
         st_fact = st_start = None
 
-    # The valid tuple per side: its lineage (None: no valid tuple), its
-    # end point, and its variable's probability (None: a compound
-    # lineage, or a variable ``events`` lacks).
-    r_lam: Optional[Lineage] = None
+    # The valid tuple per side: its lineage or, for an unread deferred
+    # row, the row itself (None: no valid tuple), its end point, its
+    # variable's probability (None: not a variable, or one ``events``
+    # lacks), and a row's value (:func:`_row_value`).
+    r_lam: Lineage | TPTuple | None = None
     r_end = 0
     r_p: Optional[float] = None
-    s_lam: Optional[Lineage] = None
+    r_v = _UNVALUED
+    s_lam: Lineage | TPTuple | None = None
     s_end = 0
     s_p: Optional[float] = None
+    s_v = _UNVALUED
+    nested: Optional[int] = None  # the operator of a window over a row
     prev_te = -1
     fact: object = object()  # currFact sentinel distinct from any real fact
 
@@ -356,14 +378,19 @@ def sweep_chunks(
             win_ts = prev_te
 
         # Absorb cursor tuples that become valid exactly at winTs.  The
-        # lineage slot is read directly; only a deferred row of an
-        # earlier result (its slot None) goes through the property.
+        # lineage slot is read directly; a deferred row of an earlier
+        # result (its slot None) is the operand itself, its node unbuilt,
+        # and with events it is valued from its two variables.
         if rt is not None and rt_fact == fact and rt_start == win_ts:
             r_lam = rt._lineage
             if r_lam is None:
-                r_lam = rt.lineage
+                r_lam = rt
+                r_p = None
+                if valuate:
+                    r_v = _row_value(rt, probability_of)
+            else:
+                r_p = probability_of(r_lam.name) if type(r_lam) is Var else None
             r_end = rt.end
-            r_p = probability_of(r_lam.name) if type(r_lam) is Var else None
             ri += 1
             if ri < nr:
                 rt = tr[ri]
@@ -393,9 +420,13 @@ def sweep_chunks(
         if st is not None and st_fact == fact and st_start == win_ts:
             s_lam = st._lineage
             if s_lam is None:
-                s_lam = st.lineage
+                s_lam = st
+                s_p = None
+                if valuate:
+                    s_v = _row_value(st, probability_of)
+            else:
+                s_p = probability_of(s_lam.name) if type(s_lam) is Var else None
             s_end = st.end
-            s_p = probability_of(s_lam.name) if type(s_lam) is Var else None
             si += 1
             if si < ns:
                 st = ts[si]
@@ -441,12 +472,13 @@ def sweep_chunks(
         # normalizations (flattening, constant folding) cannot fire, so
         # the interned node is built directly; anything else goes through
         # land/lor/lnot and stays bit-identical to the reference path.
-        # Two known probabilities over distinct variables (``r_lam is not
-        # s_lam``: the node is 1OF) give ``p`` as the batch's _prob
-        # computes it, and the row defers its node: it keeps the two
-        # variables and the operator, and its first ``lineage`` read
-        # interns ``x∨y`` / ``x∧y`` / ``x∧¬y`` (DESIGN.md §6.3).  Every
-        # other window keeps ``p = None``.
+        # Two distinct base variables (``r_lam is not s_lam``: the node
+        # is 1OF) defer the node: the row keeps the two variables and the
+        # operator, and its first ``lineage`` read interns ``x∨y`` /
+        # ``x∧y`` / ``x∧¬y`` (DESIGN.md §6.3).  With two known
+        # probabilities the row gets ``p`` as the batch's _prob computes
+        # it.  A window over an unread row of an earlier result sets
+        # ``nested`` to its operator instead, and is built below.
         p = None
         defer = None
         if union:
@@ -460,7 +492,13 @@ def sweep_chunks(
                 defer = DEFER_OR
                 p = 1.0 - (1.0 - r_p) * (1.0 - s_p)
             elif type(r_lam) is Var and type(s_lam) is Var:
-                lam = Or((r_lam, s_lam))
+                if valuate or r_lam is s_lam:
+                    lam = Or((r_lam, s_lam))
+                else:
+                    defer = DEFER_OR
+            elif type(r_lam) is TPTuple or type(s_lam) is TPTuple:
+                lam = None
+                nested = DEFER_OR
             else:
                 lam = lor(r_lam, s_lam)
         elif intersect:
@@ -470,7 +508,13 @@ def sweep_chunks(
                 defer = DEFER_AND
                 p = r_p * s_p
             elif type(r_lam) is Var and type(s_lam) is Var:
-                lam = And((r_lam, s_lam))
+                if valuate or r_lam is s_lam:
+                    lam = And((r_lam, s_lam))
+                else:
+                    defer = DEFER_AND
+            elif type(r_lam) is TPTuple or type(s_lam) is TPTuple:
+                lam = None
+                nested = DEFER_AND
             else:
                 lam = land(r_lam, s_lam)
         elif r_lam is None:
@@ -481,12 +525,16 @@ def sweep_chunks(
         elif r_p is not None and s_p is not None and r_lam is not s_lam:
             defer = DEFER_AND_NOT
             p = r_p * (1.0 - s_p)
-        else:
-            neg = Not(s_lam) if type(s_lam) is Var else lnot(s_lam)
-            if type(r_lam) is Var:
-                lam = And((r_lam, neg))
+        elif type(r_lam) is Var and type(s_lam) is Var:
+            if valuate or r_lam is s_lam:
+                lam = And((r_lam, Not(s_lam)))
             else:
-                lam = land(r_lam, neg)
+                defer = DEFER_AND_NOT
+        elif type(r_lam) is TPTuple or type(s_lam) is TPTuple:
+            lam = None
+            nested = DEFER_AND_NOT
+        else:
+            lam = land(r_lam, lnot(s_lam))
 
         if defer is not None:
             t = new_object(TPTuple)
@@ -502,13 +550,64 @@ def sweep_chunks(
         elif lam is not None:
             t = new_object(TPTuple)
             set_fact(t, fact)
-            set_lineage(t, lam)
+            set_start(t, win_ts)
+            set_end(t, win_te)
+            set_p(t, p)
+            append(t)
+            if p is not None:
+                set_lineage(t, lam)
+            elif type(lam) is not TPTuple:
+                set_lineage(t, lam)
+                if valuate:
+                    pend(t)
+            else:
+                # One unread row alone (∪, or − without a right tuple):
+                # the window stands for the row's formula, so it copies
+                # the row's operands — one level of nesting, not two.
+                left = lam._left
+                right = lam._right
+                if valuate:
+                    p = (r_v if lam is r_lam else s_v)[0]
+                    set_p(t, p)
+                if valuate and p is None:
+                    set_lineage(t, lam.lineage)  # deeper, or unvalued
+                    pend(t)
+                elif left is None or right is None:
+                    # A row operand dropped: a reader stored the node.
+                    set_lineage(t, lam._lineage)
+                else:
+                    set_lineage(t, None)
+                    set_left(t, left)
+                    set_right(t, right)
+                    set_op(t, lam._op)
+        elif nested is not None:
+            # A window over an unread row is deferred too: the row is its
+            # operand.  With events, it is valued when the table of
+            # :func:`_nested_p` covers it; any other window interns its
+            # node and waits for the batch.  ``pending`` gets both kinds:
+            # ``_finish`` counts a valued one by its variables.
+            if valuate:
+                p = _nested_p(nested, r_lam, r_p, r_v, s_lam, s_p, s_v)
+            t = new_object(TPTuple)
+            set_fact(t, fact)
             set_start(t, win_ts)
             set_end(t, win_te)
             set_p(t, p)
             append(t)
             if p is None and valuate:
+                set_lineage(t, deferred_node(
+                    nested,
+                    r_lam.lineage if type(r_lam) is TPTuple else r_lam,
+                    s_lam.lineage if type(s_lam) is TPTuple else s_lam,
+                ))
+            else:
+                set_lineage(t, None)
+                set_left(t, r_lam)
+                set_right(t, s_lam)
+                set_op(t, nested)
+            if valuate:
                 pend(t)
+            nested = None
 
         # Expire valid tuples that end exactly at the window boundary.
         if r_lam is not None and r_end == win_te:
@@ -519,6 +618,101 @@ def sweep_chunks(
 
     if out:
         yield out, pending
+
+
+def _row_value(
+    row: TPTuple, probability_of: Callable[[str], Optional[float]]
+) -> tuple:
+    """``(p, pa, pb)`` of an unread deferred row over variables ``a`` and
+    ``b``, read from the event map: ``p`` in the float order of the batch's
+    1OF walk (``prob.exact_1of._prob``), ``pa`` and ``pb`` for the windows
+    that flatten the row into theirs.  :data:`_UNVALUED` when an operand
+    is not a variable (a deeper chain) or is one the map lacks."""
+    a = row._left
+    b = row._right
+    if type(a) is not Var or type(b) is not Var:
+        return _UNVALUED
+    pa = probability_of(a.name)
+    pb = probability_of(b.name)
+    if pa is None or pb is None:
+        return _UNVALUED
+    op = row._op
+    if op == DEFER_OR:
+        return 1.0 - (1.0 - pa) * (1.0 - pb), pa, pb
+    if op == DEFER_AND:
+        return pa * pb, pa, pb
+    return pa * (1.0 - pb), pa, pb
+
+
+def _nested_p(
+    op: int,
+    r: Lineage | TPTuple,
+    r_p: Optional[float],
+    r_v: tuple,
+    s: Lineage | TPTuple,
+    s_p: Optional[float],
+    s_v: tuple,
+) -> Optional[float]:
+    """``p`` of a window whose operand is an unread row, or None.
+
+    ``R`` and ``S`` are deferred rows over two variables the event map
+    holds (``r_v`` / ``s_v`` from :func:`_row_value`), ``z`` a variable
+    with a known probability.  The window's node is in one-occurrence
+    form exactly when its leaf variables are pairwise distinct objects
+    (interned: one object per name), and then its ``p`` is the batch's
+    ``_prob`` over the node the constructors flatten — ``lor(a∨b, z)``
+    is ``a∨b∨z``, ``land(a∧¬b, z)`` is ``a∧¬b∧z`` — in that walk's float
+    order (DESIGN.md §6.3):
+
+    * ``R ∪ z``: ``1 − ((1−pa)(1−pb))(1−pz)`` when R is ∨, else
+      ``1 − (1−pR)(1−pz)``; ``z ∪ S``: ``1 − ((1−pz)(1−pa))(1−pb)``
+      when S is ∨, else ``1 − (1−pz)(1−pS)``;
+    * ``R ∩ z``: ``pR·pz``; ``z ∩ S``: ``(pz·pa)·pb`` when S is ∧,
+      ``(pz·pa)·(1−pb)`` when S is ∧¬, ``pz·pS`` when S is ∨;
+    * ``R − z``, ``z − S``, ``R − S``: ``pR(1−pz)``, ``pz(1−pS)``,
+      ``pR(1−pS)``.
+
+    None — the window is interned and batched — for anything else: a
+    repeated variable, a value the map lacks, a deeper chain, an eager
+    compound operand, and ``R ∪ S`` / ``R ∩ S``.
+    """
+    if type(s) is Var:  # R op z
+        pr, pa, pb = r_v
+        if pr is None or s_p is None or s is r._left or s is r._right:
+            return None
+        if op == DEFER_OR:
+            if r._op == DEFER_OR:
+                return 1.0 - (1.0 - pa) * (1.0 - pb) * (1.0 - s_p)
+            return 1.0 - (1.0 - pr) * (1.0 - s_p)
+        if op == DEFER_AND:
+            return pr * s_p
+        return pr * (1.0 - s_p)
+    if type(r) is Var:  # z op S
+        ps, pa, pb = s_v
+        if ps is None or r_p is None or r is s._left or r is s._right:
+            return None
+        kind = s._op
+        if op == DEFER_OR:
+            if kind == DEFER_OR:
+                return 1.0 - (1.0 - r_p) * (1.0 - pa) * (1.0 - pb)
+            return 1.0 - (1.0 - r_p) * (1.0 - ps)
+        if op == DEFER_AND:
+            if kind == DEFER_AND:
+                return r_p * pa * pb
+            if kind == DEFER_AND_NOT:
+                return r_p * pa * (1.0 - pb)
+            return r_p * ps
+        return r_p * (1.0 - ps)
+    if op == DEFER_AND_NOT and type(r) is TPTuple and type(s) is TPTuple:  # R − S
+        pr = r_v[0]
+        ps = s_v[0]
+        if pr is None or ps is None:
+            return None
+        a, b, c, d = r._left, r._right, s._left, s._right
+        if c is a or c is b or d is a or d is b:
+            return None
+        return pr * (1.0 - ps)
+    return None
 
 
 def sweep_rows(
@@ -584,11 +778,11 @@ def _finish(
     events: Mapping[str, float],
     options: Optional[ProbabilityOptions],
 ) -> None:
-    """Valuate the sweep's ``pending`` tuples in one batch.
+    """Valuate what the sweep left at ``p=None`` in one batch, and count.
 
     ``out`` holds the tuples a sweep has just built and nobody else has
-    seen; the fused kernel valued all but ``pending`` as it built them.
-    The pending probabilities are computed in one batch over the
+    seen; the fused kernel valued all but the ``pending`` rows still at
+    ``p=None`` as it built them.  Those are computed in one batch over the
     interned lineages — each distinct formula is valuated once, however
     many windows emitted it (see :func:`repro.prob.valuation
     .probability_batch`) — against the operand pair's cached merged
@@ -599,37 +793,79 @@ def _finish(
     The valuation counters then read as one batch over all of ``out``
     would have read them: its misses are the distinct formulas, the
     pending batch's included, and its hits the repeats.  A deferred row
-    (its ``_lineage`` slot ``None``) is counted by its operand pair, not
-    its node, so counting builds none: within one operation two deferred
-    rows share a formula exactly when they share the pair — a derived
-    operand can repeat one — and a deferred formula is no other row's
-    (those hold a variable, or a node over a compound operand, a
-    repeated variable or one ``events`` lacks; only a ⊤/⊥ operand
-    lineage, which no loader or operator builds, could fold into one).
-    C-level set builds count it, not a call per row, and the pair keys
-    are untracked integers; they run after the batch, so a batch that
-    raises counts nothing, as one over all rows would not.
+    (its ``_lineage`` slot ``None``) is counted without building its
+    node.  One over two variables is keyed by its operand pair: within
+    one operation two of them share a formula exactly when they share
+    the pair — a derived operand can repeat one — and a deferred formula
+    is no other row's (those hold a variable, or a node over a compound
+    operand, a repeated variable or one ``events`` lacks; only a ⊤/⊥
+    operand lineage, which no loader or operator builds, could fold into
+    one).  C-level set builds count them, not a call per row, and the
+    pair keys are untracked integers.  A valued row over an earlier
+    result's unread row — the kernel also hands those in ``pending`` —
+    is keyed by its variables instead (:func:`_nested_formulas`): two
+    such operand rows can be distinct objects with one formula.  The
+    counting runs after the batch, so a batch that raises counts
+    nothing, as one over all rows would not.
     """
+    batch = pending
+    nested: list[TPTuple] = []
     if pending:
+        unvalued = list(map(is_, map(_p_of, pending), repeat(None)))
+        if not all(unvalued):
+            batch = list(compress(pending, unvalued))
+            nested = list(compress(pending, map(not_, unvalued)))
+    if batch:
         fill_probabilities(
-            pending,
-            probability_batch(list(map(_lineage_of, pending)), events, options=options),
+            batch,
+            probability_batch(list(map(_lineage_of, batch)), events, options=options),
         )
-    inline = len(out) - len(pending)
+    inline = len(out) - len(batch)
     if inline:
         misses = len(set(filter(None, map(_lineage_slot_of, out))))
-        if pending:
-            misses -= len(set(map(_lineage_of, pending)))
+        if batch:
+            misses -= len(set(map(_lineage_of, batch)))
         deferred = list(filterfalse(_lineage_slot_of, out))
         if deferred:
-            # A pair's key is ``id(left) << 64 | id(right)``: the rows
-            # keep both operands alive, and an int is not GC-tracked.
-            misses += len(set(map(
-                or_,
-                map(lshift, map(id, map(_left_of, deferred)), repeat(64)),
-                map(id, map(_right_of, deferred)),
-            )))
+            misses += len(_operand_pairs(deferred))
+            if nested:
+                misses += _nested_formulas(nested) - len(_operand_pairs(nested))
         record_valuations(misses, inline - misses)
+
+
+def _operand_pairs(rows: list[TPTuple]) -> set[int]:
+    """Deferred rows' operand pairs, each as ``id(left) << 64 | id(right)``:
+    the rows keep both operands alive, and an int is not GC-tracked."""
+    return set(map(
+        or_,
+        map(lshift, map(id, map(_left_of, rows)), repeat(64)),
+        map(id, map(_right_of, rows)),
+    ))
+
+
+def _nested_formulas(rows: list[TPTuple]) -> int:
+    """How many distinct formulas the valued rows over an unread operand
+    row stand for, read off their variables without building a node.
+
+    Such a row is ``R op z``, ``z op S`` or ``R − S`` (:func:`_nested_p`),
+    each operand row over two variables.  Its formula is fixed by the
+    shape, each operand row's variables and operator, and ``z`` — the
+    operation's own operator is one per result — so the key is that
+    tuple, its length telling the shapes apart.  Operand row objects do
+    not key it: an earlier result copies one row's operands into every
+    window that row spans alone, so one formula can reach a later
+    operation through several rows.
+    """
+    return len({
+        (
+            (left._left, left._right, left._op, right._left, right._right, right._op)
+            if right.__class__ is TPTuple
+            else (left._left, left._right, left._op, right)
+        )
+        if left.__class__ is TPTuple
+        else (left, right._left, right._right, right._op, None)
+        for left, right in zip(map(_left_of, rows), map(_right_of, rows))
+    })
 
 
 #: Dispatch table, also consumed by the query executor and the benchmarks.

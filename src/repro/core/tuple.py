@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import attrgetter, lt
 from typing import Iterable, Optional, Sequence
 
-from ..lineage.formula import And, Lineage, Not, Or, Var
+from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from .errors import InvalidFactError, InvalidIntervalError, InvalidProbabilityError
 from .interval import Interval
 from .schema import _ATOMIC_TYPES, Fact
@@ -29,6 +29,7 @@ __all__ = [
     "base_tuple",
     "base_tuples",
     "check_intervals",
+    "deferred_node",
     "fill_probabilities",
     "time_point",
     "tuples_from_rows",
@@ -49,9 +50,10 @@ __all__ = [
 
 #: The operator of a deferred row (DESIGN.md §6.3): the fused
 #: set-operation kernel leaves a row's ``_lineage`` slot ``None`` and its
-#: first :attr:`TPTuple.lineage` read builds ``Or((l, r))``,
-#: ``And((l, r))`` or ``And((l, Not(r)))`` from the ``_left`` /
-#: ``_right`` operands and this code in ``_op``.
+#: first :attr:`TPTuple.lineage` read builds ``λl ∨ λr``, ``λl ∧ λr`` or
+#: ``λl ∧ ¬λr`` from the ``_left`` / ``_right`` operands and this code in
+#: ``_op``.  An operand is a base variable, a lineage node, or another
+#: deferred row — an unread row of an earlier result.
 DEFER_OR, DEFER_AND, DEFER_AND_NOT = 1, 2, 3
 
 
@@ -96,8 +98,10 @@ class TPTuple:
     end: int
     p: Optional[float]
     _lineage: Optional[Lineage]  # None on a deferred row until read
-    _left: Lineage
-    _right: Lineage
+    # A deferred row's operands: a Lineage, or a deferred row (None once
+    # that row operand has been resolved into ``_lineage``).
+    _left: "Lineage | TPTuple | None"
+    _right: "Lineage | TPTuple | None"
     _op: int
 
     def __init__(
@@ -225,7 +229,8 @@ class TPTuple:
 # only touch an object no caller has seen yet — that is what keeps
 # published tuples immutable.  The one exception is the first read of a
 # deferred row's lineage, which stores the node the row already stands
-# for: no reader can see a value change.
+# for and then drops the row's private row operands: no reader can see a
+# value change.
 new_object = object.__new__
 set_fact = TPTuple.fact.__set__  # type: ignore[attr-defined]
 set_lineage = TPTuple._lineage.__set__  # type: ignore[attr-defined]
@@ -241,6 +246,18 @@ _operands_of = attrgetter("_left", "_right", "_op")
 _deferred_build = threading.Lock()
 
 
+def deferred_node(op: int, left: Lineage, right: Lineage) -> Lineage:
+    """The node a deferred row over ``left`` and ``right`` stands for,
+    built by the constructors the eager path uses (Table I's ``or``,
+    ``and``, ``andNot``), so it is the node every other route to the
+    formula returns."""
+    if op == DEFER_OR:
+        return lor(left, right)
+    if op == DEFER_AND:
+        return land(left, right)
+    return land(left, lnot(right))
+
+
 def _deferred_lineage(t: TPTuple) -> Lineage:
     """Intern a deferred row's lineage node and store it in its slot.
 
@@ -249,13 +266,17 @@ def _deferred_lineage(t: TPTuple) -> Lineage:
     check-then-store one step: a thread that finds the slot filled
     returns the node another thread stored, so every reader of one row
     gets one object even when the interning itself races (DESIGN.md
-    §4.3).  Only first reads take it.
+    §4.3).  Only first reads take it.  A row over two base variables —
+    every row of a set operation over base relations — builds its node
+    here; one with another operand goes through :func:`_nested_lineage`.
     """
+    left, right, op = _operands_of(t)
+    if type(left) is not Var or type(right) is not Var:
+        return _nested_lineage(t)
     with _deferred_build:
         lineage = t._lineage
         if lineage is not None:
             return lineage
-        left, right, op = _operands_of(t)
         if op == DEFER_OR:
             lineage = Or((left, right))
         elif op == DEFER_AND:
@@ -264,6 +285,44 @@ def _deferred_lineage(t: TPTuple) -> Lineage:
             lineage = And((left, Not(right)))
         set_lineage(t, lineage)
         return lineage
+
+
+def _nested_lineage(t: TPTuple) -> Lineage:
+    """The first read of a deferred row whose operands are not two base
+    variables: a row of a chained query, ``(r1 ∪ r2) ∪ r3`` say.
+
+    Its unread row operands are resolved first, innermost first and with
+    an explicit stack (a long left fold nests one row per step) —
+    outside the lock, which is not reentrant.  Each row then stores its
+    node under the lock as :func:`_deferred_lineage` does, and drops its
+    row operands (``None``): a read result keeps no interior row alive.
+    The row operands are dropped after the node is stored, so a reader
+    that finds one dropped finds the node stored.
+    """
+    stack = [t]
+    while stack:
+        row = stack[-1]
+        left, right, op = _operands_of(row)
+        if type(left) is TPTuple and left._lineage is None:
+            stack.append(left)
+            continue
+        if type(right) is TPTuple and right._lineage is None:
+            stack.append(right)
+            continue
+        stack.pop()
+        with _deferred_build:
+            if row._lineage is not None:
+                continue  # another reader stored it
+            set_lineage(row, deferred_node(
+                op,
+                left._lineage if type(left) is TPTuple else left,
+                right._lineage if type(right) is TPTuple else right,
+            ))
+            if type(left) is TPTuple:
+                set_left(row, None)
+            if type(right) is TPTuple:
+                set_right(row, None)
+    return t._lineage  # type: ignore[return-value]
 
 
 def fill_probabilities(tuples: list[TPTuple], probs: Iterable[float]) -> None:

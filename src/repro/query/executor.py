@@ -9,10 +9,15 @@ queries correct: intermediate 1OF-based shortcuts are never taken).
 
 Performance notes (DESIGN.md §5–§6): intermediate set-operation results
 are emitted in ``(F, Ts)`` order and carry their sortedness flag, so a
-chain of operations sorts each base relation at most once; the root
-operator valuates its output lineages in a single batch — a formula
-shared by many result tuples is valuated once — and only then builds its
-output tuples, each exactly once, with the final probability.
+chain of operations sorts each base relation at most once.  An interior
+set operation builds no lineage node for a window over two base
+variables: its row keeps the two and the operator.  The root reads such
+a row as an operand, builds each output tuple exactly once and values it
+in the same loop when its lineage is a one-occurrence form over such
+rows and base variables — every window of ``(r1 ∪ r2) ∪ r3`` or
+``(r1 − r2) − r3`` — and valuates whatever is left (repeated variables,
+deeper chains) in one batch, each distinct formula once, before the
+relation exists.
 """
 
 from __future__ import annotations

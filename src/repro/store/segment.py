@@ -41,7 +41,12 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..core.errors import DuplicateFactError, InvalidIntervalError, SnapshotUnavailableError
+from ..core.errors import (
+    DuplicateFactError,
+    InvalidFactError,
+    InvalidIntervalError,
+    SnapshotUnavailableError,
+)
 from ..core.relation import TPRelation
 from ..core.schema import Fact, TPSchema, make_fact
 from ..core.sorting import null_safe_fact_key
@@ -436,7 +441,14 @@ class SegmentStore:
                 group.remove(target)
                 removed.append(target)
             for fact, start, end, p in insert_rows:
-                group = self._group_for(fact)
+                try:
+                    group = self._group_for(fact)
+                except TypeError as exc:
+                    raise InvalidFactError(
+                        f"store {self.name!r} rejects insert {fact!r} @ "
+                        f"[{start},{end}): its fact does not order against "
+                        f"the stored facts: {exc}"
+                    ) from exc
                 clash = group.overlapping(start, end)
                 if clash is not None:
                     raise DuplicateFactError(
@@ -587,9 +599,11 @@ class SegmentStore:
     def _group_for(self, fact: Fact) -> _FactGroup:
         group = self._groups.get(fact)
         if group is None:
+            # Sorted in first: a fact that does not order against the
+            # stored ones raises here and leaves no group behind.
+            insort(self._facts_sorted, fact)
             group = _FactGroup(self.segment_capacity)
             self._groups[fact] = group
-            insort(self._facts_sorted, fact)
         return group
 
     def _prune_empty_groups(self) -> None:

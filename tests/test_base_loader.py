@@ -361,3 +361,58 @@ class TestNaNFactValuesAreRefused:
         with pytest.raises(InvalidFactError, match="nan"):
             db.apply("r", inserts=[(float("nan"), 0, 3, 0.5)])
         assert [t.fact for t in db.relation("r")] == [(1.5,)]
+
+
+# ----------------------------------------------------------------------
+# facts that do not order against each other: a typed refusal, no trace
+# ----------------------------------------------------------------------
+class TestUnorderableFactsAreRefused:
+    """A column holding ``'x'`` and ``1.5`` cannot be sorted: the sort's
+    ``TypeError`` becomes one :class:`InvalidFactError` naming the row,
+    and a refused transaction leaves its store as it was."""
+
+    def test_from_rows(self):
+        with pytest.raises(InvalidFactError, match=r"\ba2\b.*1\.5.*\ba1\b") as raised:
+            TPRelation.from_rows("a", ("k",), [("x", 0, 4, 0.5), (1.5, 0, 4, 0.5)])
+        assert isinstance(raised.value, TPError)
+
+    def test_from_rows_names_a_later_column(self):
+        rows = [("x", 1, 0, 4, 0.5), ("x", "z", 0, 4, 0.5)]
+        with pytest.raises(InvalidFactError, match=r"\ba2\b"):
+            TPRelation.from_rows("a", ("k", "v"), rows)
+
+    def test_create_relation(self):
+        db = TPDatabase()
+        with pytest.raises(InvalidFactError, match=r"\ba2\b"):
+            db.create_relation("a", ("k",), [("x", 0, 4, 0.5), (1.5, 0, 4, 0.5)])
+        assert "a" not in db.catalog
+
+    @pytest.mark.parametrize(
+        "inserts",
+        [[(1.5, 0, 4, 0.5)], [("y", 0, 4, 0.5), (2, 1, 3, 0.5)]],
+        ids=["alone", "after-a-good-row"],
+    )
+    def test_apply(self, inserts):
+        db = TPDatabase()
+        db.create_relation("b", ("k",), [("x", 0, 4, 0.5)])
+        store = db.store("b")
+        epoch = store.epoch
+        with pytest.raises(InvalidFactError, match=r"rejects insert \((1\.5|2),\)") as raised:
+            db.insert("b", inserts)
+        # One error: the rollback does not raise a second while handling it.
+        assert type(raised.value.__context__) is TypeError
+        assert raised.value.__context__.__context__ is None
+        assert store.epoch == epoch
+        assert [t.fact for t in db.relation("b")] == [("x",)]
+        db.insert("b", [("w", 0, 4, 0.5)])  # the store still orders its facts
+        assert [t.fact for t in db.query("b")] == [("w",), ("x",)]
+
+    def test_apply_to_an_empty_store(self):
+        db = TPDatabase()
+        db.create_relation("b", ("k",), [("x", 0, 4, 0.5)])
+        db.delete("b", [("x", 0, 4)])
+        with pytest.raises(InvalidFactError, match=r"rejects insert \('y',\)"):
+            db.insert("b", [(1.5, 0, 4, 0.5), ("y", 0, 4, 0.5)])
+        assert len(db.relation("b")) == 0
+        db.insert("b", [("y", 0, 4, 0.5)])
+        assert [t.fact for t in db.relation("b")] == [("y",)]

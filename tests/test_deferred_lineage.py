@@ -137,13 +137,19 @@ class TestTheNodeIsBuiltOnFirstRead:
         assert rows[1].lineage is first
         assert first is (a.tuples[0].lineage | b.tuples[0].lineage)
 
-    def test_eager_paths_build_every_node(self):
+    def test_the_reference_builds_every_node_and_lineage_only_rows_defer(self):
+        """``fused=False`` builds every node; a fused lineage-only sweep
+        (an interior plan node) defers its two-variable windows too, and
+        their first read is the reference's node."""
         a = TPRelation.from_rows("a", ("k",), [("x", 0, 4, 0.5)])
         b = TPRelation.from_rows("b", ("k",), [("x", 2, 7, 0.5)])
         for op in OPS:
-            for fused, materialize in ((True, False), (False, True)):
-                rows = list(op(a, b, fused=fused, materialize=materialize))
-                assert deferred(rows) == 0
+            twins = list(op(a, b, fused=False, materialize=True))
+            assert deferred(twins) == 0
+            for materialize in (True, False):
+                rows = list(op(a, b, materialize=materialize))
+                assert deferred(rows) == 1
+                assert all(t.lineage is u.lineage for t, u in zip(rows, twins))
 
     def test_the_private_slots_are_not_fields(self):
         a = TPRelation.from_rows("a", ("k",), [("x", 0, 4, 0.5)])

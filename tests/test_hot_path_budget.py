@@ -31,6 +31,9 @@ once made 3–10× the chain's calls).  Loading a base relation costs a
 handful of calls and four tracked objects per row (it once made 25 calls
 per row, as many as sweeping it), and neither a load nor a read leaves
 an ``Interval`` object behind: a tuple holds its two end points itself.
+A chained read such as ``(a | b) | c`` builds no lineage node and runs
+no batch, and its rows retain no more than they did while it built
+both (its calls per row were 2–3× today's).
 """
 
 from __future__ import annotations
@@ -229,6 +232,77 @@ def test_no_interval_object_is_alive_after_loading_and_reading():
     alive = sum(type(obj) is Interval for obj in gc.get_objects())
     assert sum(map(len, results)) == 11368
     assert alive == 0, f"{alive} Interval objects alive"
+
+
+# ----------------------------------------------------------------------
+# chains: a deferred row is an operand, so no node and no batch
+# ----------------------------------------------------------------------
+#: Per chained read over the seeded 3 × 2 000-tuple input: its rows,
+#: calls per output row, and GC-tracked objects a result keeps alive per
+#: output row, unread and once every row's lineage has been read.
+#: Measured when set, with ~12 % headroom on calls and unread objects:
+#: calls 5.72 / 6.95 / 13.82 / 6.19 / 5.72, unread 1.20 / 1.31 / 1.93 /
+#: 1.22 / 1.24, read 2.94 / 4.73 / 4.00 / 4.10 / 3.74 — the read column
+#: is exactly what these results held while the interior sweep interned
+#: every two-variable node and the root valued its compound windows in
+#: a batch (12.40 / 21.14 / 42.03 / 14.94 / 14.96 calls, 2.09 / 3.92 /
+#: 4.00 / 2.99 / 3.20 objects unread), and the ceiling: a read row drops
+#: the interior row it held.
+CHAIN_BUDGETS = {
+    "(a|b)|c": (8147, 6.4, 1.35, 2.95),
+    "(a-b)-c": (5151, 7.8, 1.47, 4.74),
+    "(a&b)&c": (1732, 15.5, 2.16, 4.01),
+    "(a|b)-c": (7216, 6.9, 1.37, 4.10),
+    "a|(b-c)": (6731, 6.4, 1.39, 3.75),
+}
+
+
+def chain_db() -> TPDatabase:
+    db = TPDatabase()
+    for name, seed in zip("abc", (1, 2, 3)):
+        db.create_relation(name, ("k",), seeded_rows(seed))
+    return db
+
+
+@pytest.mark.parametrize("text", list(CHAIN_BUDGETS))
+def test_a_chain_builds_no_node_and_runs_no_batch(text):
+    """The interior node defers its two-variable windows, and the root
+    reads those rows as operands and values its windows over them in the
+    loop (DESIGN.md §6.3): nothing is interned and nothing batched."""
+    rows, ceiling, _, _ = CHAIN_BUDGETS[text]
+    db = chain_db()
+    clear_valuation_cache()
+    calls, result = count_calls(lambda: db.query(text))
+    assert len(result) == rows
+    total = sum(calls.values())
+    assert total / rows <= ceiling, (
+        f"{total / rows:.2f} calls per output row; the biggest callers: "
+        f"{calls.most_common(8)}"
+    )
+    assert calls[("py", "Or.__new__")] == calls[("py", "And.__new__")] == 0
+    assert calls[("py", "probability_batch")] == calls[("py", "_prob")] == 0
+
+
+@pytest.mark.parametrize("text", list(CHAIN_BUDGETS))
+def test_a_chain_result_retains_its_rows_and_then_its_nodes(text):
+    """Unread, a chain's rows hold their operands — the interior rows
+    among them — and no node; read, each holds its node and lets go of
+    the interior row it held."""
+    rows, _, unread_ceiling, read_ceiling = CHAIN_BUDGETS[text]
+    db = chain_db()
+    db.query(text)  # warm: sort orders
+    gc.collect()
+    tracked = len(gc.get_objects())
+    result = db.query(text)
+    gc.collect()
+    unread = (len(gc.get_objects()) - tracked) / rows
+    for t in result:
+        t.lineage
+    gc.collect()
+    read = (len(gc.get_objects()) - tracked) / rows
+    assert len(result) == rows
+    assert unread <= unread_ceiling, f"{unread:.2f} tracked objects per unread row"
+    assert read <= read_ceiling, f"{read:.2f} tracked objects per read row"
 
 
 # ----------------------------------------------------------------------
