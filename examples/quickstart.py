@@ -187,10 +187,11 @@ def performance_notes(db) -> None:
       re-sort.  If your loader already emits (F, Ts) order, construct
       with ``TPRelation(..., assume_sorted=True)`` to skip even the
       first sort.
-    * **Batch valuation.**  Lineage formulas are hash-consed, so a
-      result's repeated lineages are one object each, valuated once per
-      batch; nothing is kept after it.  Observe the repeats with
-      ``valuation_cache_stats()``.
+    * **Valuation in the sweep.**  A set operation values each window
+      where it builds it — one-occurrence windows by one product,
+      repeated variables by Shannon expansion — and batches only what
+      it cannot (each distinct lineage once; nothing is kept after
+      it).  ``valuation_cache_stats()`` counts where rows were valued.
     """
     from repro import clear_valuation_cache, tp_union, valuation_cache_stats
 
@@ -202,11 +203,12 @@ def performance_notes(db) -> None:
     chained = tp_union(u, c)  # input already sorted — no re-sort happens
     print(f"chained result sorted too: {chained.is_sorted_by_fact_ts}")
 
-    print("\n=== Performance: batch valuation ===")
+    print("\n=== Performance: valuation in the sweep ===")
     clear_valuation_cache()
-    again = tp_union(a, c)  # one batch: each distinct lineage valuated once
-    print(f"valuated {valuation_cache_stats()['misses']} distinct lineages "
-          f"for {len(again)} tuples")
+    again = tp_union(a, c)  # every window valued where the sweep builds it
+    stats = valuation_cache_stats()
+    print(f"valued {stats['swept']} of {len(again)} tuples in the sweep, "
+          f"batched {stats['hits'] + stats['misses']}")
     print(f"repeat bit-identical: {again.equivalent_to(u)}")
 
 

@@ -14,11 +14,11 @@ are allowed to differ (positional semantics, as in SQL set operations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidFactError, SchemaMismatchError
 
-__all__ = ["TPSchema", "Fact", "make_fact", "coerce_value"]
+__all__ = ["TPSchema", "Fact", "make_fact", "coerce_value", "fact_kind_clash"]
 
 #: A fact is the tuple of conventional attribute values of a TP tuple.
 Fact = tuple
@@ -109,3 +109,27 @@ def make_fact(values: Sequence[object]) -> Fact:
                 "duplicate check could match its fact"
             )
     return fact
+
+
+def _kind(cls: type) -> type:
+    return int if issubclass(cls, (int, float)) else str if issubclass(cls, str) else bytes
+
+
+def fact_kind_clash(facts: Iterable[Fact]) -> Optional[tuple[int, int]]:
+    """``(row, column)`` of the first fact value whose kind differs from
+    the first fact's in that column, or None.
+
+    Values of one kind — numbers (``bool``, ``int``, ``float``), text,
+    bytes — order against each other, values of two kinds never, and
+    the sweeps order facts: a column of two kinds fails the first
+    operation that compares them, however late.  One C-level pass per
+    column, not a call per row.
+    """
+    for column, values in enumerate(zip(*facts)):
+        types = set(map(type, values))
+        if len(types) > 1 and len(set(map(_kind, types))) > 1:
+            first = _kind(type(values[0]))
+            for row, value in enumerate(values):
+                if _kind(type(value)) is not first:
+                    return row, column
+    return None

@@ -27,19 +27,14 @@ Two execution paths produce bit-identical results (pinned by
 ``tests/test_setops_fused.py``):
 
 * the **fused kernel** (default, DESIGN.md §6), :func:`sweep_chunks`,
-  the one set-operation sweep (the streams of
-  :mod:`repro.algebra.streaming` run it too), runs sort → LAWA →
-  λ-filter → λ-concat → tuple construction → valuation as one loop over
-  plain local state — no per-window
-  :class:`~repro.core.window.LineageWindow` allocation, no intermediate
-  row, no per-call sweep-state write-back, cached ``(F, Ts)`` sort
-  order via :meth:`TPRelation.sorted_tuples`.  A window over base
-  variables, or over an unread row of an earlier result that is over
-  two of them, defers its lineage node to the first read and gets its
-  probability in the loop — so a chain such as ``(r1 ∪ r2) ∪ r3``
-  builds no node and runs no batch; one batch valuation computes each
-  *distinct* interned lineage of whatever else is left (repeated
-  variables, deeper chains) once and fills its probability;
+  the one set-operation sweep (the streams run it too), runs sort →
+  LAWA → λ-filter → λ-concat → tuple construction → valuation as one
+  loop over plain local state, with no per-window object.  A window
+  over base variables or over unread rows of earlier results defers
+  its lineage node to the first read and gets its probability in the
+  loop — so a chain such as ``(r1 ∪ r2) ∩ (r2 ∪ r3)`` builds no node
+  and runs no batch; one batch values each *distinct* lineage of
+  whatever else is left once;
 * the **unfused reference path** (``fused=False``) drives the
   single-step :class:`~repro.core.lawa.LawaSweep` exactly as the paper's
   pseudocode reads, window objects and all, and valuates every row in
@@ -49,13 +44,13 @@ Two execution paths produce bit-identical results (pinned by
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse, repeat
-from operator import attrgetter, is_, lshift, not_, or_
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
-from ..prob.valuation import ProbabilityOptions, probability_batch, record_valuations
+from ..prob.shannon import AND, NOT, OR, operand_tree, tree_connect, tree_not, tree_probability
+from ..prob.valuation import ProbabilityOptions, count_swept, probability_batch
 from .errors import UnsupportedOperationError
 from .lawa import LawaSweep
 from .relation import TPRelation
@@ -93,13 +88,11 @@ __all__ = [
 
 _SYMBOLS = {"union": "∪", "intersect": "∩", "except": "−"}
 _lineage_of = attrgetter("lineage")
-_lineage_slot_of = attrgetter("_lineage")  # None on a deferred row
-_left_of = attrgetter("_left")
-_right_of = attrgetter("_right")
-_p_of = attrgetter("p")
-#: The value of a deferred operand row that cannot be valued from two
-#: variables of the event map (see :func:`_row_value`).
-_UNVALUED: tuple = (None, None, None)
+#: The sweep values a window exactly when the batch would under the
+#: default options: up to this many repeated variables (DESIGN.md §6.3).
+_LIMIT = ProbabilityOptions().exact_repeated_limit
+#: Rows nested deeper than this are read through their interned node.
+_DEEPEST = 100
 
 
 def tp_intersect(
@@ -192,13 +185,15 @@ def _dispatch(
     r_sorted = r.sorted_tuples()
     s_sorted = s.sorted_tuples()
     events = r.merged_events(s)
-    if fused:
-        out, pending = _fused_sweep(
-            r_sorted, s_sorted, op, events if materialize else None
-        )
-    else:
+    if not fused:
         # The reference path leaves every row to the batch.
         out = pending = _unfused_sweep(r_sorted, s_sorted, op)
+    elif materialize and (options is None or options.exact_repeated_limit >= _LIMIT):
+        out, pending = _fused_sweep(r_sorted, s_sorted, op, events)
+    else:
+        # Lineage-only; so is a caller's limit below the sweep's, which
+        # leaves every row to the batch.
+        out = pending = _fused_sweep(r_sorted, s_sorted, op)[0]
     if materialize:
         _finish(out, pending, events, options)
     return TPRelation._derived(
@@ -253,33 +248,23 @@ def sweep_chunks(
     sweep (DESIGN.md §3.1).  The kernel trusts the order of its inputs;
     the streams check theirs.
 
-    Semantically identical to driving :class:`LawaSweep` step by step; the
-    sweep state lives in local variables (cursor tuple, its fact and start
-    point, the valid tuples' lineage, end point and probability per side)
-    and windows are never materialized — each output window becomes its
-    :class:`TPTuple` right here, its ``winTs``/``winTe`` written straight
-    into the tuple's slots through the trusted writers of
-    :mod:`repro.core.tuple`.
+    Semantically identical to driving :class:`LawaSweep` step by step,
+    with the sweep state in local variables; each output window becomes
+    its :class:`TPTuple` right here, through the trusted slot writers.
+    A window over base variables, or over an unread row of an earlier
+    result (read as an operand as it stands), builds no node: the tuple
+    holds its two operands and operator until ``lineage`` is read
+    (DESIGN.md §6.3); a window over a row alone copies the row's.
 
-    A window over two distinct base variables builds no node: its tuple
-    holds the two variables and the operator, and builds its node on the
-    first read of ``lineage`` (DESIGN.md §6.3).  An input row that holds
-    no node yet — an unread row of an earlier result, say the interior
-    node of ``(r1 ∪ r2) ∪ r3`` — is read as an operand as it stands: a
-    window over it is deferred the same way, its operand the row, and a
-    window over it alone copies the row's operands.
-
-    With ``events`` the kernel also valuates what it builds in the float
-    order of the batch's own 1OF valuation, reading each variable from
-    ``events``: ``x``, ``x∨y``, ``x∧y``, ``x∧¬y`` with ``x is not y``
-    — the one-occurrence forms of Theorem 1 — and the windows over an
-    unread row over two such variables that :func:`_nested_p`'s table
-    covers.  ``pending`` holds what ``_finish`` still owes: the tuples
-    left at ``p=None`` for a batch (a repeated variable, a variable
-    missing from ``events``, a deeper chain), which intern their node
-    now, and the valued windows over an unread row, whose formulas it
-    counts by their variables.  Without ``events`` every tuple is
-    lineage-only and none is pending.
+    With ``events`` the kernel also values what it builds, reading each
+    variable from ``events``: ``x∨y``, ``x∧y``, ``x∧¬y`` over distinct
+    variables (Theorem 1) in the float order of the batch's 1OF walk,
+    and any other deferred window by the batch's own Shannon walk over
+    its operand tree (:func:`repro.prob.shannon.tree_probability`).
+    ``pending`` holds the tuples left at ``p=None`` for the batch — a
+    variable ``events`` lacks, more repeated variables than the batch
+    values exactly, an eager compound operand — which intern their node
+    now.  Without ``events`` every tuple is lineage-only.
     """
     if op not in _SYMBOLS:
         raise UnsupportedOperationError(f"unknown TP set operation {op!r}")
@@ -316,16 +301,16 @@ def sweep_chunks(
     # The valid tuple per side: its lineage or, for an unread deferred
     # row, the row itself (None: no valid tuple), its end point, its
     # variable's probability (None: not a variable, or one ``events``
-    # lacks), and a row's value (:func:`_row_value`).
+    # lacks), and a row's operand tree (:func:`_row_tree`).
     r_lam: Lineage | TPTuple | None = None
     r_end = 0
     r_p: Optional[float] = None
-    r_v = _UNVALUED
+    r_t: object = None
     s_lam: Lineage | TPTuple | None = None
     s_end = 0
     s_p: Optional[float] = None
-    s_v = _UNVALUED
-    nested: Optional[int] = None  # the operator of a window over a row
+    s_t: object = None
+    nested: Optional[int] = None  # the operator of a window to walk
     prev_te = -1
     fact: object = object()  # currFact sentinel distinct from any real fact
 
@@ -380,14 +365,14 @@ def sweep_chunks(
         # Absorb cursor tuples that become valid exactly at winTs.  The
         # lineage slot is read directly; a deferred row of an earlier
         # result (its slot None) is the operand itself, its node unbuilt,
-        # and with events it is valued from its two variables.
+        # and with events its operand tree is read off for the walk.
         if rt is not None and rt_fact == fact and rt_start == win_ts:
             r_lam = rt._lineage
             if r_lam is None:
                 r_lam = rt
                 r_p = None
                 if valuate:
-                    r_v = _row_value(rt, probability_of)
+                    r_t = _row_tree(rt)
             else:
                 r_p = probability_of(r_lam.name) if type(r_lam) is Var else None
             r_end = rt.end
@@ -423,7 +408,7 @@ def sweep_chunks(
                 s_lam = st
                 s_p = None
                 if valuate:
-                    s_v = _row_value(st, probability_of)
+                    s_t = _row_tree(st)
             else:
                 s_p = probability_of(s_lam.name) if type(s_lam) is Var else None
             s_end = st.end
@@ -467,18 +452,14 @@ def sweep_chunks(
         assert win_te is not None and win_te > win_ts, "LAWA produced an empty window"
 
         # λ-filter + λ-concat (Table I), inlined per operation; ``lam``
-        # stays None for a window the filter drops.  Base lineages are
-        # atomic variables — for those the smart-constructor
-        # normalizations (flattening, constant folding) cannot fire, so
-        # the interned node is built directly; anything else goes through
-        # land/lor/lnot and stays bit-identical to the reference path.
-        # Two distinct base variables (``r_lam is not s_lam``: the node
-        # is 1OF) defer the node: the row keeps the two variables and the
-        # operator, and its first ``lineage`` read interns ``x∨y`` /
-        # ``x∧y`` / ``x∧¬y`` (DESIGN.md §6.3).  With two known
-        # probabilities the row gets ``p`` as the batch's _prob computes
-        # it.  A window over an unread row of an earlier result sets
-        # ``nested`` to its operator instead, and is built below.
+        # stays None for a window the filter drops.  Two distinct base
+        # variables (``r_lam is not s_lam``: 1OF) defer the node, and with
+        # two known probabilities the row gets ``p`` as the batch's _prob
+        # computes it (DESIGN.md §6.3).  A window over an unread row of an
+        # earlier result, or with events over one variable twice, sets
+        # ``nested`` to its operator instead, and is built and walked
+        # below.  Anything else goes through land/lor/lnot, bit-identical
+        # to the reference path.
         p = None
         defer = None
         if union:
@@ -492,10 +473,13 @@ def sweep_chunks(
                 defer = DEFER_OR
                 p = 1.0 - (1.0 - r_p) * (1.0 - s_p)
             elif type(r_lam) is Var and type(s_lam) is Var:
-                if valuate or r_lam is s_lam:
-                    lam = Or((r_lam, s_lam))
-                else:
+                if not valuate:
                     defer = DEFER_OR
+                elif r_lam is s_lam:
+                    lam = None
+                    nested = DEFER_OR
+                else:
+                    lam = Or((r_lam, s_lam))
             elif type(r_lam) is TPTuple or type(s_lam) is TPTuple:
                 lam = None
                 nested = DEFER_OR
@@ -508,10 +492,13 @@ def sweep_chunks(
                 defer = DEFER_AND
                 p = r_p * s_p
             elif type(r_lam) is Var and type(s_lam) is Var:
-                if valuate or r_lam is s_lam:
-                    lam = And((r_lam, s_lam))
-                else:
+                if not valuate:
                     defer = DEFER_AND
+                elif r_lam is s_lam:
+                    lam = None
+                    nested = DEFER_AND
+                else:
+                    lam = And((r_lam, s_lam))
             elif type(r_lam) is TPTuple or type(s_lam) is TPTuple:
                 lam = None
                 nested = DEFER_AND
@@ -526,10 +513,13 @@ def sweep_chunks(
             defer = DEFER_AND_NOT
             p = r_p * (1.0 - s_p)
         elif type(r_lam) is Var and type(s_lam) is Var:
-            if valuate or r_lam is s_lam:
-                lam = And((r_lam, Not(s_lam)))
-            else:
+            if not valuate:
                 defer = DEFER_AND_NOT
+            elif r_lam is s_lam:
+                lam = None
+                nested = DEFER_AND_NOT
+            else:
+                lam = And((r_lam, Not(s_lam)))
         elif type(r_lam) is TPTuple or type(s_lam) is TPTuple:
             lam = None
             nested = DEFER_AND_NOT
@@ -567,7 +557,7 @@ def sweep_chunks(
                 left = lam._left
                 right = lam._right
                 if valuate:
-                    p = (r_v if lam is r_lam else s_v)[0]
+                    p = tree_probability(r_t if lam is r_lam else s_t, events, _LIMIT)
                     set_p(t, p)
                 if valuate and p is None:
                     set_lineage(t, lam.lineage)  # deeper, or unvalued
@@ -582,12 +572,16 @@ def sweep_chunks(
                     set_op(t, lam._op)
         elif nested is not None:
             # A window over an unread row is deferred too: the row is its
-            # operand.  With events, it is valued when the table of
-            # :func:`_nested_p` covers it; any other window interns its
-            # node and waits for the batch.  ``pending`` gets both kinds:
-            # ``_finish`` counts a valued one by its variables.
+            # operand.  With events the walk values it; a window the walk
+            # leaves to the batch (None) interns its node and is pending.
             if valuate:
-                p = _nested_p(nested, r_lam, r_p, r_v, s_lam, s_p, s_v)
+                p = tree_probability(_window_tree(
+                    nested,
+                    r_t if type(r_lam) is TPTuple else r_lam if type(r_lam) is Var
+                    else operand_tree(r_lam),
+                    s_t if type(s_lam) is TPTuple else s_lam if type(s_lam) is Var
+                    else operand_tree(s_lam),
+                ), events, _LIMIT)
             t = new_object(TPTuple)
             set_fact(t, fact)
             set_start(t, win_ts)
@@ -600,13 +594,12 @@ def sweep_chunks(
                     r_lam.lineage if type(r_lam) is TPTuple else r_lam,
                     s_lam.lineage if type(s_lam) is TPTuple else s_lam,
                 ))
+                pend(t)
             else:
                 set_lineage(t, None)
                 set_left(t, r_lam)
                 set_right(t, s_lam)
                 set_op(t, nested)
-            if valuate:
-                pend(t)
             nested = None
 
         # Expire valid tuples that end exactly at the window boundary.
@@ -620,99 +613,37 @@ def sweep_chunks(
         yield out, pending
 
 
-def _row_value(
-    row: TPTuple, probability_of: Callable[[str], Optional[float]]
-) -> tuple:
-    """``(p, pa, pb)`` of an unread deferred row over variables ``a`` and
-    ``b``, read from the event map: ``p`` in the float order of the batch's
-    1OF walk (``prob.exact_1of._prob``), ``pa`` and ``pb`` for the windows
-    that flatten the row into theirs.  :data:`_UNVALUED` when an operand
-    is not a variable (a deeper chain) or is one the map lacks."""
-    a = row._left
-    b = row._right
-    if type(a) is not Var or type(b) is not Var:
-        return _UNVALUED
-    pa = probability_of(a.name)
-    pb = probability_of(b.name)
-    if pa is None or pb is None:
-        return _UNVALUED
-    op = row._op
-    if op == DEFER_OR:
-        return 1.0 - (1.0 - pa) * (1.0 - pb), pa, pb
-    if op == DEFER_AND:
-        return pa * pb, pa, pb
-    return pa * (1.0 - pb), pa, pb
+def _row_tree(row: TPTuple, depth: int = 0) -> object:
+    """The operand tree of an unread row's formula, read off its operands
+    (DESIGN.md §6.3); a row whose operand is gone, or one nested deeper
+    than :data:`_DEEPEST`, through its node."""
+    left = row._left
+    right = row._right
+    if left is None or right is None or depth > _DEEPEST:
+        return operand_tree(row.lineage)
+    return _window_tree(
+        row._op,
+        left if type(left) is Var else _row_tree(left, depth + 1)
+        if type(left) is TPTuple else operand_tree(left),
+        right if type(right) is Var else _row_tree(right, depth + 1)
+        if type(right) is TPTuple else operand_tree(right),
+    )
 
 
-def _nested_p(
-    op: int,
-    r: Lineage | TPTuple,
-    r_p: Optional[float],
-    r_v: tuple,
-    s: Lineage | TPTuple,
-    s_p: Optional[float],
-    s_v: tuple,
-) -> Optional[float]:
-    """``p`` of a window whose operand is an unread row, or None.
-
-    ``R`` and ``S`` are deferred rows over two variables the event map
-    holds (``r_v`` / ``s_v`` from :func:`_row_value`), ``z`` a variable
-    with a known probability.  The window's node is in one-occurrence
-    form exactly when its leaf variables are pairwise distinct objects
-    (interned: one object per name), and then its ``p`` is the batch's
-    ``_prob`` over the node the constructors flatten — ``lor(a∨b, z)``
-    is ``a∨b∨z``, ``land(a∧¬b, z)`` is ``a∧¬b∧z`` — in that walk's float
-    order (DESIGN.md §6.3):
-
-    * ``R ∪ z``: ``1 − ((1−pa)(1−pb))(1−pz)`` when R is ∨, else
-      ``1 − (1−pR)(1−pz)``; ``z ∪ S``: ``1 − ((1−pz)(1−pa))(1−pb)``
-      when S is ∨, else ``1 − (1−pz)(1−pS)``;
-    * ``R ∩ z``: ``pR·pz``; ``z ∩ S``: ``(pz·pa)·pb`` when S is ∧,
-      ``(pz·pa)·(1−pb)`` when S is ∧¬, ``pz·pS`` when S is ∨;
-    * ``R − z``, ``z − S``, ``R − S``: ``pR(1−pz)``, ``pz(1−pS)``,
-      ``pR(1−pS)``.
-
-    None — the window is interned and batched — for anything else: a
-    repeated variable, a value the map lacks, a deeper chain, an eager
-    compound operand, and ``R ∪ S`` / ``R ∩ S``.
-    """
-    if type(s) is Var:  # R op z
-        pr, pa, pb = r_v
-        if pr is None or s_p is None or s is r._left or s is r._right:
-            return None
-        if op == DEFER_OR:
-            if r._op == DEFER_OR:
-                return 1.0 - (1.0 - pa) * (1.0 - pb) * (1.0 - s_p)
-            return 1.0 - (1.0 - pr) * (1.0 - s_p)
-        if op == DEFER_AND:
-            return pr * s_p
-        return pr * (1.0 - s_p)
-    if type(r) is Var:  # z op S
-        ps, pa, pb = s_v
-        if ps is None or r_p is None or r is s._left or r is s._right:
-            return None
-        kind = s._op
-        if op == DEFER_OR:
-            if kind == DEFER_OR:
-                return 1.0 - (1.0 - r_p) * (1.0 - pa) * (1.0 - pb)
-            return 1.0 - (1.0 - r_p) * (1.0 - ps)
-        if op == DEFER_AND:
-            if kind == DEFER_AND:
-                return r_p * pa * pb
-            if kind == DEFER_AND_NOT:
-                return r_p * pa * (1.0 - pb)
-            return r_p * ps
-        return r_p * (1.0 - ps)
-    if op == DEFER_AND_NOT and type(r) is TPTuple and type(s) is TPTuple:  # R − S
-        pr = r_v[0]
-        ps = s_v[0]
-        if pr is None or ps is None:
-            return None
-        a, b, c, d = r._left, r._right, s._left, s._right
-        if c is a or c is b or d is a or d is b:
-            return None
-        return pr * (1.0 - ps)
-    return None
+def _window_tree(op: int, left: object, right: object) -> object:
+    """The operand tree of ``deferred_node(op, …)`` over two trees: an
+    operand with the window's own connective splices, and only a ⊤/⊥
+    operand or a negated negation takes the constructors' long way."""
+    if op == DEFER_AND_NOT:
+        right = (NOT, right) if type(right) is Var else tree_not(right)
+    tag = OR if op == DEFER_OR else AND
+    if (type(left) is tuple or type(left) is Var) and (type(right) is tuple or type(right) is Var):
+        return (
+            tag,
+            *(left[1:] if type(left) is tuple and left[0] == tag else (left,)),
+            *(right[1:] if type(right) is tuple and right[0] == tag else (right,)),
+        )
+    return tree_connect(tag, (left, right))
 
 
 def sweep_rows(
@@ -781,91 +712,19 @@ def _finish(
     """Valuate what the sweep left at ``p=None`` in one batch, and count.
 
     ``out`` holds the tuples a sweep has just built and nobody else has
-    seen; the fused kernel valued all but the ``pending`` rows still at
-    ``p=None`` as it built them.  Those are computed in one batch over the
-    interned lineages — each distinct formula is valuated once, however
-    many windows emitted it (see :func:`repro.prob.valuation
-    .probability_batch`) — against the operand pair's cached merged
-    event map, and written into the tuples before the relation exists,
-    so every tuple is still built exactly once and a published tuple
-    never changes (DESIGN.md §6.3).
-
-    The valuation counters then read as one batch over all of ``out``
-    would have read them: its misses are the distinct formulas, the
-    pending batch's included, and its hits the repeats.  A deferred row
-    (its ``_lineage`` slot ``None``) is counted without building its
-    node.  One over two variables is keyed by its operand pair: within
-    one operation two of them share a formula exactly when they share
-    the pair — a derived operand can repeat one — and a deferred formula
-    is no other row's (those hold a variable, or a node over a compound
-    operand, a repeated variable or one ``events`` lacks; only a ⊤/⊥
-    operand lineage, which no loader or operator builds, could fold into
-    one).  C-level set builds count them, not a call per row, and the
-    pair keys are untracked integers.  A valued row over an earlier
-    result's unread row — the kernel also hands those in ``pending`` —
-    is keyed by its variables instead (:func:`_nested_formulas`): two
-    such operand rows can be distinct objects with one formula.  The
-    counting runs after the batch, so a batch that raises counts
-    nothing, as one over all rows would not.
+    seen; the fused kernel valued all but the ``pending`` rows.  Those
+    get one batch over their interned lineages (each distinct formula
+    once) against the operand pair's merged event map, written before
+    the relation exists, so a published tuple never changes (DESIGN.md
+    §6.3).  The rest count as ``swept``, after the batch, so a batch
+    that raises counts nothing.
     """
-    batch = pending
-    nested: list[TPTuple] = []
     if pending:
-        unvalued = list(map(is_, map(_p_of, pending), repeat(None)))
-        if not all(unvalued):
-            batch = list(compress(pending, unvalued))
-            nested = list(compress(pending, map(not_, unvalued)))
-    if batch:
         fill_probabilities(
-            batch,
-            probability_batch(list(map(_lineage_of, batch)), events, options=options),
+            pending,
+            probability_batch(list(map(_lineage_of, pending)), events, options=options),
         )
-    inline = len(out) - len(batch)
-    if inline:
-        misses = len(set(filter(None, map(_lineage_slot_of, out))))
-        if batch:
-            misses -= len(set(map(_lineage_of, batch)))
-        deferred = list(filterfalse(_lineage_slot_of, out))
-        if deferred:
-            misses += len(_operand_pairs(deferred))
-            if nested:
-                misses += _nested_formulas(nested) - len(_operand_pairs(nested))
-        record_valuations(misses, inline - misses)
-
-
-def _operand_pairs(rows: list[TPTuple]) -> set[int]:
-    """Deferred rows' operand pairs, each as ``id(left) << 64 | id(right)``:
-    the rows keep both operands alive, and an int is not GC-tracked."""
-    return set(map(
-        or_,
-        map(lshift, map(id, map(_left_of, rows)), repeat(64)),
-        map(id, map(_right_of, rows)),
-    ))
-
-
-def _nested_formulas(rows: list[TPTuple]) -> int:
-    """How many distinct formulas the valued rows over an unread operand
-    row stand for, read off their variables without building a node.
-
-    Such a row is ``R op z``, ``z op S`` or ``R − S`` (:func:`_nested_p`),
-    each operand row over two variables.  Its formula is fixed by the
-    shape, each operand row's variables and operator, and ``z`` — the
-    operation's own operator is one per result — so the key is that
-    tuple, its length telling the shapes apart.  Operand row objects do
-    not key it: an earlier result copies one row's operands into every
-    window that row spans alone, so one formula can reach a later
-    operation through several rows.
-    """
-    return len({
-        (
-            (left._left, left._right, left._op, right._left, right._right, right._op)
-            if right.__class__ is TPTuple
-            else (left._left, left._right, left._op, right)
-        )
-        if left.__class__ is TPTuple
-        else (left, right._left, right._right, right._op, None)
-        for left, right in zip(map(_left_of, rows), map(_right_of, rows))
-    })
+    count_swept(len(out) - len(pending))
 
 
 #: Dispatch table, also consumed by the query executor and the benchmarks.

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
 from .errors import InvalidFactError, InvalidIntervalError, InvalidProbabilityError
 from .interval import Interval
-from .schema import _ATOMIC_TYPES, Fact
+from .schema import _ATOMIC_TYPES, Fact, fact_kind_clash
 
 __all__ = [
     "TPTuple",
@@ -243,6 +243,7 @@ set_op = TPTuple._op.__set__  # type: ignore[attr-defined]
 _set_interval_start = Interval.start.__set__  # type: ignore[attr-defined]
 _set_interval_end = Interval.end.__set__  # type: ignore[attr-defined]
 _operands_of = attrgetter("_left", "_right", "_op")
+_fact_of = attrgetter("fact")
 _deferred_build = threading.Lock()
 
 
@@ -378,7 +379,8 @@ def check_intervals(starts: Sequence[int], ends: Sequence[int]) -> None:
 
 def time_point(value: object, row: object) -> int:
     """``value`` as an integer time point, refusing what ``int()`` would
-    silently change: a ``bool``, or a number with a fractional part.
+    silently change — a ``bool``, or a number with a fractional part —
+    and what it cannot convert: an infinity, NaN, other text, ``None``.
 
     Integral numbers (``2``, ``2.0`` — a JSON number) and numeric text
     convert as before; ``row`` names the offending row in the error.
@@ -396,8 +398,11 @@ def time_point(value: object, row: object) -> int:
         raise InvalidIntervalError(
             f"row {row}: time point {value!r} is a bool, not an integer"
         )
-    point = int(value)
-    if point != value and not isinstance(value, str):
+    try:
+        point = int(value)  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
+        point = None
+    if point is None or point != value and not isinstance(value, str):
         raise InvalidIntervalError(
             f"row {row}: time point {value!r} is not an integer"
         )
@@ -417,8 +422,13 @@ def base_tuples(
     ``ts < te`` and that ``p`` is a number (not a ``bool`` or text) with
     ``0 < p ≤ 1`` — in that order, raising on the first violation with
     the identifier of the offending row.  Returns the tuples in row order and their event
-    map ``{identifier: p}``.  Duplicate-freeness spans rows and is the
-    relation's check (:meth:`repro.core.relation.TPRelation.from_rows`).
+    map ``{identifier: p}``.  Once all rows are built, each fact column
+    must hold values of one kind
+    (:func:`~repro.core.schema.fact_kind_clash`), or the row that breaks
+    it is named.  Every refusal is a
+    :class:`~repro.core.errors.TPError`.  Duplicate-freeness spans rows
+    and is the relation's check
+    (:meth:`repro.core.relation.TPRelation.from_rows`).
     """
     width = arity + 3
     tuples: list[TPTuple] = []
@@ -426,14 +436,14 @@ def base_tuples(
     append = tuples.append
     for row, identifier in zip(rows, identifiers):
         if len(row) != width:
-            raise ValueError(
+            raise InvalidFactError(
                 f"row {identifier} has {len(row)} fields, expected "
                 f"{arity} fact values followed by ts, te, p"
             )
         fact = tuple(row[:arity])
         for value in fact:
             if not isinstance(value, _ATOMIC_TYPES):
-                raise TypeError(
+                raise InvalidFactError(
                     f"row {identifier}: fact component {value!r} is not an "
                     "atomic immutable value"
                 )
@@ -471,6 +481,14 @@ def base_tuples(
         set_p(t, p)
         append(t)
         events[identifier] = p
+    clash = fact_kind_clash(map(_fact_of, tuples))
+    if clash is not None:
+        row, column = clash
+        raise InvalidFactError(
+            f"row {tuples[row].lineage}: fact component "
+            f"{tuples[row].fact[column]!r} does not order against row "
+            f"{tuples[0].lineage}'s {tuples[0].fact[column]!r} in column {column}"
+        )
     return tuples, events
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "EventMap",
     "clear_valuation_cache",
     "valuation_cache_stats",
+    "count_swept",
 ]
 
 
@@ -99,9 +100,11 @@ _DEFAULT_OPTIONS = ProbabilityOptions()
 _epoch_counter = itertools.count(1)
 
 #: Formulas valuated (misses) and repeats served from the batch's own
-#: dict (hits), summed over every :func:`probability_batch` call.
+#: dict (hits), summed over every :func:`probability_batch` call, and
+#: the rows a set-operation sweep valued where it built them (swept).
 _BATCH_HITS = 0
 _BATCH_MISSES = 0
+_SWEPT = 0
 
 _MISS = object()  # lookup sentinel (0.0 is a legitimate value)
 
@@ -219,31 +222,28 @@ def clear_valuation_cache() -> None:
 
     No valuation outlives its batch, so there is nothing else to clear;
     the name stays because the benchmark scripts call it between rounds."""
-    global _BATCH_HITS, _BATCH_MISSES
+    global _BATCH_HITS, _BATCH_MISSES, _SWEPT
     _BATCH_HITS = 0
     _BATCH_MISSES = 0
+    _SWEPT = 0
 
 
 def valuation_cache_stats() -> dict[str, int]:
-    """Within-batch deduplication counters, summed over batches.
+    """What valuation ran, summed since the last reset.
 
-    ``misses`` counts the formulas :func:`probability_batch` valuated and
-    ``hits`` the repeats it served from the batch's own dict.  The name
-    stays because the benchmark scripts read the counters per read."""
-    return {"hits": _BATCH_HITS, "misses": _BATCH_MISSES}
+    ``misses`` counts the distinct formulas :func:`probability_batch`
+    valuated and ``hits`` the repeats it served from the batch's own
+    dict, so ``hits + misses`` rows were batched; ``swept`` counts the
+    rows a set-operation sweep valued where it built them (DESIGN.md
+    §6.3), which no batch saw.  The name stays because the benchmark
+    scripts read the counters per read."""
+    return {"hits": _BATCH_HITS, "misses": _BATCH_MISSES, "swept": _SWEPT}
 
 
-def record_valuations(misses: int, hits: int) -> None:
-    """Count valuations made outside :func:`probability_batch`.
-
-    For a kernel that valuates some of a result's rows as it builds them
-    (the fused set-operation sweep, DESIGN.md §6.3) and batches the
-    rest: it reports what one batch over all its rows would have
-    counted, so :func:`valuation_cache_stats` does not depend on where
-    a row was valuated."""
-    global _BATCH_HITS, _BATCH_MISSES
-    _BATCH_MISSES += misses
-    _BATCH_HITS += hits
+def count_swept(rows: int) -> None:
+    """Count ``rows`` valued by a set-operation sweep."""
+    global _SWEPT
+    _SWEPT += rows
 
 
 # ----------------------------------------------------------------------

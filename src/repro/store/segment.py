@@ -48,7 +48,7 @@ from ..core.errors import (
     SnapshotUnavailableError,
 )
 from ..core.relation import TPRelation
-from ..core.schema import Fact, TPSchema, make_fact
+from ..core.schema import Fact, TPSchema, fact_kind_clash, make_fact
 from ..core.sorting import null_safe_fact_key
 from ..core.tuple import TPTuple, base_tuples, time_point
 from ..lineage.formula import Var, variable_names
@@ -92,6 +92,15 @@ def _time_points(values: Sequence[object], arity: int) -> tuple[int, int]:
             f"row {values}: interval requires start < end, got [{start}, {end})"
         )
     return start, end
+
+
+def _fact(values: list, arity: int) -> Fact:
+    """The fact of a transaction row, a non-atomic value refused with the
+    row named."""
+    try:
+        return make_fact(values[:arity])
+    except TypeError as exc:
+        raise InvalidFactError(f"row {values}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -430,6 +439,7 @@ class SegmentStore:
         removed: list[TPTuple] = []
         added: list[TPTuple] = []
         new_events: dict[str, float] = {}
+        stored = self._facts_sorted[:1]  # one of each column's kind
         try:
             for fact, start, end in delete_specs:
                 group = self._groups.get(fact)
@@ -461,6 +471,16 @@ class SegmentStore:
                 group.insert(t)
                 added.append(t)
                 new_events[identifier] = t.p
+            # A fact whose first value differs from its neighbours' can
+            # be sorted in beside them with a later column of another
+            # kind; the sweeps would compare that column.
+            clash = fact_kind_clash([*stored, *(t.fact for t in added)])
+            if clash is not None:
+                raise InvalidFactError(
+                    f"store {self.name!r} rejects insert "
+                    f"{added[clash[0] - len(stored)].fact!r}: "
+                    f"its column {clash[1]} does not order against the stored facts'"
+                )
         except Exception:
             # Roll back: the store must be exactly as before the batch.
             for t in added:
@@ -566,23 +586,23 @@ class SegmentStore:
     def _parse_delete(self, row: Sequence[object], arity: int):
         values = list(row)
         if len(values) != arity + 2:
-            raise ValueError(
+            raise InvalidFactError(
                 f"delete row {values!r} has {len(values)} fields, expected "
                 f"{arity} fact values followed by ts, te"
             )
         start, end = _time_points(values, arity)
-        return make_fact(values[:arity]), start, end
+        return _fact(values, arity), start, end
 
     def _parse_insert(self, row: Sequence[object], arity: int):
         values = list(row)
         if len(values) != arity + 3:
-            raise ValueError(
+            raise InvalidFactError(
                 f"insert row {values!r} has {len(values)} fields, expected "
                 f"{arity} fact values followed by ts, te, p"
             )
         start, end = _time_points(values, arity)
         # ``p`` stays as given: base_tuples refuses a bool or text.
-        return make_fact(values[:arity]), start, end, values[arity + 2]
+        return _fact(values, arity), start, end, values[arity + 2]
 
     def _mark_changed(
         self, inserted: Sequence[TPTuple], deleted: Sequence[TPTuple]

@@ -176,7 +176,7 @@ class TestProjectBasics:
         clear_valuation_cache()
         result = tp_project(r, ["item"])
         assert [str(t.lineage) for t in result] == ["r1", "r1∨r2", "r1"]
-        assert valuation_cache_stats() == {"hits": 1, "misses": 2}
+        assert valuation_cache_stats() == {"hits": 1, "misses": 2, "swept": 0}
 
     @settings(max_examples=40, deadline=None)
     @given(r=tp_relation("r", max_facts=3, max_intervals=3))

@@ -45,8 +45,11 @@ def reference(name: str, arity: int, rows: list) -> tuple[list[TPTuple], dict]:
         values = list(row)
         try:
             if len(values) != arity + 3:
-                raise ValueError
-            fact = make_fact(values[:arity])
+                raise InvalidFactError
+            try:
+                fact = make_fact(values[:arity])
+            except TypeError:
+                raise InvalidFactError from None
             ts, te, p = values[arity:]
             interval = Interval(int(ts), int(te))
             if isinstance(p, (bool, str, bytes, bytearray)):
@@ -134,8 +137,8 @@ def test_base_tuple_is_the_one_row_case(rows):
 @pytest.mark.parametrize(
     "bad, error",
     [
-        (("x", 5), ValueError),  # width
-        ((["x"], 1, 5, 0.5), TypeError),  # non-atomic value
+        (("x", 5), InvalidFactError),  # width
+        ((["x"], 1, 5, 0.5), InvalidFactError),  # non-atomic value
         (("x", 5, 5, 0.5), InvalidIntervalError),  # ts >= te
         (("x", 1, 5, 1.5), ValueError),  # p out of range
         (("x", 1, 5, 0.0), ValueError),
@@ -147,6 +150,81 @@ def test_each_invalid_row_kind_names_its_row(bad, error):
     with pytest.raises(error) as raised:
         TPRelation.from_rows("a", ("k",), rows)
     assert "a3" in named_rows(str(raised.value), "a")
+
+
+#: Rows every front door refuses with a typed error naming the row,
+#: where a bare builtin exception escaped before.
+HOSTILE_ROWS = {
+    "infinite-start": ((float("-inf"), 4, 0.5), InvalidIntervalError),
+    "infinite-end": ((0, float("inf"), 0.5), InvalidIntervalError),
+    "nan-end": ((0, float("nan"), 0.5), InvalidIntervalError),
+    "one-field-short": ((0, 4), InvalidFactError),
+    "one-field-over": ((0, 4, 0.5, 0.5), InvalidFactError),
+    "list-value": ((["v"], 0, 4, 0.5), InvalidFactError),
+    "dict-value": (({"v": 1}, 0, 4, 0.5), InvalidFactError),
+    "none-value": ((None, 0, 4, 0.5), InvalidFactError),
+}
+
+
+def hostile(case: str) -> tuple[tuple, type]:
+    """The hostile row of ``case`` over ``(k, v)``: ``('y', …)`` with
+    its fields, or with its ``v`` value when the case replaces one."""
+    fields, error = HOSTILE_ROWS[case]
+    if case.endswith("-value"):
+        return ("y", *fields), error
+    return ("y", "w", *fields), error
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+class TestHostileRowsAreTypedRefusals:
+    def test_create_relation(self, case):
+        row, error = hostile(case)
+        db = TPDatabase()
+        with pytest.raises(error, match=r"\ba2\b") as raised:
+            db.create_relation("a", ("k", "v"), [("x", "v", 0, 4, 0.5), row])
+        assert isinstance(raised.value, TPError)
+        assert "a" not in db.catalog
+
+    def test_apply(self, case):
+        row, error = hostile(case)
+        db = TPDatabase()
+        db.create_relation("a", ("k", "v"), [("x", "v", 0, 4, 0.5)])
+        epoch = db.store("a").epoch
+        with pytest.raises(error) as raised:
+            db.insert("a", [row])
+        assert isinstance(raised.value, TPError)
+        assert db.store("a").epoch == epoch
+        assert [t.fact for t in db.relation("a")] == [("x", "v")]
+
+
+class TestAColumnOfTwoKindsIsRefused:
+    """``('x', 1)`` and ``('y', 'z')``: the first column decides every
+    comparison within the relation, so no sort meets ``1`` and ``'z'``;
+    a later operation would, against any fact ``('x', …)``."""
+
+    ROWS = [("x", 1, 0, 4, 0.5), ("y", "z", 0, 4, 0.5)]
+
+    def test_create_relation(self):
+        db = TPDatabase()
+        with pytest.raises(InvalidFactError, match=r"\ba2\b.*'z'.*\ba1\b.*column 1"):
+            db.create_relation("a", ("k", "v"), self.ROWS)
+        assert "a" not in db.catalog
+
+    def test_numbers_of_any_type_are_one_kind(self):
+        rows = [("x", 1, 0, 4, 0.5), ("y", 2.5, 0, 4, 0.5), ("z", True, 0, 4, 0.5)]
+        assert len(TPRelation.from_rows("a", ("k", "v"), rows)) == 3
+
+    def test_apply(self):
+        db = TPDatabase()
+        db.create_relation("a", ("k", "v"), self.ROWS[:1])
+        epoch = db.store("a").epoch
+        with pytest.raises(InvalidFactError, match=r"rejects insert \('y', 'z'\).*column 1"):
+            db.insert("a", [("w", 2, 0, 4, 0.5)] + self.ROWS[1:])
+        assert db.store("a").epoch == epoch
+        assert [t.fact for t in db.relation("a")] == [("x", 1)]
+        db.delete("a", [("x", 1, 0, 4)])
+        db.insert("a", self.ROWS[1:])  # an empty store takes either kind
+        assert [t.fact for t in db.relation("a")] == [("y", "z")]
 
 
 # ----------------------------------------------------------------------

@@ -68,10 +68,17 @@ def values(rows) -> list[tuple]:
 def assert_chain_agrees(tree) -> None:
     reference, reference_stats = run(tree, fused=False)
     rows, stats = run(tree, fused=True)
-    assert stats == reference_stats  # counted before any node exists
     if isinstance(reference, tuple):
         assert rows == reference  # the same error, naming the same variable
+        assert stats == reference_stats == {"hits": 0, "misses": 0, "swept": 0}
         return
+    # The reference batches every row; the chain values every row in the
+    # sweep and batches none — counted before any node exists.
+    distinct = len({u.lineage for u in reference})
+    assert reference_stats == {
+        "hits": len(reference) - distinct, "misses": distinct, "swept": 0,
+    }
+    assert stats == {"hits": 0, "misses": 0, "swept": len(rows)}
     assert values(rows) == values(reference)
     lineages = [u.lineage for u in reference]
     assert all(t.lineage is u for t, u in zip(rows, lineages))  # first read
@@ -121,6 +128,40 @@ class TestRepeatedRelations:
             assert_chain_agrees(tree)
 
 
+class TestRepeatedVariablesAreWalkedInTheSweep:
+    """Windows over one variable twice — ``a∧a``, ``a−a`` — and over two
+    rows that share one — ``(a∪b)∩(b∪c)`` and its kin — are not 1OF:
+    the sweep runs the batch's Shannon walk over their operand trees."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(three_relations(), st.sampled_from(list(OPS)))
+    def test_shared_relations(self, relations, outer):
+        a, b, c = relations
+        for tree in (
+            ("intersect", a, a),
+            ("except", a, a),
+            ("union", a, a),
+            (outer, ("union", a, b), ("union", b, c)),
+            (outer, ("intersect", a, b), ("intersect", b, c)),
+            (outer, ("except", a, b), ("except", b, c)),
+            (outer, ("union", a, b), ("except", b, c)),
+        ):
+            assert_chain_agrees(tree)
+
+    @settings(max_examples=20, deadline=None)
+    @given(three_relations(), tp_relation("d"), st.sampled_from(PAIRS))
+    def test_four_relation_trees_that_repeat_one(self, relations, d, ops):
+        a, b, c = relations
+        x, y = ops
+        for tree in (
+            (x, (y, (x, a, b), c), a),
+            (y, (x, a, b), (x, c, a)),
+            (x, (y, a, (x, b, c)), (y, d, b)),
+            (y, ("union", (x, a, b), c), ("intersect", b, d)),
+        ):
+            assert_chain_agrees(tree)
+
+
 class TestFourRelationChains:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -156,20 +197,22 @@ def test_seeded_chains_with_many_windows_of_every_shape():
         assert_chain_agrees((op1, a, (op2, b, c)))
         assert_chain_agrees((op2, (op1, a, b), (op1, c, d)))
         assert_chain_agrees((op2, (op1, (op2, a, b), c), d))
+        assert_chain_agrees((op2, (op1, a, b), (op1, b, c)))
+        assert_chain_agrees((op2, (op1, a, b), b))
 
 
 def test_an_interior_row_spans_several_root_windows():
     """``a1∨b1`` over [2, 8) meets two ``c`` tuples: the root sees it
     alone, with ``c1``, alone, with ``c2`` and alone again — three
-    copies of one formula (one miss, two hits) and two windows over the
-    row itself; ``a1`` either side of it is one more formula."""
+    copies of one formula and two windows over the row itself; ``a1``
+    either side of it.  All seven are valued in the sweep."""
     a = TPRelation.from_rows("a", ("k",), [("x", 0, 10, 0.3)])
     b = TPRelation.from_rows("b", ("k",), [("x", 2, 8, 0.7)])
     c = TPRelation.from_rows("c", ("k",), [("x", 3, 4, 0.1), ("x", 5, 6, 0.9)])
     tree = ("union", ("union", a, b), c)
     rows, stats = run(tree, fused=True)
     assert sum(t._lineage is None for t in rows) == 5  # white box: no node yet
-    assert stats == {"misses": 4, "hits": 3}
+    assert stats == {"hits": 0, "misses": 0, "swept": 7}
     assert [(str(t.lineage), t.start, t.end) for t in rows] == [
         ("a1", 0, 2),
         ("a1∨b1", 2, 3),

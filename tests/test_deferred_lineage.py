@@ -8,9 +8,10 @@ of that may show.  Every materialized ∪/∩/− row must agree with its
 ``fused=False`` twin, starting from an unread row each time, in ``==``
 and ``hash``, set membership, ``repr`` and ``str``, a ``pickle`` and a
 ``copy.deepcopy`` round trip, lineage identity on the first and second
-read, and the valuation counters — over base pairs, and over derived
-operands such as ``(a | b) - c``, where one operand pair recurs in
-several windows.
+read, and the valuation counters, which count the twin's rows as
+batched and the fused rows as valued in the sweep unless the sweep left
+them pending — over base pairs, and over derived operands such as
+``(a | b) - c``, where one operand pair recurs in several windows.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro import TPRelation
-from repro.core.setops import tp_except, tp_intersect, tp_union
+from repro.core.setops import _fused_sweep, tp_except, tp_intersect, tp_union
 from repro.core.tuple import TPTuple
 from repro.db import TPDatabase
 from repro.lineage.formula import intern_stats
 from repro.prob.valuation import clear_valuation_cache, valuation_cache_stats
 from tests.strategies import tp_relation, tp_relation_pair
 from tests.test_hot_path_budget import LEFT_BEHIND_PER_ROW_CEILING, READS, seeded_rows
+from tests.test_setops_inline_valuation import batched
 
 OPS = [tp_union, tp_intersect, tp_except]
 
@@ -57,13 +59,16 @@ def deferred(rows: list[TPTuple]) -> int:
 def assert_twins(op, left: TPRelation, right: TPRelation) -> None:
     clear_valuation_cache()
     twins = list(op(left, right, fused=False))
-    twin_stats = valuation_cache_stats()
+    assert valuation_cache_stats() == batched(twins, twins)
     lineages = [u.lineage for u in twins]
 
+    _, pending = _fused_sweep(
+        left.sorted_tuples(), right.sorted_tuples(), op.__name__[3:], left.merged_events(right)
+    )
     clear_valuation_cache()
     rows = fresh(op, left, right)
     # Counted without building a node: no row has been read yet.
-    assert valuation_cache_stats() == twin_stats
+    assert valuation_cache_stats() == batched(rows, pending)
     assert len(rows) == len(twins)
 
     rows = fresh(op, left, right)
@@ -104,7 +109,10 @@ class TestADeferredRowEqualsItsTwin:
 
     def test_a_repeated_pair_counts_as_one_formula(self):
         """``(a ∪ b) − c``: ``a1`` spans ``b1``, so ``a1∧¬c1`` is the
-        lineage of two windows — one formula, one miss and one hit."""
+        lineage of two windows — one formula, one node once read.  The
+        first result's read interned ``left``'s ``a1∨b1`` row, so the
+        second result batches its window over that node and values the
+        other two in the sweep."""
         a = TPRelation.from_rows("a", ("k",), [("x", 0, 10, 0.5)])
         b = TPRelation.from_rows("b", ("k",), [("x", 3, 5, 0.25)])
         c = TPRelation.from_rows("c", ("k",), [("x", 0, 10, 0.75)])
@@ -118,7 +126,7 @@ class TestADeferredRowEqualsItsTwin:
         clear_valuation_cache()
         rows = fresh(tp_except, left, c)
         assert deferred(rows) == 2
-        assert valuation_cache_stats() == {"hits": 1, "misses": 2}
+        assert valuation_cache_stats() == {"hits": 0, "misses": 1, "swept": 2}
         assert rows[0].lineage is rows[2].lineage
         assert_twins(tp_except, left, c)
 

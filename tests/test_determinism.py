@@ -120,19 +120,18 @@ class TestReinterning:
 
 class TestValuationPerBatch:
     def test_a_root_misses_once_per_distinct_lineage(self):
-        """A materialized root valuates each distinct lineage once, and
-        the same operation again does the same work: nothing is kept."""
+        """A materialized root over base relations values every row in
+        the sweep and batches none, and the same operation again does the
+        same work: nothing is kept."""
         clear_valuation_cache()
         r, s = generate_pair(1500, n_facts=5, seed=3)
         first = tp_union(r, s)
         distinct = len({t.lineage for t in first})
-        assert distinct < len(first)  # repeats exist, and they hit
-        assert valuation_cache_stats() == {
-            "hits": len(first) - distinct, "misses": distinct,
-        }
+        assert distinct < len(first)  # repeated formulas exist
+        assert valuation_cache_stats() == {"hits": 0, "misses": 0, "swept": len(first)}
         second = tp_union(r, s)
         assert valuation_cache_stats() == {
-            "hits": 2 * (len(first) - distinct), "misses": 2 * distinct,
+            "hits": 0, "misses": 0, "swept": 2 * len(first),
         }
         assert_bit_identical(first, second)
 
@@ -173,7 +172,7 @@ class TestAutoMonteCarloIsAFunctionOfTheFormula:
         # Being a function of the formula, the estimate is shared in a batch.
         clear_valuation_cache()
         assert probability_batch([f, f], events, options=options) == [first, first]
-        assert valuation_cache_stats() == {"hits": 1, "misses": 1}
+        assert valuation_cache_stats() == {"hits": 1, "misses": 1, "swept": 0}
 
     def test_the_estimate_does_not_depend_on_the_hash_seed(self):
         here = _sampled()["value"]

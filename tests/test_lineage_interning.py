@@ -387,7 +387,7 @@ class TestBatchValuation:
         assert values == [probability(f, events) for f in batch]
         distinct = len(set(batch))
         assert valuation_cache_stats() == {
-            "hits": len(batch) - distinct, "misses": distinct,
+            "hits": len(batch) - distinct, "misses": distinct, "swept": 0,
         }
 
     def test_eventmap_mutation_invalidates(self):
@@ -457,7 +457,7 @@ class TestBatchValuation:
         events = {f"v{i}": 0.5 for i in range(1000)}
         f = land(Var("v0"), Var("v1"))
         assert probability_batch([f, Var("v0"), f], events) == [0.25, 0.5, 0.25]
-        assert valuation_cache_stats() == {"hits": 1, "misses": 2}
+        assert valuation_cache_stats() == {"hits": 1, "misses": 2, "swept": 0}
 
     def test_explicit_monte_carlo_is_never_shared(self):
         import random
@@ -474,7 +474,7 @@ class TestBatchValuation:
             for _ in range(2)
         ]
         assert batch == singles  # two draws from one stream
-        assert valuation_cache_stats() == {"hits": 0, "misses": 2}
+        assert valuation_cache_stats() == {"hits": 0, "misses": 2, "swept": 0}
 
     def test_options_have_no_cache_knob(self):
         """Nothing is cached across calls, so there is nothing to tune."""
@@ -547,11 +547,11 @@ class TestBatchValuation:
         events = EventMap()
         batch = _formula_corpus(100, events)  # 200 formulas, 100 distinct
         first = probability_batch(batch, events)
-        assert valuation_cache_stats() == {"hits": 100, "misses": 100}
+        assert valuation_cache_stats() == {"hits": 100, "misses": 100, "swept": 0}
         assert probability_batch(batch, events) == first
-        assert valuation_cache_stats() == {"hits": 200, "misses": 200}
+        assert valuation_cache_stats() == {"hits": 200, "misses": 200, "swept": 0}
         clear_valuation_cache()
-        assert valuation_cache_stats() == {"hits": 0, "misses": 0}
+        assert valuation_cache_stats() == {"hits": 0, "misses": 0, "swept": 0}
 
     def test_a_dropped_result_leaves_no_lineage_node_behind(self):
         r = TPRelation.from_rows(

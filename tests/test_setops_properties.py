@@ -41,7 +41,7 @@ def test_the_oracle_valuates_each_distinct_lineage_once(op, pair):
     expected = snapshot_set_operation(op, r, s)
     distinct = len({t.lineage for t in expected})
     assert valuation_cache_stats() == {
-        "hits": len(expected) - distinct, "misses": distinct,
+        "hits": len(expected) - distinct, "misses": distinct, "swept": 0,
     }
 
 
