@@ -88,8 +88,8 @@ __all__ = [
 
 _SYMBOLS = {"union": "∪", "intersect": "∩", "except": "−"}
 _lineage_of = attrgetter("lineage")
-#: The sweep values a window exactly when the batch would under the
-#: default options: up to this many repeated variables (DESIGN.md §6.3).
+#: The default options' exact limit: the sweep values a window exactly,
+#: as the batch would, up to ``limit`` repeated variables (DESIGN.md §6.3).
 _LIMIT = ProbabilityOptions().exact_repeated_limit
 #: Rows nested deeper than this are read through their interned node.
 _DEEPEST = 100
@@ -188,11 +188,10 @@ def _dispatch(
     if not fused:
         # The reference path leaves every row to the batch.
         out = pending = _unfused_sweep(r_sorted, s_sorted, op)
-    elif materialize and (options is None or options.exact_repeated_limit >= _LIMIT):
-        out, pending = _fused_sweep(r_sorted, s_sorted, op, events)
+    elif materialize:
+        limit = _LIMIT if options is None else options.exact_repeated_limit
+        out, pending = _fused_sweep(r_sorted, s_sorted, op, events, limit)
     else:
-        # Lineage-only; so is a caller's limit below the sweep's, which
-        # leaves every row to the batch.
         out = pending = _fused_sweep(r_sorted, s_sorted, op)[0]
     if materialize:
         _finish(out, pending, events, options)
@@ -209,13 +208,14 @@ def _fused_sweep(
     ts: Sequence[TPTuple],
     op: str,
     events: Optional[Mapping[str, float]] = None,
+    limit: float = _LIMIT,
 ) -> tuple[list[TPTuple], list[TPTuple]]:
     """The kernel over two in-memory runs, one chunk each: the tuples it
     builds and those of them ``_finish`` still owes something, concatenated
     from its flushes (at most three: one per side's end, one at the
     end)."""
     out: Optional[list[TPTuple]] = None
-    for more, more_pending in sweep_chunks(iter((tr,)), iter((ts,)), op, events):
+    for more, more_pending in sweep_chunks(iter((tr,)), iter((ts,)), op, events, limit):
         if out is None:
             out, pending = more, more_pending
         else:
@@ -231,6 +231,7 @@ def sweep_chunks(
     s_chunks: Iterator[Sequence[TPTuple]],
     op: str,
     events: Optional[Mapping[str, float]] = None,
+    limit: float = _LIMIT,
 ) -> Iterator[tuple[list[TPTuple], list[TPTuple]]]:
     """sort → LAWA → λ-filter → λ-concat → tuple → ``p`` in one loop
     (DESIGN.md §6) — the one set-operation sweep of the engine.
@@ -262,9 +263,10 @@ def sweep_chunks(
     and any other deferred window by the batch's own Shannon walk over
     its operand tree (:func:`repro.prob.shannon.tree_probability`).
     ``pending`` holds the tuples left at ``p=None`` for the batch — a
-    variable ``events`` lacks, more repeated variables than the batch
-    values exactly, an eager compound operand — which intern their node
-    now.  Without ``events`` every tuple is lineage-only.
+    variable ``events`` lacks, more than ``limit`` repeated variables
+    (the caller's ``exact_repeated_limit``: the batch's Monte-Carlo
+    case), an eager compound operand — which intern their node now.
+    Without ``events`` every tuple is lineage-only.
     """
     if op not in _SYMBOLS:
         raise UnsupportedOperationError(f"unknown TP set operation {op!r}")
@@ -301,15 +303,18 @@ def sweep_chunks(
     # The valid tuple per side: its lineage or, for an unread deferred
     # row, the row itself (None: no valid tuple), its end point, its
     # variable's probability (None: not a variable, or one ``events``
-    # lacks), and a row's operand tree (:func:`_row_tree`).
+    # lacks), and a row's operand tree (:func:`_row_tree`) and its value,
+    # walked at the first window over the row alone (False: not yet).
     r_lam: Lineage | TPTuple | None = None
     r_end = 0
     r_p: Optional[float] = None
     r_t: object = None
+    r_pv: Optional[float] | bool = False
     s_lam: Lineage | TPTuple | None = None
     s_end = 0
     s_p: Optional[float] = None
     s_t: object = None
+    s_pv: Optional[float] | bool = False
     nested: Optional[int] = None  # the operator of a window to walk
     prev_te = -1
     fact: object = object()  # currFact sentinel distinct from any real fact
@@ -373,6 +378,7 @@ def sweep_chunks(
                 r_p = None
                 if valuate:
                     r_t = _row_tree(rt)
+                    r_pv = False
             else:
                 r_p = probability_of(r_lam.name) if type(r_lam) is Var else None
             r_end = rt.end
@@ -409,6 +415,7 @@ def sweep_chunks(
                 s_p = None
                 if valuate:
                     s_t = _row_tree(st)
+                    s_pv = False
             else:
                 s_p = probability_of(s_lam.name) if type(s_lam) is Var else None
             s_end = st.end
@@ -557,7 +564,14 @@ def sweep_chunks(
                 left = lam._left
                 right = lam._right
                 if valuate:
-                    p = tree_probability(r_t if lam is r_lam else s_t, events, _LIMIT)
+                    if lam is r_lam:
+                        if r_pv is False:
+                            r_pv = tree_probability(r_t, events, limit)
+                        p = r_pv
+                    else:
+                        if s_pv is False:
+                            s_pv = tree_probability(s_t, events, limit)
+                        p = s_pv
                     set_p(t, p)
                 if valuate and p is None:
                     set_lineage(t, lam.lineage)  # deeper, or unvalued
@@ -581,7 +595,7 @@ def sweep_chunks(
                     else operand_tree(r_lam),
                     s_t if type(s_lam) is TPTuple else s_lam if type(s_lam) is Var
                     else operand_tree(s_lam),
-                ), events, _LIMIT)
+                ), events, limit)
             t = new_object(TPTuple)
             set_fact(t, fact)
             set_start(t, win_ts)
@@ -619,6 +633,11 @@ def _row_tree(row: TPTuple, depth: int = 0) -> object:
     than :data:`_DEEPEST`, through its node."""
     left = row._left
     right = row._right
+    if type(left) is Var and type(right) is Var:  # nothing splices
+        op = row._op
+        if op == DEFER_AND_NOT:
+            return (AND, left, (NOT, right))
+        return (OR if op == DEFER_OR else AND, left, right)
     if left is None or right is None or depth > _DEEPEST:
         return operand_tree(row.lineage)
     return _window_tree(

@@ -249,7 +249,7 @@ def test_no_interval_object_is_alive_after_loading_and_reading():
 #: 4.00 / 2.99 / 3.20 objects unread), and the ceiling: a read row drops
 #: the interior row it held.  The two chains that repeat ``b`` are walked
 #: by Shannon expansion in the sweep (DESIGN.md §6.3), with ~12 % headroom
-#: on all three measured columns: calls 23.98 / 25.70, unread 1.67 /
+#: on all three measured columns: calls 23.31 / 25.11, unread 1.67 /
 #: 1.59, read 5.91 / 6.57 — against 137.5 / 129.3 calls and 6.80 / 7.24
 #: objects unread while every such window was interned, cofactored
 #: through ``restrict`` and batched.
@@ -259,8 +259,8 @@ CHAIN_BUDGETS = {
     "(a&b)&c": (1732, 15.5, 2.16, 4.01),
     "(a|b)-c": (7216, 6.9, 1.37, 4.10),
     "a|(b-c)": (6731, 6.4, 1.39, 3.75),
-    "(a|b)&(b|c)": (6306, 26.9, 1.87, 6.62),
-    "(a|b)-(b|c)": (7216, 28.8, 1.78, 7.36),
+    "(a|b)&(b|c)": (6306, 26.1, 1.87, 6.62),
+    "(a|b)-(b|c)": (7216, 28.1, 1.78, 7.36),
 }
 
 

@@ -64,6 +64,11 @@ def assert_paths_agree(op, r: TPRelation, s: TPRelation) -> None:
         assert fused_rows == reference_rows
         assert fused_stats == reference_stats == {"hits": 0, "misses": 0, "swept": 0}
         return
+    assert len(fused_rows) == len(reference_rows)
+    for got, want in zip(fused_rows, reference_rows):
+        assert got[:3] == want[:3]
+        assert got[3] is want[3]  # interned: identity, not just equality
+        assert got[4:] == want[4:]  # exact float, -0.0 and all
     assert fused_stats == batched(fused_rows, pending)
     assert reference_stats == batched(reference_rows, list(op(r, s, fused=False)))
 

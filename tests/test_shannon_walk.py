@@ -176,15 +176,22 @@ def test_a_walk_over_the_limit_is_left_to_the_batch():
     assert repr(fused.p) == repr(reference.p)
 
 
-def test_a_lower_limit_leaves_every_row_to_the_batch():
-    """A caller's limit below the sweep's: ``a ∪ a`` is Monte Carlo."""
+def test_a_lower_limit_leaves_only_the_windows_over_it_to_the_batch():
+    """The sweep walks up to the caller's limit: with a limit of 0,
+    ``a ∪ a`` repeats one variable per window and is Monte Carlo in the
+    batch, while ``a ∪ b`` repeats none and is still valued in the loop."""
     a = TPRelation.from_rows("a", ("k",), [("x", 0, 4, 0.5), ("y", 1, 3, 0.25)])
+    b = TPRelation.from_rows("b", ("k",), [("x", 2, 6, 0.75)])
     options = ProbabilityOptions(exact_repeated_limit=0, samples=200, rng=random.Random(5))
     clear_valuation_cache()
     fused = [t.p for t in tp_union(a, a, options=options)]
     assert valuation_cache_stats() == {"hits": 0, "misses": 2, "swept": 0}
     options.rng = random.Random(5)
     assert fused == [t.p for t in tp_union(a, a, fused=False, options=options)]
+    clear_valuation_cache()
+    fused = [(t.lineage, repr(t.p)) for t in tp_union(a, b, options=options)]
+    assert valuation_cache_stats() == {"hits": 0, "misses": 0, "swept": 4}
+    assert fused == [(t.lineage, repr(t.p)) for t in tp_union(a, b, fused=False)]
 
 
 def test_a_row_nested_deeper_than_the_walk_recurses_is_read_through_its_node():
