@@ -563,15 +563,11 @@ def sweep_chunks(
                 # the row's operands — one level of nesting, not two.
                 left = lam._left
                 right = lam._right
-                if valuate:
+                if valuate:  # the row's value, walked at its first window alone
                     if lam is r_lam:
-                        if r_pv is False:
-                            r_pv = tree_probability(r_t, events, limit)
-                        p = r_pv
+                        p = r_pv = tree_probability(r_t, events, limit) if r_pv is False else r_pv
                     else:
-                        if s_pv is False:
-                            s_pv = tree_probability(s_t, events, limit)
-                        p = s_pv
+                        p = s_pv = tree_probability(s_t, events, limit) if s_pv is False else s_pv
                     set_p(t, p)
                 if valuate and p is None:
                     set_lineage(t, lam.lineage)  # deeper, or unvalued
@@ -634,10 +630,9 @@ def _row_tree(row: TPTuple, depth: int = 0) -> object:
     left = row._left
     right = row._right
     if type(left) is Var and type(right) is Var:  # nothing splices
-        op = row._op
-        if op == DEFER_AND_NOT:
+        if row._op == DEFER_AND_NOT:
             return (AND, left, (NOT, right))
-        return (OR if op == DEFER_OR else AND, left, right)
+        return (OR if row._op == DEFER_OR else AND, left, right)
     if left is None or right is None or depth > _DEEPEST:
         return operand_tree(row.lineage)
     return _window_tree(

@@ -128,14 +128,11 @@ def tree_probability(
         return None if value is None else 1.0 - value
     if memo is not None and tree in memo:
         return memo[tree]
-    counts: dict[Var, int] = {}
+    counts: dict[Var, int] = {}  # in leaf order of first occurrence
     for var in _leaves(tree, []):
-        if var in counts:
-            counts[var] += 1
-        elif var.name in probabilities:
-            counts[var] = 1
-        else:
+        if var.name not in probabilities:
             return None
+        counts[var] = counts[var] + 1 if var in counts else 1
     pivot = None
     repeated = 0
     for var in counts:
