@@ -14,7 +14,8 @@ are allowed to differ (positional semantics, as in SQL set operations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from .errors import InvalidFactError, SchemaMismatchError
 
@@ -115,7 +116,7 @@ def _kind(cls: type) -> type:
     return int if issubclass(cls, (int, float)) else str if issubclass(cls, str) else bytes
 
 
-def fact_kind_clash(facts: Iterable[Fact]) -> Optional[tuple[int, int]]:
+def fact_kind_clash(facts: Sequence[Fact]) -> Optional[tuple[int, int]]:
     """``(row, column)`` of the first fact value whose kind differs from
     the first fact's in that column, or None.
 
@@ -123,13 +124,16 @@ def fact_kind_clash(facts: Iterable[Fact]) -> Optional[tuple[int, int]]:
     bytes — order against each other, values of two kinds never, and
     the sweeps order facts: a column of two kinds fails the first
     operation that compares them, however late.  One C-level pass per
-    column, not a call per row.
+    column, not a call per row, and no object per row: transposing by
+    ``zip(*facts)`` made an iterator per fact, and those young objects
+    set off extra collections during a load, one of them over the full
+    heap.
     """
-    for column, values in enumerate(zip(*facts)):
-        types = set(map(type, values))
+    for column in range(len(facts[0]) if facts else 0):
+        types = set(map(type, map(itemgetter(column), facts)))
         if len(types) > 1 and len(set(map(_kind, types))) > 1:
-            first = _kind(type(values[0]))
-            for row, value in enumerate(values):
-                if _kind(type(value)) is not first:
+            first = _kind(type(facts[0][column]))
+            for row, fact in enumerate(facts):
+                if _kind(type(fact[column])) is not first:
                     return row, column
     return None

@@ -481,7 +481,7 @@ def base_tuples(
         set_p(t, p)
         append(t)
         events[identifier] = p
-    clash = fact_kind_clash(map(_fact_of, tuples))
+    clash = fact_kind_clash(list(map(_fact_of, tuples)))
     if clash is not None:
         row, column = clash
         raise InvalidFactError(
