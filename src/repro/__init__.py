@@ -4,8 +4,9 @@ A from-scratch reproduction of *Supporting Set Operations in
 Temporal-Probabilistic Databases* (Papaioannou, Theobald, Böhlen,
 ICDE 2018): the sequenced TP data model, lineage machinery, the LAWA
 sweep algorithm, every baseline of the paper's evaluation (NORM, TPDB,
-OIP, Timeline Index), workload generators and a benchmark harness that
-regenerates the paper's tables and figures.
+OIP, Timeline Index), the synthetic dataset generators and a benchmark
+harness (:mod:`repro.bench`) that regenerates the paper's tables and
+figures.
 
 Quickstart
 ----------

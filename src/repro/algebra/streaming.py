@@ -20,6 +20,9 @@ The kernel trusts its inputs' order; a stream's is checked here, tuple by
 tuple: a tuple out of ``(F, Ts)`` order raises
 :class:`~repro.core.errors.UnsortedInputError`, and one overlapping its
 same-fact predecessor raises :class:`~repro.core.errors.DuplicateFactError`.
+Two streams whose facts hold values of two kinds in one column, which
+the kernel cannot order, raise
+:class:`~repro.core.errors.SchemaMismatchError`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..core.errors import DuplicateFactError, UnsortedInputError
+from ..core.schema import operand_kind_clash
 from ..core.setops import sweep_chunks
 from ..core.sorting import fact_lt
 from ..core.tuple import TPTuple
@@ -54,13 +58,23 @@ def stream_except(r: Iterable[TPTuple], s: Iterable[TPTuple]) -> Iterator[TPTupl
 
 
 def _stream(r: Iterable[TPTuple], s: Iterable[TPTuple], op: str) -> Iterator[TPTuple]:
-    for out, _ in sweep_chunks(zip(_checked(r)), zip(_checked(s)), op):
-        yield from out
+    last: list = [(), ()]  # the fact each side read last
+    try:
+        for out, _ in sweep_chunks(zip(_checked(r, last, 0)), zip(_checked(s, last, 1)), op):
+            yield from out
+    except TypeError:
+        clash = () not in last and operand_kind_clash(
+            "the left stream", "the right stream", [last[0]], [last[1]]
+        )
+        if not clash:
+            raise
+        raise clash from None
 
 
-def _checked(tuples: Iterable[TPTuple]) -> Iterator[TPTuple]:
+def _checked(tuples: Iterable[TPTuple], last: list, side: int) -> Iterator[TPTuple]:
     """``tuples``, refusing one out of ``(F, Ts)`` order or overlapping
-    its same-fact predecessor — before the kernel reads it."""
+    its same-fact predecessor — before the kernel reads it — and noting
+    each one's fact in ``last[side]``."""
     prev = None
     for t in tuples:
         if prev is not None:
@@ -80,4 +94,5 @@ def _checked(tuples: Iterable[TPTuple]) -> Iterator[TPTuple]:
                     f"stream input is not sorted by (fact, Ts): {t} after {prev}"
                 )
         prev = t
+        last[side] = t.fact
         yield t

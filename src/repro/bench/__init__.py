@@ -1,4 +1,4 @@
-"""Benchmark harness: experiment drivers, ablations, rendering, workloads."""
+"""Benchmark harness: the paper's experiment drivers, ablations and rendering."""
 
 from .ablations import (
     ScalingPoint,
@@ -12,51 +12,29 @@ from .figures import PAPER_SIZES, fig7, fig8, fig9a, fig9b, fig10, fig11, sample
 from .report import render_series, save_series_csv
 from .runner import Measurement, SeriesResult, SweepRunner, time_setop
 from .tables import PAPER_TABLE_IV, table2, table4
-from .workloads import (
-    INTERVAL_PROFILES,
-    KEY_DISTRIBUTIONS,
-    SCENARIOS,
-    Scenario,
-    ScenarioSpec,
-    SessionOp,
-    build_scenario,
-    iter_scenarios,
-    scenario_catalog,
-    tiny_spec,
-)
 
 __all__ = [
-    "INTERVAL_PROFILES",
-    "KEY_DISTRIBUTIONS",
     "Measurement",
     "PAPER_SIZES",
     "PAPER_TABLE_IV",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioSpec",
     "ScalingPoint",
     "SeriesResult",
-    "SessionOp",
     "SweepRunner",
-    "build_scenario",
     "fig10",
     "fig11",
     "fig7",
     "fig8",
     "fig9a",
     "fig9b",
-    "iter_scenarios",
     "lawa_scaling",
     "materialization_cost",
     "render_scaling",
     "render_series",
     "sample_relation",
     "save_series_csv",
-    "scenario_catalog",
     "sort_strategies",
     "table2",
     "table4",
     "time_setop",
-    "tiny_spec",
     "window_bound",
 ]

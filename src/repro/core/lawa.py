@@ -11,7 +11,7 @@ This class is the paper-shaped *reference path*: one window object per
 ``advance()`` call, state in an explicit status record.  The production
 set operations run the fused kernel in :mod:`repro.core.setops`
 (DESIGN.md §6), which inlines this exact state machine into one loop;
-``tests/test_setops_fused.py`` pins the two bit-identical.  Keep both in
+``tests/test_mode_matrix.py`` pins the two bit-identical.  Keep both in
 sync when touching either.
 
 The published pseudocode contains editorial glitches that this
@@ -79,12 +79,6 @@ class LawaSweep:
     # ------------------------------------------------------------------
     # cursor helpers
     # ------------------------------------------------------------------
-    def _peek_r(self) -> Optional[TPTuple]:
-        return self._r[self._ri] if self._ri < len(self._r) else None
-
-    def _peek_s(self) -> Optional[TPTuple]:
-        return self._s[self._si] if self._si < len(self._s) else None
-
     @property
     def r_exhausted(self) -> bool:
         """True when the left relation can contribute no further lineage."""

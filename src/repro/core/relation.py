@@ -171,7 +171,7 @@ class TPRelation:
         """This relation under a fresh event map holding exactly the
         variables its tuples reference — what a result kept past the
         epoch it was computed at carries, instead of pinning its
-        operands' whole (merged) map (DESIGN.md §13.2).  Sortedness and
+        operands' whole (merged) map (DESIGN.md §12.2).  Sortedness and
         the sort cache carry over."""
         relation = TPRelation._derived(
             self.name, self.schema, self._tuples,
@@ -214,19 +214,6 @@ class TPRelation:
         relation = cls._derived(name, schema, tuples, EventMap(events))
         relation._check_duplicate_free()
         return relation
-
-    @classmethod
-    def from_tuples(
-        cls,
-        name: str,
-        schema: TPSchema,
-        tuples: Iterable[TPTuple],
-        events: Mapping[str, float],
-        *,
-        validate: bool = True,
-    ) -> "TPRelation":
-        """Build a (possibly derived) relation from ready-made tuples."""
-        return cls(name, schema, tuples, events, validate=validate)
 
     # ------------------------------------------------------------------
     # invariant checking

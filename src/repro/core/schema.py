@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .errors import InvalidFactError, SchemaMismatchError
 
-__all__ = ["TPSchema", "Fact", "make_fact", "coerce_value", "fact_kind_clash"]
+__all__ = ["TPSchema", "Fact", "make_fact", "coerce_value", "fact_kind_clash", "operand_kind_clash"]
 
 #: A fact is the tuple of conventional attribute values of a TP tuple.
 Fact = tuple
@@ -136,4 +136,30 @@ def fact_kind_clash(facts: Sequence[Fact]) -> Optional[tuple[int, int]]:
             for row, fact in enumerate(facts):
                 if _kind(type(fact[column])) is not first:
                     return row, column
+    return None
+
+
+def operand_kind_clash(
+    left: str, right: str, left_facts: Sequence[Fact], right_facts: Sequence[Fact]
+) -> Optional[SchemaMismatchError]:
+    """The error for two operands whose facts hold values of two kinds in
+    one column (:func:`fact_kind_clash`), naming both and the column, or
+    None.  Each operand loaded on its own, so only a sweep that orders
+    one's facts against the other's meets the clash: its caller asks
+    here once that sweep has raised, and the sweep itself pays nothing.
+    Null padding is no kind."""
+    for column in range(len(left_facts[0]) if left_facts and right_facts else 0):
+        values = [
+            (fact[column],)
+            for facts in (left_facts, right_facts)
+            for fact in facts
+            if fact[column] is not None
+        ]
+        clash = fact_kind_clash(values)
+        if clash is not None:
+            return SchemaMismatchError(
+                f"{left} and {right} hold values of two kinds in fact column "
+                f"{column} ({values[0][0]!r} and {values[clash[0]][0]!r}), "
+                "which do not order against each other"
+            )
     return None

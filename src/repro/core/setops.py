@@ -24,7 +24,7 @@ folds of the binary kernel: lineage-identical to the left-deep chain,
 with only the last step valuating.
 
 Two execution paths produce bit-identical results (pinned by
-``tests/test_setops_fused.py``):
+``tests/test_mode_matrix.py``):
 
 * the **fused kernel** (default, DESIGN.md §6), :func:`sweep_chunks`,
   the one set-operation sweep (the streams run it too), runs sort →
@@ -54,6 +54,7 @@ from ..prob.valuation import ProbabilityOptions, count_swept, probability_batch
 from .errors import UnsupportedOperationError
 from .lawa import LawaSweep
 from .relation import TPRelation
+from .schema import operand_kind_clash
 from .sorting import fact_lt
 from .tuple import (
     DEFER_AND,
@@ -185,14 +186,22 @@ def _dispatch(
     r_sorted = r.sorted_tuples()
     s_sorted = s.sorted_tuples()
     events = r.merged_events(s)
-    if not fused:
-        # The reference path leaves every row to the batch.
-        out = pending = _unfused_sweep(r_sorted, s_sorted, op)
-    elif materialize:
-        limit = _LIMIT if options is None else options.exact_repeated_limit
-        out, pending = _fused_sweep(r_sorted, s_sorted, op, events, limit)
-    else:
-        out = pending = _fused_sweep(r_sorted, s_sorted, op)[0]
+    try:
+        if not fused:
+            # The reference path leaves every row to the batch.
+            out = pending = _unfused_sweep(r_sorted, s_sorted, op)
+        elif materialize:
+            limit = _LIMIT if options is None else options.exact_repeated_limit
+            out, pending = _fused_sweep(r_sorted, s_sorted, op, events, limit)
+        else:
+            out = pending = _fused_sweep(r_sorted, s_sorted, op)[0]
+    except TypeError:
+        clash = operand_kind_clash(
+            r.name, s.name, [t.fact for t in r_sorted], [t.fact for t in s_sorted]
+        )
+        if clash is None:
+            raise
+        raise clash from None
     if materialize:
         _finish(out, pending, events, options)
     return TPRelation._derived(

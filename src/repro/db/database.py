@@ -521,12 +521,12 @@ class TPDatabase:
                 # readings cannot both parse.
                 try:
                     explained = parse_query(stripped)
-                except QueryParseError:
+                except QueryParseError as exc:
                     try:
                         text_or_ast = parse_query(text_or_ast)
                     except QueryParseError:
                         raise QueryParseError(
-                            f"EXPLAIN target does not parse: {stripped!r}"
+                            f"EXPLAIN target does not parse: {exc}"
                         ) from None
                 else:
                     return self.explain(

@@ -5,7 +5,7 @@ vs. ``a | (b | c)``) flatten to the same n-ary tree
 (:mod:`repro.query.optimize`, rule 1), and flattening is
 *lineage-identical*: equal flattened trees produce syntactically
 identical results.  That makes the flattened tree the correct unit of
-result caching (DESIGN.md §13) — and anything *not* absorbed by it
+result caching (DESIGN.md §12) — and anything *not* absorbed by it
 (optimize level, physical algorithm, store epochs) must live in the key
 beside it, never inside it.  The key consults no schemas, so selections
 are not pushed: a selection written outside a set operation and one

@@ -13,6 +13,11 @@ interchangeably::
 Operator precedence follows SQL: joins bind tightest (they live in the
 FROM clause), then INTERSECT, then UNION and EXCEPT, which associate to
 the left at the same level.  Parentheses override as usual.
+
+Every stage after the parser walks the tree recursively, so a query may
+nest at most :data:`MAX_QUERY_DEPTH` levels: the parser counts, as it
+builds each node, the open parentheses around it plus the height of its
+subtree, and refuses a deeper query with :class:`QueryParseError`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,17 @@ from typing import Iterator, NamedTuple, Optional
 from ..core.errors import QueryParseError
 from .ast import JoinNode, QueryNode, RelationRef, SelectionNode, SetOpNode
 
-__all__ = ["parse_query", "strip_explain_prefix"]
+__all__ = ["MAX_QUERY_DEPTH", "parse_query", "strip_explain_prefix"]
+
+#: The deepest query every front door runs: ``db.query`` at both
+#: optimize levels, ``EXPLAIN``, ``create_view`` and a served session
+#: each recurse once or more per level, under the interpreter's default
+#: recursion limit.  A chain ``a | b | …`` of n operands is n levels deep,
+#: and so is a leaf inside n - 1 parentheses.  The parser's own descent
+#: takes four frames per parenthesis and gives out first, near 240
+#: levels when called from a test (CPython 3.11 and 3.12); 200 leaves a
+#: caller some 150 frames.
+MAX_QUERY_DEPTH = 200
 
 #: ``EXPLAIN <query>`` — the SQL-style prefix form of ``db.explain``.
 #: Requires trailing content, so a relation named ``explain`` remains
@@ -109,6 +124,17 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self._tokens = list(_tokenize(text))
         self._index = 0
+        self._open = 0  # parentheses open around the next node
+
+    def _level(self, height: int) -> int:
+        """``height`` — a node's subtree height — unless the node, with
+        the parentheses open around it, nests past the limit."""
+        depth = self._open + height
+        if depth > MAX_QUERY_DEPTH:
+            raise QueryParseError(
+                f"query nests {depth} levels deep, past the limit of {MAX_QUERY_DEPTH}"
+            )
+        return height
 
     def _peek(self) -> _Token:
         return self._tokens[self._index]
@@ -119,32 +145,37 @@ class _Parser:
         return token
 
     def parse(self) -> QueryNode:
-        query = self._union_level()
+        query, _ = self._union_level()
         if self._peek().kind != "eof":
             raise QueryParseError(f"trailing input: {self._peek().text!r}")
         return query
 
-    def _union_level(self) -> QueryNode:
-        node = self._intersect_level()
+    def _union_level(self) -> tuple[QueryNode, int]:
+        node, height = self._intersect_level()
         while self._peek().kind in ("union", "except"):
             op = "union" if self._advance().kind == "union" else "except"
-            node = SetOpNode(op, node, self._intersect_level())
-        return node
+            right, right_height = self._intersect_level()
+            height = self._level(max(height, right_height) + 1)
+            node = SetOpNode(op, node, right)
+        return node, height
 
-    def _intersect_level(self) -> QueryNode:
-        node = self._join_level()
+    def _intersect_level(self) -> tuple[QueryNode, int]:
+        node, height = self._join_level()
         while self._peek().kind == "intersect":
             self._advance()
-            node = SetOpNode("intersect", node, self._join_level())
-        return node
+            right, right_height = self._join_level()
+            height = self._level(max(height, right_height) + 1)
+            node = SetOpNode("intersect", node, right)
+        return node, height
 
-    def _join_level(self) -> QueryNode:
-        node = self._atom()
+    def _join_level(self) -> tuple[QueryNode, int]:
+        node, height = self._atom()
         while True:
             kind = self._join_kind()
             if kind is None:
-                return node
-            right = self._atom()
+                return node, height
+            right, right_height = self._atom()
+            height = self._level(max(height, right_height) + 1)
             node = JoinNode(kind, node, right, self._on_clause())
 
     def _join_kind(self) -> Optional[str]:
@@ -206,10 +237,14 @@ class _Parser:
             )
         return token.text
 
-    def _atom(self) -> QueryNode:
+    def _atom(self) -> tuple[QueryNode, int]:
         token = self._advance()
         if token.kind == "lpar":
-            node: QueryNode = self._union_level()
+            self._open += 1
+            self._level(1)
+            node: QueryNode
+            node, height = self._union_level()
+            self._open -= 1
             closing = self._advance()
             if closing.kind != "rpar":
                 raise QueryParseError("missing closing parenthesis")
@@ -218,13 +253,14 @@ class _Parser:
             # catalog relation called "left" or "on" stays referencable
             # (the join operator position is unambiguous — it follows a
             # complete atom).
-            node = RelationRef(token.text)
+            node, height = RelationRef(token.text), self._level(1)
         else:
             raise QueryParseError(f"unexpected token {token.text!r}")
         # Postfix selections: r[product='milk'][store='hb'] …
         while self._peek().kind == "lbracket":
+            height = self._level(height + 1)
             node = self._selection(node)
-        return node
+        return node, height
 
     def _selection(self, child: QueryNode) -> SelectionNode:
         self._advance()  # consume '['
@@ -264,14 +300,4 @@ def parse_query(text: str) -> QueryNode:
     >>> str(parse_query("c - (a | b)"))
     '(c − (a ∪ b))'
     """
-    fixed = _normalize_except_fix(text)
-    return _Parser(fixed).parse()
-
-
-def _normalize_except_fix(text: str) -> str:
-    """Protect hyphens inside identifiers (none are allowed, so no-op).
-
-    Kept as an explicit extension point: identifiers are
-    ``[A-Za-z_][A-Za-z0-9_.]*`` so a bare ``-`` is always the operator.
-    """
-    return text
+    return _Parser(text).parse()

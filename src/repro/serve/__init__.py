@@ -1,4 +1,4 @@
-"""Concurrent query serving (DESIGN.md §13).
+"""Concurrent query serving (DESIGN.md §12).
 
 Three layers, separately testable:
 

@@ -1,4 +1,4 @@
-"""LRU caches with introspection counters (DESIGN.md §13.3).
+"""LRU caches with introspection counters (DESIGN.md §12.3).
 
 One generic building block backs both serving caches: the *plan cache*
 (canonical key → physical plan, epoch-free — every plan for a canonical
@@ -14,7 +14,7 @@ Counters (``hits`` / ``misses`` / ``evictions``) are the observable the
 acceptance tests key on: a hot query at a fixed epoch must bump ``hits``.
 
 A result-cache value is a :class:`CachedResult` — the relation plus its
-wire encoding, rendered at most once (DESIGN.md §13.2).
+wire encoding, rendered at most once (DESIGN.md §12.2).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
     Not thread-safe by design: the serving layer funnels every
-    state-touching call through one executor thread (DESIGN.md §13.2),
+    state-touching call through one executor thread (DESIGN.md §12.2),
     so locking here would buy nothing.
     """
 

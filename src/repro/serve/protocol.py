@@ -28,7 +28,7 @@ A relation is encoded **once**: :func:`relation_fragment` renders its
 canonical JSON object to bytes, the result cache keeps those bytes
 beside the relation, and :func:`encode_line` splices them into each
 reply's small envelope — a cache hit costs a buffer copy, not a walk
-over the rows (DESIGN.md §13.2).
+over the rows (DESIGN.md §12.2).
 """
 
 from __future__ import annotations

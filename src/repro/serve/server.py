@@ -1,6 +1,6 @@
 """The asyncio front-end: connections, timeouts, graceful shutdown.
 
-Concurrency model (DESIGN.md §13.2): the event loop handles sockets,
+Concurrency model (DESIGN.md §12.2): the event loop handles sockets,
 request framing, per-request timeouts and shutdown; **every**
 state-touching call — session open/close, query, commit — is funneled
 through one dedicated single-thread executor.  Lineage interning is

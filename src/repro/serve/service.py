@@ -1,6 +1,6 @@
 """The query service: pinned-session execution with two-tier caching.
 
-This is the serving layer's brain (DESIGN.md §13), deliberately free of
+This is the serving layer's brain (DESIGN.md §12), deliberately free of
 any I/O so tests and benchmarks can drive it in-process:
 
 - **Sessions** pin an epoch-consistent snapshot catalog at open (and on
@@ -27,7 +27,7 @@ any I/O so tests and benchmarks can drive it in-process:
 
 Thread model: **not** thread-safe.  Lineage interning is process-global
 and unlocked, so the server funnels every call here through one
-dedicated executor thread (DESIGN.md §13.2); in-process callers (tests,
+dedicated executor thread (DESIGN.md §12.2); in-process callers (tests,
 benchmarks) are single-threaded already.
 """
 
@@ -338,12 +338,12 @@ class QueryService:
         # is not a query but the whole text is, run the whole text.
         try:
             return parse_query(stripped), True
-        except QueryParseError:
+        except QueryParseError as exc:
             try:
                 return parse_query(text_or_ast), False
             except QueryParseError:
                 raise QueryParseError(
-                    f"EXPLAIN target does not parse: {stripped!r}"
+                    f"EXPLAIN target does not parse: {exc}"
                 ) from None
 
     def _plan(

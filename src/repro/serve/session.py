@@ -1,6 +1,6 @@
 """Snapshot sessions: an epoch-consistent view of the whole database.
 
-A session is what MVCC promises a reader (DESIGN.md §13.1): the moment
+A session is what MVCC promises a reader (DESIGN.md §12.1): the moment
 it opens (or re-pins via ``begin``), every store is captured through
 :meth:`repro.store.SegmentStore.snapshot` and every view through its
 refreshed result, and from then on the session's queries read *those*
@@ -29,7 +29,7 @@ component of the result-cache key, and the set of parts pinned by live
 sessions is what the cache sweep keeps alive.  A result that reads a
 store only through σ on its leading attribute is keyed more finely, on
 ``("keyed", name, incarnation, ((value, changed_at), …))`` — the
-versions of the fact groups it reads (DESIGN.md §13.2); the service
+versions of the fact groups it reads (DESIGN.md §12.2); the service
 builds those parts from the pinned store objects in ``stores``.
 
 On the wire (``epochs`` in replies, ``begin`` and ``commit``) a part is
@@ -58,7 +58,7 @@ class Session:
     session reads for it; ``epochs`` maps the same names to their
     :data:`EpochPart`, and ``stats`` maps each store to the statistics
     pinned with its snapshot.  Holding the relations is what keeps the
-    store's weakly-retained historical snapshots alive (DESIGN.md §13.1).
+    store's weakly-retained historical snapshots alive (DESIGN.md §12.1).
     """
 
     session_id: int

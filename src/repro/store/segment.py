@@ -24,7 +24,7 @@ is the mutable counterpart the serving layer stands on:
   epoch via weak references for as long as anyone (a serving session)
   holds them, and an unretained historical epoch is reconstructed by
   reverse-replaying the change log — the MVCC read side of DESIGN.md
-  §13, where readers never block the writer.
+  §12, where readers never block the writer.
 
 The duplicate-freeness invariant of the paper (Section III) is enforced
 at the transaction boundary: a batch whose net effect would overlap two
@@ -313,7 +313,7 @@ class SegmentStore:
         # Leading-attribute value → epoch of the last transaction that
         # inserted or deleted a tuple with that value (absent: none since
         # this object was built).  The serving layer keys cached results
-        # of σ on the leading attribute on these versions (DESIGN.md §13.2).
+        # of σ on the leading attribute on these versions (DESIGN.md §12.2).
         self._changed_at: dict[object, int] = {}
         self._counter = 0
         self._snapshot: Optional[tuple[int, TPRelation]] = None
@@ -732,7 +732,7 @@ class SegmentStore:
         identity (optimizer statistics, merged event maps) stay warm.
 
         With an older ``epoch`` it is the MVCC read path (DESIGN.md
-        §13): the exact relation the store would have snapshotted right
+        §12): the exact relation the store would have snapshotted right
         after that epoch's transaction committed.  Snapshots are
         retained per epoch through weak references — as long as any
         reader holds one (a pinned serving session), re-requesting that

@@ -1,10 +1,12 @@
 """Hypothesis strategies for random lineage formulas, random
-duplicate-free TP relations and random TP query trees (the plan-space
-metamorphic harness's generator)."""
+duplicate-free TP relations, random TP query trees (the plan-space
+metamorphic harness's generator) and programs — a catalog, a query tree
+and a delta script — for the mode matrix and the serve stress tests."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import random
+from typing import Mapping, Sequence
 
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from repro import Interval, TPRelation, TPSchema, Var, base_tuple
 from repro.lineage import land, lnot, lor
 from repro.algebra.join import JOIN_KINDS, join_layout_from_schemas
 from repro.query import JoinNode, RelationRef, SelectionNode, SetOpNode
+from repro.query.analysis import infer_schema
 
 FACT_POOL = [("x",), ("y",), ("z",)]
 
@@ -254,3 +257,72 @@ def tp_join_pair(draw, s_rest: bool = True, **kwargs):
     s_attrs = ("k", "b") if s_rest else ("k",)
     s = draw(tp_join_relation("s", s_attrs, ["b1", "b2"] if s_rest else [], **kwargs))
     return r, s
+
+
+def delta_script(
+    relations: Mapping[str, TPRelation], seed: int, *, batches: int = 3, size: int = 3
+) -> list[tuple[str, tuple, tuple]]:
+    """``batches`` transactions of ``size`` row changes each, as
+    ``(relation name, inserts, deletes)`` rows for ``TPDatabase.apply``,
+    drawn from ``random.Random(seed)``.
+
+    An insert extends one of the target's facts past the last end point
+    that fact ever had, so it never overlaps; a delete names a live
+    tuple that the same transaction did not insert (a transaction's
+    deletes resolve against the state before it)."""
+    rng = random.Random(seed)
+    live = {name: [(t.fact, t.start, t.end) for t in r] for name, r in relations.items()}
+    frontier: dict[tuple, int] = {}
+    for name, rows in live.items():
+        for fact, _, end in rows:
+            frontier[name, fact] = max(end, frontier.get((name, fact), 0))
+    script = []
+    for _ in range(batches):
+        name = rng.choice(sorted(relations))
+        facts = sorted({fact for fact, _, _ in live[name]}) or [
+            tuple(f"{a}1" for a in relations[name].schema.attributes)
+        ]
+        inserts: list[tuple] = []
+        deletes: list[tuple] = []
+        old = list(live[name])
+        for _ in range(size):
+            if old and rng.random() < 0.3:
+                fact, start, end = row = old.pop(rng.randrange(len(old)))
+                live[name].remove(row)
+                deletes.append((*fact, start, end))
+                continue
+            fact = rng.choice(facts)
+            start = frontier.get((name, fact), 0) + rng.randint(0, 2)
+            end = frontier[name, fact] = start + rng.randint(1, 3)
+            live[name].append((fact, start, end))
+            inserts.append((*fact, start, end, rng.randrange(50, 951) / 1000))
+        script.append((name, tuple(inserts), tuple(deletes)))
+    return script
+
+
+@st.composite
+def programs(
+    draw,
+    op: str,
+    catalog,
+    *,
+    depth: int = 1,
+    joins: bool = False,
+    selections: bool = False,
+    batches: int = 0,
+):
+    """``(catalog, tree, script)``: relations drawn from ``catalog``, a
+    query tree whose root is ``op`` over two :func:`query_tree`
+    subtrees at most ``depth`` deep (the right one repeats the left when
+    their arities differ), and a :func:`delta_script` of ``batches``
+    transactions against the relations."""
+    relations = draw(catalog)
+    left, right = (
+        draw(query_tree(relations, max_depth=depth, joins=joins, selections=selections))
+        for _ in range(2)
+    )
+    schemas = {name: r.schema for name, r in relations.items()}
+    if infer_schema(left, schemas).arity != infer_schema(right, schemas).arity:
+        right = left
+    script = delta_script(relations, draw(st.integers(0, 2**16)), batches=batches)
+    return relations, SetOpNode(op, left, right), script

@@ -7,11 +7,25 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from repro import Interval, TPRelation, base_tuple, tp_except, tp_intersect, tp_union
+from repro import (
+    DuplicateFactError,
+    Interval,
+    TPError,
+    TPRelation,
+    UnsortedInputError,
+    base_tuple,
+    tp_except,
+    tp_intersect,
+    tp_union,
+)
 from repro.algebra import stream_except, stream_intersect, stream_union
+from repro.core.setops import OPERATIONS, sweep_chunks
 from repro.core.sorting import sort_tuples
 
 from .strategies import tp_relation_pair
+
+STREAMS = {"union": stream_union, "intersect": stream_intersect, "except": stream_except}
+ALL_OPS = pytest.mark.parametrize("op", tuple(OPERATIONS))
 
 
 def _right_stream(name="s"):
@@ -216,3 +230,61 @@ class TestStreaming:
         good = [base_tuple(("f",), "s1", Interval(0, 2), 0.5)]
         with pytest.raises(ValueError, match="sorted"):
             list(stream_union(iter(bad), iter(good)))
+
+
+def test_a_chunk_end_hands_over_its_rows_before_the_next_pull():
+    facts = [(("f",), 0, 2), (("f",), 4, 6), (("g",), 0, 3)]
+    tuples = [
+        base_tuple(fact, f"r{i}", Interval(ts, te), 0.5)
+        for i, (fact, ts, te) in enumerate(facts)
+    ]
+    pulled: list = []
+
+    def chunks():
+        yield tuples[:2]
+        pulled.append("second chunk")
+        yield tuples[2:]
+
+    flushes = sweep_chunks(chunks(), iter(()), "union")
+    first, _ = next(flushes)
+    assert [(t.start, t.end) for t in first] == [(0, 2)] and not pulled
+    rest = [t for more, _ in flushes for t in more]
+    assert [(t.fact, t.start, t.end) for t in rest] == [
+        (("f",), 4, 6), (("g",), 0, 3),
+    ]
+
+
+def _tuples(*spec):
+    return [
+        base_tuple((fact,), name, Interval(ts, te), 0.5) for fact, name, ts, te in spec
+    ]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@ALL_OPS
+def test_overlapping_tuples_of_one_fact_are_refused(op, side):
+    bad = _tuples(("f", "r1", 0, 5), ("f", "r2", 3, 7))
+    good = _tuples(("f", "s1", 0, 9))
+    operands = (bad, good) if side == "left" else (good, bad)
+    with pytest.raises(DuplicateFactError, match="overlapping"):
+        list(STREAMS[op](iter(operands[0]), iter(operands[1])))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _tuples(("f", "r1", 4, 6), ("f", "r2", 0, 2)),  # start goes back
+        _tuples(("g", "r1", 0, 2), ("f", "r2", 4, 6)),  # fact goes back
+    ],
+    ids=["start", "fact"],
+)
+@ALL_OPS
+def test_unsorted_streams_raise_a_typed_error(op, bad):
+    """The other side covers both facts, so every operation reads the
+    offending tuple (a stream checks only the tuples it reads)."""
+    good = _tuples(("f", "s1", 0, 9), ("g", "s2", 0, 9))
+    for operands in ((bad, good), (good, bad)):
+        with pytest.raises(UnsortedInputError, match="sorted") as caught:
+            list(STREAMS[op](iter(operands[0]), iter(operands[1])))
+        assert isinstance(caught.value, TPError)
+        assert isinstance(caught.value, ValueError)

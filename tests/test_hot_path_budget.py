@@ -1,4 +1,4 @@
-"""Deterministic budgets for the read paths (DESIGN.md §6.3, §13.2).
+"""Deterministic budgets for the read paths (DESIGN.md §6.3, §12.2).
 
 Counts the calls (Python functions and C functions alike, as cProfile
 would) made while ``TPDatabase.query`` answers ``a | b``, ``a & b`` and
@@ -734,3 +734,26 @@ def test_a_cached_entry_holds_only_the_events_it_references():
         )
     assert len(small) == len(large) > 0
     assert len(small.events) == len(large.events)
+
+
+def test_a_partly_read_result_leaves_nothing_behind_once_dropped():
+    """Half of each result's rows build their node, the other half
+    never do; dropped, the three results take all of it with them."""
+    db = TPDatabase()
+    db.create_relation("a", ("k",), seeded_rows(1))
+    db.create_relation("b", ("k",), seeded_rows(2))
+    gc.collect()
+    tracked = len(gc.get_objects())
+    rows = 0
+    for text in READS:
+        result = db.query(text)
+        rows += len(result)
+        for t in list(result)[::2]:
+            t.lineage
+        del result
+    gc.collect()
+    left = len(gc.get_objects()) - tracked
+    assert rows == 11368
+    assert left / rows <= LEFT_BEHIND_PER_ROW_CEILING, (
+        f"{left / rows:.3f} tracked objects per output row left behind"
+    )

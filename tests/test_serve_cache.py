@@ -1,6 +1,6 @@
 """Serving-cache correctness: key composition, LRU mechanics, sweeping.
 
-The regression that must never ship (DESIGN.md §13.3): a *near-miss*
+The regression that must never ship (DESIGN.md §12.3): a *near-miss*
 key — same query text, different optimize level or epoch — aliasing a
 cached result.  The key is (canonical form, level, epoch signature);
 these tests pin each component's presence by

@@ -1,40 +1,50 @@
 """Wire-level stress: many concurrent clients vs. a serial oracle.
 
-The serving tentpole's acceptance bar (DESIGN.md §13): with reader
-connections opening at staggered points of a ``delta_storm`` commit
-stream, every wire response — the full relation payload, lineage text
-and probabilities included — must be bit-identical to a serial oracle
-that replays exactly that reader's pinned prefix into a fresh database.
-The remaining tests pin the protocol edges (errors keep the connection
-alive, ids echo, oversized lines are refused, the request timeout
-budget fires) and the SIGTERM path end-to-end via the smoke harness.
+The serving tentpole's acceptance bar (DESIGN.md §12): with reader
+connections opening at staggered points of a seeded commit stream
+(``tests/strategies.delta_script``), every wire response — the full
+relation payload, lineage text and probabilities included — must be
+bit-identical to a serial oracle that replays exactly that reader's
+pinned prefix into a fresh database.  The remaining tests pin the
+protocol edges (errors keep the connection alive, ids echo, oversized
+lines are refused, the request timeout budget fires), the typed errors
+every front door gives for operands of two kinds and for too deep a
+query, and the SIGTERM path end-to-end via the smoke harness.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 import time
-from dataclasses import replace
 
 import pytest
 
-from repro import UnsupportedOperationError
-from repro.bench.workloads import build_scenario, scenario_catalog
+from repro import QueryParseError, SchemaMismatchError, TPRelation, UnsupportedOperationError
+from repro.algebra import stream_except, stream_intersect, stream_union
 from repro.db import TPDatabase
+from repro.query.parser import MAX_QUERY_DEPTH
 from repro.serve import QueryService
 from repro.serve.protocol import MAX_LINE_BYTES, relation_payload
 from repro.serve.server import ServeServer
 
-#: delta_storm, shrunk to test size: enough batches for a real epoch
-#: history, small enough that the serial oracle replays stay cheap.
-_SPEC = replace(
-    scenario_catalog()["delta_storm"],
-    n_tuples=120,
-    n_facts=8,
-    n_batches=5,
-    batch_fraction=0.05,
-)
+from .strategies import delta_script
+from .test_hot_path_budget import seeded_rows
+
+#: The queries every reader asks, over two relations of 120 tuples.
+QUERIES = ("r1 - r2", "r1 | r2")
+
+
+def storm(seed: int, batches: int = 5) -> tuple[dict, list]:
+    """Two relations and ``batches`` transactions of six rows: enough
+    for a real epoch history, small enough that oracle replays stay
+    cheap."""
+    relations = {
+        name: TPRelation.from_rows(name, ("k",), seeded_rows(seed + i, n=120, keys=8))
+        for i, name in enumerate(("r1", "r2"))
+    }
+    return relations, delta_script(relations, seed, batches=batches, size=6)
 
 
 class _Client:
@@ -68,38 +78,37 @@ class _Client:
             pass
 
 
-def _build_db(scenario) -> TPDatabase:
+def _build_db(relations) -> TPDatabase:
     db = TPDatabase()
-    for relation in scenario.relations.values():
+    for relation in relations.values():
         db.register(relation)
-    for name in scenario.relations:
-        db.store(name)
+        db.store(relation.name)
     return db
 
 
-def _oracle_payload(scenario, upto: int, query: str) -> dict:
+def _oracle_payload(relations, script, upto: int, query: str) -> dict:
     """Serial replay → the exact wire payload the server must produce."""
-    db = _build_db(scenario)
-    for target, delta in scenario.deltas[:upto]:
-        db.apply(target, inserts=delta.inserts, deletes=delta.deletes)
+    db = _build_db(relations)
+    for batch in script[:upto]:
+        db.apply(*batch)
     payload = relation_payload(db.query(query, optimize="safe"))
     return json.loads(json.dumps(payload))  # same float/list shapes as the wire
 
 
 @pytest.mark.parametrize("seed", [7, 345])
 def test_many_clients_bit_identical_to_serial_oracle(seed):
-    scenario = build_scenario(_SPEC, scale=1.0, seed=seed)
-    queries = scenario.queries + ("r1 | r2",)
+    relations, script = storm(seed)
+    queries = QUERIES
     oracle: dict[tuple[int, str], dict] = {}
 
     def expected(upto: int, query: str) -> dict:
         key = (upto, query)
         if key not in oracle:
-            oracle[key] = _oracle_payload(scenario, upto, query)
+            oracle[key] = _oracle_payload(relations, script, upto, query)
         return oracle[key]
 
     async def main() -> None:
-        server = ServeServer(_build_db(scenario))
+        server = ServeServer(_build_db(relations))
         _, port = await server.start()
         try:
             writer = await _Client.connect(port)
@@ -112,12 +121,12 @@ def test_many_clients_bit_identical_to_serial_oracle(seed):
                     f"reader pinned after batch {upto} diverged on {query!r}"
                 )
 
-            for index, (target, delta) in enumerate(scenario.deltas):
+            for index, (target, inserts, deletes) in enumerate(script):
                 response = await writer.request(
                     op="commit",
                     relation=target,
-                    inserts=[list(row) for row in delta.inserts],
-                    deletes=[list(row) for row in delta.deletes],
+                    inserts=[list(row) for row in inserts],
+                    deletes=[list(row) for row in deletes],
                 )
                 assert response["ok"], response
                 # A fresh reader pins the post-commit epoch...
@@ -135,7 +144,7 @@ def test_many_clients_bit_identical_to_serial_oracle(seed):
                     await check(client, upto, query)
 
             await asyncio.gather(*(sweep(client, upto) for client, upto in readers))
-            await check(writer, len(scenario.deltas), queries[0])
+            await check(writer, len(script), queries[0])
 
             # The hot-query path is observable: repeated reads hit the cache.
             stats = await writer.request(op="stats")
@@ -271,6 +280,99 @@ def test_each_optimize_level_is_accepted_at_every_front_door(door, level):
             await server.aclose()
 
     asyncio.run(main())
+
+
+def served(db: TPDatabase, *requests: dict) -> list[dict]:
+    """The replies to ``requests`` over one connection to a real server,
+    which must still answer a ping after them."""
+
+    async def main() -> list[dict]:
+        server = ServeServer(db)
+        _, port = await server.start()
+        try:
+            client = await _Client.connect(port)
+            replies = [await client.request(**request) for request in requests]
+            assert (await client.request(op="ping"))["pong"]
+            await client.close()
+            return replies
+        finally:
+            await server.aclose()
+
+    return asyncio.run(main())
+
+
+def two_kinds() -> TPDatabase:
+    """``a`` and ``b`` each load, but their second columns do not order
+    against each other."""
+    db = TPDatabase()
+    db.create_relation("a", ("k", "v"), [("x", 1, 0, 4, 0.5)])
+    db.create_relation("b", ("k", "v"), [("x", "q", 0, 4, 0.5)])
+    return db
+
+
+TWO_KINDS = r"a and b hold values of two kinds in fact column 1 \(1 and 'q'\)"
+STREAMS = {"|": stream_union, "&": stream_intersect, "-": stream_except}
+
+
+@pytest.mark.parametrize("door", ["off", "safe", "stream", "wire"])
+@pytest.mark.parametrize("op", list(STREAMS))
+def test_operands_of_two_kinds_are_a_typed_error_at_every_front_door(op, door):
+    db = two_kinds()
+    query = f"a {op} b"
+    if door == "wire":
+        (reply,) = served(db, {"op": "query", "q": query, "optimize": "safe"})
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "SchemaMismatchError"
+        assert re.match(TWO_KINDS, reply["error"]["message"])
+        return
+    with pytest.raises(SchemaMismatchError, match=TWO_KINDS.replace("a and b", ".*")) as raised:
+        if door == "stream":
+            a, b = (db.relation(name).sorted_tuples() for name in "ab")
+            list(STREAMS[op](iter(a), iter(b)))
+        else:
+            db.query(query, optimize=door)
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+
+
+def nested(depth: int, shape: str) -> str:
+    """A query ``depth`` levels deep: a chain of that many operands, or
+    one relation inside ``depth - 1`` parentheses."""
+    if shape == "chain":
+        return " | ".join(["a"] * depth)
+    return "(" * (depth - 1) + "a" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("shape", ["chain", "parentheses"])
+@pytest.mark.parametrize("door", ["off", "safe", "explain", "view", "wire"])
+def test_the_deepest_query_runs_at_every_front_door_and_one_more_level_is_refused(
+    door, shape
+):
+    db = TPDatabase()
+    db.create_relation("a", ("k",), [("x", 0, 4, 0.5)])
+    deepest, too_deep = nested(MAX_QUERY_DEPTH, shape), nested(MAX_QUERY_DEPTH + 1, shape)
+    refusal = f"query nests {MAX_QUERY_DEPTH + 1} levels deep, past the limit of {MAX_QUERY_DEPTH}"
+    if door == "wire":
+        ok, refused = served(
+            db,
+            {"op": "query", "q": deepest, "optimize": "safe"},
+            {"op": "query", "q": too_deep},
+        )
+        assert ok["ok"] and len(ok["relation"]["rows"]) == 1
+        assert refused["error"] == {"type": "QueryParseError", "message": refusal}
+        return
+
+    def run(text: str) -> object:
+        if door == "view":
+            db.create_view(f"v{len(text)}", text)
+            return db.query("a | a")  # a later query matches against v
+        if door == "explain":
+            return db.query("EXPLAIN " + text)
+        return db.query(text, optimize=door)
+
+    assert run(deepest)
+    with pytest.raises(QueryParseError) as raised:
+        run(too_deep)
+    assert refusal in str(raised.value)
 
 
 def test_request_timeout_budget_fires_and_recovers():

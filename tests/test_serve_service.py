@@ -1,7 +1,7 @@
-"""Session stress: concurrent readers vs. a serial oracle (DESIGN.md §13).
+"""Session stress: concurrent readers vs. a serial oracle (DESIGN.md §12).
 
-The MVCC claim, made falsifiable: while a ``delta_storm`` workload
-(reused from :mod:`repro.bench.workloads`) commits batch after batch,
+The MVCC claim, made falsifiable: while a seeded commit stream
+(``tests/test_serve_server.storm``) commits batch after batch,
 every open reader session must keep answering from **one** consistent
 epoch — and its answers must be bit-identical (facts, intervals,
 lineage text, probabilities) to a serial oracle that replays exactly
@@ -15,12 +15,9 @@ as an oracle divergence here.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.workloads import build_scenario, scenario_catalog
 from repro.db import TPDatabase
 from repro.query.executor import execute_plan
 from repro.query.parser import parse_query
@@ -29,16 +26,7 @@ from repro.serve import QueryService
 from repro.serve.protocol import relation_fragment
 
 from .strategies import disjoint_intervals
-
-#: delta_storm, shrunk to property-test size but with enough batches
-#: that reader schedules can spread across a real epoch history.
-_SPEC = replace(
-    scenario_catalog()["delta_storm"],
-    n_tuples=120,
-    n_facts=8,
-    n_batches=6,
-    batch_fraction=0.05,
-)
+from .test_serve_server import QUERIES, _build_db, storm
 
 
 def _canonical(relation) -> list:
@@ -47,15 +35,11 @@ def _canonical(relation) -> list:
     return rows
 
 
-def _oracle(scenario, upto: int, query: str, level) -> list:
+def _oracle(relations, script, upto: int, query: str, level) -> list:
     """Serial replay: fresh db, first ``upto`` batches, one query."""
-    db = TPDatabase()
-    for relation in scenario.relations.values():
-        db.register(relation)
-    for name in scenario.relations:
-        db.store(name)
-    for target, delta in scenario.deltas[:upto]:
-        db.apply(target, inserts=delta.inserts, deletes=delta.deletes)
+    db = _build_db(relations)
+    for batch in script[:upto]:
+        db.apply(*batch)
     return _canonical(db.query(query, optimize=level))
 
 
@@ -68,17 +52,12 @@ def _oracle(scenario, upto: int, query: str, level) -> list:
 def test_readers_stay_on_their_epoch_and_match_the_oracle(
     seed, level, open_after
 ):
-    scenario = build_scenario(_SPEC, scale=1.0, seed=seed)
-    queries = scenario.queries + ("r1 | r2",)
-    db = TPDatabase()
-    for relation in scenario.relations.values():
-        db.register(relation)
-    for name in scenario.relations:
-        db.store(name)
-    service = QueryService(db)
+    relations, script = storm(seed, batches=6)
+    queries = QUERIES
+    service = QueryService(_build_db(relations))
     writer = service.open_session()
 
-    n_batches = len(scenario.deltas)
+    n_batches = len(script)
     schedule = sorted(min(point, n_batches) for point in open_after)
     readers: list[tuple[int, int]] = []  # (session id, batches applied at open)
 
@@ -87,8 +66,8 @@ def test_readers_stay_on_their_epoch_and_match_the_oracle(
     while pending and pending[0] == 0:
         pending.pop(0)
         readers.append((service.open_session(), 0))
-    for target, delta in scenario.deltas:
-        service.commit(writer, target, inserts=delta.inserts, deletes=delta.deletes)
+    for target, inserts, deletes in script:
+        service.commit(writer, target, inserts=inserts, deletes=deletes)
         applied += 1
         while pending and pending[0] == applied:
             pending.pop(0)
@@ -97,7 +76,7 @@ def test_readers_stay_on_their_epoch_and_match_the_oracle(
         for session_id, upto in readers:
             response = service.execute(session_id, queries[0], optimize=level)
             assert _canonical(response.relation) == _oracle(
-                scenario, upto, queries[0], level
+                relations, script, upto, queries[0], level
             ), f"reader pinned after batch {upto} diverged mid-stream"
 
     # End-to-end: after the storm, each reader still answers from the
@@ -106,33 +85,28 @@ def test_readers_stay_on_their_epoch_and_match_the_oracle(
         for query in queries:
             response = service.execute(session_id, query, optimize=level)
             assert _canonical(response.relation) == _oracle(
-                scenario, upto, query, level
+                relations, script, upto, query, level
             ), f"reader pinned after batch {upto} diverged on {query!r}"
     # The writer reads its own writes: it matches the full replay.
     for query in queries:
         response = service.execute(writer, query, optimize=level)
         assert _canonical(response.relation) == _oracle(
-            scenario, n_batches, query, level
+            relations, script, n_batches, query, level
         )
 
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_cached_and_uncached_responses_are_bit_identical(seed):
-    scenario = build_scenario(_SPEC, scale=1.0, seed=seed)
-    db = TPDatabase()
-    for relation in scenario.relations.values():
-        db.register(relation)
-    for name in scenario.relations:
-        db.store(name)
-    service = QueryService(db)
+    relations, script = storm(seed)
+    service = QueryService(_build_db(relations))
     session = service.open_session()
-    query = scenario.queries[0]
+    query = QUERIES[0]
     cold = service.execute(session, query, optimize="safe")
     hot = service.execute(session, query, optimize="safe")
     assert cold.cached is False and hot.cached is True
     assert _canonical(hot.relation) == _canonical(cold.relation)
-    assert _canonical(hot.relation) == _oracle(scenario, 0, query, "safe")
+    assert _canonical(hot.relation) == _oracle(relations, script, 0, query, "safe")
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Wire identity of encoded cache hits (DESIGN.md §13.2).
+"""Wire identity of encoded cache hits (DESIGN.md §12.2).
 
 A query reply is no longer ``json.dumps`` over the whole payload: the
 result-cache entry keeps the relation's canonical JSON fragment as
