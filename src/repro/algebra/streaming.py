@@ -22,14 +22,16 @@ tuple: a tuple out of ``(F, Ts)`` order raises
 same-fact predecessor raises :class:`~repro.core.errors.DuplicateFactError`.
 Two streams whose facts hold values of two kinds in one column, which
 the kernel cannot order, raise
-:class:`~repro.core.errors.SchemaMismatchError`.
+:class:`~repro.core.errors.SchemaMismatchError`; one stream that does
+raises :class:`~repro.core.errors.InvalidFactError` naming its two
+tuples.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..core.errors import DuplicateFactError, UnsortedInputError
+from ..core.errors import DuplicateFactError, InvalidFactError, UnsortedInputError
 from ..core.schema import operand_kind_clash
 from ..core.setops import sweep_chunks
 from ..core.sorting import fact_lt
@@ -89,10 +91,19 @@ def _checked(tuples: Iterable[TPTuple], last: list, side: int) -> Iterator[TPTup
                         f"stream input holds overlapping tuples of one fact: "
                         f"{prev} and {t}"
                     )
-            elif fact_lt(fact, prev.fact):
-                raise UnsortedInputError(
-                    f"stream input is not sorted by (fact, Ts): {t} after {prev}"
-                )
+            else:
+                try:
+                    backwards = fact_lt(fact, prev.fact)
+                except TypeError:
+                    raise InvalidFactError(
+                        f"stream input holds values of two kinds in one fact "
+                        f"column, which do not order against each other: {prev} "
+                        f"and {t}"
+                    ) from None
+                if backwards:
+                    raise UnsortedInputError(
+                        f"stream input is not sorted by (fact, Ts): {t} after {prev}"
+                    )
         prev = t
         last[side] = t.fact
         yield t

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidFactError, SchemaMismatchError
 
@@ -139,27 +139,38 @@ def fact_kind_clash(facts: Sequence[Fact]) -> Optional[tuple[int, int]]:
     return None
 
 
+def first_values(facts: Iterable[Fact]) -> list:
+    """The first non-null value of each fact column, None for a column
+    that holds none.  Reads facts only until every column has one: one
+    fact, usually, and one pass for an all-null, padded column."""
+    values: list = []
+    for fact in facts:
+        if values:
+            values = [fact[i] if v is None else v for i, v in enumerate(values)]
+        else:
+            values = list(fact)
+        if None not in values:
+            break
+    return values
+
+
 def operand_kind_clash(
-    left: str, right: str, left_facts: Sequence[Fact], right_facts: Sequence[Fact]
+    left: str, right: str, left_facts: Iterable[Fact], right_facts: Iterable[Fact]
 ) -> Optional[SchemaMismatchError]:
-    """The error for two operands whose facts hold values of two kinds in
-    one column (:func:`fact_kind_clash`), naming both and the column, or
-    None.  Each operand loaded on its own, so only a sweep that orders
-    one's facts against the other's meets the clash: its caller asks
-    here once that sweep has raised, and the sweep itself pays nothing.
+    """The error for two operands whose values in one fact column are of
+    two kinds (:func:`fact_kind_clash`), naming both and the column, or
+    None.  Every operand holds one kind per column — a load refuses a
+    second, and every operation asks here before it sweeps — so one
+    value per column and side decides: O(arity), not a pass per row.
     Null padding is no kind."""
-    for column in range(len(left_facts[0]) if left_facts and right_facts else 0):
-        values = [
-            (fact[column],)
-            for facts in (left_facts, right_facts)
-            for fact in facts
-            if fact[column] is not None
-        ]
-        clash = fact_kind_clash(values)
-        if clash is not None:
+    pairs = zip(first_values(left_facts), first_values(right_facts))
+    for column, (a, b) in enumerate(pairs):
+        if (
+            type(a) is not type(b) and a is not None and b is not None
+            and _kind(type(a)) is not _kind(type(b))
+        ):
             return SchemaMismatchError(
                 f"{left} and {right} hold values of two kinds in fact column "
-                f"{column} ({values[0][0]!r} and {values[clash[0]][0]!r}), "
-                "which do not order against each other"
+                f"{column} ({a!r} and {b!r}), which do not order against each other"
             )
     return None

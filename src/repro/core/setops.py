@@ -89,6 +89,7 @@ __all__ = [
 
 _SYMBOLS = {"union": "∪", "intersect": "∩", "except": "−"}
 _lineage_of = attrgetter("lineage")
+_fact_of = attrgetter("fact")
 #: The default options' exact limit: the sweep values a window exactly,
 #: as the batch would, up to ``limit`` repeated variables (DESIGN.md §6.3).
 _LIMIT = ProbabilityOptions().exact_repeated_limit
@@ -185,23 +186,24 @@ def _dispatch(
     # sortedness flag, so chained operations never re-sort.
     r_sorted = r.sorted_tuples()
     s_sorted = s.sorted_tuples()
-    events = r.merged_events(s)
-    try:
-        if not fused:
-            # The reference path leaves every row to the batch.
-            out = pending = _unfused_sweep(r_sorted, s_sorted, op)
-        elif materialize:
-            limit = _LIMIT if options is None else options.exact_repeated_limit
-            out, pending = _fused_sweep(r_sorted, s_sorted, op, events, limit)
-        else:
-            out = pending = _fused_sweep(r_sorted, s_sorted, op)[0]
-    except TypeError:
-        clash = operand_kind_clash(
-            r.name, s.name, [t.fact for t in r_sorted], [t.fact for t in s_sorted]
-        )
-        if clash is None:
-            raise
+    # The sweep compares a column only where the columns before it tie,
+    # so a clash it never meets would leave two kinds in one column of
+    # the result; each operand holds one kind per column, so one value
+    # per column decides.
+    clash = operand_kind_clash(
+        r.name, s.name, map(_fact_of, r_sorted), map(_fact_of, s_sorted)
+    )
+    if clash is not None:
         raise clash from None
+    events = r.merged_events(s)
+    if not fused:
+        # The reference path leaves every row to the batch.
+        out = pending = _unfused_sweep(r_sorted, s_sorted, op)
+    elif materialize:
+        limit = _LIMIT if options is None else options.exact_repeated_limit
+        out, pending = _fused_sweep(r_sorted, s_sorted, op, events, limit)
+    else:
+        out = pending = _fused_sweep(r_sorted, s_sorted, op)[0]
     if materialize:
         _finish(out, pending, events, options)
     return TPRelation._derived(

@@ -102,13 +102,16 @@ _TABLE_LOCK = threading.RLock()
 def _intern_table() -> tuple[dict, Callable[[_NodeRef], None]]:
     """A fresh intern table and the removal callback of its references."""
     table: dict = {}
+    # Bound here, not read from the module at call time: callbacks still
+    # run during interpreter shutdown, after module globals are cleared.
+    lock = _TABLE_LOCK
 
     def drop(ref: _NodeRef) -> None:
         # Only if the entry is still *that* reference: a node re-created
         # under the same key after its predecessor died owns the entry
         # now, and the dead reference's late callback must not evict it.
         key = ref.key
-        with _TABLE_LOCK:
+        with lock:
             if table.get(key) is ref:
                 del table[key]
 

@@ -55,6 +55,7 @@ from .segment import (
 from .view import REFRESH_POLICIES, MaterializedView
 from .wal import (
     DURABILITY_LEVELS,
+    FormatVersionError,
     WalMeta,
     WriteAheadLog,
     parse_durability,
@@ -66,6 +67,7 @@ __all__ = [
     "Checkpoint",
     "DEFAULT_SEGMENT_CAPACITY",
     "DURABILITY_LEVELS",
+    "FormatVersionError",
     "Delta",
     "MaintenanceStrategy",
     "MaterializedView",

@@ -1,23 +1,34 @@
 """Atomic full-store checkpoints (DESIGN.md §11).
 
 A checkpoint is one self-contained snapshot of a
-:class:`~repro.store.SegmentStore` — schema, every tuple (lineage via
-the batch codec), the event map, the epoch it covers and the identifier
-counter — in a single CRC32-stamped file::
+:class:`~repro.store.SegmentStore` — schema, every tuple in ``(F, Ts)``
+order, the event map, the epoch it covers and the identifier counter —
+in a single CRC32-stamped file::
 
     file := MAGIC | u32 payload_length | u32 crc32(payload) | payload
 
+The tuples travel in the columnar codec of the WAL
+(:func:`repro.store.wal.encode_tuples`): facts as runs — in ``(F, Ts)``
+order each run is one fact group, so the file records the group
+boundaries — then starts, ends, probabilities and lineage roots, and
+the event map as two sorted columns.  Writing makes no object per row
+beyond the column entries.
+
 Checkpoints are written with the classic atomic-replace protocol: the
 complete file is built as ``<name>.tmp`` in the same directory, fsynced,
-then :func:`os.replace`\\ d into its final name
-``checkpoint-<epoch16>.ckpt`` and the directory fsynced.  A crash at
-*any* boundary therefore leaves either the previous checkpoint (plus a
-dead ``.tmp`` the next writer overwrites) or the new one — never a
-half-written file under the real name.  Recovery scans all
-``checkpoint-*.ckpt`` files and loads the newest one whose checksum
-verifies, so even a checkpoint corrupted after the fact (bit rot,
-truncation) degrades to the previous one plus a longer WAL replay
-rather than failing.
+**read back and compared with what was written**, then
+:func:`os.replace`\\ d into its final name ``checkpoint-<epoch16>.ckpt``
+and the directory fsynced.  The read-back checks the frame, the CRC and
+the version and validates the columns exactly as the loader does; it
+builds no tuple.  A file that reads back unequal is deleted and never
+renamed.  A crash at *any* boundary therefore leaves either the
+previous checkpoint (plus a dead ``.tmp`` the next writer overwrites) or
+the new one — never a half-written file under the real name.  Recovery
+scans all ``checkpoint-*.ckpt`` files and loads the newest one whose
+checksum verifies, so even a checkpoint corrupted after the fact (bit
+rot, truncation) degrades to the previous one plus a longer WAL replay
+rather than failing.  A checkpoint of another format :data:`VERSION` is
+not damage: it raises :class:`~repro.store.wal.FormatVersionError`.
 """
 
 from __future__ import annotations
@@ -32,7 +43,16 @@ from typing import Optional, Union
 
 from .faultpoints import trip
 from .segment import SegmentStore
-from .wal import WalMeta, decode_tuples, encode_tuples, _fsync_directory
+from .wal import (
+    FormatVersionError,
+    WalMeta,
+    _fsync_directory,
+    check_columns,
+    decode_events,
+    encode_events,
+    encode_tuples,
+    tuples_from_columns,
+)
 
 __all__ = [
     "Checkpoint",
@@ -46,7 +66,9 @@ _PathLike = Union[str, Path]
 
 MAGIC = b"TPCKPT\r\n"
 _HEADER = struct.Struct("<II")
-_VERSION = 1
+#: Payload format version.  2: the columnar tuple codec.  A checkpoint of
+#: any other version is refused.
+VERSION = 2
 
 #: ``checkpoint-<zero-padded epoch>.ckpt`` — zero padding keeps
 #: lexicographic and numeric order identical, handy for humans and
@@ -84,50 +106,29 @@ def checkpoint_path(directory: _PathLike, epoch: int) -> Path:
     return Path(directory) / f"checkpoint-{epoch:016d}.ckpt"
 
 
-def write_checkpoint(store: SegmentStore, directory: _PathLike) -> Path:
-    """Snapshot the store atomically; returns the final checkpoint path.
-
-    The store's ``_counter`` is part of the snapshot: a store restored
-    from it mints exactly the identifiers the live store would have.
-    """
-    directory = Path(directory)
-    rows, nodes, roots = encode_tuples(list(store.iter_sorted()))
-    payload = pickle.dumps(
-        (
-            "ckpt",
-            _VERSION,
-            store.name,
-            store.schema.attributes,
-            store.segment_capacity,
-            store.epoch,
-            store._counter,
-            rows,
-            nodes,
-            roots,
-            tuple(sorted(store.events.items())),
-        ),
-        protocol=4,
+def _record(store: SegmentStore) -> tuple:
+    """The plain data a checkpoint of ``store`` holds."""
+    return (
+        "ckpt",
+        VERSION,
+        store.name,
+        store.schema.attributes,
+        store.segment_capacity,
+        store.epoch,
+        store._counter,
+        encode_tuples(list(store.iter_sorted())),
+        encode_events(store.events),
     )
-    final = checkpoint_path(directory, store.epoch)
-    tmp = final.with_name(final.name + ".tmp")
-    trip("ckpt.begin")
-    with open(tmp, "wb", buffering=0) as handle:
-        handle.write(MAGIC)
-        handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
-        handle.write(payload)
-        trip("ckpt.written")
-        os.fsync(handle.fileno())
-    trip("ckpt.synced")
-    os.replace(tmp, final)
-    trip("ckpt.renamed")
-    _fsync_directory(directory)
-    trip("ckpt.done")
-    return final
 
 
-def load_checkpoint(path: _PathLike) -> Checkpoint:
-    """Decode one checkpoint file; raises ``ValueError`` when invalid."""
-    path = Path(path)
+def _payload(record: tuple) -> bytes:
+    return pickle.dumps(record, protocol=4)
+
+
+def _read_record(path: Path) -> tuple:
+    """The record of one checkpoint file, its frame, checksum, version and
+    columns checked; raises ``ValueError`` when invalid and
+    :class:`FormatVersionError` for another format version."""
     data = path.read_bytes()
     if len(data) < len(MAGIC) + _HEADER.size or data[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path.name}: not a checkpoint file")
@@ -138,23 +139,68 @@ def load_checkpoint(path: _PathLike) -> Checkpoint:
         raise ValueError(f"{path.name}: truncated checkpoint payload")
     if zlib.crc32(payload) != crc:
         raise ValueError(f"{path.name}: checkpoint checksum mismatch")
-    obj = pickle.loads(payload)
-    if obj[0] != "ckpt" or obj[1] != _VERSION:
-        raise ValueError(f"{path.name}: unsupported checkpoint format")
-    # Every commit-triggered checkpoint is re-read here to verify it, at
-    # the store's largest: hold the file's bytes, the unpickled tables and
-    # the decoded tuples one after the other, not all at once.
-    del data, payload
+    record = pickle.loads(payload)
+    if record[0] != "ckpt":
+        raise ValueError(f"{path.name}: not a checkpoint record")
+    if record[1] != VERSION:
+        raise FormatVersionError(path, "checkpoint", record[1], VERSION)
+    try:
+        columns, (names, values) = record[7:]
+        check_columns(*columns)
+        if len(names) != len(values):
+            raise ValueError("event columns disagree in length")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path.name}: malformed checkpoint record ({exc})") from None
+    return record
+
+
+def write_checkpoint(store: SegmentStore, directory: _PathLike) -> Path:
+    """Snapshot the store atomically; returns the final checkpoint path.
+
+    The store's ``_counter`` is part of the snapshot: a store restored
+    from it mints exactly the identifiers the live store would have.
+    The file is read back before its rename and must equal what was
+    written; otherwise it is deleted and ``ValueError`` raised.
+    """
+    directory = Path(directory)
+    record = _record(store)
+    payload = _payload(record)
+    final = checkpoint_path(directory, store.epoch)
+    tmp = final.with_name(final.name + ".tmp")
+    trip("ckpt.begin")
+    with open(tmp, "wb", buffering=0) as handle:
+        handle.write(MAGIC)
+        handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
+        handle.write(payload)
+        trip("ckpt.written")
+        os.fsync(handle.fileno())
+    trip("ckpt.synced")
+    del payload  # the read-back holds the file's bytes; not both at once
+    if _read_record(tmp) != record:
+        os.unlink(tmp)
+        raise ValueError(
+            f"{final.name}: checkpoint reads back unequal to the store "
+            f"{store.name!r} it was written from"
+        )
+    os.replace(tmp, final)
+    trip("ckpt.renamed")
+    _fsync_directory(directory)
+    trip("ckpt.done")
+    return final
+
+
+def load_checkpoint(path: _PathLike) -> Checkpoint:
+    """Decode one checkpoint file; raises ``ValueError`` when invalid and
+    :class:`FormatVersionError` for another format version."""
+    path = Path(path)
     (_, _, name, attributes, capacity, epoch, counter,
-     rows, nodes, roots, events) = obj
-    del obj
-    events = dict(events)
+     columns, events) = _read_record(path)
     return Checkpoint(
         WalMeta(name, attributes, capacity),
         epoch,
         counter,
-        decode_tuples(rows, nodes, roots),
-        events,
+        tuples_from_columns(*columns),
+        decode_events(*events),
         path,
     )
 
@@ -164,7 +210,9 @@ def latest_checkpoint(directory: _PathLike) -> Optional[Checkpoint]:
 
     Invalid or torn files (including leftover ``.tmp`` files, which are
     never even considered) are skipped, falling back to the next-newest
-    — a corrupt latest checkpoint costs WAL replay time, not data.
+    — a corrupt latest checkpoint costs WAL replay time, not data.  A
+    checkpoint of another format version raises
+    :class:`FormatVersionError`: falling back past it would lose data.
     """
     directory = Path(directory)
     candidates: list[tuple[int, Path]] = []

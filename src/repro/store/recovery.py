@@ -25,8 +25,10 @@ exactly this).
 it owns the store's directory, appends every committed ChangeSet to the
 WAL (draining through the consumer protocol, so nothing is ever pruned
 unflushed), checkpoints every ``checkpoint_every`` commits — verifying
-the new checkpoint re-reads cleanly *before* rotating the WAL away —
-and recovers on open.
+the new checkpoint reads back equal to what was written *before*
+rotating the WAL away — and recovers on open.  A checkpoint or WAL
+record of another format version is refused at open with
+:class:`~repro.store.wal.FormatVersionError`, the directory untouched.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .checkpoint import latest_checkpoint, prune_checkpoints, write_checkpoint
-from .checkpoint import load_checkpoint
 from .faultpoints import trip
 from .segment import SegmentStore
 from .wal import WalMeta, WriteAheadLog, scan_wal, truncate_wal
@@ -297,14 +298,14 @@ class StorePersistence:
     def checkpoint(self) -> Path:
         """Write a checkpoint now, then rotate the WAL.
 
-        The rotation happens only after the fresh checkpoint has been
-        re-read and verified — a checkpoint that cannot be loaded must
-        never become the only copy of the data."""
+        :func:`write_checkpoint` reads the file back and compares it with
+        what it wrote before the rename, and raises on a mismatch; the
+        rotation happens only after that — a checkpoint that cannot be
+        loaded must never become the only copy of the data."""
         self.wal.sync_from(self.store)
         if self.durability != "commit":
             self.wal.flush()
         path = write_checkpoint(self.store, self.directory)
-        load_checkpoint(path)  # verify before the WAL is rotated away
         trip("ckpt.verified")
         self.wal.rotate(self.store.epoch)
         prune_checkpoints(self.directory, self.store.epoch)

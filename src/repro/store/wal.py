@@ -10,11 +10,16 @@ exactly one record per epoch, in epoch order::
     record := u32 payload_length | u32 crc32(payload) | payload
 
 Payloads are plain-data structures (tags, strings, integers, floats,
-tuples) pickled at C speed; lineage is flattened through the PR 4 batch
-codec (:mod:`repro.lineage.serialize`) — one shared node table per
-record, replayed through the interning constructors on decode, so
-recovered tuples carry *re-interned* lineage with identity equality
-intact.
+lists) pickled at C speed.  Tuples travel as columns
+(:func:`encode_tuples`), the same codec checkpoints use: facts as runs,
+then starts, ends, probabilities and lineage roots — a ``Var``'s name,
+or an index into one node table of the batch codec
+(:mod:`repro.lineage.serialize`) built over the other lineages only.
+Decoding checks the columns and replays the lineage through the
+interning constructors, so recovered tuples carry *re-interned* lineage
+with identity equality intact.  Every record names its format
+:data:`VERSION`; a record of another version raises
+:class:`FormatVersionError` instead of counting as damage.
 
 The torn-write rule: a record is **committed** iff its length prefix,
 checksum and payload are all fully on disk and the checksum verifies.
@@ -40,16 +45,21 @@ import os
 import pickle
 import struct
 import zlib
+from itertools import chain, groupby, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, Union
 
+from ..core.errors import TPError
 from ..core.tuple import TPTuple, check_intervals, tuples_from_rows
+from ..lineage.formula import Lineage, Var
 from ..lineage.serialize import decode_batch, encode_batch
 from .faultpoints import trip
 from .segment import ChangeSet, SegmentStore
 
 __all__ = [
     "DURABILITY_LEVELS",
+    "FormatVersionError",
     "WalMeta",
     "WriteAheadLog",
     "parse_durability",
@@ -68,8 +78,9 @@ DURABILITY_LEVELS = ("off", "batch", "commit")
 MAGIC = b"TPWAL\r\n\x00"
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 
-#: Payload format version — bump on incompatible layout changes.
-_VERSION = 1
+#: Payload format version — bump on incompatible layout changes.  2: the
+#: columnar tuple codec.  A record of any other version is refused.
+VERSION = 2
 
 
 def parse_durability(text: str, *, source: str = "durability") -> str:
@@ -114,78 +125,181 @@ class WalMeta:
 
 
 # ----------------------------------------------------------------------
-# payload codec (plain data in, plain data out — pickled at C speed)
+# the columnar tuple codec (plain data in, plain data out — pickled at
+# C speed)
 # ----------------------------------------------------------------------
+class FormatVersionError(TPError):
+    """A WAL record or checkpoint was written in a format version this
+    code does not read.  Refused at open, before anything is repaired:
+    skipping the file as damage would drop committed data."""
+
+    def __init__(self, path: _PathLike, what: str, version: object, expected: int) -> None:
+        super().__init__(
+            f"{path}: {what} format version {version!r}, expected {expected}"
+        )
+        self.version = version
+
+
+_fact_of = attrgetter("fact")
+_lineage_of = attrgetter("lineage")
+_start_of = attrgetter("start")
+_end_of = attrgetter("end")
+_p_of = attrgetter("p")
+_name_of = attrgetter("name")
+
+
 def encode_tuples(tuples: Sequence[TPTuple]) -> tuple:
-    """Flatten tuples into (rows, node table, roots) — shared lineage."""
-    rows = tuple((t.fact, t.start, t.end, t.p) for t in tuples)
-    nodes, roots = encode_batch([t.lineage for t in tuples])
-    return rows, nodes, tuple(roots)
+    """Flatten tuples into columns ``(facts, lengths, starts, ends,
+    probs, nodes, roots)``.
+
+    The facts travel as runs: each distinct consecutive fact once and
+    how many rows it covers.  A root is a ``Var``'s name or an index
+    into the node table of the other lineages (DESIGN.md §4.1), so a run
+    of base tuples writes an empty table.  No object is made per row
+    beyond the column entries themselves."""
+    facts: list = []
+    lengths: list[int] = []
+    for fact, run in groupby(map(_fact_of, tuples)):
+        facts.append(fact)
+        lengths.append(len(list(run)))
+    lineages = list(map(_lineage_of, tuples))
+    derived = [lineage for lineage in lineages if type(lineage) is not Var]
+    if derived:
+        nodes, indexes = encode_batch(derived)
+        index = iter(indexes).__next__
+        roots: list = [
+            lineage.name if type(lineage) is Var else index() for lineage in lineages
+        ]
+    else:
+        nodes, roots = [], list(map(_name_of, lineages))
+    return (
+        facts,
+        lengths,
+        list(map(_start_of, tuples)),
+        list(map(_end_of, tuples)),
+        list(map(_p_of, tuples)),
+        nodes,
+        roots,
+    )
 
 
-def decode_tuples(rows: Sequence, nodes: Sequence, roots: Sequence) -> list[TPTuple]:
-    """Rebuild tuples through the trusted slot writers (DESIGN.md §6.3),
-    replaying lineage through the interning codec.  A record is not a
-    sweep's output, so its intervals are still checked to be non-empty."""
-    if not rows:
-        return []
-    facts, starts, ends, probs = zip(*rows)
-    check_intervals(starts, ends)
-    lineages = decode_batch(nodes, roots)
-    return tuples_from_rows(zip(facts, lineages, starts, ends), probs)
+def check_columns(
+    facts: Sequence, lengths: Sequence[int], starts: Sequence[int],
+    ends: Sequence[int], probs: Sequence, nodes: Sequence, roots: Sequence,
+) -> None:
+    """Raise ``ValueError`` unless the columns describe valid rows: they
+    agree in length, the runs cover the rows exactly, every interval is
+    non-empty and every root is a name or an index into the node table.
+    A record is not a sweep's output, so this is the check a decoder
+    owes before it builds anything."""
+    try:
+        rows = len(starts)
+        if not (len(ends) == len(probs) == len(roots) == rows and len(facts) == len(lengths)):
+            raise ValueError("tuple columns disagree in length")
+        if set(map(type, lengths)) - {int} or sum(lengths) != rows or (
+            lengths and min(lengths) < 1
+        ):
+            raise ValueError(f"fact runs do not cover the {rows} rows")
+        check_intervals(starts, ends)
+        kinds = set(map(type, roots))
+        if kinds - {str, int}:
+            raise ValueError("a lineage root is neither a name nor an index")
+        if int in kinds:
+            indexes = [root for root in roots if type(root) is int]
+            if min(indexes) < 0 or max(indexes) >= len(nodes):
+                raise ValueError("a lineage root indexes past the node table")
+    except TypeError as exc:
+        raise ValueError(f"malformed tuple columns: {exc}") from None
+
+
+def decode_tuples(
+    facts: Sequence, lengths: Sequence[int], starts: Sequence[int],
+    ends: Sequence[int], probs: Sequence, nodes: Sequence, roots: Sequence,
+) -> list[TPTuple]:
+    """:func:`check_columns`, then :func:`tuples_from_columns`."""
+    check_columns(facts, lengths, starts, ends, probs, nodes, roots)
+    return tuples_from_columns(facts, lengths, starts, ends, probs, nodes, roots)
+
+
+def tuples_from_columns(
+    facts: Sequence, lengths: Sequence[int], starts: Sequence[int],
+    ends: Sequence[int], probs: Sequence, nodes: Sequence, roots: Sequence,
+) -> list[TPTuple]:
+    """Build the tuples of checked columns through the trusted slot
+    writers (DESIGN.md §6.3): one shared fact object per run, lineage
+    replayed through the interning constructors."""
+    if nodes:
+        try:
+            table = decode_batch(nodes, range(len(nodes)))
+        except (IndexError, TypeError) as exc:
+            raise ValueError(f"malformed lineage node table: {exc}") from None
+        lineages: list[Lineage] = [
+            table[root] if type(root) is int else Var(root) for root in roots
+        ]
+    else:
+        lineages = list(map(Var, roots))
+    rows = zip(chain.from_iterable(map(repeat, facts, lengths)), lineages, starts, ends)
+    return tuples_from_rows(rows, probs)
+
+
+def encode_events(events: dict) -> tuple[list, list]:
+    """The event map as two columns, names sorted and their values."""
+    names = sorted(events)
+    return names, list(map(events.__getitem__, names))
+
+
+def decode_events(names: Sequence[str], values: Sequence[float]) -> dict:
+    if len(names) != len(values):
+        raise ValueError("event columns disagree in length")
+    return dict(zip(names, values))
 
 
 def _meta_payload(meta: WalMeta) -> bytes:
     return pickle.dumps(
-        ("meta", _VERSION, meta.name, meta.attributes, meta.segment_capacity),
+        ("meta", VERSION, meta.name, meta.attributes, meta.segment_capacity),
         protocol=4,
     )
 
 
 def _changeset_payload(changeset: ChangeSet) -> bytes:
-    tuples = changeset.inserted + changeset.deleted
-    rows, nodes, roots = encode_tuples(tuples)
     return pickle.dumps(
         (
             "cs",
-            _VERSION,
+            VERSION,
             changeset.epoch,
             changeset.counter,
             len(changeset.inserted),
-            rows,
-            nodes,
-            roots,
-            tuple(sorted(changeset.events.items())),
+            encode_tuples(changeset.inserted + changeset.deleted),
+            encode_events(changeset.events),
             tuple(changeset.removed_events),
         ),
         protocol=4,
     )
 
 
-def _decode_payload(payload: bytes):
+def _decode_payload(payload: bytes, path: Path):
     """One record's object: a :class:`WalMeta` or a :class:`ChangeSet`.
 
-    Raises on any structural problem — the scanner treats a payload
-    that unpickles to garbage the same as one whose checksum failed.
+    Raises :class:`FormatVersionError` for a record of another format
+    version, and anything else on a structural problem — the scanner
+    treats a payload that unpickles to garbage the same as one whose
+    checksum failed.
     """
     obj = pickle.loads(payload)
-    tag = obj[0]
+    tag, version = obj[0], obj[1]
+    if tag in ("meta", "cs") and version != VERSION:
+        raise FormatVersionError(path, "WAL record", version, VERSION)
     if tag == "meta":
-        _, version, name, attributes, capacity = obj
-        if version != _VERSION:
-            raise ValueError(f"unsupported WAL version {version}")
+        _, _, name, attributes, capacity = obj
         return WalMeta(name, attributes, capacity)
     if tag == "cs":
-        (_, version, epoch, counter, n_inserted, rows, nodes, roots,
-         events, removed) = obj
-        if version != _VERSION:
-            raise ValueError(f"unsupported WAL version {version}")
-        tuples = decode_tuples(rows, nodes, roots)
+        _, _, epoch, counter, n_inserted, columns, events, removed = obj
+        tuples = decode_tuples(*columns)
         return ChangeSet(
             epoch,
             tuple(tuples[:n_inserted]),
             tuple(tuples[n_inserted:]),
-            dict(events),
+            decode_events(*events),
             tuple(removed),
             counter,
         )
@@ -228,7 +342,9 @@ def scan_wal(path: _PathLike) -> WalScan:
     empty log, a torn or corrupt record ends the committed prefix, and a
     record whose epoch does not follow its predecessor's is treated as
     corruption (the commit protocol writes epochs contiguously, so a
-    gap can only be damage).
+    gap can only be damage).  A whole record of another format version
+    is not damage: it raises :class:`FormatVersionError`, and nothing is
+    truncated.
     """
     path = Path(path)
     try:
@@ -259,7 +375,9 @@ def scan_wal(path: _PathLike) -> WalScan:
             damage = "checksum mismatch"
             break
         try:
-            obj = _decode_payload(payload)
+            obj = _decode_payload(payload, path)
+        except FormatVersionError:
+            raise
         except Exception:
             damage = "undecodable payload"
             break

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from repro import (
     DuplicateFactError,
     Interval,
+    InvalidFactError,
     TPError,
     TPRelation,
     UnsortedInputError,
@@ -288,3 +289,19 @@ def test_unsorted_streams_raise_a_typed_error(op, bad):
             list(STREAMS[op](iter(operands[0]), iter(operands[1])))
         assert isinstance(caught.value, TPError)
         assert isinstance(caught.value, ValueError)
+
+
+@ALL_OPS
+@pytest.mark.parametrize("side", [0, 1])
+def test_one_stream_of_two_kinds_is_a_typed_error(op, side):
+    """Within one stream the kernel would compare the two facts; the
+    refusal names both tuples instead of leaking ``fact_lt``'s
+    ``TypeError``."""
+    mixed = [
+        base_tuple(("x", 1), "r1", Interval(0, 2), 0.5),
+        base_tuple(("x", "q"), "r2", Interval(0, 2), 0.5),
+    ]
+    other = [base_tuple(("x", 1), "s1", Interval(0, 9), 0.5)]
+    sides = [iter(mixed), iter(other)] if side == 0 else [iter(other), iter(mixed)]
+    with pytest.raises(InvalidFactError, match=r"two kinds.*'x', 1, r1.*'x', 'q', r2"):
+        list(STREAMS[op](*sides))

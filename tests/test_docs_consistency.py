@@ -175,3 +175,23 @@ def test_every_named_markdown_page_exists():
                     if not found:
                         dangling.append(f"{path.relative_to(REPO)}:{lineno}: {named}")
     assert not dangling, "named markdown pages that do not exist:\n" + "\n".join(dangling)
+
+
+PY_PATH = re.compile(r"[\w.-]+(?:/[\w.-]+)+\.py\b")
+#: Where a named ``*.py`` path may be relative to: the root, ``src/``
+#: and the package (DESIGN.md names modules as ``core/setops.py``).
+PY_ROOTS = (REPO, REPO / "src", REPO / "src" / "repro")
+
+
+def test_every_named_python_path_exists():
+    """A ``*.py`` path with a directory part that DESIGN.md or README.md
+    names is a file of the repository (three DESIGN.md sections went on
+    citing per-PR benchmark scripts long after they were deleted)."""
+    dangling = [
+        f"{doc.name}:{lineno}: {named}"
+        for doc in (DESIGN, README)
+        for lineno, line in enumerate(doc.read_text().splitlines(), 1)
+        for named in PY_PATH.findall(line)
+        if not any((root / named).is_file() for root in PY_ROOTS)
+    ]
+    assert not dangling, "named Python files that do not exist:\n" + "\n".join(dangling)

@@ -11,10 +11,13 @@ Covers the three contract pillars of DESIGN.md §4–§5:
 from __future__ import annotations
 
 import gc
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -580,3 +583,28 @@ class TestBatchValuation:
             assert fresh is not merged and fresh[name] == 0.9
             merged = fresh
         assert probability_batch([f], merged) == [pytest.approx(0.99)]
+
+
+def test_interpreter_exit_runs_no_intern_callback_into_a_cleared_module(tmp_path):
+    """Nodes still alive at exit die while the interpreter clears module
+    globals; their weak-reference callbacks must not read a global the
+    teardown has already set to ``None``.  Thirty drawn programs left such
+    nodes behind in every run of this script before the callback bound
+    its lock."""
+    script = tmp_path / "draw.py"
+    script.write_text(
+        "import tests.strategies as S\n"
+        "keep = [S.programs('union', S.tp_query_catalog(), depth=2).example()"
+        " for _ in range(30)]\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Exception ignored" not in done.stderr

@@ -334,6 +334,26 @@ def test_operands_of_two_kinds_are_a_typed_error_at_every_front_door(op, door):
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
+@pytest.mark.parametrize("door", ["off", "safe", "wire"])
+@pytest.mark.parametrize("op", list(STREAMS))
+def test_a_column_the_sweep_never_compares_is_refused_too(op, door):
+    """``a`` and ``b`` differ in column 0, so the sweep orders them there
+    and never compares column 1: the operation itself must refuse the two
+    kinds, not leave them in its result for a later operation to meet."""
+    db = TPDatabase()
+    db.create_relation("a", ("k", "v"), [("x", 1, 0, 4, 0.5)])
+    db.create_relation("b", ("k", "v"), [("y", "q", 0, 4, 0.5)])
+    db.create_relation("c", ("k", "v"), [("x", "z", 0, 4, 0.5)])
+    for query in (f"a {op} b", f"(a {op} b) | c"):
+        if door == "wire":
+            (reply,) = served(db, {"op": "query", "q": query, "optimize": "safe"})
+            assert reply["error"]["type"] == "SchemaMismatchError"
+            assert re.match(TWO_KINDS, reply["error"]["message"])
+            continue
+        with pytest.raises(SchemaMismatchError, match=TWO_KINDS.replace("a and b", ".*")):
+            db.query(query, optimize=door)
+
+
 def nested(depth: int, shape: str) -> str:
     """A query ``depth`` levels deep: a chain of that many operands, or
     one relation inside ``depth - 1`` parentheses."""
