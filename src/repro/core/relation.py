@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import count
-from operator import attrgetter, is_
+from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..lineage.formula import Lineage, Var, referenced_variables, variable_names
+from ..lineage.formula import Lineage, Var, variable_names
 from ..prob.valuation import (
     EventMap,
     Method,
@@ -47,7 +47,7 @@ from .errors import DuplicateFactError, UnknownVariableError
 from .interval import Interval
 from .schema import Fact, TPSchema
 from .sorting import null_safe_key, sort_comparison
-from .tuple import TPTuple, base_tuples
+from .tuple import TPTuple, base_tuples, lineage_text, referenced_names
 
 __all__ = ["TPRelation", "selection_name"]
 
@@ -56,15 +56,12 @@ def _leading_value(t: TPTuple) -> object:
     return t.fact[0]
 
 
-_lineage_of = attrgetter("lineage")
-
-
 def _own_events(
     tuples: Sequence[TPTuple], events: Mapping[str, float]
 ) -> EventMap:
-    """A new map of the variables ``tuples`` reference, read from ``events``."""
-    names = referenced_variables(map(_lineage_of, tuples))
-    return EventMap({var: events[var] for var in names})
+    """A new map of the variables ``tuples`` reference, read from
+    ``events``; a deferred row's node stays unbuilt (DESIGN.md §6.3)."""
+    return EventMap({var: events[var] for var in referenced_names(tuples)})
 
 
 def selection_name(name: str, equalities: Mapping[str, object]) -> str:
@@ -517,7 +514,7 @@ class TPRelation:
         rows = [
             [
                 *(repr(v) for v in t.fact),
-                str(t.lineage),
+                lineage_text(t),
                 str(t.interval),
                 "?" if t.p is None else f"{t.p:.6g}",
             ]

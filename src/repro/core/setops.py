@@ -49,7 +49,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..lineage.concat import concat_and, concat_and_not, concat_or
 from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
-from ..prob.shannon import AND, NOT, OR, operand_tree, tree_connect, tree_not, tree_probability
+from ..prob.shannon import operand_tree, tree_probability
 from ..prob.valuation import ProbabilityOptions, count_swept, probability_batch
 from .errors import UnsupportedOperationError
 from .lawa import LawaSweep
@@ -64,6 +64,7 @@ from .tuple import (
     deferred_node,
     fill_probabilities,
     new_object,
+    row_tree,
     set_end,
     set_fact,
     set_left,
@@ -72,6 +73,7 @@ from .tuple import (
     set_p,
     set_right,
     set_start,
+    window_tree,
 )
 from .window import LineageWindow
 
@@ -93,8 +95,6 @@ _fact_of = attrgetter("fact")
 #: The default options' exact limit: the sweep values a window exactly,
 #: as the batch would, up to ``limit`` repeated variables (DESIGN.md §6.3).
 _LIMIT = ProbabilityOptions().exact_repeated_limit
-#: Rows nested deeper than this are read through their interned node.
-_DEEPEST = 100
 
 
 def tp_intersect(
@@ -314,8 +314,9 @@ def sweep_chunks(
     # The valid tuple per side: its lineage or, for an unread deferred
     # row, the row itself (None: no valid tuple), its end point, its
     # variable's probability (None: not a variable, or one ``events``
-    # lacks), and a row's operand tree (:func:`_row_tree`) and its value,
-    # walked at the first window over the row alone (False: not yet).
+    # lacks), and a row's operand tree (``tuple.row_tree``) and its
+    # value, walked at the first window over the row alone (False: not
+    # yet).
     r_lam: Lineage | TPTuple | None = None
     r_end = 0
     r_p: Optional[float] = None
@@ -388,7 +389,7 @@ def sweep_chunks(
                 r_lam = rt
                 r_p = None
                 if valuate:
-                    r_t = _row_tree(rt)
+                    r_t = row_tree(rt)
                     r_pv = False
             else:
                 r_p = probability_of(r_lam.name) if type(r_lam) is Var else None
@@ -425,7 +426,7 @@ def sweep_chunks(
                 s_lam = st
                 s_p = None
                 if valuate:
-                    s_t = _row_tree(st)
+                    s_t = row_tree(st)
                     s_pv = False
             else:
                 s_p = probability_of(s_lam.name) if type(s_lam) is Var else None
@@ -596,7 +597,7 @@ def sweep_chunks(
             # operand.  With events the walk values it; a window the walk
             # leaves to the batch (None) interns its node and is pending.
             if valuate:
-                p = tree_probability(_window_tree(
+                p = tree_probability(window_tree(
                     nested,
                     r_t if type(r_lam) is TPTuple else r_lam if type(r_lam) is Var
                     else operand_tree(r_lam),
@@ -632,43 +633,6 @@ def sweep_chunks(
 
     if out:
         yield out, pending
-
-
-def _row_tree(row: TPTuple, depth: int = 0) -> object:
-    """The operand tree of an unread row's formula, read off its operands
-    (DESIGN.md §6.3); a row whose operand is gone, or one nested deeper
-    than :data:`_DEEPEST`, through its node."""
-    left = row._left
-    right = row._right
-    if type(left) is Var and type(right) is Var:  # nothing splices
-        if row._op == DEFER_AND_NOT:
-            return (AND, left, (NOT, right))
-        return (OR if row._op == DEFER_OR else AND, left, right)
-    if left is None or right is None or depth > _DEEPEST:
-        return operand_tree(row.lineage)
-    return _window_tree(
-        row._op,
-        left if type(left) is Var else _row_tree(left, depth + 1)
-        if type(left) is TPTuple else operand_tree(left),
-        right if type(right) is Var else _row_tree(right, depth + 1)
-        if type(right) is TPTuple else operand_tree(right),
-    )
-
-
-def _window_tree(op: int, left: object, right: object) -> object:
-    """The operand tree of ``deferred_node(op, …)`` over two trees: an
-    operand with the window's own connective splices, and only a ⊤/⊥
-    operand or a negated negation takes the constructors' long way."""
-    if op == DEFER_AND_NOT:
-        right = (NOT, right) if type(right) is Var else tree_not(right)
-    tag = OR if op == DEFER_OR else AND
-    if (type(left) is tuple or type(left) is Var) and (type(right) is tuple or type(right) is Var):
-        return (
-            tag,
-            *(left[1:] if type(left) is tuple and left[0] == tag else (left,)),
-            *(right[1:] if type(right) is tuple and right[0] == tag else (right,)),
-        )
-    return tree_connect(tag, (left, right))
 
 
 def sweep_rows(

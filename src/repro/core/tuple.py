@@ -19,7 +19,22 @@ from itertools import repeat
 from operator import attrgetter, lt
 from typing import Iterable, Optional, Sequence
 
-from ..lineage.formula import And, Lineage, Not, Or, Var, land, lnot, lor
+from ..lineage.formula import (
+    AND,
+    NOT,
+    OR,
+    And,
+    Lineage,
+    Not,
+    Or,
+    Var,
+    land,
+    lnot,
+    lor,
+    referenced_variables,
+    tree_text,
+)
+from ..prob.shannon import operand_tree, tree_connect, tree_not
 from .errors import InvalidFactError, InvalidIntervalError, InvalidProbabilityError
 from .interval import Interval
 from .schema import _ATOMIC_TYPES, Fact, fact_kind_clash
@@ -31,6 +46,8 @@ __all__ = [
     "check_intervals",
     "deferred_node",
     "fill_probabilities",
+    "lineage_text",
+    "referenced_names",
     "time_point",
     "tuples_from_rows",
     # trusted slot writers, for the kernels that build their output inline
@@ -46,6 +63,9 @@ __all__ = [
     "DEFER_OR",
     "DEFER_AND",
     "DEFER_AND_NOT",
+    # a deferred row's operand tree, for the sweep's walk and the readers
+    "row_tree",
+    "window_tree",
 ]
 
 #: The operator of a deferred row (DESIGN.md §6.3): the fused
@@ -215,7 +235,7 @@ class TPTuple:
     def __str__(self) -> str:
         fact_text = ", ".join(repr(v) for v in self.fact)
         p_text = "?" if self.p is None else f"{self.p:g}"
-        return f"({fact_text}, {self.lineage}, {self.interval}, {p_text})"
+        return f"({fact_text}, {lineage_text(self)}, {self.interval}, {p_text})"
 
 
 # Trusted construction (DESIGN.md §6.3): the frozen classes' slots are
@@ -243,6 +263,7 @@ set_op = TPTuple._op.__set__  # type: ignore[attr-defined]
 _set_interval_start = Interval.start.__set__  # type: ignore[attr-defined]
 _set_interval_end = Interval.end.__set__  # type: ignore[attr-defined]
 _operands_of = attrgetter("_left", "_right", "_op")
+_lineage_slot = attrgetter("_lineage")
 _fact_of = attrgetter("fact")
 _deferred_build = threading.Lock()
 
@@ -324,6 +345,97 @@ def _nested_lineage(t: TPTuple) -> Lineage:
             if type(right) is TPTuple:
                 set_right(row, None)
     return t._lineage  # type: ignore[return-value]
+
+
+#: Rows nested deeper than this are read through their interned node.
+_DEEPEST = 100
+#: The text between a deferred row's two variables, by ``_op``.
+_CONNECTIVE = {DEFER_OR: "∨", DEFER_AND: "∧", DEFER_AND_NOT: "∧¬"}
+
+
+def row_tree(row: TPTuple, depth: int = 0) -> object:
+    """The operand tree of an unread row's formula, read off its operands
+    (DESIGN.md §6.3): the tree :func:`~repro.prob.shannon.operand_tree`
+    reads off the node the row stands for, without building that node.
+    A row whose row operand a reader dropped, or one nested deeper than
+    :data:`_DEEPEST`, goes through its node."""
+    left = row._left
+    right = row._right
+    if type(left) is Var and type(right) is Var:  # nothing splices
+        if row._op == DEFER_AND_NOT:
+            return (AND, left, (NOT, right))
+        return (OR if row._op == DEFER_OR else AND, left, right)
+    if left is None or right is None or depth > _DEEPEST:
+        return operand_tree(row.lineage)
+    return window_tree(
+        row._op,
+        left if type(left) is Var else row_tree(left, depth + 1)
+        if type(left) is TPTuple else operand_tree(left),
+        right if type(right) is Var else row_tree(right, depth + 1)
+        if type(right) is TPTuple else operand_tree(right),
+    )
+
+
+def window_tree(op: int, left: object, right: object) -> object:
+    """The operand tree of ``deferred_node(op, …)`` over two trees: an
+    operand with the window's own connective splices, and only a ⊤/⊥
+    operand or a negated negation takes the constructors' long way."""
+    if op == DEFER_AND_NOT:
+        right = (NOT, right) if type(right) is Var else tree_not(right)
+    tag = OR if op == DEFER_OR else AND
+    if (type(left) is tuple or type(left) is Var) and (type(right) is tuple or type(right) is Var):
+        return (
+            tag,
+            *(left[1:] if type(left) is tuple and left[0] == tag else (left,)),
+            *(right[1:] if type(right) is tuple and right[0] == tag else (right,)),
+        )
+    return tree_connect(tag, (left, right))
+
+
+def lineage_text(t: TPTuple) -> str:
+    """``str(t.lineage)``, written without interning a node (DESIGN.md
+    §6.3): a row over two base variables from their names, a chained
+    row by rendering its :func:`row_tree`, a row holding its node from
+    the node."""
+    lineage = t._lineage
+    if lineage is not None:
+        return lineage.name if type(lineage) is Var else str(lineage)
+    left, right, op = _operands_of(t)
+    if type(left) is Var and type(right) is Var:
+        return left.name + _CONNECTIVE[op] + right.name
+    return tree_text(row_tree(t))
+
+
+def referenced_names(tuples: Sequence[TPTuple]) -> set[str]:
+    """The distinct variable names the lineages of ``tuples`` reference,
+    read without interning a node (DESIGN.md §6.3).
+
+    Rows that all hold their node — a view's materialized runs — cost
+    one C-level pass over the slots plus the walk of
+    :func:`~repro.lineage.formula.referenced_variables`.  A deferred row
+    over two base variables adds their names in place; a chained one
+    hands the walk its :func:`row_tree`.
+    """
+    lineages = list(map(_lineage_slot, tuples))
+    if None not in lineages:
+        return referenced_variables(lineages)
+    names: set[str] = set()
+    add = names.add
+    formulas: list = []
+    push = formulas.append
+    for t, lineage in zip(tuples, lineages):
+        if lineage is not None:
+            push(lineage)
+            continue
+        left = t._left
+        right = t._right
+        if type(left) is Var and type(right) is Var:
+            add(left.name)
+            add(right.name)
+        else:
+            push(row_tree(t))
+    names.update(referenced_variables(formulas))
+    return names
 
 
 def fill_probabilities(tuples: list[TPTuple], probs: Iterable[float]) -> None:

@@ -30,7 +30,7 @@ from typing import Iterator, Mapping, Optional, TextIO, Union
 
 from ..core.relation import TPRelation
 from ..core.schema import TPSchema, coerce_value, make_fact
-from ..core.tuple import check_intervals, time_point, tuples_from_rows
+from ..core.tuple import check_intervals, lineage_text, time_point, tuples_from_rows
 from ..lineage.formula import Var
 from ..lineage.parser import parse_lineage
 from ..store.faultpoints import trip
@@ -71,7 +71,7 @@ def save_json(relation: TPRelation, path: _PathLike) -> None:
         "tuples": [
             {
                 "fact": list(t.fact),
-                "lineage": str(t.lineage),
+                "lineage": lineage_text(t),
                 "ts": t.start,
                 "te": t.end,
                 "p": t.p,
@@ -108,7 +108,7 @@ def save_csv(relation: TPRelation, path: _PathLike) -> None:
         writer.writerow(list(relation.schema.attributes) + ["lineage", "ts", "te", "p"])
         for t in relation:
             writer.writerow(
-                [*t.fact, str(t.lineage), t.start, t.end, "" if t.p is None else t.p]
+                [*t.fact, lineage_text(t), t.start, t.end, "" if t.p is None else t.p]
             )
     sidecar = path.with_suffix(path.suffix + ".events.csv")
     if not _all_atomic(relation):
@@ -205,4 +205,6 @@ def _validated(
 
 
 def _all_atomic(relation: TPRelation) -> bool:
-    return all(isinstance(t.lineage, Var) for t in relation)
+    # Read off the slot: a deferred row (None there) stands for a
+    # connective, so it is not atomic, and its node stays unbuilt.
+    return all(type(t._lineage) is Var for t in relation)

@@ -75,6 +75,10 @@ __all__ = [
     "restrict",
     "formula_size",
     "intern_stats",
+    "tree_text",
+    "NOT",
+    "AND",
+    "OR",
 ]
 
 
@@ -142,6 +146,11 @@ _INTERN_OR, _drop_or = _intern_table()  # children -> Or
 
 _EMPTY_SET: frozenset[str] = frozenset()
 _new = object.__new__
+
+#: The tags of an operand tree's connectives: a formula written as a
+#: variable, ⊤, ⊥, or a tuple ``(tag, child, …)`` that mirrors a node
+#: without interning one (the Shannon walk's and the renderer's input).
+NOT, AND, OR = 0, 1, 2
 
 
 class Lineage:
@@ -662,9 +671,9 @@ def variable_names(formula: Lineage) -> Iterable[str]:
     return formula.var_set
 
 
-def referenced_variables(formulas: Iterable[Lineage]) -> set[str]:
-    """The distinct variable names of many formulas, by one walk of their
-    shared DAG (each ∧/∨ node visited once).
+def referenced_variables(formulas: Iterable["Lineage | tuple"]) -> set[str]:
+    """The distinct variable names of many formulas — nodes or operand
+    trees — by one walk of their shared DAG (each ∧/∨ node visited once).
 
     Reads no node's ``var_set`` and so stores none: a read that copies a
     few hundred result tuples out of a large relation must not leave a
@@ -692,6 +701,12 @@ def referenced_variables(formulas: Iterable[Lineage]) -> set[str]:
                     add(child.name)
                 elif kind is Not and type(child.child) is Var:
                     add(child.child.name)
+                else:
+                    push(child)
+        elif kind is tuple:
+            for child in node[1:]:
+                if type(child) is Var:
+                    add(child.name)
                 else:
                     push(child)
     return names
@@ -792,20 +807,40 @@ _PREC_AND = 2
 _PREC_NOT = 3
 
 
-def _format(node: Lineage, parent_prec: int) -> str:
-    if isinstance(node, Var):
+def _format(node: "Lineage | tuple", parent_prec: int) -> str:
+    """The canonical text of a node or of an operand tree (a variable,
+    or ``(tag, child, …)`` with the tags :data:`NOT`, :data:`AND`,
+    :data:`OR`): a tree renders exactly as the node it mirrors."""
+    kind = type(node)
+    if kind is Var:
         return node.name
-    if isinstance(node, Top):
+    if kind is tuple:
+        tag = node[0]
+        children = node[1:]
+    elif kind is Not:
+        tag = NOT
+        children = (node.child,)
+    elif kind is And:
+        tag = AND
+        children = node.children
+    elif kind is Or:
+        tag = OR
+        children = node.children
+    elif kind is Top:
         return "⊤"
-    if isinstance(node, Bottom):
+    elif kind is Bottom:
         return "⊥"
-    if isinstance(node, Not):
-        inner = _format(node.child, _PREC_NOT)
-        return f"¬{inner}"
-    if isinstance(node, And):
-        body = "∧".join(_format(child, _PREC_AND) for child in node.children)
+    else:
+        raise TypeError(f"not a lineage formula: {node!r}")
+    if tag == NOT:
+        return "¬" + _format(children[0], _PREC_NOT)
+    if tag == AND:
+        body = "∧".join([_format(child, _PREC_AND) for child in children])
         return f"({body})" if parent_prec > _PREC_AND else body
-    if isinstance(node, Or):
-        body = "∨".join(_format(child, _PREC_OR) for child in node.children)
-        return f"({body})" if parent_prec > _PREC_OR else body
-    raise TypeError(f"not a lineage formula: {node!r}")
+    body = "∨".join([_format(child, _PREC_OR) for child in children])
+    return f"({body})" if parent_prec > _PREC_OR else body
+
+
+def tree_text(tree: "Lineage | tuple") -> str:
+    """``str`` of the node an operand tree mirrors, without building it."""
+    return _format(tree, 0)

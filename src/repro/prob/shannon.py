@@ -25,7 +25,19 @@ from __future__ import annotations
 from typing import Mapping, Optional, Union
 
 from ..core.errors import UnknownVariableError
-from ..lineage.formula import FALSE, TRUE, And, Lineage, Not, Or, Var, variable_occurrences
+from ..lineage.formula import (
+    AND,
+    FALSE,
+    NOT,
+    OR,
+    TRUE,
+    And,
+    Lineage,
+    Not,
+    Or,
+    Var,
+    variable_occurrences,
+)
 
 __all__ = [
     "probability_shannon",
@@ -38,8 +50,6 @@ __all__ = [
     "OR",
 ]
 
-#: The tags of an operand tree's connectives.
-NOT, AND, OR = 0, 1, 2
 #: A variable, ⊤, ⊥, or ``(tag, child, …)``.
 Tree = Union[Lineage, tuple]
 

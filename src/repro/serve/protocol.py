@@ -37,6 +37,7 @@ import json
 from typing import Any, Optional
 
 from ..core.relation import TPRelation
+from ..core.tuple import lineage_text
 
 __all__ = [
     "ProtocolError",
@@ -110,11 +111,13 @@ def encode_line(payload: dict[str, Any]) -> bytes:
 
 
 def relation_payload(relation: TPRelation) -> dict[str, Any]:
-    """A relation's canonical JSON form: schema plus sorted, valued rows."""
+    """A relation's canonical JSON form: schema plus sorted, valued rows,
+    each lineage written by :func:`~repro.core.tuple.lineage_text` — a
+    deferred row's text comes from its operands, its node stays unbuilt."""
     return {
         "attributes": list(relation.schema.attributes),
         "rows": [
-            [list(t.fact), t.start, t.end, str(t.lineage), t.p]
+            [list(t.fact), t.start, t.end, lineage_text(t), t.p]
             for t in relation.sorted_tuples()
         ],
     }

@@ -39,7 +39,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from ..core.errors import QueryParseError, UnknownRelationError
+from ..core.errors import QueryParseError, SchemaMismatchError, UnknownRelationError
 from ..core.relation import TPRelation
 from ..db.database import TPDatabase
 from ..lineage.formula import intern_stats
@@ -232,9 +232,14 @@ class QueryService:
         db = self.db
         catalog: dict[str, TPRelation] = {}
         epochs: dict[str, EpochPart] = {}
+        refused: dict[str, Exception] = {}
         for name in db.view_names():
             view = db.view(name)
-            catalog[name] = view.relation()
+            try:
+                catalog[name] = view.relation()
+            except SchemaMismatchError as clash:
+                refused[name] = clash  # raised by a query naming it
+                continue
             if view.policy == "manual":
                 token = next(self._ids)  # unique per pin
                 epochs[name] = ("view-manual", name, token, self._incarnation(view))
@@ -249,6 +254,7 @@ class QueryService:
             epochs[name] = ("const", name, self._incarnation(relation))
         session.catalog = catalog
         session.epochs = epochs
+        session.refused = refused
         session.stats = {name: db.stats_of(name) for name in stores}
         session.stores = stores
 
@@ -299,6 +305,9 @@ class QueryService:
         session = self.session(session_id)
         ast, explained = self._parse(text_or_ast)
         references = relation_references(ast)
+        for name in references:
+            if name in session.refused:
+                raise session.refused[name]
         missing = [n for n in references if n not in session.catalog]
         if missing:
             raise UnknownRelationError(
@@ -480,18 +489,25 @@ class QueryService:
         for session in self._sessions.values():
             live.update(session.epochs.values())
         stores = {name: self.db.store(name) for name in self.db.store_names()}
+        # One incarnation lookup per store, not one per cached keyed part.
+        tokens = {name: self._incarnation(store) for name, store in stores.items()}
 
-        def alive(part: EpochPart) -> bool:
-            if part[0] != "keyed":
-                return part in live
-            store = stores.get(part[1])
-            return (
-                store is not None
-                and self._incarnation(store) == part[2]
-                and all(store.changed_at(value) == at for value, at in part[3])
-            )
+        def keep(key: tuple) -> bool:
+            for part in key[2]:
+                if part[0] != "keyed":
+                    if part not in live:
+                        return False
+                    continue
+                name = part[1]
+                if tokens.get(name) != part[2]:
+                    return False
+                changed_at = stores[name].changed_at
+                for value, at in part[3]:
+                    if changed_at(value) != at:
+                        return False
+            return True
 
-        return self.results.sweep(lambda key: all(map(alive, key[2])))
+        return self.results.sweep(keep)
 
     def _current_parts(self) -> set[EpochPart]:
         """The epoch parts a session pinned right now would hold."""

@@ -70,6 +70,9 @@ class Session:
     #: The store object behind each pinned store name: its per-value
     #: versions are what a keyed result part is built from.
     stores: dict[str, SegmentStore] = field(default_factory=dict)
+    #: A view that refused its read at the pin (its operands hold two
+    #: kinds in one column): the error a query naming it raises.
+    refused: dict[str, Exception] = field(default_factory=dict)
 
     def parts(self, names: Iterable[str]) -> tuple[EpochPart, ...]:
         """The signature restricted to ``names`` (sorted, unknowns skipped).

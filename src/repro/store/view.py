@@ -49,10 +49,10 @@ from ..algebra.join import (
     merge_fact_overlaps,
     tp_join_operation,
 )
-from ..core.errors import UnsupportedOperationError
+from ..core.errors import SchemaMismatchError, UnsupportedOperationError
 from ..core.gtwindow import WINDOW_POLICIES
 from ..core.relation import TPRelation, selection_name
-from ..core.schema import Fact
+from ..core.schema import Fact, operand_kind_clash
 from ..core.setops import sweep_rows, tp_set_operation
 from ..core.sorting import null_safe_fact_key
 from ..core.tuple import TPTuple, tuples_from_rows
@@ -269,7 +269,8 @@ class _SelectNode:
         return self.child.group(fact) if self._passes(fact) else []
 
     def facts(self) -> Iterable[Fact]:
-        return [f for f in self.child.facts() if self._passes(f)]
+        # Lazy: a kind check reads the first kept fact only.
+        return (f for f in self.child.facts() if self._passes(f))
 
 
 class _CachedNode:
@@ -294,19 +295,28 @@ class _CachedNode:
         return self.cache.get(fact, [])
 
     def facts(self) -> Iterable[Fact]:
-        return list(self.cache)
+        # A live view: nothing iterates it across a change to the cache.
+        return self.cache.keys()
 
 
 class _SetOpNode(_CachedNode):
-    """∪/∩/− maintained per fact group via the fused-kernel seam."""
+    """∪/∩/− maintained per fact group via the fused-kernel seam.
 
-    __slots__ = ("op", "left", "right")
+    Each fact group is swept alone, so nothing here compares the facts
+    of two groups: operands that hold two kinds in one fact column are
+    caught by :meth:`kind_clash` before a read instead (DESIGN.md §9.4).
+    """
 
-    def __init__(self, op: str, left, right, stats: dict) -> None:
+    __slots__ = ("op", "left", "right", "names")
+
+    def __init__(
+        self, op: str, left, right, stats: dict, names: tuple[str, str]
+    ) -> None:
         left.schema.check_compatible(right.schema)
         self.op = op
         self.left = left
         self.right = right
+        self.names = names
         self.schema = left.schema
         self.cache = {}
         self.stats = stats
@@ -318,6 +328,12 @@ class _SetOpNode(_CachedNode):
     def _sweep(self, lt: Sequence[TPTuple], rt: Sequence[TPTuple]) -> list[TPTuple]:
         _count_sweep(self.stats, lt, rt)
         return sweep_rows(lt, rt, self.op)
+
+    def kind_clash(self) -> Optional[SchemaMismatchError]:
+        """The error the query's own set operation would raise over the
+        operands as they stand (:func:`~repro.core.schema
+        .operand_kind_clash`), or None: one value per column and side."""
+        return operand_kind_clash(*self.names, self.left.facts(), self.right.facts())
 
     def pull(self) -> list[Region]:
         left, right = self.left, self.right
@@ -525,6 +541,8 @@ class IncrementalEngine:
         self.stats = dict.fromkeys(STAT_NAMES, 0)
         self._options = options
         self._base_nodes: list[_BaseNode] = []
+        # Inner before outer, so the innermost clash is the one raised.
+        self._set_ops: list[_SetOpNode] = []
         self.root = self._build(query, stores)
         self.schema = self.root.schema
         # The assembled result, until a refresh changes it: a stale copy
@@ -558,12 +576,15 @@ class IncrementalEngine:
                 self._build(node.child, stores), node.attribute, node.value
             )
         if isinstance(node, SetOpNode):
-            return _SetOpNode(
+            set_op = _SetOpNode(
                 node.op,
                 self._build(node.left, stores),
                 self._build(node.right, stores),
                 self.stats,
+                (str(node.left), str(node.right)),
             )
+            self._set_ops.append(set_op)
+            return set_op
         if isinstance(node, JoinNode):
             return _JoinNode(
                 node.kind,
@@ -632,9 +653,19 @@ class IncrementalEngine:
                         pending.append((run, k, run[k]))
         self._materialize(pending)
 
+    def _check_kinds(self) -> None:
+        """Refuse a read as the query would: a store emptied by deletes
+        takes a fact of a new kind, so a set-operation node's operands
+        can come to hold two kinds in one column while each is valid."""
+        for set_op in self._set_ops:
+            clash = set_op.kind_clash()
+            if clash is not None:
+                raise clash
+
     def relation(self, name: str) -> TPRelation:
         if self._cached is not None:
             return self._cached
+        self._check_kinds()
         tuples: list[TPTuple] = []
         for fact in sorted(self.root.facts(), key=null_safe_fact_key):
             tuples.extend(self.root.group(fact))
@@ -664,6 +695,7 @@ class IncrementalEngine:
         order."""
         if self._cached is not None:
             return self._cached.select(**equalities)
+        self._check_kinds()
         pairs = [(self.schema.index_of(a), value) for a, value in equalities.items()]
         facts = sorted(
             (f for f in self.root.facts() if all(f[i] == v for i, v in pairs)),
@@ -701,6 +733,8 @@ class RecomputeEngine:
         self._options = options
         self._seen: dict[str, int] = {}
         self._relation: Optional[TPRelation] = None
+        # What a read raises while the stores' operands clash in kind.
+        self._clash: Optional[SchemaMismatchError] = None
         self.stats = dict.fromkeys(STAT_NAMES, 0)
         self.refresh()
         self.schema = self._relation.schema
@@ -719,7 +753,16 @@ class RecomputeEngine:
         # public epoch-pinned snapshot API: the recompute reads one
         # consistent cut of the stores even if a scan is revisited.
         self._seen = {name: store.epoch for name, store in self._stores.items()}
-        result = self._evaluate(self._query)
+        try:
+            result = self._evaluate(self._query)
+        except SchemaMismatchError as clash:
+            if not built:
+                raise
+            # The commit stands (each store holds one kind); the view
+            # refuses reads, as its query does, until a change mends it.
+            self._clash = clash
+            return True
+        self._clash = None
         self._relation = result.materialize_probabilities(options=self._options)
         # A recompute re-derives, re-installs and re-valuates every row
         # (the build is no refresh and splices nothing, as in stats()).
@@ -750,6 +793,8 @@ class RecomputeEngine:
         )
 
     def relation(self, name: str) -> TPRelation:
+        if self._clash is not None:
+            raise self._clash
         assert self._relation is not None
         if self._relation.name == name:
             return self._relation

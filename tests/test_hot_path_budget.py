@@ -33,7 +33,9 @@ per row, as many as sweeping it), and neither a load nor a read leaves
 an ``Interval`` object behind: a tuple holds its two end points itself.
 A chained read such as ``(a | b) | c`` builds no lineage node and runs
 no batch, and its rows retain no more than they did while it built
-both (its calls per row were 2–3× today's).
+both (its calls per row were 2–3× today's).  A served miss — its cached
+entry's own event map and its wire fragment — builds no lineage node
+(it once built every row's node to read its names and its text).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import pytest
 from repro import Interval, TPRelation
 from repro.core.setops import tp_except, tp_union
 from repro.db import TPDatabase
-from repro.lineage.formula import referenced_variables
+from repro.lineage.formula import intern_stats, referenced_variables
 from repro.prob.valuation import clear_valuation_cache, valuation_cache_stats
 from repro.query.parser import parse_query
 from repro.serve import QueryService
@@ -641,6 +643,43 @@ def test_a_cache_hit_costs_the_same_for_ten_rows_and_a_thousand():
     large_calls, large_rows = _hit_calls(400, 8)
     assert small_rows <= 10 and large_rows >= 1000
     assert small_calls == large_calls <= HIT_CALLS_CEILING
+
+
+#: Calls per output row for three served misses over base relations,
+#: ``execute`` plus the encoded fragment.  Measured 6.56 when set (22.97
+#: while serving built every row's node to read its names and text).
+MISS_CALLS_PER_ROW_CEILING = 7.35
+
+
+def test_a_served_miss_builds_no_lineage_node():
+    """The cached entry's own event map and the wire text come from each
+    deferred row's operands: serving a miss interns nothing."""
+    db = TPDatabase()
+    db.create_relation("a", ("k",), seeded_rows(1))
+    db.create_relation("b", ("k",), seeded_rows(2))
+    service = QueryService(db)
+    session = service.open_session()
+    before = intern_stats()
+
+    def run() -> int:
+        rows = 0
+        for text in READS:
+            response = service.execute(session, text)
+            assert not response.cached
+            response.result.fragment()
+            rows += len(response.relation)
+        return rows
+
+    calls, rows = count_calls(run)
+    assert rows == 11368
+    assert intern_stats() == before
+    for node in ("Or", "And", "Not"):
+        assert calls[("py", f"{node}.__new__")] == 0
+    total = sum(calls.values())
+    assert total / rows <= MISS_CALLS_PER_ROW_CEILING, (
+        f"{total / rows:.2f} calls per output row; the biggest callers: "
+        f"{calls.most_common(8)}"
+    )
 
 
 def test_a_served_query_after_a_commit_does_not_rescan_for_statistics(monkeypatch):

@@ -15,7 +15,9 @@ across these axes:
 * ``optimize`` off or safe, over relations or stores;
 * durability off, batch or commit, replayed and then reopened;
 * view policy eager, deferred or manual, maintained INCREMENTAL or by
-  RECOMPUTE.
+  RECOMPUTE;
+* the readers of a result's lineage — the wire fragment, the own event
+  maps, the saved files and the table — against the node path.
 
 Deterministic cases enumerate the nine operator pairs in both
 associations and run six chain shapes over seeded 400-row relations.
@@ -33,9 +35,12 @@ At possible-worlds size the reference itself is held to the oracle.
 from __future__ import annotations
 
 import copy
+import gc
+import json
 import pickle
 import tempfile
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -47,6 +52,8 @@ from repro.core.setops import OPERATIONS, _finish, sweep_chunks
 from repro.core.sorting import null_safe_key
 from repro.core.tuple import TPTuple
 from repro.db import TPDatabase
+from repro.db.io import save_csv, save_json
+from repro.lineage.formula import intern_stats, referenced_variables
 from repro.prob.valuation import (
     ProbabilityOptions,
     clear_valuation_cache,
@@ -55,6 +62,7 @@ from repro.prob.valuation import (
 from repro.query import RelationRef, SetOpNode
 from repro.query.ast import relation_references
 from repro.semantics import query_marginals_via_worlds
+from repro.serve.protocol import relation_fragment
 
 from .strategies import programs, tp_query_catalog, tp_relation
 from .test_hot_path_budget import seeded_rows
@@ -324,6 +332,100 @@ def test_an_interior_row_spans_several_root_windows():
     for inner, outer in PAIRS:
         assert_mode_agrees(query((outer, (inner, "a", "b"), "c")), catalog, "fused")
         assert_mode_agrees(query((inner, "c", (outer, "a", "b"))), catalog, "fused")
+
+
+# ----------------------------------------------------------------------
+# reader axis: what reads a result's lineage without building its node
+# ----------------------------------------------------------------------
+def readers(relation: TPRelation) -> tuple:
+    """Every reader's output over ``relation``: the wire fragment, the
+    own event maps of ``with_own_events`` and ``restricted``, the
+    ``save_json`` and ``save_csv`` files, and ``to_table``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_json(relation, Path(tmp, "r.json"))
+        save_csv(relation, Path(tmp, "r.csv"))
+        files = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    restricted = TPRelation.restricted(
+        relation.name, relation.schema, relation.sorted_tuples(), relation.events
+    )
+    return (
+        relation_fragment(relation),
+        dict(relation.with_own_events().events),
+        dict(restricted.events),
+        files,
+        relation.to_table(),
+    )
+
+
+def reference_readers(relation: TPRelation) -> tuple:
+    """:func:`readers` by the node path: the fragment and the event maps
+    written here from ``str(t.lineage)`` and ``referenced_variables``,
+    the files and the table over a twin whose rows hold their nodes."""
+    events = relation.events
+    own = {v: events[v] for v in referenced_variables(t.lineage for t in relation)}
+    fragment = json.dumps(
+        {
+            "attributes": list(relation.schema.attributes),
+            "rows": [
+                [list(t.fact), t.start, t.end, str(t.lineage), t.p]
+                for t in relation.sorted_tuples()
+            ],
+        },
+        sort_keys=True, separators=(",", ":"), default=repr,
+    ).encode("utf-8")
+    twin = TPRelation._derived(
+        relation.name, relation.schema,
+        [TPTuple(t.fact, t.lineage, t.interval, t.p) for t in relation], events,
+    )
+    _, _, _, files, table = readers(twin)
+    return fragment, own, own, files, table
+
+
+def assert_readers_agree(make) -> None:
+    """The readers over a result nobody has read build no node and equal
+    the node path; so they do over a result half read (the unread rows'
+    row operands resolved by their neighbours' reads), and a row read
+    after the readers gets the reference's node."""
+    fresh = make()
+    gc.collect()  # no dead node of an earlier example may leave its table now
+    before = intern_stats()
+    got = readers(fresh)
+    assert intern_stats() == before
+    reference = make()
+    assert got == reference_readers(reference)
+    lineages = [t.lineage for t in reference]
+    assert [t.lineage for t in fresh] == lineages
+    assert all(t.lineage is u for t, u in zip(fresh, lineages))
+    half = make()
+    for t in list(half)[::2]:
+        t.lineage
+    assert readers(half) == got
+    assert all(t.lineage is u for t, u in zip(half, lineages))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("op", OPS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lineage_readers_equal_the_node_path(op, depth, data):
+    catalog, tree, _ = data.draw(programs(op, KERNEL_CATALOG, depth=depth))
+    assert_readers_agree(lambda: evaluate(tree, catalog))
+
+
+@pytest.mark.parametrize("inner,outer", PAIRS)
+def test_lineage_readers_over_seeded_chains(inner, outer):
+    """Chains with interior rows spanning several root windows, and
+    repeated variables, over the seeded 400-row relations."""
+    catalog = {
+        name: TPRelation.from_rows(name, ("k",), seeded_rows(seed, n=400, keys=8))
+        for name, seed in zip("abc", (11, 12, 13))
+    }
+    for spec in (
+        (outer, (inner, "a", "b"), "c"),
+        (inner, "a", (outer, "b", "c")),
+        (outer, (inner, "a", "b"), (inner, "b", "c")),
+    ):
+        assert_readers_agree(lambda: evaluate(query(spec), catalog))
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import UnsupportedOperationError, tp_set_operation
+from repro import SchemaMismatchError, UnsupportedOperationError, tp_set_operation
 from repro.baselines import (
     get_view_maintenance_strategy,
     view_maintenance_strategies,
@@ -588,3 +588,54 @@ class TestKeyedReads:
         report = db.query("EXPLAIN v[product='milk']")
         scan = next(line for line in report.splitlines() if "Scan[v]" in line)
         assert f"actual rows={len(db.relation('v'))}" in scan
+
+
+# ----------------------------------------------------------------------
+# a view refuses what its query refuses
+# ----------------------------------------------------------------------
+#: Two ways a store emptied by deletes takes a fact of another kind:
+#: b's first row, and the row inserted after it is deleted — once under
+#: another key, once under a's key (the case whose read sorted the facts
+#: and raised a bare ``TypeError``).
+CLASH_PROBES = {
+    "other-key": (("y", 2, 0, 4, 0.5), ("y", "q", 0, 4, 0.5)),
+    "same-key": (("x", 2, 5, 9, 0.5), ("x", "q", 0, 4, 0.5)),
+}
+
+
+@pytest.mark.parametrize("strategy", ["INCREMENTAL", "RECOMPUTE"])
+@pytest.mark.parametrize("probe", sorted(CLASH_PROBES))
+def test_a_view_refuses_operands_the_query_refuses(probe, strategy):
+    """Each store holds one kind per column, so the commit stands; the
+    view over both then raises the query's own ``SchemaMismatchError``
+    on every read, embedded and served, and answers as the query does
+    once the clashing row is deleted again."""
+    first, clashing = CLASH_PROBES[probe]
+    db = TPDatabase()
+    db.create_relation("a", ("k", "v"), [("x", 1, 0, 4, 0.5)])
+    db.create_relation("b", ("k", "v"), [first])
+    db.create_view("w", "a | b", policy="eager", strategy=strategy)
+    service = QueryService(db)
+    session = service.open_session()
+    db.apply("b", deletes=[first[:4]])
+    db.apply("b", inserts=[clashing])
+    with pytest.raises(SchemaMismatchError) as expected:
+        db.query("a | b", use_views=False)
+    reads = {
+        "relation": lambda: db.relation("w"),
+        "query": lambda: db.query("a | b"),
+        "keyed": lambda: db.query("w[k='x']"),
+        "served": lambda: service.execute(session, "w"),
+    }
+    service.begin(session)  # the pin itself succeeds
+    for read in reads.values():
+        with pytest.raises(SchemaMismatchError) as refused:
+            read()
+        assert str(refused.value) == str(expected.value)
+    assert service.execute(session, "a").relation is not None
+    db.apply("b", deletes=[clashing[:4]])
+    service.begin(session)
+    direct = db.query("a | b", use_views=False)
+    assert db.relation("w").equivalent_to(direct)
+    assert db.query("a | b").equivalent_to(direct)
+    assert service.execute(session, "w").relation.equivalent_to(direct)
