@@ -61,18 +61,10 @@ from .tuple import (
     DEFER_AND_NOT,
     DEFER_OR,
     TPTuple,
+    _TupleDraft,
     deferred_node,
     fill_probabilities,
-    new_object,
     row_tree,
-    set_end,
-    set_fact,
-    set_left,
-    set_lineage,
-    set_op,
-    set_p,
-    set_right,
-    set_start,
     window_tree,
 )
 from .window import LineageWindow
@@ -262,7 +254,8 @@ def sweep_chunks(
 
     Semantically identical to driving :class:`LawaSweep` step by step,
     with the sweep state in local variables; each output window becomes
-    its :class:`TPTuple` right here, through the trusted slot writers.
+    its :class:`TPTuple` right here, built as a draft and published by
+    its last write.
     A window over base variables, or over an unread row of an earlier
     result (read as an operand as it stands), builds no node: the tuple
     holds its two operands and operator until ``lineage`` is read
@@ -545,28 +538,30 @@ def sweep_chunks(
         else:
             lam = land(r_lam, lnot(s_lam))
 
+        # Each row is built as a draft (plain slot stores) and published
+        # by its last write, the class store, before it is appended
+        # (DESIGN.md §6.3).
         if defer is not None:
-            t = new_object(TPTuple)
-            set_fact(t, fact)
-            set_lineage(t, None)
-            set_left(t, r_lam)
-            set_right(t, s_lam)
-            set_op(t, defer)
-            set_start(t, win_ts)
-            set_end(t, win_te)
-            set_p(t, p)
+            t = _TupleDraft()
+            t.fact = fact
+            t._lineage = None
+            t._left = r_lam
+            t._right = s_lam
+            t._op = defer
+            t.start = win_ts
+            t.end = win_te
+            t.p = p
+            t.__class__ = TPTuple
             append(t)
         elif lam is not None:
-            t = new_object(TPTuple)
-            set_fact(t, fact)
-            set_start(t, win_ts)
-            set_end(t, win_te)
-            set_p(t, p)
-            append(t)
+            t = _TupleDraft()
+            t.fact = fact
+            t.start = win_ts
+            t.end = win_te
             if p is not None:
-                set_lineage(t, lam)
+                t._lineage = lam
             elif type(lam) is not TPTuple:
-                set_lineage(t, lam)
+                t._lineage = lam
                 if valuate:
                     pend(t)
             else:
@@ -580,18 +575,20 @@ def sweep_chunks(
                         p = r_pv = tree_probability(r_t, events, limit) if r_pv is False else r_pv
                     else:
                         p = s_pv = tree_probability(s_t, events, limit) if s_pv is False else s_pv
-                    set_p(t, p)
                 if valuate and p is None:
-                    set_lineage(t, lam.lineage)  # deeper, or unvalued
+                    t._lineage = lam.lineage  # deeper, or unvalued
                     pend(t)
                 elif left is None or right is None:
                     # A row operand dropped: a reader stored the node.
-                    set_lineage(t, lam._lineage)
+                    t._lineage = lam._lineage
                 else:
-                    set_lineage(t, None)
-                    set_left(t, left)
-                    set_right(t, right)
-                    set_op(t, lam._op)
+                    t._lineage = None
+                    t._left = left
+                    t._right = right
+                    t._op = lam._op
+            t.p = p
+            t.__class__ = TPTuple
+            append(t)
         elif nested is not None:
             # A window over an unread row is deferred too: the row is its
             # operand.  With events the walk values it; a window the walk
@@ -604,24 +601,25 @@ def sweep_chunks(
                     s_t if type(s_lam) is TPTuple else s_lam if type(s_lam) is Var
                     else operand_tree(s_lam),
                 ), events, limit)
-            t = new_object(TPTuple)
-            set_fact(t, fact)
-            set_start(t, win_ts)
-            set_end(t, win_te)
-            set_p(t, p)
-            append(t)
+            t = _TupleDraft()
+            t.fact = fact
+            t.start = win_ts
+            t.end = win_te
+            t.p = p
             if p is None and valuate:
-                set_lineage(t, deferred_node(
+                t._lineage = deferred_node(
                     nested,
                     r_lam.lineage if type(r_lam) is TPTuple else r_lam,
                     s_lam.lineage if type(s_lam) is TPTuple else s_lam,
-                ))
+                )
                 pend(t)
             else:
-                set_lineage(t, None)
-                set_left(t, r_lam)
-                set_right(t, s_lam)
-                set_op(t, nested)
+                t._lineage = None
+                t._left = r_lam
+                t._right = s_lam
+                t._op = nested
+            t.__class__ = TPTuple
+            append(t)
             nested = None
 
         # Expire valid tuples that end exactly at the window boundary.

@@ -50,16 +50,6 @@ __all__ = [
     "referenced_names",
     "time_point",
     "tuples_from_rows",
-    # trusted slot writers, for the kernels that build their output inline
-    "new_object",
-    "set_fact",
-    "set_lineage",
-    "set_start",
-    "set_end",
-    "set_p",
-    "set_left",
-    "set_right",
-    "set_op",
     "DEFER_OR",
     "DEFER_AND",
     "DEFER_AND_NOT",
@@ -131,11 +121,11 @@ class TPTuple:
         interval: Interval,
         p: Optional[float] = None,
     ) -> None:
-        set_fact(self, fact)
-        set_lineage(self, lineage)
-        set_start(self, interval.start)
-        set_end(self, interval.end)
-        set_p(self, p)
+        _set_fact(self, fact)
+        _set_lineage(self, lineage)
+        _set_start(self, interval.start)
+        _set_end(self, interval.end)
+        _set_p(self, p)
 
     @property
     def lineage(self) -> Lineage:
@@ -175,17 +165,17 @@ class TPTuple:
 
     def __setstate__(self, state: list) -> None:
         fact, lineage, start, end, p = state
-        set_fact(self, fact)
-        set_lineage(self, lineage)
-        set_start(self, start)
-        set_end(self, end)
-        set_p(self, p)
+        _set_fact(self, fact)
+        _set_lineage(self, lineage)
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_p(self, p)
 
     @property
     def interval(self) -> Interval:
         """``[Ts, Te)`` as an :class:`Interval` value — a new, equal object
         on every read (nothing in the kernels asks for it)."""
-        interval = new_object(Interval)
+        interval = _new_object(Interval)
         _set_interval_start(interval, self.start)
         _set_interval_end(interval, self.end)
         return interval
@@ -197,33 +187,36 @@ class TPTuple:
 
     def with_probability(self, p: float) -> "TPTuple":
         """A copy of this tuple with its probability materialized."""
-        t = new_object(TPTuple)
-        set_fact(t, self.fact)
-        set_lineage(t, self.lineage)
-        set_start(t, self.start)
-        set_end(t, self.end)
-        set_p(t, p)
+        t = _TupleDraft()
+        t.fact = self.fact
+        t._lineage = self.lineage
+        t.start = self.start
+        t.end = self.end
+        t.p = p
+        t.__class__ = TPTuple
         return t
 
     def with_interval(self, interval: Interval) -> "TPTuple":
         """A copy of this tuple valid over a different interval."""
-        t = new_object(TPTuple)
-        set_fact(t, self.fact)
-        set_lineage(t, self.lineage)
-        set_start(t, interval.start)
-        set_end(t, interval.end)
-        set_p(t, self.p)
+        t = _TupleDraft()
+        t.fact = self.fact
+        t._lineage = self.lineage
+        t.start = interval.start
+        t.end = interval.end
+        t.p = self.p
+        t.__class__ = TPTuple
         return t
 
     def with_fact(self, fact: Fact) -> "TPTuple":
         """A copy of this tuple over different attribute values (a
         join's key projection of one side)."""
-        t = new_object(TPTuple)
-        set_fact(t, fact)
-        set_lineage(t, self.lineage)
-        set_start(t, self.start)
-        set_end(t, self.end)
-        set_p(t, self.p)
+        t = _TupleDraft()
+        t.fact = fact
+        t._lineage = self.lineage
+        t.start = self.start
+        t.end = self.end
+        t.p = self.p
+        t.__class__ = TPTuple
         return t
 
     def __repr__(self) -> str:
@@ -238,28 +231,44 @@ class TPTuple:
         return f"({fact_text}, {lineage_text(self)}, {self.interval}, {p_text})"
 
 
-# Trusted construction (DESIGN.md §6.3): the frozen classes' slots are
-# written through their member descriptors, skipping the per-field
-# ``object.__setattr__`` name lookup (and, for ``Interval``, its range
-# validation).  The descriptors are bound here and nowhere else (CI greps
-# for it); the kernels that build their output inline import the
-# ``TPTuple`` writers below, everything else goes through
-# :func:`tuples_from_rows`.  ``Interval``'s own writers stay private to
-# this module: only :attr:`TPTuple.interval` builds one.  A writer may
-# only touch an object no caller has seen yet — that is what keeps
-# published tuples immutable.  The one exception is the first read of a
-# deferred row's lineage, which stores the node the row already stands
-# for and then drops the row's private row operands: no reader can see a
-# value change.
-new_object = object.__new__
-set_fact = TPTuple.fact.__set__  # type: ignore[attr-defined]
-set_lineage = TPTuple._lineage.__set__  # type: ignore[attr-defined]
-set_start = TPTuple.start.__set__  # type: ignore[attr-defined]
-set_end = TPTuple.end.__set__  # type: ignore[attr-defined]
-set_p = TPTuple.p.__set__  # type: ignore[attr-defined]
-set_left = TPTuple._left.__set__  # type: ignore[attr-defined]
-set_right = TPTuple._right.__set__  # type: ignore[attr-defined]
-set_op = TPTuple._op.__set__  # type: ignore[attr-defined]
+class _TupleDraft:
+    """A :class:`TPTuple` under construction (DESIGN.md §6.3): the same
+    slots and no ``__setattr__``, so a builder fills them with plain
+    attribute stores and then publishes the row with
+    ``t.__class__ = TPTuple`` as its last write.
+
+    Not a subclass: ``TPTuple.__eq__`` compares ``__class__`` first, and
+    a published row is a ``TPTuple`` and nothing else.  The slots are
+    ``TPTuple``'s own tuple, so the two layouts are one and the class
+    store is allowed.  A draft never reaches a caller: every builder
+    publishes each row before it hands the row on.
+    """
+
+    __slots__ = TPTuple.__slots__
+
+
+# Trusted construction (DESIGN.md §6.3).  Rows are built as drafts: a
+# plain slot store costs a few nanoseconds where a bound member
+# descriptor's ``__set__`` is a method-wrapper call of about 90.  The
+# descriptors below are bound here and nowhere else (CI greps for
+# ``__set__``), and stay private to this module: the constructor and
+# ``__setstate__`` write a ``TPTuple`` they were handed; ``_set_p`` fills
+# the pending rows a sweep returned before anyone has seen them; and
+# ``_set_lineage``, ``_set_left`` and ``_set_right`` serve a deferred
+# row's first ``lineage`` read, which stores the node the row already
+# stands for and then drops its private row operands — no reader can
+# see a value change.  ``Interval``'s two writers serve
+# :attr:`TPTuple.interval` alone.  A writer only touches an object no
+# caller has seen yet, apart from that first read: that is what keeps
+# published tuples immutable.
+_new_object = object.__new__
+_set_fact = TPTuple.fact.__set__  # type: ignore[attr-defined]
+_set_lineage = TPTuple._lineage.__set__  # type: ignore[attr-defined]
+_set_start = TPTuple.start.__set__  # type: ignore[attr-defined]
+_set_end = TPTuple.end.__set__  # type: ignore[attr-defined]
+_set_p = TPTuple.p.__set__  # type: ignore[attr-defined]
+_set_left = TPTuple._left.__set__  # type: ignore[attr-defined]
+_set_right = TPTuple._right.__set__  # type: ignore[attr-defined]
 _set_interval_start = Interval.start.__set__  # type: ignore[attr-defined]
 _set_interval_end = Interval.end.__set__  # type: ignore[attr-defined]
 _operands_of = attrgetter("_left", "_right", "_op")
@@ -305,7 +314,7 @@ def _deferred_lineage(t: TPTuple) -> Lineage:
             lineage = And((left, right))
         else:
             lineage = And((left, Not(right)))
-        set_lineage(t, lineage)
+        _set_lineage(t, lineage)
         return lineage
 
 
@@ -335,15 +344,15 @@ def _nested_lineage(t: TPTuple) -> Lineage:
         with _deferred_build:
             if row._lineage is not None:
                 continue  # another reader stored it
-            set_lineage(row, deferred_node(
+            _set_lineage(row, deferred_node(
                 op,
                 left._lineage if type(left) is TPTuple else left,
                 right._lineage if type(right) is TPTuple else right,
             ))
             if type(left) is TPTuple:
-                set_left(row, None)
+                _set_left(row, None)
             if type(right) is TPTuple:
-                set_right(row, None)
+                _set_right(row, None)
     return t._lineage  # type: ignore[return-value]
 
 
@@ -445,7 +454,7 @@ def fill_probabilities(tuples: list[TPTuple], probs: Iterable[float]) -> None:
     anyone yet: a batch valuation needs all their lineages first, so
     their ``p`` cannot be filled while the kernel sweeps.
     """
-    deque(map(set_p, tuples, probs), maxlen=0)
+    deque(map(_set_p, tuples, probs), maxlen=0)
 
 
 def tuples_from_rows(
@@ -463,12 +472,13 @@ def tuples_from_rows(
     out: list[TPTuple] = []
     append = out.append
     for (fact, lineage, start, end), p in zip(rows, probs):
-        t = new_object(TPTuple)
-        set_fact(t, fact)
-        set_lineage(t, lineage)
-        set_start(t, start)
-        set_end(t, end)
-        set_p(t, p)
+        t = _TupleDraft()
+        t.fact = fact
+        t._lineage = lineage
+        t.start = start
+        t.end = end
+        t.p = p
+        t.__class__ = TPTuple
         append(t)
     return out
 
@@ -585,12 +595,13 @@ def base_tuples(
                 f"row {identifier}: base-tuple probability must be in "
                 f"(0, 1], got {p}"
             )
-        t = new_object(TPTuple)
-        set_fact(t, fact)
-        set_lineage(t, Var(identifier))
-        set_start(t, start)
-        set_end(t, end)
-        set_p(t, p)
+        t = _TupleDraft()
+        t.fact = fact
+        t._lineage = Var(identifier)
+        t.start = start
+        t.end = end
+        t.p = p
+        t.__class__ = TPTuple
         append(t)
         events[identifier] = p
     clash = fact_kind_clash(list(map(_fact_of, tuples)))

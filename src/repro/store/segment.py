@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain, compress, groupby, repeat
+from operator import attrgetter, is_, not_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.errors import (
@@ -75,6 +76,8 @@ _start_of = attrgetter("start")
 _epoch_of = attrgetter("epoch")
 _fact_of = attrgetter("fact")
 _lineage_of = attrgetter("lineage")
+_name_of = attrgetter("name")
+_var_set_of = attrgetter("var_set")
 
 #: Change-log retention while *no* consumer is registered: enough for
 #: ad-hoc ``changes_since`` polling, bounded so a store mutated outside
@@ -308,8 +311,9 @@ class SegmentStore:
         # (sustained delete + re-insert workloads would otherwise grow
         # it without bound).  Sidecar-only variables — referenced by no
         # stored lineage, e.g. seeded alongside a derived relation — are
-        # never counted and therefore never dropped.
-        self._var_refs: dict[str, int] = {}
+        # never counted and therefore never dropped.  A ``Counter``, so a
+        # bulk load counts a whole run in C (``_load_sorted``).
+        self._var_refs: Counter[str] = Counter()
         # Leading-attribute value → epoch of the last transaction that
         # inserted or deleted a tuple with that value (absent: none since
         # this object was built).  The serving layer keys cached results
@@ -383,13 +387,15 @@ class SegmentStore:
         """Bulk-build this empty store from an ``(F, Ts)``-sorted run
         (DESIGN.md §9.1): each fact's consecutive tuples are cut into
         segments of ``segment_capacity``, the bounds are their first
-        starts, and every ``Var`` lineage adds one to its reference
-        count — no per-tuple bisect, no per-tuple call beyond the count.
-        A fact seen out of order is refused: the groups and the sorted
-        fact list would disagree."""
+        starts, and every lineage adds one to the reference count of each
+        variable it names — no per-tuple bisect and no per-tuple Python
+        statement: the ``Var`` lineages' names are counted by one
+        :class:`~collections.Counter` pass, and the compound lineages'
+        ``var_set`` members by a second one.  A fact seen out of order is
+        refused: the groups and the sorted fact list would disagree."""
         capacity = self.segment_capacity
-        groups, facts, refs = self._groups, self._facts_sorted, self._var_refs
-        count_of = refs.get
+        groups, facts = self._groups, self._facts_sorted
+        lineages: list = []
         for fact, same_fact in groupby(tuples, _fact_of):
             if facts and not facts[-1] < fact:
                 raise ValueError(
@@ -401,13 +407,13 @@ class SegmentStore:
             group.bounds = [segment[0].start for segment in group.segments]
             groups[fact] = group
             facts.append(fact)
-            for lineage in map(_lineage_of, run):
-                if type(lineage) is Var:
-                    var = lineage.name
-                    refs[var] = count_of(var, 0) + 1
-                else:
-                    for var in lineage.var_set:
-                        refs[var] = count_of(var, 0) + 1
+            lineages += map(_lineage_of, run)
+        refs = self._var_refs
+        is_var = list(map(is_, map(type, lineages), repeat(Var)))
+        refs.update(map(_name_of, compress(lineages, is_var)))
+        refs.update(chain.from_iterable(
+            map(_var_set_of, compress(lineages, map(not_, is_var)))
+        ))
 
     # ------------------------------------------------------------------
     # transactions

@@ -576,15 +576,15 @@ class IncrementalEngine:
                 self._build(node.child, stores), node.attribute, node.value
             )
         if isinstance(node, SetOpNode):
-            set_op = _SetOpNode(
+            set_node = _SetOpNode(
                 node.op,
                 self._build(node.left, stores),
                 self._build(node.right, stores),
                 self.stats,
                 (str(node.left), str(node.right)),
             )
-            self._set_ops.append(set_op)
-            return set_op
+            self._set_ops.append(set_node)
+            return set_node
         if isinstance(node, JoinNode):
             return _JoinNode(
                 node.kind,
@@ -657,8 +657,8 @@ class IncrementalEngine:
         """Refuse a read as the query would: a store emptied by deletes
         takes a fact of a new kind, so a set-operation node's operands
         can come to hold two kinds in one column while each is valid."""
-        for set_op in self._set_ops:
-            clash = set_op.kind_clash()
+        for set_node in self._set_ops:
+            clash = set_node.kind_clash()
             if clash is not None:
                 raise clash
 

@@ -36,6 +36,15 @@ no batch, and its rows retain no more than they did while it built
 both (its calls per row were 2–3× today's).  A served miss — its cached
 entry's own event map and its wire fragment — builds no lineage node
 (it once built every row's node to read its names and its text).
+
+What the counter cannot see: ``sys.setprofile`` reports Python calls
+and calls of builtin functions, but neither a member descriptor's
+``__set__`` (a method-wrapper call) nor an attribute store, nor the
+call of a class.  While the kernels filled each row through eight bound
+``__set__`` writers, about 0.85 µs per row of the sweep's 1.4 went
+unmeasured here; rows are now built as drafts with plain slot stores
+(DESIGN.md §6.3), which the counter cannot see either.  A wall-clock
+cost of writing rows shows only in timing, never in these ceilings.
 """
 
 from __future__ import annotations
@@ -58,16 +67,18 @@ from repro.query.parser import parse_query
 from repro.serve import QueryService
 from repro.serve.protocol import encode_line
 
-#: Calls per output row.  Measured when set: 3.10, since a row valued in
-#: the sweep builds no lineage node until its ``lineage`` is read (no
-#: ``Or``/``And``/``Not`` construction, no weak-reference callback when
-#: the result is dropped); ~12 % headroom.  7.33 while every such row
+#: Calls per output row.  Measured when set: 2.10, since a row is built
+#: as a draft and published by a class store, not allocated by a counted
+#: ``object.__new__`` call; ~12 % headroom.  3.10 while it was, since a
+#: row valued in the sweep builds no lineage node until its ``lineage``
+#: is read (no ``Or``/``And``/``Not`` construction, no weak-reference
+#: callback when the result is dropped).  7.33 while every such row
 #: interned its node, 9.03 while a batch valuated every row, 10.27 while
 #: a tuple held an ``Interval`` of its own, 12.17 while the sweep still
 #: emitted rows for a second pass to turn into tuples, 27.7 before
 #: tuples were built once and interning lost its Python-level weakref
 #: bookkeeping.
-CALLS_PER_ROW_CEILING = 3.5
+CALLS_PER_ROW_CEILING = 2.35
 
 #: Collector runs per 1 000 output rows under ``ALLOCATION_THRESHOLDS``,
 #: and GC-tracked objects a result keeps alive per output row.  Measured
@@ -254,15 +265,18 @@ def test_no_interval_object_is_alive_after_loading_and_reading():
 #: on all three measured columns: calls 23.31 / 25.11, unread 1.67 /
 #: 1.59, read 5.91 / 6.57 — against 137.5 / 129.3 calls and 6.80 / 7.24
 #: objects unread while every such window was interned, cofactored
-#: through ``restrict`` and batched.
+#: through ``restrict`` and batched.  Since rows are built as drafts
+#: (no counted ``object.__new__`` per row) the calls read 4.04 / 5.19 /
+#: 10.12 / 4.67 / 4.40 / 20.61 / 22.63, and the call ceilings keep ~12 %
+#: headroom over those; the object columns did not move.
 CHAIN_BUDGETS = {
-    "(a|b)|c": (8147, 6.4, 1.35, 2.95),
-    "(a-b)-c": (5151, 7.8, 1.47, 4.74),
-    "(a&b)&c": (1732, 15.5, 2.16, 4.01),
-    "(a|b)-c": (7216, 6.9, 1.37, 4.10),
-    "a|(b-c)": (6731, 6.4, 1.39, 3.75),
-    "(a|b)&(b|c)": (6306, 26.1, 1.87, 6.62),
-    "(a|b)-(b|c)": (7216, 28.1, 1.78, 7.36),
+    "(a|b)|c": (8147, 4.5, 1.35, 2.95),
+    "(a-b)-c": (5151, 5.8, 1.47, 4.74),
+    "(a&b)&c": (1732, 11.3, 2.16, 4.01),
+    "(a|b)-c": (7216, 5.2, 1.37, 4.10),
+    "a|(b-c)": (6731, 4.9, 1.39, 3.75),
+    "(a|b)&(b|c)": (6306, 23.1, 1.87, 6.62),
+    "(a|b)-(b|c)": (7216, 25.3, 1.78, 7.36),
 }
 
 
@@ -325,8 +339,11 @@ def test_a_chain_result_retains_its_rows_and_then_its_nodes(text):
 #: bare allocations, the append, and the duplicate check's sort key.
 #: 25.0 while each row went through the dataclass constructors and
 #: validation walked every tuple a second time.  7.0 since the tuple is
-#: the one bare allocation and the sort key is a C-level ``attrgetter``.
-LOAD_CALLS_PER_ROW_CEILING = 10.0
+#: the one bare allocation and the sort key is a C-level ``attrgetter``
+#: (8.0 in a fresh process, where each ``Var`` is a new intern-table
+#: entry).  7.0 in a fresh process since the tuple is a draft, whose
+#: allocation the counter does not see.
+LOAD_CALLS_PER_ROW_CEILING = 8.0
 
 #: GC-tracked objects a loaded relation holds per row: ``TPTuple``, the
 #: ``Var`` and its intern table's weak reference (4.0 while each tuple
@@ -344,7 +361,7 @@ def test_calls_per_loaded_row_stay_under_the_ceiling():
         f"{total / len(relation):.2f} calls per loaded row; the biggest callers: "
         f"{calls.most_common(8)}"
     )
-    # Built through the slot writers, not the dataclass constructors.
+    # Built as drafts (DESIGN.md §6.3), not through the dataclass constructors.
     assert calls[("py", "Interval.__post_init__")] == 0
     assert calls[("py", "base_tuple")] == 0
     # Deterministic once the first load's interned variables are gone.
@@ -419,8 +436,9 @@ def test_an_nary_node_costs_no_more_than_the_binary_chain(op):
 #: views ``r1 - r2`` and ``r1 JOIN r2 ON k`` eager.  Measured when set:
 #: 3 078 at 250 tuples per fact group, 3 110 at 4 000 (16 719 and
 #: 134 054 while the store and the view nodes still copied a group's
-#: start column out to bisect it).
-CALLS_PER_TRANSACTION_CEILING = 4000
+#: start column out to bisect it); 2 935 and 2 988 since rows are built
+#: as drafts.
+CALLS_PER_TRANSACTION_CEILING = 3350
 TRANSACTIONS = 40
 
 
@@ -646,9 +664,11 @@ def test_a_cache_hit_costs_the_same_for_ten_rows_and_a_thousand():
 
 
 #: Calls per output row for three served misses over base relations,
-#: ``execute`` plus the encoded fragment.  Measured 6.56 when set (22.97
-#: while serving built every row's node to read its names and text).
-MISS_CALLS_PER_ROW_CEILING = 7.35
+#: ``execute`` plus the encoded fragment.  Measured 5.56 when set, since
+#: rows are built as drafts (6.56 while each was allocated by a counted
+#: ``object.__new__``, 22.97 while serving built every row's node to read
+#: its names and text).
+MISS_CALLS_PER_ROW_CEILING = 6.25
 
 
 def test_a_served_miss_builds_no_lineage_node():

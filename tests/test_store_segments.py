@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import DuplicateFactError, tp_union
-from repro.lineage.formula import variable_names
+from repro.lineage.formula import Var, variable_names
 from repro.store import Delta, SegmentStore, load_delta, save_delta
 
 from .strategies import tp_relation
@@ -273,6 +273,27 @@ class TestBulkBuild:
                 group = store._groups[fact]
                 assert group.bounds == [segment[0].start for segment in group.segments]
             assert list(store.iter_sorted()) == expected.sorted_tuples()
+
+    @given(
+        r=tp_relation("r", max_intervals=12),
+        s=tp_relation("s", max_intervals=12),
+    )
+    def test_a_bulk_load_counts_references_as_the_per_row_loop_did(self, r, s):
+        """The C-level passes over a run's names count what one Python
+        statement per row counted, on a base store and on stores whose
+        lineages are compound (∪, and ∪ over a repeated variable)."""
+        for relation in (r, tp_union(r, s), tp_union(tp_union(r, s), r)):
+            expected: dict[str, int] = {}
+            for t in relation.sorted_tuples():
+                lineage = t.lineage
+                for var in (lineage.name,) if type(lineage) is Var else lineage.var_set:
+                    expected[var] = expected.get(var, 0) + 1
+            seeded = SegmentStore.from_relation(relation)
+            restored = SegmentStore.restore(
+                relation.name, relation.schema.attributes, relation.sorted_tuples(),
+                dict(relation.events), epoch=0, counter=0,
+            )
+            assert seeded._var_refs == restored._var_refs == expected
 
     def test_restore_refuses_a_run_out_of_fact_order(self, rel_a):
         backwards = sorted(rel_a, key=lambda t: t.fact, reverse=True)
