@@ -20,9 +20,12 @@ operations are built on:
 
 The temporal work is delegated to
 :func:`repro.core.gtwindow.generalized_windows`, run per join-key group
-(hash partitioning on the join attributes); probabilities are
-materialized through the batched valuation path, so each
-distinct interned lineage is valuated once per batch.
+(hash partitioning on the join attributes).  A match over two distinct
+base variables is valued where its window is built, as the product
+Theorem 1 gives for ``λr ∧ λs``, and its lineage node is deferred to the
+first read, as the set-operation kernel defers ∩ (DESIGN.md §8.2); every
+other row goes to one batch, which values each distinct interned lineage
+once.
 
 Degenerate layouts collapse (DESIGN.md §8.4): when the non-preserved
 side contributes no non-join attributes, its matched and preserved
@@ -36,7 +39,8 @@ fused LAWA kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..core.errors import SchemaMismatchError, UnsupportedOperationError
 from ..core.gtwindow import (
@@ -48,11 +52,11 @@ from ..core.gtwindow import (
 )
 from ..core.relation import TPRelation
 from ..core.schema import Fact, TPSchema
-from ..core.setops import sweep_rows
+from ..core.setops import _fused_sweep, limit_of, value_pending
 from ..core.sorting import null_safe_key
-from ..core.tuple import TPTuple, tuples_from_rows
-from ..lineage.formula import Lineage, land, lnot, lor
-from ..prob.valuation import ProbabilityOptions, probability_batch
+from ..core.tuple import DEFER_AND, TPTuple, _TupleDraft, tuples_from_rows
+from ..lineage.formula import Lineage, Var, land, lnot, lor
+from ..prob.valuation import ProbabilityOptions, count_swept
 
 __all__ = [
     "JOIN_KINDS",
@@ -63,7 +67,6 @@ __all__ = [
     "join_layout_from_schemas",
     "group_emits",
     "join_group",
-    "join_group_rows",
     "merge_fact_overlaps",
     "preserved_lineage",
     "tp_join",
@@ -72,6 +75,7 @@ __all__ = [
     "tp_full_outer_join",
     "tp_anti_join",
     "tp_join_operation",
+    "value_join_rows",
 ]
 
 JOIN_SYMBOLS = {
@@ -371,53 +375,57 @@ def _generalized_join(
     layout = join_layout(kind, r, s, on)
     name = f"({r.name} {JOIN_SYMBOLS[kind]} {s.name})"
     events = r.merged_events(s)
+    valued = events if materialize else None
 
     policy = WINDOW_POLICIES[kind]
     r_groups = _group_by_key(r.sorted_tuples(), layout.r_key_idx)
     s_groups = _group_by_key(s.sorted_tuples(), layout.s_key_idx)
     empty: tuple[TPTuple, ...] = ()
-    rows: list = []
+    built: list[TPTuple] = []
     carried: list[TPTuple] = []
     for key in {**r_groups, **s_groups}:
-        group_rows, group_carried = join_group(
-            layout, policy, r_groups.get(key, empty), s_groups.get(key, empty)
+        group_built, group_carried = join_group(
+            layout, policy, r_groups.get(key, empty), s_groups.get(key, empty),
+            valued, options,
         )
-        rows += group_rows
+        built += group_built
         carried += group_carried
-
-    probs = None
-    if materialize:
-        # One batch over the interned lineages: each distinct formula is
-        # valuated once, however many output tuples carry it.
-        probs = probability_batch(
-            [row[1] for row in rows], events, options=options
-        )
-        carried_pending = [t for t in carried if t.p is None]
-        carried_values = iter(
-            probability_batch(
-                (t.lineage for t in carried_pending), events, options=options
-            )
-        )
-        carried = [
-            t if t.p is not None else t.with_probability(next(carried_values))
-            for t in carried
-        ]
-
-    out = tuples_from_rows(rows, probs)
-    out.extend(carried)
+    out = built + carried
     _sort_output(out)
     if policy.matches and (policy.preserve_left or policy.preserve_right):
-        merged = merge_fact_overlaps(out)
-        if merged is not out:
-            result = TPRelation._derived(
-                name, layout.out_schema, merged, events, assume_sorted=True
-            )
-            if materialize:
-                result = result.materialize_probabilities(options=options)
-            return result
+        out = merge_fact_overlaps(out)
+    if materialize:
+        value_join_rows(built, out, events, options)
     return TPRelation._derived(
         name, layout.out_schema, out, events, assume_sorted=True
     )
+
+
+_p_of = attrgetter("p")
+
+
+def value_join_rows(
+    built: list[TPTuple],
+    out: Iterable[TPTuple],
+    events: Mapping[str, float],
+    options: Optional[ProbabilityOptions],
+) -> int:
+    """Value what a join's group steps left at ``p=None`` in one batch,
+    and count the rows they valued in the sweep (DESIGN.md §8.2).
+
+    ``built`` are the tuples :func:`join_group` built for an ``events``
+    map; those holding ``p`` count as ``swept``, after the batch, as
+    :func:`repro.core.setops._finish` counts.  ``out`` is the output
+    they went into, carried tuples and any
+    :func:`merge_fact_overlaps` included: every tuple of it still at
+    ``p=None`` is the caller's and gets its ``p`` in place.  Returns the
+    rows valued, in the sweep or in the batch.
+    """
+    swept = len(built) - list(map(_p_of, built)).count(None)
+    pending = [t for t in out if t.p is None]
+    value_pending(pending, events, options)
+    count_swept(swept)
+    return swept + len(pending)
 
 
 def _sort_output(out: list[TPTuple]) -> None:
@@ -510,9 +518,11 @@ def join_group(
     policy: WindowPolicy,
     group_l: Sequence[TPTuple],
     group_s: Sequence[TPTuple],
-) -> tuple[list, list[TPTuple]]:
-    """One join-key group's output: the rows ``(fact, λ, winTs, winTe)``
-    its sweep builds, and the tuples it carries through unswept.
+    events: Optional[Mapping[str, float]] = None,
+    options: Optional[ProbabilityOptions] = None,
+) -> tuple[list[TPTuple], list[TPTuple]]:
+    """One join-key group's output: the tuples its sweep builds, and the
+    tuples it carries through unswept.
 
     The one group step of the batch driver and of the incremental view
     maintenance of :mod:`repro.store`, which re-runs it over dirty
@@ -529,6 +539,13 @@ def join_group(
       their key-ordered projection;
     * both key-only, a full outer join is the TP union of the key
       projections, which the set-operation kernel sweeps.
+
+    The built tuples are the group's own.  Without ``events`` they are
+    lineage-only.  With ``events`` — the root of a query or a view —
+    the sweep values what it can (:func:`_match_tuples`, the kernel's
+    union), and every tuple still at ``p=None``, carried ones included,
+    is the caller's to fill in place (:func:`value_join_rows`): a
+    carried tuple without ``p`` is handed out as a copy.
     """
     if not group_emits(policy, bool(group_l), bool(group_s)):
         return [], []
@@ -543,66 +560,76 @@ def join_group(
             # facts (the operand may itself be an outer join) only sort
             # in the null-safe order.
             projected.sort(key=null_safe_key)
-            return [], sweep_rows(group_l, projected, "union")
+            return _fused_sweep(group_l, projected, "union", events, limit_of(options))[0], []
         if s_collapse:
-            carried += group_l
+            if events is None:
+                carried += group_l
+            else:
+                carried += [u if u.p is not None else u.with_fact(u.fact) for u in group_l]
             sweep = WindowPolicy(False, False, policy.preserve_right)
         elif r_collapse:
             carried += [u.with_fact(layout.right_fact(u.fact)) for u in group_s]
             sweep = WindowPolicy(False, policy.preserve_left, False)
     if not (sweep.matches or sweep.preserve_left or sweep.preserve_right):
         return [], carried
-    return join_group_rows(layout, sweep, group_l, group_s), carried
+    return _match_tuples(layout, sweep, group_l, group_s, events), carried
 
 
-def join_group_rows(
+def _match_tuples(
     layout: JoinLayout,
     policy: WindowPolicy,
     group_l: Sequence[TPTuple],
     group_s: Sequence[TPTuple],
-) -> list:
-    """Sweep one join-key group under ``policy`` and assemble its rows
-    ``(fact, λ, winTs, winTe)`` — the sweep half of :func:`join_group`,
-    which decides the policy a group is swept under.
+    events: Optional[Mapping[str, float]],
+) -> list[TPTuple]:
+    """Sweep one join-key group under ``policy`` and build its tuples —
+    the sweep half of :func:`join_group`, which decides the policy a
+    group is swept under.
 
-    ``group_l`` / ``group_s`` are the group's tuples in their relations'
-    ``(F, Ts)`` order.
+    A match of two distinct base variables is deferred as the ∩ kernel
+    defers it: the tuple holds ``λl`` and ``λr`` as operands under
+    ``DEFER_AND`` and builds no node until its lineage is read (DESIGN.md
+    §6.3); with both variables in ``events`` it gets ``p = p_l * p_r``,
+    the value the kernel writes.  A self-match, a match over any other
+    operand and a preserved window get their node and ``p=None``.
     """
     matched_fact = layout.matched_fact
     left_fact = layout.left_fact
     right_fact = layout.right_fact
-    rows: list = []
-    append = rows.append
+    probability_of = {}.get if events is None else events.get
+    out: list[TPTuple] = []
+    append = out.append
     match_window = MatchWindow
+    # Each tuple is built as a draft and published by its last write.
     for w in generalized_windows(group_l, group_s, policy):
+        t = _TupleDraft()
+        t.start = w.win_ts
+        t.end = w.win_te
         if type(w) is match_window:
-            append(
-                (
-                    matched_fact(w.left.fact, w.right.fact),
-                    land(w.left.lineage, w.right.lineage),
-                    w.win_ts,
-                    w.win_te,
-                )
-            )
-        elif w.side == LEFT:
-            append(
-                (
-                    left_fact(w.tuple.fact),
-                    preserved_lineage(w.tuple.lineage, w.others),
-                    w.win_ts,
-                    w.win_te,
-                )
-            )
+            left = w.left
+            right = w.right
+            t.fact = matched_fact(left.fact, right.fact)
+            lam_l = left._lineage
+            lam_r = right._lineage
+            if type(lam_l) is Var and type(lam_r) is Var and lam_l is not lam_r:
+                t._lineage = None
+                t._left = lam_l
+                t._right = lam_r
+                t._op = DEFER_AND
+                p_l = probability_of(lam_l.name)
+                p_r = probability_of(lam_r.name)
+                t.p = None if p_l is None or p_r is None else p_l * p_r
+            else:
+                t._lineage = land(left.lineage, right.lineage)
+                t.p = None
         else:
-            append(
-                (
-                    right_fact(w.tuple.fact),
-                    preserved_lineage(w.tuple.lineage, w.others),
-                    w.win_ts,
-                    w.win_te,
-                )
-            )
-    return rows
+            preserved = w.tuple
+            t.fact = left_fact(preserved.fact) if w.side == LEFT else right_fact(preserved.fact)
+            t._lineage = preserved_lineage(preserved.lineage, w.others)
+            t.p = None
+        t.__class__ = TPTuple
+        append(t)
+    return out
 
 
 def _group_by_key(

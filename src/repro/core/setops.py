@@ -78,6 +78,8 @@ __all__ = [
     "multi_intersect",
     "sweep_rows",
     "sweep_chunks",
+    "limit_of",
+    "value_pending",
     "OPERATIONS",
 ]
 
@@ -188,16 +190,13 @@ def _dispatch(
     if clash is not None:
         raise clash from None
     events = r.merged_events(s)
-    if not fused:
-        # The reference path leaves every row to the batch.
-        out = pending = _unfused_sweep(r_sorted, s_sorted, op)
-    elif materialize:
-        limit = _LIMIT if options is None else options.exact_repeated_limit
-        out, pending = _fused_sweep(r_sorted, s_sorted, op, events, limit)
+    if fused:
+        out = sweep_rows(r_sorted, s_sorted, op, events if materialize else None, options)
     else:
-        out = pending = _fused_sweep(r_sorted, s_sorted, op)[0]
-    if materialize:
-        _finish(out, pending, events, options)
+        # The reference path leaves every row to the batch.
+        out = _unfused_sweep(r_sorted, s_sorted, op)
+        if materialize:
+            _finish(out, out, events, options)
     return TPRelation._derived(
         f"({r.name} {_SYMBOLS[op]} {s.name})", r.schema, out, events, assume_sorted=True
     )
@@ -634,20 +633,36 @@ def sweep_chunks(
 
 
 def sweep_rows(
-    tr: list[TPTuple], ts: list[TPTuple], op: str
+    tr: Sequence[TPTuple],
+    ts: Sequence[TPTuple],
+    op: str,
+    events: Optional[Mapping[str, float]] = None,
+    options: Optional[ProbabilityOptions] = None,
 ) -> list[TPTuple]:
     """LAWA + λ-filter + λ-concat over two already-sorted tuple runs.
 
-    The public per-group seam of the fused kernel, consumed by the
-    incremental view maintenance of :mod:`repro.store`: windows are
-    determined purely locally by the ``(F, Ts)``-sorted neighborhood, so
-    a dirty region of a relation can be re-swept in isolation by feeding
-    only the tuples of that region.  Returns the kernel's lineage-only
-    tuples (``p`` is None) — exactly what the full operators build
-    before valuation, so splicing a re-swept region into a cached result
-    is lineage-identical to a full recompute.
+    The in-memory seam of the fused kernel: the set operations run it
+    over whole relations, and the incremental view maintenance of
+    :mod:`repro.store` over one dirty region of a fact group (windows
+    are determined purely locally by the ``(F, Ts)``-sorted
+    neighborhood, so a region re-swept in isolation gives the windows a
+    full sweep gives there).  Without ``events`` the tuples are
+    lineage-only (``p`` is None), as a query's interior nodes build
+    them.  With ``events`` they are valued as a query's root values
+    them: in the sweep, and what the sweep leaves pending in one batch
+    under ``options`` (:func:`_finish`), so every tuple comes back with
+    its ``p``.
     """
-    return _fused_sweep(tr, ts, op)[0]
+    if events is None:
+        return _fused_sweep(tr, ts, op)[0]
+    out, pending = _fused_sweep(tr, ts, op, events, limit_of(options))
+    _finish(out, pending, events, options)
+    return out
+
+
+def limit_of(options: Optional[ProbabilityOptions]) -> float:
+    """The ``exact_repeated_limit`` a sweep values windows under."""
+    return _LIMIT if options is None else options.exact_repeated_limit
 
 
 # ----------------------------------------------------------------------
@@ -700,18 +715,28 @@ def _finish(
 
     ``out`` holds the tuples a sweep has just built and nobody else has
     seen; the fused kernel valued all but the ``pending`` rows.  Those
-    get one batch over their interned lineages (each distinct formula
-    once) against the operand pair's merged event map, written before
-    the relation exists, so a published tuple never changes (DESIGN.md
-    §6.3).  The rest count as ``swept``, after the batch, so a batch
-    that raises counts nothing.
+    get one batch (:func:`value_pending`).  The rest count as
+    ``swept``, after the batch, so a batch that raises counts nothing.
     """
+    value_pending(pending, events, options)
+    count_swept(len(out) - len(pending))
+
+
+def value_pending(
+    pending: list[TPTuple],
+    events: Mapping[str, float],
+    options: Optional[ProbabilityOptions],
+) -> None:
+    """Write ``p`` into tuples a sweep has just built and left at
+    ``p=None``: one batch over their interned lineages (each distinct
+    formula once) against the operands' merged event map, written before
+    anyone else sees the tuples, so a published tuple never changes
+    (DESIGN.md §6.3)."""
     if pending:
         fill_probabilities(
             pending,
             probability_batch(list(map(_lineage_of, pending)), events, options=options),
         )
-    count_swept(len(out) - len(pending))
 
 
 #: Dispatch table, also consumed by the query executor and the benchmarks.

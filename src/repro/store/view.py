@@ -21,11 +21,19 @@ mutation therefore perturbs the result only inside **dirty regions**:
    or new, crosses the widened boundaries;
 3. the node re-runs the kernel sweep (:func:`repro.core.setops.sweep_rows`
    / :func:`repro.algebra.join.join_group`) over the widened range
-   only and **splices** the rows into its cached output, reusing old
-   tuple objects (and their materialized probabilities) whenever the
-   regenerated window is identical;
+   only and **splices** the kernel's tuples into its cached output as
+   they come, reusing an old tuple object (and its probability)
+   whenever the regenerated window is identical in interval and
+   formula — a question answered from the rows' operands, so no
+   refresh builds a lineage node;
 4. changed regions propagate upward, so an operator above an unchanged
    subresult does no work at all.
+
+The view's topmost operator node values the rows it builds in its own
+sweep, as a query's root does: the kernel writes ``p`` where it builds
+a window and one batch takes what it leaves pending.  Every node below
+the root is lineage-only, and nothing values the root's rows a second
+time (DESIGN.md §9.3).
 
 Three refresh policies: ``eager`` (the database refreshes the view after
 every transaction), ``deferred`` (refresh on read — the default), and
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..algebra.join import (
@@ -48,6 +57,7 @@ from ..algebra.join import (
     join_layout_from_schemas,
     merge_fact_overlaps,
     tp_join_operation,
+    value_join_rows,
 )
 from ..core.errors import SchemaMismatchError, UnsupportedOperationError
 from ..core.gtwindow import WINDOW_POLICIES
@@ -55,8 +65,8 @@ from ..core.relation import TPRelation, selection_name
 from ..core.schema import Fact, operand_kind_clash
 from ..core.setops import sweep_rows, tp_set_operation
 from ..core.sorting import null_safe_fact_key
-from ..core.tuple import TPTuple, tuples_from_rows
-from ..prob.valuation import ProbabilityOptions, probability_batch
+from ..core.tuple import TPTuple
+from ..prob.valuation import ProbabilityOptions
 from ..query.ast import JoinNode, QueryNode, RelationRef, SelectionNode, SetOpNode
 from .segment import Region, SegmentStore
 
@@ -144,6 +154,24 @@ def _widen(inputs: Sequence[tuple], lo: int, hi: int) -> list[int]:
     return [lo, hi]
 
 
+def _formula(t: TPTuple) -> object:
+    """The identity of a row's formula, read without interning a node
+    (DESIGN.md §9.3): the operands and operator of a deferred row — read
+    or not, for as long as it holds them — and otherwise its node.
+
+    Two rows with equal identities stand for one formula: the operands
+    are compared by identity (interned lineage, or one row object of a
+    child node), so the key never reads a row operand's lineage.
+    """
+    lineage = t._lineage
+    if lineage is None:
+        return id(t._left), id(t._right), t._op
+    op = getattr(t, "_op", None)  # a row built with its node has no operands
+    if op is not None and t._left is not None and t._right is not None:
+        return id(t._left), id(t._right), op
+    return lineage
+
+
 def _splice(
     cache: dict,
     fact: Fact,
@@ -157,9 +185,9 @@ def _splice(
     inside or outside every range (the widening invariant), so the
     replacement is slice surgery on the bisected run — no per-tuple
     scan, no re-sort.  Old tuple objects are reused whenever a
-    regenerated window is identical in (interval, lineage): their
-    materialized probabilities survive, so a refresh only ever valuates
-    genuinely new lineages.
+    regenerated window is identical in interval and formula
+    (:func:`_formula`), and a range whose every window kept its old
+    tuple is unchanged: neither question reads a lineage.
 
     Returns the ranges whose content actually changed (empty: no-op).
     """
@@ -170,11 +198,11 @@ def _splice(
         j = bisect_left(run, hi, i, key=_interval_start)
         removed = run[i:j]
         if removed and fresh:
-            reuse = {(t.start, t.end, t.lineage): t for t in removed}
-            kept = [reuse.get((t.start, t.end, t.lineage), t) for t in fresh]
+            reuse = {(t.start, t.end, _formula(t)): t for t in removed}
+            kept = [reuse.get((t.start, t.end, _formula(t)), t) for t in fresh]
             stats["rows_reused"] += len(kept) - sum(map(operator.is_, kept, fresh))
             fresh = kept
-        if removed != fresh:
+        if len(removed) != len(fresh) or not all(map(operator.is_, removed, fresh)):
             run[i:j] = fresh
             changed_ranges.append((lo, hi))
             stats["rows_spliced"] += len(fresh)
@@ -275,11 +303,19 @@ class _SelectNode:
 
 class _CachedNode:
     """What the operator nodes share: range reads over ``cache``, the
-    node's output per fact as ``Ts``-sorted, duplicate-free runs."""
+    node's output per fact as ``Ts``-sorted, duplicate-free runs.
 
-    __slots__ = ("schema", "cache", "stats")
+    ``events`` is the engine's event map on the view's root operator
+    and None below it: the root values the rows it builds under it and
+    ``options`` as a query's root does — in its sweep, and the rest in
+    one batch — and every interior node builds lineage-only rows
+    (DESIGN.md §9.3)."""
+
+    __slots__ = ("schema", "cache", "stats", "events", "options")
     cache: dict[Fact, list[TPTuple]]
     stats: dict[str, int]
+    events: Optional[dict[str, float]]
+    options: Optional[ProbabilityOptions]
 
     def has(self, fact: Fact) -> bool:
         return fact in self.cache
@@ -310,7 +346,14 @@ class _SetOpNode(_CachedNode):
     __slots__ = ("op", "left", "right", "names")
 
     def __init__(
-        self, op: str, left, right, stats: dict, names: tuple[str, str]
+        self,
+        op: str,
+        left,
+        right,
+        stats: dict,
+        names: tuple[str, str],
+        events: Optional[dict[str, float]],
+        options: Optional[ProbabilityOptions],
     ) -> None:
         left.schema.check_compatible(right.schema)
         self.op = op
@@ -320,6 +363,8 @@ class _SetOpNode(_CachedNode):
         self.schema = left.schema
         self.cache = {}
         self.stats = stats
+        self.events = events
+        self.options = options
         for fact in set(left.facts()) | set(right.facts()):
             tuples = self._sweep(left.group(fact), right.group(fact))
             if tuples:
@@ -327,7 +372,10 @@ class _SetOpNode(_CachedNode):
 
     def _sweep(self, lt: Sequence[TPTuple], rt: Sequence[TPTuple]) -> list[TPTuple]:
         _count_sweep(self.stats, lt, rt)
-        return sweep_rows(lt, rt, self.op)
+        out = sweep_rows(lt, rt, self.op, self.events, self.options)
+        if self.events is not None:
+            self.stats["rows_valuated"] += len(out)
+        return out
 
     def kind_clash(self) -> Optional[SchemaMismatchError]:
         """The error the query's own set operation would raise over the
@@ -375,7 +423,16 @@ class _JoinNode(_CachedNode):
         "_left_facts", "_right_facts", "_out_facts",
     )
 
-    def __init__(self, kind: str, on, left, right, stats: dict) -> None:
+    def __init__(
+        self,
+        kind: str,
+        on,
+        left,
+        right,
+        stats: dict,
+        events: Optional[dict[str, float]],
+        options: Optional[ProbabilityOptions],
+    ) -> None:
         self.kind = kind
         self.on = on
         self.left = left
@@ -387,6 +444,8 @@ class _JoinNode(_CachedNode):
         self.schema = self.layout.out_schema
         self.cache = {}
         self.stats = stats
+        self.events = events
+        self.options = options
         self._left_facts: dict[tuple, set[Fact]] = {}
         self._right_facts: dict[tuple, set[Fact]] = {}
         self._out_facts: dict[tuple, set[Fact]] = {}
@@ -397,15 +456,12 @@ class _JoinNode(_CachedNode):
         for key in set(self._left_facts) | set(self._right_facts):
             if not self._can_emit(key):
                 continue
-            by_fact: dict[Fact, list[TPTuple]] = {}
-            for t in self._group_tuples(
+            by_fact = self._group_runs(
                 self._gather(left, self._key_facts(self._left_facts, key)),
                 self._gather(right, self._key_facts(self._right_facts, key)),
-            ):
-                by_fact.setdefault(t.fact, []).append(t)
+            )
             if by_fact:
                 self._out_facts[key] = set(by_fact)
-                self._sort_runs(by_fact)
                 self.cache.update(by_fact)
 
     def _left_key(self, fact: Fact) -> tuple:
@@ -438,27 +494,37 @@ class _JoinNode(_CachedNode):
             out += node.group(fact) if lo is None else node.run(fact, lo, hi)
         return out
 
-    def _group_tuples(
+    def _group_runs(
         self, group_l: list[TPTuple], group_s: list[TPTuple]
-    ) -> list[TPTuple]:
-        """One key group's output through the shared group step: the
-        sweep's tuples first, then those it carries through unswept."""
+    ) -> dict[Fact, list[TPTuple]]:
+        """One key group's output through the shared group step, as runs
+        by fact: each ordered by start and, for the outer joins, with
+        coinciding facts collapsed as the batch driver does
+        (:func:`repro.algebra.join.merge_fact_overlaps`).  At the root
+        the step values its matches over two base variables, and the
+        rows it leaves at ``p=None`` — merged ones too — go to one
+        batch (:func:`repro.algebra.join.value_join_rows`)."""
         _count_sweep(self.stats, group_l, group_s)
-        rows, carried = join_group(self.layout, self.policy, group_l, group_s)
-        out = tuples_from_rows(rows)
-        out += carried
-        return out
-
-    def _sort_runs(self, by_fact: dict[Fact, list[TPTuple]]) -> None:
-        """Order each fact's run by start and, for the outer joins,
-        collapse coinciding facts as the batch driver does
-        (:func:`repro.algebra.join.merge_fact_overlaps`)."""
+        events = self.events
+        built, carried = join_group(
+            self.layout, self.policy, group_l, group_s, events, self.options
+        )
+        by_fact: dict[Fact, list[TPTuple]] = {}
+        for t in built:
+            by_fact.setdefault(t.fact, []).append(t)
+        for t in carried:
+            by_fact.setdefault(t.fact, []).append(t)
         policy = self.policy
         merges = policy.matches and (policy.preserve_left or policy.preserve_right)
         for fact, run in by_fact.items():
             run.sort(key=_interval_start)
             if merges:
                 by_fact[fact] = merge_fact_overlaps(run)
+        if events is not None:
+            self.stats["rows_valuated"] += value_join_rows(
+                built, chain.from_iterable(by_fact.values()), events, self.options
+            )
+        return by_fact
 
     def pull(self) -> list[Region]:
         dirty: dict[tuple, list[list[int]]] = {}
@@ -494,16 +560,13 @@ class _JoinNode(_CachedNode):
             widened = _merge_ranges(
                 _widen(inputs, lo, hi) for lo, hi in _merge_ranges(ranges)
             )
-            buckets: list[dict[Fact, list[TPTuple]]] = []
-            for lo, hi in widened:
-                bucket: dict[Fact, list[TPTuple]] = {}
-                for t in self._group_tuples(
+            buckets = [
+                self._group_runs(
                     self._gather(left, left_facts, lo, hi),
                     self._gather(right, right_facts, lo, hi),
-                ):
-                    bucket.setdefault(t.fact, []).append(t)
-                self._sort_runs(bucket)
-                buckets.append(bucket)
+                )
+                for lo, hi in widened
+            ]
             out_index = self._out_facts.setdefault(key, set())
             affected = set(out_index)
             for bucket in buckets:
@@ -543,17 +606,16 @@ class IncrementalEngine:
         self._base_nodes: list[_BaseNode] = []
         # Inner before outer, so the innermost clash is the one raised.
         self._set_ops: list[_SetOpNode] = []
-        self.root = self._build(query, stores)
+        self.root = self._build(query, stores, root=True)
         self.schema = self.root.schema
         # The assembled result, until a refresh changes it: a stale copy
         # (its tuple of rows, its event-map snapshot) is dropped at once,
         # not kept until the next read replaces it.
         self._cached: Optional[TPRelation] = None
-        # In-place materialization may only write into lists the engine
-        # owns (operator-node caches).  A base/selection root serves the
-        # *store's* flat-cache lists — writing probabilities there would
-        # bypass the segments and silently vanish on the next flat-cache
-        # rebuild; such roots materialize at relation() time instead.
+        # An operator root values the rows it builds in its own sweep,
+        # into lists the engine owns (its caches).  A base/selection root
+        # serves the *store's* flat-cache lists, which no view may write:
+        # such roots valuate at relation() time, on a copy, instead.
         owner = self.root
         while isinstance(owner, _SelectNode):
             owner = owner.child
@@ -563,17 +625,18 @@ class IncrementalEngine:
         # the store's lists (this engine's map catches up with those
         # only when it refreshes, which a manual view may not have).
         self._live_events = self.events if self._root_owns_cache else owner.store.events
-        if self._root_owns_cache:
-            self._materialize_all()
 
-    def _build(self, node: QueryNode, stores: Mapping[str, SegmentStore]):
+    def _build(self, node: QueryNode, stores: Mapping[str, SegmentStore], root: bool = False):
+        """The node tree of ``node``; the event map goes to its topmost
+        operator node (through σ), which values its rows, and to no node
+        below it."""
         if isinstance(node, RelationRef):
             base = _BaseNode(stores[node.name], self.events)
             self._base_nodes.append(base)
             return base
         if isinstance(node, SelectionNode):
             return _SelectNode(
-                self._build(node.child, stores), node.attribute, node.value
+                self._build(node.child, stores, root), node.attribute, node.value
             )
         if isinstance(node, SetOpNode):
             set_node = _SetOpNode(
@@ -582,6 +645,8 @@ class IncrementalEngine:
                 self._build(node.right, stores),
                 self.stats,
                 (str(node.left), str(node.right)),
+                self.events if root else None,
+                self._options,
             )
             self._set_ops.append(set_node)
             return set_node
@@ -592,6 +657,8 @@ class IncrementalEngine:
                 self._build(node.left, stores),
                 self._build(node.right, stores),
                 self.stats,
+                self.events if root else None,
+                self._options,
             )
         raise UnsupportedOperationError(
             f"incremental maintenance does not support query node {node!r}"
@@ -604,54 +671,10 @@ class IncrementalEngine:
         if self.is_fresh():
             return False
         self.stats["refreshes"] += 1
-        regions = self.root.pull()
-        if not regions:
+        if not self.root.pull():
             return False
         self._cached = None
-        if self._root_owns_cache:
-            self._materialize_regions(regions)
         return True
-
-    def _materialize(self, pending: list) -> None:
-        """Valuate the probabilities of not-yet-materialized root tuples.
-
-        Splicing reuses old tuple objects for unchanged windows, so only
-        genuinely new lineages reach the batch valuation.
-        """
-        if not pending:
-            return
-        self.stats["rows_valuated"] += len(pending)
-        probs = probability_batch(
-            (t.lineage for _, _, t in pending), self.events, options=self._options
-        )
-        for (run, i, t), p in zip(pending, probs):
-            run[i] = t.with_probability(p)
-
-    def _materialize_all(self) -> None:
-        pending = [
-            (run, i, t)
-            for fact in self.root.facts()
-            for run in (self.root.group(fact),)
-            for i, t in enumerate(run)
-            if t.p is None
-        ]
-        self._materialize(pending)
-
-    def _materialize_regions(self, regions: list[Region]) -> None:
-        """Materialize only inside the changed ranges (bisect-scoped scan)."""
-        by_fact: dict[Fact, list[list[int]]] = {}
-        for fact, lo, hi in regions:
-            by_fact.setdefault(fact, []).append([lo, hi])
-        pending: list[tuple[list, int, TPTuple]] = []
-        for fact, ranges in by_fact.items():
-            run = self.root.group(fact)
-            for lo, hi in _merge_ranges(ranges):
-                i = bisect_left(run, lo, key=_interval_start)
-                j = bisect_left(run, hi, i, key=_interval_start)
-                for k in range(i, j):
-                    if run[k].p is None:
-                        pending.append((run, k, run[k]))
-        self._materialize(pending)
 
     def _check_kinds(self) -> None:
         """Refuse a read as the query would: a store emptied by deletes
@@ -893,8 +916,11 @@ class MaterializedView:
         """Maintenance counters: ``refreshes`` that found base changes,
         ``ranges_reswept`` and ``rows_reswept`` (kernel sweeps run and
         their input rows), ``rows_spliced`` into a node's output,
-        ``rows_reused`` (regenerated windows that kept their old tuple)
-        and ``rows_valuated`` — the build's sweeps and valuations
+        ``rows_reused`` (regenerated windows that kept their old tuple),
+        ``rows_valuated`` — every row the root's sweeps built and
+        valued, in the sweep or in its batch, whether or not the splice
+        then kept an old tuple in its place (``RECOMPUTE``: the rows
+        each recompute valued) — the build's sweeps and valuations
         included; it is no refresh and splices nothing — and the
         query ``reads`` (:meth:`read`, whole or keyed) with the
         ``rows_read`` they returned."""

@@ -313,16 +313,38 @@ def programs(
 ):
     """``(catalog, tree, script)``: relations drawn from ``catalog``, a
     query tree whose root is ``op`` over two :func:`query_tree`
-    subtrees at most ``depth`` deep (the right one repeats the left when
-    their arities differ), and a :func:`delta_script` of ``batches``
-    transactions against the relations."""
+    subtrees at most ``depth`` deep, and a :func:`delta_script` of
+    ``batches`` transactions against the relations.  ``op`` is a set
+    operation (the right subtree repeats the left when their arities
+    differ) or one of :data:`JOIN_KINDS`, joined on ``k`` or naturally
+    (the catalog's relations all hold ``k``)."""
     relations = draw(catalog)
     left, right = (
         draw(query_tree(relations, max_depth=depth, joins=joins, selections=selections))
         for _ in range(2)
     )
+    script = delta_script(relations, draw(st.integers(0, 2**16)), batches=batches)
+    if op in JOIN_KINDS:
+        return relations, JoinNode(op, left, right, draw(st.sampled_from([None, ("k",)]))), script
     schemas = {name: r.schema for name, r in relations.items()}
     if infer_schema(left, schemas).arity != infer_schema(right, schemas).arity:
         right = left
-    script = delta_script(relations, draw(st.integers(0, 2**16)), batches=batches)
     return relations, SetOpNode(op, left, right), script
+
+
+@st.composite
+def padded_join_programs(draw, kind: str, *, batches: int = 0):
+    """``(catalog, tree, script)`` as :func:`programs` gives them, for
+    ``(r LEFT OUTER JOIN t ON k) <kind> s``: ``r`` and ``s`` over
+    ``("k", "a")``, ``t`` over ``("k", "b")``.  The inner outer join pads
+    ``b`` with None, and the natural join above it on ``(k, a)`` finds
+    ``s`` key-only — a degenerate layout whose carried and preserved
+    facts coincide (DESIGN.md §8.4)."""
+    relations = {
+        name: draw(tp_join_relation(name, ("k", family), [f"{family}1", f"{family}2"],
+                                    max_facts=3, max_intervals=2))
+        for name, family in (("r", "a"), ("t", "b"), ("s", "a"))
+    }
+    inner = JoinNode("left_outer", RelationRef("r"), RelationRef("t"), ("k",))
+    script = delta_script(relations, draw(st.integers(0, 2**16)), batches=batches)
+    return relations, JoinNode(kind, inner, RelationRef("s"), None), script

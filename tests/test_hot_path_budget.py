@@ -35,7 +35,11 @@ A chained read such as ``(a | b) | c`` builds no lineage node and runs
 no batch, and its rows retain no more than they did while it built
 both (its calls per row were 2–3× today's).  A served miss — its cached
 entry's own event map and its wire fragment — builds no lineage node
-(it once built every row's node to read its names and its text).
+(it once built every row's node to read its names and its text).  A
+join values each match over two base variables where it builds it, and
+the transaction's views build no node, run no batch and copy no row (a
+join once interned every match and batched them all, and a view's root
+valued its rows again after the splice).
 
 What the counter cannot see: ``sys.setprofile`` reports Python calls
 and calls of builtin functions, but neither a member descriptor's
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import os
 import random
 import sys
 import tracemalloc
@@ -58,6 +63,7 @@ from collections import Counter
 
 import pytest
 
+import repro
 from repro import Interval, TPRelation
 from repro.core.setops import tp_except, tp_union
 from repro.db import TPDatabase
@@ -119,16 +125,29 @@ def seeded_rows(seed: int, n: int = 2000, keys: int = 80) -> list[tuple]:
     return rows
 
 
+#: Where the package's code lives: only its frames are counted.
+PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
+
+
 def count_calls(run) -> tuple[Counter, object]:
     """Run ``run()`` under a profile hook; calls by (kind, name).
 
-    Garbage left by earlier tests is collected first: a collection
-    inside ``run()`` would otherwise count the finalizers of whatever
-    it frees (a suspended generator's ``close``, say)."""
+    Counted are the calls of the package's own functions (a frame whose
+    code file lies under ``src/repro``) and the C functions those frames
+    call — not the caller's own code, nor a hook another library runs
+    inside ``run()`` (Hypothesis installs a process-wide collector
+    callback once its first test has run, which would make a count read
+    in the full suite differ from the same count read alone).  Garbage
+    left by earlier tests is collected first: a collection inside
+    ``run()`` would otherwise count the finalizers of whatever it frees
+    (a suspended generator's ``close``, say)."""
     gc.collect()
     calls: Counter = Counter()
+    package = PACKAGE_DIR
 
     def hook(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return
         if event == "call":
             calls[("py", frame.f_code.co_qualname)] += 1
         elif event == "c_call":
@@ -437,8 +456,12 @@ def test_an_nary_node_costs_no_more_than_the_binary_chain(op):
 #: 3 078 at 250 tuples per fact group, 3 110 at 4 000 (16 719 and
 #: 134 054 while the store and the view nodes still copied a group's
 #: start column out to bisect it); 2 935 and 2 988 since rows are built
-#: as drafts.
-CALLS_PER_TRANSACTION_CEILING = 3350
+#: as drafts; 2 748 and 2 774 since the views' roots value their rows in
+#: the sweep, a splice keys its reuse on operands and a join defers its
+#: matches — no node, no batch, no copy (counted as now, the package's
+#: frames only: 2 769 and 2 794 with the caller's frames too).  ~12 %
+#: headroom.
+CALLS_PER_TRANSACTION_CEILING = 3100
 TRANSACTIONS = 40
 
 
@@ -500,9 +523,47 @@ def test_calls_per_transaction_do_not_grow_with_the_fact_group():
         f"{large:.0f} at 4 000; the biggest callers: {large_calls.most_common(8)}"
     )
     assert max(small, large) <= CALLS_PER_TRANSACTION_CEILING
-    # No start column is walked: a run is bisected where it lies.
     for calls in (small_calls, large_calls):
+        # No start column is walked: a run is bisected where it lies.
         assert calls[("py", "TPTuple.start")] < 100 * TRANSACTIONS
+        # The views' roots value their rows in the sweep, and neither a
+        # splice nor a join builds a lineage node (DESIGN.md §9.3).
+        for node in ("And", "Or", "Not"):
+            assert calls[("py", f"{node}.__new__")] == 0
+        assert calls[("py", "probability_batch")] == 0
+        assert calls[("py", "TPTuple.with_probability")] == 0
+
+
+# ----------------------------------------------------------------------
+# joins: a match over two base variables is valued where it is built
+# ----------------------------------------------------------------------
+#: Calls per output row of ``a JOIN b ON k`` over the seeded 2 × 2 000
+#: input.  Measured when set: 32.07 — the sort of the sweep's endpoint
+#: events and its time-point sets are most of it — with ~12 % headroom.
+#: 52.08 while every match interned ``λl ∧ λr`` and a second batch
+#: valued all of them.
+JOIN_CALLS_PER_ROW_CEILING = 36.0
+
+
+def test_a_join_values_its_matches_in_the_sweep():
+    """Each match over two base variables is a deferred ∧ row valued by
+    Theorem 1 as it is built (DESIGN.md §8.2): no node, no batch."""
+    db = TPDatabase()
+    db.create_relation("a", ("k",), seeded_rows(1))
+    db.create_relation("b", ("k",), seeded_rows(2))
+    db.query("a JOIN b ON k")  # warm: sort orders
+    clear_valuation_cache()
+    calls, result = count_calls(lambda: db.query("a JOIN b ON k"))
+    rows = len(result)
+    assert rows == 2147
+    total = sum(calls.values())
+    assert total / rows <= JOIN_CALLS_PER_ROW_CEILING, (
+        f"{total / rows:.2f} calls per output row; the biggest callers: "
+        f"{calls.most_common(8)}"
+    )
+    assert calls[("py", "And.__new__")] == calls[("py", "probability_batch")] == 0
+    assert calls[("py", "tuples_from_rows")] == 0
+    assert valuation_cache_stats() == {"hits": 0, "misses": 0, "swept": rows}
 
 
 # ----------------------------------------------------------------------

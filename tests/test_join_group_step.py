@@ -26,7 +26,6 @@ from repro.algebra.join import (
 )
 from repro.core.gtwindow import WINDOW_POLICIES
 from repro.core.sorting import null_safe_key
-from repro.core.tuple import tuples_from_rows
 from repro.query.parser import parse_query
 from repro.store import MaterializedView, SegmentStore
 
@@ -83,10 +82,10 @@ def test_group_steps_assemble_the_batch_join(kind, layout, data):
     assembled = []
     for key in {**r_groups, **s_groups}:
         group_l, group_s = r_groups.get(key, ()), s_groups.get(key, ())
-        rows, carried = join_group(join, policy, group_l, group_s)
+        built, carried = join_group(join, policy, group_l, group_s)
         if not group_emits(policy, bool(group_l), bool(group_s)):
-            assert rows == [] and carried == []
-        assembled += tuples_from_rows(rows) + carried
+            assert built == [] and carried == []
+        assembled += built + carried
     batch = tp_join_operation(kind, r, s, ("k",), materialize=False)
     assert_same_tuples(assembled, batch, probabilities=False)
 

@@ -47,6 +47,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import TPError, TPRelation
+from repro.algebra.join import JOIN_KINDS
 from repro.algebra.streaming import stream_except, stream_intersect, stream_union
 from repro.core.setops import OPERATIONS, _finish, sweep_chunks
 from repro.core.sorting import null_safe_key
@@ -64,7 +65,7 @@ from repro.query.ast import relation_references
 from repro.semantics import query_marginals_via_worlds
 from repro.serve.protocol import relation_fragment
 
-from .strategies import programs, tp_query_catalog, tp_relation
+from .strategies import padded_join_programs, programs, tp_query_catalog, tp_relation
 from .test_hot_path_budget import seeded_rows
 
 OPS = tuple(OPERATIONS)
@@ -512,15 +513,9 @@ def test_durable_replays_and_reopens_equal_memory(op, durability, level, data):
         db.close()
 
 
-@pytest.mark.parametrize("strategy", ["INCREMENTAL", "RECOMPUTE"])
-@pytest.mark.parametrize("policy", ["eager", "deferred", "manual"])
-@pytest.mark.parametrize("op", OPS)
-@settings(max_examples=6, deadline=None)
-@given(data=st.data())
-def test_views_equal_the_requery(op, policy, strategy, data):
-    """A view read under each refresh policy equals the query re-run
-    over the stores it reads, after every transaction."""
-    catalog, tree, script = data.draw(engine_programs(op))
+def assert_view_follows_its_query(catalog, tree, script, policy, strategy) -> None:
+    """A view of ``tree`` under ``policy`` and ``strategy`` equals the
+    query re-run over the stores it reads, after every transaction."""
     db = load(TPDatabase(), catalog, stores=True)
     view = db.create_view("v", tree, policy=policy, strategy=strategy)
     for batch in script:
@@ -532,6 +527,30 @@ def test_views_equal_the_requery(op, policy, strategy, data):
         assert_same(
             lambda: db.relation("v"), lambda: db.query(tree, use_views=False), stats=None
         )
+
+
+@pytest.mark.parametrize("strategy", ["INCREMENTAL", "RECOMPUTE"])
+@pytest.mark.parametrize("policy", ["eager", "deferred", "manual"])
+@pytest.mark.parametrize("op", OPS + JOIN_KINDS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_views_equal_the_requery(op, policy, strategy, data):
+    """A view read under each refresh policy equals the query re-run
+    over the stores it reads, after every transaction — rooted at a set
+    operation or at each join kind, whose root values its rows in its
+    own sweep as the query's root does (DESIGN.md §9.3)."""
+    assert_view_follows_its_query(*data.draw(engine_programs(op)), policy, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["INCREMENTAL", "RECOMPUTE"])
+@pytest.mark.parametrize("policy", ["eager", "manual"])
+@pytest.mark.parametrize("kind", JOIN_KINDS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_join_views_over_a_padding_outer_join_equal_the_requery(kind, policy, strategy, data):
+    """A join root over an outer join that pads nulls: carried rows,
+    coinciding facts merged, and the rows the root leaves to its batch."""
+    assert_view_follows_its_query(*data.draw(padded_join_programs(kind, batches=3)), policy, strategy)
 
 
 @pytest.mark.parametrize("op", OPS)

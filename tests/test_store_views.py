@@ -343,6 +343,9 @@ class TestMaintenanceCounters:
         ]
         built = [view.stats() for view in views]
         assert all(stats["rows_reswept"] == 2 * per_group for stats in built)
+        # The root values every row its build sweeps, in the sweep.
+        for view, stats in zip(views, built):
+            assert stats["rows_valuated"] == len(view.relation()) == per_group
         frontier = 3 * per_group
         for i in range(10):
             ts = frontier + 5 * (i // 2)  # s follows r: the windows change twice
@@ -356,8 +359,12 @@ class TestMaintenanceCounters:
             after = view.stats()
             assert after["refreshes"] == 10 and before["refreshes"] == 0
             assert after["ranges_reswept"] - before["ranges_reswept"] == 20
+            # … and every row a refresh's root sweep builds: here each
+            # re-swept range changed and no window kept its old tuple,
+            # so what was valued is what was spliced.
             valuated = after["rows_valuated"] - before["rows_valuated"]
-            assert 0 < valuated <= after["rows_spliced"] <= 40
+            assert after["rows_reused"] == 0
+            assert 0 < valuated == after["rows_spliced"] <= 40
             assert before["rows_spliced"] == 0  # the build splices nothing
             reswept += after["rows_reswept"] - before["rows_reswept"]
         assert db.stats()["views"]["d"] == views[0].stats()
@@ -368,7 +375,11 @@ class TestMaintenanceCounters:
         large = self._reswept_per_refresh(800)
         assert small == large <= 8
 
-    def test_unchanged_windows_keep_their_tuples(self):
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_unchanged_windows_keep_their_tuples(self, read):
+        """Reuse asks for interval and formula, never for a node: a
+        window keeps its tuple whether or not a reader has read that
+        tuple's lineage since (DESIGN.md §9.3)."""
         stores = {
             "r": SegmentStore("r", ("k",)),
             "s": SegmentStore("s", ("k",)),
@@ -377,6 +388,9 @@ class TestMaintenanceCounters:
         stores["s"].insert([("x", 2, 6, 0.5)])
         view = MaterializedView("v", parse_query("r | s"), stores)
         before = view.relation()  # [0,2) [2,4) [4,6) [6,8)
+        if read:
+            lineages = [str(t.lineage) for t in before]
+            assert lineages == ["r_n1", "r_n1∨s_n1", "r_n2∨s_n1", "r_n2"]
         # Replacing r's second tuple widens through s's [2,6) and r's
         # [0,4) to [0,8): all four windows are re-swept, the two that r's
         # first tuple decides come out as they were and keep their tuples.
@@ -386,12 +400,41 @@ class TestMaintenanceCounters:
         assert [t for t in after if any(t is u for u in before)] == list(after)[:2]
         stats = view.stats()
         assert stats["refreshes"] == 1 and stats["rows_reswept"] == 3 + 3
-        assert stats["rows_reused"] == 2 and stats["rows_valuated"] == 4 + 2
+        # Every row a root sweep builds is valued there, the two that
+        # then keep their old tuple included: the build's four and the
+        # refresh's four.
+        assert stats["rows_reused"] == 2 and stats["rows_valuated"] == 4 + 4
         recompute = MaterializedView("w", parse_query("r | s"), stores, strategy="RECOMPUTE")
         stores["r"].insert([("y", 1, 2, 0.5)])
         assert recompute.relation().equivalent_to(view.relation())
         assert recompute.stats()["refreshes"] == 1
         assert recompute.stats()["rows_reused"] == 0
+
+
+    @pytest.mark.parametrize("query", ["r | s", "r & s", "r - s", "r JOIN s ON k"])
+    def test_a_replaced_operand_is_no_reuse(self, query):
+        """A transaction that replaces ``s``'s tuple by one over the same
+        interval gives the windows over it a new variable: same interval,
+        same left operand, another right one — each is a new tuple with
+        the new probability, never the old one kept (DESIGN.md §9.3)."""
+        stores = {
+            "r": SegmentStore("r", ("k",)),
+            "s": SegmentStore("s", ("k",)),
+        }
+        stores["r"].insert([("x", 0, 4, 0.5)])
+        stores["s"].insert([("x", 2, 6, 0.5)])
+        view = MaterializedView("v", parse_query(query), stores)
+        before = view.relation()
+        stores["s"].apply(deletes=[("x", 2, 6)], inserts=[("x", 2, 6, 0.9)])
+        after = view.relation()
+        assert after.equivalent_to(
+            MaterializedView("w", parse_query(query), stores, strategy="RECOMPUTE").relation()
+        )
+        over_s = [t for t in after if (t.start, t.end) != (0, 2)]
+        assert over_s and not any(t is u for t in over_s for u in before)
+        assert [t for t in after if (t.start, t.end) == (0, 2)] == [
+            t for t in before if (t.start, t.end) == (0, 2)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ from repro.algebra.join import (
 from repro.core.gtwindow import WINDOW_POLICIES
 from repro.core.setops import OPERATIONS, sweep_rows, tp_set_operation
 from repro.core.sorting import null_safe_fact_key, null_safe_key
-from repro.core.tuple import tuples_from_rows
 from repro.datasets import generate_join_pair, generate_pair
 from repro.prob.valuation import probability_batch
 
@@ -264,7 +263,7 @@ def assert_join_decomposes(kind, r, s, key, layout) -> None:
     rows = [
         t
         for k in keys
-        for t in tuples_from_rows(per_key[k][0]) + per_key[k][1]
+        for t in per_key[k][0] + per_key[k][1]
     ]
     rows.sort(key=null_safe_key)
     reference = list(tp_join_operation(kind, r, s, (key,), materialize=False))
