@@ -39,7 +39,7 @@ fused LAWA kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..core.errors import SchemaMismatchError, UnsupportedOperationError
@@ -402,6 +402,7 @@ def _generalized_join(
 
 
 _p_of = attrgetter("p")
+_fact_of = attrgetter("fact")
 
 
 def value_join_rows(
@@ -635,7 +636,11 @@ def _match_tuples(
 def _group_by_key(
     tuples_sorted: Sequence[TPTuple], key_idx: tuple[int, ...]
 ) -> dict[tuple, list[TPTuple]]:
+    # One itemgetter reads every key; over one attribute it returns the
+    # value itself, which zip wraps into the key's 1-tuple.
+    facts = map(_fact_of, tuples_sorted)
+    keys = map(itemgetter(*key_idx), facts)
     groups: dict[tuple, list[TPTuple]] = {}
-    for u in tuples_sorted:
-        groups.setdefault(tuple(u.fact[i] for i in key_idx), []).append(u)
+    for key, u in zip(keys if len(key_idx) > 1 else zip(keys), tuples_sorted):
+        groups.setdefault(key, []).append(u)
     return groups

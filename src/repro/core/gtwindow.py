@@ -142,8 +142,10 @@ def generalized_windows(
     for idx, u in enumerate(right):
         events.append((u.start, 1, RIGHT, idx))
         events.append((u.end, 0, RIGHT, idx))
-    # Ends (phase 0) before starts (phase 1) at equal time.
-    events.sort(key=lambda e: (e[0], e[1]))
+    # Ends (phase 0) before starts (phase 1) at equal time.  The events
+    # went in left side first, each side in index order, so ordering the
+    # whole tuple keeps that order among equal (time, phase).
+    events.sort()
 
     tuples = (left, right)
     preserve = (policy.preserve_left, policy.preserve_right)
@@ -155,17 +157,21 @@ def generalized_windows(
     while i < n:
         t = events[i][0]
         j = i
+        left_here = right_here = False  # whether the side has an event at t
         while j < n and events[j][0] == t:
+            if events[j][2] == LEFT:
+                left_here = True
+            else:
+                right_here = True
             j += 1
         group = events[i:j]
-        sides_here = {e[2] for e in group}
 
         # 1. Close preserved windows, snapshotting pre-event state.
         for side in (LEFT, RIGHT):
             if not preserve[side]:
                 continue
             other = 1 - side
-            if other in sides_here:
+            if right_here if side == LEFT else left_here:
                 # The match set of every valid preserved tuple changes.
                 to_close = list(seg_start[side])
             else:

@@ -1,4 +1,4 @@
-"""Boolean lineage formulas — hash-consed, with O(1) structural metadata.
+"""Boolean lineage formulas — hash-consed nodes that hold their structure.
 
 A lineage expression λ is a Boolean formula over tuple identifiers with the
 connectives ¬, ∧ and ∨ (paper, Section III).  Tuple identifiers denote
@@ -22,21 +22,12 @@ Design notes
   kernels exploit this heavily — adjacent LAWA windows reuse the same
   valid tuples, hence concatenate the identical lineage objects, and a
   batch valuation can deduplicate on node identity.
-* **Structural metadata** (DESIGN.md §4).  Computed at construction
-  time from the children's metadata, in O(1) for the two-child nodes the
-  sweeps emit: :attr:`Lineage.size` (AST node count),
-  :attr:`Lineage.var_total` (total variable occurrences) and
-  :attr:`Lineage.is_1of` (one-occurrence form) — the flag that lets
-  :func:`repro.prob.valuation.probability` dispatch without re-walking
-  formulas per result tuple.  Computed on first read and then stored:
-  :attr:`Lineage.var_set` (free variables) and
-  :meth:`Lineage.occurrences`.  A result tuple's root lineage is
-  valuated, rendered and encoded without anyone asking for its variable
-  set, so constructors do not build one frozenset per node; the classic
-  traversal functions :func:`formula_size`, :func:`variables`,
-  :func:`variable_occurrences` and
-  :func:`repro.lineage.onef.is_one_occurrence_form` read the stored
-  values.
+* **Structure only** (DESIGN.md §4): a node holds its name, child or
+  children and nothing derived from them.  The structural queries
+  :func:`formula_size`, :func:`variables`, :func:`variable_occurrences`
+  and :func:`repro.lineage.onef.is_one_occurrence_form` walk the
+  formula; the valuation walk (:mod:`repro.prob.shannon`) decides
+  one-occurrence form by leaf identity as it goes.
 * Interning is per-process.  Pickling round-trips through
   :meth:`__reduce__`, which rebuilds (and thereby re-interns) nodes, so
   identity equality survives serialization.  A new node enters its
@@ -52,7 +43,8 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, Mapping
+from operator import is_
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Lineage",
@@ -144,7 +136,6 @@ _INTERN_NOT, _drop_not = _intern_table()  # child -> Not
 _INTERN_AND, _drop_and = _intern_table()  # children -> And
 _INTERN_OR, _drop_or = _intern_table()  # children -> Or
 
-_EMPTY_SET: frozenset[str] = frozenset()
 _new = object.__new__
 
 #: The tags of an operand tree's connectives: a formula written as a
@@ -155,20 +146,6 @@ NOT, AND, OR = 0, 1, 2
 
 class Lineage:
     """Abstract base class of all lineage formula nodes.
-
-    Every concrete node carries cached structural metadata:
-
-    ``size``
-        Number of AST nodes (the |λ| of the linear-time 1OF bound).
-    ``var_total``
-        Total number of variable occurrences (with multiplicity).
-    ``is_1of``
-        True iff no variable occurs more than once (one-occurrence form).
-        Maintained incrementally: a connective is in 1OF exactly when
-        its children are and no two of them share a variable.
-    ``var_set``
-        Frozen set of the distinct variable names — computed from the
-        children's sets on first read, then stored in the node's slot.
 
     Supports the Python operators ``&``, ``|`` and ``~`` as shorthands for
     the smart constructors, so tests and examples can write
@@ -189,54 +166,11 @@ class Lineage:
     def __str__(self) -> str:
         return _format(self, parent_prec=0)
 
-    # ------------------------------------------------------------------
-    # cached-metadata helpers
-    # ------------------------------------------------------------------
-    if TYPE_CHECKING:
-        var_set: frozenset[str]
-    else:
-
-        def __getattr__(self, name: str) -> frozenset[str]:
-            # Reached only while the ``var_set`` slot is unset (a set
-            # slot is found before ``__getattr__`` is consulted), so a
-            # read costs nothing extra from the second one on.
-            if name != "var_set":
-                raise AttributeError(
-                    f"{type(self).__name__!r} object has no attribute {name!r}"
-                )
-            value = self.var_set = self._compute_var_set()
-            return value
-
-    def occurrences(self) -> Mapping[str, int]:
-        """Per-variable occurrence counts, computed once and cached.
-
-        The returned mapping is shared and must not be mutated; use
-        :func:`variable_occurrences` for a private copy.
-        """
-        occ = self._occ  # type: ignore[attr-defined]
-        if occ is None:
-            occ = self._compute_occ()
-            self._occ = occ  # type: ignore[attr-defined]
-        return occ
-
-    def repeated_count(self) -> int:
-        """Number of distinct variables occurring more than once (O(1) when
-        the formula is in 1OF, cached otherwise)."""
-        if self.is_1of:  # type: ignore[attr-defined]
-            return 0
-        return sum(1 for count in self.occurrences().values() if count > 1)
-
-    def _compute_occ(self) -> Dict[str, int]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _compute_var_set(self) -> frozenset[str]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
 
 class Var(Lineage):
     """An atomic lineage variable — the identifier of a base tuple."""
 
-    __slots__ = ("name", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
+    __slots__ = ("name", "__weakref__")
 
     def __new__(cls, name: str) -> "Var":
         ref = _INTERN_VAR.get(name)
@@ -246,21 +180,11 @@ class Var(Lineage):
                 return self
         self = _new(cls)
         self.name = name
-        self.size = 1
-        self.var_total = 1
-        self.is_1of = True
-        self._occ = None
         ref = _NodeRef(self, _drop_var)
         ref.key = name
         if _INTERN_VAR.setdefault(name, ref) is not ref:
             return _settle(_INTERN_VAR, ref)
         return self
-
-    def _compute_occ(self) -> Dict[str, int]:
-        return {self.name: 1}
-
-    def _compute_var_set(self) -> frozenset[str]:
-        return frozenset((self.name,))
 
     def __reduce__(self):
         return (Var, (self.name,))
@@ -275,7 +199,7 @@ class Var(Lineage):
 class Not(Lineage):
     """Negation ¬λ."""
 
-    __slots__ = ("child", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
+    __slots__ = ("child", "__weakref__")
 
     def __new__(cls, child: Lineage) -> "Not":
         ref = _INTERN_NOT.get(child)
@@ -285,24 +209,11 @@ class Not(Lineage):
                 return self
         self = _new(cls)
         self.child = child
-        self.size = child.size + 1
-        self.var_total = child.var_total
-        self.is_1of = child.is_1of
-        self._occ = None
         ref = _NodeRef(self, _drop_not)
         ref.key = child
         if _INTERN_NOT.setdefault(child, ref) is not ref:
             return _settle(_INTERN_NOT, ref)
         return self
-
-    def _compute_occ(self) -> Dict[str, int]:
-        return dict(self.child.occurrences())
-
-    def _compute_var_set(self) -> frozenset[str]:
-        child = self.child
-        if type(child) is Var:
-            return frozenset((child.name,))
-        return child.var_set
 
     def __reduce__(self):
         return (Not, (self.child,))
@@ -314,83 +225,10 @@ class Not(Lineage):
         return _format(self, parent_prec=0)
 
 
-def _init_nary(node: "And | Or", children: tuple[Lineage, ...]) -> None:
-    """Metadata of a connective with other than two children.
-
-    Such a node is in 1OF iff its children are and their variables are
-    pairwise disjoint.  Over shallow children that is an identity count
-    of their leaves (:func:`_leaf_vars`), which stores nothing; deeper
-    nesting builds the union of the children's sets, and since that is
-    the node's own set it is stored rather than recomputed on first read.
-    """
-    size = 1
-    total = 0
-    one = True
-    for child in children:
-        size += child.size
-        total += child.var_total
-        one = one and child.is_1of
-    node.size = size
-    node.var_total = total
-    if one:
-        leaves = _leaf_vars(children)
-        if leaves is not None:
-            one = len(set(leaves)) == total
-        else:
-            node.var_set = _union_var_sets(children)
-            one = total == len(node.var_set)
-    node.is_1of = one
-
-
-def _leaf_vars(children: tuple[Lineage, ...]) -> list[Var] | None:
-    """The variable occurrences under ``children``, or None.
-
-    Answers when every child is a variable, or a connective over
-    variables, each possibly negated — the lineage a chained set query
-    over base relations builds, such as ``(r1 ∪ r2) ∪ r3`` or
-    ``(r1 ∪ r2) ∩ (r2 ∪ r3)``.  Interned variables are one object per
-    name, so the children share no variable iff the list holds no
-    object twice: 1OF is decided without asking any node, base
-    variables included, for its ``var_set``.
-    """
-    leaves: list[Var] = []
-    append = leaves.append
-    for child in children:
-        if type(child) is Not:
-            child = child.child
-        kind = type(child)
-        if kind is Var:
-            append(child)
-        elif kind is And or kind is Or:
-            for leaf in child.children:
-                if type(leaf) is Not:
-                    leaf = leaf.child
-                if type(leaf) is not Var:
-                    return None
-                append(leaf)
-        else:
-            return None
-    return leaves
-
-
-def _union_var_sets(children: tuple[Lineage, ...]) -> frozenset[str]:
-    # A variable child answers with its name (variable_names): the union
-    # asks no base variable for a set of its own.
-    return _EMPTY_SET.union(*map(variable_names, children))
-
-
-def _merge_occ(children: tuple[Lineage, ...]) -> Dict[str, int]:
-    merged: Dict[str, int] = {}
-    for child in children:
-        for name, count in child.occurrences().items():
-            merged[name] = merged.get(name, 0) + count
-    return merged
-
-
 class And(Lineage):
     """Conjunction λ₁ ∧ … ∧ λₙ (n ≥ 2), flattened, order-preserving."""
 
-    __slots__ = ("children", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
+    __slots__ = ("children", "__weakref__")
 
     def __new__(cls, children: tuple[Lineage, ...]) -> "And":
         if type(children) is not tuple:
@@ -402,43 +240,11 @@ class And(Lineage):
                 return self
         self = _new(cls)
         self.children = children
-        if len(children) == 2:
-            # Every window the binary sweep kernels emit is two-child:
-            # in 1OF iff both children are and they share no variable —
-            # an identity test when both are (negated) variables, an
-            # identity count of the leaves when the children are shallow
-            # (_leaf_vars), so no variable set is built for the node or
-            # asked of its leaves; only deeper nesting compares sets.
-            left, right = children
-            self.size = 1 + left.size + right.size
-            self.var_total = left.var_total + right.var_total
-            if left.is_1of and right.is_1of:
-                a = left.child if type(left) is Not else left
-                b = right.child if type(right) is Not else right
-                if type(a) is Var and type(b) is Var:
-                    self.is_1of = a is not b
-                else:
-                    leaves = _leaf_vars(children)
-                    if leaves is not None:
-                        self.is_1of = len(set(leaves)) == self.var_total
-                    else:
-                        self.is_1of = left.var_set.isdisjoint(right.var_set)
-            else:
-                self.is_1of = False
-        else:
-            _init_nary(self, children)
-        self._occ = None
         ref = _NodeRef(self, _drop_and)
         ref.key = children
         if _INTERN_AND.setdefault(children, ref) is not ref:
             return _settle(_INTERN_AND, ref)
         return self
-
-    def _compute_occ(self) -> Dict[str, int]:
-        return _merge_occ(self.children)
-
-    def _compute_var_set(self) -> frozenset[str]:
-        return _union_var_sets(self.children)
 
     def __reduce__(self):
         return (And, (self.children,))
@@ -453,7 +259,7 @@ class And(Lineage):
 class Or(Lineage):
     """Disjunction λ₁ ∨ … ∨ λₙ (n ≥ 2), flattened, order-preserving."""
 
-    __slots__ = ("children", "size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
+    __slots__ = ("children", "__weakref__")
 
     def __new__(cls, children: tuple[Lineage, ...]) -> "Or":
         if type(children) is not tuple:
@@ -465,43 +271,11 @@ class Or(Lineage):
                 return self
         self = _new(cls)
         self.children = children
-        if len(children) == 2:
-            # Every window the binary sweep kernels emit is two-child:
-            # in 1OF iff both children are and they share no variable —
-            # an identity test when both are (negated) variables, an
-            # identity count of the leaves when the children are shallow
-            # (_leaf_vars), so no variable set is built for the node or
-            # asked of its leaves; only deeper nesting compares sets.
-            left, right = children
-            self.size = 1 + left.size + right.size
-            self.var_total = left.var_total + right.var_total
-            if left.is_1of and right.is_1of:
-                a = left.child if type(left) is Not else left
-                b = right.child if type(right) is Not else right
-                if type(a) is Var and type(b) is Var:
-                    self.is_1of = a is not b
-                else:
-                    leaves = _leaf_vars(children)
-                    if leaves is not None:
-                        self.is_1of = len(set(leaves)) == self.var_total
-                    else:
-                        self.is_1of = left.var_set.isdisjoint(right.var_set)
-            else:
-                self.is_1of = False
-        else:
-            _init_nary(self, children)
-        self._occ = None
         ref = _NodeRef(self, _drop_or)
         ref.key = children
         if _INTERN_OR.setdefault(children, ref) is not ref:
             return _settle(_INTERN_OR, ref)
         return self
-
-    def _compute_occ(self) -> Dict[str, int]:
-        return _merge_occ(self.children)
-
-    def _compute_var_set(self) -> frozenset[str]:
-        return _union_var_sets(self.children)
 
     def __reduce__(self):
         return (Or, (self.children,))
@@ -516,24 +290,15 @@ class Or(Lineage):
 class Top(Lineage):
     """The constant *true* (internal use by probability valuations)."""
 
-    __slots__ = ("size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     _instance: "Top | None" = None
 
     def __new__(cls) -> "Top":
         self = cls._instance
         if self is None:
-            self = object.__new__(cls)
-            self.size = 1
-            self.var_total = 0
-            self.var_set = _EMPTY_SET
-            self.is_1of = True
-            self._occ = {}
-            cls._instance = self
+            self = cls._instance = object.__new__(cls)
         return self
-
-    def _compute_occ(self) -> Dict[str, int]:
-        return {}
 
     def __reduce__(self):
         return (Top, ())
@@ -548,24 +313,15 @@ class Top(Lineage):
 class Bottom(Lineage):
     """The constant *false* (internal use by probability valuations)."""
 
-    __slots__ = ("size", "var_total", "var_set", "is_1of", "_occ", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     _instance: "Bottom | None" = None
 
     def __new__(cls) -> "Bottom":
         self = cls._instance
         if self is None:
-            self = object.__new__(cls)
-            self.size = 1
-            self.var_total = 0
-            self.var_set = _EMPTY_SET
-            self.is_1of = True
-            self._occ = {}
-            cls._instance = self
+            self = cls._instance = object.__new__(cls)
         return self
-
-    def _compute_occ(self) -> Dict[str, int]:
-        return {}
 
     def __reduce__(self):
         return (Bottom, ())
@@ -650,12 +406,11 @@ def lnot(part: Lineage) -> Lineage:
 
 
 # ----------------------------------------------------------------------
-# structural queries — reads of the metadata stored on the nodes
+# structural queries — walks of the formula
 # ----------------------------------------------------------------------
 def variables(formula: Lineage) -> frozenset[str]:
-    """The set of variable names occurring in ``formula`` (stored on the
-    node once computed)."""
-    return formula.var_set
+    """The set of variable names occurring in ``formula``."""
+    return frozenset(variable_occurrences(formula))
 
 
 def variable_names(formula: Lineage) -> Iterable[str]:
@@ -663,21 +418,16 @@ def variable_names(formula: Lineage) -> Iterable[str]:
 
     An atomic variable — every base tuple's lineage — answers with its
     own name, so bookkeeping over base tuples (validation, the stores'
-    event reference counts) does not store one single-element set per
-    tuple.
+    event reference counts) walks nothing.
     """
     if type(formula) is Var:
         return (formula.name,)
-    return formula.var_set
+    return variable_occurrences(formula)
 
 
 def referenced_variables(formulas: Iterable["Lineage | tuple"]) -> set[str]:
     """The distinct variable names of many formulas — nodes or operand
     trees — by one walk of their shared DAG (each ∧/∨ node visited once).
-
-    Reads no node's ``var_set`` and so stores none: a read that copies a
-    few hundred result tuples out of a large relation must not leave a
-    frozenset on every base variable and node it touches.
     """
     names: set[str] = set()
     add = names.add
@@ -713,32 +463,37 @@ def referenced_variables(formulas: Iterable["Lineage | tuple"]) -> set[str]:
 
 
 def variable_occurrences(formula: Lineage) -> dict[str, int]:
-    """Count how many times each variable occurs (for 1OF detection).
-
-    Returns a private copy; the shared cached mapping is available via
-    :meth:`Lineage.occurrences` for read-only hot paths.
-    """
-    return dict(formula.occurrences())
-
-
-def _iter_var_names(formula: Lineage) -> Iterator[str]:
-    """Traversal-based occurrence iterator (kept as the oracle the cached
-    metadata is property-tested against)."""
+    """How many times each variable occurs, in leaf order of first
+    occurrence."""
+    counts: dict[str, int] = {}
     stack = [formula]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            yield node.name
-        elif isinstance(node, Not):
+        kind = type(node)
+        if kind is Var:
+            name = node.name
+            counts[name] = counts[name] + 1 if name in counts else 1
+        elif kind is Not:
             stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
+        elif kind is And or kind is Or:
+            stack += reversed(node.children)
         # Top/Bottom contribute nothing
+    return counts
 
 
 def formula_size(formula: Lineage) -> int:
-    """Number of AST nodes — the |λ| in the linear-time 1OF bound (O(1))."""
-    return formula.size
+    """Number of AST nodes — the |λ| in the linear-time 1OF bound."""
+    size = 0
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        size += 1
+        kind = type(node)
+        if kind is Not:
+            stack.append(node.child)
+        elif kind is And or kind is Or:
+            stack += node.children
+    return size
 
 
 def evaluate(formula: Lineage, assignment: Mapping[str, bool]) -> bool:
@@ -768,21 +523,23 @@ def restrict(formula: Lineage, name: str, value: bool) -> Lineage:
     This is the cofactor operation of Shannon expansion:
     ``restrict(f, x, True)`` is f|x and ``restrict(f, x, False)`` is f|¬x.
     Untouched subformulas are returned as-is, and interning makes equal
-    cofactors identity-equal — which is what lets the Shannon memo in
-    :mod:`repro.prob.shannon` hit across expansion branches.
+    cofactors identity-equal.  The valuation walk of
+    :mod:`repro.prob.shannon` builds the same cofactors as operand trees;
+    this node-building form is its test oracle.
     """
-    if type(formula) is Var:
+    kind = type(formula)
+    if kind is Var:
         if formula.name != name:
             return formula
         return TRUE if value else FALSE
-    if name not in formula.var_set:
-        return formula
-    if isinstance(formula, Not):
-        return lnot(restrict(formula.child, name, value))
-    if isinstance(formula, And):
-        return land(*(restrict(child, name, value) for child in formula.children))
-    if isinstance(formula, Or):
-        return lor(*(restrict(child, name, value) for child in formula.children))
+    if kind is Not:
+        child = restrict(formula.child, name, value)
+        return formula if child is formula.child else lnot(child)
+    if kind is And or kind is Or:
+        parts = [restrict(child, name, value) for child in formula.children]
+        if all(map(is_, parts, formula.children)):
+            return formula
+        return land(*parts) if kind is And else lor(*parts)
     return formula
 
 

@@ -6,17 +6,14 @@ query over duplicate-free relations yields lineages in 1OF, and
 Corollary 1 exploits that marginal probabilities of 1OF formulas over
 independent variables are computable in time linear in the formula size.
 
-Since the hash-consing refactor (DESIGN.md §4), every lineage node caches
-its 1OF flag at construction time, so the predicate is an O(1) attribute
-read — the valuation dispatcher no longer re-traverses formulas per result
-tuple.  The traversal-based oracle is kept as
-:func:`_is_one_occurrence_form_traversal` and property-tested against the
-cached flag.
+Both predicates walk the formula (DESIGN.md §4).  The valuation does not
+call them: its walk (:mod:`repro.prob.shannon`) decides 1OF by leaf
+identity as it values the formula.
 """
 
 from __future__ import annotations
 
-from .formula import And, Bottom, Lineage, Not, Or, Top, Var
+from .formula import And, Bottom, Lineage, Not, Or, Top, Var, variable_occurrences
 
 __all__ = ["is_one_occurrence_form", "check_one_occurrence_form"]
 
@@ -24,17 +21,7 @@ __all__ = ["is_one_occurrence_form", "check_one_occurrence_form"]
 def is_one_occurrence_form(formula: Lineage) -> bool:
     """True iff no variable occurs more than once in ``formula``.
 
-    O(1): reads the metadata flag maintained incrementally by the
-    interning constructors of :mod:`repro.lineage.formula`.
-    """
-    return formula.is_1of
-
-
-def _is_one_occurrence_form_traversal(formula: Lineage) -> bool:
-    """Single-pass traversal oracle (pre-interning implementation).
-
-    Linear in the formula size, aborting at the first repetition.  Kept
-    for the property tests that pin the cached flag's correctness.
+    Linear in the formula size, aborting at the first repetition.
     """
     seen: set[str] = set()
     stack: list[Lineage] = [formula]
@@ -48,9 +35,7 @@ def _is_one_occurrence_form_traversal(formula: Lineage) -> bool:
             stack.append(node.child)
         elif isinstance(node, (And, Or)):
             stack.extend(node.children)
-        elif isinstance(node, (Top, Bottom)):
-            continue
-        else:  # pragma: no cover - defensive
+        elif not isinstance(node, (Top, Bottom)):
             raise TypeError(f"not a lineage formula: {node!r}")
     return True
 
@@ -61,6 +46,4 @@ def check_one_occurrence_form(formula: Lineage) -> list[str]:
     Useful in diagnostics: the query analyzer reports exactly which
     repeated subgoals break the PTIME guarantee of Corollary 1.
     """
-    if formula.is_1of:
-        return []
-    return sorted(name for name, n in formula.occurrences().items() if n > 1)
+    return sorted(name for name, n in variable_occurrences(formula).items() if n > 1)

@@ -9,8 +9,11 @@ variables, marginal probabilities factorize over the AST:
 
 This is the PTIME evaluation behind Corollary 1 of the paper: every
 non-repeating TP set query over duplicate-free relations yields 1OF
-lineages (Theorem 1), so its answer probabilities are computed by this
-module in time linear in the lineage size.
+lineages (Theorem 1), so their answer probabilities are linear in the
+lineage size.  The read path values them with the walk of
+:mod:`repro.prob.shannon`, which decides 1OF as it goes; :func:`_prob`
+is the independent node walk that ``Method.ONE_OCCURRENCE`` runs and the
+tests check that walk against, float for float (DESIGN.md §6.3).
 """
 
 from __future__ import annotations
@@ -24,27 +27,15 @@ from ..lineage.onef import is_one_occurrence_form
 __all__ = ["probability_1of"]
 
 
-def probability_1of(
-    formula: Lineage,
-    probabilities: Mapping[str, float],
-    *,
-    validate: bool = True,
-) -> float:
+def probability_1of(formula: Lineage, probabilities: Mapping[str, float]) -> float:
     """Exact marginal probability of a 1OF ``formula``.
 
-    Parameters
-    ----------
-    formula:
-        A lineage formula in one-occurrence form.
-    probabilities:
-        Maps every variable of the formula to its marginal probability.
-    validate:
-        When true (the default), reject formulas that are not in 1OF with
-        :class:`~repro.core.errors.ValuationError`; the factorized
-        computation below is *incorrect* for repeated variables.  The
-        dispatcher disables the re-check because it has already tested.
+    ``probabilities`` maps every variable of the formula to its marginal
+    probability.  A formula with a repeated variable is refused with
+    :class:`~repro.core.errors.ValuationError`: the factorized
+    computation is *incorrect* for it.
     """
-    if validate and not is_one_occurrence_form(formula):
+    if not is_one_occurrence_form(formula):
         raise ValuationError(
             "formula is not in one-occurrence form; "
             "use the Shannon valuation instead"

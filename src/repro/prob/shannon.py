@@ -6,18 +6,22 @@ expanding on a variable x::
 
     P(f) = p(x) · P(f|x) + (1 − p(x)) · P(f|¬x)
 
-One walk serves the batch and the set-operation sweep (DESIGN.md §6.3),
-over an *operand tree*: a variable, ⊤, ⊥, or a tuple ``(tag, child, …)``
-read off a node (:func:`operand_tree`) or assembled by the sweep
-(:func:`tree_connect`, :func:`tree_not`).  Those and the cofactor step
-do what ``land`` / ``lor`` / ``lnot`` do — same-op operands splice, ⊤/⊥
-fold away or absorb, a one-child connective collapses, ¬¬ cancels — so
-each cofactor is the tree of the node ``restrict`` would intern, and no
-node is built.  The pivot is the most frequent repeated variable, ties
-going to the first in leaf order; a tree without one is valued in the
-float order of ``prob.exact_1of._prob``.  TP set queries with repeating
-subgoals are #P-hard in general (Section III cites Dalvi & Suciu), so
-the worst case is unavoidable.
+One walk serves the batch and the set-operation sweep (DESIGN.md §6.3).
+It reads an interned node in place, or an *operand tree*: a variable,
+⊤, ⊥, or a tuple ``(tag, child, …)`` read off a node
+(:func:`operand_tree`) or assembled by the sweep (:func:`tree_connect`,
+:func:`tree_not`).  The walk decides one-occurrence form by leaf
+identity as it goes, and values such a formula in the float order of
+``prob.exact_1of._prob``, the reference walk.  Only a formula with a
+repeated variable is copied into an operand tree and expanded.  The
+tree builders and the cofactor step do what ``land`` / ``lor`` /
+``lnot`` do — same-op operands splice, ⊤/⊥ fold away or absorb, a
+one-child connective collapses, ¬¬ cancels — so each cofactor is the
+tree of the node ``restrict`` would intern, and no node is built.  The
+pivot is the most frequent repeated variable, ties going to the first
+in leaf order.  TP set queries with repeating subgoals are #P-hard in
+general (Section III cites Dalvi & Suciu), so the worst case is
+unavoidable.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def probability_shannon(
     probabilities: Mapping[str, float],
 ) -> float:
     """Exact marginal probability of an arbitrary lineage formula."""
-    value = tree_probability(operand_tree(formula), probabilities, float("inf"))
+    value = tree_probability(formula, probabilities, float("inf"))
     if value is None:
         for name in variable_occurrences(formula):
             if name not in probabilities:
@@ -122,8 +126,8 @@ def tree_probability(
     limit: float,
     memo: Optional[dict] = None,
 ) -> Optional[float]:
-    """``p`` of ``tree`` as the batch values its node — 1OF, else
-    Shannon — or None when ``probabilities`` lacks one of its variables
+    """``p`` of ``tree`` — a node or an operand tree — 1OF, else
+    Shannon, or None when ``probabilities`` lacks one of its variables
     or more than ``limit`` of them repeat (the batch's Monte-Carlo
     case)."""
     try:
@@ -133,6 +137,8 @@ def tree_probability(
         return None
     except _Repeated:
         pass
+    if type(tree) is not tuple:
+        tree = operand_tree(tree)
     if tree[0] == NOT:  # type: ignore[index]
         value = tree_probability(tree[1], probabilities, limit, memo)  # type: ignore[index]
         return None if value is None else 1.0 - value
@@ -200,33 +206,48 @@ def _cofactor(tree: tuple, x: Var, value: Lineage) -> Tree:
 
 
 def _value(tree: Tree, probabilities: Mapping[str, float], seen: dict) -> float:
-    """``p`` of a tree in one-occurrence form, in the float order of
-    ``exact_1of._prob``; a variable, or a negated one, is read in place.
-    Each variable enters ``seen``, and one found there raises
+    """``p`` of a node or tree in one-occurrence form, in the float order
+    of ``exact_1of._prob``; a variable, or a negated one, is read in
+    place.  Each variable enters ``seen``, and one found there raises
     :class:`_Repeated`; one ``probabilities`` lacks raises ``KeyError``."""
-    if type(tree) is not tuple:
-        if type(tree) is Var:
-            if tree in seen:
-                raise _Repeated
-            seen[tree] = None
-            return probabilities[tree.name]
+    kind = type(tree)
+    if kind is tuple:
+        tag = tree[0]
+        if tag == NOT:
+            return 1.0 - _value(tree[1], probabilities, seen)
+        children = tree[1:]
+    elif kind is Var:
+        if tree in seen:
+            raise _Repeated
+        seen[tree] = None
+        return probabilities[tree.name]
+    elif kind is And:
+        tag = AND
+        children = tree.children
+    elif kind is Or:
+        tag = OR
+        children = tree.children
+    elif kind is Not:
+        return 1.0 - _value(tree.child, probabilities, seen)
+    else:
         return 1.0 if tree is TRUE else 0.0
-    tag = tree[0]
-    if tag == NOT:
-        return 1.0 - _value(tree[1], probabilities, seen)
     product = 1.0  # of the children's values (∧) or of their complements (∨)
-    for child in tree[1:]:
-        if type(child) is Var:
+    for child in children:
+        kind = type(child)
+        if kind is Var:
             if child in seen:
                 raise _Repeated
             seen[child] = None
             value = probabilities[child.name]
-        elif type(child) is tuple and child[0] == NOT and type(child[1]) is Var:
-            child = child[1]
-            if child in seen:
-                raise _Repeated
-            seen[child] = None
-            value = 1.0 - probabilities[child.name]
+        elif kind is Not or kind is tuple and child[0] == NOT:
+            child = child.child if kind is Not else child[1]
+            if type(child) is Var:
+                if child in seen:
+                    raise _Repeated
+                seen[child] = None
+                value = 1.0 - probabilities[child.name]
+            else:
+                value = 1.0 - _value(child, probabilities, seen)
         else:
             value = _value(child, probabilities, seen)
         product *= value if tag == AND else 1.0 - value

@@ -1,19 +1,21 @@
 """Probability-valuation dispatcher with batch-scoped deduplication.
 
-Chooses the cheapest correct method for a lineage formula:
+``Method.AUTO`` values a formula with one walk, then falls back:
 
-1. **1OF fast path** — formulas in one-occurrence form are evaluated by
-   the linear-time factorized computation.  Theorem 1 of the paper
-   guarantees this path for every non-repeating TP set query, which is
-   what makes those queries PTIME (Corollary 1).  Since the hash-consing
-   refactor the 1OF test is an O(1) metadata read, so the AUTO dispatch
-   no longer re-traverses formulas per tuple.
-2. **Shannon expansion** — exact for arbitrary formulas; exponential only
-   in the number of *entangled* repeated variables.
-3. **Monte Carlo** — approximate fallback, selectable explicitly or
-   automatically once the repeated-variable count exceeds a threshold.
-   The automatic fallback is seeded from the formula's text unless a
+1. **The walk** (:func:`repro.prob.shannon.tree_probability`, the one the
+   set-operation sweep values its windows with) — reads the formula's
+   nodes in place, decides one-occurrence form by leaf identity as it
+   goes and values such a formula in linear time.  Theorem 1 of the
+   paper guarantees this for every non-repeating TP set query, which is
+   what makes those queries PTIME (Corollary 1).  On a repeated variable
+   it expands by Shannon, exponential only in the number of *entangled*
+   repeated variables.
+2. **Monte Carlo** — once more than ``exact_repeated_limit`` variables
+   repeat.  The estimate is seeded from the formula's text unless a
    caller passes an ``rng``, so the same query gets the same estimate.
+
+``Method.ONE_OCCURRENCE``, ``SHANNON`` and ``MONTE_CARLO`` select one
+method explicitly.
 
 Batch valuation (DESIGN.md §5)
 ------------------------------
@@ -37,11 +39,10 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional
 
 from ..core.errors import ValuationError
-from ..lineage.formula import Lineage, Var
+from ..lineage.formula import Lineage, Var, variable_occurrences
 from .exact_1of import _missing_variable, probability_1of
-from .exact_1of import _prob as _prob_1of
 from .montecarlo import probability_montecarlo
-from .shannon import probability_shannon
+from .shannon import probability_shannon, tree_probability
 
 __all__ = [
     "Method",
@@ -279,18 +280,20 @@ def _compute_auto(
     probabilities: Mapping[str, float],
     opts: ProbabilityOptions,
 ) -> tuple[float, bool]:
-    # AUTO: prefer the 1OF fast path, then exact Shannon, then sampling.
-    # Both the 1OF flag and the repeated-variable count are cached
-    # construction-time metadata — no per-call formula traversal.
     if type(formula) is Var:
         try:
             return probabilities[formula.name], True
         except KeyError as exc:
             raise _missing_variable(formula.name) from exc
-    if formula.is_1of:
-        return _prob_1of(formula, probabilities), True
-    if formula.repeated_count() <= opts.exact_repeated_limit:
-        return probability_shannon(formula, probabilities), True
+    # The sweep's walk over the nodes in place: 1OF decided on the way,
+    # Shannon on a repeated variable.  None means a variable is missing
+    # (an error) or more than the limit repeat (sampling).
+    value = tree_probability(formula, probabilities, opts.exact_repeated_limit)
+    if value is not None:
+        return value, True
+    for name in variable_occurrences(formula):
+        if name not in probabilities:
+            raise _missing_variable(name)
     # Without a caller's rng the draw is seeded from the formula's text
     # (a str seed is hashed with SHA-512, not hash(), so PYTHONHASHSEED
     # does not move it): the estimate is a function of the formula, the
@@ -351,16 +354,13 @@ def probability_batch(
         value = get_seen(formula, _MISS)
         if value is _MISS:
             misses += 1
-            # Inlined AUTO fast paths — atomic lineages and 1OF formulas
-            # cover every non-repeating set query (Theorem 1); _compute
-            # handles the rest.
+            # An atomic lineage — every base tuple's — is read inline;
+            # _compute walks any other formula (AUTO, DESIGN.md §5).
             if auto and type(formula) is Var:
                 try:
                     value = seen[formula] = probabilities[formula.name]
                 except KeyError as exc:
                     raise _missing_variable(formula.name) from exc
-            elif auto and formula.is_1of:
-                value = seen[formula] = _prob_1of(formula, probabilities)
             else:
                 value, shared = _compute(formula, probabilities, method, opts)
                 if shared:

@@ -77,7 +77,6 @@ _epoch_of = attrgetter("epoch")
 _fact_of = attrgetter("fact")
 _lineage_of = attrgetter("lineage")
 _name_of = attrgetter("name")
-_var_set_of = attrgetter("var_set")
 
 #: Change-log retention while *no* consumer is registered: enough for
 #: ad-hoc ``changes_since`` polling, bounded so a store mutated outside
@@ -391,7 +390,7 @@ class SegmentStore:
         variable it names — no per-tuple bisect and no per-tuple Python
         statement: the ``Var`` lineages' names are counted by one
         :class:`~collections.Counter` pass, and the compound lineages'
-        ``var_set`` members by a second one.  A fact seen out of order is
+        distinct variable names by a second one.  A fact seen out of order is
         refused: the groups and the sorted fact list would disagree."""
         capacity = self.segment_capacity
         groups, facts = self._groups, self._facts_sorted
@@ -412,7 +411,7 @@ class SegmentStore:
         is_var = list(map(is_, map(type, lineages), repeat(Var)))
         refs.update(map(_name_of, compress(lineages, is_var)))
         refs.update(chain.from_iterable(
-            map(_var_set_of, compress(lineages, map(not_, is_var)))
+            map(variable_names, compress(lineages, map(not_, is_var)))
         ))
 
     # ------------------------------------------------------------------

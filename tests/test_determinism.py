@@ -28,6 +28,7 @@ from repro.core.tuple import base_tuple
 from repro.datasets import generate_join_pair, generate_pair
 from repro.db.database import TPDatabase
 from repro.lineage.formula import FALSE, TRUE, Bottom, Top, Var, land, lor
+from repro.lineage.onef import check_one_occurrence_form
 from repro.lineage.serialize import (
     decode_batch,
     decode_lineage,
@@ -148,10 +149,10 @@ class TestValuationPerBatch:
 #: ``Method.AUTO`` estimates by Monte Carlo.  Run as-is in this process
 #: and in fresh interpreters under other hash seeds.
 _SAMPLED = """
-from repro.lineage.formula import Var, land, lor
+from repro.lineage.formula import Var, land, lor, variables
 from repro.prob.valuation import ProbabilityOptions, probability
 f = lor(*(land(Var(f"mc{i}"), Var(f"mc{i}_{side}")) for side in "lr" for i in range(25)))
-events = {name: 0.05 + (i % 7) / 20 for i, name in enumerate(sorted(f.var_set))}
+events = {name: 0.05 + (i % 7) / 20 for i, name in enumerate(sorted(variables(f)))}
 options = ProbabilityOptions(samples=400)
 value = probability(f, events, options=options)
 """
@@ -167,7 +168,7 @@ class TestAutoMonteCarloIsAFunctionOfTheFormula:
     def test_the_same_query_gets_the_same_estimate(self):
         run = _sampled()
         f, events, options, first = run["f"], run["events"], run["options"], run["value"]
-        assert f.repeated_count() == 25
+        assert len(check_one_occurrence_form(f)) == 25
         assert probability(f, events, options=options) == first
         # Being a function of the formula, the estimate is shared in a batch.
         clear_valuation_cache()

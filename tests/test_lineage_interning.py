@@ -3,7 +3,8 @@
 Covers the three contract pillars of DESIGN.md §4–§5:
 
 * identity equality — equal constructions yield the *same object*;
-* cached metadata — O(1) lookups agree with the traversal oracles;
+* structure only — a node holds its children, and the structural
+  queries agree with a traversal written here;
 * batch valuation — each distinct formula is valuated once per batch,
   nothing outlives the batch, and changing an events map is observed.
 """
@@ -24,12 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TPRelation, tp_except, tp_intersect, tp_union
-from repro.db import TPDatabase
 from repro.lineage import (
     And,
+    Lineage,
     Not,
     Or,
     Var,
+    check_one_occurrence_form,
     formula_size,
     intern_stats,
     is_one_occurrence_form,
@@ -41,9 +43,8 @@ from repro.lineage import (
     variables,
 )
 from repro.lineage import formula as formula_module
-from repro.lineage.formula import TRUE, FALSE, Bottom, Top, _iter_var_names, restrict
+from repro.lineage.formula import TRUE, FALSE, Bottom, Top
 from repro.lineage.serialize import decode_batch, encode_batch
-from repro.lineage.onef import _is_one_occurrence_form_traversal
 from repro.prob import (
     EventMap,
     Method,
@@ -217,12 +218,13 @@ class TestInternTableLifecycle:
         assert And((x, y, z)) is land(x, y, z) is And(v for v in (x, y, z))
         assert Or((x, y, z)) is lor(x, y, z) is Or(v for v in (x, y, z))
         nary = And((x, y, z, Not(x)))
-        assert (nary.size, nary.var_total, nary.var_set, nary.is_1of) == (
-            6, 4, frozenset({"route_x", "route_y", "route_z"}), False,
+        assert (formula_size(nary), variables(nary), is_one_occurrence_form(nary)) == (
+            6, frozenset({"route_x", "route_y", "route_z"}), False,
         )
+        assert variable_occurrences(nary) == {"route_x": 2, "route_y": 1, "route_z": 1}
         binary = Or((x, y))
-        assert (binary.size, binary.var_total, binary.var_set, binary.is_1of) == (
-            3, 2, frozenset({"route_x", "route_y"}), True,
+        assert (formula_size(binary), variables(binary), is_one_occurrence_form(binary)) == (
+            3, frozenset({"route_x", "route_y"}), True,
         )
 
     @given(FORMULAS, FORMULAS)
@@ -248,7 +250,19 @@ class TestInternTableLifecycle:
         assert rebuilt is parse_lineage("wire_a & !(wire_b | wire_c)")
 
 
-class TestCachedMetadata:
+def leaf_names(formula: Lineage) -> list[str]:
+    """The variable occurrences of ``formula`` in leaf order, by
+    recursion: the oracle the library's walks are checked against."""
+    if isinstance(formula, Var):
+        return [formula.name]
+    if isinstance(formula, Not):
+        return leaf_names(formula.child)
+    if isinstance(formula, (And, Or)):
+        return [name for child in formula.children for name in leaf_names(child)]
+    return []  # Top/Bottom contribute nothing
+
+
+class TestStructuralQueries:
     @given(FORMULAS)
     def test_size_matches_traversal(self, f):
         count = 0
@@ -260,106 +274,64 @@ class TestCachedMetadata:
                 stack.append(node.child)
             elif isinstance(node, (And, Or)):
                 stack.extend(node.children)
-        assert formula_size(f) == f.size == count
+        assert formula_size(f) == count
 
     @given(FORMULAS)
     def test_variables_match_traversal(self, f):
-        assert variables(f) == frozenset(_iter_var_names(f))
+        assert variables(f) == frozenset(leaf_names(f))
 
     @given(FORMULAS)
     def test_occurrences_match_traversal(self, f):
         oracle: dict[str, int] = {}
-        for name in _iter_var_names(f):
+        for name in leaf_names(f):
             oracle[name] = oracle.get(name, 0) + 1
         assert variable_occurrences(f) == oracle
-        assert f.var_total == sum(oracle.values())
+        assert list(variable_occurrences(f)) == list(oracle)  # leaf order
 
     @given(FORMULAS)
     def test_1of_flag_matches_traversal(self, f):
-        assert is_one_occurrence_form(f) == _is_one_occurrence_form_traversal(f)
+        names = leaf_names(f)
+        assert is_one_occurrence_form(f) == (len(names) == len(set(names)))
 
     @given(FORMULAS)
-    def test_repeated_count_matches_occurrences(self, f):
-        expected = sum(1 for n in variable_occurrences(f).values() if n > 1)
-        assert f.repeated_count() == expected
+    def test_repeated_variables_match_occurrences(self, f):
+        names = leaf_names(f)
+        expected = sorted({name for name in names if names.count(name) > 1})
+        assert check_one_occurrence_form(f) == expected
 
     def test_occurrences_copy_is_private(self):
         f = land(a, b)
         variable_occurrences(f)["a"] = 99
         assert variable_occurrences(f) == {"a": 1, "b": 1}
 
-    @given(FORMULAS, FORMULAS, FORMULAS)
-    def test_lazy_metadata_is_the_same_metadata(self, f, g, h):
-        """``var_set`` is computed on first read and ``is_1of`` without
-        it (DESIGN.md §4): both must be what an eager computation
-        would have stored, for every way a node comes into being."""
-        shapes = [
-            a, Not(a), And((a, Not(a))), Or((a, a)), And((a, Not(b))),  # leaves
-            f, lnot(f), land(f, g), lor(f, g), land(f, lnot(f)),  # two children
-            land(f, g, h), lor(f, g, h), lor(land(f, g), lnot(h)),  # n-ary, nested
-            # The kernels' direct construction, compound operands included.
-            And((f, g)), Or((f, g)), And((f, g, h)), Or((f, Not(g))),
+    def test_nodes_hold_their_structure_only(self):
+        """Each class's slots are its structure plus ``__weakref__``, and
+        no lineage class answers an unknown attribute by a hook: nothing
+        derived is stored on a node (DESIGN.md §4)."""
+        import importlib
+        import pkgutil
+
+        import repro.lineage
+
+        assert Lineage.__slots__ == ()
+        assert Var.__slots__ == ("name", "__weakref__")
+        assert Not.__slots__ == ("child", "__weakref__")
+        assert And.__slots__ == Or.__slots__ == ("children", "__weakref__")
+        assert Top.__slots__ == Bottom.__slots__ == ("__weakref__",)
+        with pytest.raises(AttributeError):
+            a.nope
+        modules = [repro.lineage] + [
+            importlib.import_module(f"repro.lineage.{info.name}")
+            for info in pkgutil.iter_modules(repro.lineage.__path__)
         ]
-        for node in shapes:
-            names = list(_iter_var_names(node))
-            assert node.var_total == len(names)
-            assert node.is_1of == (node.var_total == len(set(names)))
-            assert node.var_set == frozenset(names)  # first read: computed
-            assert node.var_set is node.var_set  # … and stored
-            assert node.is_1of == (node.var_total == len(node.var_set))
-            assert pickle.loads(pickle.dumps(node)) is node
-
-    def test_var_set_stays_unset_until_someone_reads_it(self):
-        def unset(node) -> bool:
-            # The slot itself, not the attribute: reading the attribute
-            # would compute it.
-            try:
-                type(node).var_set.__get__(node)
-            except AttributeError:
-                return True
-            return False
-
-        x, y = Var("lazy_x"), Var("lazy_y")
-        both = x & y
-        less = And((x, Not(y)))
-        assert both.is_1of and less.is_1of and not (x & ~x).is_1of
-        assert all(unset(node) for node in (x, y, both, less, less.children[1]))
-        assert both.var_set == {"lazy_x", "lazy_y"}
-        # A variable child answers with its name: the parent's set is
-        # stored, no base variable gets one of its own.
-        assert not unset(both) and unset(x) and unset(y)
-        assert unset(less)  # reading one node computes no other root
-        assert restrict(both, "lazy_x", True) is y and unset(x) and unset(y)
-        assert x.var_set == {"lazy_x"} and not unset(x)  # asked directly: stored
-        with pytest.raises(AttributeError, match="no attribute 'nope'"):
-            x.nope
-
-    @pytest.mark.parametrize("optimize", ["off", "safe"])
-    @pytest.mark.parametrize("query", ["(nv1|nv2)|nv3", "(nv1|nv2)&(nv2|nv3)"])
-    def test_chained_reads_set_no_var_set_on_a_base_variable(self, query, optimize):
-        """``(r1|r2)|r3`` and ``(r1|r2)&(r2|r3)``: nodes over shallow
-        children decide 1OF by counting interned leaves, and Shannon's
-        cofactors of the repeated ``(x∨y)∧(y∨z)`` ask no variable for a
-        set, so neither read leaves a frozenset on any base tuple's
-        ``Var`` (DESIGN.md §4)."""
-        from tests.test_hot_path_budget import seeded_rows
-
-        db = TPDatabase()
-        for i in (1, 2, 3):
-            db.create_relation(f"nv{i}", ("k",), seeded_rows(10 + i, n=600, keys=12))
-        result = db.query(query, optimize=optimize)
-        assert len(result) > 0
-        assert any(not t.lineage.is_1of for t in result) == ("&" in query)
-        slot = Var.var_set  # the slot itself: the attribute would compute it
-        with_set = 0
-        for i in (1, 2, 3):
-            for t in db.relation(f"nv{i}"):
-                try:
-                    slot.__get__(t.lineage)
-                except AttributeError:
-                    continue
-                with_set += 1
-        assert with_set == 0, f"{with_set} base variables carry a var_set"
+        classes = [
+            value
+            for module in modules
+            for value in vars(module).values()
+            if isinstance(value, type) and value.__module__.startswith("repro.lineage")
+        ]
+        assert Var in classes and len(classes) > 7
+        assert not [cls for cls in classes if "__getattr__" in vars(cls)]
 
 
 def _formula_corpus(n: int, events: EventMap) -> list:

@@ -55,6 +55,7 @@ from repro.core.tuple import TPTuple
 from repro.db import TPDatabase
 from repro.db.io import save_csv, save_json
 from repro.lineage.formula import intern_stats, referenced_variables
+from repro.lineage.onef import check_one_occurrence_form
 from repro.prob.valuation import (
     ProbabilityOptions,
     clear_valuation_cache,
@@ -128,7 +129,7 @@ def all_swept(rows) -> dict:
 def repeated_batched(rows) -> dict:
     """The fused kernel at :data:`LOWERED`: windows with a repeated
     variable to the batch, the rest valued in the sweep."""
-    return batched(rows, [t for t in rows if t.lineage.repeated_count()])
+    return batched(rows, [t for t in rows if check_one_occurrence_form(t.lineage)])
 
 
 def assert_same(

@@ -8,7 +8,10 @@ picks the pivot, one-occurrence subformulas factorize — and for any
 formula, raw unflattened ``And`` / ``Or`` nodes, ``Not(Not(·))`` and ⊤/⊥
 children included, both must give the same float.  The walk builds no
 node, and a window over more repeated variables than the batch values
-exactly is still left to the batch.
+exactly is still left to the batch.  The batch values every formula by
+the same walk, over its nodes in place, and keeps the float order of
+the reference walks: ``exact_1of._prob`` on one-occurrence formulas,
+the expansion on the rest.
 """
 
 from __future__ import annotations
@@ -38,10 +41,14 @@ from repro.lineage.formula import (
     restrict,
     variable_occurrences,
 )
+from repro.lineage.onef import check_one_occurrence_form, is_one_occurrence_form
+from repro.prob.exact_1of import probability_1of
 from repro.prob.shannon import operand_tree, probability_shannon, tree_probability
 from repro.prob.valuation import (
     ProbabilityOptions,
     clear_valuation_cache,
+    probability,
+    probability_batch,
     valuation_cache_stats,
 )
 
@@ -132,6 +139,38 @@ def test_the_walk_builds_no_node(formula, probabilities):
     assert intern_stats() == before
 
 
+#: Twelve names, so that many drawn formulas are in one-occurrence form.
+WIDE = tuple(f"w{i}" for i in range(12))
+WIDE_FORMULAS = st.recursive(
+    st.sampled_from([*map(Var, WIDE), TRUE, FALSE]), grow, max_leaves=12
+)
+#: Any float in (0, 1): products of three or more round differently by
+#: order far more often than over thousandths.
+ANY_PROBABILITIES = st.fixed_dictionaries({
+    name: st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    for name in NAMES + WIDE
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(FORMULAS, WIDE_FORMULAS), ANY_PROBABILITIES)
+def test_the_batch_keeps_the_float_order_of_the_reference_walks(formula, events):
+    """``probability_batch`` (AUTO) values a one-occurrence formula
+    exactly as the independent node walk ``probability_1of`` does, and
+    any other as the Shannon expansion does — at most 12 variables
+    repeat, under the default limit — by ``repr``, raw unflattened
+    nodes and ⊤/⊥ children included."""
+    if is_one_occurrence_form(formula):
+        expected = probability_1of(formula, events)
+    else:
+        expected = probability_shannon(formula, events)
+        assert repr(expected) == repr(oracle(formula, events, {}))
+    assert [repr(p) for p in probability_batch([formula, formula], events)] == [
+        repr(expected)
+    ] * 2
+    assert repr(probability(formula, events)) == repr(expected)
+
+
 def test_ties_go_to_the_first_variable_in_leaf_order():
     """``(a∨b)∧(b∨a)``: both repeat twice and the pivot is ``a``;
     expanding on ``b`` first rounds the last bit the other way."""
@@ -172,7 +211,7 @@ def test_a_walk_over_the_limit_is_left_to_the_batch():
         options=options,
     )
     assert fused.lineage is reference.lineage
-    assert fused.lineage.repeated_count() == 25
+    assert len(check_one_occurrence_form(fused.lineage)) == 25
     assert repr(fused.p) == repr(reference.p)
 
 

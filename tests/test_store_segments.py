@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import DuplicateFactError, tp_union
-from repro.lineage.formula import Var, variable_names
+from repro.lineage.formula import Var, variable_names, variables
 from repro.store import Delta, SegmentStore, load_delta, save_delta
 
 from .strategies import tp_relation
@@ -286,7 +286,7 @@ class TestBulkBuild:
             expected: dict[str, int] = {}
             for t in relation.sorted_tuples():
                 lineage = t.lineage
-                for var in (lineage.name,) if type(lineage) is Var else lineage.var_set:
+                for var in (lineage.name,) if type(lineage) is Var else variables(lineage):
                     expected[var] = expected.get(var, 0) + 1
             seeded = SegmentStore.from_relation(relation)
             restored = SegmentStore.restore(
