@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TPRelation, tp_except, tp_intersect, tp_union
+from repro.db import TPDatabase
 from repro.lineage import (
     And,
     Lineage,
@@ -51,7 +52,9 @@ from repro.prob import (
     ProbabilityOptions,
     clear_valuation_cache,
     probability,
+    probability_1of,
     probability_batch,
+    probability_shannon,
     valuation_cache_stats,
 )
 from tests.strategies import formulas, tp_relation_pair
@@ -332,6 +335,54 @@ class TestStructuralQueries:
         ]
         assert Var in classes and len(classes) > 7
         assert not [cls for cls in classes if "__getattr__" in vars(cls)]
+
+    @given(FORMULAS, FORMULAS, FORMULAS)
+    def test_every_construction_answers_the_structural_queries(self, f, g, h):
+        """However a node comes into being — a leaf shape, the two-child
+        and n-ary builders, nesting, or the kernels' direct
+        construction — the structural queries agree with the leaf
+        oracle, and a pickle round trip gives the same object back."""
+        shapes = [
+            a, Not(a), And((a, Not(a))), Or((a, a)), And((a, Not(b))),  # leaves
+            f, lnot(f), land(f, g), lor(f, g), land(f, lnot(f)),  # two children
+            land(f, g, h), lor(f, g, h), lor(land(f, g), lnot(h)),  # n-ary, nested
+            # The kernels' direct construction, compound operands included.
+            And((f, g)), Or((f, g)), And((f, g, h)), Or((f, Not(g))),
+        ]
+        for node in shapes:
+            names = leaf_names(node)
+            assert variables(node) == frozenset(names)
+            assert sum(variable_occurrences(node).values()) == len(names)
+            assert is_one_occurrence_form(node) == (len(names) == len(set(names)))
+            assert pickle.loads(pickle.dumps(node)) is node
+
+    @pytest.mark.parametrize("optimize", ["off", "safe"])
+    @pytest.mark.parametrize("query", ["(nv1|nv2)|nv3", "(nv1|nv2)&(nv2|nv3)"])
+    def test_chained_reads_set_no_var_set_on_a_base_variable(self, query, optimize):
+        """``(r1|r2)|r3`` and ``(r1|r2)&(r2|r3)``: the walk decides 1OF
+        as it values, so a chained read leaves every base tuple's
+        ``Var`` holding its name alone, and each row's probability is
+        the reference walk's (1OF) or Shannon's (repeated ``r2``) to the
+        last bit (DESIGN.md §4, §6.3)."""
+        from tests.test_hot_path_budget import seeded_rows
+
+        db = TPDatabase()
+        for i in (1, 2, 3):
+            db.create_relation(f"nv{i}", ("k",), seeded_rows(10 + i, n=600, keys=12))
+        result = db.query(query, optimize=optimize)
+        assert len(result) > 0
+        repeated = 0
+        for t in result:
+            one = is_one_occurrence_form(t.lineage)
+            repeated += not one
+            reference = probability_1of if one else probability_shannon
+            assert repr(t.p) == repr(reference(t.lineage, result.events))
+        assert bool(repeated) == ("&" in query)
+        for i in (1, 2, 3):
+            for t in db.relation(f"nv{i}"):
+                var = t.lineage
+                assert type(var) is Var and not hasattr(var, "__dict__")
+                assert not hasattr(var, "var_set")
 
 
 def _formula_corpus(n: int, events: EventMap) -> list:
